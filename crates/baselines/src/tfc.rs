@@ -147,6 +147,14 @@ mod tests {
         )
     }
 
+    /// Parking relies on it: TFC's policy grants a fixed set of VCs per
+    /// request and a `None` leaves its tie-break stream untouched.
+    #[test]
+    fn token_west_first_honours_the_route_contract() {
+        let mut routing = Tfc::new(5).routing;
+        noc_sim::routing::contract::check(&mut routing).unwrap();
+    }
+
     #[test]
     fn delivers_without_wedging() {
         let mut s = sim(0.5, SyntheticPattern::Uniform);

@@ -99,6 +99,15 @@ pub fn canon_hash(sim: &Simulation, ctl: &ScriptCtl, params: &CanonParams) -> u6
     let vcs = core.vcs_per_port();
 
     // ---- VC buffers -----------------------------------------------------
+    // The arena's derived words (ready, parked, the per-slot refused
+    // masks, the waiter words) are deliberately not folded. `ready` is a
+    // function of the counters folded below. The rest is bookkeeping of
+    // event-driven allocation that only decides which `route()` calls are
+    // *skipped*, and a skipped call is one that would have returned
+    // `None` and changed nothing: two states that differ only there have
+    // identical futures, so hashing them apart would split one logical
+    // state by the path that reached it. Their consistency is checked at
+    // every explored state by `audit_conservation` instead.
     for node in core.mesh().nodes() {
         for port in 0..NUM_PORTS {
             let input = core.input(node, port);

@@ -83,14 +83,28 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint: packets
-    /// must fit in one VC buffer (single-packet-per-VC VCT) and all
-    /// capacities must be nonzero.
+    /// must fit in one VC buffer (single-packet-per-VC VCT), all
+    /// capacities must be nonzero, and the simulator's packed state must
+    /// be able to hold them — one occupancy bit per VC in a 64-bit word
+    /// per input port, and flit counts in bytes whose value 255 is the
+    /// "none" sentinel.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.vcs_per_vn == 0 {
             return Err(ConfigError("vcs_per_vn must be nonzero"));
         }
+        if self.vcs_per_port() > 64 {
+            return Err(ConfigError(
+                "at most 64 VCs per input port (max(vns, 1) x vcs_per_vn)",
+            ));
+        }
         if self.buffer_flits == 0 {
             return Err(ConfigError("buffer_flits must be nonzero"));
+        }
+        if self.max_packet_flits >= 255 {
+            return Err(ConfigError("max_packet_flits must be below 255"));
+        }
+        if self.buffer_flits >= 255 {
+            return Err(ConfigError("buffer_flits must be below 255"));
         }
         if self.max_packet_flits > self.buffer_flits {
             return Err(ConfigError(
@@ -277,6 +291,53 @@ mod tests {
         fn cfg_validate_err(self) -> ConfigError {
             self.cfg.validate().unwrap_err()
         }
+    }
+
+    #[test]
+    fn more_than_64_vcs_per_port_rejected() {
+        let err = SimConfig::builder()
+            .vns(6)
+            .vcs_per_vn(11)
+            .cfg_validate_err();
+        assert!(err.to_string().contains("64 VCs"), "{err}");
+        let err = SimConfig::builder()
+            .vns(0)
+            .vcs_per_vn(65)
+            .cfg_validate_err();
+        assert!(err.to_string().contains("64 VCs"), "{err}");
+        // The limit itself is fine, with or without VNs.
+        assert!(SimConfig::builder()
+            .vns(0)
+            .vcs_per_vn(64)
+            .cfg
+            .validate()
+            .is_ok());
+        assert!(SimConfig::builder()
+            .vns(4)
+            .vcs_per_vn(16)
+            .cfg
+            .validate()
+            .is_ok());
+    }
+
+    #[test]
+    fn flit_counts_must_stay_below_the_byte_sentinel() {
+        let err = SimConfig::builder()
+            .buffer_flits(300)
+            .max_packet_flits(255)
+            .cfg_validate_err();
+        assert!(err.to_string().contains("max_packet_flits"), "{err}");
+        let err = SimConfig::builder().buffer_flits(255).cfg_validate_err();
+        assert!(
+            err.to_string().contains("buffer_flits must be below"),
+            "{err}"
+        );
+        assert!(SimConfig::builder()
+            .buffer_flits(254)
+            .max_packet_flits(254)
+            .cfg
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         OCCUPANCY,
-        "VC occupant state (arena meta/occ/routed words, occ_mask, install/take) changes only \
-         inside the arena module and whitelisted pipeline/relocation paths",
+        "VC occupant state (arena meta words, per-port occ/routed/ready/parked records, waiter \
+         and refused words, occ_mask, install/take/park) changes only inside the arena module \
+         and whitelisted pipeline/relocation paths",
     ),
     (
         PANIC_HYGIENE,
@@ -131,14 +132,37 @@ const OCC_WHITELIST: &[&str] = &[
     "crates/baselines/src/swap.rs",
 ];
 
-/// Arena word arrays: `.meta[…]` / `.occ[…]` / `.routed[…]` field
-/// indexing outside the whitelist is stray arena mutation (the lexical
-/// rule cannot tell reads from writes, and neither belongs outside the
-/// pipeline — cold code reads through `VcArena::get` / `InputRef`).
-const ARENA_WORD_FIELDS: &[&str] = &["meta", "occ", "routed"];
+/// Arena word arrays: `.meta[…]` / `.ports[…]` (the co-located
+/// occ/routed/ready/parked record per input port) / `.waiters[…]` /
+/// `.waiter_ports[…]` / `.refused[…]` field indexing outside the
+/// whitelist is stray arena mutation (the lexical rule cannot tell reads
+/// from writes, and neither belongs outside the pipeline — cold code
+/// reads through `VcArena::get` / `InputRef`). `.occ[…]` / `.routed[…]`
+/// are the pre-record spellings, kept banned so they cannot come back.
+const ARENA_WORD_FIELDS: &[&str] = &[
+    "meta",
+    "occ",
+    "routed",
+    "ports",
+    "waiters",
+    "waiter_ports",
+    "refused",
+];
 
-/// Arena mutator entry points that only whitelisted files may name.
-const ARENA_MUTATORS: &[&str] = &["pack_meta", "set_route", "set_route_vc", "input_mut"];
+/// Arena entry points and types that only whitelisted files may name:
+/// the slot mutators, the flit-counter steps that own the ready word,
+/// the parking protocol's writers, and the per-port record itself.
+const ARENA_MUTATORS: &[&str] = &[
+    "pack_meta",
+    "set_route",
+    "set_route_vc",
+    "input_mut",
+    "flit_arrived",
+    "flit_sent",
+    "park",
+    "note_refusal",
+    "PortWords",
+];
 
 /// Crates whose routing behaviour the static certifier (`noc-prove`)
 /// must be able to reconstruct from `noc_sim::routing::introspect`.
@@ -362,8 +386,8 @@ fn check_hot_loop(
 /// occupancy: outside the whitelisted files, no `occ_mask` access, no
 /// `occupant_mut()` calls, no `install(…)`/`take(…)` on an indexed
 /// input unit (`inputs[p].install(…)`), no arena word-array indexing
-/// (`.meta[…]` / `.occ[…]` / `.routed[…]`) and no arena mutator entry
-/// points ([`ARENA_MUTATORS`]). Everything else must go through
+/// ([`ARENA_WORD_FIELDS`]) and no arena mutator entry points
+/// ([`ARENA_MUTATORS`]). Everything else must go through
 /// `NetworkCore::take_vc_packet` / staged moves, or read through
 /// `VcArena::get` / `InputRef`.
 fn check_occupancy(tokens: &[Token], mask: &[bool], path: &str, diags: &mut Vec<Diagnostic>) {
@@ -382,7 +406,7 @@ fn check_occupancy(tokens: &[Token], mask: &[bool], path: &str, diags: &mut Vec<
                 Some("arena occupancy/meta word indexed outside the arena module")
             }
             m if ARENA_MUTATORS.contains(&m) => {
-                Some("arena mutator named outside the whitelisted pipeline files")
+                Some("arena mutator or word record named outside the whitelisted pipeline files")
             }
             "install" | "take"
                 if is_method_call(tokens, i)

@@ -258,6 +258,42 @@ fn occupancy_flags_arena_mutator_call_outside_whitelist() {
 }
 
 #[test]
+fn occupancy_flags_port_record_and_parking_words_outside_arena() {
+    // The event-driven allocation words: the co-located per-port record
+    // (whichever field is touched), the waiter words and the per-slot
+    // refused masks, read or written from a scheme.
+    let src = "pub fn poke(core: &mut Core, w: usize, s: usize) { core.arena.ports[w].parked = 0; let r = core.arena.ports[w].ready; core.arena.waiters[w] |= r; core.arena.refused[s] = [0; 2]; }\n";
+    let diags = lint_source("crates/baselines/src/foo.rs", src);
+    let n = diags.iter().filter(|d| d.rule == "occupancy").count();
+    assert_eq!(
+        n, 4,
+        "both ports reads, waiters and refused must fire: {diags:?}"
+    );
+}
+
+#[test]
+fn occupancy_flags_parking_entry_points_outside_whitelist() {
+    let src = "pub fn hack(core: &mut Core, d: Dirs) { core.arena.park(0, 0, 0, d, 0); core.arena.flit_sent(0, 0, 0); let w = PortWords::default(); drop(w); }\n";
+    let diags = lint_source("crates/fastpass/src/foo.rs", src);
+    let n = diags.iter().filter(|d| d.rule == "occupancy").count();
+    assert_eq!(n, 3, "park, flit_sent and PortWords must fire: {diags:?}");
+}
+
+#[test]
+fn occupancy_silent_on_parking_words_in_pipeline_and_elsewhere_named_fields() {
+    // The regular pipeline reads the record and parks heads.
+    let src = "fn scan(core: &mut Core, w: usize, d: Dirs) { let pw = core.arena.ports[w]; if pw.ready & !pw.parked != 0 { core.arena.park(0, 0, 0, d, 0); } }\n";
+    assert!(
+        !rules_fired("crates/noc-sim/src/regular.rs", src).contains(&"occupancy"),
+        "regular.rs is whitelisted"
+    );
+    // A `ready`/`ports` field that is not indexed arena state is fine
+    // anywhere (NI ejection entries carry a `ready` cycle).
+    let src = "pub fn f(e: &Entry, r: &Router) -> bool { e.ready <= r.ports.len() as u64 }\n";
+    assert!(!rules_fired("crates/noc-sim/src/ni.rs", src).contains(&"occupancy"));
+}
+
+#[test]
 fn occupancy_silent_in_arena_module_itself() {
     // The arena owns the packed state: its own accessors name occ_mask,
     // index meta/occ/routed and define the mutators without complaint.

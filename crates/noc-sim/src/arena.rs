@@ -11,33 +11,50 @@
 //! slot(node, port, vc) = (node * NUM_PORTS + port) * vcs_per_port + vc
 //! ```
 //!
-//! and occupancy lives in one bitmask word per `(node, port)` (word index
+//! and the predicates the hot loops scan live in one co-located
+//! [`PortWords`] record per `(node, port)` (record index
 //! `node * NUM_PORTS + port`), so route allocation, switch allocation and
 //! the active-set scan operate word-at-a-time instead of chasing
 //! `Option<VcOccupant>`s through nested per-router structs.
 //!
-//! Three word-level invariants are maintained by construction and checked
-//! by the conservation audit:
+//! Word-level invariants, maintained by construction and checked by the
+//! conservation audit:
 //!
-//! * **occupancy** — bit `vc` of `occ[word(n, p)]` is set iff slot
-//!   `(n, p, vc)` holds a packet; every field array entry is meaningful
-//!   only under a set bit.
-//! * **routed** — `routed[w] ⊆ occ[w]`, and bit `vc` of `routed[w]` is
-//!   set iff the occupant's route has been computed. Route allocation
-//!   scans `occ & !routed`; switch allocation scans `occ & routed`.
+//! * **occupancy** — bit `vc` of `occ` is set iff slot `(n, p, vc)` holds
+//!   a packet; every field array entry is meaningful only under a set bit.
+//! * **routed** — `routed ⊆ occ`, and bit `vc` is set iff the occupant's
+//!   route has been computed.
+//! * **ready** — `ready ⊆ occ`, and bit `vc` is set iff the occupant has
+//!   a flit to forward (`sent < arrived`). An unrouted occupant has sent
+//!   nothing, so under a clear routed bit "ready" means "head present".
+//! * **parked** — `parked ⊆ occ & !routed`, and a set bit means: across
+//!   each of the head's wait directions, every VC of its class range is
+//!   either occupied or one its routing policy has already *refused* it
+//!   (the per-slot `refused` masks), *and* the head is registered in this
+//!   node's waiter words for each direction. Its policy cannot grant such
+//!   a head (see
+//!   [`RoutingPolicy::route`](crate::routing::RoutingPolicy::route)), so
+//!   route allocation skips it until a VC it waits on is freed.
 //! * **counts** — `node_occupied[n]` equals the population count of node
 //!   `n`'s five occupancy words (the router half of the active-set
-//!   predicate, now O(1) per node).
+//!   predicate, O(1) per node).
+//!
+//! Route allocation scans `ready & !routed & !parked`; switch allocation
+//! scans `ready & routed` (both implicitly `& occ`).
 //!
 //! Mutator locality: occupants enter and leave slots *only* through
 //! [`VcArena::install`] / [`VcArena::take`] (wrapped for external crates
-//! by [`InputMut`]), so the masks can never drift from the fields they
-//! summarize. `noc-lint`'s occupancy rule enforces that call sites stay
-//! inside the relocation whitelist.
+//! by [`InputMut`]), flit counters advance only through
+//! [`VcArena::flit_arrived`] / [`VcArena::flit_sent`], and heads park only
+//! through [`VcArena::park`], so the words can never drift from the
+//! fields they summarize. [`VcArena::take`] — the only way a VC becomes
+//! free — is also where parked heads are woken. `noc-lint`'s occupancy
+//! rule enforces that call sites stay inside the relocation whitelist.
 
 use crate::vc::VcOccupant;
-use noc_core::packet::PacketId;
-use noc_core::topology::{Port, NUM_PORTS};
+use noc_core::config::SimConfig;
+use noc_core::packet::{PacketId, NUM_CLASSES};
+use noc_core::topology::{Direction, Port, ProductiveDirs, DIRECTIONS, NUM_PORTS};
 
 /// `route` field sentinel: no route allocated.
 pub(crate) const NO_ROUTE: u8 = u8::MAX;
@@ -95,11 +112,30 @@ pub(crate) fn pack_meta(len: u8, arrived: u8, sent: u8, route: u8, out_vc: u8) -
         | (out_vc as u64) << M_OUT_VC
 }
 
+/// Sentinel in the link tables: no such link (mesh edge / Local port).
+const NO_LINK: u32 = u32::MAX;
+
+/// The four predicate words of one `(node, port)`, co-located so a
+/// pipeline stage reads one record per port instead of one entry from
+/// each of four vectors. Bit `vc` of every word describes slot
+/// `(node, port, vc)`; see the module docs for the invariants.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PortWords {
+    /// Occupied VCs.
+    pub(crate) occ: u64,
+    /// Occupants whose route has been computed (`routed ⊆ occ`).
+    pub(crate) routed: u64,
+    /// Occupants with a flit to forward, `sent < arrived` (`ready ⊆ occ`).
+    pub(crate) ready: u64,
+    /// Blocked heads waiting for a VC free (`parked ⊆ occ & !routed`).
+    pub(crate) parked: u64,
+}
+
 /// Flat struct-of-arrays storage for all `(node, port, vc)` buffers.
 ///
 /// Field vectors are `pub(crate)`: the hot pipeline (`regular`,
-/// `network`) reads and advances flit counters in place; everything else
-/// goes through [`InputRef`] / [`InputMut`] views obtained from
+/// `network`) reads them in place; everything else goes through
+/// [`InputRef`] / [`InputMut`] views obtained from
 /// [`NetworkCore`](crate::network::NetworkCore).
 #[derive(Debug, Clone)]
 pub struct VcArena {
@@ -117,35 +153,96 @@ pub struct VcArena {
     pub(crate) head_arrival: Vec<u64>,
     /// Cycle of the last forward progress from the slot.
     pub(crate) last_progress: Vec<u64>,
-    /// Occupancy bitmask, one word per `(node, port)`.
-    pub(crate) occ: Vec<u64>,
-    /// Routed-occupant bitmask (`routed ⊆ occ`), one word per
-    /// `(node, port)`.
-    pub(crate) routed: Vec<u64>,
+    /// Per slot, per wait direction (in [`ProductiveDirs`] order): VCs at
+    /// the neighbour that were free when the occupant's routing policy
+    /// returned `None`. Which `(direction, VC)` pairs a policy may grant
+    /// a given head is fixed for as long as it sits in the slot, so a VC
+    /// refused once stays refused: it never makes the head routable.
+    /// Cleared by [`install`](Self::install).
+    refused: Vec<[u64; 2]>,
+    /// Predicate words, one record per `(node, port)`.
+    pub(crate) ports: Vec<PortWords>,
     /// Occupied-VC count per node (popcount of its five `occ` words).
     node_occupied: Vec<u32>,
+    /// VC mask of each VN's range (one all-VCs entry when `vns == 0`).
+    vn_mask: Vec<u64>,
+    /// VN that owns each VC index.
+    vn_of_vc: Vec<u8>,
+    /// VN whose VC range serves each message class (the index form of
+    /// [`SimConfig::vc_range_for_class`]).
+    vn_of_class: [u8; NUM_CLASSES],
+    /// Link `node * 4 + d` → record index of the input port it feeds at
+    /// the neighbour ([`NO_LINK`] off the mesh edge).
+    down: Vec<u32>,
+    /// Record index `(node, port)` → the link feeding that input port
+    /// ([`NO_LINK`] for Local ports and edge-facing ports).
+    feeder: Vec<u32>,
+    /// Waiter words: index `(link * nvn + vn) * NUM_PORTS + p` holds the
+    /// VCs of input port `p` *at the link's source router* whose parked
+    /// heads wait for a VC of VN `vn` across that link. Bits are set by
+    /// [`park`](Self::park) and cleared wholesale when the wake fires; a
+    /// bit left behind by a head that departed some other way is stale
+    /// and harmless — it can only un-park a later head early, which
+    /// re-checks and parks again.
+    waiters: Vec<u64>,
+    /// Per `link * nvn + vn`: which of the five waiter words are
+    /// nonzero, so a VC free with nobody waiting costs one byte load.
+    waiter_ports: Vec<u8>,
+    /// Planted bug for the audit's self-test: `take` skips the wake.
+    #[cfg(test)]
+    pub(crate) fault_skip_wake: bool,
 }
 
 impl VcArena {
-    /// Creates an empty arena for `num_nodes` routers with
-    /// `vcs_per_port` VCs on each of their [`NUM_PORTS`] input ports.
+    /// Creates an empty arena for `cfg`'s mesh, with
+    /// [`vcs_per_port`](SimConfig::vcs_per_port) VCs on each of every
+    /// router's [`NUM_PORTS`] input ports.
     ///
     /// # Panics
     ///
-    /// Panics if `vcs_per_port > 64` (occupancy is one word per port).
-    pub(crate) fn new(num_nodes: usize, vcs_per_port: usize) -> Self {
-        assert!(vcs_per_port <= 64, "at most 64 VCs per input port");
-        let slots = num_nodes * NUM_PORTS * vcs_per_port;
+    /// Panics if `vcs_per_port > 64` (one word per port);
+    /// [`SimConfig::validate`] rejects such configurations with a typed
+    /// error before a network is ever built.
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
+        let mesh = cfg.mesh;
+        let num_nodes = mesh.num_nodes();
+        let vcs = cfg.vcs_per_port();
+        assert!(vcs <= 64, "at most 64 VCs per input port");
+        let nvn = cfg.vns.max(1);
+        let slots = num_nodes * NUM_PORTS * vcs;
         let words = num_nodes * NUM_PORTS;
+        let mut down = vec![NO_LINK; num_nodes * 4];
+        let mut feeder = vec![NO_LINK; words];
+        for n in mesh.nodes() {
+            for d in DIRECTIONS {
+                if let Some(nbr) = mesh.neighbor(n, d) {
+                    let link = n.index() * 4 + d.index();
+                    let fed = nbr.index() * NUM_PORTS + Port::Dir(d.opposite()).index();
+                    down[link] = fed as u32;
+                    feeder[fed] = link as u32;
+                }
+            }
+        }
         VcArena {
-            vcs: vcs_per_port,
+            vcs,
             pkt: vec![PacketId::PLACEHOLDER; slots],
             meta: vec![pack_meta(0, 0, 0, NO_ROUTE, NO_OUT_VC); slots],
             head_arrival: vec![0; slots],
             last_progress: vec![0; slots],
-            occ: vec![0; words],
-            routed: vec![0; words],
+            refused: vec![[0; 2]; slots],
+            ports: vec![PortWords::default(); words],
             node_occupied: vec![0; num_nodes],
+            vn_mask: (0..nvn)
+                .map(|vn| range_mask(cfg.vc_range_for_class(vn), vcs))
+                .collect(),
+            vn_of_vc: (0..vcs).map(|vc| (vc / cfg.vcs_per_vn) as u8).collect(),
+            vn_of_class: std::array::from_fn(|c| (c % nvn) as u8),
+            down,
+            feeder,
+            waiters: vec![0; num_nodes * 4 * nvn * NUM_PORTS],
+            waiter_ports: vec![0; num_nodes * 4 * nvn],
+            #[cfg(test)]
+            fault_skip_wake: false,
         }
     }
 
@@ -155,7 +252,7 @@ impl VcArena {
         self.vcs
     }
 
-    /// Occupancy-word index of `(node, port)`.
+    /// Record index of `(node, port)` in [`ports`](Self::ports).
     #[inline]
     pub(crate) fn word(&self, node: usize, port: usize) -> usize {
         node * NUM_PORTS + port
@@ -176,7 +273,13 @@ impl VcArena {
     /// Whether slot `(node, port, vc)` holds a packet.
     #[inline]
     pub(crate) fn is_occupied(&self, node: usize, port: usize, vc: usize) -> bool {
-        self.occ[self.word(node, port)] & (1 << vc) != 0
+        self.ports[self.word(node, port)].occ & (1 << vc) != 0
+    }
+
+    /// The VN whose VC range serves message class `class_index`.
+    #[inline]
+    pub(crate) fn vn_of_class(&self, class_index: usize) -> usize {
+        self.vn_of_class[class_index] as usize
     }
 
     /// Materializes the occupant of an **occupied** slot.
@@ -202,7 +305,7 @@ impl VcArena {
     }
 
     /// Installs a new occupant into `(node, port, vc)`, updating the
-    /// occupancy word, the routed word and the node count.
+    /// predicate words and the node count. The occupant starts unparked.
     ///
     /// # Panics
     ///
@@ -211,7 +314,8 @@ impl VcArena {
     pub(crate) fn install(&mut self, node: usize, port: usize, vc: usize, occ: VcOccupant) {
         assert!(vc < self.vcs, "VC index out of range");
         let w = self.word(node, port);
-        assert!(self.occ[w] & (1 << vc) == 0, "VC double-booked");
+        let bit = 1u64 << vc;
+        assert!(self.ports[w].occ & bit == 0, "VC double-booked");
         let s = self.slot(node, port, vc);
         self.pkt[s] = occ.pkt;
         self.meta[s] = pack_meta(
@@ -223,17 +327,22 @@ impl VcArena {
         );
         self.head_arrival[s] = occ.head_arrival;
         self.last_progress[s] = occ.last_progress;
-        self.occ[w] |= 1 << vc;
-        if occ.route.is_some() {
-            self.routed[w] |= 1 << vc;
-        } else {
-            self.routed[w] &= !(1 << vc);
-        }
+        self.refused[s] = [0; 2];
+        let pw = &mut self.ports[w];
+        pw.occ |= bit;
+        pw.routed = (pw.routed & !bit) | if occ.route.is_some() { bit } else { 0 };
+        pw.ready = (pw.ready & !bit) | if occ.sent < occ.arrived { bit } else { 0 };
+        pw.parked &= !bit;
         self.node_occupied[node] += 1;
     }
 
     /// Removes and returns the occupant of `(node, port, vc)`, freeing
-    /// the slot and updating the masks and the node count.
+    /// the slot and updating the words and the node count.
+    ///
+    /// This is the only way a VC becomes free, so it is also the wake
+    /// point of event-driven allocation: every head parked at the
+    /// upstream router on (the link feeding this port, this VC's VN) is
+    /// un-parked, and route allocation looks at it again next time.
     ///
     /// # Panics
     ///
@@ -241,25 +350,53 @@ impl VcArena {
     pub(crate) fn take(&mut self, node: usize, port: usize, vc: usize) -> Option<VcOccupant> {
         assert!(vc < self.vcs, "VC index out of range");
         let w = self.word(node, port);
-        if self.occ[w] & (1 << vc) == 0 {
+        let bit = 1u64 << vc;
+        if self.ports[w].occ & bit == 0 {
             return None;
         }
         let occ = self.get(self.slot(node, port, vc));
-        self.occ[w] &= !(1 << vc);
-        self.routed[w] &= !(1 << vc);
+        let pw = &mut self.ports[w];
+        pw.occ &= !bit;
+        pw.routed &= !bit;
+        pw.ready &= !bit;
+        pw.parked &= !bit;
         self.node_occupied[node] -= 1;
+        #[cfg(test)]
+        if self.fault_skip_wake {
+            return Some(occ);
+        }
+        let link = self.feeder[w];
+        if link != NO_LINK {
+            let k = self.waiter_key(link as usize, self.vn_of_vc[vc] as usize);
+            let mut waiting = self.waiter_ports[k];
+            if waiting != 0 {
+                self.waiter_ports[k] = 0;
+                // The link's source router: `link = upstream * 4 + d`.
+                let up = (link as usize / 4) * NUM_PORTS;
+                while waiting != 0 {
+                    let p = waiting.trailing_zeros() as usize;
+                    waiting &= waiting - 1;
+                    let woken = std::mem::take(&mut self.waiters[k * NUM_PORTS + p]);
+                    self.ports[up + p].parked &= !woken;
+                }
+            }
+        }
         Some(occ)
     }
 
     /// Records the route decision for an occupied slot, keeping the
-    /// routed word in sync (the slot leaves the `occ & !routed` scan and
-    /// enters the `occ & routed` switch-request scan).
+    /// routed word in sync (the slot leaves the route-allocation scan and
+    /// enters the switch-request scan).
     #[inline]
     pub(crate) fn set_route(&mut self, node: usize, port: usize, vc: usize, out: Port) {
         let s = self.slot(node, port, vc);
         self.meta[s] = (self.meta[s] & !(0xFFu64 << M_ROUTE)) | ((out.index() as u64) << M_ROUTE);
         let w = self.word(node, port);
-        self.routed[w] |= 1 << vc;
+        debug_assert!(
+            self.ports[w].parked & (1 << vc) == 0,
+            "routing a parked head"
+        );
+        self.ports[w].routed |= 1 << vc;
     }
 
     /// [`set_route`](Self::set_route) plus the downstream VC allocation,
@@ -279,8 +416,159 @@ impl VcArena {
             | ((out.index() as u64) << M_ROUTE)
             | ((out_vc as u64) << M_OUT_VC);
         let w = self.word(node, port);
-        self.routed[w] |= 1 << vc;
+        debug_assert!(
+            self.ports[w].parked & (1 << vc) == 0,
+            "routing a parked head"
+        );
+        self.ports[w].routed |= 1 << vc;
     }
+
+    /// One flit arrives into occupied slot `(node, port, vc)`: `arrived`
+    /// advances and the slot becomes flit-ready. Returns the slot id and
+    /// its new meta word.
+    #[inline]
+    pub(crate) fn flit_arrived(&mut self, node: usize, port: usize, vc: usize) -> (usize, u64) {
+        let s = self.slot(node, port, vc);
+        debug_assert!(
+            m_arrived(self.meta[s]) < m_len(self.meta[s]),
+            "more flits arrived than packet length"
+        );
+        let m = self.meta[s] + (1 << M_ARRIVED);
+        self.meta[s] = m;
+        let w = self.word(node, port);
+        self.ports[w].ready |= 1 << vc;
+        (s, m)
+    }
+
+    /// One flit leaves occupied slot `(node, port, vc)`: `sent` advances
+    /// and the ready bit drops once the buffer has nothing more to
+    /// forward. Returns the slot id and its new meta word.
+    #[inline]
+    pub(crate) fn flit_sent(&mut self, node: usize, port: usize, vc: usize) -> (usize, u64) {
+        let s = self.slot(node, port, vc);
+        debug_assert!(
+            m_sent(self.meta[s]) < m_arrived(self.meta[s]),
+            "sending a flit that has not arrived"
+        );
+        let m = self.meta[s] + (1 << M_SENT);
+        self.meta[s] = m;
+        if m_sent(m) == m_arrived(m) {
+            let w = self.word(node, port);
+            self.ports[w].ready &= !(1 << vc);
+        }
+        (s, m)
+    }
+
+    // ---- event-driven allocation ----------------------------------------
+
+    /// Index of `(link, vn)` in [`waiter_ports`](Self::waiter_ports);
+    /// its five waiter words start at `key * NUM_PORTS`.
+    #[inline]
+    fn waiter_key(&self, link: usize, vn: usize) -> usize {
+        link * self.vn_mask.len() + vn
+    }
+
+    /// Free VCs of VN `vn` at the far end of `d` from `node`. `d` must
+    /// stay on the mesh (productive directions always do).
+    #[inline]
+    fn free_across(&self, node: usize, d: Direction, vn: usize) -> u64 {
+        let fed = self.down[node * 4 + d.index()];
+        debug_assert!(fed != NO_LINK, "wait direction leaves the mesh");
+        !self.ports[fed as usize].occ & self.vn_mask[vn]
+    }
+
+    /// Whether the head in slot `s` at `node`, with wait set `dirs` × VN
+    /// `vn`, is blocked: across every wait direction each VC of the VN is
+    /// occupied or already refused to this head.
+    #[inline]
+    pub(crate) fn wait_blocked(
+        &self,
+        node: usize,
+        s: usize,
+        dirs: ProductiveDirs,
+        vn: usize,
+    ) -> bool {
+        let refused = self.refused[s];
+        dirs.iter()
+            .zip(refused)
+            .all(|(d, r)| self.free_across(node, d, vn) & !r == 0)
+    }
+
+    /// Records that the routing policy returned `None` for the head in
+    /// slot `s` while these VCs were free: it will not grant them to
+    /// this head, so they stop counting against
+    /// [`wait_blocked`](Self::wait_blocked).
+    #[inline]
+    pub(crate) fn note_refusal(&mut self, node: usize, s: usize, dirs: ProductiveDirs, vn: usize) {
+        for (i, d) in dirs.iter().enumerate() {
+            self.refused[s][i] |= self.free_across(node, d, vn);
+        }
+    }
+
+    /// Parks the unrouted head in `(node, port, vc)` on wait set `dirs` ×
+    /// VN `vn`: route allocation skips it until [`take`](Self::take)
+    /// frees a VC of that VN across one of those links. The caller has
+    /// just seen [`wait_blocked`](Self::wait_blocked).
+    #[inline]
+    pub(crate) fn park(
+        &mut self,
+        node: usize,
+        port: usize,
+        vc: usize,
+        dirs: ProductiveDirs,
+        vn: usize,
+    ) {
+        debug_assert!(
+            self.wait_blocked(node, self.slot(node, port, vc), dirs, vn),
+            "parking a routable head"
+        );
+        let w = self.word(node, port);
+        debug_assert!(
+            self.ports[w].occ & !self.ports[w].routed & (1 << vc) != 0,
+            "parking an empty or routed slot"
+        );
+        self.ports[w].parked |= 1 << vc;
+        for d in dirs.iter() {
+            let k = self.waiter_key(node * 4 + d.index(), vn);
+            self.waiters[k * NUM_PORTS + port] |= 1 << vc;
+            self.waiter_ports[k] |= 1 << port;
+        }
+    }
+
+    /// The refused-VC masks of slot `s`, per wait direction (audit use).
+    pub(crate) fn refused(&self, s: usize) -> [u64; 2] {
+        self.refused[s]
+    }
+
+    /// Whether the head in `(node, port, vc)` is registered as a waiter
+    /// on `(d, vn)` (audit use).
+    pub(crate) fn is_waiting_on(
+        &self,
+        node: usize,
+        port: usize,
+        vc: usize,
+        d: Direction,
+        vn: usize,
+    ) -> bool {
+        let k = self.waiter_key(node * 4 + d.index(), vn);
+        self.waiter_ports[k] & (1 << port) != 0
+            && self.waiters[k * NUM_PORTS + port] & (1 << vc) != 0
+    }
+}
+
+/// Bitmask of the VC indices in `range` (which must lie within `vcs`).
+fn range_mask(range: std::ops::Range<usize>, vcs: usize) -> u64 {
+    assert!(range.end <= vcs, "VC range out of bounds");
+    if range.start >= range.end {
+        return 0;
+    }
+    let width = range.end - range.start;
+    let ones = if width >= 64 {
+        !0u64
+    } else {
+        (1u64 << width) - 1
+    };
+    ones << range.start
 }
 
 /// Read-only view of one input port's VCs, in the shape the pre-arena
@@ -300,7 +588,7 @@ impl<'a> InputRef<'a> {
 
     /// Bitmask of occupied VC indices — O(1).
     pub fn occ_mask(&self) -> u64 {
-        self.arena.occ[self.arena.word(self.node, self.port)]
+        self.arena.ports[self.arena.word(self.node, self.port)].occ
     }
 
     /// Number of currently occupied VCs — O(1).
@@ -343,7 +631,7 @@ impl<'a> InputRef<'a> {
     ///
     /// Panics if `range` extends past the port's VCs.
     pub fn free_vc_in(&self, range: std::ops::Range<usize>) -> Option<usize> {
-        let free = !self.occ_mask() & Self::range_mask(range, self.num_vcs());
+        let free = !self.occ_mask() & range_mask(range, self.num_vcs());
         if free == 0 {
             None
         } else {
@@ -358,7 +646,7 @@ impl<'a> InputRef<'a> {
     ///
     /// Panics if `range` extends past the port's VCs.
     pub fn free_vcs_in(&self, range: std::ops::Range<usize>) -> usize {
-        (!self.occ_mask() & Self::range_mask(range, self.num_vcs())).count_ones() as usize
+        (!self.occ_mask() & range_mask(range, self.num_vcs())).count_ones() as usize
     }
 
     /// First free VC within `range` and the number of free VCs in it,
@@ -370,7 +658,7 @@ impl<'a> InputRef<'a> {
     ///
     /// Panics if `range` extends past the port's VCs.
     pub fn free_vc_and_credits(&self, range: std::ops::Range<usize>) -> (Option<usize>, usize) {
-        let free = !self.occ_mask() & Self::range_mask(range, self.num_vcs());
+        let free = !self.occ_mask() & range_mask(range, self.num_vcs());
         let vc = (free != 0).then(|| free.trailing_zeros() as usize);
         (vc, free.count_ones() as usize)
     }
@@ -389,20 +677,6 @@ impl<'a> InputRef<'a> {
             mask &= mask - 1;
             Some((vc, arena.get(base + vc)))
         })
-    }
-
-    fn range_mask(range: std::ops::Range<usize>, vcs: usize) -> u64 {
-        assert!(range.end <= vcs, "VC range out of bounds");
-        if range.start >= range.end {
-            return 0;
-        }
-        let width = range.end - range.start;
-        let ones = if width >= 64 {
-            !0u64
-        } else {
-            (1u64 << width) - 1
-        };
-        ones << range.start
     }
 }
 
@@ -446,7 +720,7 @@ impl<'a> InputMut<'a> {
 mod tests {
     use super::*;
     use noc_core::packet::{MessageClass, Packet, PacketStore};
-    use noc_core::topology::{Direction, NodeId};
+    use noc_core::topology::NodeId;
 
     fn pid(store: &mut PacketStore) -> PacketId {
         store.insert(Packet::new(
@@ -462,10 +736,21 @@ mod tests {
         InputRef::new(arena, node, port)
     }
 
+    /// A `nodes`×1 mesh with `vcs` shared VCs per port (no VNs).
+    fn arena(nodes: usize, vcs: usize) -> VcArena {
+        VcArena::new(
+            &SimConfig::builder()
+                .mesh(nodes, 1)
+                .vns(0)
+                .vcs_per_vn(vcs)
+                .build(),
+        )
+    }
+
     #[test]
     fn install_take_maintains_count_and_masks() {
         let mut store = PacketStore::new();
-        let mut a = VcArena::new(4, 2);
+        let mut a = arena(4, 2);
         assert!(view(&a, 1, 0).is_free(0));
         assert_eq!(view(&a, 1, 0).occupied_count(), 0);
         a.install(1, 0, 0, VcOccupant::reserved(pid(&mut store), 1, 0));
@@ -486,7 +771,7 @@ mod tests {
     #[should_panic(expected = "double-booked")]
     fn double_install_panics() {
         let mut store = PacketStore::new();
-        let mut a = VcArena::new(1, 1);
+        let mut a = arena(1, 1);
         a.install(0, 0, 0, VcOccupant::reserved(pid(&mut store), 1, 0));
         let p2 = pid(&mut store);
         a.install(0, 0, 0, VcOccupant::reserved(p2, 1, 0));
@@ -495,7 +780,7 @@ mod tests {
     #[test]
     fn free_vc_search() {
         let mut store = PacketStore::new();
-        let mut a = VcArena::new(1, 4);
+        let mut a = arena(1, 4);
         assert_eq!(view(&a, 0, 2).free_vc_in(0..4), Some(0));
         assert_eq!(view(&a, 0, 2).free_vcs_in(0..4), 4);
         a.install(0, 2, 0, VcOccupant::reserved(pid(&mut store), 1, 0));
@@ -512,7 +797,7 @@ mod tests {
 
     #[test]
     fn free_vc_respects_subrange() {
-        let mut a = VcArena::new(1, 6);
+        let mut a = arena(1, 6);
         // VN 1 owns VCs 2..4 — a search there must not return VC 0.
         assert_eq!(view(&a, 0, 0).free_vc_in(2..4), Some(2));
         let mut store = PacketStore::new();
@@ -523,7 +808,7 @@ mod tests {
     #[test]
     fn occupant_roundtrips_all_fields() {
         let mut store = PacketStore::new();
-        let mut a = VcArena::new(2, 4);
+        let mut a = arena(2, 4);
         let mut occ = VcOccupant::reserved(pid(&mut store), 5, 17);
         occ.arrived = 3;
         occ.sent = 1;
@@ -538,34 +823,138 @@ mod tests {
     #[test]
     fn routed_mask_tracks_route_state() {
         let mut store = PacketStore::new();
-        let mut a = VcArena::new(1, 2);
+        let mut a = arena(1, 2);
         a.install(0, 0, 1, VcOccupant::reserved(pid(&mut store), 1, 0));
         let w = a.word(0, 0);
-        assert_eq!(a.routed[w], 0, "unrouted install leaves routed clear");
+        assert_eq!(a.ports[w].routed, 0, "unrouted install leaves routed clear");
         a.set_route(0, 0, 1, Port::Local);
-        assert_eq!(a.routed[w], 1 << 1);
+        assert_eq!(a.ports[w].routed, 1 << 1);
         assert_eq!(view(&a, 0, 0).occupant(1).unwrap().route, Some(Port::Local));
         a.take(0, 0, 1);
-        assert_eq!(a.routed[w], 0, "take clears the routed bit");
+        assert_eq!(a.ports[w].routed, 0, "take clears the routed bit");
         // Installing a pre-routed occupant (relocation) sets it again.
         let mut routed = VcOccupant::reserved(pid(&mut store), 1, 0);
         routed.route = Some(Port::Dir(Direction::East));
         a.install(0, 0, 0, routed);
-        assert_eq!(a.routed[w], 1 << 0);
+        assert_eq!(a.ports[w].routed, 1 << 0);
+    }
+
+    #[test]
+    fn ready_word_tracks_flit_counters() {
+        let mut store = PacketStore::new();
+        let mut a = arena(1, 2);
+        a.install(0, 0, 1, VcOccupant::reserved(pid(&mut store), 2, 0));
+        let w = a.word(0, 0);
+        assert_eq!(a.ports[w].ready, 0, "a reservation has no flit to forward");
+        a.flit_arrived(0, 0, 1);
+        assert_eq!(a.ports[w].ready, 1 << 1);
+        a.flit_sent(0, 0, 1);
+        assert_eq!(a.ports[w].ready, 0, "sent caught up with arrived");
+        a.flit_arrived(0, 0, 1);
+        assert_eq!(a.ports[w].ready, 1 << 1);
+        a.take(0, 0, 1);
+        assert_eq!(a.ports[w].ready, 0, "take clears the ready bit");
+        // A relocated, fully buffered packet is ready from the start.
+        let mut whole = VcOccupant::reserved(pid(&mut store), 2, 0);
+        whole.arrived = 2;
+        a.install(0, 0, 0, whole);
+        assert_eq!(a.ports[w].ready, 1 << 0);
+    }
+
+    /// Two routers in a row, one VC: node 0's head waits for node 1's
+    /// West input VC.
+    fn blocked_pair(store: &mut PacketStore) -> (VcArena, ProductiveDirs) {
+        let mut a = arena(2, 1);
+        let mut head = VcOccupant::reserved(pid(store), 1, 0);
+        head.arrived = 1;
+        a.install(0, Port::Local.index(), 0, head);
+        let blocker = VcOccupant::reserved(pid(store), 1, 0);
+        a.install(1, Port::Dir(Direction::West).index(), 0, blocker);
+        (a, ProductiveDirs::from_deltas(1, 0))
+    }
+
+    #[test]
+    fn take_wakes_the_heads_parked_on_that_link() {
+        let mut store = PacketStore::new();
+        let (mut a, east) = blocked_pair(&mut store);
+        let local = Port::Local.index();
+        let s = a.slot(0, local, 0);
+        assert!(a.wait_blocked(0, s, east, 0));
+        a.park(0, local, 0, east, 0);
+        let w = a.word(0, local);
+        assert_eq!(a.ports[w].parked, 1);
+        assert!(a.is_waiting_on(0, local, 0, Direction::East, 0));
+        // A free elsewhere (node 1's Local port) wakes nobody.
+        a.install(1, local, 0, VcOccupant::reserved(pid(&mut store), 1, 0));
+        a.take(1, local, 0).unwrap();
+        assert_eq!(a.ports[w].parked, 1);
+        // The free it waits on does.
+        a.take(1, Port::Dir(Direction::West).index(), 0).unwrap();
+        assert_eq!(a.ports[w].parked, 0, "freeing the awaited VC un-parks");
+        assert!(!a.is_waiting_on(0, local, 0, Direction::East, 0));
+        assert!(!a.wait_blocked(0, s, east, 0));
+    }
+
+    #[test]
+    fn stale_waiter_bit_only_wakes_early() {
+        let mut store = PacketStore::new();
+        let (mut a, east) = blocked_pair(&mut store);
+        let local = Port::Local.index();
+        a.park(0, local, 0, east, 0);
+        // The parked head leaves some other way (relocation): its waiter
+        // bit stays behind.
+        a.take(0, local, 0).unwrap();
+        let w = a.word(0, local);
+        assert_eq!(a.ports[w].parked, 0, "take clears the parked bit");
+        assert!(a.is_waiting_on(0, local, 0, Direction::East, 0), "stale");
+        // A new head in the same slot is simply woken by the old bit.
+        let mut head = VcOccupant::reserved(pid(&mut store), 1, 0);
+        head.arrived = 1;
+        a.install(0, local, 0, head);
+        assert_eq!(a.ports[w].parked, 0, "installs start unparked");
+        a.take(1, Port::Dir(Direction::West).index(), 0).unwrap();
+        assert_eq!(a.ports[w].parked, 0);
+        assert!(!a.is_waiting_on(0, local, 0, Direction::East, 0));
+    }
+
+    #[test]
+    fn refused_vcs_do_not_count_as_free_until_reinstall() {
+        let mut store = PacketStore::new();
+        let mut a = arena(2, 2);
+        let local = Port::Local.index();
+        let east = ProductiveDirs::from_deltas(1, 0);
+        let mut head = VcOccupant::reserved(pid(&mut store), 1, 0);
+        head.arrived = 1;
+        a.install(0, local, 0, head);
+        let s = a.slot(0, local, 0);
+        let west_in = Port::Dir(Direction::West).index();
+        a.install(1, west_in, 0, VcOccupant::reserved(pid(&mut store), 1, 0));
+        assert!(!a.wait_blocked(0, s, east, 0), "VC 1 is free");
+        // The policy said None with VC 1 free: VC 1 is not for this head.
+        a.note_refusal(0, s, east, 0);
+        assert!(a.wait_blocked(0, s, east, 0));
+        assert_eq!(a.refused(s), [1 << 1, 0]);
+        // Freeing VC 0 — never refused — makes it routable again.
+        a.take(1, west_in, 0).unwrap();
+        assert!(!a.wait_blocked(0, s, east, 0));
+        // A new occupant of the slot starts with a clean record.
+        a.take(0, local, 0).unwrap();
+        a.install(0, local, 0, head);
+        assert_eq!(a.refused(s), [0, 0]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn install_out_of_range_vc_panics() {
         let mut store = PacketStore::new();
-        let mut a = VcArena::new(1, 2);
+        let mut a = arena(1, 2);
         a.install(0, 0, 2, VcOccupant::reserved(pid(&mut store), 1, 0));
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn free_vc_range_past_port_panics() {
-        let a = VcArena::new(1, 2);
+        let a = arena(1, 2);
         let _ = view(&a, 0, 0).free_vc_in(0..3);
     }
 }

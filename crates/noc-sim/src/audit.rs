@@ -8,6 +8,7 @@
 //! figure.
 
 use crate::network::NetworkCore;
+use crate::routing::introspect;
 use noc_core::packet::PacketId;
 use noc_core::topology::{NodeId, Port, NUM_PORTS};
 use std::collections::{BTreeMap, BTreeSet};
@@ -187,12 +188,22 @@ pub fn audit(core: &NetworkCore) -> Vec<AuditError> {
 ///   resident, or overlay-held: `created == delivered + live` (nothing
 ///   leaves the store except through consumption) and
 ///   `live == resident + overlay` (nothing in the store is orphaned);
-/// * **arena-word consistency** — per `(node, port)` the routed word is
-///   a subset of the occupancy word, each occupied slot's routed bit
-///   matches its stored route, and each node's cached occupied-VC count
-///   equals the population count of its occupancy words (the word-level
-///   signals the hot loops scan can only be trusted if
-///   `install`/`take`/`set_route` really are the only mutators);
+/// * **arena-word consistency** — per `(node, port)` the routed and
+///   ready words are subsets of the occupancy word, each occupied slot's
+///   routed bit matches its stored route and its ready bit matches
+///   `sent < arrived`, and each node's cached occupied-VC count equals
+///   the population count of its occupancy words (the word-level signals
+///   the hot loops scan can only be trusted if the arena's mutators
+///   really are the only ones);
+/// * **wake protocol** — the parked word is a subset of
+///   `occ & !routed`, and every parked head is genuinely blocked (across
+///   its wait directions no VC of its class range is free, save those
+///   its routing policy has already refused it) and registered as a
+///   waiter on each of them. Together these are the
+///   whole correctness claim of event-driven allocation: a head that
+///   route allocation skips could not have been routed, and the next
+///   VC free that could change that will find it. A missed wake in
+///   `VcArena::take` shows up here as a parked head beside a free VC;
 /// * **credit conservation** — every allocated downstream VC index is in
 ///   range and no VC is reserved by two upstream packets, so per-link
 ///   outstanding credits can never exceed the VC capacity.
@@ -222,7 +233,8 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
         for p in 0..NUM_PORTS {
             let iu = core.input(node, p);
             let occ_word = iu.occ_mask(); // noc-lint: allow(occupancy) — the auditor verifies the mask
-            let routed_word = core.arena.routed[core.arena.word(node.index(), p)];
+            let pw = core.arena.ports[core.arena.word(node.index(), p)];
+            let routed_word = pw.routed;
             occ_bits += occ_word.count_ones() as usize;
             if routed_word & !occ_word != 0 {
                 errors.push(AuditError {
@@ -230,6 +242,27 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
                     problem: format!(
                         "routed word {routed_word:#b} not a subset of occupancy {occ_word:#b} \
                          (a freed VC kept its routed bit)"
+                    ),
+                });
+            }
+            if pw.ready & !occ_word != 0 {
+                errors.push(AuditError {
+                    location: format!("{node} port {}", Port::from_index(p)),
+                    problem: format!(
+                        "ready word {:#b} not a subset of occupancy {occ_word:#b} \
+                         (a freed VC kept its ready bit)",
+                        pw.ready
+                    ),
+                });
+            }
+            if pw.parked & !(occ_word & !routed_word) != 0 {
+                errors.push(AuditError {
+                    location: format!("{node} port {}", Port::from_index(p)),
+                    problem: format!(
+                        "parked word {:#b} not a subset of occ & !routed {:#b} \
+                         (a freed or routed VC kept its parked bit)",
+                        pw.parked,
+                        occ_word & !routed_word
                     ),
                 });
             }
@@ -247,6 +280,21 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
                             occ.route
                         ),
                     });
+                }
+                let ready_bit = pw.ready & (1 << vc) != 0;
+                if ready_bit != occ.flit_ready() {
+                    errors.push(AuditError {
+                        location: format!("{node} port {} vc {vc}", Port::from_index(p)),
+                        problem: format!(
+                            "ready bit {ready_bit} but sent {} / arrived {} \
+                             (ready word drifted: a flit counter moved outside \
+                             flit_arrived/flit_sent)",
+                            occ.sent, occ.arrived
+                        ),
+                    });
+                }
+                if pw.parked & (1 << vc) != 0 && core.store.contains(occ.pkt) {
+                    audit_parked_head(core, node, p, vc, occ.pkt, &mut errors);
                 }
                 if let (Some(Port::Dir(d)), Some(out_vc)) = (occ.route, occ.out_vc) {
                     let loc = format!("{node} port {} vc {vc}", Port::from_index(p));
@@ -302,6 +350,61 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
     }
     errors.sort();
     errors
+}
+
+/// The wake protocol's invariant for one parked head: across every wait
+/// direction each VC of its class range at the neighbour is occupied or
+/// one its policy already refused it, and the head is in that
+/// direction's waiter word (so the next free wakes it).
+fn audit_parked_head(
+    core: &NetworkCore,
+    node: NodeId,
+    p: usize,
+    vc: usize,
+    pkt: PacketId,
+    errors: &mut Vec<AuditError>,
+) {
+    let loc = format!("{node} port {} vc {vc}", Port::from_index(p));
+    let packet = core.store.get(pkt);
+    let class = packet.class.index();
+    let dirs = introspect::wait_dirs(core.xy(node), core.xy(packet.dst));
+    if dirs.is_empty() {
+        errors.push(AuditError {
+            location: loc,
+            problem: "parked head is at its destination (Local is always grantable)".into(),
+        });
+        return;
+    }
+    let refused = core.arena.refused(core.arena.slot(node.index(), p, vc));
+    let vn = core.arena.vn_of_class(class);
+    for (d, refused) in dirs.iter().zip(refused) {
+        let Some(nbr) = core.mesh().neighbor(node, d) else {
+            continue; // audited as "route leaves the mesh" if ever taken
+        };
+        let down = core.input(nbr, Port::Dir(d.opposite()).index());
+        let grantable = core
+            .cfg()
+            .vc_range_for_class(class)
+            .find(|&v| down.is_free(v) && refused & (1 << v) == 0);
+        if let Some(free_vc) = grantable {
+            errors.push(AuditError {
+                location: loc.clone(),
+                problem: format!(
+                    "parked head has free, never-refused VC {free_vc} of its class at {nbr} \
+                     via {d} (missed wake: a VC was freed without un-parking its waiters)"
+                ),
+            });
+        }
+        if !core.arena.is_waiting_on(node.index(), p, vc, d, vn) {
+            errors.push(AuditError {
+                location: loc.clone(),
+                problem: format!(
+                    "parked head is not registered as a waiter on {d} \
+                     (the next free there would not wake it)"
+                ),
+            });
+        }
+    }
 }
 
 fn panic_on(what: &str, errors: &[AuditError]) {
@@ -531,6 +634,106 @@ mod tests {
             errors.iter().any(|e| e.problem.contains("capacity")),
             "{errors:?}"
         );
+    }
+
+    /// Saturating single-VC XY traffic (deadlock-free, and XY refuses
+    /// free VCs off its one direction) with consumption counted into
+    /// `delivered`, so heads park and VCs keep being freed. Runs the
+    /// conservation audit after every cycle and returns its first
+    /// non-empty findings, or nothing after `cycles` clean cycles.
+    fn run_saturated(c: &mut NetworkCore, delivered: &mut u64, cycles: u64) -> Vec<AuditError> {
+        let mut rng = noc_core::rng::DetRng::new(3 + *delivered);
+        let mut policy = DorXy;
+        for cycle in 0..cycles {
+            for src in 0..16 {
+                if rng.chance(0.4) {
+                    let mut dst = rng.range(0, 15);
+                    if dst >= src {
+                        dst += 1;
+                    }
+                    c.generate(Packet::new(
+                        NodeId::new(src),
+                        NodeId::new(dst),
+                        MessageClass::Request,
+                        1 + (cycle % 5) as u8,
+                        cycle,
+                    ));
+                }
+            }
+            advance(c, &mut policy, &AdvanceCtx::default());
+            let now = c.cycle();
+            for n in c.mesh().nodes() {
+                if c.ni(n).ej_consumable(MessageClass::Request, now).is_some() {
+                    let e = c.ni_mut(n).pop_ej(MessageClass::Request).unwrap();
+                    c.store.remove(e.pkt);
+                    *delivered += 1;
+                }
+            }
+            c.advance_cycle();
+            let errors = audit_conservation(c, 0, *delivered);
+            if !errors.is_empty() {
+                return errors;
+            }
+        }
+        Vec::new()
+    }
+
+    fn any_parked(c: &NetworkCore) -> bool {
+        c.arena.ports.iter().any(|pw| pw.parked != 0)
+    }
+
+    #[test]
+    fn wake_protocol_holds_at_saturation() {
+        let mut c = NetworkCore::new(SimConfig::builder().mesh(4, 4).vns(0).vcs_per_vn(1).build());
+        assert_eq!(run_saturated(&mut c, &mut 0, 600), Vec::new());
+        assert!(any_parked(&c), "the load must actually park heads");
+    }
+
+    /// Planted bug: `take` frees VCs without waking their waiters. The
+    /// audit must see a parked head beside a free VC.
+    #[test]
+    fn conservation_flags_a_skipped_wake() {
+        let mut c = NetworkCore::new(SimConfig::builder().mesh(4, 4).vns(0).vcs_per_vn(1).build());
+        let mut delivered = 0;
+        assert_eq!(run_saturated(&mut c, &mut delivered, 200), Vec::new());
+        assert!(any_parked(&c));
+        c.arena.fault_skip_wake = true;
+        let errors = run_saturated(&mut c, &mut delivered, 200);
+        assert!(
+            errors.iter().any(|e| e.problem.contains("missed wake")),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn conservation_flags_drifted_ready_and_parked_words() {
+        let mut c = core();
+        let id = c.generate(Packet::new(
+            NodeId::new(0),
+            NodeId::new(6),
+            MessageClass::Request,
+            1,
+            0,
+        ));
+        let mut occ = VcOccupant::reserved(id, 1, 0);
+        occ.arrived = 1;
+        c.input_mut(NodeId::new(5), Port::Local.index())
+            .install(0, occ);
+        let w = c.arena.word(5, Port::Local.index());
+        c.arena.ports[w].ready = 0; // head present but not flagged ready
+        c.arena.ports[w].parked = 0b11; // VC 1 is empty; VC 0 has free VCs ahead
+        let errors = audit_conservation(&c, 0, 0);
+        for needle in [
+            "ready bit false",
+            "parked word",
+            "missed wake",
+            "not registered",
+        ] {
+            assert!(
+                errors.iter().any(|e| e.problem.contains(needle)),
+                "no `{needle}` in {errors:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cycle and applied at its end), a VC is never double-booked, and
 //! buffers are freed only when the tail flit has left.
 
-use crate::arena::{m_arrived, m_len, InputMut, InputRef, VcArena, M_ARRIVED};
+use crate::arena::{m_arrived, InputMut, InputRef, VcArena};
 use crate::ni::NiState;
 use crate::probe::{Phase, PhaseProbe};
 use crate::router::RouterState;
@@ -97,7 +97,7 @@ pub struct NetworkCore {
     mesh: Mesh,
     routers: Vec<RouterState>,
     /// Flat struct-of-arrays storage for every VC buffer; the regular
-    /// pipeline reads its occupancy/routed words directly.
+    /// pipeline reads its per-port predicate words directly.
     pub(crate) arena: VcArena,
     nis: Vec<NiState>,
     /// Central packet storage. Public: schemes and workloads read and
@@ -149,7 +149,7 @@ impl NetworkCore {
         let vcs = cfg.vcs_per_port();
         NetworkCore {
             routers: (0..n).map(|_| RouterState::new(vcs)).collect(),
-            arena: VcArena::new(n, vcs),
+            arena: VcArena::new(&cfg),
             nis: (0..n)
                 .map(|_| NiState::new(cfg.inj_queue_packets, cfg.ej_queue_packets))
                 .collect(),
@@ -437,13 +437,7 @@ impl NetworkCore {
                 self.arena.is_occupied(s.node, s.port, s.vc),
                 "staged arrival into an unreserved VC"
             );
-            let slot = self.arena.slot(s.node, s.port, s.vc);
-            debug_assert!(
-                m_arrived(self.arena.meta[slot]) < m_len(self.arena.meta[slot]),
-                "more flits arrived than packet length"
-            );
-            let m = self.arena.meta[slot] + (1 << M_ARRIVED);
-            self.arena.meta[slot] = m;
+            let (slot, m) = self.arena.flit_arrived(s.node, s.port, s.vc);
             if m_arrived(m) == 1 {
                 self.arena.head_arrival[slot] = cycle;
                 self.arena.last_progress[slot] = cycle;

@@ -12,11 +12,11 @@
 //! of §III-C5) and preempts ejection ports; DRAIN freezes regular
 //! movement during drain epochs.
 
-use crate::arena::{m_arrived, m_len, m_out_vc, m_route, m_sent, M_SENT, NO_OUT_VC};
+use crate::arena::{m_arrived, m_len, m_out_vc, m_route, m_sent, NO_OUT_VC};
 use crate::network::{LinkSet, NetworkCore};
 use crate::ni::{EjRefusal, EjectEntry, InjStream};
 use crate::probe::Phase;
-use crate::routing::{RouteReq, RoutingPolicy};
+use crate::routing::{introspect, RouteReq, RoutingPolicy};
 use crate::vc::VcOccupant;
 use noc_core::packet::{MessageClass, PacketId};
 use noc_core::topology::{Direction, LinkId, NodeId, Port, DIRECTIONS, NUM_PORTS};
@@ -136,30 +136,76 @@ pub fn advance(core: &mut NetworkCore, policy: &mut dyn RoutingPolicy, ctx: &Adv
 
 /// Route computation + downstream VC allocation for head packets that do
 /// not yet hold a route.
+///
+/// Event-driven (`DESIGN.md`, "Event-driven allocation"): the scan
+/// visits only heads that can act. A head whose every wait-direction VC
+/// is occupied — or free but already refused to it by the policy — is
+/// *parked*: the policy cannot grant it ([`RoutingPolicy::route`]'s
+/// contract), so it leaves this scan until `VcArena::take` frees a VC it
+/// waits on and un-parks it. Skipping a parked head is
+/// behaviour-identical to asking its policy again: the call would return
+/// `None` and change nothing.
 fn route_and_allocate(core: &mut NetworkCore, policy: &mut dyn RoutingPolicy, node: NodeId) {
     let ni = node.index();
+    // Active only through its NI: no buffered head to route.
+    if core.arena.node_occupied(ni) == 0 {
+        return;
+    }
+    let counters = core.trace.counters_on();
     for p in 0..NUM_PORTS {
-        // Visit only occupied VCs that do not yet hold a route — the
-        // routed word keeps already-allocated packets out of this scan
-        // entirely. The mask snapshot stays valid because this loop only
-        // mutates the current slot's route fields and installs
-        // reservations at *neighbor* routers.
-        let w = core.arena.word(ni, p);
-        let mut mask = core.arena.occ[w] & !core.arena.routed[w];
+        // Heads present (`ready`; an unrouted occupant has sent nothing)
+        // that do not yet hold a route, minus the parked ones. The
+        // snapshot stays valid: this loop only routes or parks the
+        // current slot and installs reservations at *neighbor* routers,
+        // and nothing here frees a VC (the only thing that un-parks).
+        let pw = core.arena.ports[core.arena.word(ni, p)];
+        let heads = pw.ready & !pw.routed;
+        let mut mask = heads & !pw.parked;
+        if counters && pw.parked != 0 {
+            if core.trace.events_on() {
+                // Full tracing keeps one Stall event per blocked head in
+                // scan order: walk the parked heads too.
+                mask = heads;
+            } else {
+                trace_route_blocked_parked(core, node, pw.parked.count_ones());
+            }
+        }
         while mask != 0 {
             let vc = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let s = core.arena.slot(ni, p, vc);
-            // head_present: the head flit is here and nothing was sent.
-            let m = core.arena.meta[s];
-            if m_arrived(m) == 0 || m_sent(m) != 0 {
+            debug_assert_eq!(m_sent(core.arena.meta[s]), 0, "unrouted slot sent a flit");
+            let pkt_id = core.arena.pkt[s];
+            if pw.parked & (1 << vc) != 0 {
+                trace_route_blocked(core, node, pkt_id);
                 continue;
             }
-            let pkt_id = core.arena.pkt[s];
             // One store lookup for the fields routing reads; no clone.
             let req = RouteReq::new(core, node, Port::from_index(p), vc, pkt_id);
-            let Some(dec) = policy.route(core, &req) else {
-                if core.trace.counters_on() {
+            // Live occupancy check before paying for the `dyn` call —
+            // for a fresh head and for one a VC free just woke alike.
+            let dirs = introspect::wait_dirs(core.xy(node), core.xy(req.dst));
+            let vn = core.arena.vn_of_class(req.class.index());
+            // At its destination a head always gets `Local`: never parks.
+            let at_dst = dirs.is_empty();
+            let granted = if !at_dst && core.arena.wait_blocked(ni, s, dirs, vn) {
+                None
+            } else {
+                let granted = policy.route(core, &req);
+                if granted.is_none() && !at_dst {
+                    // VCs are free on a wait direction but the policy
+                    // will not grant them to this head (turn model,
+                    // escape discipline): remember that, so only a free
+                    // of some *other* VC brings the head back.
+                    core.arena.note_refusal(ni, s, dirs, vn);
+                }
+                granted
+            };
+            let Some(dec) = granted else {
+                if !at_dst {
+                    core.arena.park(ni, p, vc, dirs, vn);
+                }
+                if counters {
                     trace_route_blocked(core, node, pkt_id);
                 }
                 continue;
@@ -207,7 +253,8 @@ fn route_and_allocate(core: &mut NetworkCore, policy: &mut dyn RoutingPolicy, no
 /// Switch allocation + traversal for one router: ejection first (Local
 /// output), then the four direction outputs, at most one flit per input
 /// and per output port. A single word-at-a-time prepass over the router's
-/// `occ & routed` occupancy words builds the request bitsets of all five
+/// `ready & routed` words (flit-ready routed occupants: every slot
+/// visited is a requester) builds the request bitsets of all five
 /// output ports at once; the per-output loops then work purely on stack
 /// words, so the hot loop touches each occupied slot once and never
 /// allocates.
@@ -229,19 +276,17 @@ fn switch_traversal(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeId) 
     }
 
     // Requester bitsets per output port, indexed by the slot's route.
-    // Only routed occupants appear in `occ & routed`, and route stores a
-    // valid output-port index for every such slot.
+    // `ready & routed` is exactly the routed occupants with a flit to
+    // forward, and route stores a valid output-port index for each.
     let mut out_reqs = [[0u64; SA_WORDS]; NUM_PORTS];
     for p in 0..NUM_PORTS {
-        let w = core.arena.word(ni, p);
-        let mut mask = core.arena.occ[w] & core.arena.routed[w];
+        let pw = core.arena.ports[core.arena.word(ni, p)];
+        let mut mask = pw.ready & pw.routed;
         while mask != 0 {
             let vc = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let m = core.arena.meta[core.arena.slot(ni, p, vc)];
-            if m_sent(m) < m_arrived(m) {
-                set_bit(&mut out_reqs[m_route(m) as usize], p * vcs + vc);
-            }
+            set_bit(&mut out_reqs[m_route(m) as usize], p * vcs + vc);
         }
     }
 
@@ -272,6 +317,12 @@ fn switch_traversal(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeId) 
     }
 
     for d in DIRECTIONS {
+        let out_idx = Port::Dir(d).index();
+        // No flit-ready occupant is routed this way: nothing to grant,
+        // and nothing a suppressed link could be stalling.
+        if out_reqs[out_idx][..nw].iter().all(|&w| w == 0) {
+            continue;
+        }
         let Some(nbr) = core.neighbor(node, d) else {
             continue;
         };
@@ -284,13 +335,12 @@ fn switch_traversal(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeId) 
         let mut reqs = [0u64; SA_WORDS];
         let mut any = 0u64;
         for w in 0..nw {
-            reqs[w] = out_reqs[Port::Dir(d).index()][w] & !used_mask[w];
+            reqs[w] = out_reqs[out_idx][w] & !used_mask[w];
             any |= reqs[w];
         }
         if any == 0 {
             continue;
         }
-        let out_idx = Port::Dir(d).index();
         let Some(winner) = core.router_mut(node).sa_rr[out_idx].grant_words(&reqs[..nw]) else {
             continue;
         };
@@ -310,15 +360,13 @@ fn switch_traversal_w1(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeI
     let ni = node.index();
     let mut out_reqs = [0u64; NUM_PORTS];
     for p in 0..NUM_PORTS {
-        let w = core.arena.word(ni, p);
-        let mut mask = core.arena.occ[w] & core.arena.routed[w];
+        let pw = core.arena.ports[core.arena.word(ni, p)];
+        let mut mask = pw.ready & pw.routed;
         while mask != 0 {
             let vc = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let m = core.arena.meta[core.arena.slot(ni, p, vc)];
-            if m_sent(m) < m_arrived(m) {
-                out_reqs[m_route(m) as usize] |= 1 << (p * vcs + vc);
-            }
+            out_reqs[m_route(m) as usize] |= 1 << (p * vcs + vc);
         }
     }
 
@@ -331,6 +379,12 @@ fn switch_traversal_w1(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeI
     }
 
     for d in DIRECTIONS {
+        let out_idx = Port::Dir(d).index();
+        // No flit-ready occupant is routed this way: nothing to grant,
+        // and nothing a suppressed link could be stalling.
+        if out_reqs[out_idx] == 0 {
+            continue;
+        }
         let Some(nbr) = core.neighbor(node, d) else {
             continue;
         };
@@ -340,7 +394,6 @@ fn switch_traversal_w1(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeI
             }
             continue;
         }
-        let out_idx = Port::Dir(d).index();
         let reqs = out_reqs[out_idx] & !used_mask;
         if reqs == 0 {
             continue;
@@ -438,9 +491,7 @@ fn send_flit(
         core.arena.is_occupied(node.index(), p, vc),
         "granted flit from empty VC"
     );
-    let s = core.arena.slot(node.index(), p, vc);
-    let m = core.arena.meta[s] + (1 << M_SENT);
-    core.arena.meta[s] = m;
+    let (s, m) = core.arena.flit_sent(node.index(), p, vc);
     core.arena.last_progress[s] = cycle;
     let pkt_id = core.arena.pkt[s];
     let out_vc_raw = m_out_vc(m);
@@ -548,15 +599,13 @@ fn eject_stage(
 /// Streams one flit into the NI; finishes the delivery on the tail.
 fn eject_flit(core: &mut NetworkCore, node: NodeId, p: usize, vc: usize) {
     let cycle = core.cycle();
-    // Grants come from the `occ & routed` prepass masks, so occupancy is
+    // Grants come from the `ready & routed` prepass masks, so occupancy is
     // structural here (and in `send_flit` below); debug builds re-check.
     debug_assert!(
         core.arena.is_occupied(node.index(), p, vc),
         "ejecting VC must be occupied"
     );
-    let s = core.arena.slot(node.index(), p, vc);
-    let m = core.arena.meta[s] + (1 << M_SENT);
-    core.arena.meta[s] = m;
+    let (s, m) = core.arena.flit_sent(node.index(), p, vc);
     core.arena.last_progress[s] = cycle;
     let pkt_id = core.arena.pkt[s];
     let drained = m_sent(m) == m_len(m);
@@ -672,8 +721,8 @@ fn injection(core: &mut NetworkCore, node: NodeId) {
 // functions pay exactly one predicted-not-taken branch per site when
 // tracing is off — the event/counter code never bloats their bodies.
 
-/// Records a `RouteBlocked` stall: the routing policy found no grantable
-/// output for a parked head this cycle.
+/// Records a `RouteBlocked` stall: a head has no grantable output this
+/// cycle (parked, or refused by the routing policy).
 #[cold]
 #[inline(never)]
 fn trace_route_blocked(core: &mut NetworkCore, node: NodeId, pkt: PacketId) {
@@ -682,6 +731,15 @@ fn trace_route_blocked(core: &mut NetworkCore, node: NodeId, pkt: PacketId) {
         pkt,
         cause: StallCause::RouteBlocked,
     });
+}
+
+/// Counts one `RouteBlocked` stall for each of the `n` heads parked on a
+/// port, in one add (counters-only tracing: no per-head event to keep).
+#[cold]
+#[inline(never)]
+fn trace_route_blocked_parked(core: &mut NetworkCore, node: NodeId, n: u32) {
+    core.trace
+        .count_stall_n(node, StallCause::RouteBlocked, n as u64);
 }
 
 /// Records a `VcAlloc` event (route computed + downstream VC reserved).
@@ -748,7 +806,7 @@ fn trace_suppressed_stalls(core: &mut NetworkCore, node: NodeId, d: Direction) {
     let ni = node.index();
     let route_d = Port::Dir(d).index() as u8;
     for p in 0..NUM_PORTS {
-        let mut mask = core.arena.occ[core.arena.word(ni, p)];
+        let mut mask = core.arena.ports[core.arena.word(ni, p)].occ;
         while mask != 0 {
             let vc = mask.trailing_zeros() as usize;
             mask &= mask - 1;
@@ -802,7 +860,7 @@ fn trace_eject_stalls(core: &mut NetworkCore, node: NodeId) {
     let ni = node.index();
     let route_local = Port::Local.index() as u8;
     for p in 0..NUM_PORTS {
-        let mut mask = core.arena.occ[core.arena.word(ni, p)];
+        let mut mask = core.arena.ports[core.arena.word(ni, p)].occ;
         while mask != 0 {
             let vc = mask.trailing_zeros() as usize;
             mask &= mask - 1;

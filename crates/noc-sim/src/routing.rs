@@ -73,6 +73,32 @@ pub trait RoutingPolicy: Send {
 
     /// Computes a route for `req`, or `None` if no admissible output/VC
     /// is available this cycle (the packet stays blocked).
+    ///
+    /// Event-driven allocation (`DESIGN.md`) parks a blocked head instead
+    /// of asking again every cycle, and leans on two obligations every
+    /// implementation must meet for a packet not yet at its destination
+    /// ([`contract::check`] is their executable form):
+    ///
+    /// 1. **A fixed grantable set inside the wait set.** Which
+    ///    `(direction, VC)` pairs the policy may grant a request is a
+    ///    function of the request and the configuration alone — not of
+    ///    occupancy, time or random draws — and every such pair is a VC
+    ///    of the packet's class range
+    ///    ([`SimConfig::vc_range_for_class`]) at the *immediate*
+    ///    neighbour in one of [`introspect::wait_dirs`]. `route` returns
+    ///    a decision iff one of those VCs is free, and the decision
+    ///    names a free one. So `None` means every grantable VC is
+    ///    occupied (whatever else is free is not for this packet, now or
+    ///    later), and a `None` can only turn into a grant after a VC of
+    ///    the class range is freed across a wait direction — the
+    ///    pipeline may skip the call until then.
+    /// 2. **`None` leaves the policy untouched.** A call that returns
+    ///    `None` draws no random number and changes no policy state, so
+    ///    a skipped call and a failed call are indistinguishable.
+    ///
+    /// A packet at its destination always gets `Port::Local`.
+    ///
+    /// [`SimConfig::vc_range_for_class`]: noc_core::config::SimConfig::vc_range_for_class
     fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision>;
 
     /// Output ports the packet *could* legally use (for wait-for-graph
@@ -138,7 +164,7 @@ fn local_if_arrived(req: &RouteReq) -> Option<RouteDecision> {
 /// `noc-prove` builds channel-dependency graphs from exactly these
 /// functions rather than re-deriving the routing algebra.
 pub mod introspect {
-    use noc_core::topology::{Direction, Mesh, NodeId, Port};
+    use noc_core::topology::{Direction, Mesh, NodeId, Port, ProductiveDirs};
 
     /// Which routing discipline's route set to enumerate.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,6 +276,21 @@ pub mod introspect {
             .collect()
     }
 
+    /// The *wait directions* of a head at mesh coordinates `at` bound for
+    /// `dst`: every minimal direction. Whatever the policy, its
+    /// admissible set at that router is a subset (every shipped policy
+    /// is minimal; [`route_set`] ⊆ this for every [`PolicyKind`], tested
+    /// exhaustively), so a head blocked on all of these is blocked under
+    /// any policy — the set the regular pipeline parks heads on. Takes
+    /// coordinates rather than node ids so the per-cycle caller can pass
+    /// the core's cached ones. Empty iff `at == dst`.
+    pub fn wait_dirs(at: (u16, u16), dst: (u16, u16)) -> ProductiveDirs {
+        ProductiveDirs::from_deltas(
+            dst.0 as isize - at.0 as isize,
+            dst.1 as isize - at.1 as isize,
+        )
+    }
+
     /// The full admissible direction set of `kind` at
     /// `(at, in_port, dst)`. Returns the empty set iff `at == dst`
     /// (route to `Port::Local`).
@@ -276,6 +317,144 @@ pub mod introspect {
             PolicyKind::WestFirst => west_first(mesh, at, dst),
             PolicyKind::NorthLast => north_last(mesh, at, dst),
             PolicyKind::OddEven => odd_even(mesh, at, dst, in_port),
+        }
+    }
+}
+
+/// Executable form of the [`RoutingPolicy::route`] contract, for the
+/// tests of every crate that ships a policy.
+pub mod contract {
+    use super::{introspect, RouteReq, RoutingPolicy};
+    use crate::network::NetworkCore;
+    use crate::vc::VcOccupant;
+    use noc_core::config::SimConfig;
+    use noc_core::packet::{MessageClass, Packet};
+    use noc_core::topology::{Direction, NodeId, Port};
+
+    /// Checks `policy` against the two obligations event-driven
+    /// allocation relies on, exhaustively over every `(at, in_port, dst)`
+    /// of a 4×4 and a 3×5 mesh with two shared VCs per port: for each
+    /// request, every free/occupied combination of the wait set's VCs is
+    /// built on a scratch core and routed. Verified per request:
+    ///
+    /// * a decision names a free VC of the class range across a wait
+    ///   direction, and a full wait set yields `None`;
+    /// * the pairs granted when free *alone* form a fixed grantable set:
+    ///   every combination routes iff it frees one of them;
+    /// * a `None` leaves the policy's `Debug` rendering unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation.
+    pub fn check<P: RoutingPolicy + std::fmt::Debug>(policy: &mut P) -> Result<(), String> {
+        for (w, h) in [(4, 4), (3, 5)] {
+            let cfg = SimConfig::builder().mesh(w, h).vns(0).vcs_per_vn(2).build();
+            let mut core = NetworkCore::new(cfg);
+            let mesh = core.mesh();
+            let class = MessageClass::Request;
+            let range = core.cfg().vc_range_for_class(class.index());
+            let pkt = core.generate(Packet::new(NodeId::new(0), NodeId::new(1), class, 1, 0));
+            for at in mesh.nodes() {
+                for dst in mesh.nodes().filter(|&dst| dst != at) {
+                    let dirs = introspect::wait_dirs(core.xy(at), core.xy(dst));
+                    let pairs: Vec<(Direction, usize)> = dirs
+                        .iter()
+                        .flat_map(|d| range.clone().map(move |vc| (d, vc)))
+                        .collect();
+                    for in_port in Port::all() {
+                        if matches!(in_port, Port::Dir(d) if mesh.neighbor(at, d).is_none()) {
+                            continue;
+                        }
+                        let req = RouteReq {
+                            at,
+                            in_port,
+                            vc: 0,
+                            pkt,
+                            dst,
+                            class,
+                        };
+                        check_request(policy, &mut core, &req, &pairs).map_err(|e| {
+                            format!(
+                                "{} at {at} in {in_port} dst {dst} on {w}x{h}, wait set {pairs:?}: {e}",
+                                policy.name()
+                            )
+                        })?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Occupies (or frees again) every wait-set VC of `req` whose bit is
+    /// clear in `free`, with reservations of the request's own packet.
+    fn fill(
+        core: &mut NetworkCore,
+        req: &RouteReq,
+        pairs: &[(Direction, usize)],
+        free: usize,
+        occupy: bool,
+    ) {
+        for (i, &(d, vc)) in pairs.iter().enumerate() {
+            if free & (1 << i) != 0 {
+                continue;
+            }
+            let nbr = core.neighbor(req.at, d).expect("wait dirs stay on-mesh");
+            // noc-lint: allow(occupancy) — synthetic occupancy on a scratch core
+            let mut input = core.input_mut(nbr, Port::Dir(d.opposite()).index());
+            if occupy {
+                input.install(vc, VcOccupant::reserved(req.pkt, 1, 0));
+            } else {
+                input.take(vc);
+            }
+        }
+    }
+
+    /// Routes `req` under every free/occupied combination of `pairs`.
+    fn check_request<P: RoutingPolicy + std::fmt::Debug>(
+        policy: &mut P,
+        core: &mut NetworkCore,
+        req: &RouteReq,
+        pairs: &[(Direction, usize)],
+    ) -> Result<(), String> {
+        // granted[f]: routed with exactly the pairs in bitset `f` free.
+        let mut granted = vec![false; 1 << pairs.len()];
+        for (free, routed) in granted.iter_mut().enumerate() {
+            fill(core, req, pairs, free, true);
+            let before = format!("{policy:?}");
+            let dec = policy.route(core, req);
+            let unchanged = format!("{policy:?}") == before;
+            fill(core, req, pairs, free, false);
+            match dec {
+                Some(dec) => {
+                    let granted_pair = match dec.out_port {
+                        Port::Dir(d) => pairs.iter().position(|&p| p == (d, dec.out_vc)),
+                        Port::Local => None,
+                    };
+                    match granted_pair {
+                        Some(i) if free & (1 << i) != 0 => {}
+                        Some(_) => return Err(format!("free {free:#b}: granted occupied {dec:?}")),
+                        None => {
+                            return Err(format!("free {free:#b}: {dec:?} outside the wait set"))
+                        }
+                    }
+                }
+                None if !unchanged => {
+                    return Err(format!("free {free:#b}: a None changed the policy's state"));
+                }
+                None => {}
+            }
+            *routed = dec.is_some();
+        }
+        let grantable = (0..pairs.len())
+            .filter(|&i| granted[1 << i])
+            .fold(0usize, |set, i| set | 1 << i);
+        match (0..granted.len()).find(|&f| granted[f] != (f & grantable != 0)) {
+            Some(free) => Err(format!(
+                "grants alone {grantable:#b}, yet free {free:#b} routes: {}",
+                granted[free]
+            )),
+            None => Ok(()),
         }
     }
 }
@@ -1031,6 +1210,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The wait set event-driven allocation parks heads on must cover
+    /// every direction any policy could grant: for every
+    /// `(at, in_port, dst)` on two mesh shapes, `wait_dirs` is the
+    /// minimal-direction set and a superset of `route_set` for every
+    /// `PolicyKind`.
+    #[test]
+    fn wait_dirs_cover_every_route_set_exhaustively() {
+        use super::introspect::{route_set, wait_dirs, PolicyKind};
+        const KINDS: [PolicyKind; 7] = [
+            PolicyKind::Xy,
+            PolicyKind::Yx,
+            PolicyKind::FullyAdaptive,
+            PolicyKind::WestFirst,
+            PolicyKind::NorthLast,
+            PolicyKind::OddEven,
+            PolicyKind::EscapeXy,
+        ];
+        for (w, h) in [(4usize, 4usize), (3, 5)] {
+            let mesh = Mesh::new(w, h);
+            let xy = |n: NodeId| (mesh.x(n) as u16, mesh.y(n) as u16);
+            for at in mesh.nodes() {
+                for dst in mesh.nodes() {
+                    let wait = wait_dirs(xy(at), xy(dst));
+                    assert_eq!(wait.is_empty(), at == dst);
+                    assert_eq!(
+                        wait.iter().collect::<Vec<_>>(),
+                        mesh.productive_dirs(at, dst).iter().collect::<Vec<_>>()
+                    );
+                    for in_port in Port::all() {
+                        for kind in KINDS {
+                            for d in route_set(kind, mesh, at, in_port, dst) {
+                                assert!(
+                                    wait.contains(d),
+                                    "{} at {at} in {in_port} dst {dst} on {w}x{h}: \
+                                     {d} not a wait direction",
+                                    kind.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every policy shipped here honours the parking contract (TFC's
+    /// token-scored west-first is checked in `baselines`).
+    #[test]
+    fn shipped_policies_honour_the_route_contract() {
+        contract::check(&mut DorXy).unwrap();
+        contract::check(&mut DorYx).unwrap();
+        contract::check(&mut FullyAdaptive::new(1)).unwrap();
+        contract::check(&mut WestFirst::new(1)).unwrap();
+        contract::check(&mut EscapeVcRouting::new(1)).unwrap();
+        contract::check(&mut NorthLast::new(1)).unwrap();
+        contract::check(&mut OddEven::new(1)).unwrap();
+    }
+
+    /// The checker is not vacuous: a policy that draws a random number
+    /// before finding its candidates, or grants off the wait set, fails.
+    #[test]
+    fn route_contract_checker_catches_violations() {
+        #[derive(Debug)]
+        struct DrawsFirst(FullyAdaptive);
+        impl RoutingPolicy for DrawsFirst {
+            fn name(&self) -> &'static str {
+                "draws-first"
+            }
+            fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
+                self.0.rng.chance(0.5);
+                self.0.route(core, req)
+            }
+        }
+        let err = contract::check(&mut DrawsFirst(FullyAdaptive::new(1))).unwrap_err();
+        assert!(err.contains("changed the policy's state"), "{err}");
+
+        #[derive(Debug)]
+        struct FirstFreeWins;
+        impl RoutingPolicy for FirstFreeWins {
+            fn name(&self) -> &'static str {
+                "occupancy-dependent"
+            }
+            // Grantable set depends on occupancy: VC 1 only while VC 0
+            // is taken.
+            fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
+                let d = core.productive_dirs(req.at, req.dst).iter().next()?;
+                let nbr = core.neighbor(req.at, d)?;
+                let iu = core.input(nbr, Port::Dir(d.opposite()).index());
+                (!iu.is_free(0) && iu.is_free(1)).then_some(RouteDecision {
+                    out_port: Port::Dir(d),
+                    out_vc: 1,
+                })
+            }
+        }
+        let err = contract::check(&mut FirstFreeWins).unwrap_err();
+        assert!(err.contains("grants alone"), "{err}");
     }
 
     /// Empirical deadlock-freedom soak for the turn-model policies: heavy

@@ -283,8 +283,15 @@ impl Tracer {
     /// Counts one stall cycle at `node`.
     #[inline]
     pub fn count_stall(&mut self, node: NodeId, cause: StallCause) {
+        self.count_stall_n(node, cause, 1);
+    }
+
+    /// Counts `n` stall cycles at `node` in one add (a whole word of
+    /// blocked heads at once, by population count).
+    #[inline]
+    pub fn count_stall_n(&mut self, node: NodeId, cause: StallCause, n: u64) {
         if self.counters_on() && self.in_window() {
-            self.metrics[node.index()].stalls[cause.index()] += 1;
+            self.metrics[node.index()].stalls[cause.index()] += n;
         }
     }
 
