@@ -2,9 +2,13 @@
 //!
 //! Each `src/bin/figN.rs` / `tableN.rs` binary reproduces one artifact of
 //! the evaluation section; this library holds what they share — the
-//! scheme registry with Table II's per-scheme configurations, sweep
-//! runners, and plain-text/JSON emitters. Binaries honour these
-//! environment variables so quick runs and full runs use the same code:
+//! scheme registry with Table II's per-scheme configurations, the one
+//! point path ([`simulate_point`]) with its sweep runners, the result
+//! store and wire protocol the `nocserve` daemon shares, trace/telemetry
+//! exporters, and plain-text/JSON emitters. It measures the *paper*, not
+//! itself: simulator performance is the repo benchmark's job
+//! (`benchmark/README.md`). Binaries honour these environment variables
+//! so quick runs and full runs use the same code:
 //!
 //! * `FP_WARMUP` / `FP_MEASURE` — cycles per window (defaults per binary);
 //! * `FP_OUT` — directory for JSON results (default `results/`);
@@ -21,9 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_out;
-pub mod hotbench;
-pub mod perfwatch;
 pub mod phases;
 pub mod proto;
 pub mod registry;
@@ -33,8 +34,6 @@ pub mod store;
 pub mod telemetry;
 pub mod trace_out;
 
-pub use bench_out::{git_sha, BenchReport, BENCH_SCHEMA_VERSION};
-pub use hotbench::Measurement;
 pub use phases::{PhaseTimes, WallProbe};
 pub use proto::{
     FlightRecord, FlightStats, HistogramSummary, MetricValue, MetricsReport, StatusReport,
@@ -47,7 +46,7 @@ pub use runner::{
     CACHE_SCHEMA_VERSION,
 };
 pub use serve_client::{run_sweeps, Client, ExecMode};
-pub use store::{format_key, GcReport, Provenance, Store, StoreStats};
+pub use store::{format_key, git_sha, GcReport, Provenance, Store, StoreStats};
 pub use telemetry::{merge_counter_tracks, series_summary, sparkline, windows_json};
 pub use trace_out::{
     check_chrome_trace, check_chrome_trace_full, run_traced_point, trace_out_dir, TraceCheckSummary,

@@ -4,8 +4,9 @@
 //! The probe *interface* lives in `noc-sim` (`noc_sim::probe`), which —
 //! like every simulation crate — is barred from reading the wall clock
 //! by the determinism lint. This module is the other half: a probe that
-//! attributes elapsed time to pipeline phases, so `hotpath --phases`
-//! can report *where* cycles/sec go instead of just the total.
+//! attributes elapsed time to pipeline phases, so the repo benchmark's
+//! traced run (`noc-sim.phase.*` rows) can report *where* cycles/sec go
+//! instead of just the total.
 //!
 //! Attribution is **self time**: phases nest (`Eject` inside
 //! `SwitchAlloc` inside `SchemeStep`), and each nanosecond lands in the
@@ -92,8 +93,8 @@ impl WallProbe {
     }
 
     /// Creates a probe accumulating into an existing handle, so one
-    /// accumulator can aggregate phases across many simulations (the
-    /// `hotpath --phases` sweep attaches a fresh probe per point).
+    /// accumulator can aggregate phases across many simulations (a
+    /// sweep attaches a fresh probe per point).
     pub fn sharing(times: &Arc<Mutex<PhaseTimes>>) -> WallProbe {
         WallProbe {
             times: Arc::clone(times),

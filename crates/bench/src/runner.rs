@@ -292,9 +292,9 @@ pub fn make_sim(
 
 /// Simulates one sweep point. Every call builds a fresh [`Simulation`]
 /// from the spec's seed, so a point's result depends only on its inputs
-/// — never on which thread ran it or what ran before it. Public so the
-/// `nocserve` daemon computes points through the exact same path as the
-/// batch executor (its bitwise-equivalence guarantee rests on this).
+/// — never on which thread ran it or what ran before it. Public because
+/// the `nocserve` workers call it too: daemon and batch executor share
+/// this one point path, which is their bitwise-equivalence guarantee.
 pub fn simulate_point(spec: &SweepSpec, rate: f64) -> LatencyPoint {
     let mut sim = make_sim(
         spec.id,
@@ -309,9 +309,7 @@ pub fn simulate_point(spec: &SweepSpec, rate: f64) -> LatencyPoint {
 }
 
 /// Reduces one finished run's [`NetStats`] to the stored
-/// [`LatencyPoint`]. Shared by [`simulate_point`] and the daemon's
-/// batched workers so both paths derive identical points from identical
-/// stats.
+/// [`LatencyPoint`].
 ///
 /// [`NetStats`]: noc_core::stats::NetStats
 pub fn latency_point(rate: f64, stats: &noc_core::stats::NetStats) -> LatencyPoint {
@@ -379,18 +377,11 @@ pub fn run_sweep_parallel(specs: &[SweepSpec], opts: &SweepOptions) -> Vec<Sweep
         })
         .collect();
     let total = points.len();
-    // Resolved once per run so cache writes don't each shell out.
-    let git_sha = if opts.cache_dir.is_some() {
-        crate::bench_out::git_sha()
-    } else {
-        String::new()
-    };
     let jobs: Vec<_> = points
         .iter()
         .map(|&(si, _, rate)| {
             let spec = &specs[si];
             let cache_dir = opts.cache_dir.as_deref();
-            let git_sha = &git_sha;
             move || -> (LatencyPoint, bool) {
                 let key = cache_dir.map(|d| (d, point_cache_key(spec, rate)));
                 if let Some((dir, k)) = key {
@@ -402,11 +393,13 @@ pub fn run_sweep_parallel(specs: &[SweepSpec], opts: &SweepOptions) -> Vec<Sweep
                 let point = simulate_point(spec, rate);
                 if let Some((dir, k)) = key {
                     // Provenance is metadata only — worker None marks
-                    // the in-process batch executor as the producer.
+                    // the in-process batch executor as the producer. The
+                    // sha is resolved here, on a write, so an all-hit
+                    // sweep never forks `git`.
                     let stamp = crate::store::Provenance::now(
                         begun.elapsed().as_millis() as u64,
                         None,
-                        git_sha.clone(),
+                        crate::store::git_sha(),
                         spec.warmup + spec.measure,
                     );
                     cache_store(dir, k, &point, &stamp);

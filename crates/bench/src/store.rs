@@ -51,6 +51,7 @@
 use crate::runner::LatencyPoint;
 use serde::{field, Content, DeError, Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Bump when the cache entry format or simulation semantics change in a
 /// way that invalidates previously cached points. The version is folded
@@ -78,22 +79,19 @@ pub const CACHE_SCHEMA_VERSION: u32 = 3;
 pub struct Provenance {
     /// Wall-clock milliseconds since the Unix epoch at store time.
     pub unix_ms: u64,
-    /// Wall-clock milliseconds the computation took. Daemon workers
-    /// simulate same-window batches in lockstep, so batched points share
-    /// their batch's wall time.
+    /// Wall-clock milliseconds this point's computation took.
     pub wall_ms: u64,
     /// Daemon worker id that simulated the point; `None` means the
     /// batch executor computed it in-process.
     pub worker: Option<u64>,
-    /// Git revision of the producing build ([`crate::git_sha`]).
+    /// Git revision of the producing build ([`git_sha`]).
     pub git_sha: String,
     /// Simulated cycles per point (warmup + measurement window).
     pub cycles: u64,
 }
 
 impl Provenance {
-    /// A stamp dated now. `git_sha` is passed in (rather than resolved
-    /// here) so callers can resolve it once per run, not once per point.
+    /// A stamp dated now.
     pub fn now(wall_ms: u64, worker: Option<u64>, git_sha: String, cycles: u64) -> Provenance {
         let unix_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -106,6 +104,42 @@ impl Provenance {
             cycles,
         }
     }
+}
+
+/// The current commit hash for provenance stamping, resolved once per
+/// process.
+///
+/// Resolution order: `GIT_SHA`, then `GITHUB_SHA` (set by CI), then
+/// `git rev-parse HEAD`, then the literal `"unknown"` — a stamp from a
+/// tarball checkout is still valid, just uncorrelated.
+pub fn git_sha() -> String {
+    static SHA: OnceLock<String> = OnceLock::new();
+    SHA.get_or_init(resolve_git_sha).clone()
+}
+
+fn resolve_git_sha() -> String {
+    for var in ["GIT_SHA", "GITHUB_SHA"] {
+        if let Ok(v) = std::env::var(var) {
+            let v = v.trim().to_string();
+            if !v.is_empty() {
+                return v;
+            }
+        }
+    }
+    let out = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output();
+    if let Ok(out) = out {
+        if out.status.success() {
+            if let Ok(s) = String::from_utf8(out.stdout) {
+                let s = s.trim().to_string();
+                if !s.is_empty() {
+                    return s;
+                }
+            }
+        }
+    }
+    "unknown".to_string()
 }
 
 /// The on-disk envelope around one stored point.
@@ -411,6 +445,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nocstore_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         Store::new(dir)
+    }
+
+    #[test]
+    fn git_sha_fallback_chain_is_never_empty() {
+        // Avoid mutating this process's env (other tests run in
+        // parallel): just assert the fallback chain produces something.
+        assert!(!git_sha().is_empty());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!   window) for offline plotting, written as `<point>.windows.json`
 //!   next to the PR 4 trace artifacts;
 //! * [`sparkline`] / [`series_summary`] — Unicode sparklines printed by
-//!   `smoke` and `hotpath`, a zero-dependency glance at congestion
-//!   onset;
+//!   `smoke`, a zero-dependency glance at congestion onset;
 //! * [`counter_events`] / [`merge_counter_tracks`] — Chrome
 //!   `trace_event` counter (`"ph":"C"`) events merged into the Perfetto
 //!   files, so time-series metrics render as counter tracks above the

@@ -10,14 +10,14 @@
 //! then the queue.
 //!
 //! Workers claim queued points in batches that share a
-//! `(warmup, measure)` window shape and run them through
-//! [`noc_sim::batch::run_windows_batched`] over sims built by
-//! [`bench::runner::make_sim`] — the same entry points as the batch
-//! executor, which is the whole bitwise-equivalence argument: a point's
-//! bytes depend only on its key inputs, never on which path (or which
-//! batch) computed it. A panicking point poisons only its batch: the
-//! worker catches the unwind, marks those keys `Failed` and keeps
-//! serving.
+//! `(warmup, measure)` window shape and compute them one after another
+//! with [`bench::simulate_point`] — the function the batch executor
+//! ([`bench::run_sweep_parallel`]) and the serial reference
+//! ([`bench::runner::sweep`]) call, which is the whole
+//! bitwise-equivalence argument: there is one point path, so a point's
+//! bytes cannot depend on who asked for it. A panicking point poisons
+//! only its batch: the worker catches the unwind, marks those keys
+//! `Failed` and keeps serving.
 //!
 //! Observability rides alongside, never inside, the engine lock: every
 //! lifecycle step updates the lock-free [`MetricsRegistry`] and
@@ -25,18 +25,17 @@
 //! the state lock, and a sampler tick thread turns the registry into
 //! statsd lines and queue-depth flight samples every
 //! [`ServeConfig::tick_ms`]. Points computed by workers are persisted
-//! with a [`Provenance`] stamp (wall time, worker id, daemon git sha)
-//! so a fetched result can say where it came from.
+//! with a [`Provenance`] stamp (the point's own wall time, worker id,
+//! daemon git sha) so a fetched result can say where it came from.
 
 use crate::flight::FlightBus;
 use crate::metrics::MetricsRegistry;
 use crate::statsd::StatsdSink;
 use bench::proto::{flight_event, StatusReport};
-use bench::runner::{latency_point, make_sim};
 use bench::store::{format_key, Provenance};
 use bench::{
-    point_cache_key, FlightRecord, LatencyPoint, MetricsReport, Store, SweepResult, SweepSpec,
-    CACHE_SCHEMA_VERSION,
+    point_cache_key, simulate_point, FlightRecord, LatencyPoint, MetricsReport, Store, SweepResult,
+    SweepSpec, CACHE_SCHEMA_VERSION,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -576,7 +575,7 @@ struct Claim {
 }
 
 /// Pops a batch of queued points sharing one `(warmup, measure)` window
-/// shape (the batched runner steps all sims in lockstep windows).
+/// shape (a claim's flight records carry one `cycles` value).
 fn claim_batch(state: &mut State, max: usize) -> Vec<Claim> {
     let mut batch: Vec<Claim> = Vec::new();
     let mut window: Option<(u64, u64)> = None;
@@ -620,28 +619,17 @@ fn claim_batch(state: &mut State, max: usize) -> Vec<Claim> {
     batch
 }
 
-/// Simulates one claimed batch. Split out so the worker can wrap the
-/// whole simulation in `catch_unwind`.
-fn run_claims(claims: &[Claim]) -> Vec<LatencyPoint> {
-    let mut sims: Vec<_> = claims
-        .iter()
-        .map(|c| {
-            make_sim(
-                c.spec.id,
-                c.spec.pattern,
-                c.rate,
-                c.spec.size,
-                c.spec.fp_vcs,
-                c.spec.seed,
-            )
-        })
-        .collect();
-    let (warmup, measure) = (claims[0].spec.warmup, claims[0].spec.measure);
-    let stats = noc_sim::batch::run_windows_batched(&mut sims, warmup, measure);
+/// Simulates one claimed batch, point after point, each with the wall
+/// time it took. Split out so the worker can wrap the whole simulation
+/// in `catch_unwind`.
+fn run_claims(claims: &[Claim]) -> Vec<(LatencyPoint, u64)> {
     claims
         .iter()
-        .zip(&stats)
-        .map(|(c, s)| latency_point(c.rate, s))
+        .map(|c| {
+            let begun = Instant::now();
+            let point = simulate_point(&c.spec, c.rate);
+            (point, begun.elapsed().as_millis() as u64)
+        })
         .collect()
 }
 
@@ -695,9 +683,9 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         // the *point* — the only payload correctness depends on — is
         // key-determined).
         if let Ok(points) = &outcome {
-            let provenance =
-                Provenance::now(wall_ms, Some(worker_id), shared.git_sha.clone(), cycles);
-            for (claim, point) in claims.iter().zip(points) {
+            for (claim, (point, point_ms)) in claims.iter().zip(points) {
+                let provenance =
+                    Provenance::now(*point_ms, Some(worker_id), shared.git_sha.clone(), cycles);
                 shared
                     .store
                     .store_with_provenance(claim.key, point, Some(&provenance));
@@ -710,7 +698,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         match outcome {
             Ok(points) => {
                 m.points_computed.add(n);
-                for (claim, point) in claims.into_iter().zip(points) {
+                for (claim, (point, _)) in claims.into_iter().zip(points) {
                     let mut r = FlightRecord::of(flight_event::STORED);
                     r.worker = Some(worker_id);
                     r.key = Some(format_key(claim.key));

@@ -15,11 +15,11 @@
 //!
 //! 1. the in-memory results map (points resolved this daemon lifetime);
 //! 2. the on-disk store — survives restarts, shared with batch runs;
-//! 3. the worker pool — [`bench::runner::simulate_point`]'s exact
-//!    pipeline ([`bench::runner::make_sim`] +
-//!    [`noc_sim::batch::run_windows_batched`]), so daemon-computed
-//!    points are bitwise identical to batch-computed ones. The `serve`
-//!    CI job diffs the resulting JSON artifacts to hold that line.
+//! 3. the worker pool — each worker calls
+//!    [`bench::runner::simulate_point`], the batch executor's own
+//!    point function, so daemon-computed points are bitwise identical
+//!    to batch-computed ones by construction. The `serve` CI job diffs
+//!    the resulting JSON artifacts as the end-to-end check.
 //!
 //! Module map: [`core`] is the engine (state machine, worker pool,
 //! dedup registry); [`server`] the transport (accept loop,

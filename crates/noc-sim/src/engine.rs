@@ -316,91 +316,6 @@ impl Simulation {
     }
 }
 
-/// Binary-searches the saturation throughput of a scheme (Fig. 8).
-///
-/// `make_sim` builds a fresh simulation for an injection rate in
-/// packets/node/cycle; `zero_load_latency` is measured at the lowest rate
-/// probed. Saturation is the highest rate whose average latency stays
-/// below `3 × zero-load`, the standard NoC definition. The returned value
-/// is the *accepted* throughput (packets/node/cycle) at that rate.
-pub struct SaturationSearch {
-    /// Warmup cycles per probe.
-    pub warmup: u64,
-    /// Measurement cycles per probe.
-    pub measure: u64,
-    /// Lower bound of the probed rate range.
-    pub lo: f64,
-    /// Upper bound of the probed rate range.
-    pub hi: f64,
-    /// Bisection steps (each step is one full simulation).
-    pub steps: usize,
-}
-
-impl Default for SaturationSearch {
-    fn default() -> Self {
-        SaturationSearch {
-            warmup: 10_000,
-            measure: 20_000,
-            lo: 0.005,
-            hi: 1.0,
-            steps: 8,
-        }
-    }
-}
-
-impl SaturationSearch {
-    /// Runs the search. Returns `(saturation_rate, accepted_throughput)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the zero-load probe never delivers a packet even after
-    /// retrying with windows up to 8× longer. A silent `(lo, 0.0)` return
-    /// here would masquerade as "saturated at the floor" when the scheme
-    /// is actually wedged (or the floor rate generates no traffic in the
-    /// window) — the NaN zero-load latency would poison every threshold
-    /// comparison in the bisection.
-    pub fn run(&self, mut make_sim: impl FnMut(f64) -> Simulation) -> (f64, f64) {
-        let mut warmup = self.warmup;
-        let mut measure = self.measure;
-        let zero_load = loop {
-            let mut sim = make_sim(self.lo);
-            let stats = sim.run_windows(warmup, measure);
-            let lat = stats.avg_latency();
-            if lat.is_finite() {
-                break lat;
-            }
-            if measure >= self.measure.saturating_mul(8) {
-                panic!(
-                    "saturation search: zero-load probe at rate {} delivered no packets \
-                     after {warmup} warmup + {measure} measurement cycles ({} generated); \
-                     the scheme appears wedged or the rate floor is too low",
-                    self.lo, stats.generated,
-                );
-            }
-            // Retry with a longer window: at very low rates a short
-            // window can legitimately deliver nothing.
-            warmup = warmup.saturating_mul(2).max(1);
-            measure = measure.saturating_mul(2).max(1);
-        };
-        let threshold = zero_load * 3.0;
-        let (mut lo, mut hi) = (self.lo, self.hi);
-        let mut best = (self.lo, 0.0);
-        for _ in 0..self.steps {
-            let mid = (lo + hi) / 2.0;
-            let mut sim = make_sim(mid);
-            let stats = sim.run_windows(self.warmup, self.measure);
-            let lat = stats.avg_latency();
-            if lat.is_finite() && lat <= threshold {
-                best = (mid, stats.throughput_packets());
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        best
-    }
-}
-
 /// Minimal scheme + workload pair for in-crate tests (`engine`,
 /// `batch`): XY-routed VCT with uniform-random single-class open-loop
 /// traffic. Scheme crates proper live above `noc-sim`, so in-crate
@@ -632,69 +547,6 @@ mod tests {
         );
     }
 
-    /// A scheme that never moves anything: the regular pass is frozen
-    /// every cycle, so no packet is ever delivered.
-    struct Frozen;
-    impl Scheme for Frozen {
-        fn name(&self) -> &'static str {
-            "frozen"
-        }
-        fn properties(&self) -> SchemeProperties {
-            SchemeProperties {
-                no_detection: true,
-                protocol_deadlock_freedom: false,
-                network_deadlock_freedom: false,
-                full_path_diversity: false,
-                high_throughput: false,
-                low_power: false,
-                scalable: false,
-                no_misrouting: true,
-            }
-        }
-        fn required_vns(&self) -> usize {
-            0
-        }
-        fn step(&mut self, core: &mut NetworkCore) {
-            let ctx = AdvanceCtx {
-                freeze: true,
-                ..Default::default()
-            };
-            advance(core, &mut DorXy, &ctx);
-        }
-    }
-
-    /// Regression: a zero-load probe that delivers nothing used to make
-    /// `zero_load` NaN, so every `lat <= 3 * zero_load` comparison was
-    /// false and the search silently returned `(lo, 0.0)` as if the
-    /// scheme saturated at the floor. It must panic with a diagnostic
-    /// instead (after retrying with longer windows).
-    #[test]
-    #[should_panic(expected = "delivered no packets")]
-    fn saturation_search_panics_when_zero_load_probe_delivers_nothing() {
-        let search = SaturationSearch {
-            warmup: 10,
-            measure: 20,
-            lo: 0.05,
-            hi: 0.8,
-            steps: 2,
-        };
-        let _ = search.run(|rate| {
-            Simulation::new(
-                SimConfig::builder()
-                    .mesh(4, 4)
-                    .vns(0)
-                    .vcs_per_vn(2)
-                    .seed(3)
-                    .build(),
-                Box::new(Frozen),
-                Box::new(UniformReq {
-                    rate,
-                    rng: DetRng::new(11),
-                }),
-            )
-        });
-    }
-
     /// Regression for warmup-boundary load accounting: packets generated
     /// during warmup but delivered during measurement previously inflated
     /// `delivered` against a `generated` counter that had been zeroed,
@@ -817,25 +669,5 @@ mod tests {
         assert!(c.max_depth >= 3, "Eject must nest under SchemeStep");
         drop(guard);
         finish(&probed);
-    }
-
-    #[test]
-    fn saturation_search_orders_correctly() {
-        let search = SaturationSearch {
-            warmup: 1_000,
-            measure: 2_000,
-            lo: 0.01,
-            hi: 0.8,
-            steps: 5,
-        };
-        let (rate, thpt) = search.run(sim);
-        assert!(rate > 0.01, "XY on 4×4 saturates above the floor probe");
-        assert!(rate < 0.8, "and below the ceiling");
-        assert!(thpt > 0.0);
-        // The search consumes its probe sims; re-run one at the found
-        // saturation rate and prove conservation held there too.
-        let mut s = sim(rate);
-        let _ = s.run_windows(1_000, 2_000);
-        finish(&s);
     }
 }

@@ -30,7 +30,7 @@
 //! * [`waitgraph`] — wait-for-graph construction and cycle detection
 //!   (used by SPIN and by deadlock instrumentation in tests).
 //! * [`engine`] — the [`engine::Simulation`] driver,
-//!   workloads, warmup/measurement windows and saturation sweeps.
+//!   workloads and warmup/measurement windows.
 //! * [`inspect`] — link-utilization heatmaps and congestion reports.
 //! * [`audit`] — deep structural invariant checks over the whole
 //!   network state (used at test checkpoints and when developing new
