@@ -16,7 +16,7 @@
 
 use noc_core::packet::{PacketId, CLASSES};
 use noc_core::rng::DetRng;
-use noc_core::topology::{Direction, NodeId, DIRECTIONS};
+use noc_core::topology::{Direction, Mesh, NodeId, DIRECTIONS};
 use noc_sim::network::NetworkCore;
 use noc_sim::ni::EjectEntry;
 use noc_sim::scheme::{Scheme, SchemeProperties, StateExport};
@@ -54,6 +54,9 @@ struct DeflFlit {
 #[derive(Debug)]
 pub struct MinBd {
     cfg: MinBdConfig,
+    /// Each node's on-mesh directions in [`DIRECTIONS`] order (a
+    /// deflection draw indexes the free ones among them).
+    dirs: Vec<Vec<Direction>>,
     arriving: Vec<Vec<DeflFlit>>,
     staged: Vec<Vec<DeflFlit>>,
     side: Vec<VecDeque<DeflFlit>>,
@@ -71,10 +74,20 @@ pub struct MinBd {
 }
 
 impl MinBd {
-    /// Creates the scheme for `nodes` nodes.
-    pub fn new(nodes: usize, seed: u64, cfg: MinBdConfig) -> Self {
+    /// Creates the scheme for `mesh`.
+    pub fn new(mesh: Mesh, seed: u64, cfg: MinBdConfig) -> Self {
+        let nodes = mesh.num_nodes();
         MinBd {
             cfg,
+            dirs: mesh
+                .nodes()
+                .map(|node| {
+                    DIRECTIONS
+                        .into_iter()
+                        .filter(|&d| mesh.neighbor(node, d).is_some())
+                        .collect()
+                })
+                .collect(),
             arriving: vec![Vec::new(); nodes],
             staged: vec![Vec::new(); nodes],
             side: vec![VecDeque::new(); nodes],
@@ -86,13 +99,6 @@ impl MinBd {
             deflections: 0,
             side_absorbed: 0,
         }
-    }
-
-    fn valid_dirs(core: &NetworkCore, node: NodeId) -> Vec<Direction> {
-        DIRECTIONS
-            .into_iter()
-            .filter(|&d| core.mesh().neighbor(node, d).is_some())
-            .collect()
     }
 
     fn deliver_pending(&mut self, core: &mut NetworkCore) {
@@ -143,8 +149,23 @@ impl Scheme for MinBd {
         let n = core.mesh().num_nodes();
         for i in 0..n {
             let node = NodeId::new(i);
-            let dirs = Self::valid_dirs(core, node);
+            // Idle router: no arriving flit, nothing side-buffered, no
+            // stream to continue and nothing queued at the NI. Every
+            // stage below is then a no-op — the refill moves nothing,
+            // there is no head to inject, no flit to eject or to give a
+            // port, and the deflection RNG is drawn only per contended
+            // flit.
+            if self.arriving[i].is_empty()
+                && self.side[i].is_empty()
+                && self.inj[i].is_none()
+                && !core.ni(node).has_work()
+            {
+                continue;
+            }
+            let dirs = &self.dirs[i];
             let cap = dirs.len();
+            // Taken for the cycle and handed back drained below, so the
+            // buffer keeps its capacity.
             let mut flits = std::mem::take(&mut self.arriving[i]);
             debug_assert!(flits.len() <= cap, "more flits than links at {node}");
 
@@ -227,7 +248,7 @@ impl Scheme for MinBd {
             flits.sort_by_key(|f| (f.age, f.pkt, f.seq));
             let mut taken = [false; 4];
             let mut absorbed_this_cycle = false;
-            for f in flits {
+            for f in flits.drain(..) {
                 let productive = core
                     .mesh()
                     .productive_dirs(node, f.dst)
@@ -269,11 +290,13 @@ impl Scheme for MinBd {
                     self.staged[nbr.index()].push(f);
                 }
             }
+            self.arriving[i] = flits;
         }
+        // Every `arriving` buffer is empty by now (drained above, or
+        // empty already at a skipped router), so the swap leaves `staged`
+        // clear for the next cycle.
         std::mem::swap(&mut self.arriving, &mut self.staged);
-        for s in &mut self.staged {
-            s.clear();
-        }
+        debug_assert!(self.staged.iter().all(|s| s.is_empty()));
         self.deliver_pending(core);
     }
 
@@ -354,7 +377,7 @@ mod tests {
     fn single_packet_delivery() {
         let sim_cfg = cfg();
         let mut core = NetworkCore::new(sim_cfg);
-        let mut mb = MinBd::new(16, 1, MinBdConfig::default());
+        let mut mb = MinBd::new(Mesh::new(4, 4), 1, MinBdConfig::default());
         let id = core.generate(Packet::new(
             NodeId::new(0),
             NodeId::new(15),
@@ -383,7 +406,7 @@ mod tests {
     fn uniform_load_flows() {
         let mut sim = Simulation::new(
             cfg(),
-            Box::new(MinBd::new(16, 1, MinBdConfig::default())),
+            Box::new(MinBd::new(Mesh::new(4, 4), 1, MinBdConfig::default())),
             Box::new(SyntheticWorkload::new(SyntheticPattern::Uniform, 0.1, 2)),
         );
         let stats = sim.run_windows(2_000, 6_000);
@@ -394,7 +417,7 @@ mod tests {
     #[test]
     fn heavy_load_causes_deflections_but_no_wedge() {
         let mut core = NetworkCore::new(cfg());
-        let mut mb = MinBd::new(16, 1, MinBdConfig::default());
+        let mut mb = MinBd::new(Mesh::new(4, 4), 1, MinBdConfig::default());
         let mut wl = SyntheticWorkload::new(SyntheticPattern::Transpose, 0.6, 2);
         use noc_sim::Workload;
         let mut consumed = 0u64;
@@ -423,7 +446,7 @@ mod tests {
     #[test]
     fn flit_conservation() {
         let mut core = NetworkCore::new(cfg());
-        let mut mb = MinBd::new(16, 1, MinBdConfig::default());
+        let mut mb = MinBd::new(Mesh::new(4, 4), 1, MinBdConfig::default());
         let mut wl = SyntheticWorkload::new(SyntheticPattern::Uniform, 0.2, 5);
         use noc_sim::Workload;
         for _ in 0..2_000 {
@@ -437,8 +460,7 @@ mod tests {
         assert!(flits_in_network > 0 || mb.in_air == 0);
         // No node ever holds more flits than its link count.
         for (i, v) in mb.arriving.iter().enumerate() {
-            let node = NodeId::new(i);
-            assert!(v.len() <= MinBd::valid_dirs(&core, node).len());
+            assert!(v.len() <= mb.dirs[i].len());
         }
     }
 }

@@ -54,6 +54,11 @@ pub struct Pitstop {
     cfg: PitstopConfig,
     routing: FullyAdaptive,
     pits: Vec<VecDeque<PacketId>>,
+    /// Packets across all pits: zero (the whole of a quiet run) lets
+    /// `local_eject` and `dispatch` return without looking at any pit.
+    pitted: usize,
+    /// `absorb`'s per-cycle worklist (kept for its capacity).
+    worklist: Vec<NodeId>,
     /// The single serialized bypass channel (one packet at a time).
     transit: Option<BypassTransit>,
     /// Round-robin dispatch pointer over nodes.
@@ -71,6 +76,8 @@ impl Pitstop {
             cfg,
             routing: FullyAdaptive::new(seed ^ 0x9175_0907),
             pits: vec![VecDeque::new(); nodes],
+            pitted: 0,
+            worklist: Vec::new(),
             transit: None,
             dispatch_rr: 0,
             absorbed: 0,
@@ -101,47 +108,63 @@ impl Pitstop {
     fn absorb(&mut self, core: &mut NetworkCore) {
         let now = core.cycle();
         let active = self.active_class(now);
-        let vcs = core.cfg().vcs_per_port();
-        let nodes: Vec<NodeId> = core.nodes_rotating().collect();
-        for node in nodes {
+        // Rotating order over the core's active nodes only: a candidate
+        // for either pit entrance sits in an occupied VC or an injection
+        // queue, and both make its node active. Absorbing at one node
+        // changes no other node's buffers or NI, so the snapshot equals
+        // asking each node as the loop reaches it.
+        let mut nodes = std::mem::take(&mut self.worklist);
+        nodes.clear();
+        nodes.extend(core.active_nodes());
+        for &node in &nodes {
+            // Idle node: no occupied VC and no injection head of the
+            // active class (its NI work is another class's), so there is
+            // no candidate, whatever the pit holds.
+            let inj_head = core.ni(node).inj_head(active);
+            if core.occupied_vcs(node) == 0 && inj_head.is_none() {
+                continue;
+            }
             if self.pit_load(core, node) >= self.cfg.pit_capacity {
                 continue;
             }
             // NI-side entrance: a head packet stuck in the injection
             // queue of the active class joins the pit directly.
-            if let Some(pkt) = core.ni(node).inj_head(active) {
+            if let Some(pkt) = inj_head {
                 if core.store.get(pkt).gen_cycle + self.cfg.threshold <= now {
                     core.ni_mut(node).pop_inj(active);
                     if core.store.get(pkt).inject_cycle.is_none() {
                         core.store.get_mut(pkt).inject_cycle = Some(now);
                     }
                     self.pits[node.index()].push_back(pkt);
+                    self.pitted += 1;
                     self.absorbed += 1;
                     continue;
                 }
             }
-            'found: for p in 0..NUM_PORTS {
-                for vc in 0..vcs {
-                    let Some(occ) = core.input(node, p).occupant(vc) else {
-                        continue;
-                    };
-                    if !occ.quiescent()
-                        || occ.route.is_some()
-                        || occ.out_vc.is_some()
-                        || occ.blocked_for(now) < self.cfg.threshold
-                    {
-                        continue;
-                    }
-                    if core.store.get(occ.pkt).class != active {
-                        continue;
-                    }
-                    let pkt = core.take_vc_packet(node, Port::from_index(p), vc);
-                    self.pits[node.index()].push_back(pkt);
-                    self.absorbed += 1;
-                    break 'found;
-                }
+            // Router-side entrance: the first (port, VC) in scan order
+            // holding a long-blocked, unrouted packet of the active class
+            // (blocked time first: on a quiet mesh it rules out every
+            // occupant from one word).
+            let found = (0..NUM_PORTS).find_map(|p| {
+                core.input(node, p)
+                    .occupied()
+                    .find(|(_, occ)| {
+                        occ.blocked_for(now) >= self.cfg.threshold
+                            && occ.quiescent()
+                            && occ.route.is_none()
+                            && occ.out_vc.is_none()
+                            && core.store.get(occ.pkt).class == active
+                    })
+                    .map(|(vc, _)| (p, vc))
+            });
+            if let Some((p, vc)) = found {
+                let pkt = core.take_vc_packet(node, Port::from_index(p), vc);
+                self.pits[node.index()].push_back(pkt);
+                self.pitted += 1;
+                self.absorbed += 1;
             }
         }
+        self.worklist = nodes;
     }
 
     /// Dispatch: when the bypass channel is idle, the next pit packet of
@@ -152,7 +175,7 @@ impl Pitstop {
     ///
     /// [`local_eject`]: Self::local_eject
     fn dispatch(&mut self, core: &mut NetworkCore) {
-        if self.transit.is_some() {
+        if self.transit.is_some() || self.pitted == 0 {
             return;
         }
         let now = core.cycle();
@@ -173,6 +196,7 @@ impl Pitstop {
             let dst = p.dst;
             let len = p.len_flits as u64;
             let hops = core.mesh().hops(NodeId::new(i), dst) as u64;
+            self.pitted -= 1;
             self.dispatch_rr = (i + 1) % n;
             self.transit = Some(BypassTransit {
                 pkt,
@@ -196,6 +220,7 @@ impl Pitstop {
         }
         let _ = core;
         self.pits[t.dst.index()].push_back(t.pkt);
+        self.pitted += 1;
         self.bypassed += 1;
         self.transit = None;
     }
@@ -203,6 +228,9 @@ impl Pitstop {
     /// Pit packets that are at their destination move into the local
     /// ejection queue as space appears (one per node per cycle).
     fn local_eject(&mut self, core: &mut NetworkCore) {
+        if self.pitted == 0 {
+            return;
+        }
         let now = core.cycle();
         for i in 0..self.pits.len() {
             let node = NodeId::new(i);
@@ -215,6 +243,7 @@ impl Pitstop {
             let pkt = self.pits[i]
                 .remove(pos)
                 .expect("pit position came from a fresh position() scan");
+            self.pitted -= 1;
             let class = core.store.get(pkt).class;
             core.ni_mut(node).ej_begin(class, pkt);
             let ready = now + core.cfg().ni_consume_cycles;
@@ -258,7 +287,12 @@ impl Scheme for Pitstop {
     }
 
     fn overlay_packets(&self) -> usize {
-        self.pits.iter().map(|p| p.len()).sum::<usize>() + usize::from(self.transit.is_some())
+        debug_assert_eq!(
+            self.pitted,
+            self.pits.iter().map(|p| p.len()).sum::<usize>(),
+            "pitted counter out of sync with the pits"
+        );
+        self.pitted + usize::from(self.transit.is_some())
     }
 
     fn export_state(&self, core: &NetworkCore, out: &mut StateExport) {

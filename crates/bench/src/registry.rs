@@ -116,7 +116,7 @@ impl SchemeId {
                 },
             )),
             SchemeId::Pitstop => Box::new(Pitstop::new(nodes, seed, PitstopConfig::default())),
-            SchemeId::MinBd => Box::new(MinBd::new(nodes, seed, Default::default())),
+            SchemeId::MinBd => Box::new(MinBd::new(cfg.mesh, seed, Default::default())),
             SchemeId::Tfc => Box::new(Tfc::new(seed)),
             SchemeId::FastPass => Box::new(FastPass::new(cfg, FastPassConfig::default())),
             SchemeId::Vct => Box::new(CreditVct::xy(cfg.vns)),

@@ -108,6 +108,16 @@ pub fn canon_hash(sim: &Simulation, ctl: &ScriptCtl, params: &CanonParams) -> u6
     // identical futures, so hashing them apart would split one logical
     // state by the path that reached it. Their consistency is checked at
     // every explored state by `audit_conservation` instead.
+    //
+    // The node work-set words stay out for the same reason, each in its
+    // own way. The arena's `occ_nodes` is a function of the occupancy
+    // folded below (bit n <=> some slot of node n is occupied). The
+    // core's `ni_live` is not even that: it is a lazily-cleared
+    // *superset* of the NIs holding anything, so two states with
+    // identical NIs can differ in it depending on which NI the consumer
+    // last retired — and both words only decide where `node_active` and
+    // the consumer *ask*, never what a node does. The audit checks the
+    // equivalence for the first and the inclusion for the second.
     for node in core.mesh().nodes() {
         for port in 0..NUM_PORTS {
             let input = core.input(node, port);

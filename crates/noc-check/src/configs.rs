@@ -229,7 +229,7 @@ pub fn matrix_2x2() -> Vec<CheckConfig> {
         name: "minbd-min-2x2".into(),
         make_scheme: Box::new(|cfg| {
             Box::new(MinBd::new(
-                cfg.mesh.num_nodes(),
+                cfg.mesh,
                 SEED,
                 MinBdConfig {
                     side_capacity: 1,

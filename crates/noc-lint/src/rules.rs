@@ -39,7 +39,8 @@ pub const RULES: &[(&str, &str)] = &[
         OCCUPANCY,
         "VC occupant state (arena meta words, per-port occ/routed/ready/parked records, waiter \
          and refused words, occ_mask, install/take/park) changes only inside the arena module \
-         and whitelisted pipeline/relocation paths",
+         and whitelisted pipeline/relocation paths; the node work-set words (occ_nodes, ni_live) \
+         are indexed only where they are maintained and walked",
     ),
     (
         PANIC_HYGIENE,
@@ -149,6 +150,25 @@ const ARENA_WORD_FIELDS: &[&str] = &[
     "refused",
 ];
 
+/// Node work-set words: the arena's exact `occ_nodes` bitset and the
+/// core's lazily-cleared `ni_live` superset. They decide which nodes the
+/// cycle loop and the NI consumer look at at all, so a stray write hides
+/// a node from both and a stray read builds on a superset as if it were
+/// state. Everyone else asks `NetworkCore::active_nodes` /
+/// `node_active`.
+const WORK_SET_FIELDS: &[&str] = &["occ_nodes", "ni_live"];
+
+/// The only files allowed to index the work-set words — narrower than
+/// [`OCC_WHITELIST`]: the arena (`install`/`take` own `occ_nodes`), the
+/// core (`ni_mut`/`generate` mark `ni_live`, `active_nodes` walks both)
+/// and the engine (the consumer walks `ni_live` and is the one place
+/// that clears it).
+const WORK_SET_WHITELIST: &[&str] = &[
+    "crates/noc-sim/src/arena.rs",
+    "crates/noc-sim/src/network.rs",
+    "crates/noc-sim/src/engine.rs",
+];
+
 /// Arena entry points and types that only whitelisted files may name:
 /// the slot mutators, the flit-counter steps that own the ready word,
 /// the parking protocol's writers, and the per-port record itself.
@@ -240,6 +260,9 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     check_hot_loop(&info, &lexed.tokens, &mask, &mut diags);
     if info.in_crates(OCC_CRATES) && !OCC_WHITELIST.contains(&info.rel) {
         check_occupancy(&lexed.tokens, &mask, rel_path, &mut diags);
+    }
+    if info.in_crates(OCC_CRATES) && !WORK_SET_WHITELIST.contains(&info.rel) {
+        check_work_set_words(&lexed.tokens, &mask, rel_path, &mut diags);
     }
     check_panic_hygiene(&info, &lexed.tokens, &mask, &mut diags);
     if info.in_crates(ROUTING_CRATES) && !ROUTING_WHITELIST.contains(&info.rel) {
@@ -435,6 +458,35 @@ fn check_occupancy(tokens: &[Token], mask: &[bool], path: &str, diags: &mut Vec<
                 ),
             );
         }
+    }
+}
+
+/// occupancy (work-set words): outside [`WORK_SET_WHITELIST`], no
+/// `.occ_nodes[…]` / `.ni_live[…]` indexing, read or write.
+fn check_work_set_words(tokens: &[Token], mask: &[bool], path: &str, diags: &mut Vec<Diagnostic>) {
+    for (i, t) in tokens.iter().enumerate() {
+        if mask[i]
+            || t.kind != TokenKind::Ident
+            || !WORK_SET_FIELDS.contains(&t.text.as_str())
+            || i == 0
+            || !tokens[i - 1].is_punct('.')
+            || !next_is(tokens, i, '[')
+        {
+            continue;
+        }
+        push(
+            diags,
+            OCCUPANCY,
+            path,
+            t,
+            format!(
+                "node work-set word `{}` indexed outside arena.rs/network.rs/engine.rs: \
+                 `occ_nodes` is owned by VcArena::install/take and `ni_live` is a lazily \
+                 cleared superset marked by NetworkCore::ni_mut/generate — ask \
+                 NetworkCore::active_nodes/node_active instead",
+                t.text
+            ),
+        );
     }
 }
 

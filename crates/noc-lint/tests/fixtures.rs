@@ -323,6 +323,48 @@ fn occupancy_silent_on_option_take_and_iterator_take() {
     assert!(rules_fired("crates/noc-sim/src/foo.rs", src).is_empty());
 }
 
+#[test]
+fn occupancy_flags_work_set_words_outside_their_three_files() {
+    // A scheme clearing a live-NI bit hides that node from the cycle
+    // loop and the consumer; reading the words treats a superset as
+    // state. Both fire — also in files the wider occupancy whitelist
+    // admits (the pipeline asks `active_nodes`, the auditor the
+    // accessors).
+    let src = "pub fn hack(core: &mut Core, w: usize) -> u64 { core.ni_live[w] &= !1; core.arena.occ_nodes[w] }\n";
+    for path in [
+        "crates/baselines/src/pitstop.rs",
+        "crates/fastpass/src/scheme.rs",
+        "crates/noc-sim/src/regular.rs",
+        "crates/noc-sim/src/audit.rs",
+    ] {
+        let diags = lint_source(path, src);
+        let n = diags.iter().filter(|d| d.rule == "occupancy").count();
+        assert_eq!(
+            n, 2,
+            "{path}: ni_live and occ_nodes must both fire: {diags:?}"
+        );
+    }
+}
+
+#[test]
+fn occupancy_silent_on_work_set_words_where_they_live() {
+    let src = "fn mark(&mut self, n: usize) { self.ni_live[n / 64] |= 1 << (n % 64); let _ = self.arena.occ_nodes[n / 64]; }\n";
+    for path in [
+        "crates/noc-sim/src/arena.rs",
+        "crates/noc-sim/src/network.rs",
+        "crates/noc-sim/src/engine.rs",
+    ] {
+        assert!(
+            !rules_fired(path, src).contains(&"occupancy"),
+            "{path} maintains or walks the work-set words"
+        );
+    }
+    // Passing the words along or naming a like-named field without
+    // indexing it is not an access; neither is test code.
+    let src = "pub fn f(c: &Core) -> usize { c.ni_live.len() + c.stats.occ_nodes }\n#[cfg(test)]\nmod tests { fn t(c: &mut Core) { c.arena.occ_nodes[0] = 1; } }\n";
+    assert!(!rules_fired("crates/noc-sim/src/audit.rs", src).contains(&"occupancy"));
+}
+
 // ---- panic-hygiene ---------------------------------------------------------
 
 #[test]

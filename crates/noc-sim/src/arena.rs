@@ -38,6 +38,10 @@
 //! * **counts** — `node_occupied[n]` equals the population count of node
 //!   `n`'s five occupancy words (the router half of the active-set
 //!   predicate, O(1) per node).
+//! * **occupied nodes** — bit `n` of the `occ_nodes` bitset is set iff
+//!   `node_occupied[n] > 0`: [`install`](VcArena::install) sets it,
+//!   [`take`](VcArena::take) clears it when the count returns to zero.
+//!   The cycle loop walks these bits instead of asking every node.
 //!
 //! Route allocation scans `ready & !routed & !parked`; switch allocation
 //! scans `ready & routed` (both implicitly `& occ`).
@@ -164,6 +168,8 @@ pub struct VcArena {
     pub(crate) ports: Vec<PortWords>,
     /// Occupied-VC count per node (popcount of its five `occ` words).
     node_occupied: Vec<u32>,
+    /// Bit `n` set iff `node_occupied[n] > 0` (exact, not a superset).
+    pub(crate) occ_nodes: Vec<u64>,
     /// VC mask of each VN's range (one all-VCs entry when `vns == 0`).
     vn_mask: Vec<u64>,
     /// VN that owns each VC index.
@@ -232,6 +238,7 @@ impl VcArena {
             refused: vec![[0; 2]; slots],
             ports: vec![PortWords::default(); words],
             node_occupied: vec![0; num_nodes],
+            occ_nodes: vec![0; num_nodes.div_ceil(64)],
             vn_mask: (0..nvn)
                 .map(|vn| range_mask(cfg.vc_range_for_class(vn), vcs))
                 .collect(),
@@ -268,6 +275,12 @@ impl VcArena {
     #[inline]
     pub(crate) fn node_occupied(&self, node: usize) -> usize {
         self.node_occupied[node] as usize
+    }
+
+    /// Whether `node`'s bit is set in the occupied-nodes bitset (audit
+    /// use; the cycle loop reads the words).
+    pub(crate) fn in_occ_nodes(&self, node: usize) -> bool {
+        self.occ_nodes[node / 64] & (1 << (node % 64)) != 0
     }
 
     /// Whether slot `(node, port, vc)` holds a packet.
@@ -334,6 +347,7 @@ impl VcArena {
         pw.ready = (pw.ready & !bit) | if occ.sent < occ.arrived { bit } else { 0 };
         pw.parked &= !bit;
         self.node_occupied[node] += 1;
+        self.occ_nodes[node / 64] |= 1 << (node % 64);
     }
 
     /// Removes and returns the occupant of `(node, port, vc)`, freeing
@@ -361,6 +375,9 @@ impl VcArena {
         pw.ready &= !bit;
         pw.parked &= !bit;
         self.node_occupied[node] -= 1;
+        if self.node_occupied[node] == 0 {
+            self.occ_nodes[node / 64] &= !(1 << (node % 64));
+        }
         #[cfg(test)]
         if self.fault_skip_wake {
             return Some(occ);
@@ -759,10 +776,15 @@ mod tests {
         assert_eq!(view(&a, 1, 0).occupied_count(), 1);
         assert_eq!(a.node_occupied(1), 1);
         assert_eq!(a.node_occupied(0), 0, "counts are per node");
+        assert_eq!(a.occ_nodes, [1 << 1], "first install marks the node");
+        a.install(1, 2, 1, VcOccupant::reserved(pid(&mut store), 1, 0));
+        a.take(1, 2, 1).unwrap();
+        assert_eq!(a.occ_nodes, [1 << 1], "still one occupant: bit stays");
         let occ = a.take(1, 0, 0).unwrap();
         assert_eq!(occ.len, 1);
         assert!(view(&a, 1, 0).is_free(0));
         assert_eq!(a.node_occupied(1), 0);
+        assert_eq!(a.occ_nodes, [0], "last take clears the node");
         assert!(a.take(1, 0, 0).is_none());
         assert_eq!(a.node_occupied(1), 0, "empty take must not underflow");
     }

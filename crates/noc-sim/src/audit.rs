@@ -195,6 +195,13 @@ pub fn audit(core: &NetworkCore) -> Vec<AuditError> {
 ///   the population count of its occupancy words (the word-level signals
 ///   the hot loops scan can only be trusted if the arena's mutators
 ///   really are the only ones);
+/// * **node work-sets** — a node's bit in the arena's occupied-nodes
+///   words is set exactly when its occupied-VC count is nonzero, and
+///   every NI holding anything (`has_work() || ej_any()`) is marked in
+///   the core's live-NI words. The first is an equivalence, the second
+///   only an inclusion: live-NI bits are cleared lazily, so a stale set
+///   bit is legal and a missing one is the bug (the cycle loop and the
+///   consumer would never look at that node);
 /// * **wake protocol** — the parked word is a subset of
 ///   `occ & !routed`, and every parked head is genuinely blocked (across
 ///   its wait directions no VC of its class range is free, save those
@@ -330,6 +337,27 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
                     "occupancy words hold {occ_bits} set bits but the node count is \
                      {counted} (count drifted: occupancy changed outside install/take)"
                 ),
+            });
+        }
+        if core.arena.in_occ_nodes(node.index()) != (counted > 0) {
+            errors.push(AuditError {
+                location: format!("{node}"),
+                problem: format!(
+                    "occupied-nodes bit is {} but the node count is {counted} \
+                     (the worklist walk would {} this router)",
+                    core.arena.in_occ_nodes(node.index()),
+                    if counted > 0 { "skip" } else { "poll" }
+                ),
+            });
+        }
+        let ni = core.ni(node);
+        if (ni.has_work() || ni.ej_any()) && !core.in_ni_live(node) {
+            errors.push(AuditError {
+                location: format!("{node} NI"),
+                problem: "NI holds packets but is not marked live \
+                          (an NI was filled outside ni_mut/generate: the cycle loop \
+                          and the consumer would never visit it)"
+                    .into(),
             });
         }
     }
@@ -703,6 +731,63 @@ mod tests {
             errors.iter().any(|e| e.problem.contains("missed wake")),
             "{errors:?}"
         );
+    }
+
+    /// Planted bug: `generate` fills a source queue without marking the
+    /// NI live. The audit must see the unmarked NI; the cycle loop never
+    /// would (that node is simply not in the worklist).
+    #[test]
+    fn conservation_flags_a_skipped_generate_mark() {
+        let mut c = core();
+        let seed = |src| {
+            Packet::new(
+                NodeId::new(src),
+                NodeId::new(6),
+                MessageClass::Request,
+                1,
+                0,
+            )
+        };
+        c.generate(seed(3));
+        assert_eq!(audit_conservation(&c, 0, 0), Vec::new());
+        assert_eq!(c.active_nodes().collect::<Vec<_>>(), [NodeId::new(3)]);
+        c.fault_skip_generate_mark = true;
+        c.generate(seed(9));
+        let errors = audit_conservation(&c, 0, 0);
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.location == "R9 NI" && e.problem.contains("not marked live")),
+            "{errors:?}"
+        );
+        assert_eq!(
+            c.active_nodes().collect::<Vec<_>>(),
+            [NodeId::new(3)],
+            "the planted fault really hides node 9 from the worklist"
+        );
+    }
+
+    #[test]
+    fn conservation_flags_a_drifted_occupied_nodes_bit() {
+        let mut c = core();
+        let id = c.generate(Packet::new(
+            NodeId::new(0),
+            NodeId::new(6),
+            MessageClass::Request,
+            1,
+            0,
+        ));
+        c.input_mut(NodeId::new(5), 0)
+            .install(0, VcOccupant::reserved(id, 1, 0));
+        assert!(c.arena.in_occ_nodes(5));
+        c.arena.occ_nodes[0] = 1 << 7; // node 5 dropped, idle node 7 marked
+        let errors = audit_conservation(&c, 0, 0);
+        for needle in ["would skip this router", "would poll this router"] {
+            assert!(
+                errors.iter().any(|e| e.problem.contains(needle)),
+                "no `{needle}` in {errors:?}"
+            );
+        }
     }
 
     #[test]

@@ -280,38 +280,64 @@ impl Simulation {
         crate::audit::assert_conserved(&self.core, self.scheme.overlay_packets(), self.consumed);
     }
 
+    /// Delivers queued packets to the workload, nodes ascending. Walks
+    /// the live-NI words instead of every node, re-reading the word after
+    /// each node: a bit `on_consumed` sets above the cursor is still
+    /// visited this cycle, exactly as the dense `for node in nodes()`
+    /// loop would (one set below it marks an NI that loop had already
+    /// passed, and replies land in source queues, which this loop does
+    /// not read). An NI seen empty afterwards leaves the set — the only
+    /// place `ni_live` bits are cleared.
     fn consume(&mut self) {
         let now = self.core.cycle();
-        for node in self.core.mesh().nodes() {
-            // Visit only classes with queued deliveries, in ascending
-            // class order — the same order the dense CLASSES loop used
-            // (`can_consume` is a pure predicate, so skipping classes
-            // with empty queues is unobservable).
-            let mut classes = self.core.ni(node).ej_classes();
-            while classes != 0 {
-                let c = classes.trailing_zeros() as usize;
-                classes &= classes - 1;
-                let class = MessageClass::from_index(c);
-                if !self.workload.can_consume(node, class) {
-                    continue;
+        for w in 0..self.core.ni_live.len() {
+            let mut passed = 0u64;
+            loop {
+                let ahead = self.core.ni_live[w] & !passed;
+                if ahead == 0 {
+                    break;
                 }
-                let Some(_) = self.core.ni(node).ej_consumable(class, now) else {
-                    continue;
-                };
-                let entry = self
-                    .core
-                    .ni_mut(node)
-                    .pop_ej(class)
-                    .expect("ej_consumable promised a waiting packet");
-                let pkt = self.core.store.remove(entry.pkt);
-                trace!(self.core.trace, node, || TraceEvent::Consume {
-                    pkt: entry.pkt,
-                });
-                self.core.stats.record_delivered(&pkt);
-                self.workload.on_consumed(&mut self.core, &pkt);
-                self.last_consumption = now;
-                self.consumed += 1;
+                let bit = ahead.trailing_zeros();
+                passed |= !0 >> (63 - bit);
+                let node = NodeId::new(w * 64 + bit as usize);
+                self.consume_at(node, now);
+                let ni = self.core.ni(node);
+                if !ni.has_work() && !ni.ej_any() {
+                    self.core.ni_live[w] &= !(1 << bit);
+                }
             }
+        }
+    }
+
+    fn consume_at(&mut self, node: NodeId, now: u64) {
+        // Visit only classes with queued deliveries, in ascending class
+        // order — the same order the dense CLASSES loop used
+        // (`can_consume` is a pure predicate, so skipping classes with
+        // empty queues is unobservable).
+        let mut classes = self.core.ni(node).ej_classes();
+        while classes != 0 {
+            let c = classes.trailing_zeros() as usize;
+            classes &= classes - 1;
+            let class = MessageClass::from_index(c);
+            if !self.workload.can_consume(node, class) {
+                continue;
+            }
+            let Some(_) = self.core.ni(node).ej_consumable(class, now) else {
+                continue;
+            };
+            let entry = self
+                .core
+                .ni_mut(node)
+                .pop_ej(class)
+                .expect("ej_consumable promised a waiting packet");
+            let pkt = self.core.store.remove(entry.pkt);
+            trace!(self.core.trace, node, || TraceEvent::Consume {
+                pkt: entry.pkt,
+            });
+            self.core.stats.record_delivered(&pkt);
+            self.workload.on_consumed(&mut self.core, &pkt);
+            self.last_consumption = now;
+            self.consumed += 1;
         }
     }
 }

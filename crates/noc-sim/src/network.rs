@@ -100,6 +100,18 @@ pub struct NetworkCore {
     /// pipeline reads its per-port predicate words directly.
     pub(crate) arena: VcArena,
     nis: Vec<NiState>,
+    /// Bit `n` set for every node whose NI holds anything — a *superset*
+    /// of `{n : has_work() || ej_any()}`, never less. Set wherever an NI
+    /// is handed out mutably ([`ni_mut`](Self::ni_mut),
+    /// [`generate`](Self::generate): there is no other way in), cleared
+    /// lazily by the engine's consumer loop once the NI is seen empty. It
+    /// only says where to ask; [`node_active`](Self::node_active) and the
+    /// NI's own queues stay the answer.
+    pub(crate) ni_live: Vec<u64>,
+    /// Planted bug for the audit's self-test: `generate` skips its
+    /// `ni_live` mark.
+    #[cfg(test)]
+    pub(crate) fault_skip_generate_mark: bool,
     /// Central packet storage. Public: schemes and workloads read and
     /// annotate packets directly.
     pub store: PacketStore,
@@ -153,6 +165,9 @@ impl NetworkCore {
             nis: (0..n)
                 .map(|_| NiState::new(cfg.inj_queue_packets, cfg.ej_queue_packets))
                 .collect(),
+            ni_live: vec![0; n.div_ceil(64)],
+            #[cfg(test)]
+            fault_skip_generate_mark: false,
             store: PacketStore::new(),
             stats: NetStats::new(n),
             trace: Tracer::disabled(),
@@ -355,9 +370,17 @@ impl NetworkCore {
         &self.nis[n.index()]
     }
 
-    /// Mutable access to an NI.
+    /// Mutable access to an NI. Marks the node in the live-NI words: the
+    /// caller may be about to put something there.
+    #[inline]
     pub fn ni_mut(&mut self, n: NodeId) -> &mut NiState {
+        self.ni_live[n.index() / 64] |= 1 << (n.index() % 64);
         &mut self.nis[n.index()]
+    }
+
+    /// Whether `n` is marked in the live-NI words (audit use).
+    pub(crate) fn in_ni_live(&self, n: NodeId) -> bool {
+        self.ni_live[n.index() / 64] & (1 << (n.index() % 64)) != 0
     }
 
     /// Deterministic RNG for tie-breaking.
@@ -393,6 +416,11 @@ impl NetworkCore {
         let id = self.store.insert(seed);
         self.nis[src.index()].push_source(class, id);
         self.stats.generated += 1;
+        #[cfg(test)]
+        if self.fault_skip_generate_mark {
+            return id;
+        }
+        self.ni_live[src.index() / 64] |= 1 << (src.index() % 64);
         id
     }
 
@@ -552,11 +580,16 @@ impl NetworkCore {
     /// removing systematic bias from fixed processing order.
     pub fn nodes_rotating(&self) -> impl Iterator<Item = NodeId> {
         let n = self.mesh.num_nodes();
-        let off = (self.cycle as usize) % n.max(1);
+        let off = self.rotation_offset();
         // One modulo per cycle; the two chained ranges yield the same
         // `off, off+1, .., n-1, 0, .., off-1` order without a per-node
         // `% n` in the loop body.
         (off..n).chain(0..off).map(NodeId::new)
+    }
+
+    /// First node of this cycle's rotating order.
+    fn rotation_offset(&self) -> usize {
+        (self.cycle as usize) % self.mesh.num_nodes().max(1)
     }
 
     // ---- active set -------------------------------------------------------
@@ -568,6 +601,20 @@ impl NetworkCore {
     /// "active-set invariant" section.
     pub fn node_active(&self, n: NodeId) -> bool {
         self.arena.node_occupied(n.index()) > 0 || self.nis[n.index()].has_work()
+    }
+
+    /// The active nodes in this cycle's rotating order — the list a
+    /// [`node_active`](Self::node_active) filter over
+    /// [`nodes_rotating`](Self::nodes_rotating) yields, at a cost
+    /// proportional to the nodes that hold something: an active node has
+    /// an occupied VC (so its bit is in the arena's exact `occ_nodes`) or
+    /// NI work (so its bit is in the superset `ni_live`), and the
+    /// predicate is asked only at the set bits of the two.
+    pub fn active_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let (off, n) = (self.rotation_offset(), self.mesh.num_nodes());
+        set_bits_rotating(&self.arena.occ_nodes, &self.ni_live, off, n)
+            .map(NodeId::new)
+            .filter(|&node| self.node_active(node))
     }
 
     /// Hands the per-cycle active-node worklist scratch to the regular
@@ -586,6 +633,42 @@ impl NetworkCore {
     pub(crate) fn put_advance_scratch(&mut self, nodes: Vec<NodeId>) {
         self.scratch_nodes = nodes;
     }
+}
+
+/// Indices in `lo..hi` of the set bits of `a | b`, ascending.
+fn set_bits_in<'a>(
+    a: &'a [u64],
+    b: &'a [u64],
+    lo: usize,
+    hi: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    (lo / 64..hi.div_ceil(64)).flat_map(move |w| {
+        let mut word = a[w] | b[w];
+        if w == lo / 64 {
+            word &= !0 << (lo % 64);
+        }
+        if w == hi / 64 {
+            word &= (1 << (hi % 64)) - 1;
+        }
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// Indices below `n` of the set bits of `a | b` in the rotating order
+/// `off, off+1, .., n-1, 0, .., off-1`.
+fn set_bits_rotating<'a>(
+    a: &'a [u64],
+    b: &'a [u64],
+    off: usize,
+    n: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    set_bits_in(a, b, off, n).chain(set_bits_in(a, b, 0, off))
 }
 
 #[cfg(test)]
@@ -750,6 +833,58 @@ mod tests {
         set.clear();
         assert_eq!(set.count(), 0);
         assert!(!set.contains(l));
+    }
+
+    /// The word walk yields exactly the dense rotating scan's order, at
+    /// every word boundary: `off` at 0, 63, 64 and `n - 1`, meshes of
+    /// one partial word, one full word and several words.
+    #[test]
+    fn rotating_bit_walk_matches_dense_order() {
+        for n in [15usize, 64, 81, 130, 256] {
+            let words = n.div_ceil(64);
+            let mut rng = DetRng::new(n as u64);
+            for fill in [0.0, 0.1, 0.5, 1.0] {
+                let (mut a, mut b) = (vec![0u64; words], vec![0u64; words]);
+                for i in 0..n {
+                    if rng.chance(fill) {
+                        a[i / 64] |= 1 << (i % 64);
+                    }
+                    if rng.chance(fill / 2.0) {
+                        b[i / 64] |= 1 << (i % 64);
+                    }
+                }
+                for off in [0, 1, 63, 64, 65, n / 2, n - 1] {
+                    let off = off.min(n - 1);
+                    let dense: Vec<usize> = (off..n)
+                        .chain(0..off)
+                        .filter(|&i| (a[i / 64] | b[i / 64]) >> (i % 64) & 1 != 0)
+                        .collect();
+                    let walked: Vec<usize> = set_bits_rotating(&a, &b, off, n).collect();
+                    assert_eq!(walked, dense, "n {n} off {off} fill {fill}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ni_mut_and_generate_mark_the_ni_live() {
+        let mut core = small_core();
+        assert!(!core.in_ni_live(NodeId::new(4)));
+        core.ni_mut(NodeId::new(4));
+        assert!(core.in_ni_live(NodeId::new(4)), "handing out &mut marks");
+        assert!(
+            core.active_nodes().next().is_none(),
+            "a marked but empty NI is not active: the words only say where to ask"
+        );
+        core.generate(Packet::new(
+            NodeId::new(7),
+            NodeId::new(0),
+            MessageClass::Request,
+            1,
+            0,
+        ));
+        assert!(core.in_ni_live(NodeId::new(7)));
+        assert_eq!(core.active_nodes().collect::<Vec<_>>(), [NodeId::new(7)]);
     }
 
     #[test]

@@ -95,7 +95,12 @@ impl AdvanceCtx<'_> {
 /// The loop is activity-proportional: it snapshots the *active set* —
 /// nodes with ≥1 occupied router VC or injection-side NI work — in
 /// rotating order at cycle start and runs every stage over only that
-/// worklist. Skipping an inactive node is behavior-identical to
+/// worklist. The snapshot itself is activity-proportional too
+/// ([`NetworkCore::active_nodes`] walks the occupied-node and live-NI
+/// words instead of asking all nodes); debug builds cross-check it
+/// against the dense scan every cycle.
+///
+/// Skipping an inactive node is behavior-identical to
 /// processing it: with no occupants, no stage finds a head to route, a
 /// flit to move, or an ejection candidate, every round-robin arbiter sees
 /// an all-false request vector (which leaves its pointer untouched — see
@@ -111,7 +116,12 @@ pub fn advance(core: &mut NetworkCore, policy: &mut dyn RoutingPolicy, ctx: &Adv
     if !ctx.freeze {
         let mut nodes = core.take_advance_scratch();
         nodes.clear();
-        nodes.extend(core.nodes_rotating().filter(|&n| core.node_active(n)));
+        nodes.extend(core.active_nodes());
+        let dense = core.nodes_rotating().filter(|&n| core.node_active(n));
+        debug_assert!(
+            nodes.iter().copied().eq(dense),
+            "bitset worklist diverged from the dense active-set scan"
+        );
         core.probe_begin(Phase::RouteAlloc);
         for &n in &nodes {
             route_and_allocate(core, policy, n);

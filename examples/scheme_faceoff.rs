@@ -61,7 +61,7 @@ fn main() {
                     },
                 )),
                 "Pitstop" => Box::new(Pitstop::new(nodes, 1, PitstopConfig::default())),
-                "MinBD" => Box::new(MinBd::new(nodes, 1, Default::default())),
+                "MinBD" => Box::new(MinBd::new(cfg.mesh, 1, Default::default())),
                 "TFC" => Box::new(Tfc::new(1)),
                 _ => Box::new(FastPass::new(&cfg, FastPassConfig::default())),
             };

@@ -120,7 +120,7 @@ fn scheme_by_name(name: &str, cfg: &SimConfig, seed: u64) -> Option<(Box<dyn Sch
             Box::new(Pitstop::new(nodes, seed, PitstopConfig::default())),
             0,
         ),
-        "minbd" => (Box::new(MinBd::new(nodes, seed, Default::default())), 0),
+        "minbd" => (Box::new(MinBd::new(cfg.mesh, seed, Default::default())), 0),
         "tfc" => (Box::new(Tfc::new(seed)), 6),
         "vct-xy" => (Box::new(CreditVct::xy(6)), 6),
         _ => return None,

@@ -32,7 +32,10 @@ fn all_schemes(cfg_vns6: &SimConfig, cfg_vns0: &SimConfig) -> Vec<(Box<dyn Schem
             Box::new(Pitstop::new(nodes, 1, PitstopConfig::default())),
             0,
         ),
-        (Box::new(MinBd::new(nodes, 1, Default::default())), 0),
+        (
+            Box::new(MinBd::new(cfg_vns0.mesh, 1, Default::default())),
+            0,
+        ),
         (Box::new(Tfc::new(1)), 6),
         (
             Box::new(FastPass::new(cfg_vns0, FastPassConfig::default())),
