@@ -22,7 +22,7 @@
 //! `FP_BIG_MESH_FULL=1` is equivalent to `--full`, mirroring the golden
 //! test's scope switch so the CI job can drive both with one env var.
 
-use bench::runner::make_sim;
+use bench::runner::{make_sim, netstats_fnv64};
 use bench::{run_traced_point, trace_out_dir, SchemeId, SweepSpec};
 use noc_sim::{run_windows_batched, Simulation};
 use noc_trace::{TraceConfig, TraceLevel};
@@ -38,16 +38,6 @@ const WARMUP: u64 = 500;
 const MEASURE: u64 = 1_500;
 const RATES: [f64; 3] = [0.02, 0.05, 0.08];
 const SCHEMES: [SchemeId; 2] = [SchemeId::FastPass, SchemeId::Vct];
-
-/// FNV-1a 64-bit (matches `golden_stats` and `big_mesh_golden`).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn env_on(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
@@ -81,14 +71,13 @@ fn main() {
         elapsed
     );
     for (&(id, rate), stats) in points.iter().zip(&all) {
-        let json = serde_json::to_string(stats).expect("NetStats serializes");
         println!(
-            "big_mesh: {:>8} r={rate:.2}  delivered={:<6} generated={:<6} cycles={} fnv64={:016x}",
+            "big_mesh: {:>8} r={rate:.2}  delivered={:<6} generated={:<6} cycles={} fnv64={}",
             id.name(),
             stats.delivered(),
             stats.generated,
             stats.cycles,
-            fnv1a64(json.as_bytes())
+            netstats_fnv64(stats)
         );
         assert!(
             stats.delivered() > 0,

@@ -1,11 +1,16 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
 //! Each `src/bin/figN.rs` / `tableN.rs` binary reproduces one artifact of
-//! the evaluation section; this library holds what they share — the
-//! scheme registry with Table II's per-scheme configurations, the one
-//! point path ([`simulate_point`]) with its sweep runners, the result
-//! store and wire protocol the `nocserve` daemon shares, trace/telemetry
-//! exporters, and plain-text/JSON emitters. It measures the *paper*, not
+//! the evaluation section; this library holds what is about *figures*:
+//! the `--serve` dispatch ([`serve_client`]: [`ExecMode`],
+//! [`run_sweeps`]), the trace/telemetry/phase-time exporters
+//! ([`trace_out`], [`telemetry`], [`phases`]) and plain-text emitters.
+//! The sweep library itself — scheme registry with Table II's
+//! configurations, the one point path ([`simulate_point`]) with its
+//! sweep runners, the result store, the wire protocol and its client —
+//! lives one layer down in `noc-serve`, shared with the `nocserve`
+//! daemon, and is re-exported here at its historical paths
+//! (`bench::runner`, `bench::SchemeId`, …). It measures the *paper*, not
 //! itself: simulator performance is the repo benchmark's job
 //! (`benchmark/README.md`). Binaries honour these environment variables
 //! so quick runs and full runs use the same code:
@@ -26,27 +31,23 @@
 #![warn(missing_docs)]
 
 pub mod phases;
-pub mod proto;
-pub mod registry;
-pub mod runner;
 pub mod serve_client;
-pub mod store;
 pub mod telemetry;
 pub mod trace_out;
 
+// The sweep library lives one layer down, in `noc-serve`; these keep
+// every moved module and name resolving at its historical path.
+pub use noc_serve::{proto, registry, runner, store};
+
+pub use noc_serve::{
+    emit_json, env_u64, format_key, git_sha, netstats_fnv64, num_jobs, parallel_map,
+    parallel_map_with, point_cache_key, run_sweep_parallel, simulate_point, FlightRecord,
+    FlightStats, GcReport, HistogramSummary, LatencyPoint, MetricValue, MetricsReport, Provenance,
+    SchemeId, StatusReport, Store, StoreStats, SweepOptions, SweepResult, SweepSpec, WireSpec,
+    WorkerReport, ALL_SCHEMES, CACHE_SCHEMA_VERSION, PROTO_VERSION,
+};
 pub use phases::{PhaseTimes, WallProbe};
-pub use proto::{
-    FlightRecord, FlightStats, HistogramSummary, MetricValue, MetricsReport, StatusReport,
-    WireSpec, WorkerReport, PROTO_VERSION,
-};
-pub use registry::{SchemeId, ALL_SCHEMES};
-pub use runner::{
-    emit_json, env_u64, num_jobs, parallel_map, parallel_map_with, point_cache_key,
-    run_sweep_parallel, simulate_point, LatencyPoint, SweepOptions, SweepResult, SweepSpec,
-    CACHE_SCHEMA_VERSION,
-};
 pub use serve_client::{run_sweeps, Client, ExecMode};
-pub use store::{format_key, git_sha, GcReport, Provenance, Store, StoreStats};
 pub use telemetry::{merge_counter_tracks, series_summary, sparkline, windows_json};
 pub use trace_out::{
     check_chrome_trace, check_chrome_trace_full, run_traced_point, trace_out_dir, TraceCheckSummary,

@@ -1,35 +1,17 @@
-//! Client side of the `nocserve` protocol, plus the `--serve` dispatch
-//! used by the figure binaries.
+//! The `--serve` dispatch used by the figure binaries.
 //!
-//! [`Client`] wraps one Unix-socket connection and speaks the
-//! newline-delimited JSON protocol from [`crate::proto`]. The figure
-//! binaries call [`run_sweeps`], which routes a spec list either through
-//! the local batch executor ([`run_sweep_parallel`]) or — when
-//! `--serve[=SOCKET]` is on the command line or `NOC_SERVE` is set —
-//! through a running daemon. Both paths return the same
-//! [`SweepResult`]s: the daemon computes points with the same simulator
-//! entry points and the same cache keys, so the emitted JSON artifacts
-//! are bitwise identical (the `serve` CI job diffs them).
+//! The figure binaries call [`run_sweeps`], which routes a spec list
+//! either through the in-process executor ([`run_sweep_parallel`]) or —
+//! when `--serve[=SOCKET]` is on the command line or `NOC_SERVE` is set
+//! — through a running daemon via [`noc_serve::client::Client`]
+//! (re-exported here at its historical path). Both paths return the
+//! same [`SweepResult`]s: the daemon computes points with the same
+//! `simulate_point` and the same cache keys, so the emitted JSON
+//! artifacts are bitwise identical (the `serve` CI job diffs them).
 
-use crate::proto::{
-    decode_response, encode, FetchedPoint, FlightRecord, MetricsReport, Request, Response,
-    StatusReport, WireSpec,
-};
-use crate::runner::{run_sweep_parallel, SweepOptions, SweepResult, SweepSpec};
-use crate::store::GcReport;
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
+pub use noc_serve::client::{default_socket, Client, SubmitReceipt, SOCK_ENV};
+use noc_serve::runner::{run_sweep_parallel, SweepOptions, SweepResult, SweepSpec};
 use std::path::{Path, PathBuf};
-
-/// Environment variable naming the daemon socket; doubles as the
-/// env-only way to put a binary in serve mode (same effect as
-/// `--serve=<path>`).
-pub const SOCK_ENV: &str = "NOC_SERVE";
-
-/// Default socket path when serve mode is requested without a path.
-pub fn default_socket() -> PathBuf {
-    PathBuf::from("results/nocserve.sock")
-}
 
 /// How a binary should execute its sweeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,16 +24,10 @@ pub enum ExecMode {
 
 impl ExecMode {
     /// Resolves the execution mode from a binary's argument list and the
-    /// environment: `--serve` / `--serve=SOCKET` wins, then a non-empty
-    /// [`SOCK_ENV`], else batch. `--serve` without a path uses
-    /// [`SOCK_ENV`] or the default socket.
-    pub fn from_args<S: AsRef<str>>(args: &[S]) -> ExecMode {
-        let env_sock = std::env::var(SOCK_ENV).ok();
-        ExecMode::from_parts(args, env_sock.as_deref())
-    }
-
-    /// The pure core of [`ExecMode::from_args`], with the environment
-    /// passed explicitly (testable without mutating process state).
+    /// value of [`SOCK_ENV`]: `--serve` / `--serve=SOCKET` wins, then a
+    /// non-empty `env_sock`, else batch. `--serve` without a path uses
+    /// `env_sock` or the default socket. Pure — the environment is
+    /// passed in, so it is testable without mutating process state.
     fn from_parts<S: AsRef<str>>(args: &[S], env_sock: Option<&str>) -> ExecMode {
         let env_sock = env_sock.filter(|s| !s.is_empty());
         for arg in args {
@@ -69,243 +45,10 @@ impl ExecMode {
         }
     }
 
-    /// Resolves from [`std::env::args`].
+    /// Resolves from [`std::env::args`] and [`SOCK_ENV`].
     pub fn from_env() -> ExecMode {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        ExecMode::from_args(&args)
-    }
-}
-
-/// What the daemon said when it accepted a submit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubmitReceipt {
-    /// Job id on the daemon.
-    pub job: u64,
-    /// Total points in the job.
-    pub points: u64,
-    /// Points newly enqueued for simulation.
-    pub computed: u64,
-    /// Points served from the store or memory.
-    pub cached: u64,
-    /// Points piggybacked on another job's in-flight work.
-    pub deduped: u64,
-}
-
-/// One connection to a `nocserve` daemon.
-#[derive(Debug)]
-pub struct Client {
-    reader: BufReader<UnixStream>,
-    writer: UnixStream,
-}
-
-impl Client {
-    /// Connects to the daemon at `sock`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the connect failure (daemon not running, bad path).
-    pub fn connect(sock: &Path) -> std::io::Result<Client> {
-        let stream = UnixStream::connect(sock)?;
-        let writer = stream.try_clone()?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
-        })
-    }
-
-    fn send(&mut self, req: &Request) -> Result<(), String> {
-        let mut line = encode(req);
-        line.push('\n');
-        self.writer
-            .write_all(line.as_bytes())
-            .map_err(|e| format!("send failed: {e}"))
-    }
-
-    fn recv(&mut self) -> Result<Response, String> {
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
-            .map_err(|e| format!("recv failed: {e}"))?;
-        if n == 0 {
-            return Err("daemon closed the connection".to_string());
-        }
-        decode_response(&line)
-    }
-
-    fn roundtrip(&mut self, req: &Request) -> Result<Response, String> {
-        self.send(req)?;
-        self.recv()
-    }
-
-    /// Liveness probe; returns the daemon's protocol version.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and unexpected responses, as readable strings.
-    pub fn ping(&mut self) -> Result<u32, String> {
-        match self.roundtrip(&Request::Ping)? {
-            Response::Pong { proto } => Ok(proto),
-            other => Err(format!("unexpected reply to ping: {other:?}")),
-        }
-    }
-
-    /// Fetches the daemon's counters and store stats.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and unexpected responses, as readable strings.
-    pub fn status(&mut self) -> Result<StatusReport, String> {
-        match self.roundtrip(&Request::Status)? {
-            Response::Status(report) => Ok(*report),
-            Response::Error { message } => Err(message),
-            other => Err(format!("unexpected reply to status: {other:?}")),
-        }
-    }
-
-    /// Looks up store entries by hex key.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and unexpected responses, as readable strings.
-    pub fn fetch(&mut self, keys: Vec<String>) -> Result<Vec<FetchedPoint>, String> {
-        match self.roundtrip(&Request::Fetch { keys })? {
-            Response::Points { points } => Ok(points),
-            Response::Error { message } => Err(message),
-            other => Err(format!("unexpected reply to fetch: {other:?}")),
-        }
-    }
-
-    /// Evicts store entries by hex key; returns how many were removed.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and unexpected responses, as readable strings.
-    pub fn evict(&mut self, keys: Vec<String>) -> Result<u64, String> {
-        match self.roundtrip(&Request::Evict { keys })? {
-            Response::Evicted { removed } => Ok(removed),
-            Response::Error { message } => Err(message),
-            other => Err(format!("unexpected reply to evict: {other:?}")),
-        }
-    }
-
-    /// Runs a store garbage-collection pass on the daemon.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and unexpected responses, as readable strings.
-    pub fn gc(&mut self) -> Result<GcReport, String> {
-        match self.roundtrip(&Request::Gc)? {
-            Response::GcDone(report) => Ok(report),
-            Response::Error { message } => Err(message),
-            other => Err(format!("unexpected reply to gc: {other:?}")),
-        }
-    }
-
-    /// Fetches the daemon's metrics-registry dump (counters,
-    /// histogram percentiles, worker utilization, flight health).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and unexpected responses, as readable strings.
-    pub fn metrics(&mut self) -> Result<MetricsReport, String> {
-        match self.roundtrip(&Request::Metrics)? {
-            Response::Metrics(report) => Ok(*report),
-            Response::Error { message } => Err(message),
-            other => Err(format!("unexpected reply to metrics: {other:?}")),
-        }
-    }
-
-    /// Subscribes to the live flight-event stream and invokes
-    /// `on_event` for each record; the subscription ends when
-    /// `on_event` returns `false`, the daemon shuts down, or the
-    /// connection drops. The connection is consumed: the daemon serves
-    /// nothing else on a watching connection.
-    ///
-    /// # Errors
-    ///
-    /// Subscription failures and protocol violations, as readable
-    /// strings. A daemon closing the stream (shutdown) is a clean end,
-    /// not an error.
-    pub fn watch(mut self, mut on_event: impl FnMut(FlightRecord) -> bool) -> Result<(), String> {
-        match self.roundtrip(&Request::Watch)? {
-            Response::Watching => {}
-            Response::Error { message } => return Err(message),
-            other => return Err(format!("unexpected reply to watch: {other:?}")),
-        }
-        loop {
-            let mut line = String::new();
-            let n = self
-                .reader
-                .read_line(&mut line)
-                .map_err(|e| format!("recv failed: {e}"))?;
-            if n == 0 {
-                return Ok(()); // daemon shut down: clean end of stream
-            }
-            match decode_response(&line)? {
-                Response::Flight(record) => {
-                    if !on_event(record) {
-                        return Ok(());
-                    }
-                }
-                Response::Error { message } => return Err(message),
-                other => return Err(format!("unexpected event while watching: {other:?}")),
-            }
-        }
-    }
-
-    /// Asks the daemon to stop.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and unexpected responses, as readable strings.
-    pub fn shutdown(&mut self) -> Result<(), String> {
-        match self.roundtrip(&Request::Shutdown)? {
-            Response::Bye => Ok(()),
-            Response::Error { message } => Err(message),
-            other => Err(format!("unexpected reply to shutdown: {other:?}")),
-        }
-    }
-
-    /// Submits a sweep job and blocks until its terminal `result`,
-    /// invoking `progress(done, total)` on every progress event.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, daemon-side rejections (bad spec, worker failure)
-    /// and protocol violations, as readable strings.
-    pub fn submit(
-        &mut self,
-        specs: &[SweepSpec],
-        mut progress: impl FnMut(u64, u64),
-    ) -> Result<(SubmitReceipt, Vec<SweepResult>), String> {
-        let wire: Vec<WireSpec> = specs.iter().map(WireSpec::from_spec).collect();
-        self.send(&Request::Submit { specs: wire })?;
-        let receipt = match self.recv()? {
-            Response::Accepted {
-                job,
-                points,
-                computed,
-                cached,
-                deduped,
-            } => SubmitReceipt {
-                job,
-                points,
-                computed,
-                cached,
-                deduped,
-            },
-            Response::Error { message } => return Err(message),
-            other => return Err(format!("unexpected reply to submit: {other:?}")),
-        };
-        loop {
-            match self.recv()? {
-                Response::Progress { done, total, .. } => progress(done, total),
-                Response::Result { sweeps, .. } => return Ok((receipt, sweeps)),
-                Response::Error { message } => return Err(message),
-                other => return Err(format!("unexpected mid-job event: {other:?}")),
-            }
-        }
+        ExecMode::from_parts(&args, std::env::var(SOCK_ENV).ok().as_deref())
     }
 }
 
@@ -406,11 +149,5 @@ mod tests {
             ExecMode::from_parts(&["--serve=/a"], Some("/b")),
             ExecMode::Serve(PathBuf::from("/a"))
         );
-    }
-
-    #[test]
-    fn connect_to_missing_socket_is_an_error() {
-        let err = Client::connect(Path::new("/nonexistent/nocserve.sock"));
-        assert!(err.is_err());
     }
 }

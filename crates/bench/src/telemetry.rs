@@ -10,11 +10,12 @@
 //! * [`sparkline`] / [`series_summary`] — Unicode sparklines printed by
 //!   `smoke`, a zero-dependency glance at congestion onset;
 //! * [`counter_events`] / [`merge_counter_tracks`] — Chrome
-//!   `trace_event` counter (`"ph":"C"`) events merged into the Perfetto
+//!   `trace_event` counter (phase `C`) events merged into the Perfetto
 //!   files, so time-series metrics render as counter tracks above the
 //!   per-router flit tracks.
 
 use noc_sim::{Sampler, WindowSample};
+use noc_trace::chrome::{counter, meta, num, Arg};
 use noc_trace::StallCause;
 use serde::Content;
 
@@ -22,32 +23,28 @@ use serde::Content;
 /// (routers are pid 0, FastPass lanes pid 1 — see `noc_trace::chrome`).
 pub const PID_TELEMETRY: u64 = 2;
 
-fn u(v: u64) -> Content {
-    Content::U128(v as u128)
-}
-
-fn s(v: &str) -> Content {
-    Content::Str(v.to_string())
+/// One `(label, count)` series entry per stall cause.
+fn stall_series(w: &WindowSample) -> Vec<Arg> {
+    StallCause::ALL
+        .iter()
+        .map(|&c| num(c.label(), w.stalls[c.index()]))
+        .collect()
 }
 
 /// One window as an ordered JSON object.
 fn window_content(w: &WindowSample) -> Content {
-    let stall_map: Vec<(String, Content)> = StallCause::ALL
-        .iter()
-        .map(|&c| (c.label().to_string(), u(w.stalls[c.index()])))
-        .collect();
     Content::Map(vec![
-        ("start_cycle".to_string(), u(w.start_cycle)),
-        ("end_cycle".to_string(), u(w.end_cycle)),
-        ("delivered".to_string(), u(w.delivered)),
-        ("delivered_fastpass".to_string(), u(w.delivered_fastpass)),
-        ("flits_delivered".to_string(), u(w.flits_delivered)),
-        ("generated".to_string(), u(w.generated)),
-        ("dropped".to_string(), u(w.dropped)),
-        ("rejections".to_string(), u(w.rejections)),
-        ("deflections".to_string(), u(w.deflections)),
-        ("latency_count".to_string(), u(w.latency_count)),
-        ("latency_sum".to_string(), u(w.latency_sum)),
+        num("start_cycle", w.start_cycle),
+        num("end_cycle", w.end_cycle),
+        num("delivered", w.delivered),
+        num("delivered_fastpass", w.delivered_fastpass),
+        num("flits_delivered", w.flits_delivered),
+        num("generated", w.generated),
+        num("dropped", w.dropped),
+        num("rejections", w.rejections),
+        num("deflections", w.deflections),
+        num("latency_count", w.latency_count),
+        num("latency_sum", w.latency_sum),
         (
             "mean_latency".to_string(),
             match w.mean_latency() {
@@ -57,19 +54,24 @@ fn window_content(w: &WindowSample) -> Content {
         ),
         (
             "in_flight".to_string(),
-            Content::Seq(w.in_flight.iter().map(|&v| u(v)).collect()),
+            Content::Seq(
+                w.in_flight
+                    .iter()
+                    .map(|&v| Content::U128(v.into()))
+                    .collect(),
+            ),
         ),
-        ("overlay_packets".to_string(), u(w.overlay_packets)),
-        ("occupied_vcs".to_string(), u(w.occupied_vcs)),
-        ("ni_source".to_string(), u(w.ni_source)),
-        ("ni_inj".to_string(), u(w.ni_inj)),
-        ("ni_ej".to_string(), u(w.ni_ej)),
-        ("ni_regen".to_string(), u(w.ni_regen)),
-        ("stalls".to_string(), Content::Map(stall_map)),
-        ("link_flits_regular".to_string(), u(w.link_flits_regular)),
-        ("link_flits_bypass".to_string(), u(w.link_flits_bypass)),
-        ("bypass_launches".to_string(), u(w.bypass_launches)),
-        ("occupancy_integral".to_string(), u(w.occupancy_integral)),
+        num("overlay_packets", w.overlay_packets),
+        num("occupied_vcs", w.occupied_vcs),
+        num("ni_source", w.ni_source),
+        num("ni_inj", w.ni_inj),
+        num("ni_ej", w.ni_ej),
+        num("ni_regen", w.ni_regen),
+        ("stalls".to_string(), Content::Map(stall_series(w))),
+        num("link_flits_regular", w.link_flits_regular),
+        num("link_flits_bypass", w.link_flits_bypass),
+        num("bypass_launches", w.bypass_launches),
+        num("occupancy_integral", w.occupancy_integral),
     ])
 }
 
@@ -77,8 +79,8 @@ fn window_content(w: &WindowSample) -> Content {
 /// `{"sample_every", "dropped_windows", "windows": [...]}`.
 pub fn windows_json(sampler: &Sampler) -> String {
     let doc = Content::Map(vec![
-        ("sample_every".to_string(), u(sampler.config().sample_every)),
-        ("dropped_windows".to_string(), u(sampler.dropped_windows())),
+        num("sample_every", sampler.config().sample_every),
+        num("dropped_windows", sampler.dropped_windows()),
         (
             "windows".to_string(),
             Content::Seq(sampler.windows().iter().map(window_content).collect()),
@@ -157,81 +159,59 @@ pub fn series_summary(sampler: &Sampler) -> String {
     out
 }
 
-/// Chrome `trace_event` counter events (`"ph":"C"`) for the series, one
+/// Chrome `trace_event` counter events (phase `C`) for the series, one
 /// counter sample per window per track, under [`PID_TELEMETRY`].
 pub fn counter_events(sampler: &Sampler) -> Vec<Content> {
     let mut out = Vec::new();
     if sampler.windows().is_empty() {
         return out;
     }
-    out.push(Content::Map(vec![
-        ("name".to_string(), s("process_name")),
-        ("ph".to_string(), s("M")),
-        ("pid".to_string(), u(PID_TELEMETRY)),
-        (
-            "args".to_string(),
-            Content::Map(vec![("name".to_string(), s("telemetry (windowed)"))]),
-        ),
-    ]));
-    let counter = |name: &str, ts: u64, args: Vec<(String, Content)>| {
-        Content::Map(vec![
-            ("name".to_string(), s(name)),
-            ("ph".to_string(), s("C")),
-            ("ts".to_string(), u(ts)),
-            ("pid".to_string(), u(PID_TELEMETRY)),
-            ("tid".to_string(), u(0)),
-            ("args".to_string(), Content::Map(args)),
-        ])
-    };
+    out.push(meta(
+        "process_name",
+        PID_TELEMETRY,
+        None,
+        "telemetry (windowed)",
+    ));
+    let track =
+        |name: &str, ts: u64, series: Vec<Arg>| counter(name, PID_TELEMETRY, Some(0), ts, series);
     for w in sampler.windows() {
         let ts = w.end_cycle;
-        out.push(counter(
+        out.push(track(
             "delivered/window",
             ts,
             vec![
-                ("regular".to_string(), u(w.delivered - w.delivered_fastpass)),
-                ("fastpass".to_string(), u(w.delivered_fastpass)),
+                num("regular", w.delivered - w.delivered_fastpass),
+                num("fastpass", w.delivered_fastpass),
             ],
         ));
-        out.push(counter(
+        out.push(track(
             "in_flight",
             ts,
             vec![
-                ("network".to_string(), u(w.in_flight_total())),
-                ("overlay".to_string(), u(w.overlay_packets)),
+                num("network", w.in_flight_total()),
+                num("overlay", w.overlay_packets),
             ],
         ));
-        out.push(counter(
-            "occupied_vcs",
-            ts,
-            vec![("vcs".to_string(), u(w.occupied_vcs))],
-        ));
-        out.push(counter(
+        out.push(track("occupied_vcs", ts, vec![num("vcs", w.occupied_vcs)]));
+        out.push(track(
             "ni_queues",
             ts,
             vec![
-                ("source".to_string(), u(w.ni_source)),
-                ("inj".to_string(), u(w.ni_inj)),
-                ("ej".to_string(), u(w.ni_ej)),
+                num("source", w.ni_source),
+                num("inj", w.ni_inj),
+                num("ej", w.ni_ej),
             ],
         ));
         if w.total_stalls() > 0 {
-            out.push(counter(
-                "stalls/window",
-                ts,
-                StallCause::ALL
-                    .iter()
-                    .map(|&c| (c.label().to_string(), u(w.stalls[c.index()])))
-                    .collect(),
-            ));
+            out.push(track("stalls/window", ts, stall_series(w)));
         }
         if w.link_flits_regular + w.link_flits_bypass > 0 {
-            out.push(counter(
+            out.push(track(
                 "link_flits/window",
                 ts,
                 vec![
-                    ("regular".to_string(), u(w.link_flits_regular)),
-                    ("bypass".to_string(), u(w.link_flits_bypass)),
+                    num("regular", w.link_flits_regular),
+                    num("bypass", w.link_flits_bypass),
                 ],
             ));
         }
@@ -323,35 +303,25 @@ mod tests {
         assert!(text.contains('▁') || text.contains('█'), "{text}");
     }
 
+    fn track_names(sim: &noc_sim::Simulation) -> Vec<String> {
+        counter_events(sim.sampler().expect("sampler"))
+            .iter()
+            .filter_map(|e| serde::field(e.as_map()?, "name").ok()?.as_str())
+            .map(str::to_string)
+            .collect()
+    }
+
     #[test]
     fn counter_events_only_emit_traced_tracks_when_live() {
         let untraced = sampled_run(0.1, false);
-        let evs = counter_events(untraced.sampler().expect("sampler"));
-        let names: Vec<String> = evs
-            .iter()
-            .filter_map(|e| {
-                e.as_map()
-                    .and_then(|m| serde::field(m, "name").ok())
-                    .and_then(Content::as_str)
-                    .map(str::to_string)
-            })
-            .collect();
+        let names = track_names(&untraced);
         assert!(names.iter().any(|n| n == "delivered/window"));
         assert!(
             !names.iter().any(|n| n == "stalls/window"),
             "stall counters need tracing counters on"
         );
         let traced = sampled_run(0.3, true);
-        let evs = counter_events(traced.sampler().expect("sampler"));
-        let names: Vec<String> = evs
-            .iter()
-            .filter_map(|e| {
-                e.as_map()
-                    .and_then(|m| serde::field(m, "name").ok())
-                    .and_then(Content::as_str)
-                    .map(str::to_string)
-            })
-            .collect();
+        let names = track_names(&traced);
         assert!(
             names.iter().any(|n| n == "stalls/window"),
             "high load with counters must stall somewhere: {names:?}"

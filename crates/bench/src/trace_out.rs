@@ -7,9 +7,10 @@
 //! * `<point>.trace.json` — Chrome `trace_event` JSON, loadable in
 //!   Perfetto / `chrome://tracing` (one track per router, one per
 //!   FastPass lane endpoint);
-//! * `<point>.metrics.json` — the serialized [`MetricsReport`]
-//!   (occupancy integrals, per-class inject/eject counts, stall-cause
-//!   breakdown, lane-occupancy histogram);
+//! * `<point>.metrics.json` — the serialized
+//!   [`MetricsReport`](noc_trace::MetricsReport) (occupancy integrals,
+//!   per-class inject/eject counts, stall-cause breakdown,
+//!   lane-occupancy histogram);
 //! * `<point>.lifetimes.txt` — the textual per-packet lifetime report.
 //!
 //! Traced points never touch the sweep result cache: tracing wants a
@@ -27,7 +28,6 @@ use crate::runner::{make_sim, SweepSpec};
 use crate::telemetry::{merge_counter_tracks, windows_json};
 use noc_sim::SamplerConfig;
 use noc_trace::{chrome_trace_json, packet_lifetimes, TraceConfig, Tracer};
-use serde::Content;
 use std::path::{Path, PathBuf};
 
 /// Summary of one validated Chrome trace file.
@@ -49,16 +49,11 @@ pub struct TraceCheckSummary {
     pub has_bypass_lane: bool,
 }
 
-fn map_get<'a>(entries: &'a [(String, Content)], key: &str) -> Option<&'a Content> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Validates a Chrome `trace_event` JSON document produced by
-/// [`chrome_trace_json`] (plus merged telemetry counter tracks): a
-/// top-level array whose every element carries a `name`, a known phase
-/// (`X`/`i`/`M`/`C`), integral `pid`/`tid`, a timestamp on non-metadata
-/// events, a positive duration on complete events, an instant scope on
-/// instants, and an `args` object on counters.
+/// Validates a Chrome `trace_event` JSON document — a flit trace from
+/// [`chrome_trace_json`] (plus merged telemetry counter tracks), or a
+/// daemon flight export — against the workspace's one structural
+/// validator ([`noc_trace::chrome::validate`], which states the
+/// per-event rules), and requires that it records more than metadata.
 ///
 /// With `require_bypass`, the trace must additionally contain both
 /// regular link traversals (`"link"`) and bypass lane traversals
@@ -86,84 +81,18 @@ pub fn check_chrome_trace_full(
     require_bypass: bool,
     require_counters: bool,
 ) -> Result<TraceCheckSummary, String> {
-    let doc: Content = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e:?}"))?;
-    let Content::Seq(events) = doc else {
-        return Err("top level must be a JSON array of trace events".to_string());
+    let heads = noc_trace::chrome::validate(json)?;
+    let phase = |ph: char| heads.iter().filter(|h| h.ph == ph).count();
+    let named = |name: &str| heads.iter().any(|h| h.ph != 'M' && h.name == name);
+    let summary = TraceCheckSummary {
+        events: heads.len(),
+        complete: phase('X'),
+        instants: phase('i'),
+        metadata: phase('M'),
+        counters: phase('C'),
+        has_regular_link: named("link"),
+        has_bypass_lane: named("lane"),
     };
-    let mut summary = TraceCheckSummary {
-        events: events.len(),
-        complete: 0,
-        instants: 0,
-        metadata: 0,
-        counters: 0,
-        has_regular_link: false,
-        has_bypass_lane: false,
-    };
-    for (i, ev) in events.iter().enumerate() {
-        let Content::Map(entries) = ev else {
-            return Err(format!("event #{i} is not a JSON object"));
-        };
-        let name = map_get(entries, "name")
-            .and_then(Content::as_str)
-            .ok_or_else(|| format!("event #{i} has no string `name`"))?;
-        let ph = map_get(entries, "ph")
-            .and_then(Content::as_str)
-            .ok_or_else(|| format!("event #{i} ({name}) has no string `ph`"))?;
-        if map_get(entries, "pid").and_then(Content::as_u64).is_none() {
-            return Err(format!("event #{i} ({name}) has no integral `pid`"));
-        }
-        // `tid` is optional only on process-scoped metadata
-        // (`process_name` has no thread); everything else needs a track.
-        let has_tid = map_get(entries, "tid").and_then(Content::as_u64).is_some();
-        let process_scoped = ph == "M" && name == "process_name";
-        if !has_tid && !process_scoped {
-            return Err(format!("event #{i} ({name}) has no integral `tid`"));
-        }
-        match ph {
-            "M" => summary.metadata += 1,
-            "X" | "i" => {
-                if map_get(entries, "ts").and_then(Content::as_u64).is_none() {
-                    return Err(format!("event #{i} ({name}) has no integral `ts`"));
-                }
-                if ph == "X" {
-                    summary.complete += 1;
-                    match map_get(entries, "dur").and_then(Content::as_u64) {
-                        Some(d) if d >= 1 => {}
-                        _ => return Err(format!("complete event #{i} ({name}) needs `dur` >= 1")),
-                    }
-                } else {
-                    summary.instants += 1;
-                    if map_get(entries, "s").and_then(Content::as_str).is_none() {
-                        return Err(format!("instant event #{i} ({name}) has no scope `s`"));
-                    }
-                }
-                match name {
-                    "link" => summary.has_regular_link = true,
-                    "lane" => summary.has_bypass_lane = true,
-                    _ => {}
-                }
-            }
-            "C" => {
-                summary.counters += 1;
-                if map_get(entries, "ts").and_then(Content::as_u64).is_none() {
-                    return Err(format!("counter event #{i} ({name}) has no integral `ts`"));
-                }
-                match map_get(entries, "args") {
-                    Some(Content::Map(_)) => {}
-                    _ => {
-                        return Err(format!(
-                            "counter event #{i} ({name}) needs an `args` object of series"
-                        ))
-                    }
-                }
-            }
-            other => {
-                return Err(format!(
-                    "event #{i} ({name}) has unknown phase {other:?} (expected X, i, M or C)"
-                ))
-            }
-        }
-    }
     if summary.events == summary.metadata {
         return Err("trace holds only metadata — no simulation events recorded".to_string());
     }

@@ -1,6 +1,6 @@
 //! Simulation configuration mirroring Table II of the paper.
 
-use crate::topology::Mesh;
+use crate::topology::{Mesh, NUM_PORTS};
 use serde::{Deserialize, Serialize};
 
 /// Key simulation parameters (Table II).
@@ -85,16 +85,18 @@ impl SimConfig {
     /// Returns a description of the first violated constraint: packets
     /// must fit in one VC buffer (single-packet-per-VC VCT), all
     /// capacities must be nonzero, and the simulator's packed state must
-    /// be able to hold them — one occupancy bit per VC in a 64-bit word
-    /// per input port, and flit counts in bytes whose value 255 is the
-    /// "none" sentinel.
+    /// be able to hold them — one switch-request bit per `(port, VC)` of
+    /// a router in a single 64-bit word (so at most 12 VCs per input
+    /// port, Table II's largest configuration), and flit counts in bytes
+    /// whose value 255 is the "none" sentinel.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.vcs_per_vn == 0 {
             return Err(ConfigError("vcs_per_vn must be nonzero"));
         }
-        if self.vcs_per_port() > 64 {
+        if NUM_PORTS * self.vcs_per_port() > 64 {
             return Err(ConfigError(
-                "at most 64 VCs per input port (max(vns, 1) x vcs_per_vn)",
+                "at most 12 VCs per input port (max(vns, 1) x vcs_per_vn): \
+                 a router's NUM_PORTS x VCs switch requesters share one 64-bit word",
             ));
         }
         if self.buffer_flits == 0 {
@@ -294,30 +296,20 @@ mod tests {
     }
 
     #[test]
-    fn more_than_64_vcs_per_port_rejected() {
-        let err = SimConfig::builder()
-            .vns(6)
-            .vcs_per_vn(11)
-            .cfg_validate_err();
-        assert!(err.to_string().contains("64 VCs"), "{err}");
+    fn more_than_12_vcs_per_port_rejected() {
+        let err = SimConfig::builder().vns(6).vcs_per_vn(3).cfg_validate_err();
+        assert!(err.to_string().contains("12 VCs"), "{err}");
         let err = SimConfig::builder()
             .vns(0)
-            .vcs_per_vn(65)
+            .vcs_per_vn(13)
             .cfg_validate_err();
-        assert!(err.to_string().contains("64 VCs"), "{err}");
+        assert!(err.to_string().contains("12 VCs"), "{err}");
         // The limit itself is fine, with or without VNs.
-        assert!(SimConfig::builder()
-            .vns(0)
-            .vcs_per_vn(64)
-            .cfg
-            .validate()
-            .is_ok());
-        assert!(SimConfig::builder()
-            .vns(4)
-            .vcs_per_vn(16)
-            .cfg
-            .validate()
-            .is_ok());
+        for (vns, vcs_per_vn) in [(0, 12), (6, 2), (4, 3)] {
+            let cfg = SimConfig::builder().vns(vns).vcs_per_vn(vcs_per_vn).cfg;
+            assert_eq!(cfg.vcs_per_port(), 12);
+            assert!(cfg.validate().is_ok(), "vns={vns} vcs_per_vn={vcs_per_vn}");
+        }
     }
 
     #[test]

@@ -68,7 +68,8 @@ const SIM_CRATES: &[&str] = &[
 /// and hash maps: the `nocserve` daemon measures uptime, sleeps its
 /// accept loop and keys its point registry by content hash — none of
 /// which feeds simulation results (points are computed through
-/// `bench::runner::simulate_point`'s pure pipeline). The exemption is
+/// `noc_serve::runner::simulate_point`'s pure pipeline, which lives in
+/// the same crate since the sweep library moved under the daemon). The exemption is
 /// scoped here as a crate list rather than sprayed through the code as
 /// inline `allow` comments, so it stays a single reviewable decision;
 /// a unit test pins it disjoint from [`SIM_CRATES`] so no crate can
@@ -76,8 +77,8 @@ const SIM_CRATES: &[&str] = &[
 const SERVICE_CRATES: &[&str] = &["noc-serve"];
 
 /// Crates held to the no-bare-`unwrap()` standard (the simulator crates
-/// plus the power model, the `nocserve` daemon and the root facade; the
-/// bench harness's CLI binaries are exempt).
+/// plus the power model, `noc-serve` — daemon and sweep library — and
+/// the root facade; the bench harness's CLI binaries are exempt).
 const PANIC_CRATES: &[&str] = &[
     "noc-core",
     "noc-sim",

@@ -15,15 +15,15 @@
 //! The socket defaults to `NOC_SERVE_SOCK`, then `NOC_SERVE`, then
 //! `results/nocserve.sock`. `ping --wait N` retries for up to N seconds
 //! — CI uses it as the daemon-readiness barrier. `status --json` dumps
-//! the raw [`bench::proto::StatusReport`] (CI's `serve-summary.json`);
-//! `metrics --json` the full [`bench::proto::MetricsReport`]. `watch`
+//! the raw [`noc_serve::proto::StatusReport`] (CI's `serve-summary.json`);
+//! `metrics --json` the full [`noc_serve::proto::MetricsReport`]. `watch`
 //! streams the daemon's live flight records as JSON lines until the
 //! daemon shuts down (or ctrl-C). `flight` works **offline**: it loads
 //! a flight-recorder JSONL log, proves every job's span chain is
 //! complete, and with `--chrome` exports a Perfetto-loadable Chrome
 //! trace (validated structurally after writing).
 
-use bench::serve_client::Client;
+use noc_serve::client::Client;
 use noc_serve::flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -43,11 +43,7 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut sock = std::env::var("NOC_SERVE_SOCK")
-        .or_else(|_| std::env::var("NOC_SERVE"))
-        .ok()
-        .filter(|s| !s.is_empty())
-        .map_or_else(bench::serve_client::default_socket, PathBuf::from);
+    let mut sock = noc_serve::ServeConfig::from_env().socket;
     if args.first().is_some_and(|a| a == "--sock") {
         args.remove(0);
         if args.is_empty() {

@@ -1,7 +1,7 @@
 //! The daemon engine: point registry, worker pool, job tracking.
 //!
 //! Every sweep point is identified by its content-derived cache key
-//! ([`bench::point_cache_key`]). The engine keeps one state per key —
+//! ([`crate::point_cache_key`]). The engine keeps one state per key —
 //! `Queued → Running → Done`/`Failed` — in a single registry shared by
 //! all jobs, which is what makes cross-client deduplication free: a
 //! submit that names a key another job is already computing simply
@@ -11,9 +11,9 @@
 //!
 //! Workers claim queued points in batches that share a
 //! `(warmup, measure)` window shape and compute them one after another
-//! with [`bench::simulate_point`] — the function the batch executor
-//! ([`bench::run_sweep_parallel`]) and the serial reference
-//! ([`bench::runner::sweep`]) call, which is the whole
+//! with [`crate::simulate_point`] — the function the batch executor
+//! ([`crate::run_sweep_parallel`]) and the serial reference
+//! ([`crate::runner::sweep`]) call, which is the whole
 //! bitwise-equivalence argument: there is one point path, so a point's
 //! bytes cannot depend on who asked for it. A panicking point poisons
 //! only its batch: the worker catches the unwind, marks those keys
@@ -30,10 +30,10 @@
 
 use crate::flight::FlightBus;
 use crate::metrics::MetricsRegistry;
+use crate::proto::{flight_event, StatusReport};
 use crate::statsd::StatsdSink;
-use bench::proto::{flight_event, StatusReport};
-use bench::store::{format_key, Provenance};
-use bench::{
+use crate::store::{format_key, Provenance};
+use crate::{
     point_cache_key, simulate_point, FlightRecord, LatencyPoint, MetricsReport, Store, SweepResult,
     SweepSpec, CACHE_SCHEMA_VERSION,
 };
@@ -83,12 +83,12 @@ impl ServeConfig {
         let env = |k: &str| std::env::var(k).ok().filter(|s| !s.is_empty());
         ServeConfig {
             socket: env("NOC_SERVE_SOCK")
-                .or_else(|| env("NOC_SERVE"))
-                .map_or_else(bench::serve_client::default_socket, PathBuf::from),
+                .or_else(|| env(crate::client::SOCK_ENV))
+                .map_or_else(crate::client::default_socket, PathBuf::from),
             store_dir: env("NOC_SERVE_STORE")
                 .or_else(|| env("FP_CACHE"))
                 .map_or_else(|| PathBuf::from("results/cache"), PathBuf::from),
-            workers: bench::num_jobs(),
+            workers: crate::num_jobs(),
             batch: env("NOC_SERVE_BATCH")
                 .and_then(|s| s.parse().ok())
                 .filter(|&n| n > 0)
@@ -210,7 +210,7 @@ impl Daemon {
             statsd: StatsdSink::new(config.statsd.as_deref()),
             metrics: MetricsRegistry::new(config.workers.max(1)),
             flight,
-            git_sha: bench::git_sha(),
+            git_sha: crate::git_sha(),
             started: Instant::now(),
             workers: config.workers.max(1),
             batch: config.batch.max(1),
@@ -440,7 +440,7 @@ impl Daemon {
     }
 
     /// Runs a store gc pass (see [`Store::gc`]).
-    pub fn gc(&self) -> bench::GcReport {
+    pub fn gc(&self) -> crate::GcReport {
         let report = self.shared.store.gc();
         self.shared.metrics.gc_dropped.add(report.dropped());
         report
@@ -481,7 +481,7 @@ impl Daemon {
         let (queue_depth, inflight) = (state.queue.len() as u64, state.inflight);
         drop(state);
         StatusReport {
-            proto: bench::PROTO_VERSION,
+            proto: crate::PROTO_VERSION,
             schema: CACHE_SCHEMA_VERSION,
             uptime_secs: self.shared.started.elapsed().as_secs(),
             workers: self.shared.workers as u64,
@@ -752,7 +752,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bench::SchemeId;
+    use crate::SchemeId;
     use traffic::SyntheticPattern;
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -20,8 +20,9 @@
 //! threads under one daemon process — the service-level counterpart of
 //! `noc-trace`'s per-flit exporter, following the same conventions.
 
-use bench::proto::{flight_event, FlightStats};
-use bench::FlightRecord;
+use crate::proto::{flight_event, FlightStats};
+use crate::FlightRecord;
+use noc_trace::chrome::{counter, instant, meta, num, span, text, validate};
 use serde::Content;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
@@ -321,63 +322,6 @@ pub fn validate_chains(records: &[FlightRecord]) -> Vec<String> {
     problems
 }
 
-fn s(v: &str) -> Content {
-    Content::Str(v.to_string())
-}
-
-fn u(v: u64) -> Content {
-    Content::U128(v as u128)
-}
-
-fn meta(name: &str, tid: Option<u64>, label: String) -> Content {
-    let mut fields = vec![
-        ("name".to_string(), s(name)),
-        ("ph".to_string(), s("M")),
-        ("pid".to_string(), u(PID_DAEMON)),
-    ];
-    if let Some(t) = tid {
-        fields.push(("tid".to_string(), u(t)));
-    }
-    fields.push((
-        "args".to_string(),
-        Content::Map(vec![("name".to_string(), Content::Str(label))]),
-    ));
-    Content::Map(fields)
-}
-
-fn span(
-    name: &str,
-    cat: &str,
-    tid: u64,
-    ts: u64,
-    dur: u64,
-    args: Vec<(String, Content)>,
-) -> Content {
-    Content::Map(vec![
-        ("name".to_string(), s(name)),
-        ("cat".to_string(), s(cat)),
-        ("ph".to_string(), s("X")),
-        ("pid".to_string(), u(PID_DAEMON)),
-        ("tid".to_string(), u(tid)),
-        ("ts".to_string(), u(ts)),
-        ("dur".to_string(), u(dur.max(1))),
-        ("args".to_string(), Content::Map(args)),
-    ])
-}
-
-fn instant(name: &str, cat: &str, tid: u64, ts: u64, args: Vec<(String, Content)>) -> Content {
-    Content::Map(vec![
-        ("name".to_string(), s(name)),
-        ("cat".to_string(), s(cat)),
-        ("ph".to_string(), s("i")),
-        ("s".to_string(), s("t")),
-        ("pid".to_string(), u(PID_DAEMON)),
-        ("tid".to_string(), u(tid)),
-        ("ts".to_string(), u(ts)),
-        ("args".to_string(), Content::Map(args)),
-    ])
-}
-
 /// Renders flight records as Chrome `trace_event` JSON (the same array
 /// format `noc-trace` emits, loadable at `ui.perfetto.dev`):
 ///
@@ -394,13 +338,14 @@ fn instant(name: &str, cat: &str, tid: u64, ts: u64, args: Vec<(String, Content)
 /// native unit.
 pub fn chrome_trace(records: &[FlightRecord]) -> String {
     let mut events: Vec<Content> = Vec::new();
-    events.push(meta("process_name", None, "nocserve daemon".to_string()));
+    events.push(meta("process_name", PID_DAEMON, None, "nocserve daemon"));
     let workers: BTreeSet<u64> = records.iter().filter_map(|r| r.worker).collect();
     for w in &workers {
         events.push(meta(
             "thread_name",
+            PID_DAEMON,
             Some(WORKER_TID_BASE + w),
-            format!("worker {w}"),
+            &format!("worker {w}"),
         ));
     }
     let mut job_bounds: BTreeMap<u64, (Option<u64>, Option<u64>, u64)> = BTreeMap::new();
@@ -418,15 +363,21 @@ pub fn chrome_trace(records: &[FlightRecord]) -> String {
     }
     for (job, (start, end, points)) in &job_bounds {
         let tid = JOB_TID_BASE + job;
-        events.push(meta("thread_name", Some(tid), format!("job {job}")));
+        events.push(meta(
+            "thread_name",
+            PID_DAEMON,
+            Some(tid),
+            &format!("job {job}"),
+        ));
         if let (Some(start), Some(end)) = (start, end) {
             events.push(span(
                 &format!("job {job}"),
                 "job",
+                PID_DAEMON,
                 tid,
                 *start,
                 end.saturating_sub(*start),
-                vec![("points".to_string(), u(*points))],
+                vec![num("points", *points)],
             ));
         }
     }
@@ -435,13 +386,12 @@ pub fn chrome_trace(records: &[FlightRecord]) -> String {
             flight_event::RESOLVED => {
                 if let Some(job) = r.job {
                     let kind = r.kind.as_deref().unwrap_or("?");
-                    let mut args = vec![("kind".to_string(), s(kind))];
-                    if let Some(key) = &r.key {
-                        args.push(("key".to_string(), s(key)));
-                    }
+                    let mut args = vec![text("kind", kind)];
+                    args.extend(r.key.as_deref().map(|key| text("key", key)));
                     events.push(instant(
                         &format!("resolved:{kind}"),
                         "resolve",
+                        PID_DAEMON,
                         JOB_TID_BASE + job,
                         r.ts_us,
                         args,
@@ -452,15 +402,12 @@ pub fn chrome_trace(records: &[FlightRecord]) -> String {
                 if let Some(worker) = r.worker {
                     let dur = r.wall_ms.unwrap_or(0).saturating_mul(1_000);
                     let mut args = Vec::new();
-                    if let Some(points) = r.points {
-                        args.push(("points".to_string(), u(points)));
-                    }
-                    if let Some(cycles) = r.cycles {
-                        args.push(("cycles".to_string(), u(cycles)));
-                    }
+                    args.extend(r.points.map(|points| num("points", points)));
+                    args.extend(r.cycles.map(|cycles| num("cycles", cycles)));
                     events.push(span(
                         "batch",
                         "batch",
+                        PID_DAEMON,
                         WORKER_TID_BASE + worker,
                         r.ts_us.saturating_sub(dur),
                         dur,
@@ -470,30 +417,24 @@ pub fn chrome_trace(records: &[FlightRecord]) -> String {
             }
             flight_event::CLAIMED | flight_event::STORED | flight_event::FAILED => {
                 if let Some(worker) = r.worker {
-                    let mut args = Vec::new();
-                    if let Some(key) = &r.key {
-                        args.push(("key".to_string(), s(key)));
-                    }
                     events.push(instant(
                         &r.event,
                         "worker",
+                        PID_DAEMON,
                         WORKER_TID_BASE + worker,
                         r.ts_us,
-                        args,
+                        r.key.iter().map(|key| text("key", key)).collect(),
                     ));
                 }
             }
             flight_event::QUEUE => {
-                events.push(Content::Map(vec![
-                    ("name".to_string(), s("queue_depth")),
-                    ("ph".to_string(), s("C")),
-                    ("pid".to_string(), u(PID_DAEMON)),
-                    ("ts".to_string(), u(r.ts_us)),
-                    (
-                        "args".to_string(),
-                        Content::Map(vec![("depth".to_string(), u(r.depth.unwrap_or(0)))]),
-                    ),
-                ]));
+                events.push(counter(
+                    "queue_depth",
+                    PID_DAEMON,
+                    None,
+                    r.ts_us,
+                    vec![num("depth", r.depth.unwrap_or(0))],
+                ));
             }
             _ => {}
         }
@@ -512,98 +453,50 @@ pub struct DaemonTraceSummary {
     pub counter_samples: u64,
 }
 
-/// Structurally validates an exported daemon trace: well-formed JSON
-/// array, every event under `pid 3` with the keys its phase requires,
-/// a named daemon process, every job thread carrying its lifetime span,
-/// and a non-empty `queue_depth` counter track.
+/// Validates an exported daemon trace: structurally sound (the
+/// workspace's one validator, [`noc_trace::chrome::validate`]), every
+/// event under `pid 3`, a named daemon process, every job thread
+/// carrying its lifetime span, and a non-empty counter track holding
+/// nothing but `queue_depth` samples.
 pub fn check_daemon_trace(json: &str) -> Result<DaemonTraceSummary, String> {
-    let root: Content = serde_json::from_str(json).map_err(|e| format!("bad JSON: {e:?}"))?;
-    let events = root.as_seq().ok_or("trace is not an array")?;
-    let mut named_process = false;
-    let mut job_threads: BTreeSet<u64> = BTreeSet::new();
-    let mut job_spans: BTreeSet<u64> = BTreeSet::new();
-    let mut batch_spans = 0u64;
-    let mut counter_samples = 0u64;
-    for (idx, event) in events.iter().enumerate() {
-        let map = event
-            .as_map()
-            .ok_or(format!("event {idx}: not an object"))?;
-        let get = |name: &str| map.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let ph = get("ph")
-            .and_then(Content::as_str)
-            .ok_or(format!("event {idx}: missing ph"))?;
-        let pid = get("pid")
-            .and_then(Content::as_u64)
-            .ok_or(format!("event {idx}: missing pid"))?;
-        if pid != PID_DAEMON {
-            return Err(format!("event {idx}: pid {pid}, expected {PID_DAEMON}"));
-        }
-        let name = get("name")
-            .and_then(Content::as_str)
-            .ok_or(format!("event {idx}: missing name"))?;
-        match ph {
-            "M" => {
-                if name == "process_name" {
-                    named_process = true;
-                }
-                if name == "thread_name" {
-                    if let Some(tid) = get("tid").and_then(Content::as_u64) {
-                        if tid >= JOB_TID_BASE {
-                            job_threads.insert(tid);
-                        }
-                    }
-                }
-            }
-            "X" => {
-                let tid = get("tid")
-                    .and_then(Content::as_u64)
-                    .ok_or(format!("event {idx}: span missing tid"))?;
-                let dur = get("dur")
-                    .and_then(Content::as_u64)
-                    .ok_or(format!("event {idx}: span missing dur"))?;
-                if dur == 0 {
-                    return Err(format!("event {idx}: zero-duration span"));
-                }
-                if get("ts").and_then(Content::as_u64).is_none() {
-                    return Err(format!("event {idx}: span missing ts"));
-                }
-                if tid >= JOB_TID_BASE {
-                    job_spans.insert(tid);
-                } else {
-                    batch_spans += 1;
-                }
-            }
-            "i" => {
-                if get("ts").and_then(Content::as_u64).is_none() {
-                    return Err(format!("event {idx}: instant missing ts"));
-                }
-            }
-            "C" => {
-                if name != "queue_depth" {
-                    return Err(format!("event {idx}: unexpected counter {name:?}"));
-                }
-                counter_samples += 1;
-            }
-            other => return Err(format!("event {idx}: unknown phase {other:?}")),
-        }
+    let heads = validate(json)?;
+    if let Some(idx) = heads.iter().position(|h| h.pid != PID_DAEMON) {
+        let pid = heads[idx].pid;
+        return Err(format!("event {idx}: pid {pid}, expected {PID_DAEMON}"));
     }
-    if !named_process {
+    if !heads.iter().any(|h| h.name == "process_name") {
         return Err("no process_name metadata".to_string());
     }
-    for tid in &job_threads {
-        if !job_spans.contains(tid) {
-            return Err(format!(
-                "job thread {} has no lifetime span",
-                tid - JOB_TID_BASE
-            ));
-        }
+    // Job tracks sit at `JOB_TID_BASE` and above, worker tracks below.
+    let job_tids = |ph: char| -> BTreeSet<u64> {
+        heads
+            .iter()
+            .filter(|h| h.ph == ph)
+            .filter_map(|h| h.tid.filter(|&tid| tid >= JOB_TID_BASE))
+            .collect()
+    };
+    let job_spans = job_tids('X');
+    if let Some(tid) = job_tids('M').difference(&job_spans).next() {
+        return Err(format!(
+            "job thread {} has no lifetime span",
+            tid - JOB_TID_BASE
+        ));
     }
+    let counters = || heads.iter().filter(|h| h.ph == 'C');
+    if let Some(stray) = counters().find(|h| h.name != "queue_depth") {
+        return Err(format!("unexpected counter {:?}", stray.name));
+    }
+    let counter_samples = counters().count() as u64;
     if counter_samples == 0 {
         return Err("no queue_depth counter samples".to_string());
     }
+    let batch_spans = heads
+        .iter()
+        .filter(|h| h.ph == 'X' && h.tid.is_some_and(|tid| tid < JOB_TID_BASE))
+        .count();
     Ok(DaemonTraceSummary {
         jobs: job_spans.len() as u64,
-        batch_spans,
+        batch_spans: batch_spans as u64,
         counter_samples,
     })
 }
@@ -611,7 +504,7 @@ pub fn check_daemon_trace(json: &str) -> Result<DaemonTraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bench::proto::flight_event as ev;
+    use crate::proto::flight_event as ev;
 
     fn record(event: &str) -> FlightRecord {
         FlightRecord::of(event)

@@ -1,28 +1,33 @@
-//! `nocserve` — the persistent sweep service.
+//! `noc-serve` — the sweep library and the persistent sweep service
+//! built on it.
 //!
-//! The figure binaries historically ran every sweep in-process, each
-//! invocation paying cold-start simulation for points another run had
-//! already computed (shared only through the `FP_CACHE` blob
-//! directory). This crate turns that cache into a *service*: one
-//! daemon owns the content-addressed result store
-//! ([`bench::store::Store`]), accepts sweep jobs over a Unix socket
-//! (newline-delimited JSON, [`bench::proto`]), shards points across a
-//! worker pool, and deduplicates identical in-flight points across
-//! concurrent clients so every point is simulated **exactly once** no
-//! matter how many jobs ask for it.
+//! This crate owns everything between "a sweep spec" and "a stored
+//! point", once: the scheme [`registry`] with Table II's per-scheme
+//! configurations, the spec → key → point path ([`runner`]:
+//! [`point_cache_key`], [`simulate_point`]), the content-addressed
+//! result [`store`], the wire format ([`proto`]) with both of its ends
+//! ([`client`], [`server`]) — and the two executors over that one point
+//! path: [`run_sweep_parallel`] in-process, and the [`Daemon`] behind a
+//! Unix socket. The figure harness (`crates/bench`) and the facade sit
+//! *above* this crate; the verifiers and the power model are not
+//! beneath it, so `nocserve` links none of them.
 //!
-//! Three layers answer a point lookup, cheapest first:
+//! The daemon accepts sweep jobs as newline-delimited JSON, shards
+//! points across a worker pool, and deduplicates identical in-flight
+//! points across concurrent clients so every point is simulated
+//! **exactly once** no matter how many jobs ask for it. Three layers
+//! answer a point lookup, cheapest first:
 //!
 //! 1. the in-memory results map (points resolved this daemon lifetime);
 //! 2. the on-disk store — survives restarts, shared with batch runs;
-//! 3. the worker pool — each worker calls
-//!    [`bench::runner::simulate_point`], the batch executor's own
-//!    point function, so daemon-computed points are bitwise identical
-//!    to batch-computed ones by construction. The `serve` CI job diffs
-//!    the resulting JSON artifacts as the end-to-end check.
+//! 3. the worker pool — each worker calls [`simulate_point`], the
+//!    in-process executor's own point function, so daemon-computed
+//!    points are bitwise identical to batch-computed ones by
+//!    construction. The `serve` CI job diffs the resulting JSON
+//!    artifacts as the end-to-end check.
 //!
-//! Module map: [`core`] is the engine (state machine, worker pool,
-//! dedup registry); [`server`] the transport (accept loop,
+//! Service module map: [`core`] is the engine (state machine, worker
+//! pool, dedup registry); [`server`] the transport (accept loop,
 //! per-connection protocol handler); [`metrics`] the lock-free metrics
 //! registry (counters, gauges, histograms, worker utilization);
 //! [`flight`] the flight recorder (JSONL lifecycle log, live `watch`
@@ -36,19 +41,35 @@
 //! clocks, threads and OS sockets — it is a service, not a model.
 //! `noc-lint` scopes its determinism rules to the sim crates and lists
 //! `noc-serve` in its service-crate whitelist; nothing here may leak
-//! into simulation results beyond the [`bench`] entry points above.
+//! into simulation results beyond [`simulate_point`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod core;
 pub mod flight;
 pub mod metrics;
+pub mod proto;
+pub mod registry;
+pub mod runner;
 pub mod server;
 pub mod statsd;
+pub mod store;
 
 pub use crate::core::{Daemon, JobProgress, ServeConfig};
 pub use flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains, FlightBus};
 pub use metrics::{Counter, Histogram, MetricsRegistry};
+pub use proto::{
+    FlightRecord, FlightStats, HistogramSummary, MetricValue, MetricsReport, StatusReport,
+    WireSpec, WorkerReport, PROTO_VERSION,
+};
+pub use registry::{SchemeId, ALL_SCHEMES};
+pub use runner::{
+    emit_json, env_u64, netstats_fnv64, num_jobs, parallel_map, parallel_map_with, point_cache_key,
+    run_sweep_parallel, simulate_point, LatencyPoint, SweepOptions, SweepResult, SweepSpec,
+    CACHE_SCHEMA_VERSION,
+};
 pub use server::serve;
 pub use statsd::StatsdSink;
+pub use store::{format_key, git_sha, GcReport, Provenance, Store, StoreStats};

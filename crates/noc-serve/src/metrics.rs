@@ -18,8 +18,8 @@
 //! which is exact enough to answer "are batches milliseconds or
 //! seconds" without ever allocating on the record path.
 
+use crate::proto::{FlightStats, HistogramSummary, MetricValue, MetricsReport, WorkerReport};
 use crate::statsd::StatsdSink;
-use bench::proto::{FlightStats, HistogramSummary, MetricValue, MetricsReport, WorkerReport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -353,7 +353,7 @@ impl MetricsRegistry {
     /// Snapshots the registry into the wire report.
     pub fn report(&self, uptime_secs: u64, flight: FlightStats) -> MetricsReport {
         MetricsReport {
-            proto: bench::PROTO_VERSION,
+            proto: crate::PROTO_VERSION,
             uptime_secs,
             counters: self
                 .counters()

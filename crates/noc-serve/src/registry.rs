@@ -66,9 +66,9 @@ impl SchemeId {
     /// protocol and `nocctl` spell schemes by name. Returns `None` for
     /// unknown names.
     pub fn parse(name: &str) -> Option<SchemeId> {
-        let mut all = ALL_SCHEMES.to_vec();
-        all.push(SchemeId::Vct);
-        all.into_iter()
+        ALL_SCHEMES
+            .into_iter()
+            .chain([SchemeId::Vct])
             .find(|id| id.name().eq_ignore_ascii_case(name))
     }
 

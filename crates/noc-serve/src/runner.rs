@@ -21,9 +21,10 @@
 //! directory, default `results/`).
 
 use crate::registry::SchemeId;
+use crate::store::{git_sha, Provenance, Store};
 use noc_sim::Simulation;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use traffic::{SyntheticPattern, SyntheticWorkload};
@@ -264,14 +265,14 @@ fn point_cache_key_versioned(spec: &SweepSpec, rate: f64, version: u32) -> u64 {
     fnv1a64(canonical.as_bytes())
 }
 
-fn cache_load(dir: &Path, key: u64) -> Option<LatencyPoint> {
-    crate::store::Store::new(dir).load(key)
-}
-
-fn cache_store(dir: &Path, key: u64, point: &LatencyPoint, provenance: &crate::store::Provenance) {
-    // Cache writes are best-effort: a full disk or unwritable directory
-    // degrades to recomputation, never to a wrong result.
-    crate::store::Store::new(dir).store_with_provenance(key, point, Some(provenance));
+/// The stats digest of the golden fixtures and bitwise gates: a run's
+/// full serialized [`NetStats`] (every counter and distribution sample)
+/// under the cache keys' FNV-1a, as 16 hex digits.
+///
+/// [`NetStats`]: noc_core::stats::NetStats
+pub fn netstats_fnv64(stats: &noc_core::stats::NetStats) -> String {
+    let json = serde_json::to_string(stats).expect("NetStats serializes");
+    format!("{:016x}", fnv1a64(json.as_bytes()))
 }
 
 /// Builds a fresh simulation for a scheme/pattern/rate triple at the
@@ -377,32 +378,34 @@ pub fn run_sweep_parallel(specs: &[SweepSpec], opts: &SweepOptions) -> Vec<Sweep
         })
         .collect();
     let total = points.len();
+    let store = opts.cache_dir.as_deref().map(Store::new);
     let jobs: Vec<_> = points
         .iter()
         .map(|&(si, _, rate)| {
             let spec = &specs[si];
-            let cache_dir = opts.cache_dir.as_deref();
+            let store = store.as_ref();
             move || -> (LatencyPoint, bool) {
-                let key = cache_dir.map(|d| (d, point_cache_key(spec, rate)));
-                if let Some((dir, k)) = key {
-                    if let Some(hit) = cache_load(dir, k) {
-                        return (hit, true);
-                    }
+                let key = store.map(|s| (s, point_cache_key(spec, rate)));
+                if let Some(hit) = key.and_then(|(store, k)| store.load(k)) {
+                    return (hit, true);
                 }
                 let begun = std::time::Instant::now();
                 let point = simulate_point(spec, rate);
-                if let Some((dir, k)) = key {
+                if let Some((store, k)) = key {
                     // Provenance is metadata only — worker None marks
                     // the in-process batch executor as the producer. The
                     // sha is resolved here, on a write, so an all-hit
                     // sweep never forks `git`.
-                    let stamp = crate::store::Provenance::now(
+                    let stamp = Provenance::now(
                         begun.elapsed().as_millis() as u64,
                         None,
-                        crate::store::git_sha(),
+                        git_sha(),
                         spec.warmup + spec.measure,
                     );
-                    cache_store(dir, k, &point, &stamp);
+                    // Cache writes are best-effort: a full disk or
+                    // unwritable directory degrades to recomputation,
+                    // never to a wrong result.
+                    store.store_with_provenance(k, &point, Some(&stamp));
                 }
                 (point, false)
             }
@@ -638,8 +641,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let stale_key = point_cache_key_versioned(&spec, 0.02, CACHE_SCHEMA_VERSION - 1);
         let poisoned = mk(0.02, 99_999.0);
-        let stamp = crate::store::Provenance::now(0, None, String::new(), 0);
-        cache_store(&dir, stale_key, &poisoned, &stamp);
+        let stamp = Provenance::now(0, None, String::new(), 0);
+        Store::new(&dir).store_with_provenance(stale_key, &poisoned, Some(&stamp));
 
         let opts = SweepOptions {
             jobs: 1,
@@ -654,7 +657,7 @@ mod tests {
             CACHE_SCHEMA_VERSION - 1
         );
         assert!(
-            crate::store::Store::new(&dir).path_of(current).exists(),
+            Store::new(&dir).path_of(current).exists(),
             "recomputed point must be stored under the current-version key"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -2,7 +2,7 @@
 //! protocol handler.
 //!
 //! Each connection gets its own thread speaking the newline-delimited
-//! JSON protocol of [`bench::proto`]. Malformed lines are answered with
+//! JSON protocol of [`crate::proto`]. Malformed lines are answered with
 //! an `error` event and the connection stays usable; a client that
 //! disconnects mid-job just loses its stream — the engine keeps
 //! computing and the results land in the store, so the retry is free.
@@ -10,9 +10,9 @@
 //! between non-blocking accepts) observes to stop the daemon.
 
 use crate::core::{Daemon, ServeConfig};
-use bench::proto::{decode_request, encode, FetchedPoint, Request, Response};
-use bench::store::format_key;
-use bench::Store;
+use crate::proto::{decode_request, encode, FetchedPoint, Request, Response};
+use crate::store::format_key;
+use crate::Store;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::mpsc::RecvTimeoutError;
@@ -105,7 +105,7 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
             Request::Ping => send(
                 &mut writer,
                 &Response::Pong {
-                    proto: bench::PROTO_VERSION,
+                    proto: crate::PROTO_VERSION,
                 },
             ),
             Request::Status => send(&mut writer, &Response::Status(Box::new(daemon.status()))),
@@ -132,7 +132,7 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
 
 /// Runs one submit: validate specs, register the job, stream progress,
 /// send the terminal result. Returns `false` when the peer is gone.
-fn handle_submit(daemon: &Daemon, writer: &mut UnixStream, specs: Vec<bench::WireSpec>) -> bool {
+fn handle_submit(daemon: &Daemon, writer: &mut UnixStream, specs: Vec<crate::WireSpec>) -> bool {
     let mut decoded = Vec::with_capacity(specs.len());
     for wire in &specs {
         match wire.to_spec() {

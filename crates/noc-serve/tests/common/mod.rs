@@ -7,11 +7,38 @@
 // uses a different subset of the harness.
 #![allow(dead_code)]
 
-use bench::serve_client::Client;
-use noc_serve::{serve, ServeConfig};
+use noc_serve::client::Client;
+use noc_serve::{serve, SchemeId, ServeConfig, SweepSpec};
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use traffic::SyntheticPattern;
+
+/// Two rates and a 100 + 200 cycle window on 4x4: small enough for
+/// debug-build workers to finish in milliseconds.
+pub fn tiny_spec(id: SchemeId, seed: u64) -> SweepSpec {
+    SweepSpec {
+        rates: vec![0.02, 0.05],
+        warmup: 100,
+        measure: 200,
+        ..small_spec(id, SyntheticPattern::Uniform, seed)
+    }
+}
+
+/// The suites' stock sweep: one scheme/pattern on a 4x4 mesh, three
+/// low-to-mid rates, warmup 500 + measure 1 500.
+pub fn small_spec(id: SchemeId, pattern: SyntheticPattern, seed: u64) -> SweepSpec {
+    SweepSpec {
+        id,
+        pattern,
+        rates: vec![0.02, 0.05, 0.08],
+        size: 4,
+        fp_vcs: 2,
+        warmup: 500,
+        measure: 1_500,
+        seed,
+    }
+}
 
 /// One live daemon on scratch paths.
 pub struct TestDaemon {
@@ -21,6 +48,22 @@ pub struct TestDaemon {
     pub store_dir: PathBuf,
     scratch: PathBuf,
     handle: Option<JoinHandle<()>>,
+}
+
+/// A scratch directory (see [`scratch_dir`]) removed again on drop.
+pub struct Scratch(pub PathBuf);
+
+impl Scratch {
+    /// Creates the directory for `tag`.
+    pub fn new(tag: &str) -> Scratch {
+        Scratch(scratch_dir(tag))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// A scratch directory unique to `tag` within this test process.

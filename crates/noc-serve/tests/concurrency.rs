@@ -5,11 +5,10 @@
 
 mod common;
 
-use bench::{point_cache_key, SchemeId, SweepSpec};
-use common::TestDaemon;
+use common::{tiny_spec, TestDaemon};
+use noc_serve::{point_cache_key, SchemeId, SweepSpec};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use traffic::SyntheticPattern;
 
 /// The point pool cases draw from: distinct (scheme, seed) sweeps over
 /// a shared rate grid, all tiny enough for debug-build workers.
@@ -21,16 +20,7 @@ fn pool() -> Vec<SweepSpec> {
         (SchemeId::FastPass, 3),
     ]
     .into_iter()
-    .map(|(id, seed)| SweepSpec {
-        id,
-        pattern: SyntheticPattern::Uniform,
-        rates: vec![0.02, 0.05],
-        size: 4,
-        fp_vcs: 2,
-        warmup: 100,
-        measure: 200,
-        seed,
-    })
+    .map(|(id, seed)| tiny_spec(id, seed))
     .collect()
 }
 
@@ -70,7 +60,7 @@ proptest! {
         for specs in clients.clone() {
             let sock = daemon.sock.clone();
             handles.push(std::thread::spawn(move || {
-                let mut client = bench::serve_client::Client::connect(&sock)
+                let mut client = noc_serve::client::Client::connect(&sock)
                     .expect("connect");
                 client.submit(&specs, |_, _| {}).expect("job completes")
             }));
@@ -120,7 +110,7 @@ proptest! {
 
         // Fetching every unique key over the wire succeeds — what was
         // computed is what is stored.
-        let keys: Vec<String> = unique.iter().map(|&k| bench::format_key(k)).collect();
+        let keys: Vec<String> = unique.iter().map(|&k| noc_serve::format_key(k)).collect();
         let fetched = daemon.client().fetch(keys).expect("fetch");
         prop_assert!(fetched.iter().all(|p| p.found));
     }

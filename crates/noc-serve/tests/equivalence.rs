@@ -5,8 +5,8 @@
 
 mod common;
 
-use bench::{point_cache_key, run_sweep_parallel, SchemeId, Store, SweepOptions, SweepSpec};
-use common::TestDaemon;
+use common::{small_spec, TestDaemon};
+use noc_serve::{point_cache_key, run_sweep_parallel, SchemeId, Store, SweepOptions, SweepSpec};
 use traffic::SyntheticPattern;
 
 fn specs() -> Vec<SweepSpec> {
@@ -16,16 +16,7 @@ fn specs() -> Vec<SweepSpec> {
         (SchemeId::FastPass, SyntheticPattern::Transpose),
     ]
     .into_iter()
-    .map(|(id, pattern)| SweepSpec {
-        id,
-        pattern,
-        rates: vec![0.02, 0.05, 0.08],
-        size: 4,
-        fp_vcs: 2,
-        warmup: 500,
-        measure: 1_500,
-        seed: 5,
-    })
+    .map(|(id, pattern)| small_spec(id, pattern, 5))
     .collect()
 }
 
@@ -76,9 +67,9 @@ fn daemon_stores_points_under_the_batch_executors_keys() {
             assert!(
                 store.load(key).is_some(),
                 "point {} missing from store",
-                bench::format_key(key)
+                noc_serve::format_key(key)
             );
-            keys.push(bench::format_key(key));
+            keys.push(noc_serve::format_key(key));
         }
     }
     let fetched = daemon.client().fetch(keys).expect("fetch");
@@ -120,7 +111,7 @@ fn provenance_distinguishes_daemon_workers_from_the_batch_executor() {
         .flat_map(|spec| {
             spec.rates
                 .iter()
-                .map(|&rate| bench::format_key(point_cache_key(spec, rate)))
+                .map(|&rate| noc_serve::format_key(point_cache_key(spec, rate)))
                 .collect::<Vec<_>>()
         })
         .collect();

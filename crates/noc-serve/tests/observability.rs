@@ -5,10 +5,10 @@
 
 mod common;
 
-use bench::proto::flight_event as ev;
-use bench::{run_sweep_parallel, SchemeId, SweepOptions, SweepSpec};
-use common::TestDaemon;
+use common::{small_spec, TestDaemon};
 use noc_serve::flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains};
+use noc_serve::proto::flight_event as ev;
+use noc_serve::{run_sweep_parallel, SchemeId, SweepOptions, SweepSpec};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use traffic::SyntheticPattern;
@@ -19,16 +19,7 @@ fn specs() -> Vec<SweepSpec> {
         (SchemeId::Vct, SyntheticPattern::Transpose),
     ]
     .into_iter()
-    .map(|(id, pattern)| SweepSpec {
-        id,
-        pattern,
-        rates: vec![0.02, 0.05, 0.08],
-        size: 4,
-        fp_vcs: 2,
-        warmup: 500,
-        measure: 1_500,
-        seed: 23,
-    })
+    .map(|(id, pattern)| small_spec(id, pattern, 23))
     .collect()
 }
 

@@ -2,42 +2,18 @@
 //! serial path regardless of worker count, and the on-disk cache is
 //! actually consulted (not silently recomputed).
 
-use bench::runner::sweep;
-use bench::{run_sweep_parallel, SchemeId, SweepOptions, SweepSpec};
-use std::path::PathBuf;
+mod common;
+
+use common::{small_spec, Scratch};
+use noc_serve::runner::sweep;
+use noc_serve::{run_sweep_parallel, SchemeId, SweepOptions, SweepSpec};
 use traffic::SyntheticPattern;
 
 fn small_specs() -> Vec<SweepSpec> {
     [SchemeId::FastPass, SchemeId::Spin, SchemeId::Vct]
         .iter()
-        .map(|&id| SweepSpec {
-            id,
-            pattern: SyntheticPattern::Uniform,
-            rates: vec![0.02, 0.05, 0.08],
-            size: 4,
-            fp_vcs: 2,
-            warmup: 500,
-            measure: 1_500,
-            seed: 42,
-        })
+        .map(|&id| small_spec(id, SyntheticPattern::Uniform, 42))
         .collect()
-}
-
-/// A scratch cache directory unique to one test, cleaned on drop.
-struct ScratchCache(PathBuf);
-
-impl ScratchCache {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("fp-cache-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchCache(dir)
-    }
-}
-
-impl Drop for ScratchCache {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 #[test]
@@ -62,7 +38,7 @@ fn parallel_sweep_is_bitwise_identical_to_serial() {
 
 #[test]
 fn cache_hit_skips_simulation() {
-    let scratch = ScratchCache::new("hit");
+    let scratch = Scratch::new("hit");
     let specs = small_specs();
     let opts = SweepOptions {
         jobs: 2,
@@ -74,12 +50,12 @@ fn cache_hit_skips_simulation() {
     // Rewrite every cached point with a sentinel latency (through the
     // store so the entries stay valid envelopes). If the second run
     // simulates anything, that point reverts to its true value.
-    let store = bench::Store::new(&scratch.0);
+    let store = noc_serve::Store::new(&scratch.0);
     let mut corrupted = 0;
     for entry in std::fs::read_dir(&scratch.0).unwrap() {
         let path = entry.unwrap().path();
         let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let key = bench::Store::parse_key(&stem).expect("cache files are named by hex key");
+        let key = noc_serve::Store::parse_key(&stem).expect("cache files are named by hex key");
         let mut point = store.load(key).expect("fresh cache entry loads");
         point.avg_latency = 123_456.75;
         assert!(store.store(key, &point));
@@ -103,7 +79,7 @@ fn cache_hit_skips_simulation() {
 
 #[test]
 fn interrupted_sweep_resumes_with_identical_results() {
-    let scratch = ScratchCache::new("resume");
+    let scratch = Scratch::new("resume");
     let specs = small_specs();
     let opts = SweepOptions {
         jobs: 2,
@@ -129,7 +105,7 @@ fn interrupted_sweep_resumes_with_identical_results() {
 
 #[test]
 fn corrupt_cache_entry_falls_back_to_simulation() {
-    let scratch = ScratchCache::new("garbage");
+    let scratch = Scratch::new("garbage");
     let specs = small_specs();
     let opts = SweepOptions {
         jobs: 2,

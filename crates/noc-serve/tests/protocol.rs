@@ -3,24 +3,14 @@
 
 mod common;
 
-use bench::proto::{decode_response, encode, Request, Response, WireSpec};
-use bench::{point_cache_key, SchemeId, SweepSpec};
 use common::TestDaemon;
+use noc_serve::proto::{decode_response, encode, Request, Response, WireSpec};
+use noc_serve::{point_cache_key, SchemeId, SweepSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use traffic::SyntheticPattern;
 
 fn tiny_spec(seed: u64) -> SweepSpec {
-    SweepSpec {
-        id: SchemeId::Vct,
-        pattern: SyntheticPattern::Uniform,
-        rates: vec![0.02, 0.05],
-        size: 4,
-        fp_vcs: 2,
-        warmup: 100,
-        measure: 200,
-        seed,
-    }
+    common::tiny_spec(SchemeId::Vct, seed)
 }
 
 /// A spec big enough that a client can plausibly disconnect before the
@@ -202,7 +192,7 @@ fn evict_through_the_wire_forces_recompute_of_that_point_only() {
         .submit(std::slice::from_ref(&spec), |_, _| {})
         .unwrap();
 
-    let victim = bench::format_key(point_cache_key(&spec, spec.rates[0]));
+    let victim = noc_serve::format_key(point_cache_key(&spec, spec.rates[0]));
     assert_eq!(client.evict(vec![victim.clone()]).unwrap(), 1);
     let points = client.fetch(vec![victim]).unwrap();
     assert!(!points[0].found, "evicted point must be gone");
@@ -248,7 +238,7 @@ fn metrics_and_watch_work_without_a_flight_log() {
     assert_eq!(report.flight.written, 0, "no sink, nothing written");
     assert_eq!(report.flight.dropped, 0);
     assert_eq!(report.flight.watchers, 0);
-    assert_eq!(report.proto, bench::proto::PROTO_VERSION, "{report:?}");
+    assert_eq!(report.proto, noc_serve::proto::PROTO_VERSION, "{report:?}");
 
     let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let sink = std::sync::Arc::clone(&seen);
@@ -281,8 +271,8 @@ fn metrics_and_watch_work_without_a_flight_log() {
     watcher.join().expect("watcher thread");
     let seen = seen.lock().expect("seen lock");
     for event in [
-        bench::proto::flight_event::SUBMITTED,
-        bench::proto::flight_event::RESPONDED,
+        noc_serve::proto::flight_event::SUBMITTED,
+        noc_serve::proto::flight_event::RESPONDED,
     ] {
         assert!(
             seen.contains(&event.to_string()),

@@ -2,44 +2,21 @@
 //! written under a different schema generation, must be treated as
 //! cache *misses* — recomputed and overwritten, never served — and a
 //! `gc` pass must delete them. This is the end-to-end version of the
-//! unit tests in `bench::store`: it drives the real sweep executor over
+//! unit tests in `noc_serve::store`: it drives the real sweep executor over
 //! a deliberately vandalized cache directory.
 
-use bench::runner::sweep;
-use bench::{
+mod common;
+
+use common::{small_spec, Scratch};
+use noc_serve::runner::sweep;
+use noc_serve::{
     point_cache_key, run_sweep_parallel, SchemeId, Store, SweepOptions, SweepSpec,
     CACHE_SCHEMA_VERSION,
 };
-use std::path::PathBuf;
 use traffic::SyntheticPattern;
 
 fn spec() -> SweepSpec {
-    SweepSpec {
-        id: SchemeId::Vct,
-        pattern: SyntheticPattern::Uniform,
-        rates: vec![0.02, 0.05, 0.08],
-        size: 4,
-        fp_vcs: 2,
-        warmup: 500,
-        measure: 1_500,
-        seed: 23,
-    }
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("fp-recovery-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+    small_spec(SchemeId::Vct, SyntheticPattern::Uniform, 23)
 }
 
 /// A well-formed envelope claiming a *previous* schema generation, with
@@ -49,7 +26,7 @@ fn stale_envelope(key: u64) -> String {
     format!(
         "{{\n  \"schema_version\": {},\n  \"key\": \"{}\",\n  \"point\": {{\n    \"rate\": 0.02,\n    \"avg_latency\": 123456.75,\n    \"throughput\": 0.0,\n    \"delivered\": 1,\n    \"fastpass_fraction\": 0.0,\n    \"dropped_fraction\": 0.0\n  }}\n}}",
         CACHE_SCHEMA_VERSION - 1,
-        bench::format_key(key)
+        noc_serve::format_key(key)
     )
 }
 

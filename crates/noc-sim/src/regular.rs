@@ -22,39 +22,6 @@ use noc_core::packet::{MessageClass, PacketId};
 use noc_core::topology::{Direction, LinkId, NodeId, Port, DIRECTIONS, NUM_PORTS};
 use noc_trace::{trace, StallCause, TraceEvent};
 
-/// Upper bound on the words of a `NUM_PORTS × vcs_per_port` switch
-/// request bitset (`vcs_per_port ≤ 64`, so at most `NUM_PORTS` words).
-/// Request vectors live in fixed stack arrays of this size; only the
-/// first `ceil(NUM_PORTS * vcs / 64)` words are ever populated or handed
-/// to the arbiters.
-const SA_WORDS: usize = NUM_PORTS;
-
-/// Sets requester bit `i` in a stacked request bitset.
-#[inline]
-fn set_bit(words: &mut [u64; SA_WORDS], i: usize) {
-    words[i / 64] |= 1 << (i % 64);
-}
-
-/// Sets the `len` requester bits starting at `start` (used to retire a
-/// whole input port from subsequent output-port arbitration once one of
-/// its flits has been granted).
-#[inline]
-fn set_bit_range(words: &mut [u64; SA_WORDS], start: usize, len: usize) {
-    let mut i = start;
-    let end = start + len;
-    while i < end {
-        let (w, b) = (i / 64, i % 64);
-        let chunk = (64 - b).min(end - i);
-        let ones = if chunk == 64 {
-            !0u64
-        } else {
-            ((1u64 << chunk) - 1) << b
-        };
-        words[w] |= ones;
-        i += chunk;
-    }
-}
-
 /// Per-cycle context handed to [`advance`] by the owning scheme.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdvanceCtx<'a> {
@@ -264,10 +231,13 @@ fn route_and_allocate(core: &mut NetworkCore, policy: &mut dyn RoutingPolicy, no
 /// output), then the four direction outputs, at most one flit per input
 /// and per output port. A single word-at-a-time prepass over the router's
 /// `ready & routed` words (flit-ready routed occupants: every slot
-/// visited is a requester) builds the request bitsets of all five
-/// output ports at once; the per-output loops then work purely on stack
-/// words, so the hot loop touches each occupied slot once and never
-/// allocates.
+/// visited is a requester) builds the request words of all five output
+/// ports at once; the per-output loops then work purely on stack words,
+/// so the hot loop touches each occupied slot once and never allocates.
+///
+/// A router's whole requester space — index `p * vcs + vc` — fits one
+/// `u64`: `SimConfig::validate` bounds `NUM_PORTS * vcs_per_port` by 64
+/// (12 VCs per port, Table II's largest configuration).
 fn switch_traversal(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeId) {
     let ni = node.index();
     // A router with no buffered packets has nothing to eject or forward
@@ -276,98 +246,9 @@ fn switch_traversal(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeId) 
         return;
     }
     let vcs = core.arena.vcs_per_port();
-    let nw = (NUM_PORTS * vcs).div_ceil(64);
-    if nw == 1 {
-        // Every shipped configuration (vcs ≤ 12) fits a router's whole
-        // requester space in one word; the specialized path drops the
-        // multi-word bitset arrays and their zeroing entirely.
-        switch_traversal_w1(core, ctx, node, vcs);
-        return;
-    }
-
-    // Requester bitsets per output port, indexed by the slot's route.
+    // Requesters per output port, indexed by the slot's route.
     // `ready & routed` is exactly the routed occupants with a flit to
     // forward, and route stores a valid output-port index for each.
-    let mut out_reqs = [[0u64; SA_WORDS]; NUM_PORTS];
-    for p in 0..NUM_PORTS {
-        let pw = core.arena.ports[core.arena.word(ni, p)];
-        let mut mask = pw.ready & pw.routed;
-        while mask != 0 {
-            let vc = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let m = core.arena.meta[core.arena.slot(ni, p, vc)];
-            set_bit(&mut out_reqs[m_route(m) as usize], p * vcs + vc);
-        }
-    }
-
-    // Requesters already consumed: an input port forwards at most one
-    // flit per cycle, so a granted port's whole bit range is retired from
-    // the remaining output arbitrations.
-    let mut used_mask = [0u64; SA_WORDS];
-
-    // With no eject lock and no Local-routed requester the stage is a
-    // no-op even under tracing (`trace_eject_preempted` requires a lock;
-    // `trace_eject_stalls` scans exactly the prepass candidate set), so
-    // it can be skipped without perturbing stats or traces.
-    let local_any = out_reqs[Port::Local.index()][..nw]
-        .iter()
-        .fold(0u64, |a, w| a | w);
-    if local_any != 0 || core.router(node).eject_lock.is_some() {
-        core.probe_begin(Phase::Eject);
-        eject_stage(
-            core,
-            ctx,
-            node,
-            &mut used_mask,
-            &out_reqs[Port::Local.index()],
-            vcs,
-            nw,
-        );
-        core.probe_end(Phase::Eject);
-    }
-
-    for d in DIRECTIONS {
-        let out_idx = Port::Dir(d).index();
-        // No flit-ready occupant is routed this way: nothing to grant,
-        // and nothing a suppressed link could be stalling.
-        if out_reqs[out_idx][..nw].iter().all(|&w| w == 0) {
-            continue;
-        }
-        let Some(nbr) = core.neighbor(node, d) else {
-            continue;
-        };
-        if ctx.link_suppressed(core, node, d) {
-            if core.trace.counters_on() {
-                trace_suppressed_stalls(core, node, d);
-            }
-            continue;
-        }
-        let mut reqs = [0u64; SA_WORDS];
-        let mut any = 0u64;
-        for w in 0..nw {
-            reqs[w] = out_reqs[out_idx][w] & !used_mask[w];
-            any |= reqs[w];
-        }
-        if any == 0 {
-            continue;
-        }
-        let Some(winner) = core.router_mut(node).sa_rr[out_idx].grant_words(&reqs[..nw]) else {
-            continue;
-        };
-        if core.trace.counters_on() {
-            trace_sa_losers(core, node, &reqs[..nw], winner);
-        }
-        let (p, vc) = core.router(node).sa_decode(winner);
-        set_bit_range(&mut used_mask, p * vcs, vcs);
-        send_flit(core, node, p, vc, nbr, d);
-    }
-}
-
-/// Single-word [`switch_traversal`]: identical stage sequence, request
-/// bits, arbiter calls and trace hooks, with every bitset a plain `u64`
-/// (requester index `p * vcs + vc` is always < 64 here).
-fn switch_traversal_w1(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeId, vcs: usize) {
-    let ni = node.index();
     let mut out_reqs = [0u64; NUM_PORTS];
     for p in 0..NUM_PORTS {
         let pw = core.arena.ports[core.arena.word(ni, p)];
@@ -380,11 +261,19 @@ fn switch_traversal_w1(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeI
         }
     }
 
+    // Requesters already consumed: an input port forwards at most one
+    // flit per cycle, so a granted port's whole bit range is retired from
+    // the remaining output arbitrations.
     let mut used_mask = 0u64;
+
+    // With no eject lock and no Local-routed requester the stage is a
+    // no-op even under tracing (`trace_eject_preempted` requires a lock;
+    // `trace_eject_stalls` scans exactly the prepass candidate set), so
+    // it can be skipped without perturbing stats or traces.
     let local_reqs = out_reqs[Port::Local.index()];
     if local_reqs != 0 || core.router(node).eject_lock.is_some() {
         core.probe_begin(Phase::Eject);
-        eject_stage_w1(core, ctx, node, &mut used_mask, local_reqs, vcs);
+        eject_stage(core, ctx, node, &mut used_mask, local_reqs, vcs);
         core.probe_end(Phase::Eject);
     }
 
@@ -412,7 +301,7 @@ fn switch_traversal_w1(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeI
             continue;
         };
         if core.trace.counters_on() {
-            trace_sa_losers(core, node, &[reqs], winner);
+            trace_sa_losers(core, node, reqs, winner);
         }
         let (p, vc) = core.router(node).sa_decode(winner);
         used_mask |= ((1u64 << vcs) - 1) << (p * vcs);
@@ -420,8 +309,10 @@ fn switch_traversal_w1(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeI
     }
 }
 
-/// Single-word [`eject_stage`]; see [`switch_traversal_w1`].
-fn eject_stage_w1(
+/// Ejection: continue the locked stream or grant a new one.
+/// `local_reqs` is the prepass word of Local-routed flit-ready slots;
+/// candidates are still filtered by NI admission here, bit by bit.
+fn eject_stage(
     core: &mut NetworkCore,
     ctx: &AdvanceCtx<'_>,
     node: NodeId,
@@ -469,7 +360,7 @@ fn eject_stage_w1(
         return;
     };
     if core.trace.counters_on() {
-        trace_sa_losers(core, node, &[reqs], winner);
+        trace_sa_losers(core, node, reqs, winner);
     }
     let (p, vc) = core.router(node).sa_decode(winner);
     debug_assert!(
@@ -528,82 +419,6 @@ fn send_flit(
     if drained {
         core.mark_drained(node, Port::from_index(p), vc);
     }
-}
-
-/// Ejection: continue the locked stream or grant a new one.
-/// `local_reqs` is the prepass bitset of Local-routed flit-ready slots;
-/// candidates are still filtered by NI admission here, bit by bit.
-#[allow(clippy::too_many_arguments)]
-fn eject_stage(
-    core: &mut NetworkCore,
-    ctx: &AdvanceCtx<'_>,
-    node: NodeId,
-    used_mask: &mut [u64; SA_WORDS],
-    local_reqs: &[u64; SA_WORDS],
-    vcs: usize,
-    nw: usize,
-) {
-    let ni = node.index();
-    if ctx.eject_blocked_at(node) {
-        if core.trace.counters_on() {
-            trace_eject_preempted(core, node);
-        }
-        return; // Preempted by an overlay packet; the lock (if any) stalls.
-    }
-    if let Some((p, vc)) = core.router(node).eject_lock {
-        debug_assert!(core.arena.is_occupied(ni, p, vc), "eject lock on empty VC");
-        let m = core.arena.meta[core.arena.slot(ni, p, vc)];
-        if m_sent(m) < m_arrived(m) {
-            eject_flit(core, node, p, vc);
-            set_bit_range(used_mask, p * vcs, vcs);
-        }
-        return; // Port held until the tail leaves.
-    }
-    // New grant.
-    if core.trace.counters_on() {
-        trace_eject_stalls(core, node);
-    }
-    let mut reqs = [0u64; SA_WORDS];
-    let mut any = 0u64;
-    for (w, reqs_w) in reqs.iter_mut().enumerate().take(nw) {
-        let mut m = local_reqs[w];
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let idx = w * 64 + b;
-            let s = core.arena.slot(ni, idx / vcs, idx % vcs);
-            let pkt = core.arena.pkt[s];
-            let class = core.store.get(pkt).class;
-            if core.ni(node).ej_can_accept(class, pkt) {
-                *reqs_w |= 1 << b;
-                any = 1;
-            }
-        }
-    }
-    if any == 0 {
-        return;
-    }
-    let out_idx = Port::Local.index();
-    let Some(winner) = core.router_mut(node).sa_rr[out_idx].grant_words(&reqs[..nw]) else {
-        return;
-    };
-    if core.trace.counters_on() {
-        trace_sa_losers(core, node, &reqs[..nw], winner);
-    }
-    let (p, vc) = core.router(node).sa_decode(winner);
-    debug_assert!(
-        core.arena.is_occupied(ni, p, vc),
-        "switch-allocation winner must be occupied"
-    );
-    let pkt_id = core.arena.pkt[core.arena.slot(ni, p, vc)];
-    let class = core.store.get(pkt_id).class;
-    core.ni_mut(node).ej_begin(class, pkt_id);
-    core.router_mut(node).eject_lock = Some((p, vc));
-    if core.trace.events_on() {
-        trace_sa_grant(core, node, pkt_id, Port::Local.index() as u8);
-    }
-    eject_flit(core, node, p, vc);
-    set_bit_range(used_mask, p * vcs, vcs);
 }
 
 /// Streams one flit into the NI; finishes the delivery on the tail.
@@ -835,30 +650,24 @@ fn trace_suppressed_stalls(core: &mut NetworkCore, node: NodeId, d: Direction) {
 }
 
 /// Records an `SaLost` stall for every requester that lost this output
-/// port's switch arbitration to `winner`. `reqs` is the word-packed
-/// request bitset the arbiter saw. Cold: tracing-only.
+/// port's switch arbitration to `winner`. `reqs` is the request
+/// word the arbiter saw. Cold: tracing-only.
 #[cold]
 #[inline(never)]
-fn trace_sa_losers(core: &mut NetworkCore, node: NodeId, reqs: &[u64], winner: usize) {
+fn trace_sa_losers(core: &mut NetworkCore, node: NodeId, reqs: u64, winner: usize) {
     let ni = node.index();
-    for (w, &word) in reqs.iter().enumerate() {
-        let mut m = word;
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let idx = w * 64 + b;
-            if idx == winner {
-                continue;
-            }
-            let (p, vc) = core.router(node).sa_decode(idx);
-            // Requests are only raised for occupied slots.
-            let pkt = core.arena.pkt[core.arena.slot(ni, p, vc)];
-            core.trace.count_stall(node, StallCause::SaLost);
-            trace!(core.trace, node, || TraceEvent::Stall {
-                pkt,
-                cause: StallCause::SaLost,
-            });
-        }
+    let mut m = reqs & !(1 << winner);
+    while m != 0 {
+        let idx = m.trailing_zeros() as usize;
+        m &= m - 1;
+        let (p, vc) = core.router(node).sa_decode(idx);
+        // Requests are only raised for occupied slots.
+        let pkt = core.arena.pkt[core.arena.slot(ni, p, vc)];
+        core.trace.count_stall(node, StallCause::SaLost);
+        trace!(core.trace, node, || TraceEvent::Stall {
+            pkt,
+            cause: StallCause::SaLost,
+        });
     }
 }
 

@@ -14,8 +14,9 @@ use fastpass_noc::power::{router_area, RouterParams, SchemeKind};
 use fastpass_noc::sim::Simulation;
 use fastpass_noc::traffic::{SyntheticPattern, SyntheticWorkload};
 
-// The bench crate's registry is the canonical scheme factory, but this
-// example shows direct construction through the public APIs.
+// `fastpass_noc::serve::SchemeId` is the canonical scheme factory (the
+// one `nocsim` and every sweep use), but this example shows direct
+// construction through the public APIs on purpose.
 use fastpass_noc::baselines::{
     drain::DrainConfig, pitstop::PitstopConfig, spin::SpinConfig, swap::SwapConfig, Drain,
     EscapeVc, MinBd, Pitstop, Spin, Swap, Tfc,

@@ -20,20 +20,16 @@
 //!   synthetic pattern (`radix`, `canneal`, `fft`, `fmm`, `lu_cb`,
 //!   `streamcluster`, `volrend`, `barnes`);
 //! * `--rate <f64>` — injection rate in packets/node/cycle (default 0.05);
-//! * `--size <n>` — mesh edge (default 8); `--vcs <n>` — FastPass VCs;
+//! * `--size <n>` — mesh edge (default 8); `--vcs <n>` — FastPass VCs
+//!   (every other scheme runs Table II's VN/VC configuration);
 //! * `--warmup/--cycles <n>` — window lengths; `--quota <n>` — closed-loop
 //!   transactions per core; `--seed <n>`; `--json` for machine output.
 
 #![forbid(unsafe_code)]
 
-use fastpass_noc::baselines::{
-    drain::DrainConfig, pitstop::PitstopConfig, spin::SpinConfig, swap::SwapConfig, CreditVct,
-    Drain, EscapeVc, MinBd, Pitstop, Spin, Swap, Tfc,
-};
-use fastpass_noc::core::config::SimConfig;
 use fastpass_noc::core::stats::NetStats;
-use fastpass_noc::fastpass::{FastPass, FastPassConfig};
-use fastpass_noc::sim::{Scheme, Simulation, Workload};
+use fastpass_noc::serve::{SchemeId, ALL_SCHEMES};
+use fastpass_noc::sim::{Simulation, Workload};
 use fastpass_noc::traffic::{AppModel, SyntheticPattern, SyntheticWorkload};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -80,61 +76,31 @@ fn pattern_by_name(name: &str) -> Option<SyntheticPattern> {
     SyntheticPattern::ALL.into_iter().find(|p| p.name() == name)
 }
 
-fn app_by_name(name: &str) -> Option<AppModel> {
-    [
-        AppModel::Radix,
-        AppModel::Canneal,
-        AppModel::Fft,
-        AppModel::Fmm,
-        AppModel::LuCb,
-        AppModel::Streamcluster,
-        AppModel::Volrend,
-        AppModel::Barnes,
-    ]
-    .into_iter()
-    .find(|a| a.name().eq_ignore_ascii_case(name))
+/// Every application model: Fig. 10's seven plus Barnes.
+fn apps() -> impl Iterator<Item = AppModel> {
+    AppModel::FIG10.into_iter().chain([AppModel::Barnes])
 }
 
-fn scheme_by_name(name: &str, cfg: &SimConfig, seed: u64) -> Option<(Box<dyn Scheme>, usize)> {
-    let nodes = cfg.mesh.num_nodes();
-    Some(match name {
-        "fastpass" => (
-            Box::new(FastPass::new(cfg, FastPassConfig::default())) as Box<dyn Scheme>,
-            0,
-        ),
-        "escapevc" => (Box::new(EscapeVc::new(seed)), 6),
-        "spin" => (Box::new(Spin::new(seed, SpinConfig::default())), 6),
-        "swap" => (Box::new(Swap::new(seed, SwapConfig::default())), 6),
-        "drain" => (
-            Box::new(Drain::new(
-                cfg.mesh,
-                seed,
-                DrainConfig {
-                    period: 8_000,
-                    step_cycles: 5,
-                },
-            )),
-            6,
-        ),
-        "pitstop" => (
-            Box::new(Pitstop::new(nodes, seed, PitstopConfig::default())),
-            0,
-        ),
-        "minbd" => (Box::new(MinBd::new(cfg.mesh, seed, Default::default())), 0),
-        "tfc" => (Box::new(Tfc::new(seed)), 6),
-        "vct-xy" => (Box::new(CreditVct::xy(6)), 6),
-        _ => return None,
-    })
+fn app_by_name(name: &str) -> Option<AppModel> {
+    apps().find(|a| a.name().eq_ignore_ascii_case(name))
 }
 
 fn print_listing() {
-    println!("schemes : fastpass escapevc spin swap drain pitstop minbd tfc vct-xy");
+    print!("schemes :");
+    for id in ALL_SCHEMES.into_iter().chain([SchemeId::Vct]) {
+        print!(" {}", id.name().to_lowercase());
+    }
+    println!();
     print!("patterns:");
     for p in SyntheticPattern::ALL {
         print!(" {}", p.name());
     }
     println!();
-    println!("apps    : radix canneal fft fmm lu_cb streamcluster volrend barnes");
+    print!("apps    :");
+    for a in apps() {
+        print!(" {}", a.name().to_lowercase());
+    }
+    println!();
 }
 
 fn report(stats: &NetStats, cycles_run: u64, json: bool) {
@@ -191,7 +157,7 @@ fn run() -> Result<(), String> {
         print_listing();
         return Ok(());
     }
-    let scheme_name = args.get("scheme").unwrap_or("fastpass").to_lowercase();
+    let scheme_name = args.get("scheme").unwrap_or("fastpass");
     let size: usize = args.num("size", 8)?;
     let vcs: usize = args.num("vcs", 4)?;
     let seed: u64 = args.num("seed", 0xCAFE)?;
@@ -199,17 +165,11 @@ fn run() -> Result<(), String> {
     let cycles: u64 = args.num("cycles", 20_000)?;
     let rate: f64 = args.num("rate", 0.05)?;
 
-    // Build the configuration first (scheme VN requirements differ).
-    let probe = scheme_by_name(&scheme_name, &SimConfig::default(), seed)
+    // Table II's configuration for the scheme, from the one registry.
+    let id = SchemeId::parse(scheme_name)
         .ok_or_else(|| format!("unknown scheme `{scheme_name}` (try --list)"))?;
-    let vns = probe.1;
-    let cfg = SimConfig::builder()
-        .mesh(size, size)
-        .vns(vns)
-        .vcs_per_vn(if vns == 0 { vcs } else { 2 })
-        .seed(seed)
-        .build();
-    let (scheme, _) = scheme_by_name(&scheme_name, &cfg, seed).expect("validated above");
+    let cfg = id.sim_config(size, vcs, seed);
+    let scheme = id.build(&cfg, seed);
 
     let workload: Box<dyn Workload> = if let Some(app_name) = args.get("app") {
         let app = app_by_name(app_name)

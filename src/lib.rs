@@ -12,8 +12,10 @@
 //! * [`trace`] — flit-level event tracing and per-router metrics.
 //! * [`check`] — the bounded model checker over small configurations.
 //! * [`prove`] — the static channel-dependency-graph deadlock certifier.
-//! * [`serve`] — the persistent sweep service (`nocserve`/`nocctl`) over
-//!   the content-addressed result store.
+//! * [`serve`] — the sweep library and service: the scheme registry
+//!   (`SchemeId`, Table II), the one point path (`simulate_point`,
+//!   `run_sweep_parallel`), the content-addressed result store, and the
+//!   `nocserve`/`nocctl` daemon over them.
 //!
 //! # Quickstart
 //!

@@ -27,7 +27,7 @@
 //! the simulated behavior changed. Regeneration always covers the full
 //! point set regardless of `FP_BIG_MESH_FULL`.
 
-use bench::runner::make_sim;
+use bench::runner::{make_sim, netstats_fnv64};
 use bench::SchemeId;
 use noc_sim::batch::run_windows_batched;
 use noc_sim::Simulation;
@@ -45,16 +45,6 @@ const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/netstats_16x16.json"
 );
-
-/// FNV-1a 64-bit (matches `golden_stats` and the bench cache's hash).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 #[derive(Debug, serde::Serialize, serde::Deserialize, PartialEq)]
 struct GoldenPoint {
@@ -88,16 +78,13 @@ fn run_batched(points: &[(SchemeId, f64)]) -> Vec<GoldenPoint> {
     points
         .iter()
         .zip(&all)
-        .map(|(&(id, rate), stats)| {
-            let json = serde_json::to_string(stats).expect("NetStats serializes");
-            GoldenPoint {
-                scheme: id.name().to_string(),
-                rate,
-                netstats_fnv64: format!("{:016x}", fnv1a64(json.as_bytes())),
-                delivered: stats.delivered(),
-                generated: stats.generated,
-                cycles: stats.cycles,
-            }
+        .map(|(&(id, rate), stats)| GoldenPoint {
+            scheme: id.name().to_string(),
+            rate,
+            netstats_fnv64: netstats_fnv64(stats),
+            delivered: stats.delivered(),
+            generated: stats.generated,
+            cycles: stats.cycles,
         })
         .collect()
 }

@@ -24,7 +24,7 @@
 //! and commit the updated fixture together with an explanation of why
 //! the simulated behavior changed.
 
-use bench::runner::make_sim;
+use bench::runner::{make_sim, netstats_fnv64};
 use bench::ALL_SCHEMES;
 use traffic::SyntheticPattern;
 
@@ -40,16 +40,6 @@ const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/netstats_8x8_sat.json"
 );
-
-/// FNV-1a 64-bit (matches `golden_stats` and the bench cache's hash).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 #[derive(Debug, serde::Serialize, serde::Deserialize, PartialEq)]
 struct GoldenPoint {
@@ -69,12 +59,11 @@ fn run_points() -> Vec<GoldenPoint> {
             for rate in RATES {
                 let mut sim = make_sim(id, pattern, rate, MESH_SIZE, FP_VCS, SEED);
                 let stats = sim.run_windows(WARMUP, MEASURE);
-                let json = serde_json::to_string(&stats).expect("NetStats serializes");
                 out.push(GoldenPoint {
                     scheme: id.name().to_string(),
                     pattern: pattern.name().to_string(),
                     rate,
-                    netstats_fnv64: format!("{:016x}", fnv1a64(json.as_bytes())),
+                    netstats_fnv64: netstats_fnv64(&stats),
                     delivered: stats.delivered(),
                     generated: stats.generated,
                     cycles: stats.cycles,

@@ -16,7 +16,7 @@
 //! and commit the updated `tests/golden/netstats.json` together with an
 //! explanation of why the simulated behavior changed.
 
-use bench::runner::make_sim;
+use bench::runner::{make_sim, netstats_fnv64};
 use bench::SchemeId;
 use traffic::SyntheticPattern;
 
@@ -29,16 +29,6 @@ const RATES: [f64; 3] = [0.02, 0.05, 0.08];
 const SCHEMES: [SchemeId; 2] = [SchemeId::FastPass, SchemeId::Vct];
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/netstats.json");
-
-/// FNV-1a 64-bit (matches the bench cache's stable hash).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 #[derive(Debug, serde::Serialize, serde::Deserialize, PartialEq)]
 struct GoldenPoint {
@@ -58,11 +48,10 @@ fn run_points() -> Vec<GoldenPoint> {
         for rate in RATES {
             let mut sim = make_sim(id, SyntheticPattern::Uniform, rate, MESH_SIZE, FP_VCS, SEED);
             let stats = sim.run_windows(WARMUP, MEASURE);
-            let json = serde_json::to_string(&stats).expect("NetStats serializes");
             out.push(GoldenPoint {
                 scheme: id.name().to_string(),
                 rate,
-                netstats_fnv64: format!("{:016x}", fnv1a64(json.as_bytes())),
+                netstats_fnv64: netstats_fnv64(&stats),
                 delivered: stats.delivered(),
                 generated: stats.generated,
                 cycles: stats.cycles,

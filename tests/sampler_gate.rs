@@ -22,7 +22,7 @@
 //! The fixture is owned by `golden_stats.rs`; regenerate it there (and
 //! only when simulated behavior intentionally changes).
 
-use bench::runner::make_sim;
+use bench::runner::{make_sim, netstats_fnv64};
 use bench::SchemeId;
 use fastpass_noc::sim::{SamplerConfig, Simulation, WindowSample};
 use fastpass_noc::trace::TraceConfig;
@@ -37,16 +37,6 @@ const RATES: [f64; 3] = [0.02, 0.05, 0.08];
 const SCHEMES: [SchemeId; 2] = [SchemeId::FastPass, SchemeId::Vct];
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/netstats.json");
-
-/// FNV-1a 64-bit (matches `golden_stats.rs` and the bench cache).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 #[derive(Debug, serde::Deserialize)]
 struct GoldenPoint {
@@ -84,8 +74,7 @@ fn netstats_identical_at_every_sampling_level() {
                 }
                 let stats = sim.run_windows(WARMUP, MEASURE);
                 sim.finish_sampling();
-                let json = serde_json::to_string(&stats).expect("NetStats serializes");
-                let hash = format!("{:016x}", fnv1a64(json.as_bytes()));
+                let hash = netstats_fnv64(&stats);
                 let want = &golden[idx];
                 assert_eq!(want.scheme, id.name(), "fixture order drifted");
                 assert_eq!(want.rate, rate, "fixture order drifted");
