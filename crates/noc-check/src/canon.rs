@@ -118,6 +118,13 @@ pub fn canon_hash(sim: &Simulation, ctl: &ScriptCtl, params: &CanonParams) -> u6
     // last retired — and both words only decide where `node_active` and
     // the consumer *ask*, never what a node does. The audit checks the
     // equivalence for the first and the inclusion for the second.
+    //
+    // The switch-request words (`NetworkCore::switch_requests`) are a
+    // function of the route and the two flit counters folded below (bit
+    // set <=> routed to that output and `sent < arrived`), so hashing
+    // them would add nothing; the audit checks them against that gather
+    // at every explored state. The arbiters that consume them — real
+    // state — are folded with the router control state further down.
     for node in core.mesh().nodes() {
         for port in 0..NUM_PORTS {
             let input = core.input(node, port);

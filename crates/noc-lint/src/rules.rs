@@ -40,7 +40,8 @@ pub const RULES: &[(&str, &str)] = &[
         "VC occupant state (arena meta words, per-port occ/routed/ready/parked records, waiter \
          and refused words, occ_mask, install/take/park) changes only inside the arena module \
          and whitelisted pipeline/relocation paths; the node work-set words (occ_nodes, ni_live) \
-         are indexed only where they are maintained and walked",
+         and the switch-request words (sa_req) are indexed only where they are maintained and \
+         walked",
     ),
     (
         PANIC_HYGIENE,
@@ -170,6 +171,18 @@ const WORK_SET_WHITELIST: &[&str] = &[
     "crates/noc-sim/src/engine.rs",
 ];
 
+/// The switch-request words, `VcArena::sa_req`: one word per `(node,
+/// output port)` that the arena's six slot mutators keep equal to the
+/// `ready ∧ routed ∧ route == out` gather. Switch allocation grants
+/// straight from them, so a stray write is a granted empty buffer or a
+/// flit that never moves. Indexed in `arena.rs` alone — narrower than
+/// both whitelists above: the pipeline, the auditor and tests of other
+/// modules read `VcArena::switch_requests` / `NetworkCore::switch_requests`.
+const REQUEST_WORD_FIELDS: &[&str] = &["sa_req"];
+
+/// The only file allowed to index the switch-request words.
+const REQUEST_WORD_WHITELIST: &[&str] = &["crates/noc-sim/src/arena.rs"];
+
 /// Arena entry points and types that only whitelisted files may name:
 /// the slot mutators, the flit-counter steps that own the ready word,
 /// the parking protocol's writers, and the per-port record itself.
@@ -263,7 +276,30 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
         check_occupancy(&lexed.tokens, &mask, rel_path, &mut diags);
     }
     if info.in_crates(OCC_CRATES) && !WORK_SET_WHITELIST.contains(&info.rel) {
-        check_work_set_words(&lexed.tokens, &mask, rel_path, &mut diags);
+        check_owned_words(
+            WORK_SET_FIELDS,
+            "node work-set word",
+            "arena.rs/network.rs/engine.rs: `occ_nodes` is owned by VcArena::install/take and \
+             `ni_live` is a lazily cleared superset marked by NetworkCore::ni_mut/generate — ask \
+             NetworkCore::active_nodes/node_active instead",
+            &lexed.tokens,
+            &mask,
+            rel_path,
+            &mut diags,
+        );
+    }
+    if info.in_crates(OCC_CRATES) && !REQUEST_WORD_WHITELIST.contains(&info.rel) {
+        check_owned_words(
+            REQUEST_WORD_FIELDS,
+            "switch-request word",
+            "arena.rs: the words are kept equal to the ready & routed gather by \
+             VcArena::install/take/set_route/set_route_vc/flit_arrived/flit_sent — read \
+             VcArena::switch_requests / NetworkCore::switch_requests instead",
+            &lexed.tokens,
+            &mask,
+            rel_path,
+            &mut diags,
+        );
     }
     check_panic_hygiene(&info, &lexed.tokens, &mask, &mut diags);
     if info.in_crates(ROUTING_CRATES) && !ROUTING_WHITELIST.contains(&info.rel) {
@@ -462,13 +498,25 @@ fn check_occupancy(tokens: &[Token], mask: &[bool], path: &str, diags: &mut Vec<
     }
 }
 
-/// occupancy (work-set words): outside [`WORK_SET_WHITELIST`], no
-/// `.occ_nodes[…]` / `.ni_live[…]` indexing, read or write.
-fn check_work_set_words(tokens: &[Token], mask: &[bool], path: &str, diags: &mut Vec<Diagnostic>) {
+/// occupancy (words owned by a narrower file set than [`OCC_WHITELIST`]):
+/// no `.field[…]` indexing of any of `fields`, read or write. Serves the
+/// work-set words (`.occ_nodes[…]` / `.ni_live[…]` outside
+/// [`WORK_SET_WHITELIST`]) and the switch-request words (`.sa_req[…]`
+/// outside [`REQUEST_WORD_WHITELIST`]); `what` names the kind of word and
+/// `owners` finishes the sentence "indexed outside …".
+fn check_owned_words(
+    fields: &[&str],
+    what: &str,
+    owners: &str,
+    tokens: &[Token],
+    mask: &[bool],
+    path: &str,
+    diags: &mut Vec<Diagnostic>,
+) {
     for (i, t) in tokens.iter().enumerate() {
         if mask[i]
             || t.kind != TokenKind::Ident
-            || !WORK_SET_FIELDS.contains(&t.text.as_str())
+            || !fields.contains(&t.text.as_str())
             || i == 0
             || !tokens[i - 1].is_punct('.')
             || !next_is(tokens, i, '[')
@@ -480,13 +528,7 @@ fn check_work_set_words(tokens: &[Token], mask: &[bool], path: &str, diags: &mut
             OCCUPANCY,
             path,
             t,
-            format!(
-                "node work-set word `{}` indexed outside arena.rs/network.rs/engine.rs: \
-                 `occ_nodes` is owned by VcArena::install/take and `ni_live` is a lazily \
-                 cleared superset marked by NetworkCore::ni_mut/generate — ask \
-                 NetworkCore::active_nodes/node_active instead",
-                t.text
-            ),
+            format!("{what} `{}` indexed outside {owners}", t.text),
         );
     }
 }

@@ -365,6 +365,50 @@ fn occupancy_silent_on_work_set_words_where_they_live() {
     assert!(!rules_fired("crates/noc-sim/src/audit.rs", src).contains(&"occupancy"));
 }
 
+#[test]
+fn occupancy_flags_switch_request_words_outside_the_arena() {
+    // Switch allocation grants straight from these words: a stray write
+    // is a granted empty buffer or a flit that never moves. Indexing
+    // fires everywhere but `arena.rs` — also in the pipeline and the
+    // auditor, which the wider occupancy whitelist admits.
+    let src = "pub fn hack(core: &mut Core, w: usize) -> u64 { core.arena.sa_req[w] |= 1; core.arena.sa_req[w + 1] }\n";
+    for path in [
+        "crates/baselines/src/swap.rs",
+        "crates/fastpass/src/scheme.rs",
+        "crates/noc-sim/src/regular.rs",
+        "crates/noc-sim/src/network.rs",
+        "crates/noc-sim/src/audit.rs",
+    ] {
+        let diags = lint_source(path, src);
+        let n = diags.iter().filter(|d| d.rule == "occupancy").count();
+        assert_eq!(n, 2, "{path}: write and read must both fire: {diags:?}");
+        assert!(
+            diags[0].message.contains("switch_requests"),
+            "the diagnostic names the accessor: {}",
+            diags[0].message
+        );
+    }
+}
+
+#[test]
+fn occupancy_silent_on_switch_request_words_in_the_arena_and_through_the_accessor() {
+    let src = "fn raise(&mut self, r: usize, bit: u64) { self.sa_req[r] |= bit; }\n";
+    assert!(!rules_fired("crates/noc-sim/src/arena.rs", src).contains(&"occupancy"));
+    // The accessors are how everyone else reads them; a like-named field
+    // that is not indexed is not an access; neither is test code.
+    let src = "pub fn f(core: &Core, n: NodeId) -> u64 { core.arena.switch_requests(n.index())[0] | core.switch_requests(n)[1] | core.stats.sa_req }\n#[cfg(test)]\nmod tests { fn t(c: &mut Core) { c.arena.sa_req[0] = 1; } }\n";
+    for path in [
+        "crates/noc-sim/src/regular.rs",
+        "crates/noc-sim/src/audit.rs",
+        "crates/baselines/src/spin.rs",
+    ] {
+        assert!(
+            !rules_fired(path, src).contains(&"occupancy"),
+            "{path} reads through the accessor"
+        );
+    }
+}
+
 // ---- panic-hygiene ---------------------------------------------------------
 
 #[test]

@@ -60,17 +60,53 @@ impl RoundRobin {
             .find(|&i| requests[i])
     }
 
-    /// Word-level [`grant`](Self::grant): the request vector is a bitmask
-    /// (`words[i / 64] >> (i % 64) & 1` is requester `i`), as produced by
-    /// the arena's occupancy words. Semantically identical to `grant`
-    /// over the expanded bool slice — same winner, same rotation, no
-    /// rotation when nothing is requested.
+    /// Single-word [`grant`](Self::grant) for arbiters over at most 64
+    /// requesters: bit `i` of `reqs` is requester `i`, as in the arena's
+    /// switch-request words. Semantically identical to `grant` over the
+    /// expanded bool slice — same winner, same rotation, no rotation when
+    /// nothing is requested — in two masks and a `trailing_zeros`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arbiter has more than 64 requesters. Bits at
+    /// positions `>= n` must be clear.
+    #[inline]
+    pub fn grant_word(&mut self, reqs: u64) -> Option<usize> {
+        assert!(self.n <= 64, "grant_word on an arbiter wider than one word");
+        debug_assert!(
+            self.n == 64 || reqs >> self.n == 0,
+            "request bit beyond the arbiter width"
+        );
+        if reqs == 0 {
+            return None;
+        }
+        // Requesters at or above the priority pointer win lowest-first;
+        // with none there the scan wraps to the lowest requester overall.
+        // (`reqs != 0` implies `n > 0`, so `next < n <= 64` is a valid
+        // shift.)
+        let at_or_above = reqs & (!0u64 << self.next);
+        let pick = if at_or_above != 0 { at_or_above } else { reqs };
+        let winner = pick.trailing_zeros() as usize;
+        self.next = if winner + 1 == self.n { 0 } else { winner + 1 };
+        Some(winner)
+    }
+
+    /// Word-level [`grant`](Self::grant) at any width: the request vector
+    /// is a bitmask (`words[i / 64] >> (i % 64) & 1` is requester `i`).
+    /// Semantically identical to `grant` over the expanded bool slice —
+    /// same winner, same rotation, no rotation when nothing is requested.
+    /// The simulator's own arbiters all fit
+    /// [`grant_word`](Self::grant_word), which this delegates to when it
+    /// can.
     ///
     /// # Panics
     ///
     /// Panics if `words` is not exactly `ceil(n / 64)` words. Bits at
     /// positions `>= n` must be clear.
     pub fn grant_words(&mut self, words: &[u64]) -> Option<usize> {
+        if let ([reqs], 1..=64) = (words, self.n) {
+            return self.grant_word(*reqs);
+        }
         let winner = self.peek_words(words)?;
         self.next = if winner + 1 == self.n { 0 } else { winner + 1 };
         Some(winner)
@@ -229,6 +265,52 @@ mod tests {
                 assert_eq!(a.priority(), b.priority(), "pointer diverged at n={n}");
             }
         }
+    }
+
+    #[test]
+    fn grant_word_matches_grant_at_every_pointer_position() {
+        for n in [1usize, 5, 20, 60, 64] {
+            let width_mask = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
+            let mut s: u64 = 0x2545_F491_4F6C_DD1D ^ n as u64;
+            for start in 0..n {
+                // Empty, single-bit (at, just below and just above the
+                // pointer), full and pseudo-random request words.
+                let mut cases = vec![
+                    0,
+                    width_mask,
+                    1 << start,
+                    1 << ((start + 1) % n),
+                    1 << ((start + n - 1) % n),
+                ];
+                for _ in 0..12 {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    cases.push(s & (s >> 9) & width_mask);
+                    cases.push(s & width_mask);
+                }
+                for reqs in cases {
+                    let bools: Vec<bool> = (0..n).map(|i| reqs >> i & 1 != 0).collect();
+                    let (mut a, mut b, mut c) =
+                        (RoundRobin::new(n), RoundRobin::new(n), RoundRobin::new(n));
+                    a.set_priority(start);
+                    b.set_priority(start);
+                    c.set_priority(start);
+                    let want = a.grant(&bools);
+                    assert_eq!(b.grant_word(reqs), want, "n={n} start={start} {reqs:#b}");
+                    assert_eq!(b.priority(), a.priority(), "pointer, n={n} start={start}");
+                    // The frozen multi-word entry point lands on it.
+                    assert_eq!(c.grant_words(&[reqs]), want);
+                    assert_eq!(c.priority(), a.priority());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than one word")]
+    fn grant_word_rejects_wide_arbiters() {
+        let _ = RoundRobin::new(65).grant_word(1);
     }
 
     #[test]

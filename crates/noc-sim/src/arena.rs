@@ -42,16 +42,24 @@
 //!   `node_occupied[n] > 0`: [`install`](VcArena::install) sets it,
 //!   [`take`](VcArena::take) clears it when the count returns to zero.
 //!   The cycle loop walks these bits instead of asking every node.
+//! * **switch requests** — bit `p * vcs + vc` of request word
+//!   `(node, out)` is set iff slot `(node, p, vc)` is
+//!   `ready ∧ routed ∧ route == out`: the occupant has a flit to forward
+//!   and wants output port `out`. Switch allocation loads a router's five
+//!   words ([`VcArena::switch_requests`]) instead of gathering them from
+//!   `ready & routed` and one `meta` load per slot every cycle.
 //!
-//! Route allocation scans `ready & !routed & !parked`; switch allocation
-//! scans `ready & routed` (both implicitly `& occ`).
+//! Route allocation scans `ready & !routed & !parked` (implicitly
+//! `& occ`); switch allocation reads the request words.
 //!
 //! Mutator locality: occupants enter and leave slots *only* through
 //! [`VcArena::install`] / [`VcArena::take`] (wrapped for external crates
-//! by [`InputMut`]), flit counters advance only through
-//! [`VcArena::flit_arrived`] / [`VcArena::flit_sent`], and heads park only
-//! through [`VcArena::park`], so the words can never drift from the
-//! fields they summarize. [`VcArena::take`] — the only way a VC becomes
+//! by [`InputMut`]), routes are recorded only through
+//! [`VcArena::set_route`] / [`VcArena::set_route_vc`], flit counters
+//! advance only through [`VcArena::flit_arrived`] /
+//! [`VcArena::flit_sent`] — those six own the request words — and heads
+//! park only through [`VcArena::park`], so the words can never drift from
+//! the fields they summarize. [`VcArena::take`] — the only way a VC becomes
 //! free — is also where parked heads are woken. `noc-lint`'s occupancy
 //! rule enforces that call sites stay inside the relocation whitelist.
 
@@ -170,6 +178,15 @@ pub struct VcArena {
     node_occupied: Vec<u32>,
     /// Bit `n` set iff `node_occupied[n] > 0` (exact, not a superset).
     pub(crate) occ_nodes: Vec<u64>,
+    /// Switch-request words, index `node * NUM_PORTS + out`: bit
+    /// `p * vcs + vc` set iff slot `(node, p, vc)` is flit-ready and
+    /// routed to output port `out`. Indexed only in this file (noc-lint);
+    /// everyone else reads [`switch_requests`](Self::switch_requests).
+    pub(crate) sa_req: Vec<u64>,
+    /// `(input port, vc)` of each requester index `p * vcs + vc` — one
+    /// table for the whole network, so decoding a grant is a load rather
+    /// than a runtime division pair.
+    sa_slot: [(u8, u8); 64],
     /// VC mask of each VN's range (one all-VCs entry when `vns == 0`).
     vn_mask: Vec<u64>,
     /// VN that owns each VC index.
@@ -197,6 +214,10 @@ pub struct VcArena {
     /// Planted bug for the audit's self-test: `take` skips the wake.
     #[cfg(test)]
     pub(crate) fault_skip_wake: bool,
+    /// Planted bug for the audit's self-test: `flit_sent` leaves the
+    /// request bit behind when the slot stops being flit-ready.
+    #[cfg(test)]
+    pub(crate) fault_skip_req_clear: bool,
 }
 
 impl VcArena {
@@ -206,14 +227,18 @@ impl VcArena {
     ///
     /// # Panics
     ///
-    /// Panics if `vcs_per_port > 64` (one word per port);
+    /// Panics if `NUM_PORTS * vcs_per_port > 64` (one request word per
+    /// output port covers every `(input port, vc)` of the router);
     /// [`SimConfig::validate`] rejects such configurations with a typed
     /// error before a network is ever built.
     pub(crate) fn new(cfg: &SimConfig) -> Self {
         let mesh = cfg.mesh;
         let num_nodes = mesh.num_nodes();
         let vcs = cfg.vcs_per_port();
-        assert!(vcs <= 64, "at most 64 VCs per input port");
+        assert!(
+            (1..=64 / NUM_PORTS).contains(&vcs),
+            "a router's (port, vc) requesters must fit one word"
+        );
         let nvn = cfg.vns.max(1);
         let slots = num_nodes * NUM_PORTS * vcs;
         let words = num_nodes * NUM_PORTS;
@@ -239,6 +264,8 @@ impl VcArena {
             ports: vec![PortWords::default(); words],
             node_occupied: vec![0; num_nodes],
             occ_nodes: vec![0; num_nodes.div_ceil(64)],
+            sa_req: vec![0; words],
+            sa_slot: std::array::from_fn(|i| ((i / vcs) as u8, (i % vcs) as u8)),
             vn_mask: (0..nvn)
                 .map(|vn| range_mask(cfg.vc_range_for_class(vn), vcs))
                 .collect(),
@@ -250,6 +277,8 @@ impl VcArena {
             waiter_ports: vec![0; num_nodes * 4 * nvn],
             #[cfg(test)]
             fault_skip_wake: false,
+            #[cfg(test)]
+            fault_skip_req_clear: false,
         }
     }
 
@@ -287,6 +316,33 @@ impl VcArena {
     #[inline]
     pub(crate) fn is_occupied(&self, node: usize, port: usize, vc: usize) -> bool {
         self.ports[self.word(node, port)].occ & (1 << vc) != 0
+    }
+
+    /// The switch-request words of `node`, one per output port: bit
+    /// `p * vcs + vc` of word `out` is set iff slot `(node, p, vc)` has a
+    /// flit to forward and is routed to `out`.
+    #[inline]
+    pub(crate) fn switch_requests(&self, node: usize) -> [u64; NUM_PORTS] {
+        let base = node * NUM_PORTS;
+        *self.sa_req[base..base + NUM_PORTS]
+            .first_chunk()
+            .expect("NUM_PORTS request words per node")
+    }
+
+    /// The `(input port, vc)` behind requester index `idx` of a request
+    /// word (`idx = port * vcs + vc`).
+    #[inline]
+    pub(crate) fn sa_decode(&self, idx: usize) -> (usize, usize) {
+        let (p, vc) = self.sa_slot[idx];
+        (p as usize, vc as usize)
+    }
+
+    /// Request word and bit of slot `(node, port, vc)` once it is routed
+    /// to output port index `route`.
+    #[inline]
+    fn sa_req_bit(&self, node: usize, port: usize, vc: usize, route: usize) -> (usize, u64) {
+        debug_assert!(route < NUM_PORTS, "request bit of an unrouted slot");
+        (node * NUM_PORTS + route, 1 << (port * self.vcs + vc))
     }
 
     /// The VN whose VC range serves message class `class_index`.
@@ -346,6 +402,11 @@ impl VcArena {
         pw.routed = (pw.routed & !bit) | if occ.route.is_some() { bit } else { 0 };
         pw.ready = (pw.ready & !bit) | if occ.sent < occ.arrived { bit } else { 0 };
         pw.parked &= !bit;
+        // A relocated occupant can arrive routed with flits to forward.
+        if let (Some(out), true) = (occ.route, occ.sent < occ.arrived) {
+            let (r, req) = self.sa_req_bit(node, port, vc, out.index());
+            self.sa_req[r] |= req;
+        }
         self.node_occupied[node] += 1;
         self.occ_nodes[node / 64] |= 1 << (node % 64);
     }
@@ -368,7 +429,14 @@ impl VcArena {
         if self.ports[w].occ & bit == 0 {
             return None;
         }
-        let occ = self.get(self.slot(node, port, vc));
+        let s = self.slot(node, port, vc);
+        let occ = self.get(s);
+        // Still a switch requester (a relocation of a routed packet; a
+        // drained slot stopped requesting at its last `flit_sent`).
+        if self.ports[w].ready & self.ports[w].routed & bit != 0 {
+            let (r, req) = self.sa_req_bit(node, port, vc, m_route(self.meta[s]) as usize);
+            self.sa_req[r] &= !req;
+        }
         let pw = &mut self.ports[w];
         pw.occ &= !bit;
         pw.routed &= !bit;
@@ -401,19 +469,31 @@ impl VcArena {
         Some(occ)
     }
 
-    /// Records the route decision for an occupied slot, keeping the
-    /// routed word in sync (the slot leaves the route-allocation scan and
-    /// enters the switch-request scan).
+    /// Records the route decision for an occupied, so far unrouted slot,
+    /// keeping the words in sync: the slot leaves the route-allocation
+    /// scan and, if it has a flit to forward, raises its switch request.
     #[inline]
     pub(crate) fn set_route(&mut self, node: usize, port: usize, vc: usize, out: Port) {
         let s = self.slot(node, port, vc);
         self.meta[s] = (self.meta[s] & !(0xFFu64 << M_ROUTE)) | ((out.index() as u64) << M_ROUTE);
+        self.mark_routed(node, port, vc, out);
+    }
+
+    /// The word half of [`set_route`](Self::set_route) /
+    /// [`set_route_vc`](Self::set_route_vc).
+    #[inline]
+    fn mark_routed(&mut self, node: usize, port: usize, vc: usize, out: Port) {
         let w = self.word(node, port);
-        debug_assert!(
-            self.ports[w].parked & (1 << vc) == 0,
-            "routing a parked head"
-        );
-        self.ports[w].routed |= 1 << vc;
+        let bit = 1u64 << vc;
+        let pw = &mut self.ports[w];
+        debug_assert!(pw.parked & bit == 0, "routing a parked head");
+        // A second route would leave the first one's request bit behind.
+        debug_assert!(pw.routed & bit == 0, "re-routing a routed slot");
+        pw.routed |= bit;
+        if pw.ready & bit != 0 {
+            let (r, req) = self.sa_req_bit(node, port, vc, out.index());
+            self.sa_req[r] |= req;
+        }
     }
 
     /// [`set_route`](Self::set_route) plus the downstream VC allocation,
@@ -432,17 +512,13 @@ impl VcArena {
         self.meta[s] = (self.meta[s] & !((0xFFu64 << M_ROUTE) | (0xFFu64 << M_OUT_VC)))
             | ((out.index() as u64) << M_ROUTE)
             | ((out_vc as u64) << M_OUT_VC);
-        let w = self.word(node, port);
-        debug_assert!(
-            self.ports[w].parked & (1 << vc) == 0,
-            "routing a parked head"
-        );
-        self.ports[w].routed |= 1 << vc;
+        self.mark_routed(node, port, vc, out);
     }
 
     /// One flit arrives into occupied slot `(node, port, vc)`: `arrived`
-    /// advances and the slot becomes flit-ready. Returns the slot id and
-    /// its new meta word.
+    /// advances and the slot becomes flit-ready — and, if it is already
+    /// routed (a body flit catching up with a forwarded head), a switch
+    /// requester again. Returns the slot id and its new meta word.
     #[inline]
     pub(crate) fn flit_arrived(&mut self, node: usize, port: usize, vc: usize) -> (usize, u64) {
         let s = self.slot(node, port, vc);
@@ -454,12 +530,17 @@ impl VcArena {
         self.meta[s] = m;
         let w = self.word(node, port);
         self.ports[w].ready |= 1 << vc;
+        if m_route(m) != NO_ROUTE {
+            let (r, req) = self.sa_req_bit(node, port, vc, m_route(m) as usize);
+            self.sa_req[r] |= req;
+        }
         (s, m)
     }
 
-    /// One flit leaves occupied slot `(node, port, vc)`: `sent` advances
-    /// and the ready bit drops once the buffer has nothing more to
-    /// forward. Returns the slot id and its new meta word.
+    /// One flit leaves occupied, routed slot `(node, port, vc)`: `sent`
+    /// advances, and the ready bit and the switch request drop once the
+    /// buffer has nothing more to forward. Returns the slot id and its
+    /// new meta word.
     #[inline]
     pub(crate) fn flit_sent(&mut self, node: usize, port: usize, vc: usize) -> (usize, u64) {
         let s = self.slot(node, port, vc);
@@ -467,11 +548,21 @@ impl VcArena {
             m_sent(self.meta[s]) < m_arrived(self.meta[s]),
             "sending a flit that has not arrived"
         );
+        debug_assert!(
+            m_route(self.meta[s]) != NO_ROUTE,
+            "unrouted slot sent a flit"
+        );
         let m = self.meta[s] + (1 << M_SENT);
         self.meta[s] = m;
         if m_sent(m) == m_arrived(m) {
             let w = self.word(node, port);
             self.ports[w].ready &= !(1 << vc);
+            #[cfg(test)]
+            if self.fault_skip_req_clear {
+                return (s, m);
+            }
+            let (r, req) = self.sa_req_bit(node, port, vc, m_route(m) as usize);
+            self.sa_req[r] &= !req;
         }
         (s, m)
     }
@@ -870,6 +961,8 @@ mod tests {
         assert_eq!(a.ports[w].ready, 0, "a reservation has no flit to forward");
         a.flit_arrived(0, 0, 1);
         assert_eq!(a.ports[w].ready, 1 << 1);
+        // Only a routed slot forwards flits.
+        a.set_route(0, 0, 1, Port::Local);
         a.flit_sent(0, 0, 1);
         assert_eq!(a.ports[w].ready, 0, "sent caught up with arrived");
         a.flit_arrived(0, 0, 1);
@@ -881,6 +974,40 @@ mod tests {
         whole.arrived = 2;
         a.install(0, 0, 0, whole);
         assert_eq!(a.ports[w].ready, 1 << 0);
+    }
+
+    #[test]
+    fn request_words_follow_ready_and_routed() {
+        let mut store = PacketStore::new();
+        let mut a = arena(2, 2);
+        let (east, local) = (Port::Dir(Direction::East), Port::Local);
+        let bit = 1u64 << (3 * 2 + 1); // requester index of (port 3, vc 1)
+        let words = |a: &VcArena, out: Port| a.switch_requests(1)[out.index()];
+        a.install(1, 3, 1, VcOccupant::reserved(pid(&mut store), 2, 0));
+        a.flit_arrived(1, 3, 1);
+        assert_eq!(a.switch_requests(1), [0; NUM_PORTS], "ready but unrouted");
+        a.set_route_vc(1, 3, 1, east, 0);
+        assert_eq!(words(&a, east), bit, "routing a ready head raises it");
+        for (p, vc) in (0..NUM_PORTS).flat_map(|p| [(p, 0), (p, 1)]) {
+            assert_eq!(a.sa_decode(p * 2 + vc), (p, vc));
+        }
+        a.flit_sent(1, 3, 1);
+        assert_eq!(words(&a, east), 0, "sent caught up with arrived");
+        a.flit_arrived(1, 3, 1);
+        assert_eq!(words(&a, east), bit, "a body flit re-raises a routed slot");
+        assert_eq!(a.switch_requests(0), [0; NUM_PORTS], "words are per node");
+        a.take(1, 3, 1).unwrap();
+        assert_eq!(a.switch_requests(1), [0; NUM_PORTS], "take withdraws it");
+        // A pre-routed relocation requests from the start; routing a
+        // reservation that holds no flit yet does not.
+        let mut whole = VcOccupant::reserved(pid(&mut store), 2, 0);
+        whole.arrived = 2;
+        whole.route = Some(local);
+        a.install(1, 0, 0, whole);
+        assert_eq!(words(&a, local), 1);
+        a.install(1, 0, 1, VcOccupant::reserved(pid(&mut store), 1, 0));
+        a.set_route(1, 0, 1, local);
+        assert_eq!(words(&a, local), 1, "no flit to forward yet");
     }
 
     /// Two routers in a row, one VC: node 0's head waits for node 1's

@@ -202,6 +202,15 @@ pub fn audit(core: &NetworkCore) -> Vec<AuditError> {
 ///   only an inclusion: live-NI bits are cleared lazily, so a stale set
 ///   bit is legal and a missing one is the bug (the cycle loop and the
 ///   consumer would never look at that node);
+/// * **switch requests** — every request word the arena maintains
+///   equals the gather it replaced, recomputed here from the occupant
+///   views alone: bit `p * vcs + vc` of `(node, out)` is set exactly when
+///   the occupant of `(node, p, vc)` is flit-ready and routed to `out`.
+///   A differing word is reported as missing bits (switch allocation
+///   would never grant that flit) or stale ones, and a stale bit says
+///   whether it lies outside an occupied slot or beyond the router's
+///   `NUM_PORTS * vcs` requesters (arbitration would grant an empty or
+///   nonexistent buffer);
 /// * **wake protocol** — the parked word is a subset of
 ///   `occ & !routed`, and every parked head is genuinely blocked (across
 ///   its wait directions no VC of its class range is free, save those
@@ -237,9 +246,13 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
     let mut reserved: BTreeSet<(NodeId, usize, usize)> = BTreeSet::new();
     for node in core.mesh().nodes() {
         let mut occ_bits = 0usize;
+        // The switch-request gather, and every occupied requester index.
+        let mut want_reqs = [0u64; NUM_PORTS];
+        let mut occupied_reqs = 0u64;
         for p in 0..NUM_PORTS {
             let iu = core.input(node, p);
             let occ_word = iu.occ_mask(); // noc-lint: allow(occupancy) — the auditor verifies the mask
+            occupied_reqs |= occ_word << (p * vcs);
             let pw = core.arena.ports[core.arena.word(node.index(), p)];
             let routed_word = pw.routed;
             occ_bits += occ_word.count_ones() as usize;
@@ -300,6 +313,9 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
                         ),
                     });
                 }
+                if let (Some(out), true) = (occ.route, occ.flit_ready()) {
+                    want_reqs[out.index()] |= 1 << (p * vcs + vc);
+                }
                 if pw.parked & (1 << vc) != 0 && core.store.contains(occ.pkt) {
                     audit_parked_head(core, node, p, vc, occ.pkt, &mut errors);
                 }
@@ -329,6 +345,7 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
                 }
             }
         }
+        audit_switch_requests(core, node, want_reqs, occupied_reqs, &mut errors);
         let counted = core.occupied_vcs(node);
         if occ_bits != counted {
             errors.push(AuditError {
@@ -378,6 +395,49 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
     }
     errors.sort();
     errors
+}
+
+/// The maintained switch-request words of `node` against the gather
+/// `want` (built from the occupant views); `occupied` is the requester
+/// indices of its occupied slots.
+fn audit_switch_requests(
+    core: &NetworkCore,
+    node: NodeId,
+    want: [u64; NUM_PORTS],
+    occupied: u64,
+    errors: &mut Vec<AuditError>,
+) {
+    let requesters = NUM_PORTS * core.cfg().vcs_per_port();
+    for (out, (have, want)) in core.switch_requests(node).into_iter().zip(want).enumerate() {
+        let location = format!("{node} output {}", Port::from_index(out));
+        let (stale, missing) = (have & !want, want & !have);
+        if missing != 0 {
+            errors.push(AuditError {
+                location: location.clone(),
+                problem: format!(
+                    "switch-request word lacks bits {missing:#b} of the gather \
+                     (a flit-ready slot routed here is invisible to switch allocation)"
+                ),
+            });
+        }
+        if stale != 0 {
+            // Index of the highest stale bit, plus one.
+            let why = if 64 - stale.leading_zeros() as usize > requesters {
+                format!("beyond the router's {requesters} requesters")
+            } else if stale & !occupied != 0 {
+                "outside any occupied slot".to_string()
+            } else {
+                "on slots not flit-ready or not routed here".to_string()
+            };
+            errors.push(AuditError {
+                location,
+                problem: format!(
+                    "stale switch-request bits {stale:#b} {why} (request words drifted: \
+                     a slot stopped requesting outside install/take/set_route/flit_sent)"
+                ),
+            });
+        }
+    }
 }
 
 /// The wake protocol's invariant for one parked head: across every wait
@@ -731,6 +791,65 @@ mod tests {
             errors.iter().any(|e| e.problem.contains("missed wake")),
             "{errors:?}"
         );
+    }
+
+    /// Planted bug: `flit_sent` keeps the request bit of a slot that has
+    /// nothing left to forward. The audit must name the stale bit — on an
+    /// occupied slot while the tail is still staged, outside any occupied
+    /// slot once the VC has been freed under it.
+    #[test]
+    fn conservation_flags_a_skipped_request_clear() {
+        let mut c = core();
+        let mut delivered = 0;
+        assert_eq!(run_saturated(&mut c, &mut delivered, 100), Vec::new());
+        c.arena.fault_skip_req_clear = true;
+        let errors = run_saturated(&mut c, &mut delivered, 100);
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.problem.contains("stale switch-request bits")),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn conservation_flags_drifted_request_words() {
+        use noc_core::topology::Direction;
+        let mut c = core();
+        let id = c.store.insert(Packet::new(
+            NodeId::new(0),
+            NodeId::new(6),
+            MessageClass::Request,
+            1,
+            0,
+        ));
+        let mut occ = VcOccupant::reserved(id, 1, 0);
+        occ.arrived = 1;
+        occ.route = Some(Port::Local);
+        c.input_mut(NodeId::new(6), 2).install(1, occ);
+        assert_eq!(audit_conservation(&c, 0, 0), Vec::new());
+        let req = 1u64 << (2 * 2 + 1);
+        let word = |out: Port| 6 * NUM_PORTS + out.index();
+        assert_eq!(c.arena.sa_req[word(Port::Local)], req);
+        // The real request withdrawn; the same slot filed under an output
+        // it is not routed to, an empty VC requesting, and a bit past the
+        // router's 5 x 2 requesters.
+        c.arena.sa_req[word(Port::Local)] = 0;
+        c.arena.sa_req[word(Port::Dir(Direction::North))] = req;
+        c.arena.sa_req[word(Port::Dir(Direction::East))] = 1;
+        c.arena.sa_req[word(Port::Dir(Direction::West))] = 1 << 10;
+        let errors = audit_conservation(&c, 0, 0);
+        for needle in [
+            "lacks bits 0b100000",
+            "not flit-ready or not routed here",
+            "outside any occupied slot",
+            "beyond the router's 10 requesters",
+        ] {
+            assert!(
+                errors.iter().any(|e| e.problem.contains(needle)),
+                "no `{needle}` in {errors:?}"
+            );
+        }
     }
 
     /// Planted bug: `generate` fills a source queue without marking the

@@ -14,7 +14,9 @@ use noc_core::config::SimConfig;
 use noc_core::packet::{PacketId, PacketSeed, PacketStore};
 use noc_core::rng::DetRng;
 use noc_core::stats::NetStats;
-use noc_core::topology::{Direction, LinkId, Mesh, NodeId, Port, ProductiveDirs, DIRECTIONS};
+use noc_core::topology::{
+    Direction, LinkId, Mesh, NodeId, Port, ProductiveDirs, DIRECTIONS, NUM_PORTS,
+};
 use noc_trace::{TraceConfig, Tracer};
 
 /// Sentinel in the flat neighbor table: no neighbor (mesh edge).
@@ -365,6 +367,15 @@ impl NetworkCore {
         self.arena.node_occupied(n.index())
     }
 
+    /// The switch-request words of router `n`, one per output port
+    /// (indexed by [`Port::index`]): bit `p * vcs_per_port + vc` of word
+    /// `out` is set iff input `(p, vc)` holds a flit to forward and is
+    /// routed to `out`. Read-only view of state the arena maintains; the
+    /// switch stage arbitrates over exactly these words.
+    pub fn switch_requests(&self, n: NodeId) -> [u64; NUM_PORTS] {
+        self.arena.switch_requests(n.index())
+    }
+
     /// Shared access to an NI.
     pub fn ni(&self, n: NodeId) -> &NiState {
         &self.nis[n.index()]
@@ -534,7 +545,7 @@ impl NetworkCore {
             if self.arena.node_occupied(node.index()) == 0 {
                 continue; // active-set skip: nothing buffered here
             }
-            for p in 0..noc_core::topology::NUM_PORTS {
+            for p in 0..NUM_PORTS {
                 for (_, occ) in self.input(node, p).occupied() {
                     if occ.arrived == 0 {
                         continue; // reservation only; owned upstream
@@ -621,9 +632,7 @@ impl NetworkCore {
     /// pipeline. Taking it out of `self` keeps the borrow checker happy
     /// while the pipeline mutates the core;
     /// [`put_advance_scratch`](Self::put_advance_scratch) returns it so
-    /// its capacity survives across cycles. (The switch-allocation
-    /// request vectors that used to live here are now fixed-size stack
-    /// words in the switch stage.)
+    /// its capacity survives across cycles.
     pub(crate) fn take_advance_scratch(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.scratch_nodes)
     }
@@ -685,7 +694,7 @@ mod tests {
     fn construction() {
         let core = small_core();
         assert_eq!(core.mesh().num_nodes(), 9);
-        assert_eq!(core.router(NodeId::new(0)).vcs_per_port(), 2);
+        assert_eq!(core.router(NodeId::new(0)).sa_rr[0].len(), NUM_PORTS * 2);
         assert_eq!(core.vcs_per_port(), 2);
         assert_eq!(core.occupied_vcs(NodeId::new(0)), 0);
         assert_eq!(core.resident_packets(), 0);

@@ -12,14 +12,14 @@
 //! of §III-C5) and preempts ejection ports; DRAIN freezes regular
 //! movement during drain epochs.
 
-use crate::arena::{m_arrived, m_len, m_out_vc, m_route, m_sent, NO_OUT_VC};
+use crate::arena::{m_arrived, m_len, m_out_vc, m_sent, NO_OUT_VC};
 use crate::network::{LinkSet, NetworkCore};
 use crate::ni::{EjRefusal, EjectEntry, InjStream};
 use crate::probe::Phase;
 use crate::routing::{introspect, RouteReq, RoutingPolicy};
 use crate::vc::VcOccupant;
 use noc_core::packet::{MessageClass, PacketId};
-use noc_core::topology::{Direction, LinkId, NodeId, Port, DIRECTIONS, NUM_PORTS};
+use noc_core::topology::{LinkId, NodeId, Port, DIRECTIONS, NUM_PORTS};
 use noc_trace::{trace, StallCause, TraceEvent};
 
 /// Per-cycle context handed to [`advance`] by the owning scheme.
@@ -77,8 +77,8 @@ impl AdvanceCtx<'_> {
 /// the unskipped pipeline too — reservations have no arrived flits and
 /// staged arrivals apply only at end of cycle — so the snapshot loses
 /// nothing. The worklist is a scratch buffer owned by [`NetworkCore`] and
-/// the switch-request bitsets are fixed stack words, making the
-/// steady-state loop allocation-free.
+/// the switch-request words are copied to the stack per router, making
+/// the steady-state loop allocation-free.
 pub fn advance(core: &mut NetworkCore, policy: &mut dyn RoutingPolicy, ctx: &AdvanceCtx<'_>) {
     if !ctx.freeze {
         let mut nodes = core.take_advance_scratch();
@@ -229,11 +229,15 @@ fn route_and_allocate(core: &mut NetworkCore, policy: &mut dyn RoutingPolicy, no
 
 /// Switch allocation + traversal for one router: ejection first (Local
 /// output), then the four direction outputs, at most one flit per input
-/// and per output port. A single word-at-a-time prepass over the router's
-/// `ready & routed` words (flit-ready routed occupants: every slot
-/// visited is a requester) builds the request words of all five output
-/// ports at once; the per-output loops then work purely on stack words,
-/// so the hot loop touches each occupied slot once and never allocates.
+/// and per output port.
+///
+/// The request words are *maintained*, not gathered: the arena keeps, per
+/// output port, the set of flit-ready occupants routed there
+/// (`VcArena::switch_requests`; `DESIGN.md`, "Switch requests are
+/// maintained, not gathered"), so this stage loads five words and works
+/// on stack words from there. A requester that loses arbitration is not
+/// parked — it holds its downstream VC already and must be seen by the
+/// round-robin every cycle — it simply stays in its word.
 ///
 /// A router's whole requester space — index `p * vcs + vc` — fits one
 /// `u64`: `SimConfig::validate` bounds `NUM_PORTS * vcs_per_port` by 64
@@ -246,20 +250,14 @@ fn switch_traversal(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeId) 
         return;
     }
     let vcs = core.arena.vcs_per_port();
-    // Requesters per output port, indexed by the slot's route.
-    // `ready & routed` is exactly the routed occupants with a flit to
-    // forward, and route stores a valid output-port index for each.
-    let mut out_reqs = [0u64; NUM_PORTS];
-    for p in 0..NUM_PORTS {
-        let pw = core.arena.ports[core.arena.word(ni, p)];
-        let mut mask = pw.ready & pw.routed;
-        while mask != 0 {
-            let vc = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let m = core.arena.meta[core.arena.slot(ni, p, vc)];
-            out_reqs[m_route(m) as usize] |= 1 << (p * vcs + vc);
-        }
-    }
+    // Requesters per output port.
+    let out_reqs = core.arena.switch_requests(ni);
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        out_reqs,
+        gather_switch_requests(core, ni),
+        "maintained switch requests diverged from the gather at {node}"
+    );
 
     // Requesters already consumed: an input port forwards at most one
     // flit per cycle, so a granted port's whole bit range is retired from
@@ -268,7 +266,7 @@ fn switch_traversal(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeId) 
 
     // With no eject lock and no Local-routed requester the stage is a
     // no-op even under tracing (`trace_eject_preempted` requires a lock;
-    // `trace_eject_stalls` scans exactly the prepass candidate set), so
+    // `trace_eject_stalls` scans exactly the Local request set), so
     // it can be skipped without perturbing stats or traces.
     let local_reqs = out_reqs[Port::Local.index()];
     if local_reqs != 0 || core.router(node).eject_lock.is_some() {
@@ -289,7 +287,7 @@ fn switch_traversal(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeId) 
         };
         if ctx.link_suppressed(core, node, d) {
             if core.trace.counters_on() {
-                trace_suppressed_stalls(core, node, d);
+                trace_suppressed_stalls(core, node, out_reqs[out_idx]);
             }
             continue;
         }
@@ -297,20 +295,42 @@ fn switch_traversal(core: &mut NetworkCore, ctx: &AdvanceCtx<'_>, node: NodeId) 
         if reqs == 0 {
             continue;
         }
-        let Some(winner) = core.router_mut(node).sa_rr[out_idx].grant_words(&[reqs]) else {
+        let Some(winner) = core.router_mut(node).sa_rr[out_idx].grant_word(reqs) else {
             continue;
         };
         if core.trace.counters_on() {
             trace_sa_losers(core, node, reqs, winner);
         }
-        let (p, vc) = core.router(node).sa_decode(winner);
+        let (p, vc) = core.arena.sa_decode(winner);
         used_mask |= ((1u64 << vcs) - 1) << (p * vcs);
         send_flit(core, node, p, vc, nbr, d);
     }
 }
 
+/// The definition the maintained request words are checked against, at
+/// every visited router of every cycle in debug builds: one word-at-a-time
+/// pass over the router's `ready & routed` words (flit-ready routed
+/// occupants: every slot visited is a requester), each slot filed under
+/// the output port its route names.
+#[cfg(debug_assertions)]
+fn gather_switch_requests(core: &NetworkCore, ni: usize) -> [u64; NUM_PORTS] {
+    let vcs = core.arena.vcs_per_port();
+    let mut out_reqs = [0u64; NUM_PORTS];
+    for p in 0..NUM_PORTS {
+        let pw = core.arena.ports[core.arena.word(ni, p)];
+        let mut mask = pw.ready & pw.routed;
+        while mask != 0 {
+            let vc = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let m = core.arena.meta[core.arena.slot(ni, p, vc)];
+            out_reqs[crate::arena::m_route(m) as usize] |= 1 << (p * vcs + vc);
+        }
+    }
+    out_reqs
+}
+
 /// Ejection: continue the locked stream or grant a new one.
-/// `local_reqs` is the prepass word of Local-routed flit-ready slots;
+/// `local_reqs` is the request word of Local-routed flit-ready slots;
 /// candidates are still filtered by NI admission here, bit by bit.
 fn eject_stage(
     core: &mut NetworkCore,
@@ -338,15 +358,14 @@ fn eject_stage(
     }
     // New grant.
     if core.trace.counters_on() {
-        trace_eject_stalls(core, node);
+        trace_eject_stalls(core, node, local_reqs);
     }
     let mut reqs = 0u64;
     let mut m = local_reqs;
     while m != 0 {
         let b = m.trailing_zeros() as usize;
         m &= m - 1;
-        let s = core.arena.slot(ni, b / vcs, b % vcs);
-        let pkt = core.arena.pkt[s];
+        let pkt = requester_pkt(core, node, b);
         let class = core.store.get(pkt).class;
         if core.ni(node).ej_can_accept(class, pkt) {
             reqs |= 1 << b;
@@ -356,13 +375,13 @@ fn eject_stage(
         return;
     }
     let out_idx = Port::Local.index();
-    let Some(winner) = core.router_mut(node).sa_rr[out_idx].grant_words(&[reqs]) else {
+    let Some(winner) = core.router_mut(node).sa_rr[out_idx].grant_word(reqs) else {
         return;
     };
     if core.trace.counters_on() {
         trace_sa_losers(core, node, reqs, winner);
     }
-    let (p, vc) = core.router(node).sa_decode(winner);
+    let (p, vc) = core.arena.sa_decode(winner);
     debug_assert!(
         core.arena.is_occupied(ni, p, vc),
         "switch-allocation winner must be occupied"
@@ -424,7 +443,7 @@ fn send_flit(
 /// Streams one flit into the NI; finishes the delivery on the tail.
 fn eject_flit(core: &mut NetworkCore, node: NodeId, p: usize, vc: usize) {
     let cycle = core.cycle();
-    // Grants come from the `ready & routed` prepass masks, so occupancy is
+    // Grants come from the switch-request words, so occupancy is
     // structural here (and in `send_flit` below); debug builds re-check.
     debug_assert!(
         core.arena.is_occupied(node.index(), p, vc),
@@ -621,32 +640,29 @@ fn trace_no_free_vc(core: &mut NetworkCore, node: NodeId, pkt: PacketId) {
 }
 
 /// Records a `LinkSuppressed` stall for every flit that was ready to
-/// cross the suppressed link `node → d` this cycle. Cold: only reached
-/// when tracing counters are enabled, and alloc-free like the rest of
-/// the file (each iteration copies occupant fields out so the router
-/// borrow ends before the tracer is touched).
+/// cross a suppressed link this cycle: `reqs` is that output port's whole
+/// request word. Cold: only reached when tracing counters are enabled,
+/// and alloc-free like the rest of the file.
 #[cold]
 #[inline(never)]
-fn trace_suppressed_stalls(core: &mut NetworkCore, node: NodeId, d: Direction) {
-    let ni = node.index();
-    let route_d = Port::Dir(d).index() as u8;
-    for p in 0..NUM_PORTS {
-        let mut mask = core.arena.ports[core.arena.word(ni, p)].occ;
-        while mask != 0 {
-            let vc = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let s = core.arena.slot(ni, p, vc);
-            let m = core.arena.meta[s];
-            if m_route(m) == route_d && m_sent(m) < m_arrived(m) {
-                let pkt = core.arena.pkt[s];
-                core.trace.count_stall(node, StallCause::LinkSuppressed);
-                trace!(core.trace, node, || TraceEvent::Stall {
-                    pkt,
-                    cause: StallCause::LinkSuppressed,
-                });
-            }
-        }
+fn trace_suppressed_stalls(core: &mut NetworkCore, node: NodeId, reqs: u64) {
+    let mut m = reqs;
+    while m != 0 {
+        let pkt = requester_pkt(core, node, m.trailing_zeros() as usize);
+        m &= m - 1;
+        core.trace.count_stall(node, StallCause::LinkSuppressed);
+        trace!(core.trace, node, || TraceEvent::Stall {
+            pkt,
+            cause: StallCause::LinkSuppressed,
+        });
     }
+}
+
+/// The packet behind requester index `idx` of one of `node`'s request
+/// words (requests are only raised for occupied slots).
+fn requester_pkt(core: &NetworkCore, node: NodeId, idx: usize) -> PacketId {
+    // `idx = p * vcs + vc` is the slot's offset within the node.
+    core.arena.pkt[core.arena.slot(node.index(), 0, 0) + idx]
 }
 
 /// Records an `SaLost` stall for every requester that lost this output
@@ -655,14 +671,10 @@ fn trace_suppressed_stalls(core: &mut NetworkCore, node: NodeId, d: Direction) {
 #[cold]
 #[inline(never)]
 fn trace_sa_losers(core: &mut NetworkCore, node: NodeId, reqs: u64, winner: usize) {
-    let ni = node.index();
     let mut m = reqs & !(1 << winner);
     while m != 0 {
-        let idx = m.trailing_zeros() as usize;
+        let pkt = requester_pkt(core, node, m.trailing_zeros() as usize);
         m &= m - 1;
-        let (p, vc) = core.router(node).sa_decode(idx);
-        // Requests are only raised for occupied slots.
-        let pkt = core.arena.pkt[core.arena.slot(ni, p, vc)];
         core.trace.count_stall(node, StallCause::SaLost);
         trace!(core.trace, node, || TraceEvent::Stall {
             pkt,
@@ -671,37 +683,26 @@ fn trace_sa_losers(core: &mut NetworkCore, node: NodeId, reqs: u64, winner: usiz
     }
 }
 
-/// Records `EjBackpressure` / `EjReserved` stalls for arrived packets
-/// whose ejection the NI refused this cycle. Cold: tracing-only.
+/// Records `EjBackpressure` / `EjReserved` stalls for arrived packets —
+/// `local_reqs`, the Local output's request word — whose ejection the NI
+/// refused this cycle. Cold: tracing-only.
 #[cold]
 #[inline(never)]
-fn trace_eject_stalls(core: &mut NetworkCore, node: NodeId) {
-    let ni = node.index();
-    let route_local = Port::Local.index() as u8;
-    for p in 0..NUM_PORTS {
-        let mut mask = core.arena.ports[core.arena.word(ni, p)].occ;
-        while mask != 0 {
-            let vc = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let s = core.arena.slot(ni, p, vc);
-            let m = core.arena.meta[s];
-            let candidate = if m_route(m) == route_local && m_sent(m) < m_arrived(m) {
-                Some(core.arena.pkt[s])
-            } else {
-                None
-            };
-            let Some(pkt) = candidate else { continue };
-            let class = core.store.get(pkt).class;
-            let Some(refusal) = core.ni(node).ej_refusal(class, pkt) else {
-                continue;
-            };
-            let cause = match refusal {
-                EjRefusal::Full => StallCause::EjBackpressure,
-                EjRefusal::Reserved => StallCause::EjReserved,
-            };
-            core.trace.count_stall(node, cause);
-            trace!(core.trace, node, || TraceEvent::Stall { pkt, cause });
-        }
+fn trace_eject_stalls(core: &mut NetworkCore, node: NodeId, local_reqs: u64) {
+    let mut m = local_reqs;
+    while m != 0 {
+        let pkt = requester_pkt(core, node, m.trailing_zeros() as usize);
+        m &= m - 1;
+        let class = core.store.get(pkt).class;
+        let Some(refusal) = core.ni(node).ej_refusal(class, pkt) else {
+            continue;
+        };
+        let cause = match refusal {
+            EjRefusal::Full => StallCause::EjBackpressure,
+            EjRefusal::Reserved => StallCause::EjReserved,
+        };
+        core.trace.count_stall(node, cause);
+        trace!(core.trace, node, || TraceEvent::Stall { pkt, cause });
     }
 }
 

@@ -1,8 +1,11 @@
 //! Per-router state: arbitration pointers and the ejection lock.
 //!
 //! VC buffer contents live in the network-wide flat
-//! [`VcArena`](crate::arena::VcArena), not here; what remains per router
-//! is the control state that is genuinely router-local.
+//! [`VcArena`](crate::arena::VcArena), not here — and so do the switch
+//! *requests* and the `(input port, vc)` numbering of requesters, both
+//! derived from the buffers. What remains per router is the control
+//! state that is genuinely router-local, held inline (no heap behind a
+//! router: the switch stage touches it once per grant).
 
 use crate::arbiter::RoundRobin;
 use noc_core::packet::NUM_CLASSES;
@@ -13,57 +16,29 @@ use noc_core::topology::NUM_PORTS;
 /// The paper's router (Fig. 6) has five input ports (N/S/E/W + injection)
 /// and five output ports (N/S/E/W + ejection), each input port carrying
 /// the configured VCs. Switch allocation is per-output-port round-robin
-/// over `(input port, VC)` requesters.
+/// over `(input port, VC)` requesters, numbered `port * vcs_per_port + vc`.
 #[derive(Debug, Clone)]
 pub struct RouterState {
     /// Per-output-port switch-allocation arbiters over
-    /// `NUM_PORTS × vcs_per_port` requesters.
-    pub sa_rr: Vec<RoundRobin>,
+    /// `NUM_PORTS × vcs_per_port` requesters (at most 64: one request
+    /// word per output port).
+    pub sa_rr: [RoundRobin; NUM_PORTS],
     /// Round-robin over classes for starting NI injection transfers.
     pub inj_class_rr: RoundRobin,
     /// While a packet is being ejected, the `(input port, vc)` it streams
     /// from. The ejection port is held until the tail flit leaves
     /// (FastPass flights may stall, but never steal, the stream — Qn3).
     pub eject_lock: Option<(usize, usize)>,
-    vcs_per_port: usize,
-    /// Precomputed `(input port, vc)` per requester index, so the hot
-    /// [`sa_decode`](Self::sa_decode) is one table load instead of a
-    /// runtime division pair.
-    decode: Vec<(u8, u8)>,
 }
 
 impl RouterState {
     /// Creates a router whose input ports each have `vcs_per_port` VCs.
     pub fn new(vcs_per_port: usize) -> Self {
         RouterState {
-            sa_rr: (0..NUM_PORTS)
-                .map(|_| RoundRobin::new(NUM_PORTS * vcs_per_port))
-                .collect(),
+            sa_rr: std::array::from_fn(|_| RoundRobin::new(NUM_PORTS * vcs_per_port)),
             inj_class_rr: RoundRobin::new(NUM_CLASSES),
             eject_lock: None,
-            vcs_per_port,
-            decode: (0..NUM_PORTS * vcs_per_port)
-                .map(|i| ((i / vcs_per_port) as u8, (i % vcs_per_port) as u8))
-                .collect(),
         }
-    }
-
-    /// VCs per input port.
-    pub fn vcs_per_port(&self) -> usize {
-        self.vcs_per_port
-    }
-
-    /// Encodes an `(input port, vc)` pair as a switch-allocation
-    /// requester index.
-    pub fn sa_index(&self, in_port: usize, vc: usize) -> usize {
-        in_port * self.vcs_per_port + vc
-    }
-
-    /// Decodes a switch-allocation requester index back to
-    /// `(input port, vc)`.
-    pub fn sa_decode(&self, idx: usize) -> (usize, usize) {
-        let (p, vc) = self.decode[idx];
-        (p as usize, vc as usize)
     }
 }
 
@@ -74,20 +49,8 @@ mod tests {
     #[test]
     fn construction_shapes() {
         let r = RouterState::new(12);
-        assert_eq!(r.sa_rr.len(), NUM_PORTS);
-        assert_eq!(r.vcs_per_port(), 12);
-        assert_eq!(r.sa_rr[0].len(), NUM_PORTS * 12);
+        assert!(r.sa_rr.iter().all(|rr| rr.len() == NUM_PORTS * 12));
+        assert_eq!(r.inj_class_rr.len(), NUM_CLASSES);
         assert!(r.eject_lock.is_none());
-    }
-
-    #[test]
-    fn sa_index_roundtrip() {
-        let r = RouterState::new(4);
-        for port in 0..NUM_PORTS {
-            for vc in 0..4 {
-                let idx = r.sa_index(port, vc);
-                assert_eq!(r.sa_decode(idx), (port, vc));
-            }
-        }
     }
 }

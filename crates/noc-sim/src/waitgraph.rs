@@ -44,7 +44,7 @@ impl WaitGraph {
     /// cycles (SPIN's detection threshold; 0 captures everything).
     pub fn build(core: &NetworkCore, policy: &dyn RoutingPolicy, min_blocked: u64) -> Self {
         let now = core.cycle();
-        let vcs = core.router(NodeId::new(0)).vcs_per_port();
+        let vcs = core.vcs_per_port();
         let mut verts = Vec::new();
         let mut index = BTreeMap::new();
         for node in core.mesh().nodes() {
