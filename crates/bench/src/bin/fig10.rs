@@ -8,7 +8,7 @@
 //! FastPass lowest latency (up to 46% better) and ~6–9% execution-time
 //! improvement; FastPass(VC=4) ≥ FastPass(VC=2).
 
-use bench::{emit_json, env_u64, num_jobs, parallel_map, SchemeId};
+use bench::{emit_json, env_u64, num_jobs, parallel_map, SchemeId, ALL_SCHEMES};
 use noc_sim::Simulation;
 use serde::Serialize;
 use traffic::AppModel;
@@ -23,17 +23,22 @@ struct Fig10Cell {
     normalized_exec: f64,
 }
 
-fn configs() -> Vec<(SchemeId, usize, &'static str)> {
-    vec![
-        (SchemeId::EscapeVc, 2, "EscapeVC(6VN,2VC)"),
-        (SchemeId::Spin, 2, "SPIN(6VN,2VC)"),
-        (SchemeId::Swap, 2, "SWAP(6VN,2VC)"),
-        (SchemeId::Drain, 2, "DRAIN(6VN,2VC)"),
-        (SchemeId::Pitstop, 2, "Pitstop(0VN,2VC)"),
-        (SchemeId::Tfc, 2, "TFC(6VN,2VC)"),
-        (SchemeId::FastPass, 2, "FastPass(0VN,2VC)"),
-        (SchemeId::FastPass, 4, "FastPass(0VN,4VC)"),
-    ]
+/// The figure's eight configurations — every buffered scheme of the
+/// comparison at FastPass VC=2, then FastPass again at VC=4 — labelled
+/// from the configuration each one actually runs
+/// (`"{name}({vns}VN,{vcs}VC)"`).
+fn configs(size: usize) -> Vec<(SchemeId, usize, String)> {
+    ALL_SCHEMES
+        .into_iter()
+        .filter(|&id| id != SchemeId::MinBd)
+        .map(|id| (id, 2))
+        .chain([(SchemeId::FastPass, 4)])
+        .map(|(id, fp_vcs)| {
+            let cfg = id.sim_config(size, fp_vcs, 0);
+            let label = format!("{}({}VN,{}VC)", id.name(), cfg.vns, cfg.vcs_per_vn);
+            (id, fp_vcs, label)
+        })
+        .collect()
 }
 
 fn run_app(
@@ -61,12 +66,13 @@ fn main() {
     let max_cycles = env_u64("FP_MAXCYCLES", 400_000);
     // One job per (app, config); each builds its own simulation, so the
     // grid fans out across NOC_JOBS workers with results in grid order.
-    let grid: Vec<(AppModel, SchemeId, usize, &'static str)> = AppModel::FIG10
+    let configs = configs(size);
+    let grid: Vec<(AppModel, SchemeId, usize, &str)> = AppModel::FIG10
         .iter()
         .flat_map(|&app| {
-            configs()
-                .into_iter()
-                .map(move |(id, fp_vcs, label)| (app, id, fp_vcs, label))
+            configs
+                .iter()
+                .map(move |(id, fp_vcs, label)| (app, *id, *fp_vcs, label.as_str()))
         })
         .collect();
     let jobs: Vec<_> = grid
@@ -84,7 +90,7 @@ fn main() {
             "config", "avg lat", "exec cycles", "norm exec"
         );
         let mut base_exec = None;
-        for _ in configs() {
+        for _ in &configs {
             let (&(_, _, fp_vcs, label), (lat, exec)) =
                 point.next().expect("one result per (app, config)");
             let base = *base_exec.get_or_insert(exec);
@@ -102,8 +108,8 @@ fn main() {
     }
     // Averages across apps (the paper's "Average" group).
     println!("\nAverage across apps:");
-    for (_, _, label) in configs() {
-        let mine: Vec<&Fig10Cell> = cells.iter().filter(|c| c.scheme == label).collect();
+    for (_, _, label) in &configs {
+        let mine: Vec<&Fig10Cell> = cells.iter().filter(|c| c.scheme == *label).collect();
         let lat = mine.iter().map(|c| c.avg_latency).sum::<f64>() / mine.len() as f64;
         let norm = mine.iter().map(|c| c.normalized_exec).sum::<f64>() / mine.len() as f64;
         println!("  {label:<20} avg lat {lat:>8.1}  norm exec {norm:>6.3}");

@@ -85,7 +85,6 @@ fn main() {
     }
     let path = emit_json("smoke", &results).expect("write results");
     println!("smoke sweep OK — JSON written to {}", path.display());
-    run_irregular_smoke();
     run_fault_certification();
     print_telemetry_summary(&specs[0]);
 
@@ -94,33 +93,13 @@ fn main() {
     }
 }
 
-/// The irregular smoke point: a 4×4 mesh with the 5↔6 channel disabled,
-/// run through the `fastpass::irregular` lane derivation (Hierholzer
-/// holistic path + segmentation). The simulator substrate only executes
-/// regular meshes, so the smoke coverage here is the static lane lemmas:
-/// the derived path must cover every surviving directed link exactly
-/// once and segment into disjoint lanes for every partition count.
-/// Shares the checker's validation (`noc-check` runs the same point in
-/// its static matrix), so bench and checker cannot drift apart.
-fn run_irregular_smoke() {
-    let topo = noc_check::configs::irregular_smoke_topo();
-    let fails = noc_check::configs::irregular_static_failures();
-    assert!(
-        fails.is_empty(),
-        "irregular smoke point failed: {}",
-        fails.join("; ")
-    );
-    println!(
-        "irregular 4x4 (one channel disabled) OK — {} directed links covered",
-        topo.directed_links().len()
-    );
-}
-
-/// Smoke coverage for the seeded fault pipeline: the generator is
-/// deterministic by `(seed, count)` (same inputs, same disabled set),
-/// and every generated point carries a static deadlock-freedom
-/// certificate from `noc-prove` (`holistic-lanes`: Eulerian holistic
-/// path + disjoint segmentation on the surviving links).
+/// Smoke coverage for the irregular side, which the simulator substrate
+/// (regular meshes only) cannot execute and `noc-prove` therefore
+/// certifies statically (`holistic-lanes`: the Hierholzer holistic path
+/// covers every surviving directed link exactly once and segments into
+/// disjoint lanes for every partition count): the 4×4 mesh with the 5↔6
+/// channel disabled, and two points of the seeded fault pipeline, whose
+/// generator must be deterministic by `(seed, count)`.
 fn run_fault_certification() {
     let mesh = noc_core::topology::Mesh::new(8, 8);
     let a = noc_core::fault::generate(mesh, 3, 4).expect("connected 8x8 fault config");
@@ -129,10 +108,15 @@ fn run_fault_certification() {
         a.disabled, b.disabled,
         "fault generator must be deterministic by (seed, count)"
     );
-    for cfg in noc_prove::configs::fault_suite(2) {
+    let mut points = vec![noc_prove::configs::irregular_smoke()];
+    points.extend(noc_prove::configs::fault_suite(2));
+    for cfg in points {
         let cert = noc_prove::certify(&cfg);
         assert!(cert.certified(), "fault point failed: {}", cert.summary());
-        println!("certified {} ({})", cert.config, cert.proof);
+        println!(
+            "certified {} ({}, {} directed links)",
+            cert.config, cert.proof, cert.vertices
+        );
     }
 }
 

@@ -1,7 +1,8 @@
 //! Table II: key simulation parameters, as configured in this
 //! reproduction (printed from the live defaults so drift is impossible).
 
-use bench::{SchemeId, ALL_SCHEMES};
+use bench::registry::Tuning;
+use bench::ALL_SCHEMES;
 use fastpass::TdmSchedule;
 use noc_core::config::SimConfig;
 
@@ -31,19 +32,19 @@ fn main() {
         "Scheme", "VNs", "VCs", "Routing"
     );
     for id in ALL_SCHEMES {
-        let (vcs, routing) = match id {
-            SchemeId::FastPass => ("1/2/4", "fully adaptive"),
-            SchemeId::EscapeVc => ("2", "escape: XY, rest adaptive"),
-            SchemeId::Tfc => ("2", "west-first + tokens"),
-            SchemeId::MinBd => ("-", "deflection"),
-            _ => ("2", "fully adaptive"),
-        };
+        // The VCs/VN each experiment's FastPass VC knob (1, 2 or 4)
+        // gives this scheme: one value unless the knob applies to it.
+        let mut vcs = [1, 2, 4]
+            .map(|fp_vcs| id.sim_config(8, fp_vcs, 0).vcs_per_vn)
+            .to_vec();
+        vcs.dedup();
+        let vcs: Vec<String> = vcs.iter().map(usize::to_string).collect();
         println!(
             "{:<10} {:>4} {:>10} {:>22}",
             id.name(),
-            id.vns(),
-            vcs,
-            routing
+            id.sim_config(8, 4, 0).vns,
+            vcs.join("/"),
+            id.policy_kind().name()
         );
     }
     println!();
@@ -59,7 +60,14 @@ fn main() {
         );
     }
     println!();
-    println!("SPIN detection threshold: 128 cycles; SWAP duty: 1K cycles;");
-    println!("DRAIN period: 64K cycles (scaled to 8K in bench runs);");
+    let tuning = Tuning::default();
+    println!(
+        "SPIN detection threshold: {} cycles; SWAP duty: {} cycles;",
+        tuning.spin.detection_threshold, tuning.swap.duty
+    );
+    println!(
+        "DRAIN period: {} cycles (the paper's 64K, scaled to bench-length runs);",
+        tuning.drain.period
+    );
     println!("MOESI-Hammer-style protocol model: 6 message classes.");
 }

@@ -5,12 +5,13 @@
 //! the `--serve` dispatch ([`serve_client`]: [`ExecMode`],
 //! [`run_sweeps`]), the trace/telemetry/phase-time exporters
 //! ([`trace_out`], [`telemetry`], [`phases`]) and plain-text emitters.
-//! The sweep library itself — scheme registry with Table II's
-//! configurations, the one point path ([`simulate_point`]) with its
-//! sweep runners, the result store, the wire protocol and its client —
-//! lives one layer down in `noc-serve`, shared with the `nocserve`
-//! daemon, and is re-exported here at its historical paths
-//! (`bench::runner`, `bench::SchemeId`, …). It measures the *paper*, not
+//! The sweep library itself — the one point path ([`simulate_point`])
+//! with its sweep runners, the result store, the wire protocol and its
+//! client — lives one layer down in `noc-serve`, shared with the
+//! `nocserve` daemon, and the scheme catalogue with Table II's
+//! configurations one further down in `noc-schemes`, shared with the
+//! verifiers; both are re-exported here at their historical paths
+//! (`bench::runner`, `bench::registry`, `bench::SchemeId`, …). It measures the *paper*, not
 //! itself: simulator performance is the repo benchmark's job
 //! (`benchmark/README.md`). Binaries honour these environment variables
 //! so quick runs and full runs use the same code:

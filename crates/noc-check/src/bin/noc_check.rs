@@ -2,15 +2,16 @@
 //!
 //! ```text
 //! noc-check [--matrix 2x2|3x3|all] [--config NAME]... [--planted]
-//!           [--skip-static] [--out DIR]
+//!           [--out DIR]
 //! ```
 //!
 //! Runs the selected verification matrices (default: `2x2` plus the
 //! planted soundness check), writes `summary.json` and any wedge traces
 //! under `--out` (default `target/noc-check`), prints one line per
 //! config, and exits nonzero if any config's verdict differs from its
-//! expectation, a replay fails to confirm, or a static lemma check
-//! fails.
+//! expectation or a replay fails to confirm. (The static lane lemmas
+//! are `noc-prove`'s: every point explored here also has a certificate
+//! there.)
 
 use noc_check::configs;
 use noc_check::explore::{check, CheckConfig, Verdict};
@@ -23,7 +24,6 @@ struct Args {
     matrices: Vec<String>,
     configs: Vec<String>,
     planted: bool,
-    skip_static: bool,
     out: PathBuf,
 }
 
@@ -32,7 +32,6 @@ fn parse_args() -> Result<Args, String> {
         matrices: Vec::new(),
         configs: Vec::new(),
         planted: false,
-        skip_static: false,
         out: PathBuf::from("target/noc-check"),
     };
     let mut it = std::env::args().skip(1);
@@ -53,12 +52,11 @@ fn parse_args() -> Result<Args, String> {
                 .configs
                 .push(it.next().ok_or("--config needs a value")?),
             "--planted" => args.planted = true,
-            "--skip-static" => args.skip_static = true,
             "--out" => args.out = PathBuf::from(it.next().ok_or("--out needs a value")?),
             "--help" | "-h" => {
                 println!(
                     "usage: noc-check [--matrix 2x2|3x3|all] [--config NAME]... \
-                     [--planted] [--skip-static] [--out DIR]"
+                     [--planted] [--out DIR]"
                 );
                 std::process::exit(0);
             }
@@ -110,31 +108,11 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Static lemma checks: TDM lane disjointness on both mesh tiers and
-    // the irregular (disabled-link) smoke topology.
-    let mut static_failures = Vec::new();
-    if !args.skip_static {
-        for (w, h) in [(2, 2), (3, 3), (4, 4)] {
-            for f in configs::fastpass_static_lemma_failures(noc_core::topology::Mesh::new(w, h), 1)
-            {
-                static_failures.push(format!("{w}x{h}: {f}"));
-            }
-        }
-        static_failures.extend(configs::irregular_static_failures());
-        if static_failures.is_empty() {
-            println!("static lemmas: TDM lanes disjoint on 2x2/3x3/4x4; irregular 4x4-minus-one-channel lanes cover and do not overlap");
-        } else {
-            for f in &static_failures {
-                println!("static lemma FAILURE: {f}");
-            }
-        }
-    }
-
     let mut outcomes = Vec::new();
-    let mut ok = static_failures.is_empty();
+    let mut ok = true;
     for cc in &ccs {
         if let Err(e) = configs::validate(cc) {
-            eprintln!("noc-check: config {}: {e}", cc.name);
+            eprintln!("noc-check: config {}: {e}", cc.point.name);
             std::process::exit(2);
         }
         let t0 = Instant::now();
@@ -144,7 +122,7 @@ fn main() {
         let (replay_result, trace_path) = match &report.verdict {
             Verdict::Wedged(cex) => {
                 let (r, trace) = replay(cc, cex);
-                let path = args.out.join(format!("{}-wedge.trace.json", cc.name));
+                let path = args.out.join(format!("{}-wedge.trace.json", cc.point.name));
                 if let Err(e) = std::fs::write(&path, trace) {
                     eprintln!("noc-check: cannot write {}: {e}", path.display());
                     std::process::exit(2);
@@ -174,11 +152,7 @@ fn main() {
             println!(
                 "    UNEXPECTED: config {} expected {}",
                 outcome.report.name,
-                if ccs
-                    .iter()
-                    .find(|c| c.name == outcome.report.name)
-                    .is_some_and(|c| c.expect_wedge)
-                {
+                if cc.point.expect_deadlock {
                     "a wedge (planted bug) — checker failed its soundness test"
                 } else {
                     "deadlock freedom"
@@ -191,7 +165,6 @@ fn main() {
     let summary = Summary {
         version: env!("CARGO_PKG_VERSION"),
         matrices: args.matrices.clone(),
-        static_failures,
         configs: outcomes,
         ok,
     };

@@ -223,7 +223,6 @@ pub fn canon_hash(sim: &Simulation, ctl: &ScriptCtl, params: &CanonParams) -> u6
                 h.word(w);
             }
             ExportItem::Pkt(p) => fold_pkt(&mut h, sim, ctl, p),
-            ExportItem::NoPkt => h.word(5),
         }
     }
 

@@ -36,11 +36,11 @@
 
 use crate::canon::{canon_hash, CanonParams};
 use crate::script::{CtlHandle, JobSpec, ScriptedWorkload};
-use noc_core::config::SimConfig;
+use noc_schemes::VerifyPoint;
 use noc_sim::audit::{audit, audit_conservation};
 use noc_sim::routing::RoutingPolicy;
 use noc_sim::waitgraph::WaitGraph;
-use noc_sim::{Scheme, Simulation};
+use noc_sim::Simulation;
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
@@ -66,24 +66,14 @@ impl Decision {
     }
 }
 
-/// Factory producing a fresh scheme instance per materialization.
-pub type SchemeFactory = Box<dyn Fn(&SimConfig) -> Box<dyn Scheme>>;
-
-/// A checker configuration: one (topology, scheme, script) point of the
-/// verification matrix.
+/// A checker configuration: one verification point of the scheme
+/// catalogue plus what is about exploring it.
 pub struct CheckConfig {
-    /// Display name, e.g. `fastpass-2x2`.
-    pub name: String,
-    /// Simulator configuration (mesh, VCs, queue depths).
-    pub sim: SimConfig,
-    /// Scheme factory — called once per materialization.
-    pub make_scheme: SchemeFactory,
-    /// Routing policy factory for wait-graph diagnosis of wedged states.
-    pub diag_policy: Box<dyn Fn() -> Box<dyn RoutingPolicy>>,
+    /// What is explored: mesh, VC structure, queue depths, scheme,
+    /// protocol coupling, expected verdict (shared with `noc-prove`).
+    pub point: VerifyPoint,
     /// The scripted jobs.
     pub jobs: Vec<JobSpec>,
-    /// Protocol backlog limit (`None`: plain one-way traffic).
-    pub backlog_limit: Option<u32>,
     /// Canonicalization parameters (age cap must exceed the scheme's
     /// blocked-time thresholds).
     pub canon: CanonParams,
@@ -97,9 +87,15 @@ pub struct CheckConfig {
     pub max_depth: usize,
     /// Cap on explored (materialized) search nodes.
     pub node_budget: u64,
-    /// Whether this config is a *planted bug*: the checker is expected to
-    /// find a wedge (soundness self-test).
-    pub expect_wedge: bool,
+}
+
+impl CheckConfig {
+    /// The routing policy a wedged state's wait-graph is built with: the
+    /// scheme's own discipline, so every direction a blocked head waits
+    /// on contributes its edges.
+    pub fn diag_policy(&self) -> Box<dyn RoutingPolicy> {
+        self.point.id.policy_kind().policy(VerifyPoint::SEED)
+    }
 }
 
 /// Why a wedged drain is stuck, per the wait-graph.
@@ -186,11 +182,11 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
-    /// Whether the verdict matches the configuration's expectation
-    /// (planted bugs must wedge; everything else must verify clean).
+    /// Whether the verdict matches the point's expectation (the planted
+    /// deadlock must wedge; everything else must verify clean).
     pub fn as_expected(&self, cc: &CheckConfig) -> bool {
         matches!(
-            (&self.verdict, cc.expect_wedge),
+            (&self.verdict, cc.point.expect_deadlock),
             (Verdict::DeadlockFree, false) | (Verdict::Wedged(_), true)
         )
     }
@@ -199,10 +195,13 @@ impl CheckReport {
 /// Builds the simulation for a config and replays a decision path into
 /// it. Shared by the explorer and the replay harness.
 pub fn materialize(cc: &CheckConfig, path: &[Decision]) -> (Simulation, CtlHandle) {
-    let (wl, ctl) =
-        ScriptedWorkload::new(cc.jobs.clone(), cc.sim.mesh.num_nodes(), cc.backlog_limit);
-    let scheme = (cc.make_scheme)(&cc.sim);
-    let mut sim = Simulation::new(cc.sim.clone(), scheme, Box::new(wl));
+    let cfg = cc.point.sim_config();
+    // The protocol model, where on, stalls a consumer at one
+    // outstanding response.
+    let backlog_limit = cc.point.coupling.then_some(1);
+    let (wl, ctl) = ScriptedWorkload::new(cc.jobs.clone(), cfg.mesh.num_nodes(), backlog_limit);
+    let scheme = cc.point.build(&cfg);
+    let mut sim = Simulation::new(cfg, scheme, Box::new(wl));
     for &d in path {
         if let Some(j) = d.job() {
             ctl.lock().expect("script lock").next_inject = Some(j);
@@ -281,8 +280,7 @@ fn drain(
 
 /// Classifies a wedged state via the wait-for graph.
 fn diagnose(cc: &CheckConfig, sim: &Simulation) -> WedgeKind {
-    let policy = (cc.diag_policy)();
-    let g = WaitGraph::build(&sim.core, policy.as_ref(), 0);
+    let g = WaitGraph::build(&sim.core, cc.diag_policy().as_ref(), 0);
     for start in 0..g.len() {
         if let Some(cycle) = g.find_cycle_from(start) {
             let positions = cycle
@@ -437,7 +435,7 @@ pub fn check(cc: &CheckConfig) -> CheckReport {
         };
         if let Some(verdict) = verdict {
             return CheckReport {
-                name: cc.name.clone(),
+                name: cc.point.name.to_string(),
                 verdict,
                 states_explored: search.visited.len() as u64 + search.drained.len() as u64,
                 nodes_materialized: search.nodes,

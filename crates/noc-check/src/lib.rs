@@ -20,8 +20,9 @@
 //!   set, per-state invariant audits, and the drain wedge-oracle.
 //! * [`replay`] — bitwise counterexample confirmation through a fresh
 //!   traced simulation, producing a Perfetto-loadable artifact.
-//! * [`configs`] — the named verification matrices and static lemma
-//!   checks (TDM lane disjointness, irregular-topology lanes).
+//! * [`configs`] — the search bounds and job sets of the named
+//!   verification matrices, over the points of the scheme catalogue
+//!   (`noc-schemes`) that the static certifier shares.
 //! * [`report`] — the serialized run summary CI uploads.
 //!
 //! Soundness posture: abstractions (hashing, age saturation, hidden

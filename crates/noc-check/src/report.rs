@@ -27,8 +27,6 @@ pub struct Summary {
     pub version: &'static str,
     /// Which matrices ran.
     pub matrices: Vec<String>,
-    /// Static lemma-check failures (empty = all held).
-    pub static_failures: Vec<String>,
     /// Per-config outcomes.
     pub configs: Vec<ConfigOutcome>,
     /// Overall pass/fail.

@@ -130,6 +130,14 @@ impl Default for SimConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfigError(&'static str);
 
+impl ConfigError {
+    /// An error naming the violated bound, for layers that narrow what
+    /// this one accepts (the scheme catalogue bounds the mesh edge).
+    pub fn new(bound: &'static str) -> Self {
+        ConfigError(bound)
+    }
+}
+
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "invalid configuration: {}", self.0)
@@ -165,6 +173,11 @@ impl Default for SimConfigBuilder {
 
 impl SimConfigBuilder {
     /// Sets the mesh dimensions.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Mesh::new`] does: bound dimensions that come from
+    /// outside the program before they get here.
     pub fn mesh(mut self, width: usize, height: usize) -> Self {
         self.cfg.mesh = Mesh::new(width, height);
         self
@@ -224,17 +237,26 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Finalizes the configuration.
+    /// Finalizes the configuration — the form for VC counts and
+    /// capacities that come from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first constraint [`SimConfig::validate`] finds
+    /// violated.
+    pub fn try_build(self) -> Result<SimConfig, ConfigError> {
+        self.cfg.validate()?;
+        Ok(self.cfg)
+    }
+
+    /// Finalizes the configuration (literal call sites).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (see
-    /// [`SimConfig::validate`]).
+    /// [`SimConfigBuilder::try_build`]).
     pub fn build(self) -> SimConfig {
-        if let Err(e) = self.cfg.validate() {
-            panic!("{e}");
-        }
-        self.cfg
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -291,7 +313,7 @@ mod tests {
 
     impl SimConfigBuilder {
         fn cfg_validate_err(self) -> ConfigError {
-            self.cfg.validate().unwrap_err()
+            self.try_build().unwrap_err()
         }
     }
 

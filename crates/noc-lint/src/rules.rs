@@ -61,6 +61,7 @@ const SIM_CRATES: &[&str] = &[
     "noc-sim",
     "fastpass",
     "baselines",
+    "noc-schemes",
     "traffic",
     "noc-trace",
 ];
@@ -85,6 +86,7 @@ const PANIC_CRATES: &[&str] = &[
     "noc-sim",
     "fastpass",
     "baselines",
+    "noc-schemes",
     "traffic",
     "noc-power",
     "noc-trace",

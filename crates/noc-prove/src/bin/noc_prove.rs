@@ -1,7 +1,7 @@
 //! The `noc-prove` CLI.
 //!
 //! ```text
-//! noc-prove [--suite figure|mirror|big|fault|full] [--config NAME]...
+//! noc-prove [--suite figure|points|big|fault|full] [--config NAME]...
 //!           [--faults N] [--planted] [--expect-clean] [--out DIR]
 //! ```
 //!
@@ -44,7 +44,7 @@ fn parse_args() -> Result<Args, String> {
             "--suite" => {
                 let s = it.next().ok_or("--suite needs a value")?;
                 match s.as_str() {
-                    "figure" | "mirror" | "big" | "fault" | "full" => args.suites.push(s),
+                    "figure" | "points" | "big" | "fault" | "full" => args.suites.push(s),
                     other => return Err(format!("unknown suite {other:?}")),
                 }
             }
@@ -60,7 +60,7 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = PathBuf::from(it.next().ok_or("--out needs a value")?),
             "--help" | "-h" => {
                 println!(
-                    "usage: noc-prove [--suite figure|mirror|big|fault|full] \
+                    "usage: noc-prove [--suite figure|points|big|fault|full] \
                      [--config NAME]... [--faults N] [--planted] [--expect-clean] \
                      [--out DIR]"
                 );
@@ -80,7 +80,7 @@ fn selected(args: &Args) -> Result<Vec<ProveConfig>, String> {
     for s in &args.suites {
         match s.as_str() {
             "figure" => v.extend(configs::figure_suite()),
-            "mirror" => v.extend(configs::mirror_2x2()),
+            "points" => v.extend(configs::point_suite()),
             "big" => v.extend(configs::big_points()),
             "fault" => {
                 v.extend(configs::fault_suite(8));

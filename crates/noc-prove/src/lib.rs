@@ -19,8 +19,11 @@
 //!
 //! [`prove::certify`] dispatches the scheme-specific obligations (see
 //! that module's proof taxonomy), and [`configs`] defines the certified
-//! suite: the figure matrix, the `noc-check` 2×2 mirrors, 16×16/32×32
-//! big points, seeded fault configs and the planted soundness gate.
+//! suite: the figure matrix, the scheme catalogue's verification points
+//! (the rows `noc-check` explores), 16×16/32×32 big points, seeded fault
+//! configs and the planted soundness gate. Schemes, their VN/VC
+//! structure, parameters and routing disciplines all come from
+//! `noc-schemes`; nothing here restates them.
 //!
 //! # Example
 //!

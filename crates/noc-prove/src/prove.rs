@@ -30,37 +30,33 @@
 //!   (§III-F's construction).
 
 use crate::certificate::{Certificate, VERDICT_CERTIFIED, VERDICT_CYCLE, VERDICT_REFUTED};
-use crate::configs::{ProveConfig, SchemeKind};
+use crate::configs::ProveConfig;
 use crate::model::{build_cdg, ChannelSpace};
 use fastpass::irregular::{holistic_path, segment, IrregularTopo};
 use fastpass::lane::{verify_rotation_disjoint, verify_slot_disjoint};
 use fastpass::TdmSchedule;
-use noc_sim::routing::introspect::PolicyKind;
+use noc_schemes::SchemeId;
 
 /// Certifies one configuration, never panicking on refutable inputs:
-/// failed obligations become `refuted`/`cycle-found` certificates.
+/// failed obligations become `refuted`/`cycle-found` certificates. The
+/// routing discipline each proof models is the catalogue's
+/// ([`SchemeId::policy_kind`]); the structural obligations read the
+/// parameter structs the scheme is built with.
 pub fn certify(cfg: &ProveConfig) -> Certificate {
     match cfg.scheme {
-        SchemeKind::Vct(kind) => certify_cdg(cfg, kind, "cdg-acyclic"),
-        SchemeKind::Tfc => certify_cdg(cfg, PolicyKind::WestFirst, "cdg-acyclic"),
-        SchemeKind::EscapeVc => certify_escape_vc(cfg),
-        SchemeKind::Spin | SchemeKind::Swap | SchemeKind::Drain => certify_recovery(cfg),
-        SchemeKind::Pitstop {
-            class_period,
-            pit_capacity,
-        } => certify_pitstop(cfg, class_period, pit_capacity),
-        SchemeKind::MinBd {
-            side_capacity,
-            eject_bandwidth,
-        } => certify_minbd(cfg, side_capacity, eject_bandwidth),
-        SchemeKind::FastPass { slot_cycles } => match &cfg.fault {
+        SchemeId::Vct | SchemeId::Tfc => certify_cdg(cfg),
+        SchemeId::EscapeVc => certify_escape_vc(cfg),
+        SchemeId::Spin | SchemeId::Swap | SchemeId::Drain => certify_recovery(cfg),
+        SchemeId::Pitstop => certify_pitstop(cfg),
+        SchemeId::MinBd => certify_minbd(cfg),
+        SchemeId::FastPass => match &cfg.fault {
             Some(fault) => certify_holistic(cfg, fault),
-            None => certify_fastpass(cfg, slot_cycles),
+            None => certify_fastpass(cfg),
         },
     }
 }
 
-fn base(cfg: &ProveConfig, policy: &str) -> Certificate {
+fn base(cfg: &ProveConfig, policy: &str, proof: &str) -> Certificate {
     Certificate {
         config: cfg.name.clone(),
         scheme: cfg.scheme.name().to_string(),
@@ -83,7 +79,7 @@ fn base(cfg: &ProveConfig, policy: &str) -> Certificate {
         edges: 0,
         routable: true,
         verdict: VERDICT_CERTIFIED.to_string(),
-        proof: String::new(),
+        proof: proof.to_string(),
         witness: Vec::new(),
         cycle: Vec::new(),
         failures: Vec::new(),
@@ -99,9 +95,9 @@ fn cycle_labels(space: ChannelSpace, cycle: &[u32]) -> Vec<String> {
 }
 
 /// Dally-style proof: the full extended CDG must be acyclic.
-fn certify_cdg(cfg: &ProveConfig, kind: PolicyKind, proof: &str) -> Certificate {
-    let mut cert = base(cfg, kind.name());
-    cert.proof = proof.to_string();
+fn certify_cdg(cfg: &ProveConfig) -> Certificate {
+    let kind = cfg.scheme.policy_kind();
+    let mut cert = base(cfg, kind.name(), "cdg-acyclic");
     let (g, space, rg) = build_cdg(&cfg.sim, kind, cfg.coupling, false);
     cert.vertices = g.num_vertices();
     cert.edges = g.num_edges();
@@ -134,9 +130,9 @@ fn certify_cdg(cfg: &ProveConfig, kind: PolicyKind, proof: &str) -> Certificate 
 /// Duato's condition for EscapeVC: the escape subnetwork (first VC of
 /// every VN, XY-routed) is acyclic and reachable from every hop.
 fn certify_escape_vc(cfg: &ProveConfig) -> Certificate {
-    let mut cert = base(cfg, "adaptive+escape-xy");
-    cert.proof = "duato-escape".to_string();
-    let (esc, space, rg) = build_cdg(&cfg.sim, PolicyKind::EscapeXy, cfg.coupling, true);
+    let kind = cfg.scheme.policy_kind();
+    let mut cert = base(cfg, &format!("adaptive+{}", kind.name()), "duato-escape");
+    let (esc, space, rg) = build_cdg(&cfg.sim, kind, cfg.coupling, true);
     cert.vertices = esc.num_vertices();
     cert.edges = esc.num_edges();
     cert.routable = rg.routable();
@@ -168,9 +164,9 @@ fn certify_escape_vc(cfg: &ProveConfig) -> Certificate {
 /// SPIN/SWAP/DRAIN: statically cyclic by design — certify routability
 /// and record the cycle the recovery mechanism exists to break.
 fn certify_recovery(cfg: &ProveConfig) -> Certificate {
-    let mut cert = base(cfg, PolicyKind::FullyAdaptive.name());
-    cert.proof = "dynamic-recovery".to_string();
-    let (g, space, rg) = build_cdg(&cfg.sim, PolicyKind::FullyAdaptive, cfg.coupling, false);
+    let kind = cfg.scheme.policy_kind();
+    let mut cert = base(cfg, kind.name(), "dynamic-recovery");
+    let (g, space, rg) = build_cdg(&cfg.sim, kind, cfg.coupling, false);
     cert.vertices = g.num_vertices();
     cert.edges = g.num_edges();
     cert.routable = rg.routable();
@@ -201,17 +197,18 @@ fn certify_recovery(cfg: &ProveConfig) -> Certificate {
 }
 
 /// Pitstop: class-rotation pit lanes are an ejection-independent escape.
-fn certify_pitstop(cfg: &ProveConfig, class_period: u64, pit_capacity: usize) -> Certificate {
-    let mut cert = base(cfg, PolicyKind::FullyAdaptive.name());
-    cert.proof = "class-rotation-escape".to_string();
+fn certify_pitstop(cfg: &ProveConfig) -> Certificate {
+    let pitstop = cfg.tuning.pitstop;
+    let kind = cfg.scheme.policy_kind();
+    let mut cert = base(cfg, kind.name(), "class-rotation-escape");
     cert.vertices = cfg.sim.mesh.num_links() * cfg.sim.vcs_per_port();
-    let rg = crate::model::route_graph(PolicyKind::FullyAdaptive, cfg.sim.mesh);
+    let rg = crate::model::route_graph(kind, cfg.sim.mesh);
     cert.routable = rg.routable();
-    if class_period == 0 {
+    if pitstop.class_period == 0 {
         cert.failures
             .push("class_period must be positive for the rotation to advance".into());
     }
-    if pit_capacity == 0 {
+    if pitstop.pit_capacity == 0 {
         cert.failures
             .push("pit_capacity must be positive for pit pulls to succeed".into());
     }
@@ -223,7 +220,7 @@ fn certify_pitstop(cfg: &ProveConfig, class_period: u64, pit_capacity: usize) ->
             "pit lanes rotate through all {} classes every {} cycles; every blocked \
              packet is pit-eligible once per rotation, independent of ejection",
             noc_core::packet::NUM_CLASSES,
-            class_period * noc_core::packet::NUM_CLASSES as u64
+            pitstop.class_period * noc_core::packet::NUM_CLASSES as u64
         ));
     } else {
         cert.verdict = VERDICT_REFUTED.to_string();
@@ -233,23 +230,23 @@ fn certify_pitstop(cfg: &ProveConfig, class_period: u64, pit_capacity: usize) ->
 
 /// MinBD: deflection routers never block on credits, so the CDG is
 /// edgeless; the obligations are structural.
-fn certify_minbd(cfg: &ProveConfig, side_capacity: usize, eject_bandwidth: usize) -> Certificate {
-    let mut cert = base(cfg, "deflection");
-    cert.proof = "deflection".to_string();
+fn certify_minbd(cfg: &ProveConfig) -> Certificate {
+    let minbd = cfg.tuning.minbd;
+    let mut cert = base(cfg, "deflection", "deflection");
     cert.vertices = cfg.sim.mesh.num_links() * cfg.sim.vcs_per_port();
-    if eject_bandwidth == 0 {
+    if minbd.eject_bandwidth == 0 {
         cert.failures
             .push("eject_bandwidth must be positive: flits could never leave".into());
     }
-    if side_capacity == 0 {
+    if minbd.side_capacity == 0 {
         cert.failures
             .push("side_capacity must be positive for buffered redirection".into());
     }
     if cert.failures.is_empty() {
         cert.witness.push(format!(
             "deflection never waits on downstream credits: zero buffer-dependency \
-             edges; side buffer {side_capacity} flits, eject bandwidth \
-             {eject_bandwidth}/cycle"
+             edges; side buffer {} flits, eject bandwidth {}/cycle",
+            minbd.side_capacity, minbd.eject_bandwidth
         ));
     } else {
         cert.verdict = VERDICT_REFUTED.to_string();
@@ -258,12 +255,12 @@ fn certify_minbd(cfg: &ProveConfig, side_capacity: usize, eject_bandwidth: usize
 }
 
 /// FastPass on a regular mesh: the paper's static lane lemmas.
-fn certify_fastpass(cfg: &ProveConfig, slot_cycles: Option<u64>) -> Certificate {
-    let mut cert = base(cfg, "tdm-lanes+fully-adaptive");
-    cert.proof = "tdm-escape".to_string();
+fn certify_fastpass(cfg: &ProveConfig) -> Certificate {
+    let kind = cfg.scheme.policy_kind();
+    let mut cert = base(cfg, &format!("tdm-lanes+{}", kind.name()), "tdm-escape");
     cert.vertices = cfg.sim.mesh.num_links() * cfg.sim.vcs_per_port();
     let mesh = cfg.sim.mesh;
-    let schedule = match slot_cycles {
+    let schedule = match cfg.tuning.fastpass.slot_cycles {
         Some(k) => TdmSchedule::with_slot_cycles(mesh, k),
         None => TdmSchedule::new(mesh, cfg.sim.vcs_per_port()),
     };
@@ -292,7 +289,7 @@ fn certify_fastpass(cfg: &ProveConfig, slot_cycles: Option<u64>) -> Certificate 
     }
     // The regular network routes fully adaptively; its deadlock freedom
     // comes from the lane escape, but it must at least be routable.
-    let rg = crate::model::route_graph(PolicyKind::FullyAdaptive, mesh);
+    let rg = crate::model::route_graph(kind, mesh);
     cert.routable = rg.routable();
     if !rg.routable() {
         cert.failures.extend(rg.dead_ends);
@@ -320,8 +317,7 @@ fn certify_fastpass(cfg: &ProveConfig, slot_cycles: Option<u64>) -> Certificate 
 /// FastPass on a fault-degraded topology: §III-F's holistic-path lane
 /// construction must survive the disabled channels.
 fn certify_holistic(cfg: &ProveConfig, fault: &noc_core::FaultConfig) -> Certificate {
-    let mut cert = base(cfg, "holistic-lanes");
-    cert.proof = "holistic-lanes".to_string();
+    let mut cert = base(cfg, "holistic-lanes", "holistic-lanes");
     let topo = IrregularTopo::from_fault_config(fault);
     let links = topo.directed_links().len();
     cert.vertices = links;

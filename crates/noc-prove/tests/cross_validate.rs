@@ -1,67 +1,58 @@
 //! Static ↔ dynamic cross-validation against `noc-check`.
 //!
-//! The certifier's verdicts must agree with the bounded model checker's
-//! exhaustive 2×2 results in the one direction that is sound: a static
-//! certificate implies no dynamic counterexample exists, and the planted
-//! cyclic config must fail statically exactly where `noc-check`
-//! witnesses its wedge dynamically.
+//! Both verifiers take each configuration from one row of the scheme
+//! catalogue (`noc_schemes::verify_points`), so their *structure* —
+//! mesh, VC layout, scheme, protocol coupling — agrees by construction.
+//! What remains to test is that their *verdicts* agree, in the one
+//! direction that is sound: a static certificate implies no dynamic
+//! counterexample exists, and the planted cyclic config must fail
+//! statically exactly where `noc-check` witnesses its wedge dynamically.
 //!
 //! Configs whose exhaustive exploration is cheap enough for debug-mode
-//! tests are explored live here; the two expensive ones (`fastpass-2x2`
-//! at a 2.5M-node budget, `pitstop-2x2` at 600k) are validated against
-//! their `expect_wedge` declarations, which the CI `modelcheck` job
-//! re-establishes dynamically in release mode on every PR.
+//! tests are explored live here; the expensive ones (`fastpass-2x2` at
+//! a 2.5M-node budget, `pitstop-2x2` at 600k, their 3×3 siblings) are
+//! validated against the point's declared expectation, which the CI
+//! `modelcheck` job re-establishes dynamically in release mode.
 
 use noc_check::explore::check;
 use noc_prove::{certify, configs};
 
 /// Configs cheap enough (≲200 ms debug) to explore exhaustively inside
 /// this test.
-const EXPLORE_LIVE: [&str; 6] = [
+const EXPLORE_LIVE: [&str; 7] = [
     "vct-xy0-2x2",
     "vct-xy6-2x2",
     "spin-2x2",
     "escape-vc-2x2",
     "minbd-min-2x2",
+    "vct-xy6-3x3",
     "planted-vct0-protocol-2x2",
 ];
 
-/// Every `noc-check` 2×2 config has a same-name static mirror with the
-/// same mesh/VC structure and protocol-model switch, and the static
+/// Every config `noc-check` explores (both tiers and the planted bug)
+/// is in the certified suite under the same name, and the static
 /// verdict agrees with the dynamic expectation.
 #[test]
 fn static_verdicts_agree_with_dynamic_expectations() {
-    let dynamic: Vec<_> = noc_check::configs::matrix_2x2()
+    let dynamic = noc_check::configs::matrix_2x2()
         .into_iter()
-        .chain(std::iter::once(noc_check::configs::planted()))
-        .collect();
-    for cc in &dynamic {
-        let pc = configs::by_name(&cc.name)
-            .unwrap_or_else(|| panic!("no static mirror for noc-check config {}", cc.name));
-        // Structural lockstep: same mesh, same VC layout, coupling
-        // mirrors the backlog protocol model.
-        assert_eq!(pc.sim.mesh, cc.sim.mesh, "{}", cc.name);
-        assert_eq!(pc.sim.vns, cc.sim.vns, "{}", cc.name);
-        assert_eq!(pc.sim.vcs_per_vn, cc.sim.vcs_per_vn, "{}", cc.name);
-        assert_eq!(
-            pc.coupling,
-            cc.backlog_limit.is_some(),
-            "{}: coupling must mirror the backlog protocol model",
-            cc.name
-        );
+        .chain(noc_check::configs::matrix_3x3())
+        .chain([noc_check::configs::planted()]);
+    for cc in dynamic {
+        let name = cc.point.name;
+        let pc = configs::by_name(name)
+            .unwrap_or_else(|| panic!("noc-check config {name} is not certified"));
         // Verdict agreement: certified ⇔ no wedge expected; the planted
         // cycle ⇔ the planted wedge.
         let cert = certify(&pc);
         assert!(
             cert.as_expected(pc.expect_cycle),
-            "{}: {}",
-            cc.name,
+            "{name}: {}",
             cert.summary()
         );
         assert_eq!(
-            pc.expect_cycle, cc.expect_wedge,
-            "{}: static and dynamic expectations diverge",
-            cc.name
+            pc.expect_cycle, cc.point.expect_deadlock,
+            "{name}: static and dynamic expectations diverge"
         );
     }
 }
@@ -74,11 +65,11 @@ fn static_verdicts_agree_with_dynamic_expectations() {
 fn exhaustive_exploration_confirms_static_verdicts() {
     for name in EXPLORE_LIVE {
         let cc = noc_check::configs::by_name(name).expect("known config");
-        let pc = configs::by_name(name).expect("static mirror");
+        let pc = configs::by_name(name).expect("certified under the same name");
         let cert = certify(&pc);
         let report = check(&cc);
-        let dynamic_clean = report.as_expected(&cc) && !cc.expect_wedge;
-        let dynamic_wedged = report.as_expected(&cc) && cc.expect_wedge;
+        let dynamic_clean = report.as_expected(&cc) && !cc.point.expect_deadlock;
+        let dynamic_wedged = report.as_expected(&cc) && cc.point.expect_deadlock;
         assert!(
             report.as_expected(&cc),
             "{name}: dynamic exploration disagreed with its own expectation"

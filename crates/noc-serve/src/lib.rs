@@ -2,15 +2,17 @@
 //! built on it.
 //!
 //! This crate owns everything between "a sweep spec" and "a stored
-//! point", once: the scheme [`registry`] with Table II's per-scheme
-//! configurations, the spec → key → point path ([`runner`]:
+//! point", once: the spec → key → point path ([`runner`]:
 //! [`point_cache_key`], [`simulate_point`]), the content-addressed
 //! result [`store`], the wire format ([`proto`]) with both of its ends
 //! ([`client`], [`server`]) — and the two executors over that one point
 //! path: [`run_sweep_parallel`] in-process, and the [`Daemon`] behind a
-//! Unix socket. The figure harness (`crates/bench`) and the facade sit
-//! *above* this crate; the verifiers and the power model are not
-//! beneath it, so `nocserve` links none of them.
+//! Unix socket. The scheme catalogue with Table II's per-scheme
+//! configurations sits one layer *down* (`noc-schemes`, re-exported as
+//! [`registry`]), shared with the verifiers. The figure harness
+//! (`crates/bench`) and the facade sit *above* this crate; the
+//! verifiers and the power model are not beneath it, so `nocserve`
+//! links none of them.
 //!
 //! The daemon accepts sweep jobs as newline-delimited JSON, shards
 //! points across a worker pool, and deduplicates identical in-flight
@@ -51,11 +53,14 @@ pub mod core;
 pub mod flight;
 pub mod metrics;
 pub mod proto;
-pub mod registry;
 pub mod runner;
 pub mod server;
 pub mod statsd;
 pub mod store;
+
+/// The scheme catalogue, one layer down (`noc-schemes`), at the path
+/// the sweep library has always exported it under.
+pub use noc_schemes as registry;
 
 pub use crate::core::{Daemon, JobProgress, ServeConfig};
 pub use flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains, FlightBus};

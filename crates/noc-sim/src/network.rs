@@ -12,7 +12,6 @@ use crate::probe::{Phase, PhaseProbe};
 use crate::router::RouterState;
 use noc_core::config::SimConfig;
 use noc_core::packet::{PacketId, PacketSeed, PacketStore};
-use noc_core::rng::DetRng;
 use noc_core::stats::NetStats;
 use noc_core::topology::{
     Direction, LinkId, Mesh, NodeId, Port, ProductiveDirs, DIRECTIONS, NUM_PORTS,
@@ -136,7 +135,6 @@ pub struct NetworkCore {
     /// Reusable per-cycle scratch owned here so the regular pipeline
     /// allocates nothing in steady state: the active-node worklist.
     scratch_nodes: Vec<NodeId>,
-    rng: DetRng,
     link_flits: Vec<u64>,
     probe: ProbeSlot,
     /// Flat neighbor table (`node * 4 + direction` → neighbor index or
@@ -179,7 +177,6 @@ impl NetworkCore {
             staged_back: Vec::new(),
             drained_back: Vec::new(),
             scratch_nodes: Vec::new(),
-            rng: DetRng::new(cfg.seed),
             link_flits: vec![0; mesh.num_links()],
             probe: ProbeSlot(None),
             topo_nbr: (0..n)
@@ -392,17 +389,6 @@ impl NetworkCore {
     /// Whether `n` is marked in the live-NI words (audit use).
     pub(crate) fn in_ni_live(&self, n: NodeId) -> bool {
         self.ni_live[n.index() / 64] & (1 << (n.index() % 64)) != 0
-    }
-
-    /// Deterministic RNG for tie-breaking.
-    pub fn rng_mut(&mut self) -> &mut DetRng {
-        &mut self.rng
-    }
-
-    /// Simultaneous mutable access to a router and the packet store
-    /// (common pattern in scheme code).
-    pub fn router_and_store_mut(&mut self, n: NodeId) -> (&mut RouterState, &mut PacketStore) {
-        (&mut self.routers[n.index()], &mut self.store)
     }
 
     // ---- packet generation ----------------------------------------------
@@ -685,6 +671,7 @@ mod tests {
     use super::*;
     use crate::vc::VcOccupant;
     use noc_core::packet::{MessageClass, Packet};
+    use noc_core::rng::DetRng;
 
     fn small_core() -> NetworkCore {
         NetworkCore::new(SimConfig::builder().mesh(3, 3).vns(0).vcs_per_vn(2).build())

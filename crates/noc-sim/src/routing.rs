@@ -200,9 +200,19 @@ pub mod introspect {
             }
         }
 
-        /// Whether the route set depends on the input port (turn history).
-        pub fn history_sensitive(self) -> bool {
-            matches!(self, PolicyKind::OddEven)
+        /// The live policy this kind enumerates, for callers that hold
+        /// a kind and need its `desired_ports` (wait-graph diagnosis).
+        /// `seed` feeds the adaptive tie-break stream.
+        pub fn policy(self, seed: u64) -> Box<dyn super::RoutingPolicy> {
+            match self {
+                PolicyKind::Xy => Box::new(super::DorXy),
+                PolicyKind::Yx => Box::new(super::DorYx),
+                PolicyKind::FullyAdaptive => Box::new(super::FullyAdaptive::new(seed)),
+                PolicyKind::WestFirst => Box::new(super::WestFirst::new(seed)),
+                PolicyKind::NorthLast => Box::new(super::NorthLast::new(seed)),
+                PolicyKind::OddEven => Box::new(super::OddEven::new(seed)),
+                PolicyKind::EscapeXy => Box::new(super::EscapeVcRouting::new(seed)),
+            }
         }
     }
 
@@ -1160,16 +1170,19 @@ mod tests {
             let mut c =
                 NetworkCore::new(SimConfig::builder().mesh(w, h).vns(0).vcs_per_vn(2).build());
             let mesh = c.mesh();
-            let pairs: Vec<(Box<dyn RoutingPolicy>, PolicyKind)> = vec![
-                (Box::new(DorXy), PolicyKind::Xy),
-                (Box::new(DorYx), PolicyKind::Yx),
-                (Box::new(FullyAdaptive::new(1)), PolicyKind::FullyAdaptive),
-                (Box::new(WestFirst::new(1)), PolicyKind::WestFirst),
-                (Box::new(NorthLast::new(1)), PolicyKind::NorthLast),
-                (Box::new(OddEven::new(1)), PolicyKind::OddEven),
+            // `PolicyKind::policy` pairs each kind with its live policy
+            // (EscapeXy is the escape *lane*'s set, not a policy's).
+            let kinds = [
+                PolicyKind::Xy,
+                PolicyKind::Yx,
+                PolicyKind::FullyAdaptive,
+                PolicyKind::WestFirst,
+                PolicyKind::NorthLast,
+                PolicyKind::OddEven,
             ];
             let pkt = req_between(&mut c, 0, 1);
-            for (policy, kind) in &pairs {
+            for kind in &kinds {
+                let policy = kind.policy(1);
                 for at in 0..mesh.num_nodes() {
                     for dst in 0..mesh.num_nodes() {
                         // Probe every legal input port (turn history).

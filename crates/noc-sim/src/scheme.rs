@@ -14,8 +14,6 @@ pub enum ExportItem {
     Word(u64),
     /// A reference to a live packet.
     Pkt(PacketId),
-    /// An explicitly absent packet slot (`Option::None` in scheme state).
-    NoPkt,
 }
 
 /// Collector for a scheme's overlay-state digest.
@@ -46,14 +44,6 @@ impl StateExport {
     /// Appends a packet reference.
     pub fn pkt(&mut self, p: PacketId) {
         self.items.push(ExportItem::Pkt(p));
-    }
-
-    /// Appends an optional packet reference.
-    pub fn opt_pkt(&mut self, p: Option<PacketId>) {
-        self.items.push(match p {
-            Some(p) => ExportItem::Pkt(p),
-            None => ExportItem::NoPkt,
-        });
     }
 
     /// The collected items, in push order.

@@ -32,7 +32,6 @@ pub struct BufferPos {
 pub struct WaitGraph {
     verts: Vec<(BufferPos, PacketId)>,
     edges: Vec<Vec<usize>>,
-    index: BTreeMap<BufferPos, usize>,
 }
 
 impl WaitGraph {
@@ -85,11 +84,7 @@ impl WaitGraph {
                 }
             }
         }
-        WaitGraph {
-            verts,
-            edges,
-            index,
-        }
+        WaitGraph { verts, edges }
     }
 
     /// Number of vertices (blocked quiescent packets).
@@ -105,12 +100,6 @@ impl WaitGraph {
     /// Position and packet of vertex `i`.
     pub fn vertex(&self, i: usize) -> (BufferPos, PacketId) {
         self.verts[i]
-    }
-
-    /// Vertex index of the packet buffered at `pos`, if it is in the
-    /// graph.
-    pub fn vertex_at(&self, pos: BufferPos) -> Option<usize> {
-        self.index.get(&pos).copied()
     }
 
     /// Finds a dependency cycle reachable from vertex `start`, returned
@@ -185,21 +174,15 @@ impl WaitGraph {
             }
         }
         let mut verts = Vec::with_capacity(num_verts);
-        let mut index = BTreeMap::new();
         for i in 0..num_verts {
             let pos = BufferPos {
                 node: NodeId::new(i),
                 port: 0,
                 vc: 0,
             };
-            index.insert(pos, i);
             verts.push((pos, PacketId::PLACEHOLDER));
         }
-        WaitGraph {
-            verts,
-            edges,
-            index,
-        }
+        WaitGraph { verts, edges }
     }
 
     /// Outgoing edges of vertex `i` (oracle cross-checks in tests).

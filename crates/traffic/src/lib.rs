@@ -11,8 +11,6 @@
 //!   structure of §II without a full MOESI implementation.
 //! * [`apps`] — per-application parameterizations of the protocol model
 //!   standing in for the PARSEC/SPLASH-2 traces of Figs. 10, 12 and 13b.
-//! * [`trace`] — record/replay of packet traces for reproducible
-//!   regression workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +18,6 @@
 pub mod apps;
 pub mod protocol;
 pub mod synthetic;
-pub mod trace;
 
 pub use apps::AppModel;
 pub use protocol::ProtocolWorkload;

@@ -20,15 +20,16 @@
 //!   synthetic pattern (`radix`, `canneal`, `fft`, `fmm`, `lu_cb`,
 //!   `streamcluster`, `volrend`, `barnes`);
 //! * `--rate <f64>` — injection rate in packets/node/cycle (default 0.05);
-//! * `--size <n>` — mesh edge (default 8); `--vcs <n>` — FastPass VCs
-//!   (every other scheme runs Table II's VN/VC configuration);
+//! * `--size <n>` — mesh edge (default 8, 2 to 255); `--vcs <n>` —
+//!   FastPass VCs (1 to 12; every other scheme runs Table II's VN/VC
+//!   configuration);
 //! * `--warmup/--cycles <n>` — window lengths; `--quota <n>` — closed-loop
 //!   transactions per core; `--seed <n>`; `--json` for machine output.
 
 #![forbid(unsafe_code)]
 
 use fastpass_noc::core::stats::NetStats;
-use fastpass_noc::serve::{SchemeId, ALL_SCHEMES};
+use fastpass_noc::schemes::{SchemeId, ALL_SCHEMES};
 use fastpass_noc::sim::{Simulation, Workload};
 use fastpass_noc::traffic::{AppModel, SyntheticPattern, SyntheticWorkload};
 use std::collections::HashMap;
@@ -168,7 +169,9 @@ fn run() -> Result<(), String> {
     // Table II's configuration for the scheme, from the one registry.
     let id = SchemeId::parse(scheme_name)
         .ok_or_else(|| format!("unknown scheme `{scheme_name}` (try --list)"))?;
-    let cfg = id.sim_config(size, vcs, seed);
+    let cfg = id
+        .try_sim_config(size, vcs, seed)
+        .map_err(|e| e.to_string())?;
     let scheme = id.build(&cfg, seed);
 
     let workload: Box<dyn Workload> = if let Some(app_name) = args.get("app") {
@@ -201,9 +204,10 @@ fn run() -> Result<(), String> {
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
+        // Everything `run` rejects is a bad argument: usage error.
         Err(e) => {
             eprintln!("nocsim: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
     }
 }

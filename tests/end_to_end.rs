@@ -2,56 +2,11 @@
 //! the protocol workload, checking delivery, conservation and
 //! determinism through the full public API.
 
-use fastpass_noc::baselines::{
-    drain::DrainConfig, pitstop::PitstopConfig, spin::SpinConfig, swap::SwapConfig, Drain,
-    EscapeVc, MinBd, Pitstop, Spin, Swap, Tfc,
-};
 use fastpass_noc::core::config::SimConfig;
 use fastpass_noc::fastpass::{FastPass, FastPassConfig};
-use fastpass_noc::sim::{Scheme, Simulation};
+use fastpass_noc::schemes::{SchemeId, ALL_SCHEMES};
+use fastpass_noc::sim::Simulation;
 use fastpass_noc::traffic::{AppModel, SyntheticPattern, SyntheticWorkload};
-
-fn all_schemes(cfg_vns6: &SimConfig, cfg_vns0: &SimConfig) -> Vec<(Box<dyn Scheme>, usize)> {
-    let nodes = cfg_vns0.mesh.num_nodes();
-    vec![
-        (Box::new(EscapeVc::new(1)) as Box<dyn Scheme>, 6),
-        (Box::new(Spin::new(1, SpinConfig::default())), 6),
-        (Box::new(Swap::new(1, SwapConfig::default())), 6),
-        (
-            Box::new(Drain::new(
-                cfg_vns6.mesh,
-                1,
-                DrainConfig {
-                    period: 4_000,
-                    step_cycles: 5,
-                },
-            )),
-            6,
-        ),
-        (
-            Box::new(Pitstop::new(nodes, 1, PitstopConfig::default())),
-            0,
-        ),
-        (
-            Box::new(MinBd::new(cfg_vns0.mesh, 1, Default::default())),
-            0,
-        ),
-        (Box::new(Tfc::new(1)), 6),
-        (
-            Box::new(FastPass::new(cfg_vns0, FastPassConfig::default())),
-            0,
-        ),
-    ]
-}
-
-fn cfg(vns: usize) -> SimConfig {
-    SimConfig::builder()
-        .mesh(4, 4)
-        .vns(vns)
-        .vcs_per_vn(2)
-        .seed(11)
-        .build()
-}
 
 #[test]
 fn every_scheme_delivers_every_pattern() {
@@ -64,12 +19,12 @@ fn every_scheme_delivers_every_pattern() {
         SyntheticPattern::Tornado,
         SyntheticPattern::Neighbor,
     ] {
-        let c6 = cfg(6);
-        let c0 = cfg(0);
-        for (scheme, vns) in all_schemes(&c6, &c0) {
-            let name = scheme.name();
+        for id in ALL_SCHEMES {
+            let name = id.name();
+            let cfg = id.sim_config(4, 2, 11);
+            let scheme = id.build(&cfg, 1);
             let mut sim = Simulation::new(
-                cfg(vns),
+                cfg,
                 scheme,
                 Box::new(SyntheticWorkload::new(pattern, 0.05, 21)),
             );
@@ -91,12 +46,12 @@ fn every_scheme_delivers_every_pattern() {
 
 #[test]
 fn every_scheme_completes_an_app_quota() {
-    let c6 = cfg(6);
-    let c0 = cfg(0);
-    for (scheme, vns) in all_schemes(&c6, &c0) {
-        let name = scheme.name();
+    for id in ALL_SCHEMES {
+        let name = id.name();
+        let cfg = id.sim_config(4, 2, 11);
+        let scheme = id.build(&cfg, 1);
         let wl = AppModel::Fft.workload(16, Some(8));
-        let mut sim = Simulation::new(cfg(vns), scheme, Box::new(wl));
+        let mut sim = Simulation::new(cfg, scheme, Box::new(wl));
         let ran = sim.run(200_000);
         assert!(ran < 200_000, "{name} did not finish the quota");
         assert_eq!(sim.in_flight(), 0, "{name} left packets behind");
@@ -108,7 +63,7 @@ fn packet_conservation_under_load() {
     // Open-loop saturating traffic: generated = delivered + in flight,
     // for a scheme with drops (FastPass regenerates its drops, so the
     // identity must still hold).
-    let c0 = cfg(0);
+    let c0 = SchemeId::FastPass.sim_config(4, 2, 11);
     let scheme = FastPass::new(&c0, FastPassConfig::default());
     let mut sim = Simulation::new(
         c0,

@@ -37,3 +37,30 @@ fn every_listed_scheme_runs_and_delivers() {
         assert!(delivered > 0, "{name} delivered nothing: {json}");
     }
 }
+
+/// Out-of-range sizes and VC counts are usage errors (exit 2, one line
+/// naming the bound), not panics from inside the simulator — and nothing
+/// is simulated.
+#[test]
+fn out_of_range_size_and_vcs_are_usage_errors() {
+    let edge = "mesh edge must be 2 to 255";
+    for (args, bound) in [
+        (["--scheme", "fastpass", "--vcs", "13"], "at most 12 VCs"),
+        (["--scheme", "fastpass", "--size", "1"], edge),
+        (["--scheme", "escapevc", "--size", "0"], edge),
+        (["--scheme", "minbd", "--size", "256"], edge),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_nocsim"))
+            .args(args)
+            .output()
+            .expect("nocsim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} simulated something");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("nocsim: ") && stderr.contains(bound),
+            "{args:?}: {stderr}"
+        );
+    }
+}
