@@ -15,13 +15,12 @@
 //! cycle — construction rejects it, as does the DRAIN paper's).
 
 use noc_core::packet::PacketId;
-use noc_core::topology::{Mesh, NodeId, NUM_PORTS};
+use noc_core::topology::{Mesh, NodeId, Port, NUM_PORTS};
 use noc_sim::network::NetworkCore;
 use noc_sim::ni::EjectEntry;
 use noc_sim::regular::{advance, AdvanceCtx};
 use noc_sim::routing::FullyAdaptive;
 use noc_sim::scheme::{Scheme, SchemeProperties};
-use noc_sim::vc::VcOccupant;
 
 /// Tunables for [`Drain`].
 #[derive(Debug, Clone, Copy)]
@@ -173,22 +172,18 @@ impl Drain {
                 let mut in_air: Vec<(usize, PacketId)> = Vec::new();
                 for (i, &m) in moves.iter().enumerate() {
                     if m {
-                        let pkt = core.take_vc_packet(
-                            NodeId::new(i),
-                            noc_core::topology::Port::from_index(p),
-                            vc,
-                        );
+                        let pkt = core.take_vc_packet(NodeId::new(i), Port::from_index(p), vc);
                         in_air.push((self.ring_next[i], pkt));
                     }
                 }
                 for (target, pkt) in in_air {
                     let node = NodeId::new(target);
                     self.moves += 1;
-                    let (len, class, arrived_home) = {
+                    let (class, arrived_home) = {
                         let pk = core.store.get_mut(pkt);
                         pk.hops += 1;
                         pk.deflections += 1; // circulation is misrouting
-                        (pk.len_flits, pk.class, pk.dst == node)
+                        (pk.class, pk.dst == node)
                     };
                     // Eject in passing if this is the destination and the
                     // queue has room; otherwise keep circulating.
@@ -200,9 +195,7 @@ impl Drain {
                             .ej_commit(class, EjectEntry { pkt, ready });
                         continue;
                     }
-                    let mut occ = VcOccupant::reserved(pkt, len, now);
-                    occ.arrived = len;
-                    core.input_mut(node, p).install(vc, occ);
+                    core.put_vc_packet(node, Port::from_index(p), vc, pkt);
                 }
             }
         }

@@ -12,7 +12,6 @@ use noc_sim::network::NetworkCore;
 use noc_sim::regular::{advance, AdvanceCtx};
 use noc_sim::routing::{FullyAdaptive, RouteReq, RoutingPolicy};
 use noc_sim::scheme::{Scheme, SchemeProperties};
-use noc_sim::vc::VcOccupant;
 
 /// Tunables for [`Swap`].
 #[derive(Debug, Clone, Copy)]
@@ -70,9 +69,7 @@ impl Swap {
                         continue;
                     }
                     let req = RouteReq::new(core, node, Port::from_index(p), vc, occ.pkt);
-                    let desired = self.routing.desired_ports(core, &req);
-                    for port in desired {
-                        let Port::Dir(d) = port else { continue };
+                    for d in self.routing.desired_ports(core, &req).iter() {
                         let Some(nbr) = core.mesh().neighbor(node, d) else {
                             continue;
                         };
@@ -90,14 +87,8 @@ impl Swap {
                             // one hop backward into the vacated slot.
                             let fwd = core.take_vc_packet(node, Port::from_index(p), vc);
                             let back = core.take_vc_packet(nbr, Port::from_index(nbr_in), nvc);
-                            let fwd_len = core.store.get(fwd).len_flits;
-                            let back_len = core.store.get(back).len_flits;
-                            let mut fwd_occ = VcOccupant::reserved(fwd, fwd_len, now);
-                            fwd_occ.arrived = fwd_len;
-                            core.input_mut(nbr, nbr_in).install(nvc, fwd_occ);
-                            let mut back_occ = VcOccupant::reserved(back, back_len, now);
-                            back_occ.arrived = back_len;
-                            core.input_mut(node, p).install(vc, back_occ);
+                            core.put_vc_packet(nbr, Port::from_index(nbr_in), nvc, fwd);
+                            core.put_vc_packet(node, Port::from_index(p), vc, back);
                             {
                                 let f = core.store.get_mut(fwd);
                                 f.hops += 1;

@@ -10,12 +10,11 @@
 //! early saturation in Fig. 7.
 
 use noc_core::rng::DetRng;
-use noc_core::topology::{Direction, NodeId, Port};
+use noc_core::topology::{Direction, NodeId};
 use noc_sim::network::NetworkCore;
 use noc_sim::regular::{advance, AdvanceCtx};
-use noc_sim::routing::{
-    downstream_credits, free_downstream_vc, RouteDecision, RouteReq, RoutingPolicy, WestFirst,
-};
+use noc_sim::routing::introspect::PolicyKind;
+use noc_sim::routing::{downstream_credits, pick_scored, RouteDecision, RouteReq, RoutingPolicy};
 use noc_sim::scheme::{Scheme, SchemeProperties};
 
 /// West-first routing weighted by region tokens: the score of a
@@ -43,42 +42,15 @@ impl RoutingPolicy for TokenWestFirst {
         "token-west-first"
     }
 
-    fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if req.dst == req.at {
-            return Some(RouteDecision {
-                out_port: Port::Local,
-                out_vc: 0,
-            });
-        }
-        let class = req.class.index();
-        let mut best: Option<(usize, Direction, usize)> = None;
-        for dir in WestFirst::admissible(core, req.at, req.dst) {
-            if let Some(vc) = free_downstream_vc(core, req.at, dir, class) {
-                let score = Self::token_score(core, req.at, dir, class);
-                let better = match best {
-                    Some((b, _, _)) => score > b || (score == b && self.rng.chance(0.5)),
-                    None => true,
-                };
-                if better {
-                    best = Some((score, dir, vc));
-                }
-            }
-        }
-        best.map(|(_, dir, vc)| RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc: vc,
-        })
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::WestFirst
     }
 
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        if req.dst == req.at {
-            vec![Port::Local]
-        } else {
-            WestFirst::admissible(core, req.at, req.dst)
-                .into_iter()
-                .map(Port::Dir)
-                .collect()
-        }
+    fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
+        let dirs = self.desired_ports(core, req);
+        pick_scored(core, req, dirs, &mut self.rng, |d| {
+            Self::token_score(core, req.at, d, req.class.index())
+        })
     }
 }
 
@@ -164,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn west_first_restriction_is_respected() {
+    fn westbound_heavy_pattern_is_delivered() {
         // A packet that needs to go west must be routed west first; run a
         // westbound-heavy pattern and confirm delivery (correctness of
         // the restricted turns).

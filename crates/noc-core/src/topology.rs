@@ -323,20 +323,10 @@ impl Mesh {
     /// any) followed by the vertical correction (if any). An empty result
     /// means `from == to`.
     pub fn productive_dirs(self, from: NodeId, to: NodeId) -> ProductiveDirs {
-        let mut dirs = ProductiveDirs::default();
-        let (fx, fy) = (self.x(from), self.y(from));
-        let (tx, ty) = (self.x(to), self.y(to));
-        if tx > fx {
-            dirs.push(Direction::East);
-        } else if tx < fx {
-            dirs.push(Direction::West);
-        }
-        if ty > fy {
-            dirs.push(Direction::South);
-        } else if ty < fy {
-            dirs.push(Direction::North);
-        }
-        dirs
+        ProductiveDirs::from_deltas(
+            self.x(to) as isize - self.x(from) as isize,
+            self.y(to) as isize - self.y(from) as isize,
+        )
     }
 
     /// Next hop under dimension-ordered XY routing (X first, then Y).
@@ -406,57 +396,63 @@ impl Mesh {
     }
 }
 
-/// Up to two minimal productive directions (see [`Mesh::productive_dirs`]).
+/// Up to two minimal productive directions (see [`Mesh::productive_dirs`]):
+/// at most one horizontal correction and one vertical, listed in that
+/// order. Two scalar slots rather than an indexed list, so the per-head
+/// route path builds, filters and walks it in registers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProductiveDirs {
-    dirs: [Option<Direction>; 2],
-    len: u8,
+    horizontal: Option<Direction>,
+    vertical: Option<Direction>,
 }
 
 impl ProductiveDirs {
-    fn push(&mut self, d: Direction) {
-        self.dirs[self.len as usize] = Some(d);
-        self.len += 1;
-    }
-
-    /// Builds the productive set from coordinate deltas (`to − from`),
-    /// with the same ordering as [`Mesh::productive_dirs`]: the
-    /// horizontal correction (if any) followed by the vertical one.
+    /// Builds the productive set from coordinate deltas (`to − from`).
     /// Lets callers holding cached coordinates skip the per-call
     /// index-to-coordinate division.
     pub fn from_deltas(dx: isize, dy: isize) -> ProductiveDirs {
-        let mut dirs = ProductiveDirs::default();
-        if dx > 0 {
-            dirs.push(Direction::East);
-        } else if dx < 0 {
-            dirs.push(Direction::West);
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        ProductiveDirs {
+            horizontal: match dx.cmp(&0) {
+                Greater => Some(Direction::East),
+                Less => Some(Direction::West),
+                Equal => None,
+            },
+            vertical: match dy.cmp(&0) {
+                Greater => Some(Direction::South),
+                Less => Some(Direction::North),
+                Equal => None,
+            },
         }
-        if dy > 0 {
-            dirs.push(Direction::South);
-        } else if dy < 0 {
-            dirs.push(Direction::North);
-        }
-        dirs
     }
 
     /// Number of productive directions (0, 1 or 2).
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.iter().count()
     }
 
     /// Whether the source already is the destination.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Iterator over the directions.
+    /// Iterator over the directions, the horizontal one first.
     pub fn iter(&self) -> impl Iterator<Item = Direction> + '_ {
-        self.dirs.iter().take(self.len()).flatten().copied()
+        [self.horizontal, self.vertical].into_iter().flatten()
     }
 
     /// Whether `d` is one of the productive directions.
     pub fn contains(&self, d: Direction) -> bool {
         self.iter().any(|x| x == d)
+    }
+
+    /// The directions `keep` admits, in the same order: how a routing
+    /// discipline narrows the minimal set to its own.
+    pub fn filter(self, mut keep: impl FnMut(Direction) -> bool) -> ProductiveDirs {
+        ProductiveDirs {
+            horizontal: self.horizontal.filter(|&d| keep(d)),
+            vertical: self.vertical.filter(|&d| keep(d)),
+        }
     }
 }
 

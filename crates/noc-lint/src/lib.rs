@@ -13,14 +13,14 @@
 //! * `determinism` — no `HashMap`/`HashSet`, wall-clock time, or OS
 //!   randomness in the simulator crates;
 //! * `hot-loop-alloc` — no allocation/`collect()`/`clone()` in
-//!   `regular.rs` or in `advance`/`step`/`apply_staged` bodies;
+//!   `regular.rs` or in `advance`/`step`/`route`/`apply_staged` bodies;
 //! * `occupancy` — occupant slots and `occ_mask` are touched only by the
-//!   input unit, the regular pipeline, and whitelisted relocation paths;
+//!   input unit, the regular pipeline, and the core's relocation helpers;
 //! * `panic-hygiene` — no `unsafe` anywhere, no bare `.unwrap()` in
 //!   non-test simulator code;
 //! * `routing-locality` — routing decisions (`RoutingPolicy` impls,
-//!   `desired_ports`/`admissible` definitions, `productive_dirs` use)
-//!   only in the modules `noc-prove` introspects, so every live route
+//!   `productive_dirs` use) only in the modules `noc-prove` introspects,
+//!   and `desired_ports` defined by the trait alone, so every live route
 //!   is covered by the static deadlock-freedom certificates.
 //!
 //! A deliberate exception is annotated inline:

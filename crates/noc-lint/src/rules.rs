@@ -11,7 +11,7 @@
 
 use crate::diag::Diagnostic;
 use crate::lexer::{lex, Token, TokenKind};
-use crate::structure::{fn_body_ranges, test_token_mask};
+use crate::structure::{item_body_ranges, test_token_mask};
 
 /// Rule id: deterministic simulation contract.
 pub const DETERMINISM: &str = "determinism";
@@ -49,8 +49,8 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         ROUTING_LOCALITY,
-        "routing decisions (RoutingPolicy impls, desired_ports/admissible definitions, \
-         productive_dirs choice) live only in the modules noc-prove introspects",
+        "routing decisions (RoutingPolicy impls, productive_dirs choice) live only in the \
+         modules noc-prove introspects; desired_ports is defined by the trait alone",
     ),
 ];
 
@@ -99,7 +99,9 @@ const HOT_FILES: &[&str] = &["crates/noc-sim/src/regular.rs"];
 
 /// Function names whose bodies are per-cycle hot paths wherever they
 /// appear in scheme/substrate crates: the regular pass (`advance`),
-/// scheme steps (`step`), the staged-move applier (`apply_staged`), the
+/// scheme steps (`step`), route computation (`route`, called from
+/// `advance` for every unparked head — a callee the lexical rule would
+/// otherwise not see), the staged-move applier (`apply_staged`), the
 /// tracer's event sink (`push_event`, reached every traced event) and
 /// the windowed sampler's recording paths (`sample_tick`,
 /// `record_window`, reached every cycle / every window boundary when
@@ -107,6 +109,7 @@ const HOT_FILES: &[&str] = &["crates/noc-sim/src/regular.rs"];
 const HOT_FNS: &[&str] = &[
     "advance",
     "step",
+    "route",
     "apply_staged",
     "push_event",
     "sample_tick",
@@ -122,19 +125,16 @@ const OCC_CRATES: &[&str] = &["noc-sim", "fastpass", "baselines"];
 /// The only files allowed to touch occupant slots directly: the SoA
 /// arena that owns the packed state (`arena.rs` — every occupancy word
 /// and meta byte lives there), the legacy input unit, the regular
-/// pipeline, the staged-move applier, the wait-graph rotation (SPIN's
-/// synchronized relocation), the read-only structural auditor, and the
-/// two baselines whose published mechanism *is* packet relocation
-/// (DRAIN's ring circulation and SWAP's in-place exchange).
+/// pipeline, the core (the staged-move applier and the
+/// `take_vc_packet` / `put_vc_packet` pair every relocating scheme —
+/// SPIN's rotation, SWAP's exchange, DRAIN's circulation — goes
+/// through) and the read-only structural auditor.
 const OCC_WHITELIST: &[&str] = &[
     "crates/noc-sim/src/arena.rs",
     "crates/noc-sim/src/vc.rs",
     "crates/noc-sim/src/regular.rs",
     "crates/noc-sim/src/network.rs",
-    "crates/noc-sim/src/waitgraph.rs",
     "crates/noc-sim/src/audit.rs",
-    "crates/baselines/src/drain.rs",
-    "crates/baselines/src/swap.rs",
 ];
 
 /// Arena word arrays: `.meta[…]` / `.ports[…]` (the co-located
@@ -206,15 +206,13 @@ const ROUTING_CRATES: &[&str] = &["noc-core", "noc-sim", "fastpass", "baselines"
 
 /// The only modules allowed to *make* routing decisions: the mesh
 /// geometry that defines productive directions, the routing policies and
-/// their introspectable mirror, the core's cached-coordinate wrapper,
-/// TFC's token-scored west-first, MinBD's deflection preference, and
-/// FastPass's lane/TDM/irregular substrates. `noc-prove` models exactly
-/// these; a route choice made anywhere else is invisible to the
-/// deadlock-freedom proof.
+/// the route sets they select from, TFC's token-scored west-first,
+/// MinBD's deflection preference, and FastPass's lane/TDM/irregular
+/// substrates. `noc-prove` models exactly these; a route choice made
+/// anywhere else is invisible to the deadlock-freedom proof.
 const ROUTING_WHITELIST: &[&str] = &[
     "crates/noc-core/src/topology.rs",
     "crates/noc-sim/src/routing.rs",
-    "crates/noc-sim/src/network.rs",
     "crates/baselines/src/tfc.rs",
     "crates/baselines/src/minbd.rs",
     "crates/fastpass/src/lane.rs",
@@ -304,8 +302,9 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
         );
     }
     check_panic_hygiene(&info, &lexed.tokens, &mask, &mut diags);
-    if info.in_crates(ROUTING_CRATES) && !ROUTING_WHITELIST.contains(&info.rel) {
-        check_routing_locality(&lexed.tokens, &mask, rel_path, &mut diags);
+    if info.in_crates(ROUTING_CRATES) {
+        let whitelisted = ROUTING_WHITELIST.contains(&info.rel);
+        check_routing_locality(&lexed.tokens, &mask, rel_path, whitelisted, &mut diags);
     }
 
     // Apply inline `// noc-lint: allow(rule)` suppression: a directive
@@ -381,7 +380,7 @@ fn check_hot_loop(
     let ranges = if whole_file_hot {
         vec![(0usize, tokens.len().saturating_sub(1))]
     } else if info.in_crates(HOT_CRATES) {
-        fn_body_ranges(tokens, mask, HOT_FNS)
+        item_body_ranges(tokens, mask, "fn", HOT_FNS)
     } else {
         return;
     };
@@ -450,8 +449,8 @@ fn check_hot_loop(
 /// input unit (`inputs[p].install(…)`), no arena word-array indexing
 /// ([`ARENA_WORD_FIELDS`]) and no arena mutator entry points
 /// ([`ARENA_MUTATORS`]). Everything else must go through
-/// `NetworkCore::take_vc_packet` / staged moves, or read through
-/// `VcArena::get` / `InputRef`.
+/// `NetworkCore::take_vc_packet` / `put_vc_packet` / staged moves, or
+/// read through `VcArena::get` / `InputRef`.
 fn check_occupancy(tokens: &[Token], mask: &[bool], path: &str, diags: &mut Vec<Diagnostic>) {
     for (i, t) in tokens.iter().enumerate() {
         if mask[i] || t.kind != TokenKind::Ident {
@@ -490,10 +489,9 @@ fn check_occupancy(tokens: &[Token], mask: &[bool], path: &str, diags: &mut Vec<
                 path,
                 t,
                 format!(
-                    "{c}: only InputUnit::install/take (via the regular pipeline, \
-                     NetworkCore::take_vc_packet, or the whitelisted DRAIN/SWAP relocation \
-                     paths) may change VC occupancy, or the active-set mask drifts from \
-                     the buffers it summarizes"
+                    "{c}: only InputUnit::install/take (via the regular pipeline or \
+                     NetworkCore::take_vc_packet/put_vc_packet) may change VC occupancy, or \
+                     the active-set mask drifts from the buffers it summarizes"
                 ),
             );
         }
@@ -578,51 +576,63 @@ fn check_panic_hygiene(
 }
 
 /// routing-locality: outside the whitelisted routing modules, no new
-/// routing decisions — no `impl RoutingPolicy for …`, no
-/// `fn desired_ports` / `fn admissible` definitions, and no
-/// `productive_dirs` use (the raw direction-choice primitive).
+/// routing decisions — no `impl RoutingPolicy for …` and no
+/// `productive_dirs` use (the raw direction-choice primitive). And in
+/// every file, whitelisted or not, no `fn desired_ports` outside the
+/// body of `trait RoutingPolicy`: the trait derives it from `kind()`
+/// and `introspect::route_set`, and an override would be a second
+/// definition of a direction set.
 ///
 /// Consuming a policy is fine everywhere (`policy.desired_ports(…)`,
 /// `Box<dyn RoutingPolicy>`): the rule fires on *making* route choices,
 /// not on executing ones the certifier already models. `noc-prove`
 /// reconstructs every route set from `noc_sim::routing::introspect`,
-/// which mirrors exactly the whitelisted modules — a decision elsewhere
+/// which the whitelisted policies select from — a decision elsewhere
 /// would ship deadlock certificates that don't cover the real network.
 fn check_routing_locality(
     tokens: &[Token],
     mask: &[bool],
     path: &str,
+    whitelisted: bool,
     diags: &mut Vec<Diagnostic>,
 ) {
+    let trait_bodies = item_body_ranges(tokens, mask, "trait", &["RoutingPolicy"]);
     for (i, t) in tokens.iter().enumerate() {
         if mask[i] || t.kind != TokenKind::Ident {
             continue;
         }
         let complaint = match t.text.as_str() {
-            "RoutingPolicy" if matches!(tokens.get(i + 1), Some(n) if n.is_ident("for")) => {
-                Some("new `RoutingPolicy` implementation")
+            "desired_ports"
+                if i >= 1
+                    && tokens[i - 1].is_ident("fn")
+                    && !trait_bodies.iter().any(|&(s, e)| (s..=e).contains(&i)) =>
+            {
+                "`desired_ports` defined outside `trait RoutingPolicy`: the route set is \
+                 `introspect::route_set(kind(), …)` for every policy, so name the discipline in \
+                 `kind()` (and teach `route_set` about a new one) instead of overriding it"
             }
-            "desired_ports" | "admissible" if i >= 1 && tokens[i - 1].is_ident("fn") => {
-                Some("route-set entry point defined")
+            "RoutingPolicy"
+                if !whitelisted && matches!(tokens.get(i + 1), Some(n) if n.is_ident("for")) =>
+            {
+                "new `RoutingPolicy` implementation outside the whitelisted routing modules"
             }
-            "productive_dirs" => Some("raw productive-direction choice"),
-            _ => None,
+            "productive_dirs" if !whitelisted => {
+                "raw productive-direction choice outside the whitelisted routing modules"
+            }
+            _ => continue,
         };
-        if let Some(c) = complaint {
-            push(
-                diags,
-                ROUTING_LOCALITY,
-                path,
-                t,
-                format!(
-                    "{c} outside the whitelisted routing modules: noc-prove's deadlock \
-                     certificates only cover routes reconstructible from \
-                     noc_sim::routing::introspect; move the decision into a whitelisted \
-                     module (and teach introspect about it) or annotate a deliberate \
-                     exception with `// noc-lint: allow(routing-locality)`"
-                ),
-            );
-        }
+        push(
+            diags,
+            ROUTING_LOCALITY,
+            path,
+            t,
+            format!(
+                "{complaint}: noc-prove's deadlock certificates only cover routes \
+                 reconstructible from noc_sim::routing::introspect; move the decision into a \
+                 whitelisted module or annotate a deliberate exception with \
+                 `// noc-lint: allow(routing-locality)`"
+            ),
+        );
     }
 }
 

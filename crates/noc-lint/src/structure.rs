@@ -1,5 +1,6 @@
 //! Structural recovery on top of the token stream: which tokens are
-//! test-only code, and where the bodies of named functions lie.
+//! test-only code, and where the bodies of named functions and traits
+//! lie.
 //!
 //! The linter's contracts apply to *simulator* code; `#[cfg(test)]`
 //! modules, `#[test]` functions and integration-test files are free to
@@ -74,14 +75,19 @@ pub fn test_token_mask(tokens: &[Token]) -> Vec<bool> {
 }
 
 /// Returns `(start, end)` token ranges (inclusive) of the bodies of all
-/// functions whose name is in `names`, excluding tokens already masked
-/// (test code).
-pub fn fn_body_ranges(tokens: &[Token], mask: &[bool], names: &[&str]) -> Vec<(usize, usize)> {
+/// `keyword` items (`fn`, `trait`) whose name is in `names`, excluding
+/// tokens already masked (test code).
+pub fn item_body_ranges(
+    tokens: &[Token],
+    mask: &[bool],
+    keyword: &str,
+    names: &[&str],
+) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
     let mut i = 0usize;
     while i + 1 < tokens.len() {
         if !mask[i]
-            && tokens[i].is_ident("fn")
+            && tokens[i].is_ident(keyword)
             && tokens[i + 1].kind == TokenKind::Ident
             && names.contains(&tokens[i + 1].text.as_str())
         {
@@ -186,7 +192,7 @@ mod tests {
         let src = "fn step(&mut self) { alloc(); }\nfn other() { fine(); }";
         let lexed = lex(src);
         let mask = vec![false; lexed.tokens.len()];
-        let ranges = fn_body_ranges(&lexed.tokens, &mask, &["step"]);
+        let ranges = item_body_ranges(&lexed.tokens, &mask, "fn", &["step"]);
         assert_eq!(ranges.len(), 1);
         let (s, e) = ranges[0];
         let inside: Vec<_> = lexed.tokens[s..=e]

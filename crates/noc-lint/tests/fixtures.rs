@@ -203,6 +203,18 @@ fn hot_loop_permits_preallocated_push_in_record_window() {
 }
 
 #[test]
+fn hot_loop_covers_route_computation() {
+    // `route` runs inside `advance` for every unparked head; an
+    // allocating route set must not hide in the callee.
+    let alloc = "impl RoutingPolicy for P { fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> { let dirs: Vec<Direction> = set(req).iter().collect(); pick(core, dirs, range.clone()) } }\n";
+    let diags = lint_source("crates/baselines/src/tfc.rs", alloc);
+    let n = diags.iter().filter(|d| d.rule == "hot-loop-alloc").count();
+    assert_eq!(n, 2, "collect and clone must both fire: {diags:?}");
+    let clean = "impl RoutingPolicy for P { fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> { let dirs = self.desired_ports(core, req); pick(core, dirs, range.start..range.end) } }\n";
+    assert!(rules_fired("crates/baselines/src/tfc.rs", clean).is_empty());
+}
+
+#[test]
 fn hot_loop_out_of_scope_in_noc_core() {
     let src = "pub fn advance() { let v = vec![1]; drop(v); }\n";
     assert!(
@@ -230,12 +242,23 @@ fn occupancy_flags_occ_mask_and_occupant_mut() {
 }
 
 #[test]
-fn occupancy_silent_in_whitelisted_drain() {
-    let src =
-        "pub fn circulate(r: &mut Router) { let occ = make(); r.inputs[0].install(1, occ); }\n";
+fn occupancy_holds_the_relocating_schemes_to_the_core_helpers() {
+    // DRAIN, SWAP and SPIN's rotation relocate through
+    // `take_vc_packet` / `put_vc_packet`; a hand-rolled install in any of
+    // them fires, the helper pair does not.
+    let by_hand = "pub fn circulate(core: &mut NetworkCore) { let occ = make(); core.input_mut(n, p).install(1, occ); }\n";
+    let helpers = "pub fn circulate(core: &mut NetworkCore) { let pkt = core.take_vc_packet(a, p, 0); core.put_vc_packet(b, p, 0, pkt); }\n";
+    for file in [
+        "crates/baselines/src/drain.rs",
+        "crates/baselines/src/swap.rs",
+        "crates/noc-sim/src/waitgraph.rs",
+    ] {
+        assert!(rules_fired(file, by_hand).contains(&"occupancy"), "{file}");
+        assert!(rules_fired(file, helpers).is_empty(), "{file}");
+    }
     assert!(
-        !rules_fired("crates/baselines/src/drain.rs", src).contains(&"occupancy"),
-        "DRAIN's ring circulation is the published mechanism"
+        !rules_fired("crates/noc-sim/src/network.rs", by_hand).contains(&"occupancy"),
+        "the core owns the helper pair"
     );
 }
 
@@ -508,13 +531,29 @@ fn routing_locality_flags_productive_dirs_use() {
 }
 
 #[test]
-fn routing_locality_flags_admissible_definition() {
-    let src = "impl S { pub fn admissible(core: &NetworkCore, at: NodeId, dst: NodeId) -> Vec<Direction> { todo() } }\n";
-    let diags = lint_source("crates/noc-sim/src/foo.rs", src);
-    assert!(
-        diags.iter().any(|d| d.rule == "routing-locality"),
-        "{diags:?}"
-    );
+fn routing_locality_flags_desired_ports_override_even_in_whitelisted_modules() {
+    // The route set is `introspect::route_set(kind(), …)` for every
+    // policy; a whitelisted module may implement the trait, not redefine
+    // the set.
+    let src = "impl RoutingPolicy for TokenWestFirst { fn desired_ports(&self, c: &NetworkCore, r: &RouteReq) -> ProductiveDirs { todo() } }\n";
+    for file in [
+        "crates/baselines/src/tfc.rs",
+        "crates/noc-sim/src/routing.rs",
+    ] {
+        let diags = lint_source(file, src);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == "routing-locality" && d.message.contains("kind()")),
+            "{file}: {diags:?}"
+        );
+    }
+}
+
+#[test]
+fn routing_locality_permits_the_traits_own_desired_ports() {
+    let src = "pub trait RoutingPolicy: Send { fn kind(&self) -> PolicyKind; fn desired_ports(&self, c: &NetworkCore, r: &RouteReq) -> ProductiveDirs { route_set(self.kind(), c.xy(r.at), c.xy(r.dst), r.in_port) } }\n";
+    assert!(rules_fired("crates/noc-sim/src/routing.rs", src).is_empty());
 }
 
 #[test]
@@ -530,7 +569,7 @@ fn routing_locality_permits_consuming_a_policy() {
 
 #[test]
 fn routing_locality_silent_in_whitelisted_modules() {
-    let src = "impl RoutingPolicy for TokenWestFirst { fn desired_ports(&self, c: &NetworkCore, r: &RouteReq) -> Vec<Port> { todo() } }\n";
+    let src = "impl RoutingPolicy for TokenWestFirst { fn kind(&self) -> PolicyKind { PolicyKind::WestFirst } }\n";
     assert!(
         !rules_fired("crates/baselines/src/tfc.rs", src).contains(&"routing-locality"),
         "tfc.rs is a whitelisted routing module"

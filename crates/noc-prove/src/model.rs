@@ -7,9 +7,9 @@
 //!   next request `(l₂, v₂)` when the routing function continues `l₁`
 //!   with `l₂` for some destination and `v₂` lies in the packet's class
 //!   VC range. Route sets come from
-//!   [`noc_sim::routing::introspect`] — the exact functions the live
-//!   policies delegate to — so the model cannot drift from the
-//!   simulator.
+//!   [`noc_sim::routing::introspect::route_set`] — the function every
+//!   live policy selects its grants from — so the model cannot drift
+//!   from the simulator.
 //! * **Protocol coupling** — under the consumer-backlog protocol model
 //!   (`noc-check`'s `ScriptCtl`: consuming a non-sink message raises a
 //!   response obligation, and a full backlog refuses further non-sink
@@ -26,7 +26,7 @@
 use crate::cdg::Digraph;
 use noc_core::config::SimConfig;
 use noc_core::packet::{MessageClass, CLASSES};
-use noc_core::topology::{LinkId, Mesh, Port};
+use noc_core::topology::{LinkId, Mesh, NodeId, Port};
 use noc_sim::routing::introspect::{route_set, travel_dir, PolicyKind};
 
 /// The `(link, VC)` vertex space of a mesh CDG.
@@ -105,6 +105,7 @@ pub fn route_graph(kind: PolicyKind, mesh: Mesh) -> RouteGraph {
     let mut delivers: Vec<Vec<LinkId>> = vec![Vec::new(); n];
     let mut dead_ends = Vec::new();
 
+    let xy = |n: NodeId| (mesh.x(n) as u16, mesh.y(n) as u16);
     let mut seen = vec![false; num_links];
     let mut queue: Vec<LinkId> = Vec::new();
     for dst in mesh.nodes() {
@@ -115,7 +116,7 @@ pub fn route_graph(kind: PolicyKind, mesh: Mesh) -> RouteGraph {
             if src == dst {
                 continue;
             }
-            let dirs = route_set(kind, mesh, src, Port::Local, dst);
+            let dirs = route_set(kind, xy(src), xy(dst), Port::Local);
             if dirs.is_empty() {
                 dead_ends.push(format!(
                     "no first hop from R{} to R{} under {}",
@@ -125,7 +126,7 @@ pub fn route_graph(kind: PolicyKind, mesh: Mesh) -> RouteGraph {
                 ));
                 continue;
             }
-            for d in dirs {
+            for d in dirs.iter() {
                 let l = mesh.link(src, d).expect("route set stays on the mesh");
                 injects[src.index()].push(l);
                 if !seen[l.index()] {
@@ -144,7 +145,7 @@ pub fn route_graph(kind: PolicyKind, mesh: Mesh) -> RouteGraph {
             }
             let in_port = Port::Dir(dir.opposite());
             debug_assert_eq!(travel_dir(in_port), Some(dir));
-            let dirs = route_set(kind, mesh, at, in_port, dst);
+            let dirs = route_set(kind, xy(at), xy(dst), in_port);
             if dirs.is_empty() {
                 dead_ends.push(format!(
                     "dead end at R{} (arrived {dir}) toward R{} under {}",
@@ -154,7 +155,7 @@ pub fn route_graph(kind: PolicyKind, mesh: Mesh) -> RouteGraph {
                 ));
                 continue;
             }
-            for d in dirs {
+            for d in dirs.iter() {
                 let l2 = mesh.link(at, d).expect("route set stays on the mesh");
                 cont.push((l, l2));
                 if !seen[l2.index()] {

@@ -281,10 +281,9 @@ fn run() -> Result<(), String> {
         "gc" => {
             let report = connect()?.gc()?;
             println!(
-                "gc: scanned {}, kept {}, migrated {}, dropped {} ({} stale, {} corrupt, {} temp)",
+                "gc: scanned {}, kept {}, dropped {} ({} stale, {} corrupt, {} temp)",
                 report.scanned,
                 report.kept,
-                report.migrated,
                 report.dropped(),
                 report.dropped_stale,
                 report.dropped_corrupt,

@@ -29,20 +29,13 @@
 //! optional on read — envelopes written without it decode to
 //! `provenance: None`.
 //!
-//! Loading accepts two shapes:
-//!
-//! * the envelope, when `schema_version` matches
-//!   [`CACHE_SCHEMA_VERSION`] and `key` matches the filename — the
-//!   current format;
-//! * a bare [`LatencyPoint`] object — the pre-envelope `FP_CACHE`
-//!   layout (PR 1). A key match already implies the current schema
-//!   (the version is folded into every key), so legacy entries stay
-//!   servable and [`Store::gc`] migrates them in place.
-//!
+//! Loading accepts the envelope only, and only when `schema_version`
+//! matches [`CACHE_SCHEMA_VERSION`] and `key` matches the filename.
 //! Anything else — truncated JSON, a stale `schema_version`, a key
-//! field that disagrees with the filename — is a cache *miss*, never a
-//! wrong answer: the point is recomputed and the entry overwritten.
-//! [`Store::gc`] deletes such entries eagerly.
+//! field that disagrees with the filename, a blob that is not an
+//! envelope at all — is a cache *miss*, never a wrong answer: the point
+//! is recomputed and the entry overwritten. [`Store::gc`] deletes such
+//! entries eagerly.
 //!
 //! Writes are atomic (unique temp file + rename) so a crashed or
 //! interrupted writer can leave at worst an orphaned `*.tmp.*` file,
@@ -162,6 +155,14 @@ struct Envelope {
     provenance: Option<Provenance>,
 }
 
+impl Envelope {
+    /// Whether this entry may be served for `key`: written by the
+    /// current schema generation, under that key.
+    fn is_current_for(&self, key: u64) -> bool {
+        self.schema_version == CACHE_SCHEMA_VERSION && self.key == format_key(key)
+    }
+}
+
 impl Serialize for Envelope {
     fn to_content(&self) -> Content {
         let mut map = vec![
@@ -203,13 +204,11 @@ pub struct GcReport {
     pub scanned: u64,
     /// Valid current-schema envelopes left in place.
     pub kept: u64,
-    /// Legacy bare-`LatencyPoint` blobs rewrapped into envelopes.
-    pub migrated: u64,
     /// Envelopes deleted because their `schema_version` is not
     /// [`CACHE_SCHEMA_VERSION`] or their `key` contradicts the filename.
     pub dropped_stale: u64,
-    /// Blobs deleted because they parse as neither envelope nor legacy
-    /// point (truncated writes, corruption).
+    /// Blobs deleted because they do not parse as an envelope (truncated
+    /// writes, corruption, hand-placed files).
     pub dropped_corrupt: u64,
     /// Orphaned `*.tmp.*` files from interrupted atomic writes deleted.
     pub dropped_temp: u64,
@@ -272,10 +271,11 @@ impl Store {
     }
 
     /// Like [`Store::load`], but also surfaces the envelope's compute
-    /// provenance (absent on legacy entries and provenance-less writes).
+    /// provenance (absent on provenance-less writes).
     pub fn load_entry(&self, key: u64) -> Option<(LatencyPoint, Option<Provenance>)> {
-        let text = std::fs::read_to_string(self.path_of(key)).ok()?;
-        decode_entry(&text, key).map(|(point, provenance, _)| (point, provenance))
+        let env = read_envelope(&self.path_of(key))?;
+        env.is_current_for(key)
+            .then_some((env.point, env.provenance))
     }
 
     /// Stores `point` under `key` atomically (unique temp file +
@@ -322,8 +322,8 @@ impl Store {
     }
 
     /// Walks the store once: keeps valid current-schema envelopes,
-    /// rewraps legacy bare-point blobs into envelopes, deletes
-    /// stale-schema entries, corrupt blobs and orphaned temp files.
+    /// deletes stale-schema entries, corrupt blobs and orphaned temp
+    /// files.
     ///
     /// A missing or empty directory is a clean no-op report.
     pub fn gc(&self) -> GcReport {
@@ -348,30 +348,13 @@ impl Store {
                 continue;
             };
             report.scanned += 1;
-            let verdict = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| decode_entry(&text, key));
-            match verdict {
-                Some((_, _, true)) => report.kept += 1,
-                Some((point, _, false)) => {
-                    // Legacy bare blob: rewrap in place. If the rewrite
-                    // fails the old blob stays readable — migration is
-                    // retried on the next gc pass.
-                    if self.store(key, &point) {
-                        report.migrated += 1;
-                    } else {
-                        report.kept += 1;
-                    }
-                }
-                None => {
-                    // Distinguish stale-schema from corruption for the
-                    // report; both are deleted either way.
-                    let stale = std::fs::read_to_string(&path)
-                        .ok()
-                        .and_then(|text| serde_json::from_str::<Envelope>(&text).ok())
-                        .is_some();
+            match read_envelope(&path) {
+                Some(env) if env.is_current_for(key) => report.kept += 1,
+                // Stale-schema and corrupt entries are both deleted; the
+                // report tells them apart.
+                other => {
                     if std::fs::remove_file(&path).is_ok() {
-                        if stale {
+                        if other.is_some() {
                             report.dropped_stale += 1;
                         } else {
                             report.dropped_corrupt += 1;
@@ -410,20 +393,10 @@ pub fn format_key(key: u64) -> String {
     format!("{key:016x}")
 }
 
-/// Decodes one blob's text for `key`. Returns the point, its provenance
-/// stamp (if any) and whether the blob was already a current-schema
-/// envelope (`false` = legacy bare point), or `None` for
-/// stale/corrupt/mismatched entries.
-fn decode_entry(text: &str, key: u64) -> Option<(LatencyPoint, Option<Provenance>, bool)> {
-    if let Ok(env) = serde_json::from_str::<Envelope>(text) {
-        if env.schema_version == CACHE_SCHEMA_VERSION && env.key == format_key(key) {
-            return Some((env.point, env.provenance, true));
-        }
-        return None;
-    }
-    serde_json::from_str::<LatencyPoint>(text)
-        .ok()
-        .map(|p| (p, None, false))
+/// Reads the blob at `path` as an envelope of any schema generation;
+/// `None` if it is absent, unreadable or not an envelope.
+fn read_envelope(path: &Path) -> Option<Envelope> {
+    serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()
 }
 
 #[cfg(test)]
@@ -464,24 +437,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
+    /// The pre-envelope layout (a bare `LatencyPoint`) carries no key or
+    /// schema to check, so it is never served.
     #[test]
-    fn legacy_bare_point_loads_and_gc_migrates_it() {
-        let store = temp_store("legacy");
+    fn bare_point_blob_is_a_miss_and_gc_drops_it_as_corrupt() {
+        let store = temp_store("bare");
         std::fs::create_dir_all(store.dir()).unwrap();
-        let legacy = serde_json::to_string_pretty(&point(0.05, 9.0)).unwrap();
-        std::fs::write(store.path_of(3), legacy).unwrap();
-        assert_eq!(store.load(3).expect("legacy entry loads").avg_latency, 9.0);
+        let bare = serde_json::to_string_pretty(&point(0.05, 9.0)).unwrap();
+        std::fs::write(store.path_of(3), bare).unwrap();
+        assert!(store.load(3).is_none(), "an unverifiable blob was served");
 
         let report = store.gc();
-        assert_eq!(report.migrated, 1, "{report:?}");
-        assert_eq!(report.dropped(), 0, "{report:?}");
-        // Now an envelope: loads, and a second gc keeps it.
         assert_eq!(
-            store.load(3).expect("migrated entry loads").avg_latency,
-            9.0
+            (report.scanned, report.kept, report.dropped_corrupt),
+            (1, 0, 1),
+            "{report:?}"
         );
-        let report = store.gc();
-        assert_eq!((report.kept, report.migrated), (1, 0), "{report:?}");
+        assert!(!store.path_of(3).exists());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

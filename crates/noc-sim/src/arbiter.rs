@@ -91,78 +91,22 @@ impl RoundRobin {
         Some(winner)
     }
 
-    /// Word-level [`grant`](Self::grant) at any width: the request vector
-    /// is a bitmask (`words[i / 64] >> (i % 64) & 1` is requester `i`).
-    /// Semantically identical to `grant` over the expanded bool slice —
-    /// same winner, same rotation, no rotation when nothing is requested.
-    /// The simulator's own arbiters all fit
-    /// [`grant_word`](Self::grant_word), which this delegates to when it
-    /// can.
+    /// Slice form of [`grant_word`](Self::grant_word). Every arbiter in
+    /// the simulator fits one word (`VcArena::new` asserts
+    /// `NUM_PORTS * vcs <= 64`), so there is no multi-word path.
     ///
     /// # Panics
     ///
-    /// Panics if `words` is not exactly `ceil(n / 64)` words. Bits at
-    /// positions `>= n` must be clear.
+    /// Panics if `words` is not exactly one word, and as `grant_word`
+    /// does.
     pub fn grant_words(&mut self, words: &[u64]) -> Option<usize> {
-        if let ([reqs], 1..=64) = (words, self.n) {
-            return self.grant_word(*reqs);
-        }
-        let winner = self.peek_words(words)?;
-        self.next = if winner + 1 == self.n { 0 } else { winner + 1 };
-        Some(winner)
-    }
-
-    /// Like [`grant_words`](Self::grant_words) but without rotating the
-    /// priority.
-    pub fn peek_words(&self, words: &[u64]) -> Option<usize> {
-        assert_eq!(
-            words.len(),
-            self.n.div_ceil(64),
-            "request vector width mismatch"
-        );
-        if self.n == 0 {
-            return None;
-        }
-        let (start_w, start_b) = (self.next / 64, self.next % 64);
-        // Requesters at or above the priority pointer, lowest first: the
-        // tail of the pointer's word, then every later word.
-        let hi = words[start_w] & (!0u64 << start_b);
-        if hi != 0 {
-            return Some(start_w * 64 + hi.trailing_zeros() as usize);
-        }
-        for (i, &w) in words.iter().enumerate().skip(start_w + 1) {
-            if w != 0 {
-                return Some(i * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        // Wrap: words below the pointer's word, then the bits below the
-        // pointer within its own word.
-        for (i, &w) in words.iter().enumerate().take(start_w) {
-            if w != 0 {
-                return Some(i * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        let lo = if start_b == 0 {
-            0
-        } else {
-            words[start_w] & ((1u64 << start_b) - 1)
-        };
-        if lo != 0 {
-            return Some(start_w * 64 + lo.trailing_zeros() as usize);
-        }
-        None
+        assert_eq!(words.len(), 1, "request vector width mismatch");
+        self.grant_word(words[0])
     }
 
     /// Current priority position (the requester checked first).
     pub fn priority(&self) -> usize {
         self.next
-    }
-
-    /// Forces the priority position (used by schemes that reset scan
-    /// order, e.g. the prime router always starting at the request
-    /// injection queue, §Qn2).
-    pub fn set_priority(&mut self, p: usize) {
-        self.next = if self.n == 0 { 0 } else { p % self.n };
     }
 }
 
@@ -212,59 +156,20 @@ mod tests {
     }
 
     #[test]
-    fn set_priority_wraps() {
-        let mut rr = RoundRobin::new(4);
-        rr.set_priority(6);
-        assert_eq!(rr.priority(), 2);
-        assert_eq!(rr.grant(&[true, true, true, true]), Some(2));
-    }
-
-    #[test]
     #[should_panic(expected = "width mismatch")]
     fn width_mismatch_panics() {
         let mut rr = RoundRobin::new(2);
         let _ = rr.grant(&[true]);
     }
 
-    fn pack(bools: &[bool]) -> Vec<u64> {
-        let mut words = vec![0u64; bools.len().div_ceil(64)];
-        for (i, &b) in bools.iter().enumerate() {
-            if b {
-                words[i / 64] |= 1 << (i % 64);
-            }
-        }
-        words
-    }
-
-    #[test]
-    fn grant_words_matches_grant_bitwise() {
-        // Exhaustive-ish cross-check at widths straddling word
-        // boundaries: both arbiters must agree on every winner and on the
-        // priority pointer after every step, including idle steps.
-        for n in [1usize, 3, 60, 64, 65, 128, 320] {
-            let mut a = RoundRobin::new(n);
-            let mut b = RoundRobin::new(n);
-            // Deterministic pseudo-request pattern (xorshift, fixed seed).
-            let mut s: u64 = 0x9E37_79B9_7F4A_7C15 ^ n as u64;
-            for step in 0..200 {
-                let reqs: Vec<bool> = (0..n)
-                    .map(|i| {
-                        s ^= s << 13;
-                        s ^= s >> 7;
-                        s ^= s << 17;
-                        // Mix sparse, dense and empty vectors.
-                        (s >> (i % 64)) & 0b11 == (step % 4) as u64
-                    })
-                    .collect();
-                let words = pack(&reqs);
-                assert_eq!(
-                    a.grant(&reqs),
-                    b.grant_words(&words),
-                    "winner diverged at n={n} step={step}"
-                );
-                assert_eq!(a.priority(), b.priority(), "pointer diverged at n={n}");
-            }
-        }
+    /// An arbiter over `n` whose priority pointer sits at `start`.
+    fn rotated_to(n: usize, start: usize) -> RoundRobin {
+        let mut rr = RoundRobin::new(n);
+        let mut just_below = vec![false; n];
+        just_below[(start + n - 1) % n] = true;
+        rr.grant(&just_below);
+        assert_eq!(rr.priority(), start);
+        rr
     }
 
     #[test]
@@ -291,15 +196,12 @@ mod tests {
                 }
                 for reqs in cases {
                     let bools: Vec<bool> = (0..n).map(|i| reqs >> i & 1 != 0).collect();
-                    let (mut a, mut b, mut c) =
-                        (RoundRobin::new(n), RoundRobin::new(n), RoundRobin::new(n));
-                    a.set_priority(start);
-                    b.set_priority(start);
-                    c.set_priority(start);
+                    let mut a = rotated_to(n, start);
+                    let (mut b, mut c) = (a.clone(), a.clone());
                     let want = a.grant(&bools);
                     assert_eq!(b.grant_word(reqs), want, "n={n} start={start} {reqs:#b}");
                     assert_eq!(b.priority(), a.priority(), "pointer, n={n} start={start}");
-                    // The frozen multi-word entry point lands on it.
+                    // The slice entry point lands on it.
                     assert_eq!(c.grant_words(&[reqs]), want);
                     assert_eq!(c.priority(), a.priority());
                 }
@@ -314,28 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn grant_words_wraps_below_pointer() {
-        let mut rr = RoundRobin::new(130);
-        rr.set_priority(100);
-        // Only requester 3 (below the pointer, in an earlier word).
-        let mut words = vec![0u64; 3];
-        words[0] = 1 << 3;
-        assert_eq!(rr.grant_words(&words), Some(3));
-        assert_eq!(rr.priority(), 4);
-    }
-
-    #[test]
-    fn grant_words_no_rotation_when_idle() {
-        let mut rr = RoundRobin::new(70);
-        rr.set_priority(5);
-        assert_eq!(rr.grant_words(&[0, 0]), None);
-        assert_eq!(rr.priority(), 5, "no rotation on idle");
-    }
-
-    #[test]
     #[should_panic(expected = "width mismatch")]
-    fn grant_words_width_mismatch_panics() {
-        let mut rr = RoundRobin::new(65);
-        let _ = rr.grant_words(&[0]);
+    fn grant_words_takes_exactly_one_word() {
+        let _ = RoundRobin::new(64).grant_words(&[0, 0]);
     }
 }

@@ -10,12 +10,11 @@ use crate::arena::{m_arrived, InputMut, InputRef, VcArena};
 use crate::ni::NiState;
 use crate::probe::{Phase, PhaseProbe};
 use crate::router::RouterState;
+use crate::vc::VcOccupant;
 use noc_core::config::SimConfig;
 use noc_core::packet::{PacketId, PacketSeed, PacketStore};
 use noc_core::stats::NetStats;
-use noc_core::topology::{
-    Direction, LinkId, Mesh, NodeId, Port, ProductiveDirs, DIRECTIONS, NUM_PORTS,
-};
+use noc_core::topology::{Direction, LinkId, Mesh, NodeId, Port, DIRECTIONS, NUM_PORTS};
 use noc_trace::{TraceConfig, Tracer};
 
 /// Sentinel in the flat neighbor table: no neighbor (mesh edge).
@@ -231,15 +230,6 @@ impl NetworkCore {
     #[inline]
     pub fn xy(&self, n: NodeId) -> (u16, u16) {
         self.topo_xy[n.index()]
-    }
-
-    /// Minimal productive directions from `from` toward `to` — identical
-    /// to [`Mesh::productive_dirs`], using cached coordinates.
-    #[inline]
-    pub fn productive_dirs(&self, from: NodeId, to: NodeId) -> ProductiveDirs {
-        let (fx, fy) = self.xy(from);
-        let (tx, ty) = self.xy(to);
-        ProductiveDirs::from_deltas(tx as isize - fx as isize, ty as isize - fy as isize)
     }
 
     /// Current cycle.
@@ -516,6 +506,21 @@ impl NetworkCore {
             assert_eq!(reserved.arrived, 0, "reservation already received flits");
         }
         occ.pkt
+    }
+
+    /// Installs a relocated packet into a free VC, fully buffered and
+    /// unrouted as of this cycle: the inverse of
+    /// [`take_vc_packet`](Self::take_vc_packet), and the only form in
+    /// which SPIN, SWAP and DRAIN put a packet back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VC is occupied.
+    pub fn put_vc_packet(&mut self, node: NodeId, port: Port, vc: usize, pkt: PacketId) {
+        let len = self.store.get(pkt).len_flits;
+        let mut occ = VcOccupant::reserved(pkt, len, self.cycle);
+        occ.arrived = len;
+        self.arena.install(node.index(), port.index(), vc, occ);
     }
 
     /// Total packets resident in routers and NIs (conservation checks;

@@ -1,15 +1,24 @@
-//! Routing policies: XY, YX, west-first, fully adaptive, escape-VC.
+//! Routing policies: XY, YX, fully adaptive, the west-first /
+//! north-last / odd-even turn models, and escape-VC.
 //!
 //! A policy performs route computation *and* downstream VC selection for
 //! a head packet (RC + VA of the 1-cycle router). Table II assigns:
 //! fully-adaptive routing to SWAP, SPIN, DRAIN, Pitstop and FastPass's
 //! regular pass; west-first to TFC; and a Duato escape-VC arrangement to
 //! EscapeVC (deterministic escape VC + fully-adaptive elsewhere).
+//!
+//! Which directions a discipline admits is written once, in
+//! [`introspect::route_set`] — the function `noc-prove` certifies. A
+//! policy names its discipline ([`RoutingPolicy::kind`]) and its `route`
+//! only *selects* from that set, by credits, tokens and its own
+//! tie-break; [`contract::check`] verifies that the directions `route`
+//! grants are exactly the set.
 
 use crate::network::NetworkCore;
+use introspect::PolicyKind;
 use noc_core::packet::{MessageClass, PacketId};
 use noc_core::rng::DetRng;
-use noc_core::topology::{Direction, NodeId, Port};
+use noc_core::topology::{Direction, NodeId, Port, ProductiveDirs};
 
 /// A head packet asking for a route at a router.
 ///
@@ -68,16 +77,26 @@ pub struct RouteDecision {
 /// and every scheme crosses a thread boundary when the bench harness
 /// parallelizes sweeps.
 pub trait RoutingPolicy: Send {
-    /// Short name for logs and reports.
-    fn name(&self) -> &'static str;
+    /// The discipline whose [`introspect::route_set`] `route` selects
+    /// from — the union of its lanes for a policy that routes VCs
+    /// differently ([`EscapeVcRouting`]).
+    fn kind(&self) -> PolicyKind;
+
+    /// Short name for logs and reports: the discipline's, unless the
+    /// policy is more than its discipline (escape lanes, TFC's tokens).
+    fn name(&self) -> &'static str {
+        self.kind().name()
+    }
 
     /// Computes a route for `req`, or `None` if no admissible output/VC
     /// is available this cycle (the packet stays blocked).
     ///
     /// Event-driven allocation (`DESIGN.md`) parks a blocked head instead
-    /// of asking again every cycle, and leans on two obligations every
-    /// implementation must meet for a packet not yet at its destination
-    /// ([`contract::check`] is their executable form):
+    /// of asking again every cycle, and static certification reasons
+    /// about [`kind`](Self::kind)'s route set instead of this function,
+    /// so every implementation must meet three obligations for a packet
+    /// not yet at its destination ([`contract::check`] is their
+    /// executable form):
     ///
     /// 1. **A fixed grantable set inside the wait set.** Which
     ///    `(direction, VC)` pairs the policy may grant a request is a
@@ -95,37 +114,39 @@ pub trait RoutingPolicy: Send {
     /// 2. **`None` leaves the policy untouched.** A call that returns
     ///    `None` draws no random number and changes no policy state, so
     ///    a skipped call and a failed call are indistinguishable.
+    /// 3. **The granted directions are the certified ones.** The
+    ///    directions of the grantable pairs are exactly
+    ///    [`introspect::route_set`] of [`kind`](Self::kind): what
+    ///    `noc-prove` certifies is what the simulator executes.
     ///
     /// A packet at its destination always gets `Port::Local`.
     ///
     /// [`SimConfig::vc_range_for_class`]: noc_core::config::SimConfig::vc_range_for_class
     fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision>;
 
-    /// Output ports the packet *could* legally use (for wait-for-graph
-    /// construction). The default is all minimal productive directions.
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        if req.dst == req.at {
-            return vec![Port::Local];
-        }
-        core.productive_dirs(req.at, req.dst)
-            .iter()
-            .map(Port::Dir)
-            .collect()
+    /// Directions the packet *could* legally take:
+    /// [`introspect::route_set`] of [`kind`](Self::kind), empty once it
+    /// is at its destination. What `route` selects from and what
+    /// wait-for graphs are built on; no implementation overrides it
+    /// (`noc-lint`'s `routing-locality` rejects a second definition).
+    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> ProductiveDirs {
+        introspect::route_set(self.kind(), core.xy(req.at), core.xy(req.dst), req.in_port)
     }
 }
 
-/// Returns the first free VC for `class` at the input port of the
-/// neighbour reached via `d` from `at`, if any.
-pub fn free_downstream_vc(
+/// `(free VCs, first free VC)` of `range` at the input port a packet
+/// leaving `at` through `d` enters, from one occupancy read; `None` when
+/// no VC of the range is free there.
+fn free_in(
     core: &NetworkCore,
     at: NodeId,
     d: Direction,
-    class_index: usize,
-) -> Option<usize> {
+    range: std::ops::Range<usize>,
+) -> Option<(usize, usize)> {
     let nbr = core.neighbor(at, d)?;
-    let range = core.cfg().vc_range_for_class(class_index);
-    core.input(nbr, Port::Dir(d.opposite()).index())
-        .free_vc_in(range)
+    let input = core.input(nbr, Port::Dir(d.opposite()).index());
+    let (vc, credits) = input.free_vc_and_credits(range);
+    Some((credits, vc?))
 }
 
 /// Counts free VCs for `class` at the downstream input port via `d`
@@ -137,34 +158,84 @@ pub fn downstream_credits(
     d: Direction,
     class_index: usize,
 ) -> usize {
-    match core.neighbor(at, d) {
-        Some(nbr) => {
-            let range = core.cfg().vc_range_for_class(class_index);
-            core.input(nbr, Port::Dir(d.opposite()).index())
-                .free_vcs_in(range)
-        }
-        None => 0,
+    free_in(core, at, d, core.cfg().vc_range_for_class(class_index)).map_or(0, |(n, _)| n)
+}
+
+/// The one selection loop every policy shares. A packet at its
+/// destination gets `Port::Local`; otherwise `candidate` yields a
+/// direction's `(score, free VC)` — `None` when nothing is free that
+/// way — the highest score wins, and `tie_break(n)` says whether the
+/// `n`-th candidate to equal the best so far replaces it. Nothing is
+/// drawn unless two candidates tie, so a `None` leaves the caller's
+/// tie-break stream untouched.
+fn select(
+    req: &RouteReq,
+    dirs: ProductiveDirs,
+    mut candidate: impl FnMut(Direction) -> Option<(usize, usize)>,
+    mut tie_break: impl FnMut(usize) -> bool,
+) -> Option<RouteDecision> {
+    if req.dst == req.at {
+        return Some(RouteDecision {
+            out_port: Port::Local,
+            out_vc: 0,
+        });
     }
+    let mut best: Option<(usize, RouteDecision)> = None;
+    let mut ties = 0usize;
+    for dir in dirs.iter() {
+        let Some((score, out_vc)) = candidate(dir) else {
+            continue;
+        };
+        let replaces = match best {
+            Some((b, _)) if score < b => false,
+            Some((b, _)) if score == b => {
+                ties += 1;
+                tie_break(ties)
+            }
+            _ => {
+                ties = 0;
+                true
+            }
+        };
+        if replaces {
+            let out_port = Port::Dir(dir);
+            best = Some((score, RouteDecision { out_port, out_vc }));
+        }
+    }
+    best.map(|(_, decision)| decision)
 }
 
-fn local_if_arrived(req: &RouteReq) -> Option<RouteDecision> {
-    (req.dst == req.at).then_some(RouteDecision {
-        out_port: Port::Local,
-        out_vc: 0,
-    })
+/// Selects the direction of `dirs` with a free VC for the request's
+/// class and the highest `score`, a coin flip deciding between equal
+/// scores (`Port::Local` for a packet at its destination): the turn
+/// models score by downstream credits, TFC by region tokens.
+pub fn pick_scored(
+    core: &NetworkCore,
+    req: &RouteReq,
+    dirs: ProductiveDirs,
+    rng: &mut DetRng,
+    score: impl Fn(Direction) -> usize,
+) -> Option<RouteDecision> {
+    let range = core.cfg().vc_range_for_class(req.class.index());
+    select(
+        req,
+        dirs,
+        |d| free_in(core, req.at, d, range.start..range.end).map(|(_, vc)| (score(d), vc)),
+        |_| rng.chance(0.5),
+    )
 }
 
-/// Pure route-set introspection for static analysis (`noc-prove`).
+/// The route sets themselves, as pure functions for static analysis.
 ///
-/// Every routing policy's *admissible direction set* is a pure function
-/// of `(mesh, at, in_port, dst)` — the credit/occupancy state only picks
-/// *among* admissible directions, never adds to them. This module is the
-/// single source of truth for those sets: the policies below delegate to
-/// it (so the simulator and the static certifier cannot drift), and
-/// `noc-prove` builds channel-dependency graphs from exactly these
-/// functions rather than re-deriving the routing algebra.
+/// Every discipline's *admissible direction set* is a pure function of
+/// `(at, dst, in_port)` — the credit/occupancy state only picks *among*
+/// admissible directions, never adds to them. [`route_set`] is the one
+/// place those sets are written: the policies below select from it
+/// through [`RoutingPolicy::desired_ports`](super::RoutingPolicy::desired_ports)
+/// and `noc-prove` builds its channel-dependency graphs from it, so the
+/// certified routes and the executed ones are the same function.
 pub mod introspect {
-    use noc_core::topology::{Direction, Mesh, NodeId, Port, ProductiveDirs};
+    use noc_core::topology::{Direction, Port, ProductiveDirs};
 
     /// Which routing discipline's route set to enumerate.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,8 +252,8 @@ pub mod introspect {
         NorthLast,
         /// Odd-even turn model ([`super::OddEven`]).
         OddEven,
-        /// The deterministic escape discipline of
-        /// [`super::EscapeVcRouting`] (XY into the escape VC).
+        /// The deterministic escape lane of [`super::EscapeVcRouting`]
+        /// (XY into the escape VC).
         EscapeXy,
     }
 
@@ -202,44 +273,18 @@ pub mod introspect {
 
         /// The live policy this kind enumerates, for callers that hold
         /// a kind and need its `desired_ports` (wait-graph diagnosis).
-        /// `seed` feeds the adaptive tie-break stream.
+        /// `EscapeXy` names a lane, so it maps to the policy that owns
+        /// the lane. `seed` feeds the adaptive tie-break stream.
         pub fn policy(self, seed: u64) -> Box<dyn super::RoutingPolicy> {
             match self {
                 PolicyKind::Xy => Box::new(super::DorXy),
                 PolicyKind::Yx => Box::new(super::DorYx),
                 PolicyKind::FullyAdaptive => Box::new(super::FullyAdaptive::new(seed)),
-                PolicyKind::WestFirst => Box::new(super::WestFirst::new(seed)),
-                PolicyKind::NorthLast => Box::new(super::NorthLast::new(seed)),
-                PolicyKind::OddEven => Box::new(super::OddEven::new(seed)),
+                PolicyKind::WestFirst | PolicyKind::NorthLast | PolicyKind::OddEven => {
+                    Box::new(super::TurnModel::new(self, seed))
+                }
                 PolicyKind::EscapeXy => Box::new(super::EscapeVcRouting::new(seed)),
             }
-        }
-    }
-
-    /// Directions admissible under west-first: all westward correction
-    /// first, then adaptive among the rest.
-    pub fn west_first(mesh: Mesh, at: NodeId, dst: NodeId) -> Vec<Direction> {
-        let prod = mesh.productive_dirs(at, dst);
-        if prod.contains(Direction::West) {
-            vec![Direction::West]
-        } else {
-            prod.iter().collect()
-        }
-    }
-
-    /// Directions admissible under north-last: North only once nothing
-    /// else is productive.
-    pub fn north_last(mesh: Mesh, at: NodeId, dst: NodeId) -> Vec<Direction> {
-        let prod: Vec<Direction> = mesh.productive_dirs(at, dst).iter().collect();
-        let non_north: Vec<Direction> = prod
-            .iter()
-            .copied()
-            .filter(|&d| d != Direction::North)
-            .collect();
-        if non_north.is_empty() {
-            prod
-        } else {
-            non_north
         }
     }
 
@@ -252,48 +297,13 @@ pub mod introspect {
         }
     }
 
-    /// Directions admissible under the odd-even turn model (see
-    /// [`super::OddEven`] for the rule derivation).
-    pub fn odd_even(mesh: Mesh, at: NodeId, dst: NodeId, in_port: Port) -> Vec<Direction> {
-        let x = mesh.x(at);
-        let even = x.is_multiple_of(2);
-        let (tx, ty) = (mesh.x(dst), mesh.y(dst));
-        let dy = ty as isize - mesh.y(at) as isize;
-        let dx = tx as isize - x as isize;
-        let prev = travel_dir(in_port);
-        mesh.productive_dirs(at, dst)
-            .iter()
-            .filter(|&d| match d {
-                Direction::North | Direction::South => {
-                    // EN/ES forbidden at even columns.
-                    if prev == Some(Direction::East) && even {
-                        return false;
-                    }
-                    // A packet still heading west must keep its future
-                    // N/S->W turn legal (even columns only).
-                    dx >= 0 || even
-                }
-                Direction::West => {
-                    // NW/SW forbidden at odd columns.
-                    !matches!(prev, Some(Direction::North) | Some(Direction::South)) || even
-                }
-                Direction::East => {
-                    // Never enter an even destination column eastbound
-                    // with vertical offset left: no legal turn there.
-                    !(dy != 0 && tx % 2 == 0 && tx == x + 1)
-                }
-            })
-            .collect()
-    }
-
     /// The *wait directions* of a head at mesh coordinates `at` bound for
-    /// `dst`: every minimal direction. Whatever the policy, its
-    /// admissible set at that router is a subset (every shipped policy
-    /// is minimal; [`route_set`] ⊆ this for every [`PolicyKind`], tested
-    /// exhaustively), so a head blocked on all of these is blocked under
-    /// any policy — the set the regular pipeline parks heads on. Takes
-    /// coordinates rather than node ids so the per-cycle caller can pass
-    /// the core's cached ones. Empty iff `at == dst`.
+    /// `dst`: every minimal direction, the horizontal correction first.
+    /// Every [`route_set`] is a filter of this set, so a head blocked on
+    /// all of these is blocked under any policy — the set the regular
+    /// pipeline parks heads on. Takes coordinates rather than node ids so
+    /// the per-cycle caller can pass the core's cached ones. Empty iff
+    /// `at == dst`.
     pub fn wait_dirs(at: (u16, u16), dst: (u16, u16)) -> ProductiveDirs {
         ProductiveDirs::from_deltas(
             dst.0 as isize - at.0 as isize,
@@ -301,32 +311,51 @@ pub mod introspect {
         )
     }
 
-    /// The full admissible direction set of `kind` at
-    /// `(at, in_port, dst)`. Returns the empty set iff `at == dst`
-    /// (route to `Port::Local`).
+    /// The full admissible direction set of `kind` for a head at mesh
+    /// coordinates `at`, bound for `dst`, that arrived on `in_port`: the
+    /// [`wait_dirs`] the discipline keeps, in the same order. Empty when
+    /// `at == dst` (route to `Port::Local`) — and, for odd-even, at
+    /// `(at, in_port)` states its own turn rules never reach.
     pub fn route_set(
         kind: PolicyKind,
-        mesh: Mesh,
-        at: NodeId,
+        at: (u16, u16),
+        dst: (u16, u16),
         in_port: Port,
-        dst: NodeId,
-    ) -> Vec<Direction> {
-        if at == dst {
-            return Vec::new();
-        }
+    ) -> ProductiveDirs {
+        let wait = wait_dirs(at, dst);
         match kind {
-            PolicyKind::Xy | PolicyKind::EscapeXy => {
-                vec![mesh
-                    .xy_next(at, dst)
-                    .expect("non-local packet always has an XY next hop")]
+            PolicyKind::FullyAdaptive => wait,
+            // Dimension order: the horizontal correction is listed first.
+            PolicyKind::Xy | PolicyKind::EscapeXy => wait.filter(|d| Some(d) == wait.iter().next()),
+            PolicyKind::Yx => wait.filter(|d| Some(d) == wait.iter().last()),
+            // All westward correction first, then adaptive.
+            PolicyKind::WestFirst => {
+                wait.filter(|d| d == Direction::West || !wait.contains(Direction::West))
             }
-            PolicyKind::Yx => vec![mesh
-                .yx_next(at, dst)
-                .expect("non-local packet always has a YX next hop")],
-            PolicyKind::FullyAdaptive => mesh.productive_dirs(at, dst).iter().collect(),
-            PolicyKind::WestFirst => west_first(mesh, at, dst),
-            PolicyKind::NorthLast => north_last(mesh, at, dst),
-            PolicyKind::OddEven => odd_even(mesh, at, dst, in_port),
+            // North only once nothing else is productive.
+            PolicyKind::NorthLast => wait.filter(|d| d != Direction::North || wait.len() == 1),
+            // See [`super::OddEven`] for the rule derivation.
+            PolicyKind::OddEven => {
+                let even = at.0.is_multiple_of(2);
+                let prev = travel_dir(in_port);
+                wait.filter(|d| match d {
+                    Direction::North | Direction::South => {
+                        // EN/ES forbidden at even columns; a packet still
+                        // heading west must keep its future N/S->W turn
+                        // legal (even columns only).
+                        !(prev == Some(Direction::East) && even) && (dst.0 >= at.0 || even)
+                    }
+                    // NW/SW forbidden at odd columns.
+                    Direction::West => {
+                        !matches!(prev, Some(Direction::North | Direction::South)) || even
+                    }
+                    // Never enter an even destination column eastbound
+                    // with vertical offset left: no legal turn there.
+                    Direction::East => {
+                        !(dst.1 != at.1 && dst.0.is_multiple_of(2) && dst.0 == at.0 + 1)
+                    }
+                })
+            }
         }
     }
 }
@@ -341,16 +370,19 @@ pub mod contract {
     use noc_core::packet::{MessageClass, Packet};
     use noc_core::topology::{Direction, NodeId, Port};
 
-    /// Checks `policy` against the two obligations event-driven
-    /// allocation relies on, exhaustively over every `(at, in_port, dst)`
-    /// of a 4×4 and a 3×5 mesh with two shared VCs per port: for each
-    /// request, every free/occupied combination of the wait set's VCs is
-    /// built on a scratch core and routed. Verified per request:
+    /// Checks `policy` against the three obligations event-driven
+    /// allocation and static certification rely on, exhaustively over
+    /// every `(at, in_port, dst)` of a 4×4 and a 3×5 mesh with two shared
+    /// VCs per port: for each request, every free/occupied combination of
+    /// the wait set's VCs is built on a scratch core and routed. Verified
+    /// per request:
     ///
     /// * a decision names a free VC of the class range across a wait
     ///   direction, and a full wait set yields `None`;
     /// * the pairs granted when free *alone* form a fixed grantable set:
     ///   every combination routes iff it frees one of them;
+    /// * the directions of that set are exactly
+    ///   [`introspect::route_set`] of the policy's `kind()`;
     /// * a `None` leaves the policy's `Debug` rendering unchanged.
     ///
     /// # Errors
@@ -459,13 +491,32 @@ pub mod contract {
         let grantable = (0..pairs.len())
             .filter(|&i| granted[1 << i])
             .fold(0usize, |set, i| set | 1 << i);
-        match (0..granted.len()).find(|&f| granted[f] != (f & grantable != 0)) {
-            Some(free) => Err(format!(
+        if let Some(free) = (0..granted.len()).find(|&f| granted[f] != (f & grantable != 0)) {
+            return Err(format!(
                 "grants alone {grantable:#b}, yet free {free:#b} routes: {}",
                 granted[free]
-            )),
-            None => Ok(()),
+            ));
         }
+        // Both lists are in wait-set order, so set equality is `==`.
+        let mut granted_dirs: Vec<_> = (0..pairs.len())
+            .filter(|&i| grantable & (1 << i) != 0)
+            .map(|i| pairs[i].0)
+            .collect();
+        granted_dirs.dedup();
+        let certified: Vec<_> = introspect::route_set(
+            policy.kind(),
+            core.xy(req.at),
+            core.xy(req.dst),
+            req.in_port,
+        )
+        .iter()
+        .collect();
+        if granted_dirs != certified {
+            return Err(format!(
+                "grants directions {granted_dirs:?}, yet the route set of its kind is {certified:?}"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -473,93 +524,39 @@ pub mod contract {
 #[derive(Debug, Clone)]
 pub struct DorXy;
 
-impl RoutingPolicy for DorXy {
-    fn name(&self) -> &'static str {
-        "xy"
-    }
-
-    fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if let Some(d) = local_if_arrived(req) {
-            return Some(d);
-        }
-        // `Mesh::xy_next` on cached coordinates (no per-call division).
-        let (fx, fy) = core.xy(req.at);
-        let (tx, ty) = core.xy(req.dst);
-        let dir = if tx > fx {
-            Direction::East
-        } else if tx < fx {
-            Direction::West
-        } else if ty > fy {
-            Direction::South
-        } else if ty < fy {
-            Direction::North
-        } else {
-            return None;
-        };
-        let out_vc = free_downstream_vc(core, req.at, dir, req.class.index())?;
-        Some(RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc,
-        })
-    }
-
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        if req.dst == req.at {
-            vec![Port::Local]
-        } else {
-            vec![Port::Dir(
-                core.mesh()
-                    .xy_next(req.at, req.dst)
-                    .expect("non-local packet always has an XY next hop"),
-            )]
-        }
-    }
-}
-
 /// Dimension-ordered routing, Y then X.
 #[derive(Debug, Clone)]
 pub struct DorYx;
 
-impl RoutingPolicy for DorYx {
-    fn name(&self) -> &'static str {
-        "yx"
+/// The one hop a dimension-ordered `policy` admits, if a VC is free there.
+fn route_dor(
+    policy: &impl RoutingPolicy,
+    core: &NetworkCore,
+    req: &RouteReq,
+) -> Option<RouteDecision> {
+    let range = core.cfg().vc_range_for_class(req.class.index());
+    let dirs = policy.desired_ports(core, req);
+    let free = |d| free_in(core, req.at, d, range.start..range.end);
+    select(req, dirs, free, |_| false)
+}
+
+impl RoutingPolicy for DorXy {
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::Xy
     }
 
     fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if let Some(d) = local_if_arrived(req) {
-            return Some(d);
-        }
-        // `Mesh::yx_next` on cached coordinates (no per-call division).
-        let (fx, fy) = core.xy(req.at);
-        let (tx, ty) = core.xy(req.dst);
-        let dir = if ty > fy {
-            Direction::South
-        } else if ty < fy {
-            Direction::North
-        } else if tx > fx {
-            Direction::East
-        } else if tx < fx {
-            Direction::West
-        } else {
-            return None;
-        };
-        let out_vc = free_downstream_vc(core, req.at, dir, req.class.index())?;
-        Some(RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc,
-        })
+        route_dor(self, core, req)
+    }
+}
+
+impl RoutingPolicy for DorYx {
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::Yx
     }
 
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        if req.dst == req.at {
-            vec![Port::Local]
-        } else {
-            vec![Port::Dir(
-                core.mesh()
-                    .yx_next(req.at, req.dst)
-                    .expect("non-local packet always has a YX next hop"),
-            )]
-        }
+    fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
+        route_dor(self, core, req)
     }
 }
 
@@ -585,116 +582,101 @@ impl FullyAdaptive {
 }
 
 impl RoutingPolicy for FullyAdaptive {
-    fn name(&self) -> &'static str {
-        "fully-adaptive"
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::FullyAdaptive
     }
 
     fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if let Some(d) = local_if_arrived(req) {
-            return Some(d);
-        }
-        // The class range is direction-independent: resolve it once, and
-        // take the free-VC pick and the credit count from one downstream
-        // occupancy read per direction (identical values to the
-        // `free_downstream_vc` + `downstream_credits` pair).
         let range = core.cfg().vc_range_for_class(req.class.index());
-        let mut best: Option<(usize, Direction, usize)> = None;
-        let mut ties = 0usize;
-        for dir in core.productive_dirs(req.at, req.dst).iter() {
-            let Some(nbr) = core.neighbor(req.at, dir) else {
-                continue;
-            };
-            let (vc, credits) = core
-                .input(nbr, Port::Dir(dir.opposite()).index())
-                .free_vc_and_credits(range.clone());
-            if let Some(vc) = vc {
-                match best {
-                    Some((b, _, _)) if credits < b => {}
-                    Some((b, _, _)) if credits == b => {
-                        // Reservoir-style uniform tie-break.
-                        ties += 1;
-                        if self.rng.range(0, ties + 1) == 0 {
-                            best = Some((credits, dir, vc));
-                        }
-                    }
-                    _ => {
-                        best = Some((credits, dir, vc));
-                        ties = 0;
-                    }
-                }
-            }
-        }
-        best.map(|(_, dir, vc)| RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc: vc,
-        })
+        let dirs = self.desired_ports(core, req);
+        let free = |d| free_in(core, req.at, d, range.start..range.end);
+        // Most downstream credits wins; reservoir-style uniform tie-break.
+        select(req, dirs, free, |ties| self.rng.range(0, ties + 1) == 0)
     }
 }
 
-/// West-first partially-adaptive routing (used by TFC and as the escape
-/// discipline). All westward correction happens first; once the packet no
-/// longer needs to go west, it may adaptively pick among the remaining
-/// productive directions. West-first forbids every turn into West, which
-/// breaks all cycles: deadlock-free.
+/// The three turn-model policies — [`WestFirst`], [`NorthLast`],
+/// [`OddEven`] — differ only in the route set of their
+/// [`PolicyKind`]: each picks the admitted direction with the most
+/// downstream credits, coin-flip tie-break.
 #[derive(Debug, Clone)]
-pub struct WestFirst {
+pub struct TurnModel {
+    kind: PolicyKind,
     rng: DetRng,
 }
 
-impl WestFirst {
-    /// Creates the policy with a deterministic tie-break stream.
-    pub fn new(seed: u64) -> Self {
-        WestFirst {
+impl TurnModel {
+    fn new(kind: PolicyKind, seed: u64) -> Self {
+        TurnModel {
+            kind,
             rng: DetRng::new(seed),
         }
     }
-
-    /// Directions admissible under west-first from `at` toward `dst`
-    /// (delegates to [`introspect::west_first`], the set `noc-prove`
-    /// certifies).
-    pub fn admissible(core: &NetworkCore, at: NodeId, dst: NodeId) -> Vec<Direction> {
-        introspect::west_first(core.mesh(), at, dst)
-    }
 }
 
-impl RoutingPolicy for WestFirst {
-    fn name(&self) -> &'static str {
-        "west-first"
+impl RoutingPolicy for TurnModel {
+    fn kind(&self) -> PolicyKind {
+        self.kind
     }
 
     fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if let Some(d) = local_if_arrived(req) {
-            return Some(d);
-        }
-        let class = req.class.index();
-        let mut best: Option<(usize, Direction, usize)> = None;
-        for dir in Self::admissible(core, req.at, req.dst) {
-            if let Some(vc) = free_downstream_vc(core, req.at, dir, class) {
-                let credits = downstream_credits(core, req.at, dir, class);
-                let better = match best {
-                    Some((b, _, _)) => credits > b || (credits == b && self.rng.chance(0.5)),
-                    None => true,
-                };
-                if better {
-                    best = Some((credits, dir, vc));
-                }
-            }
-        }
-        best.map(|(_, dir, vc)| RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc: vc,
+        let dirs = self.desired_ports(core, req);
+        pick_scored(core, req, dirs, &mut self.rng, |d| {
+            downstream_credits(core, req.at, d, req.class.index())
         })
     }
+}
 
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        if req.dst == req.at {
-            vec![Port::Local]
-        } else {
-            Self::admissible(core, req.at, req.dst)
-                .into_iter()
-                .map(Port::Dir)
-                .collect()
-        }
+/// West-first partially-adaptive routing (used by TFC). All westward
+/// correction happens first; once the packet no longer needs to go west,
+/// it may adaptively pick among the remaining productive directions.
+/// West-first forbids every turn into West, which breaks all cycles:
+/// deadlock-free.
+pub enum WestFirst {}
+
+/// North-last partially-adaptive routing: a packet may adaptively use
+/// East/West/South, but may only head North once no other productive
+/// direction remains (with minimal routing: once it is in the
+/// destination column). All turns out of North are thereby eliminated,
+/// which breaks every cycle: deadlock-free without VCs or detection.
+pub enum NorthLast {}
+
+/// Odd-even turn-model routing (Chiu): partially adaptive and
+/// deadlock-free by restricting *where* turns may occur instead of
+/// *which* turns exist —
+///
+/// * EN and ES turns are forbidden at nodes in even columns;
+/// * NW and SW turns are forbidden at nodes in odd columns.
+///
+/// Minimal-routing corollaries in its route set: an eastbound packet
+/// with remaining vertical offset must not enter an even destination
+/// column from the west (it could never turn there), and a packet that
+/// still needs to travel west may only move vertically in even columns
+/// (the later N/S→W turn must be legal).
+pub enum OddEven {}
+
+// The three names are constructors of the one `TurnModel` type.
+#[allow(clippy::new_ret_no_self)]
+impl WestFirst {
+    /// Creates the policy with a deterministic tie-break stream.
+    pub fn new(seed: u64) -> TurnModel {
+        TurnModel::new(PolicyKind::WestFirst, seed)
+    }
+}
+
+#[allow(clippy::new_ret_no_self)]
+impl NorthLast {
+    /// Creates the policy with a deterministic tie-break stream.
+    pub fn new(seed: u64) -> TurnModel {
+        TurnModel::new(PolicyKind::NorthLast, seed)
+    }
+}
+
+#[allow(clippy::new_ret_no_self)]
+impl OddEven {
+    /// Creates the policy with a deterministic tie-break stream.
+    pub fn new(seed: u64) -> TurnModel {
+        TurnModel::new(PolicyKind::OddEven, seed)
     }
 }
 
@@ -704,21 +686,13 @@ impl RoutingPolicy for WestFirst {
 /// fall back into the escape channel, which guarantees network-level
 /// deadlock freedom.
 #[derive(Debug, Clone)]
-pub struct EscapeVcRouting {
-    adaptive: FullyAdaptive,
-}
+pub struct EscapeVcRouting;
 
 impl EscapeVcRouting {
-    /// Creates the policy with a deterministic tie-break stream.
-    pub fn new(seed: u64) -> Self {
-        EscapeVcRouting {
-            adaptive: FullyAdaptive::new(seed),
-        }
-    }
-
-    /// The escape VC index for a class at the current configuration.
-    pub fn escape_vc(core: &NetworkCore, class_index: usize) -> usize {
-        core.cfg().vc_range_for_class(class_index).start
+    /// Creates the policy. Neither lane breaks a tie at random, so the
+    /// seed every scheme constructor passes its policy goes unused.
+    pub fn new(_seed: u64) -> Self {
+        EscapeVcRouting
     }
 }
 
@@ -727,197 +701,28 @@ impl RoutingPolicy for EscapeVcRouting {
         "escape-vc"
     }
 
+    /// The union of the two lanes: the escape lane's XY hop is one of
+    /// the adaptive lanes' minimal directions.
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::FullyAdaptive
+    }
+
     fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if let Some(d) = local_if_arrived(req) {
-            return Some(d);
-        }
-        let class = req.class.index();
-        let range = core.cfg().vc_range_for_class(class);
+        let range = core.cfg().vc_range_for_class(req.class.index());
         let escape = range.start;
-        // Adaptive attempt: any productive direction, non-escape VCs only.
-        let mesh = core.mesh();
-        let mut best: Option<(usize, Direction, usize)> = None;
-        for dir in core.productive_dirs(req.at, req.dst).iter() {
-            if let Some(nbr) = core.neighbor(req.at, dir) {
-                let iu = core.input(nbr, Port::Dir(dir.opposite()).index());
-                let adaptive_range = (escape + 1)..range.end;
-                if let Some(vc) = iu.free_vc_in(adaptive_range.clone()) {
-                    let credits = iu.free_vcs_in(adaptive_range);
-                    if best.map(|(b, _, _)| credits > b).unwrap_or(true) {
-                        best = Some((credits, dir, vc));
-                    }
-                }
-            }
-        }
-        if let Some((_, dir, vc)) = best {
-            return Some(RouteDecision {
-                out_port: Port::Dir(dir),
-                out_vc: vc,
-            });
-        }
-        // Escape fallback: deterministic XY into the escape VC.
-        let dir = mesh.xy_next(req.at, req.dst)?;
-        let nbr = core.neighbor(req.at, dir)?;
-        let iu = core.input(nbr, Port::Dir(dir.opposite()).index());
-        iu.is_free(escape).then_some(RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc: escape,
-        })
-    }
-
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        self.adaptive.desired_ports(core, req)
-    }
-}
-
-/// North-last partially-adaptive routing: a packet may adaptively use
-/// East/West/South, but may only head North once no other productive
-/// direction remains (with minimal routing: once it is in the
-/// destination column). All turns out of North are thereby eliminated,
-/// which breaks every cycle: deadlock-free without VCs or detection.
-#[derive(Debug, Clone)]
-pub struct NorthLast {
-    rng: DetRng,
-}
-
-impl NorthLast {
-    /// Creates the policy with a deterministic tie-break stream.
-    pub fn new(seed: u64) -> Self {
-        NorthLast {
-            rng: DetRng::new(seed),
-        }
-    }
-
-    /// Directions admissible under north-last from `at` toward `dst`
-    /// (delegates to [`introspect::north_last`], the set `noc-prove`
-    /// certifies).
-    pub fn admissible(core: &NetworkCore, at: NodeId, dst: NodeId) -> Vec<Direction> {
-        introspect::north_last(core.mesh(), at, dst)
-    }
-}
-
-impl RoutingPolicy for NorthLast {
-    fn name(&self) -> &'static str {
-        "north-last"
-    }
-
-    fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if req.dst == req.at {
-            return Some(RouteDecision {
-                out_port: Port::Local,
-                out_vc: 0,
-            });
-        }
-        let class = req.class.index();
-        let mut best: Option<(usize, Direction, usize)> = None;
-        for dir in Self::admissible(core, req.at, req.dst) {
-            if let Some(vc) = free_downstream_vc(core, req.at, dir, class) {
-                let credits = downstream_credits(core, req.at, dir, class);
-                let better = match best {
-                    Some((b, _, _)) => credits > b || (credits == b && self.rng.chance(0.5)),
-                    None => true,
-                };
-                if better {
-                    best = Some((credits, dir, vc));
-                }
-            }
-        }
-        best.map(|(_, dir, vc)| RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc: vc,
-        })
-    }
-
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        if req.dst == req.at {
-            vec![Port::Local]
-        } else {
-            Self::admissible(core, req.at, req.dst)
-                .into_iter()
-                .map(Port::Dir)
-                .collect()
-        }
-    }
-}
-
-/// Odd-even turn-model routing (Chiu): partially adaptive and
-/// deadlock-free by restricting *where* turns may occur instead of
-/// *which* turns exist —
-///
-/// * EN and ES turns are forbidden at nodes in even columns;
-/// * NW and SW turns are forbidden at nodes in odd columns.
-///
-/// Minimal-routing corollaries implemented here: an eastbound packet
-/// with remaining vertical offset must not enter an even destination
-/// column from the west (it could never turn there), and a packet that
-/// still needs to travel west may only move vertically in even columns
-/// (the later N/S→W turn must be legal).
-#[derive(Debug, Clone)]
-pub struct OddEven {
-    rng: DetRng,
-}
-
-impl OddEven {
-    /// Creates the policy with a deterministic tie-break stream.
-    pub fn new(seed: u64) -> Self {
-        OddEven {
-            rng: DetRng::new(seed),
-        }
-    }
-
-    /// Directions admissible under the odd-even rules (delegates to
-    /// [`introspect::odd_even`], the set `noc-prove` certifies).
-    pub fn admissible(
-        core: &NetworkCore,
-        at: NodeId,
-        dst: NodeId,
-        in_port: Port,
-    ) -> Vec<Direction> {
-        introspect::odd_even(core.mesh(), at, dst, in_port)
-    }
-}
-
-impl RoutingPolicy for OddEven {
-    fn name(&self) -> &'static str {
-        "odd-even"
-    }
-
-    fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if req.dst == req.at {
-            return Some(RouteDecision {
-                out_port: Port::Local,
-                out_vc: 0,
-            });
-        }
-        let class = req.class.index();
-        let mut best: Option<(usize, Direction, usize)> = None;
-        for dir in Self::admissible(core, req.at, req.dst, req.in_port) {
-            if let Some(vc) = free_downstream_vc(core, req.at, dir, class) {
-                let credits = downstream_credits(core, req.at, dir, class);
-                let better = match best {
-                    Some((b, _, _)) => credits > b || (credits == b && self.rng.chance(0.5)),
-                    None => true,
-                };
-                if better {
-                    best = Some((credits, dir, vc));
-                }
-            }
-        }
-        best.map(|(_, dir, vc)| RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc: vc,
-        })
-    }
-
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        if req.dst == req.at {
-            vec![Port::Local]
-        } else {
-            Self::admissible(core, req.at, req.dst, req.in_port)
-                .into_iter()
-                .map(Port::Dir)
-                .collect()
-        }
+        // Adaptive lanes: the direction with the most free non-escape
+        // VCs, the first listed on a tie.
+        let adaptive = |d| free_in(core, req.at, d, escape + 1..range.end);
+        // Escape lane: the deterministic XY hop into the escape VC.
+        let xy = introspect::route_set(
+            PolicyKind::EscapeXy,
+            core.xy(req.at),
+            core.xy(req.dst),
+            req.in_port,
+        );
+        let escape_lane = |d| free_in(core, req.at, d, escape..escape + 1);
+        select(req, self.desired_ports(core, req), adaptive, |_| false)
+            .or_else(|| select(req, xy, escape_lane, |_| false))
     }
 }
 
@@ -1041,7 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn west_first_forces_west() {
+    fn westward_correction_comes_first() {
         let mut c = core(0, 2);
         let pkt = req_between(&mut c, 10, 0); // (2,2) -> (0,0): W and N productive
         let mut pol = WestFirst::new(7);
@@ -1103,16 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn desired_ports_default_is_productive() {
-        let mut c = core(0, 2);
-        let pkt = req_between(&mut c, 5, 10);
-        let pol = FullyAdaptive::new(1);
-        let ports = pol.desired_ports(&c, &RouteReq::new(&c, NodeId::new(5), Port::Local, 0, pkt));
-        assert_eq!(ports.len(), 2);
-    }
-
-    #[test]
-    fn north_last_defers_north() {
+    fn north_is_deferred_to_last() {
         let mut c = core(0, 2);
         // (2,2) -> (3,0): productive {E, N}; north-last must pick E.
         let pkt = req_between(&mut c, 10, 3);
@@ -1127,151 +923,52 @@ mod tests {
         assert_eq!(dec.out_port, Port::Dir(Direction::North));
     }
 
+    /// `route_set` itself, at the coordinates the turn-model tests above
+    /// route through, plus the dimension orders it derives from the wait
+    /// set's listing order.
     #[test]
-    fn odd_even_turn_rules() {
-        let c = core(0, 2);
-        let mesh = c.mesh();
-        // Travelling east (arrived on the West input port) at an even
-        // column: EN/ES forbidden.
-        let at_even = mesh.node(2, 2);
-        let dst = mesh.node(2, 0); // due north of at_even... use dst with vertical offset
-        let dirs = OddEven::admissible(&c, at_even, dst, Port::Dir(Direction::West));
-        assert!(
-            !dirs.contains(&Direction::North),
-            "EN turn must be forbidden at even column: {dirs:?}"
-        );
-        // Same situation at an odd column: EN allowed.
-        let at_odd = mesh.node(1, 2);
-        let dst2 = mesh.node(1, 0);
-        let dirs = OddEven::admissible(&c, at_odd, dst2, Port::Dir(Direction::West));
-        assert!(dirs.contains(&Direction::North));
-        // Travelling north at an odd column: NW forbidden.
-        let dst3 = mesh.node(0, 2);
-        let dirs = OddEven::admissible(&c, at_odd, dst3, Port::Dir(Direction::South));
-        assert!(
-            !dirs.contains(&Direction::West),
-            "NW turn must be forbidden at odd column: {dirs:?}"
-        );
-        // Injected packets are unrestricted by turn history.
-        let dirs = OddEven::admissible(&c, at_odd, dst3, Port::Local);
-        assert!(dirs.contains(&Direction::West));
-    }
-
-    /// The static-analysis hook must report exactly the direction sets
-    /// the live policies advertise: for every `(at, in_port, dst)` on
-    /// two mesh shapes, `introspect::route_set` equals the policy's
-    /// `desired_ports`. This is what lets `noc-prove` build channel
-    /// dependency graphs from the introspection module without drifting
-    /// from the simulator.
-    #[test]
-    fn introspection_matches_policies_exhaustively() {
-        use super::introspect::{route_set, PolicyKind};
-        for (w, h) in [(4usize, 4usize), (3, 5)] {
-            let mut c =
-                NetworkCore::new(SimConfig::builder().mesh(w, h).vns(0).vcs_per_vn(2).build());
-            let mesh = c.mesh();
-            // `PolicyKind::policy` pairs each kind with its live policy
-            // (EscapeXy is the escape *lane*'s set, not a policy's).
-            let kinds = [
-                PolicyKind::Xy,
-                PolicyKind::Yx,
-                PolicyKind::FullyAdaptive,
-                PolicyKind::WestFirst,
-                PolicyKind::NorthLast,
-                PolicyKind::OddEven,
-            ];
-            let pkt = req_between(&mut c, 0, 1);
-            for kind in &kinds {
-                let policy = kind.policy(1);
-                for at in 0..mesh.num_nodes() {
-                    for dst in 0..mesh.num_nodes() {
-                        // Probe every legal input port (turn history).
-                        for in_port in Port::all() {
-                            if let Port::Dir(d) = in_port {
-                                if mesh.neighbor(NodeId::new(at), d).is_none() {
-                                    continue;
-                                }
-                            }
-                            let req = RouteReq {
-                                at: NodeId::new(at),
-                                in_port,
-                                vc: 0,
-                                pkt,
-                                dst: NodeId::new(dst),
-                                class: MessageClass::Request,
-                            };
-                            if at == dst {
-                                assert!(
-                                    route_set(*kind, mesh, req.at, in_port, req.dst).is_empty(),
-                                    "arrived packets must have an empty route set"
-                                );
-                                continue;
-                            }
-                            let want: Vec<Port> = policy.desired_ports(&c, &req);
-                            let got: Vec<Port> = route_set(*kind, mesh, req.at, in_port, req.dst)
-                                .into_iter()
-                                .map(Port::Dir)
-                                .collect();
-                            assert_eq!(
-                                got,
-                                want,
-                                "{} at R{at} in {in_port} dst R{dst} on {w}x{h}",
-                                kind.name()
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The wait set event-driven allocation parks heads on must cover
-    /// every direction any policy could grant: for every
-    /// `(at, in_port, dst)` on two mesh shapes, `wait_dirs` is the
-    /// minimal-direction set and a superset of `route_set` for every
-    /// `PolicyKind`.
-    #[test]
-    fn wait_dirs_cover_every_route_set_exhaustively() {
-        use super::introspect::{route_set, wait_dirs, PolicyKind};
-        const KINDS: [PolicyKind; 7] = [
-            PolicyKind::Xy,
-            PolicyKind::Yx,
-            PolicyKind::FullyAdaptive,
-            PolicyKind::WestFirst,
-            PolicyKind::NorthLast,
-            PolicyKind::OddEven,
-            PolicyKind::EscapeXy,
+    fn route_set_filters_the_wait_set() {
+        use super::introspect::route_set;
+        use Direction::{East, North, South, West};
+        use PolicyKind as K;
+        let (inj, from) = (Port::Local, Port::Dir);
+        type Case = (K, (u16, u16), (u16, u16), Port, &'static [Direction]);
+        let cases: [Case; 13] = [
+            // (2,2) -> (0,0): W and N productive.
+            (K::WestFirst, (2, 2), (0, 0), inj, &[West]),
+            (K::WestFirst, (0, 0), (3, 3), inj, &[East, South]),
+            // (2,2) -> (3,0): E and N productive; North only once alone.
+            (K::NorthLast, (2, 2), (3, 0), inj, &[East]),
+            (K::NorthLast, (2, 3), (2, 0), inj, &[North]),
+            // Travelling east (arrived on the West input port): EN is
+            // forbidden at an even column, allowed at an odd one.
+            (K::OddEven, (2, 2), (2, 0), from(West), &[]),
+            (K::OddEven, (1, 2), (1, 0), from(West), &[North]),
+            // Travelling north at an odd column: NW forbidden; injected
+            // packets are unrestricted by turn history.
+            (K::OddEven, (1, 2), (0, 2), from(South), &[]),
+            (K::OddEven, (1, 2), (0, 2), inj, &[West]),
+            // Dimension orders and the adaptive set, on a diagonal.
+            (K::Xy, (1, 1), (2, 0), inj, &[East]),
+            (K::EscapeXy, (1, 1), (2, 0), inj, &[East]),
+            (K::Yx, (1, 1), (2, 0), inj, &[North]),
+            (K::FullyAdaptive, (1, 1), (2, 0), inj, &[East, North]),
+            (K::FullyAdaptive, (1, 1), (1, 1), inj, &[]),
         ];
-        for (w, h) in [(4usize, 4usize), (3, 5)] {
-            let mesh = Mesh::new(w, h);
-            let xy = |n: NodeId| (mesh.x(n) as u16, mesh.y(n) as u16);
-            for at in mesh.nodes() {
-                for dst in mesh.nodes() {
-                    let wait = wait_dirs(xy(at), xy(dst));
-                    assert_eq!(wait.is_empty(), at == dst);
-                    assert_eq!(
-                        wait.iter().collect::<Vec<_>>(),
-                        mesh.productive_dirs(at, dst).iter().collect::<Vec<_>>()
-                    );
-                    for in_port in Port::all() {
-                        for kind in KINDS {
-                            for d in route_set(kind, mesh, at, in_port, dst) {
-                                assert!(
-                                    wait.contains(d),
-                                    "{} at {at} in {in_port} dst {dst} on {w}x{h}: \
-                                     {d} not a wait direction",
-                                    kind.name()
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+        for (kind, at, dst, in_port, want) in cases {
+            let got: Vec<_> = route_set(kind, at, dst, in_port).iter().collect();
+            assert_eq!(
+                got,
+                want,
+                "{} at {at:?} dst {dst:?} in {in_port}",
+                kind.name()
+            );
         }
     }
 
-    /// Every policy shipped here honours the parking contract (TFC's
-    /// token-scored west-first is checked in `baselines`).
+    /// Every policy shipped here honours the route contract, grant-set
+    /// equality included (TFC's token-scored west-first is checked in
+    /// `baselines`).
     #[test]
     fn shipped_policies_honour_the_route_contract() {
         contract::check(&mut DorXy).unwrap();
@@ -1284,14 +981,15 @@ mod tests {
     }
 
     /// The checker is not vacuous: a policy that draws a random number
-    /// before finding its candidates, or grants off the wait set, fails.
+    /// before finding its candidates, whose grantable set moves with
+    /// occupancy, or whose grants are not its kind's route set, fails.
     #[test]
     fn route_contract_checker_catches_violations() {
         #[derive(Debug)]
         struct DrawsFirst(FullyAdaptive);
         impl RoutingPolicy for DrawsFirst {
-            fn name(&self) -> &'static str {
-                "draws-first"
+            fn kind(&self) -> PolicyKind {
+                PolicyKind::FullyAdaptive
             }
             fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
                 self.0.rng.chance(0.5);
@@ -1304,13 +1002,13 @@ mod tests {
         #[derive(Debug)]
         struct FirstFreeWins;
         impl RoutingPolicy for FirstFreeWins {
-            fn name(&self) -> &'static str {
-                "occupancy-dependent"
+            fn kind(&self) -> PolicyKind {
+                PolicyKind::Xy
             }
             // Grantable set depends on occupancy: VC 1 only while VC 0
             // is taken.
             fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-                let d = core.productive_dirs(req.at, req.dst).iter().next()?;
+                let d = self.desired_ports(core, req).iter().next()?;
                 let nbr = core.neighbor(req.at, d)?;
                 let iu = core.input(nbr, Port::Dir(d.opposite()).index());
                 (!iu.is_free(0) && iu.is_free(1)).then_some(RouteDecision {
@@ -1321,6 +1019,27 @@ mod tests {
         }
         let err = contract::check(&mut FirstFreeWins).unwrap_err();
         assert!(err.contains("grants alone"), "{err}");
+
+        /// Routes Y-first while naming `claims` as its kind.
+        #[derive(Debug)]
+        struct Mislabelled {
+            claims: PolicyKind,
+        }
+        impl RoutingPolicy for Mislabelled {
+            fn kind(&self) -> PolicyKind {
+                self.claims
+            }
+            fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
+                DorYx.route(core, req)
+            }
+        }
+        // Under the XY certificate that grants a direction outside the
+        // set; under the fully-adaptive one it never grants a direction
+        // of the set.
+        for claims in [PolicyKind::Xy, PolicyKind::FullyAdaptive] {
+            let err = contract::check(&mut Mislabelled { claims }).unwrap_err();
+            assert!(err.contains("yet the route set of its kind is"), "{err}");
+        }
     }
 
     /// Empirical deadlock-freedom soak for the turn-model policies: heavy
@@ -1329,7 +1048,8 @@ mod tests {
     #[test]
     fn turn_models_never_wedge() {
         use crate::regular::{advance, AdvanceCtx};
-        for which in ["north-last", "odd-even", "west-first"] {
+        for mut pol in [NorthLast::new(5), OddEven::new(5), WestFirst::new(5)] {
+            let which = pol.name();
             let mut c = NetworkCore::new(
                 noc_core::config::SimConfig::builder()
                     .mesh(4, 4)
@@ -1338,9 +1058,6 @@ mod tests {
                     .seed(7)
                     .build(),
             );
-            let mut nl = NorthLast::new(5);
-            let mut oe = OddEven::new(5);
-            let mut wf = WestFirst::new(5);
             let mut wl_rng = noc_core::rng::DetRng::new(11);
             let mut last_consumed = 0u64;
             let mut consumed = 0u64;
@@ -1361,12 +1078,7 @@ mod tests {
                         ));
                     }
                 }
-                let pol: &mut dyn RoutingPolicy = match which {
-                    "north-last" => &mut nl,
-                    "odd-even" => &mut oe,
-                    _ => &mut wf,
-                };
-                advance(&mut c, pol, &AdvanceCtx::default());
+                advance(&mut c, &mut pol, &AdvanceCtx::default());
                 let now = c.cycle();
                 for n in c.mesh().nodes() {
                     if c.ni(n).ej_consumable(MessageClass::Request, now).is_some() {

@@ -65,8 +65,7 @@ impl WaitGraph {
         let mut edges = vec![Vec::new(); verts.len()];
         for (vi, &(pos, pkt_id)) in verts.iter().enumerate() {
             let req = RouteReq::new(core, pos.node, Port::from_index(pos.port), pos.vc, pkt_id);
-            for port in policy.desired_ports(core, &req) {
-                let Port::Dir(d) = port else { continue };
+            for d in policy.desired_ports(core, &req).iter() {
                 let Some(nbr) = core.neighbor(pos.node, d) else {
                     continue;
                 };
@@ -203,8 +202,6 @@ impl WaitGraph {
 /// Panics if any occupant vanished or became non-quiescent since the
 /// graph was built (callers must use a freshly built graph).
 pub fn rotate_cycle(core: &mut NetworkCore, graph: &WaitGraph, cycle: &[usize]) -> Vec<PacketId> {
-    use crate::vc::VcOccupant;
-    let now = core.cycle();
     // Take every packet out first (simultaneous), then reinstall shifted.
     let mut taken = Vec::with_capacity(cycle.len());
     for &vi in cycle {
@@ -218,10 +215,7 @@ pub fn rotate_cycle(core: &mut NetworkCore, graph: &WaitGraph, cycle: &[usize]) 
         let next = cycle[(k + 1) % cycle.len()];
         let (npos, _) = graph.vertex(next);
         let pkt = taken[k];
-        let len = core.store.get(pkt).len_flits;
-        let mut occ = VcOccupant::reserved(pkt, len, now);
-        occ.arrived = len; // Atomic relocation: fully buffered at the target.
-        core.input_mut(npos.node, npos.port).install(npos.vc, occ);
+        core.put_vc_packet(npos.node, Port::from_index(npos.port), npos.vc, pkt);
         core.store.get_mut(pkt).hops += 1;
         moved.push(pkt);
     }
