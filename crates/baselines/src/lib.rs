@@ -20,7 +20,6 @@
 //! * [`minbd`] — MinBD \[12\]: flit-level minimally-buffered deflection
 //!   routing with a side buffer and destination reassembly.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod drain;

@@ -10,7 +10,7 @@
 use noc_core::topology::{NodeId, Port, NUM_PORTS};
 use noc_sim::network::NetworkCore;
 use noc_sim::regular::{advance, AdvanceCtx};
-use noc_sim::routing::{FullyAdaptive, RouteReq, RoutingPolicy};
+use noc_sim::routing::{DesiredPorts, FullyAdaptive, RouteReq};
 use noc_sim::scheme::{Scheme, SchemeProperties};
 
 /// Tunables for [`Swap`].

@@ -14,7 +14,9 @@ use noc_core::topology::{Direction, NodeId};
 use noc_sim::network::NetworkCore;
 use noc_sim::regular::{advance, AdvanceCtx};
 use noc_sim::routing::introspect::PolicyKind;
-use noc_sim::routing::{downstream_credits, pick_scored, RouteDecision, RouteReq, RoutingPolicy};
+use noc_sim::routing::{
+    downstream_credits, pick_scored, DesiredPorts, RouteDecision, RouteReq, RoutingPolicy,
+};
 use noc_sim::scheme::{Scheme, SchemeProperties};
 
 /// West-first routing weighted by region tokens: the score of a

@@ -25,7 +25,7 @@
 use bench::runner::{make_sim, netstats_fnv64};
 use bench::{run_traced_point, trace_out_dir, SchemeId, SweepSpec};
 use noc_sim::{run_windows_batched, Simulation};
-use noc_trace::{TraceConfig, TraceLevel};
+use noc_trace::TraceConfig;
 use traffic::SyntheticPattern;
 
 // One source of truth with tests/big_mesh_golden.rs: these constants
@@ -99,10 +99,7 @@ fn main() {
         measure: MEASURE,
         seed: SEED,
     };
-    let cfg = TraceConfig {
-        level: TraceLevel::Full,
-        ..TraceConfig::default()
-    };
+    let cfg = TraceConfig::full();
     let dir = trace_out_dir();
     match run_traced_point(&spec, RATES[0], &cfg, &dir) {
         Ok(paths) => {

@@ -38,8 +38,14 @@ fn main() {
             r.power.total(),
         );
     }
-    let escape = rows.iter().find(|r| r.scheme == "EscapeVC").unwrap();
-    let fp = rows.iter().find(|r| r.scheme == "FastPass").unwrap();
+    let escape = rows
+        .iter()
+        .find(|r| r.scheme == "EscapeVC")
+        .expect("Fig. 11 has an EscapeVC row");
+    let fp = rows
+        .iter()
+        .find(|r| r.scheme == "FastPass")
+        .expect("Fig. 11 has a FastPass row");
     println!(
         "\nFastPass vs EscapeVC: area -{:.0}% (paper: -40%), power -{:.0}% (paper: -41%)",
         100.0 * (1.0 - fp.area.total() / escape.area.total()),

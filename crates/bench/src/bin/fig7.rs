@@ -72,9 +72,18 @@ fn main() {
         for r in results {
             println!("  {:<10} {:.2}", r.scheme, r.saturation_rate());
         }
-        let fp = results.iter().find(|r| r.scheme == "FastPass").unwrap();
-        let spin = results.iter().find(|r| r.scheme == "SPIN").unwrap();
-        let swap = results.iter().find(|r| r.scheme == "SWAP").unwrap();
+        let fp = results
+            .iter()
+            .find(|r| r.scheme == "FastPass")
+            .expect("Fig. 7 runs FastPass");
+        let spin = results
+            .iter()
+            .find(|r| r.scheme == "SPIN")
+            .expect("Fig. 7 runs SPIN");
+        let swap = results
+            .iter()
+            .find(|r| r.scheme == "SWAP")
+            .expect("Fig. 7 runs SWAP");
         println!(
             "  FastPass/SPIN saturation ratio: {:.2} (paper: ~1.8x)",
             fp.saturation_rate() / spin.saturation_rate().max(1e-9)

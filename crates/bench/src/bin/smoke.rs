@@ -153,10 +153,7 @@ fn print_telemetry_summary(spec: &SweepSpec) {
 /// demonstrably fire, so the artifacts contain both regular `link` and
 /// bypass `lane` traversals for `trace_check --require-bypass`.
 fn run_traced_smoke(level: TraceLevel, low_load: &SweepSpec) {
-    let cfg = TraceConfig {
-        level,
-        ..TraceConfig::default()
-    };
+    let cfg = TraceConfig { level };
     let bypass_spec = SweepSpec {
         id: SchemeId::FastPass,
         pattern: SyntheticPattern::Transpose,

@@ -28,7 +28,6 @@
 //!   through it instead of the in-process executor (same as passing
 //!   `--serve` to a sweep binary — see [`serve_client`]).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod phases;

@@ -211,7 +211,6 @@ fn write_artifacts(dir: &Path, stem: &str, tracer: &Tracer) -> std::io::Result<V
 mod tests {
     use super::*;
     use crate::registry::SchemeId;
-    use noc_trace::TraceLevel;
     use traffic::SyntheticPattern;
 
     fn spec() -> SweepSpec {
@@ -319,10 +318,7 @@ mod tests {
     fn counters_level_produces_metrics_and_counter_only_trace() {
         let dir = std::env::temp_dir().join(format!("fp_trace_cnt_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = TraceConfig {
-            level: TraceLevel::Counters,
-            ..TraceConfig::default()
-        };
+        let cfg = TraceConfig::counters();
         let paths = run_traced_point(&spec(), 0.05, &cfg, &dir).expect("traced run");
         let json = std::fs::read_to_string(&paths[0]).unwrap();
         // No per-flit events at counters level, but the merged telemetry

@@ -40,8 +40,6 @@
 //! assert!(stats.delivered() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod flight;
 pub mod irregular;
 pub mod lane;

@@ -21,7 +21,6 @@
 //! assert_eq!(mesh.hops(a, b), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -89,7 +89,7 @@ mod tests {
             path: "a.rs".into(),
             line: 1,
             col: 1,
-            rule: "panic-hygiene",
+            rule: "hot-loop-alloc",
             message: "use `.expect(\"why\")`".into(),
         };
         let j = to_json(&[d]);

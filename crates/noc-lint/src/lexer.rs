@@ -430,13 +430,13 @@ mod tests {
 
     #[test]
     fn allow_directives_parse() {
-        let src = "let x = 1; // noc-lint: allow(determinism, hot-loop-alloc)\n// noc-lint: allow(occupancy)\n";
+        let src = "let x = 1; // noc-lint: allow(determinism, hot-loop-alloc)\n// noc-lint: allow(routing-locality)\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 2);
         assert_eq!(lexed.allows[0].line, 1);
         assert_eq!(lexed.allows[0].rules, vec!["determinism", "hot-loop-alloc"]);
         assert_eq!(lexed.allows[1].line, 2);
-        assert_eq!(lexed.allows[1].rules, vec!["occupancy"]);
+        assert_eq!(lexed.allows[1].rules, vec!["routing-locality"]);
     }
 
     #[test]

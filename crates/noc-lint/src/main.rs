@@ -7,8 +7,6 @@
 //! cargo run -p noc-lint -- --root <dir>   # lint another checkout
 //! ```
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -37,7 +35,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "noc-lint: enforce the workspace's determinism, hot-loop and \
-                     occupancy contracts\n\n\
+                     routing-locality contracts\n\n\
                      USAGE: noc-lint [--deny] [--json] [--root <dir>] [--rules]\n\n\
                      --deny    exit 1 if any diagnostic is produced (CI mode)\n\
                      --json    emit diagnostics as a JSON array\n\

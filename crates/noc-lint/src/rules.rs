@@ -11,16 +11,12 @@
 
 use crate::diag::Diagnostic;
 use crate::lexer::{lex, Token, TokenKind};
-use crate::structure::{item_body_ranges, test_token_mask};
+use crate::structure::{fn_body_ranges, test_token_mask};
 
 /// Rule id: deterministic simulation contract.
 pub const DETERMINISM: &str = "determinism";
 /// Rule id: allocation-free hot loop contract.
 pub const HOT_LOOP_ALLOC: &str = "hot-loop-alloc";
-/// Rule id: occupancy mutation discipline.
-pub const OCCUPANCY: &str = "occupancy";
-/// Rule id: unsafe/panic hygiene.
-pub const PANIC_HYGIENE: &str = "panic-hygiene";
 /// Rule id: routing-decision locality.
 pub const ROUTING_LOCALITY: &str = "routing-locality";
 
@@ -32,25 +28,14 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         HOT_LOOP_ALLOC,
-        "no heap allocation, collect(), String construction or clones in per-cycle hot paths; \
-         trace events only through the branch-gated trace! macro",
-    ),
-    (
-        OCCUPANCY,
-        "VC occupant state (arena meta words, per-port occ/routed/ready/parked records, waiter \
-         and refused words, occ_mask, install/take/park) changes only inside the arena module \
-         and whitelisted pipeline/relocation paths; the node work-set words (occ_nodes, ni_live) \
-         and the switch-request words (sa_req) are indexed only where they are maintained and \
-         walked",
-    ),
-    (
-        PANIC_HYGIENE,
-        "no unsafe blocks anywhere; no bare unwrap() in non-test simulator code (use expect with an invariant message)",
+        "no heap allocation (vec!, Vec/VecDeque/BTreeMap/BTreeSet/BinaryHeap::new, any \
+         with_capacity, Box/Rc/Arc::new, String construction, collect(), clones) in per-cycle \
+         hot paths; trace events only through the branch-gated trace! macro",
     ),
     (
         ROUTING_LOCALITY,
         "routing decisions (RoutingPolicy impls, productive_dirs choice) live only in the \
-         modules noc-prove introspects; desired_ports is defined by the trait alone",
+         modules noc-prove introspects",
     ),
 ];
 
@@ -78,22 +63,6 @@ const SIM_CRATES: &[&str] = &[
 /// ever be both a service and a simulator.
 const SERVICE_CRATES: &[&str] = &["noc-serve"];
 
-/// Crates held to the no-bare-`unwrap()` standard (the simulator crates
-/// plus the power model, `noc-serve` — daemon and sweep library — and
-/// the root facade; the bench harness's CLI binaries are exempt).
-const PANIC_CRATES: &[&str] = &[
-    "noc-core",
-    "noc-sim",
-    "fastpass",
-    "baselines",
-    "noc-schemes",
-    "traffic",
-    "noc-power",
-    "noc-trace",
-    "noc-serve",
-    "",
-];
-
 /// Files that are hot per-cycle paths in their entirety.
 const HOT_FILES: &[&str] = &["crates/noc-sim/src/regular.rs"];
 
@@ -118,87 +87,6 @@ const HOT_FNS: &[&str] = &[
 
 /// Crates whose `advance`/`step` implementations are hot.
 const HOT_CRATES: &[&str] = &["noc-sim", "fastpass", "baselines", "noc-trace"];
-
-/// Crates subject to the occupancy-discipline rule.
-const OCC_CRATES: &[&str] = &["noc-sim", "fastpass", "baselines"];
-
-/// The only files allowed to touch occupant slots directly: the SoA
-/// arena that owns the packed state (`arena.rs` — every occupancy word
-/// and meta byte lives there), the legacy input unit, the regular
-/// pipeline, the core (the staged-move applier and the
-/// `take_vc_packet` / `put_vc_packet` pair every relocating scheme —
-/// SPIN's rotation, SWAP's exchange, DRAIN's circulation — goes
-/// through) and the read-only structural auditor.
-const OCC_WHITELIST: &[&str] = &[
-    "crates/noc-sim/src/arena.rs",
-    "crates/noc-sim/src/vc.rs",
-    "crates/noc-sim/src/regular.rs",
-    "crates/noc-sim/src/network.rs",
-    "crates/noc-sim/src/audit.rs",
-];
-
-/// Arena word arrays: `.meta[…]` / `.ports[…]` (the co-located
-/// occ/routed/ready/parked record per input port) / `.waiters[…]` /
-/// `.waiter_ports[…]` / `.refused[…]` field indexing outside the
-/// whitelist is stray arena mutation (the lexical rule cannot tell reads
-/// from writes, and neither belongs outside the pipeline — cold code
-/// reads through `VcArena::get` / `InputRef`). `.occ[…]` / `.routed[…]`
-/// are the pre-record spellings, kept banned so they cannot come back.
-const ARENA_WORD_FIELDS: &[&str] = &[
-    "meta",
-    "occ",
-    "routed",
-    "ports",
-    "waiters",
-    "waiter_ports",
-    "refused",
-];
-
-/// Node work-set words: the arena's exact `occ_nodes` bitset and the
-/// core's lazily-cleared `ni_live` superset. They decide which nodes the
-/// cycle loop and the NI consumer look at at all, so a stray write hides
-/// a node from both and a stray read builds on a superset as if it were
-/// state. Everyone else asks `NetworkCore::active_nodes` /
-/// `node_active`.
-const WORK_SET_FIELDS: &[&str] = &["occ_nodes", "ni_live"];
-
-/// The only files allowed to index the work-set words — narrower than
-/// [`OCC_WHITELIST`]: the arena (`install`/`take` own `occ_nodes`), the
-/// core (`ni_mut`/`generate` mark `ni_live`, `active_nodes` walks both)
-/// and the engine (the consumer walks `ni_live` and is the one place
-/// that clears it).
-const WORK_SET_WHITELIST: &[&str] = &[
-    "crates/noc-sim/src/arena.rs",
-    "crates/noc-sim/src/network.rs",
-    "crates/noc-sim/src/engine.rs",
-];
-
-/// The switch-request words, `VcArena::sa_req`: one word per `(node,
-/// output port)` that the arena's six slot mutators keep equal to the
-/// `ready ∧ routed ∧ route == out` gather. Switch allocation grants
-/// straight from them, so a stray write is a granted empty buffer or a
-/// flit that never moves. Indexed in `arena.rs` alone — narrower than
-/// both whitelists above: the pipeline, the auditor and tests of other
-/// modules read `VcArena::switch_requests` / `NetworkCore::switch_requests`.
-const REQUEST_WORD_FIELDS: &[&str] = &["sa_req"];
-
-/// The only file allowed to index the switch-request words.
-const REQUEST_WORD_WHITELIST: &[&str] = &["crates/noc-sim/src/arena.rs"];
-
-/// Arena entry points and types that only whitelisted files may name:
-/// the slot mutators, the flit-counter steps that own the ready word,
-/// the parking protocol's writers, and the per-port record itself.
-const ARENA_MUTATORS: &[&str] = &[
-    "pack_meta",
-    "set_route",
-    "set_route_vc",
-    "input_mut",
-    "flit_arrived",
-    "flit_sent",
-    "park",
-    "note_refusal",
-    "PortWords",
-];
 
 /// Crates whose routing behaviour the static certifier (`noc-prove`)
 /// must be able to reconstruct from `noc_sim::routing::introspect`.
@@ -228,14 +116,10 @@ struct PathInfo<'a> {
 
 impl<'a> PathInfo<'a> {
     fn new(rel: &'a str) -> Self {
-        // "crates/<name>/…" → name; "src/…" → "" (the root facade crate).
-        let krate = if let Some(rest) = rel.strip_prefix("crates/") {
-            rest.split('/').next()
-        } else if rel.starts_with("src/") {
-            Some("")
-        } else {
-            None
-        };
+        // "crates/<name>/…" → name.
+        let krate = rel
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split('/').next());
         PathInfo { rel, krate }
     }
 
@@ -272,36 +156,6 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
         check_determinism(&lexed.tokens, &mask, rel_path, &mut diags);
     }
     check_hot_loop(&info, &lexed.tokens, &mask, &mut diags);
-    if info.in_crates(OCC_CRATES) && !OCC_WHITELIST.contains(&info.rel) {
-        check_occupancy(&lexed.tokens, &mask, rel_path, &mut diags);
-    }
-    if info.in_crates(OCC_CRATES) && !WORK_SET_WHITELIST.contains(&info.rel) {
-        check_owned_words(
-            WORK_SET_FIELDS,
-            "node work-set word",
-            "arena.rs/network.rs/engine.rs: `occ_nodes` is owned by VcArena::install/take and \
-             `ni_live` is a lazily cleared superset marked by NetworkCore::ni_mut/generate — ask \
-             NetworkCore::active_nodes/node_active instead",
-            &lexed.tokens,
-            &mask,
-            rel_path,
-            &mut diags,
-        );
-    }
-    if info.in_crates(OCC_CRATES) && !REQUEST_WORD_WHITELIST.contains(&info.rel) {
-        check_owned_words(
-            REQUEST_WORD_FIELDS,
-            "switch-request word",
-            "arena.rs: the words are kept equal to the ready & routed gather by \
-             VcArena::install/take/set_route/set_route_vc/flit_arrived/flit_sent — read \
-             VcArena::switch_requests / NetworkCore::switch_requests instead",
-            &lexed.tokens,
-            &mask,
-            rel_path,
-            &mut diags,
-        );
-    }
-    check_panic_hygiene(&info, &lexed.tokens, &mask, &mut diags);
     if info.in_crates(ROUTING_CRATES) {
         let whitelisted = ROUTING_WHITELIST.contains(&info.rel);
         check_routing_locality(&lexed.tokens, &mask, rel_path, whitelisted, &mut diags);
@@ -360,9 +214,10 @@ fn check_determinism(tokens: &[Token], mask: &[bool], path: &str, diags: &mut Ve
 }
 
 /// hot-loop-alloc: inside per-cycle hot scopes, ban heap allocation and
-/// per-packet copying: `vec![…]`, `Vec::new`, `.collect(…)`, `format!`,
-/// `String::new/from`, `.to_string()`, `.to_owned()`, `.to_vec()`,
-/// `Box::new`, `.clone()`.
+/// per-packet copying: `vec![…]`, `Vec`/`VecDeque`/`BTreeMap`/`BTreeSet`/
+/// `BinaryHeap::new`, `::with_capacity` on any type, `Box`/`Rc`/`Arc::new`,
+/// `String::new/from`, `format!`, `.collect(…)`, `.to_string()`,
+/// `.to_owned()`, `.to_vec()`, `.clone()`.
 ///
 /// Tracing gets one extra constraint: direct `.push_event(…)` calls are
 /// banned in hot scopes — events must go through the `trace!` macro,
@@ -380,7 +235,7 @@ fn check_hot_loop(
     let ranges = if whole_file_hot {
         vec![(0usize, tokens.len().saturating_sub(1))]
     } else if info.in_crates(HOT_CRATES) {
-        item_body_ranges(tokens, mask, "fn", HOT_FNS)
+        fn_body_ranges(tokens, mask, HOT_FNS)
     } else {
         return;
     };
@@ -411,7 +266,22 @@ fn check_hot_loop(
                 "Vec" if is_assoc_call(tokens, i, "new") => {
                     Some("`Vec::new()` allocates on first push")
                 }
-                "Box" if is_assoc_call(tokens, i, "new") => Some("`Box::new` allocates"),
+                "VecDeque" | "BTreeMap" | "BTreeSet" | "BinaryHeap"
+                    if is_assoc_call(tokens, i, "new") =>
+                {
+                    Some("collection construction allocates on first insert")
+                }
+                "with_capacity"
+                    if i >= 2
+                        && tokens[i - 1].is_punct(':')
+                        && tokens[i - 2].is_punct(':')
+                        && next_is(tokens, i, '(') =>
+                {
+                    Some("`with_capacity` allocates up front")
+                }
+                "Box" | "Rc" | "Arc" if is_assoc_call(tokens, i, "new") => {
+                    Some("`Box`/`Rc`/`Arc::new` allocates")
+                }
                 "String" if is_assoc_call(tokens, i, "new") || is_assoc_call(tokens, i, "from") => {
                     Some("String construction allocates")
                 }
@@ -444,144 +314,11 @@ fn check_hot_loop(
     }
 }
 
-/// occupancy: outside the whitelisted files, no `occ_mask` access, no
-/// `occupant_mut()` calls, no `install(…)`/`take(…)` on an indexed
-/// input unit (`inputs[p].install(…)`), no arena word-array indexing
-/// ([`ARENA_WORD_FIELDS`]) and no arena mutator entry points
-/// ([`ARENA_MUTATORS`]). Everything else must go through
-/// `NetworkCore::take_vc_packet` / `put_vc_packet` / staged moves, or
-/// read through `VcArena::get` / `InputRef`.
-fn check_occupancy(tokens: &[Token], mask: &[bool], path: &str, diags: &mut Vec<Diagnostic>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let complaint = match t.text.as_str() {
-            "occ_mask" => Some("occupancy mask read/written outside the input unit"),
-            "occupant_mut" => Some("direct occupant mutation"),
-            f if ARENA_WORD_FIELDS.contains(&f)
-                && i >= 1
-                && tokens[i - 1].is_punct('.')
-                && next_is(tokens, i, '[') =>
-            {
-                Some("arena occupancy/meta word indexed outside the arena module")
-            }
-            m if ARENA_MUTATORS.contains(&m) => {
-                Some("arena mutator or word record named outside the whitelisted pipeline files")
-            }
-            "install" | "take"
-                if is_method_call(tokens, i)
-                    && i >= 2
-                    && tokens[i - 1].is_punct('.')
-                    && tokens[i - 2].is_punct(']')
-                    // `.take()` with no argument is Option::take, not
-                    // InputUnit::take(vc).
-                    && !(t.text == "take" && next2_is(tokens, i, ')')) =>
-            {
-                Some("direct occupant install/removal on an input unit")
-            }
-            _ => None,
-        };
-        if let Some(c) = complaint {
-            push(
-                diags,
-                OCCUPANCY,
-                path,
-                t,
-                format!(
-                    "{c}: only InputUnit::install/take (via the regular pipeline or \
-                     NetworkCore::take_vc_packet/put_vc_packet) may change VC occupancy, or \
-                     the active-set mask drifts from the buffers it summarizes"
-                ),
-            );
-        }
-    }
-}
-
-/// occupancy (words owned by a narrower file set than [`OCC_WHITELIST`]):
-/// no `.field[…]` indexing of any of `fields`, read or write. Serves the
-/// work-set words (`.occ_nodes[…]` / `.ni_live[…]` outside
-/// [`WORK_SET_WHITELIST`]) and the switch-request words (`.sa_req[…]`
-/// outside [`REQUEST_WORD_WHITELIST`]); `what` names the kind of word and
-/// `owners` finishes the sentence "indexed outside …".
-fn check_owned_words(
-    fields: &[&str],
-    what: &str,
-    owners: &str,
-    tokens: &[Token],
-    mask: &[bool],
-    path: &str,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i]
-            || t.kind != TokenKind::Ident
-            || !fields.contains(&t.text.as_str())
-            || i == 0
-            || !tokens[i - 1].is_punct('.')
-            || !next_is(tokens, i, '[')
-        {
-            continue;
-        }
-        push(
-            diags,
-            OCCUPANCY,
-            path,
-            t,
-            format!("{what} `{}` indexed outside {owners}", t.text),
-        );
-    }
-}
-
-/// panic-hygiene: `unsafe` nowhere, bare `.unwrap()` nowhere in simulator
-/// crates (tests excepted). `expect("why the invariant holds")` is the
-/// sanctioned alternative — a panic message is a proof obligation.
-fn check_panic_hygiene(
-    info: &PathInfo<'_>,
-    tokens: &[Token],
-    mask: &[bool],
-    diags: &mut Vec<Diagnostic>,
-) {
-    let unwrap_scoped = info.in_crates(PANIC_CRATES);
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        if t.text == "unsafe" {
-            push(
-                diags,
-                PANIC_HYGIENE,
-                info.rel,
-                t,
-                "`unsafe` is forbidden across the workspace (#![forbid(unsafe_code)]); \
-                 the simulator has no business with raw memory"
-                    .to_string(),
-            );
-        } else if unwrap_scoped
-            && t.text == "unwrap"
-            && is_method_call(tokens, i)
-            && next2_is(tokens, i, ')')
-        {
-            push(
-                diags,
-                PANIC_HYGIENE,
-                info.rel,
-                t,
-                "bare `.unwrap()` in simulator code: use `.expect(\"<why this cannot fail>\")` \
-                 so a violated invariant names itself in the panic"
-                    .to_string(),
-            );
-        }
-    }
-}
-
 /// routing-locality: outside the whitelisted routing modules, no new
 /// routing decisions — no `impl RoutingPolicy for …` and no
-/// `productive_dirs` use (the raw direction-choice primitive). And in
-/// every file, whitelisted or not, no `fn desired_ports` outside the
-/// body of `trait RoutingPolicy`: the trait derives it from `kind()`
-/// and `introspect::route_set`, and an override would be a second
-/// definition of a direction set.
+/// `productive_dirs` use (the raw direction-choice primitive). A second
+/// definition of `desired_ports` needs no rule: it is a blanket impl, so
+/// an override is a conflicting-implementations error (E0119).
 ///
 /// Consuming a policy is fine everywhere (`policy.desired_ports(…)`,
 /// `Box<dyn RoutingPolicy>`): the rule fires on *making* route choices,
@@ -596,21 +333,11 @@ fn check_routing_locality(
     whitelisted: bool,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let trait_bodies = item_body_ranges(tokens, mask, "trait", &["RoutingPolicy"]);
     for (i, t) in tokens.iter().enumerate() {
         if mask[i] || t.kind != TokenKind::Ident {
             continue;
         }
         let complaint = match t.text.as_str() {
-            "desired_ports"
-                if i >= 1
-                    && tokens[i - 1].is_ident("fn")
-                    && !trait_bodies.iter().any(|&(s, e)| (s..=e).contains(&i)) =>
-            {
-                "`desired_ports` defined outside `trait RoutingPolicy`: the route set is \
-                 `introspect::route_set(kind(), …)` for every policy, so name the discipline in \
-                 `kind()` (and teach `route_set` about a new one) instead of overriding it"
-            }
             "RoutingPolicy"
                 if !whitelisted && matches!(tokens.get(i + 1), Some(n) if n.is_ident("for")) =>
             {
@@ -641,11 +368,6 @@ fn check_routing_locality(
 /// `tokens[i]` is followed immediately by punct `c`.
 fn next_is(tokens: &[Token], i: usize, c: char) -> bool {
     matches!(tokens.get(i + 1), Some(t) if t.is_punct(c))
-}
-
-/// `tokens[i]` then `(` then punct `c` (e.g. `unwrap` `(` `)`).
-fn next2_is(tokens: &[Token], i: usize, c: char) -> bool {
-    next_is(tokens, i, '(') && matches!(tokens.get(i + 2), Some(t) if t.is_punct(c))
 }
 
 /// `tokens[i]` is `Type` in `Type::name(` (associated call).
@@ -696,14 +418,13 @@ mod tests {
 
     /// The service exemption must never quietly swallow a simulator
     /// crate: a crate in both lists would ship nondeterminism with the
-    /// lint green. Same for the narrower hot/occupancy/routing scopes.
+    /// lint green. Same for the narrower hot/routing scopes.
     #[test]
     fn service_crates_are_disjoint_from_every_sim_scope() {
         for service in SERVICE_CRATES {
             for (name, scope) in [
                 ("SIM_CRATES", SIM_CRATES),
                 ("HOT_CRATES", HOT_CRATES),
-                ("OCC_CRATES", OCC_CRATES),
                 ("ROUTING_CRATES", ROUTING_CRATES),
             ] {
                 assert!(
@@ -711,18 +432,6 @@ mod tests {
                     "`{service}` is listed as a service crate AND in {name}"
                 );
             }
-        }
-    }
-
-    /// The daemon is exempt from determinism, not from panic hygiene:
-    /// a service thread that dies on a bare unwrap takes jobs with it.
-    #[test]
-    fn service_crates_still_face_panic_hygiene() {
-        for service in SERVICE_CRATES {
-            assert!(
-                PANIC_CRATES.contains(service),
-                "`{service}` must be held to the no-bare-unwrap standard"
-            );
         }
     }
 }

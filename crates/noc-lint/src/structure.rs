@@ -1,10 +1,9 @@
 //! Structural recovery on top of the token stream: which tokens are
-//! test-only code, and where the bodies of named functions and traits
-//! lie.
+//! test-only code, and where the bodies of named functions lie.
 //!
 //! The linter's contracts apply to *simulator* code; `#[cfg(test)]`
 //! modules, `#[test]` functions and integration-test files are free to
-//! use `HashMap`, `unwrap()` and allocation. Both recoveries are plain
+//! use `HashMap` and allocation. Both recoveries are plain
 //! brace matching over the lexed tokens — no parsing required.
 
 use crate::lexer::{Token, TokenKind};
@@ -75,19 +74,14 @@ pub fn test_token_mask(tokens: &[Token]) -> Vec<bool> {
 }
 
 /// Returns `(start, end)` token ranges (inclusive) of the bodies of all
-/// `keyword` items (`fn`, `trait`) whose name is in `names`, excluding
-/// tokens already masked (test code).
-pub fn item_body_ranges(
-    tokens: &[Token],
-    mask: &[bool],
-    keyword: &str,
-    names: &[&str],
-) -> Vec<(usize, usize)> {
+/// functions whose name is in `names`, excluding tokens already masked
+/// (test code).
+pub fn fn_body_ranges(tokens: &[Token], mask: &[bool], names: &[&str]) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
     let mut i = 0usize;
     while i + 1 < tokens.len() {
         if !mask[i]
-            && tokens[i].is_ident(keyword)
+            && tokens[i].is_ident("fn")
             && tokens[i + 1].kind == TokenKind::Ident
             && names.contains(&tokens[i + 1].text.as_str())
         {
@@ -192,7 +186,7 @@ mod tests {
         let src = "fn step(&mut self) { alloc(); }\nfn other() { fine(); }";
         let lexed = lex(src);
         let mask = vec![false; lexed.tokens.len()];
-        let ranges = item_body_ranges(&lexed.tokens, &mask, "fn", &["step"]);
+        let ranges = fn_body_ranges(&lexed.tokens, &mask, &["step"]);
         assert_eq!(ranges.len(), 1);
         let (s, e) = ranges[0];
         let inside: Vec<_> = lexed.tokens[s..=e]

@@ -82,6 +82,24 @@ fn determinism_exempts_the_service_crate_but_not_the_simulator() {
     );
 }
 
+#[test]
+fn observability_modules_inherit_the_service_crate_scoping() {
+    // Crate-level scoping must cover modules added after the rules were
+    // written: the flight recorder's writer thread and the metrics
+    // registry's wall-clock sampling are fine under noc-serve.
+    let clocky = "pub fn tick() { let t = std::time::Instant::now(); \
+                  let h = std::thread::spawn(|| 1); drop((t, h)); }\n";
+    for file in [
+        "crates/noc-serve/src/flight.rs",
+        "crates/noc-serve/src/metrics.rs",
+    ] {
+        assert!(
+            !rules_fired(file, clocky).contains(&"determinism"),
+            "{file} is inside the whitelisted service crate"
+        );
+    }
+}
+
 // ---- hot-loop-alloc --------------------------------------------------------
 
 #[test]
@@ -121,6 +139,32 @@ fn hot_loop_silent_outside_hot_fns() {
     // bodies (and regular.rs wholesale) are hot.
     let src = "pub fn new() -> Vec<u32> { let mut v = Vec::new(); v.push(1); v }\n";
     assert!(rules_fired("crates/fastpass/src/foo.rs", src).is_empty());
+}
+
+#[test]
+fn hot_loop_flags_every_allocating_constructor() {
+    // Not just `Vec::new`: sized buffers, the other std collections and
+    // shared pointers allocate as surely, and all seven fire.
+    let src = "impl S { fn step(&mut self) { let a = Vec::<u8>::with_capacity(8); \
+               let b = String::with_capacity(8); let c = VecDeque::new(); \
+               let d = BTreeMap::new(); let e = Rc::new(1); let f = Arc::new(2); \
+               let g = BinaryHeap::new(); drop((a, b, c, d, e, f, g)); } }\n";
+    let diags = lint_source("crates/noc-sim/src/foo.rs", src);
+    let n = diags.iter().filter(|d| d.rule == "hot-loop-alloc").count();
+    assert_eq!(n, 7, "{diags:?}");
+}
+
+#[test]
+fn hot_loop_silent_on_non_allocating_constructors() {
+    // `::new` on a type that owns no heap, a `with_capacity` method that
+    // is not a path call, and the same allocating body in a cold
+    // function all stay clean.
+    let hot = "impl S { fn step(&mut self) { let c = Cell::new(0); let w = Wrapping::new(1); \
+               let n = self.with_capacity; drop((c, w, n)); } }\n";
+    assert!(rules_fired("crates/noc-sim/src/foo.rs", hot).is_empty());
+    let cold =
+        "pub fn build() -> VecDeque<u8> { let _ = Rc::new(1); VecDeque::with_capacity(8) }\n";
+    assert!(rules_fired("crates/noc-sim/src/foo.rs", cold).is_empty());
 }
 
 #[test]
@@ -223,300 +267,20 @@ fn hot_loop_out_of_scope_in_noc_core() {
     );
 }
 
-// ---- occupancy -------------------------------------------------------------
-
-#[test]
-fn occupancy_flags_indexed_install() {
-    let src =
-        "pub fn relocate(r: &mut Router) { let occ = make(); r.inputs[0].install(1, occ); }\n";
-    let diags = lint_source("crates/baselines/src/foo.rs", src);
-    assert!(diags.iter().any(|d| d.rule == "occupancy"), "{diags:?}");
-}
-
-#[test]
-fn occupancy_flags_occ_mask_and_occupant_mut() {
-    let src = "pub fn peek(r: &Router) -> u64 { r.inputs[0].occ_mask() }\npub fn poke(v: &mut Vc) { v.occupant_mut(); }\n";
-    let diags = lint_source("crates/fastpass/src/foo.rs", src);
-    let n = diags.iter().filter(|d| d.rule == "occupancy").count();
-    assert_eq!(n, 2, "{diags:?}");
-}
-
-#[test]
-fn occupancy_holds_the_relocating_schemes_to_the_core_helpers() {
-    // DRAIN, SWAP and SPIN's rotation relocate through
-    // `take_vc_packet` / `put_vc_packet`; a hand-rolled install in any of
-    // them fires, the helper pair does not.
-    let by_hand = "pub fn circulate(core: &mut NetworkCore) { let occ = make(); core.input_mut(n, p).install(1, occ); }\n";
-    let helpers = "pub fn circulate(core: &mut NetworkCore) { let pkt = core.take_vc_packet(a, p, 0); core.put_vc_packet(b, p, 0, pkt); }\n";
-    for file in [
-        "crates/baselines/src/drain.rs",
-        "crates/baselines/src/swap.rs",
-        "crates/noc-sim/src/waitgraph.rs",
-    ] {
-        assert!(rules_fired(file, by_hand).contains(&"occupancy"), "{file}");
-        assert!(rules_fired(file, helpers).is_empty(), "{file}");
-    }
-    assert!(
-        !rules_fired("crates/noc-sim/src/network.rs", by_hand).contains(&"occupancy"),
-        "the core owns the helper pair"
-    );
-}
-
-#[test]
-fn occupancy_flags_arena_word_indexing_outside_arena() {
-    // Stray arena mutation: indexing the packed word arrays directly
-    // from a scheme. Reads are flagged too — cold code goes through
-    // `VcArena::get` / `InputRef`.
-    let src = "pub fn poke(core: &mut Core, s: usize) { core.arena.meta[s] |= 1; let r = core.arena.routed[0]; drop(r); }\n";
-    let diags = lint_source("crates/fastpass/src/foo.rs", src);
-    let n = diags.iter().filter(|d| d.rule == "occupancy").count();
-    assert_eq!(n, 2, "meta and routed indexing must both fire: {diags:?}");
-}
-
-#[test]
-fn occupancy_flags_arena_mutator_call_outside_whitelist() {
-    let src = "pub fn hack(core: &mut Core) { core.arena.set_route_vc(0, 0, 0, out, 1); }\n";
-    let diags = lint_source("crates/baselines/src/foo.rs", src);
-    assert!(diags.iter().any(|d| d.rule == "occupancy"), "{diags:?}");
-}
-
-#[test]
-fn occupancy_flags_port_record_and_parking_words_outside_arena() {
-    // The event-driven allocation words: the co-located per-port record
-    // (whichever field is touched), the waiter words and the per-slot
-    // refused masks, read or written from a scheme.
-    let src = "pub fn poke(core: &mut Core, w: usize, s: usize) { core.arena.ports[w].parked = 0; let r = core.arena.ports[w].ready; core.arena.waiters[w] |= r; core.arena.refused[s] = [0; 2]; }\n";
-    let diags = lint_source("crates/baselines/src/foo.rs", src);
-    let n = diags.iter().filter(|d| d.rule == "occupancy").count();
-    assert_eq!(
-        n, 4,
-        "both ports reads, waiters and refused must fire: {diags:?}"
-    );
-}
-
-#[test]
-fn occupancy_flags_parking_entry_points_outside_whitelist() {
-    let src = "pub fn hack(core: &mut Core, d: Dirs) { core.arena.park(0, 0, 0, d, 0); core.arena.flit_sent(0, 0, 0); let w = PortWords::default(); drop(w); }\n";
-    let diags = lint_source("crates/fastpass/src/foo.rs", src);
-    let n = diags.iter().filter(|d| d.rule == "occupancy").count();
-    assert_eq!(n, 3, "park, flit_sent and PortWords must fire: {diags:?}");
-}
-
-#[test]
-fn occupancy_silent_on_parking_words_in_pipeline_and_elsewhere_named_fields() {
-    // The regular pipeline reads the record and parks heads.
-    let src = "fn scan(core: &mut Core, w: usize, d: Dirs) { let pw = core.arena.ports[w]; if pw.ready & !pw.parked != 0 { core.arena.park(0, 0, 0, d, 0); } }\n";
-    assert!(
-        !rules_fired("crates/noc-sim/src/regular.rs", src).contains(&"occupancy"),
-        "regular.rs is whitelisted"
-    );
-    // A `ready`/`ports` field that is not indexed arena state is fine
-    // anywhere (NI ejection entries carry a `ready` cycle).
-    let src = "pub fn f(e: &Entry, r: &Router) -> bool { e.ready <= r.ports.len() as u64 }\n";
-    assert!(!rules_fired("crates/noc-sim/src/ni.rs", src).contains(&"occupancy"));
-}
-
-#[test]
-fn occupancy_silent_in_arena_module_itself() {
-    // The arena owns the packed state: its own accessors name occ_mask,
-    // index meta/occ/routed and define the mutators without complaint.
-    let src = "impl VcArena { pub(crate) fn occ_mask(&self) -> u64 { self.occ[0] }\n    pub(crate) fn set_route_vc(&mut self, s: usize) { self.meta[s] |= 1; } }\n";
-    assert!(
-        !rules_fired("crates/noc-sim/src/arena.rs", src).contains(&"occupancy"),
-        "arena.rs is the canonical home of occupancy words"
-    );
-}
-
-#[test]
-fn occupancy_permits_plain_meta_field_without_indexing() {
-    // `meta` as an ordinary struct field (no `.meta[…]` indexing) is not
-    // arena state — e.g. a report carrying a `meta` section.
-    let src = "pub fn f(r: &Report) -> u32 { r.meta.version }\n";
-    assert!(
-        !rules_fired("crates/fastpass/src/foo.rs", src).contains(&"occupancy"),
-        "only indexed word-array access is arena mutation"
-    );
-}
-
-#[test]
-fn occupancy_silent_on_option_take_and_iterator_take() {
-    // `.take()` with no argument is Option::take; `.take(n)` on a
-    // non-indexed receiver is Iterator::take. Neither touches a VC.
-    let src = "pub fn f(o: &mut Option<u32>, xs: &[u32]) -> usize { let _ = o.take(); xs.iter().take(3).count() }\n";
-    assert!(rules_fired("crates/noc-sim/src/foo.rs", src).is_empty());
-}
-
-#[test]
-fn occupancy_flags_work_set_words_outside_their_three_files() {
-    // A scheme clearing a live-NI bit hides that node from the cycle
-    // loop and the consumer; reading the words treats a superset as
-    // state. Both fire — also in files the wider occupancy whitelist
-    // admits (the pipeline asks `active_nodes`, the auditor the
-    // accessors).
-    let src = "pub fn hack(core: &mut Core, w: usize) -> u64 { core.ni_live[w] &= !1; core.arena.occ_nodes[w] }\n";
-    for path in [
-        "crates/baselines/src/pitstop.rs",
-        "crates/fastpass/src/scheme.rs",
-        "crates/noc-sim/src/regular.rs",
-        "crates/noc-sim/src/audit.rs",
-    ] {
-        let diags = lint_source(path, src);
-        let n = diags.iter().filter(|d| d.rule == "occupancy").count();
-        assert_eq!(
-            n, 2,
-            "{path}: ni_live and occ_nodes must both fire: {diags:?}"
-        );
-    }
-}
-
-#[test]
-fn occupancy_silent_on_work_set_words_where_they_live() {
-    let src = "fn mark(&mut self, n: usize) { self.ni_live[n / 64] |= 1 << (n % 64); let _ = self.arena.occ_nodes[n / 64]; }\n";
-    for path in [
-        "crates/noc-sim/src/arena.rs",
-        "crates/noc-sim/src/network.rs",
-        "crates/noc-sim/src/engine.rs",
-    ] {
-        assert!(
-            !rules_fired(path, src).contains(&"occupancy"),
-            "{path} maintains or walks the work-set words"
-        );
-    }
-    // Passing the words along or naming a like-named field without
-    // indexing it is not an access; neither is test code.
-    let src = "pub fn f(c: &Core) -> usize { c.ni_live.len() + c.stats.occ_nodes }\n#[cfg(test)]\nmod tests { fn t(c: &mut Core) { c.arena.occ_nodes[0] = 1; } }\n";
-    assert!(!rules_fired("crates/noc-sim/src/audit.rs", src).contains(&"occupancy"));
-}
-
-#[test]
-fn occupancy_flags_switch_request_words_outside_the_arena() {
-    // Switch allocation grants straight from these words: a stray write
-    // is a granted empty buffer or a flit that never moves. Indexing
-    // fires everywhere but `arena.rs` — also in the pipeline and the
-    // auditor, which the wider occupancy whitelist admits.
-    let src = "pub fn hack(core: &mut Core, w: usize) -> u64 { core.arena.sa_req[w] |= 1; core.arena.sa_req[w + 1] }\n";
-    for path in [
-        "crates/baselines/src/swap.rs",
-        "crates/fastpass/src/scheme.rs",
-        "crates/noc-sim/src/regular.rs",
-        "crates/noc-sim/src/network.rs",
-        "crates/noc-sim/src/audit.rs",
-    ] {
-        let diags = lint_source(path, src);
-        let n = diags.iter().filter(|d| d.rule == "occupancy").count();
-        assert_eq!(n, 2, "{path}: write and read must both fire: {diags:?}");
-        assert!(
-            diags[0].message.contains("switch_requests"),
-            "the diagnostic names the accessor: {}",
-            diags[0].message
-        );
-    }
-}
-
-#[test]
-fn occupancy_silent_on_switch_request_words_in_the_arena_and_through_the_accessor() {
-    let src = "fn raise(&mut self, r: usize, bit: u64) { self.sa_req[r] |= bit; }\n";
-    assert!(!rules_fired("crates/noc-sim/src/arena.rs", src).contains(&"occupancy"));
-    // The accessors are how everyone else reads them; a like-named field
-    // that is not indexed is not an access; neither is test code.
-    let src = "pub fn f(core: &Core, n: NodeId) -> u64 { core.arena.switch_requests(n.index())[0] | core.switch_requests(n)[1] | core.stats.sa_req }\n#[cfg(test)]\nmod tests { fn t(c: &mut Core) { c.arena.sa_req[0] = 1; } }\n";
-    for path in [
-        "crates/noc-sim/src/regular.rs",
-        "crates/noc-sim/src/audit.rs",
-        "crates/baselines/src/spin.rs",
-    ] {
-        assert!(
-            !rules_fired(path, src).contains(&"occupancy"),
-            "{path} reads through the accessor"
-        );
-    }
-}
-
-// ---- panic-hygiene ---------------------------------------------------------
-
-#[test]
-fn panic_hygiene_flags_unsafe_everywhere() {
-    let src = "pub fn f(p: *const u32) -> u32 { unsafe { *p } }\n";
-    let diags = lint_source("crates/bench/src/foo.rs", src);
-    assert!(
-        diags.iter().any(|d| d.rule == "panic-hygiene"),
-        "unsafe is banned even outside the simulator crates: {diags:?}"
-    );
-}
-
-#[test]
-fn panic_hygiene_flags_bare_unwrap_in_sim_crate() {
-    let src = "pub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-    let diags = lint_source("crates/noc-core/src/foo.rs", src);
-    assert!(diags.iter().any(|d| d.rule == "panic-hygiene"), "{diags:?}");
-}
-
-#[test]
-fn panic_hygiene_accepts_expect_with_message() {
-    let src = "pub fn f(o: Option<u32>) -> u32 { o.expect(\"caller checked is_some\") }\n";
-    assert!(rules_fired("crates/noc-core/src/foo.rs", src).is_empty());
-}
-
-#[test]
-fn panic_hygiene_permits_unwrap_in_bench_and_tests() {
-    let bench = "pub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-    assert!(rules_fired("crates/bench/src/foo.rs", bench).is_empty());
-    let test_fn = "#[test]\nfn t() { Some(1).unwrap(); }\n";
-    assert!(rules_fired("crates/noc-core/src/foo.rs", test_fn).is_empty());
-}
-
-#[test]
-fn panic_hygiene_holds_the_daemon_crate_to_no_bare_unwrap() {
-    // The determinism exemption for noc-serve does NOT relax panic
-    // hygiene: a worker thread dying on a bare unwrap takes queued jobs
-    // with it, so the daemon uses expect/`?` like the simulator does.
-    let src = "pub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-    let diags = lint_source("crates/noc-serve/src/server.rs", src);
-    assert!(
-        diags.iter().any(|d| d.rule == "panic-hygiene"),
-        "bare unwrap must fire in noc-serve: {diags:?}"
-    );
-}
-
-#[test]
-fn observability_modules_inherit_the_service_crate_scoping() {
-    // Crate-level scoping must cover modules added after the rules were
-    // written: the flight recorder's writer thread and the metrics
-    // registry's wall-clock sampling are fine under noc-serve, but the
-    // panic bar still applies to both files — a flight-writer thread
-    // dying on a bare unwrap would silently stop the lifecycle log.
-    let clocky = "pub fn tick() { let t = std::time::Instant::now(); \
-                  let h = std::thread::spawn(|| 1); drop((t, h)); }\n";
-    for file in [
-        "crates/noc-serve/src/flight.rs",
-        "crates/noc-serve/src/metrics.rs",
-    ] {
-        assert!(
-            !rules_fired(file, clocky).contains(&"determinism"),
-            "{file} is inside the whitelisted service crate"
-        );
-        let unwrap = "pub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        let diags = lint_source(file, unwrap);
-        assert!(
-            diags.iter().any(|d| d.rule == "panic-hygiene"),
-            "bare unwrap must fire in {file}: {diags:?}"
-        );
-    }
-}
-
 // ---- routing-locality ------------------------------------------------------
 
 #[test]
 fn routing_locality_flags_policy_impl_outside_whitelist() {
-    let src = "impl RoutingPolicy for SneakyRoute { fn desired_ports(&self, c: &NetworkCore, r: &RouteReq) -> Vec<Port> { todo() } }\n";
+    let src =
+        "impl RoutingPolicy for SneakyRoute { fn kind(&self) -> PolicyKind { PolicyKind::Yx } }\n";
     let diags = lint_source("crates/baselines/src/foo.rs", src);
     let n = diags
         .iter()
         .filter(|d| d.rule == "routing-locality")
         .count();
     assert_eq!(
-        n, 2,
-        "both the impl and the desired_ports definition must fire: {diags:?}"
+        n, 1,
+        "the impl fires; a desired_ports override is rustc's E0119: {diags:?}"
     );
 }
 
@@ -528,32 +292,6 @@ fn routing_locality_flags_productive_dirs_use() {
         diags.iter().any(|d| d.rule == "routing-locality"),
         "{diags:?}"
     );
-}
-
-#[test]
-fn routing_locality_flags_desired_ports_override_even_in_whitelisted_modules() {
-    // The route set is `introspect::route_set(kind(), …)` for every
-    // policy; a whitelisted module may implement the trait, not redefine
-    // the set.
-    let src = "impl RoutingPolicy for TokenWestFirst { fn desired_ports(&self, c: &NetworkCore, r: &RouteReq) -> ProductiveDirs { todo() } }\n";
-    for file in [
-        "crates/baselines/src/tfc.rs",
-        "crates/noc-sim/src/routing.rs",
-    ] {
-        let diags = lint_source(file, src);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == "routing-locality" && d.message.contains("kind()")),
-            "{file}: {diags:?}"
-        );
-    }
-}
-
-#[test]
-fn routing_locality_permits_the_traits_own_desired_ports() {
-    let src = "pub trait RoutingPolicy: Send { fn kind(&self) -> PolicyKind; fn desired_ports(&self, c: &NetworkCore, r: &RouteReq) -> ProductiveDirs { route_set(self.kind(), c.xy(r.at), c.xy(r.dst), r.in_port) } }\n";
-    assert!(rules_fired("crates/noc-sim/src/routing.rs", src).is_empty());
 }
 
 #[test]
@@ -620,18 +358,17 @@ fn allow_covers_the_line_below() {
 
 #[test]
 fn allow_does_not_suppress_other_rules() {
-    // The directive names determinism, but the line also holds a bare
-    // unwrap — which must still fire.
-    let src =
-        "pub fn f(o: Option<std::time::Instant>) { o.unwrap(); } // noc-lint: allow(determinism)\n";
+    // The directive names determinism, but the line also holds a raw
+    // productive-direction choice — which must still fire.
+    let src = "pub fn f(c: &Core, o: Option<std::time::Instant>) { c.productive_dirs(a, b); } // noc-lint: allow(determinism)\n";
     let diags = lint_source("crates/noc-sim/src/foo.rs", src);
     assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, "panic-hygiene");
+    assert_eq!(diags[0].rule, "routing-locality");
 }
 
 #[test]
 fn allow_all_suppresses_everything_on_its_line() {
-    let src = "pub fn f(o: Option<std::time::Instant>) { o.unwrap(); } // noc-lint: allow(all)\n";
+    let src = "pub fn f(c: &Core, o: Option<std::time::Instant>) { c.productive_dirs(a, b); } // noc-lint: allow(all)\n";
     assert!(rules_fired("crates/noc-sim/src/foo.rs", src).is_empty());
 }
 

@@ -14,12 +14,8 @@
 //! roughly 40–55% below the 6-VN baselines, with FastPass overhead ~4%
 //! of its own router.
 
-#![forbid(unsafe_code)]
-
 pub mod model;
 pub mod report;
 
-pub use model::{
-    router_area, router_power, AreaBreakdown, PowerBreakdown, RouterParams, SchemeKind,
-};
+pub use model::{router_area, router_power, AreaBreakdown, PowerBreakdown, RouterParams};
 pub use report::{fig11_configs, Fig11Row};

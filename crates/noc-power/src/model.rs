@@ -1,47 +1,11 @@
 //! Per-component area/power model with 28 nm-calibrated constants.
+//!
+//! Which scheme's router is synthesized is a catalogue [`SchemeId`]: it
+//! selects the overhead block.
 
+use noc_core::config::SimConfig;
+use noc_schemes::SchemeId;
 use serde::{Deserialize, Serialize};
-
-/// Which scheme's router is being synthesized (selects the overhead
-/// block).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SchemeKind {
-    /// Plain credit VCT (no scheme logic).
-    PlainVct,
-    /// Duato escape VCs.
-    EscapeVc,
-    /// SPIN: deadlock-detection probes.
-    Spin,
-    /// SWAP: swap control.
-    Swap,
-    /// DRAIN: drain sequencing.
-    Drain,
-    /// Pitstop: pit-lane buffers and class TDM.
-    Pitstop,
-    /// FastPass: lane table, TDM counters, lookahead, drop management.
-    FastPass,
-    /// MinBD: deflection router with side buffer (replaces input buffers).
-    MinBd,
-    /// TFC: token broadcast logic.
-    Tfc,
-}
-
-impl SchemeKind {
-    /// Display name as in Fig. 11.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchemeKind::PlainVct => "VCT",
-            SchemeKind::EscapeVc => "EscapeVC",
-            SchemeKind::Spin => "SPIN",
-            SchemeKind::Swap => "SWAP",
-            SchemeKind::Drain => "DRAIN",
-            SchemeKind::Pitstop => "Pitstop",
-            SchemeKind::FastPass => "FastPass",
-            SchemeKind::MinBd => "MinBD",
-            SchemeKind::Tfc => "TFC",
-        }
-    }
-}
 
 /// Router structural parameters feeding the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,6 +36,19 @@ impl Default for RouterParams {
             classes: 6,
             ni_queue_flits: 5,
             flit_bits: 128,
+        }
+    }
+}
+
+impl From<&SimConfig> for RouterParams {
+    /// The buffer geometry a simulation runs (VNs, VCs per VN, buffer
+    /// depth); ports, classes, NI queues and flit width as in Table II.
+    fn from(cfg: &SimConfig) -> Self {
+        RouterParams {
+            vns: cfg.vns,
+            vcs_per_vn: cfg.vcs_per_vn,
+            buffer_flits: cfg.buffer_flits,
+            ..RouterParams::default()
         }
     }
 }
@@ -115,22 +92,24 @@ const POWER_XBAR_COEFF: f64 = 0.022;
 const POWER_PER_VC_ARBITER: f64 = 0.30;
 
 /// Per-scheme overhead, as (extra flit slots, extra control area µm²).
-fn overhead(kind: SchemeKind, p: &RouterParams) -> (usize, f64) {
-    match kind {
-        SchemeKind::PlainVct | SchemeKind::EscapeVc => (0, 0.0),
+fn overhead(id: SchemeId, p: &RouterParams) -> (usize, f64) {
+    match id {
+        // Plain credit VCT and Duato escape VCs: no scheme logic.
+        SchemeId::Vct | SchemeId::EscapeVc => (0, 0.0),
         // SPIN's probe/detection network: ~6% of an EscapeVC router.
-        SchemeKind::Spin => (0, 22_000.0),
-        SchemeKind::Swap => (0, 6_000.0),
-        SchemeKind::Drain => (0, 8_000.0),
+        SchemeId::Spin => (0, 22_000.0),
+        SchemeId::Swap => (0, 6_000.0),
+        SchemeId::Drain => (0, 8_000.0),
         // Pitstop: 2-packet pit per router + class TDM control.
-        SchemeKind::Pitstop => (2 * p.buffer_flits, 4_000.0),
+        SchemeId::Pitstop => (2 * p.buffer_flits, 4_000.0),
         // FastPass: lane table (P entries), TDM counters, lookahead
         // mux/demux, dropping management (Fig. 6) — ~4% of its router.
-        SchemeKind::FastPass => (0, 6_500.0),
+        SchemeId::FastPass => (0, 6_500.0),
         // MinBD replaces input buffers with a 4-flit side buffer; the
         // input-buffer term is zeroed by the caller via `vcs_per_vn`.
-        SchemeKind::MinBd => (4, 5_000.0),
-        SchemeKind::Tfc => (0, 7_000.0),
+        SchemeId::MinBd => (4, 5_000.0),
+        // TFC: token broadcast logic.
+        SchemeId::Tfc => (0, 7_000.0),
     }
 }
 
@@ -179,9 +158,9 @@ impl PowerBreakdown {
 }
 
 /// Computes the area breakdown for a scheme's router.
-pub fn router_area(kind: SchemeKind, p: &RouterParams) -> AreaBreakdown {
-    let (extra_slots, control) = overhead(kind, p);
-    let input_slots = if kind == SchemeKind::MinBd {
+pub fn router_area(id: SchemeId, p: &RouterParams) -> AreaBreakdown {
+    let (extra_slots, control) = overhead(id, p);
+    let input_slots = if id == SchemeId::MinBd {
         0 // bufferless: no input buffers
     } else {
         p.input_buffer_slots()
@@ -196,9 +175,9 @@ pub fn router_area(kind: SchemeKind, p: &RouterParams) -> AreaBreakdown {
 }
 
 /// Computes the static power breakdown for a scheme's router.
-pub fn router_power(kind: SchemeKind, p: &RouterParams) -> PowerBreakdown {
-    let (extra_slots, control) = overhead(kind, p);
-    let input_slots = if kind == SchemeKind::MinBd {
+pub fn router_power(id: SchemeId, p: &RouterParams) -> PowerBreakdown {
+    let (extra_slots, control) = overhead(id, p);
+    let input_slots = if id == SchemeId::MinBd {
         0
     } else {
         p.input_buffer_slots()
@@ -232,7 +211,7 @@ mod tests {
 
     #[test]
     fn escape_router_is_buffer_dominated_at_28nm_scale() {
-        let a = router_area(SchemeKind::EscapeVc, &vn6());
+        let a = router_area(SchemeId::EscapeVc, &vn6());
         assert!(
             (250_000.0..450_000.0).contains(&a.total()),
             "EscapeVC total {} off Fig. 11 scale",
@@ -246,15 +225,15 @@ mod tests {
 
     #[test]
     fn fastpass_cuts_area_and_power_roughly_in_half() {
-        let escape = router_area(SchemeKind::EscapeVc, &vn6()).total();
-        let fp = router_area(SchemeKind::FastPass, &vn0()).total();
+        let escape = router_area(SchemeId::EscapeVc, &vn6()).total();
+        let fp = router_area(SchemeId::FastPass, &vn0()).total();
         let reduction = 1.0 - fp / escape;
         assert!(
             (0.35..0.70).contains(&reduction),
             "paper: ~40% area reduction; model gives {reduction:.2}"
         );
-        let escape_p = router_power(SchemeKind::EscapeVc, &vn6()).total();
-        let fp_p = router_power(SchemeKind::FastPass, &vn0()).total();
+        let escape_p = router_power(SchemeId::EscapeVc, &vn6()).total();
+        let fp_p = router_power(SchemeId::FastPass, &vn0()).total();
         let p_reduction = 1.0 - fp_p / escape_p;
         assert!(
             (0.35..0.70).contains(&p_reduction),
@@ -266,8 +245,8 @@ mod tests {
     fn fastpass_matches_pitstop() {
         // Paper: "FastPass has similar area and power consumption as
         // Pitstop".
-        let fp = router_area(SchemeKind::FastPass, &vn0()).total();
-        let pit = router_area(SchemeKind::Pitstop, &vn0()).total();
+        let fp = router_area(SchemeId::FastPass, &vn0()).total();
+        let pit = router_area(SchemeId::Pitstop, &vn0()).total();
         assert!(
             (fp - pit).abs() / fp < 0.08,
             "FastPass {fp} vs Pitstop {pit}"
@@ -276,8 +255,8 @@ mod tests {
 
     #[test]
     fn spin_overhead_is_about_six_percent() {
-        let escape = router_area(SchemeKind::EscapeVc, &vn6()).total();
-        let spin = router_area(SchemeKind::Spin, &vn6()).total();
+        let escape = router_area(SchemeId::EscapeVc, &vn6()).total();
+        let spin = router_area(SchemeId::Spin, &vn6()).total();
         let ratio = (spin - escape) / escape;
         assert!(
             (0.03..0.09).contains(&ratio),
@@ -287,7 +266,7 @@ mod tests {
 
     #[test]
     fn fastpass_overhead_is_small() {
-        let fp = router_area(SchemeKind::FastPass, &vn0());
+        let fp = router_area(SchemeId::FastPass, &vn0());
         let frac = fp.overhead / fp.total();
         assert!(
             (0.01..0.08).contains(&frac),
@@ -297,9 +276,9 @@ mod tests {
 
     #[test]
     fn area_monotone_in_vcs() {
-        let base = router_area(SchemeKind::PlainVct, &vn6()).total();
+        let base = router_area(SchemeId::Vct, &vn6()).total();
         let more = router_area(
-            SchemeKind::PlainVct,
+            SchemeId::Vct,
             &RouterParams {
                 vcs_per_vn: 4,
                 ..vn6()
@@ -311,15 +290,15 @@ mod tests {
 
     #[test]
     fn minbd_has_no_input_buffers() {
-        let a = router_area(SchemeKind::MinBd, &vn0());
+        let a = router_area(SchemeId::MinBd, &vn0());
         assert_eq!(a.buffers, 0.0);
         assert!(a.overhead > 0.0, "side buffer accounted as overhead");
-        assert!(a.total() < router_area(SchemeKind::FastPass, &vn0()).total());
+        assert!(a.total() < router_area(SchemeId::FastPass, &vn0()).total());
     }
 
     #[test]
     fn breakdown_totals_sum() {
-        let a = router_area(SchemeKind::FastPass, &vn0());
+        let a = router_area(SchemeId::FastPass, &vn0());
         let sum = a.buffers + a.crossbar + a.arbiters + a.ni_queues + a.overhead;
         assert!((a.total() - sum).abs() < 1e-9);
     }

@@ -1,8 +1,7 @@
 //! Fig. 11-shaped reporting: the six evaluated router configurations.
 
-use crate::model::{
-    router_area, router_power, AreaBreakdown, PowerBreakdown, RouterParams, SchemeKind,
-};
+use crate::model::{router_area, router_power, AreaBreakdown, PowerBreakdown, RouterParams};
+use noc_schemes::SchemeId;
 use serde::{Deserialize, Serialize};
 
 /// One bar pair of Fig. 11: a scheme at its evaluated configuration.
@@ -19,12 +18,15 @@ pub struct Fig11Row {
 }
 
 impl Fig11Row {
-    fn new(kind: SchemeKind, params: RouterParams) -> Self {
+    /// `id`'s router with the buffers the simulator gives it on the
+    /// paper's 8×8 mesh ([`SchemeId::sim_config`], FastPass at 2 VCs).
+    fn new(id: SchemeId) -> Self {
+        let params = RouterParams::from(&id.sim_config(8, 2, 0));
         Fig11Row {
-            scheme: kind.name().to_string(),
+            scheme: id.name().to_string(),
             config: format!("VN={}, VC={}", params.vns, params.vcs_per_vn),
-            area: router_area(kind, &params),
-            power: router_power(kind, &params),
+            area: router_area(id, &params),
+            power: router_power(id, &params),
         }
     }
 }
@@ -32,20 +34,17 @@ impl Fig11Row {
 /// The six configurations of Fig. 11: EscapeVC, SPIN, SWAP, DRAIN at
 /// 6 VN × 2 VC; Pitstop and FastPass at 0 VN × 2 VC.
 pub fn fig11_configs() -> Vec<Fig11Row> {
-    let vn6 = RouterParams::default();
-    let vn0 = RouterParams {
-        vns: 0,
-        vcs_per_vn: 2,
-        ..RouterParams::default()
-    };
-    vec![
-        Fig11Row::new(SchemeKind::EscapeVc, vn6),
-        Fig11Row::new(SchemeKind::Spin, vn6),
-        Fig11Row::new(SchemeKind::Swap, vn6),
-        Fig11Row::new(SchemeKind::Drain, vn6),
-        Fig11Row::new(SchemeKind::Pitstop, vn0),
-        Fig11Row::new(SchemeKind::FastPass, vn0),
+    [
+        SchemeId::EscapeVc,
+        SchemeId::Spin,
+        SchemeId::Swap,
+        SchemeId::Drain,
+        SchemeId::Pitstop,
+        SchemeId::FastPass,
     ]
+    .into_iter()
+    .map(Fig11Row::new)
+    .collect()
 }
 
 #[cfg(test)]

@@ -38,7 +38,6 @@
 //! assert!(cert.certified());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cdg;

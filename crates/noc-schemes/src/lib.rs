@@ -12,7 +12,6 @@
 //! certificate and an exploration are about the same object by
 //! construction.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod verify;

@@ -2,23 +2,22 @@
 //!
 //! ```text
 //! nocserve [--sock PATH] [--store DIR] [--jobs N] [--batch N]
-//!          [--statsd TARGET] [--flight PATH] [--tick-ms N]
+//!          [--statsd PATH] [--flight PATH] [--tick-ms N]
 //! ```
 //!
 //! Flags override the environment ([`ServeConfig::from_env`]:
 //! `NOC_SERVE_SOCK`/`NOC_SERVE`, `NOC_SERVE_STORE`/`FP_CACHE`,
-//! `NOC_JOBS`, `NOC_SERVE_BATCH`, `NOC_SERVE_STATSD`,
-//! `NOC_SERVE_FLIGHT`, `NOC_SERVE_TICK_MS`). `--statsd` takes a file
-//! path or `udp://host:port`; `--flight` names the JSONL lifecycle log
-//! `nocctl flight` consumes. Runs in the foreground until a client
-//! sends `shutdown`; drive it with `nocctl` or any figure binary's
-//! `--serve` mode.
+//! `NOC_JOBS`, `NOC_SERVE_STATSD`, `NOC_SERVE_FLIGHT`,
+//! `NOC_SERVE_TICK_MS`). `--statsd` takes a file path; `--flight` names
+//! the JSONL lifecycle log `nocctl flight` consumes. Runs in the
+//! foreground until a client sends `shutdown`; drive it with `nocctl`
+//! or any figure binary's `--serve` mode.
 
 use noc_serve::{serve, ServeConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: nocserve [--sock PATH] [--store DIR] [--jobs N] [--batch N] [--statsd TARGET] [--flight PATH] [--tick-ms N]";
+const USAGE: &str = "usage: nocserve [--sock PATH] [--store DIR] [--jobs N] [--batch N] [--statsd PATH] [--flight PATH] [--tick-ms N]";
 
 fn main() -> ExitCode {
     let mut config = ServeConfig::from_env();

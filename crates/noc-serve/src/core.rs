@@ -56,8 +56,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Max points per worker claim (same-window batch).
     pub batch: usize,
-    /// statsd target (file path or `udp://host:port`), if telemetry is
-    /// wanted.
+    /// statsd file path, if telemetry is wanted.
     pub statsd: Option<String>,
     /// Flight-recorder JSONL path, if lifecycle logging is wanted.
     pub flight: Option<PathBuf>,
@@ -75,7 +74,7 @@ impl ServeConfig {
     ///   `results/cache` — deliberately the batch executor's default, so
     ///   daemon and batch runs share one store;
     /// * `NOC_JOBS` workers (default: available cores);
-    /// * `NOC_SERVE_BATCH` points per claim (default 4);
+    /// * 4 points per claim;
     /// * `NOC_SERVE_STATSD` telemetry target (default: off);
     /// * `NOC_SERVE_FLIGHT` flight-recorder JSONL path (default: off);
     /// * `NOC_SERVE_TICK_MS` sampler period (default 500).
@@ -89,10 +88,7 @@ impl ServeConfig {
                 .or_else(|| env("FP_CACHE"))
                 .map_or_else(|| PathBuf::from("results/cache"), PathBuf::from),
             workers: crate::num_jobs(),
-            batch: env("NOC_SERVE_BATCH")
-                .and_then(|s| s.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(4),
+            batch: 4,
             statsd: env("NOC_SERVE_STATSD"),
             flight: env("NOC_SERVE_FLIGHT").map(PathBuf::from),
             tick_ms: env("NOC_SERVE_TICK_MS")

@@ -1,9 +1,8 @@
 //! Telemetry sink emitting [statsd line protocol] counters.
 //!
-//! `NOC_SERVE_STATSD` names the target: a plain file path (one metric
+//! `NOC_SERVE_STATSD` names the target: a plain file path, one metric
 //! per line, so "scraping" is `tail -f` or feeding the file to any
-//! statsd relay) or `udp://host:port` to speak to a real statsd daemon.
-//! Lines look like:
+//! statsd relay. Lines look like:
 //!
 //! ```text
 //! nocserve.points_computed:4|c
@@ -14,17 +13,16 @@
 //! The sink is a **drain target**, not an inline emitter: `count` /
 //! `gauge` / `timing_ms` only buffer lines in memory, and the metrics
 //! registry's sampler tick calls [`StatsdSink::flush`] to write them
-//! out in one appending burst (or a handful of multi-metric UDP
-//! datagrams). Nothing on a request or worker path ever opens a file.
+//! out in one appending burst. Nothing on a request or worker path ever
+//! opens a file.
 //!
 //! Writes are best-effort: telemetry must never take the service down,
-//! so a missing directory, full disk or unreachable UDP peer silently
-//! drops lines. When no target is configured every call is a no-op.
+//! so a missing directory or full disk silently drops lines. When no
+//! target is configured every call is a no-op.
 //!
 //! [statsd line protocol]: https://github.com/statsd/statsd/blob/master/docs/metric_types.md
 
 use std::io::Write;
-use std::net::UdpSocket;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -36,20 +34,10 @@ const PREFIX: &str = "nocserve";
 /// died, and unbounded telemetry must not take memory with it.
 const MAX_BUFFERED: usize = 16_384;
 
-/// Keep UDP datagrams under the conventional statsd MTU budget; lines
-/// are packed newline-separated until the next one would overflow.
-const MAX_DATAGRAM: usize = 1_400;
-
-#[derive(Debug)]
-enum Target {
-    File(PathBuf),
-    Udp { socket: UdpSocket, peer: String },
-}
-
-/// A buffered statsd-line sink: file-backed, UDP-backed or disabled.
+/// A buffered statsd-line sink: file-backed or disabled.
 #[derive(Debug, Default)]
 pub struct StatsdSink {
-    target: Option<Target>,
+    target: Option<PathBuf>,
     buffer: Mutex<Vec<String>>,
 }
 
@@ -69,25 +57,11 @@ fn sanitize(name: &str) -> String {
 }
 
 impl StatsdSink {
-    /// A sink writing to `target`: `udp://host:port` for a statsd
-    /// daemon, any other non-empty string as a file path to append to,
-    /// `None` to disable. An unusable UDP target degrades to disabled
-    /// (telemetry is best-effort by contract).
+    /// A sink appending to the file `target`; `None` or an empty path
+    /// disables it.
     pub fn new(target: Option<&str>) -> StatsdSink {
-        let target = target.filter(|t| !t.is_empty()).and_then(|t| {
-            if let Some(peer) = t.strip_prefix("udp://") {
-                let socket = UdpSocket::bind("0.0.0.0:0").ok()?;
-                socket.set_nonblocking(true).ok()?;
-                Some(Target::Udp {
-                    socket,
-                    peer: peer.to_string(),
-                })
-            } else {
-                Some(Target::File(PathBuf::from(t)))
-            }
-        });
         StatsdSink {
-            target,
+            target: target.filter(|t| !t.is_empty()).map(PathBuf::from),
             buffer: Mutex::new(Vec::new()),
         }
     }
@@ -128,12 +102,11 @@ impl StatsdSink {
         }
     }
 
-    /// Writes every buffered line to the target: one buffered append
-    /// for a file, packed datagrams for UDP. Called by the sampler tick
-    /// and once at shutdown; failures drop the lines, never the
-    /// service.
+    /// Writes every buffered line to the target in one buffered append.
+    /// Called by the sampler tick and once at shutdown; failures drop
+    /// the lines, never the service.
     pub fn flush(&self) {
-        let Some(target) = &self.target else { return };
+        let Some(path) = &self.target else { return };
         let lines: Vec<String> = {
             let mut buffer = self.buffer.lock().expect("statsd buffer lock");
             std::mem::take(&mut *buffer)
@@ -141,42 +114,22 @@ impl StatsdSink {
         if lines.is_empty() {
             return;
         }
-        match target {
-            Target::File(path) => {
-                // One appending open per flush; O_APPEND keeps the
-                // burst line-atomic against concurrent readers.
-                let Ok(file) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                else {
-                    return;
-                };
-                let mut out = std::io::BufWriter::new(file);
-                for line in &lines {
-                    if writeln!(out, "{line}").is_err() {
-                        return;
-                    }
-                }
-                let _ = out.flush();
-            }
-            Target::Udp { socket, peer } => {
-                let mut datagram = String::new();
-                for line in &lines {
-                    if !datagram.is_empty() && datagram.len() + 1 + line.len() > MAX_DATAGRAM {
-                        let _ = socket.send_to(datagram.as_bytes(), peer.as_str());
-                        datagram.clear();
-                    }
-                    if !datagram.is_empty() {
-                        datagram.push('\n');
-                    }
-                    datagram.push_str(line);
-                }
-                if !datagram.is_empty() {
-                    let _ = socket.send_to(datagram.as_bytes(), peer.as_str());
-                }
+        // One appending open per flush; O_APPEND keeps the burst
+        // line-atomic against concurrent readers.
+        let Ok(file) = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+        else {
+            return;
+        };
+        let mut out = std::io::BufWriter::new(file);
+        for line in &lines {
+            if writeln!(out, "{line}").is_err() {
+                return;
             }
         }
+        let _ = out.flush();
     }
 }
 
@@ -206,24 +159,6 @@ mod tests {
             text.len()
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn udp_target_packs_datagrams() {
-        let listener = UdpSocket::bind("127.0.0.1:0").expect("listener");
-        listener
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .expect("timeout");
-        let addr = listener.local_addr().expect("addr");
-        let sink = StatsdSink::new(Some(&format!("udp://{addr}")));
-        assert!(sink.enabled());
-        sink.count("requests", 7);
-        sink.gauge("queue_depth", 3);
-        sink.flush();
-        let mut buf = [0u8; 2048];
-        let n = listener.recv(&mut buf).expect("datagram");
-        let text = std::str::from_utf8(&buf[..n]).expect("utf8");
-        assert_eq!(text, "nocserve.requests:7|c\nnocserve.queue_depth:3|g");
     }
 
     #[test]

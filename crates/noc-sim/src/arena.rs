@@ -60,8 +60,9 @@
 //! [`VcArena::flit_sent`] — those six own the request words — and heads
 //! park only through [`VcArena::park`], so the words can never drift from
 //! the fields they summarize. [`VcArena::take`] — the only way a VC becomes
-//! free — is also where parked heads are woken. `noc-lint`'s occupancy
-//! rule enforces that call sites stay inside the relocation whitelist.
+//! free — is also where parked heads are woken. The words are private
+//! fields, so the compiler holds every write to this module; the rest of
+//! the crate reads them through getters.
 
 use crate::vc::VcOccupant;
 use noc_core::config::SimConfig;
@@ -145,26 +146,28 @@ pub(crate) struct PortWords {
 
 /// Flat struct-of-arrays storage for all `(node, port, vc)` buffers.
 ///
-/// Field vectors are `pub(crate)`: the hot pipeline (`regular`,
-/// `network`) reads them in place; everything else goes through
-/// [`InputRef`] / [`InputMut`] views obtained from
-/// [`NetworkCore`](crate::network::NetworkCore).
+/// Every field is private: the hot pipeline (`regular`, `network`) reads
+/// the words through the `#[inline]` getters ([`pkt`](Self::pkt),
+/// [`meta`](Self::meta), [`port_words`](Self::port_words),
+/// [`occ_nodes`](Self::occ_nodes)) and changes them only through the
+/// mutators; everything else goes through [`InputRef`] / [`InputMut`]
+/// views obtained from [`NetworkCore`](crate::network::NetworkCore).
 #[derive(Debug, Clone)]
 pub struct VcArena {
     vcs: usize,
     /// Resident packet per slot (valid only under a set occupancy bit).
-    pub(crate) pkt: Vec<PacketId>,
+    pkt: Vec<PacketId>,
     /// Packed per-slot flit state, one word per slot: `len`, `arrived`,
     /// `sent`, `route` and `out_vc` bytes at the [`M_LEN`]..[`M_OUT_VC`]
     /// offsets. One load serves every hot-path predicate on a slot, and
     /// `arrived`/`sent` advance by adding `1 << M_ARRIVED` /
     /// `1 << M_SENT` (no carry can escape a byte: both are bounded by
     /// `len < 255`).
-    pub(crate) meta: Vec<u64>,
+    meta: Vec<u64>,
     /// Cycle the head flit arrived (blocked-time bookkeeping).
-    pub(crate) head_arrival: Vec<u64>,
+    head_arrival: Vec<u64>,
     /// Cycle of the last forward progress from the slot.
-    pub(crate) last_progress: Vec<u64>,
+    last_progress: Vec<u64>,
     /// Per slot, per wait direction (in [`ProductiveDirs`] order): VCs at
     /// the neighbour that were free when the occupant's routing policy
     /// returned `None`. Which `(direction, VC)` pairs a policy may grant
@@ -173,16 +176,16 @@ pub struct VcArena {
     /// Cleared by [`install`](Self::install).
     refused: Vec<[u64; 2]>,
     /// Predicate words, one record per `(node, port)`.
-    pub(crate) ports: Vec<PortWords>,
+    ports: Vec<PortWords>,
     /// Occupied-VC count per node (popcount of its five `occ` words).
     node_occupied: Vec<u32>,
     /// Bit `n` set iff `node_occupied[n] > 0` (exact, not a superset).
-    pub(crate) occ_nodes: Vec<u64>,
+    occ_nodes: Vec<u64>,
     /// Switch-request words, index `node * NUM_PORTS + out`: bit
     /// `p * vcs + vc` set iff slot `(node, p, vc)` is flit-ready and
-    /// routed to output port `out`. Indexed only in this file (noc-lint);
-    /// everyone else reads [`switch_requests`](Self::switch_requests).
-    pub(crate) sa_req: Vec<u64>,
+    /// routed to output port `out`. Everyone outside this file reads
+    /// [`switch_requests`](Self::switch_requests).
+    sa_req: Vec<u64>,
     /// `(input port, vc)` of each requester index `p * vcs + vc` — one
     /// table for the whole network, so decoding a grant is a load rather
     /// than a runtime division pair.
@@ -298,6 +301,53 @@ impl VcArena {
     #[inline]
     pub(crate) fn slot(&self, node: usize, port: usize, vc: usize) -> usize {
         (node * NUM_PORTS + port) * self.vcs + vc
+    }
+
+    /// Resident packet of slot `s` (meaningful only while it is occupied).
+    #[inline]
+    pub(crate) fn pkt(&self, s: usize) -> PacketId {
+        self.pkt[s]
+    }
+
+    /// Packed meta word of slot `s` (read with [`m_len`] … [`m_out_vc`]).
+    #[inline]
+    pub(crate) fn meta(&self, s: usize) -> u64 {
+        self.meta[s]
+    }
+
+    /// The predicate record of `(node, port)` at record index `w`
+    /// ([`word`](Self::word)), by value.
+    #[inline]
+    pub(crate) fn port_words(&self, w: usize) -> PortWords {
+        self.ports[w]
+    }
+
+    /// The occupied-nodes bitset: bit `n` set iff node `n` holds a packet.
+    #[inline]
+    pub(crate) fn occ_nodes(&self) -> &[u64] {
+        &self.occ_nodes
+    }
+
+    /// The head flit of slot `s` arrived at `cycle`: starts its
+    /// blocked-time clock.
+    #[inline]
+    pub(crate) fn stamp_head_arrival(&mut self, s: usize, cycle: u64) {
+        self.head_arrival[s] = cycle;
+        self.last_progress[s] = cycle;
+    }
+
+    /// Slot `s` forwarded a flit at `cycle`.
+    #[inline]
+    pub(crate) fn stamp_progress(&mut self, s: usize, cycle: u64) {
+        self.last_progress[s] = cycle;
+    }
+
+    /// The words the audit's planted-drift tests corrupt by hand: the
+    /// per-port records, the occupied-nodes bitset and the switch-request
+    /// words. Test builds only — nothing else may write them.
+    #[cfg(test)]
+    pub(crate) fn words_mut(&mut self) -> (&mut [PortWords], &mut [u64], &mut [u64]) {
+        (&mut self.ports, &mut self.occ_nodes, &mut self.sa_req)
     }
 
     /// Occupied VCs at `node` across all ports — O(1).
@@ -789,9 +839,11 @@ impl<'a> InputRef<'a> {
 }
 
 /// Mutating view of one input port: occupant installation and removal.
-/// This is the only route into arena mutation from outside `noc-sim`'s
-/// pipeline, and call sites are locked to the relocation whitelist by
-/// `noc-lint`'s occupancy rule.
+/// This is the only route into arena mutation from outside `noc-sim`, and
+/// it goes through [`VcArena::install`] / [`VcArena::take`], so the words
+/// stay in step with the slots whoever calls it. Schemes relocate through
+/// `NetworkCore::take_vc_packet` / `put_vc_packet` instead, which also
+/// check quiescence and release reservations.
 #[derive(Debug)]
 pub struct InputMut<'a> {
     arena: &'a mut VcArena,

@@ -251,9 +251,9 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
         let mut occupied_reqs = 0u64;
         for p in 0..NUM_PORTS {
             let iu = core.input(node, p);
-            let occ_word = iu.occ_mask(); // noc-lint: allow(occupancy) — the auditor verifies the mask
+            let occ_word = iu.occ_mask();
             occupied_reqs |= occ_word << (p * vcs);
-            let pw = core.arena.ports[core.arena.word(node.index(), p)];
+            let pw = core.arena.port_words(core.arena.word(node.index(), p));
             let routed_word = pw.routed;
             occ_bits += occ_word.count_ones() as usize;
             if routed_word & !occ_word != 0 {
@@ -766,15 +766,15 @@ mod tests {
         Vec::new()
     }
 
-    fn any_parked(c: &NetworkCore) -> bool {
-        c.arena.ports.iter().any(|pw| pw.parked != 0)
+    fn any_parked(c: &mut NetworkCore) -> bool {
+        c.arena.words_mut().0.iter().any(|pw| pw.parked != 0)
     }
 
     #[test]
     fn wake_protocol_holds_at_saturation() {
         let mut c = NetworkCore::new(SimConfig::builder().mesh(4, 4).vns(0).vcs_per_vn(1).build());
         assert_eq!(run_saturated(&mut c, &mut 0, 600), Vec::new());
-        assert!(any_parked(&c), "the load must actually park heads");
+        assert!(any_parked(&mut c), "the load must actually park heads");
     }
 
     /// Planted bug: `take` frees VCs without waking their waiters. The
@@ -784,7 +784,7 @@ mod tests {
         let mut c = NetworkCore::new(SimConfig::builder().mesh(4, 4).vns(0).vcs_per_vn(1).build());
         let mut delivered = 0;
         assert_eq!(run_saturated(&mut c, &mut delivered, 200), Vec::new());
-        assert!(any_parked(&c));
+        assert!(any_parked(&mut c));
         c.arena.fault_skip_wake = true;
         let errors = run_saturated(&mut c, &mut delivered, 200);
         assert!(
@@ -830,14 +830,15 @@ mod tests {
         assert_eq!(audit_conservation(&c, 0, 0), Vec::new());
         let req = 1u64 << (2 * 2 + 1);
         let word = |out: Port| 6 * NUM_PORTS + out.index();
-        assert_eq!(c.arena.sa_req[word(Port::Local)], req);
+        let (_, _, sa_req) = c.arena.words_mut();
+        assert_eq!(sa_req[word(Port::Local)], req);
         // The real request withdrawn; the same slot filed under an output
         // it is not routed to, an empty VC requesting, and a bit past the
         // router's 5 x 2 requesters.
-        c.arena.sa_req[word(Port::Local)] = 0;
-        c.arena.sa_req[word(Port::Dir(Direction::North))] = req;
-        c.arena.sa_req[word(Port::Dir(Direction::East))] = 1;
-        c.arena.sa_req[word(Port::Dir(Direction::West))] = 1 << 10;
+        sa_req[word(Port::Local)] = 0;
+        sa_req[word(Port::Dir(Direction::North))] = req;
+        sa_req[word(Port::Dir(Direction::East))] = 1;
+        sa_req[word(Port::Dir(Direction::West))] = 1 << 10;
         let errors = audit_conservation(&c, 0, 0);
         for needle in [
             "lacks bits 0b100000",
@@ -899,7 +900,7 @@ mod tests {
         c.input_mut(NodeId::new(5), 0)
             .install(0, VcOccupant::reserved(id, 1, 0));
         assert!(c.arena.in_occ_nodes(5));
-        c.arena.occ_nodes[0] = 1 << 7; // node 5 dropped, idle node 7 marked
+        c.arena.words_mut().1[0] = 1 << 7; // node 5 dropped, idle node 7 marked
         let errors = audit_conservation(&c, 0, 0);
         for needle in ["would skip this router", "would poll this router"] {
             assert!(
@@ -924,8 +925,9 @@ mod tests {
         c.input_mut(NodeId::new(5), Port::Local.index())
             .install(0, occ);
         let w = c.arena.word(5, Port::Local.index());
-        c.arena.ports[w].ready = 0; // head present but not flagged ready
-        c.arena.ports[w].parked = 0b11; // VC 1 is empty; VC 0 has free VCs ahead
+        let ports = c.arena.words_mut().0;
+        ports[w].ready = 0; // head present but not flagged ready
+        ports[w].parked = 0b11; // VC 1 is empty; VC 0 has free VCs ahead
         let errors = audit_conservation(&c, 0, 0);
         for needle in [
             "ready bit false",

@@ -287,13 +287,13 @@ impl Simulation {
     /// loop would (one set below it marks an NI that loop had already
     /// passed, and replies land in source queues, which this loop does
     /// not read). An NI seen empty afterwards leaves the set — the only
-    /// place `ni_live` bits are cleared.
+    /// place live-NI bits are cleared.
     fn consume(&mut self) {
         let now = self.core.cycle();
-        for w in 0..self.core.ni_live.len() {
+        for w in 0..self.core.mesh().num_nodes().div_ceil(64) {
             let mut passed = 0u64;
             loop {
-                let ahead = self.core.ni_live[w] & !passed;
+                let ahead = self.core.ni_live_word(w) & !passed;
                 if ahead == 0 {
                     break;
                 }
@@ -301,10 +301,7 @@ impl Simulation {
                 passed |= !0 >> (63 - bit);
                 let node = NodeId::new(w * 64 + bit as usize);
                 self.consume_at(node, now);
-                let ni = self.core.ni(node);
-                if !ni.has_work() && !ni.ej_any() {
-                    self.core.ni_live[w] &= !(1 << bit);
-                }
+                self.core.retire_idle_ni(node);
             }
         }
     }

@@ -40,7 +40,6 @@
 //! exclusively on the public API of this crate — they are clients of the
 //! substrate exactly as a gem5 scheme is a client of Garnet.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arbiter;

@@ -97,17 +97,19 @@ pub struct NetworkCore {
     mesh: Mesh,
     routers: Vec<RouterState>,
     /// Flat struct-of-arrays storage for every VC buffer; the regular
-    /// pipeline reads its per-port predicate words directly.
+    /// pipeline reads its per-port predicate words through the arena's
+    /// getters (the words themselves are private to `arena.rs`).
     pub(crate) arena: VcArena,
     nis: Vec<NiState>,
     /// Bit `n` set for every node whose NI holds anything — a *superset*
     /// of `{n : has_work() || ej_any()}`, never less. Set wherever an NI
     /// is handed out mutably ([`ni_mut`](Self::ni_mut),
     /// [`generate`](Self::generate): there is no other way in), cleared
-    /// lazily by the engine's consumer loop once the NI is seen empty. It
-    /// only says where to ask; [`node_active`](Self::node_active) and the
-    /// NI's own queues stay the answer.
-    pub(crate) ni_live: Vec<u64>,
+    /// lazily by the engine's consumer loop once the NI is seen empty
+    /// ([`retire_idle_ni`](Self::retire_idle_ni)). It only says where to
+    /// ask; [`node_active`](Self::node_active) and the NI's own queues
+    /// stay the answer.
+    ni_live: Vec<u64>,
     /// Planted bug for the audit's self-test: `generate` skips its
     /// `ni_live` mark.
     #[cfg(test)]
@@ -332,8 +334,10 @@ impl NetworkCore {
         InputRef::new(&self.arena, n.index(), port)
     }
 
-    /// Mutating view of one input port (occupant install/take). Call
-    /// sites outside the relocation whitelist are rejected by `noc-lint`.
+    /// Mutating view of one input port (occupant install/take, through
+    /// the arena's word-keeping mutators). Schemes relocate packets with
+    /// [`take_vc_packet`](Self::take_vc_packet) /
+    /// [`put_vc_packet`](Self::put_vc_packet) instead.
     pub fn input_mut(&mut self, n: NodeId, port: usize) -> InputMut<'_> {
         InputMut::new(&mut self.arena, n.index(), port)
     }
@@ -379,6 +383,23 @@ impl NetworkCore {
     /// Whether `n` is marked in the live-NI words (audit use).
     pub(crate) fn in_ni_live(&self, n: NodeId) -> bool {
         self.ni_live[n.index() / 64] & (1 << (n.index() % 64)) != 0
+    }
+
+    /// Word `w` of the live-NI superset (nodes `64 w ..`); the engine's
+    /// consumer walks it, re-reading after every node it visits.
+    #[inline]
+    pub(crate) fn ni_live_word(&self, w: usize) -> u64 {
+        self.ni_live[w]
+    }
+
+    /// Drops `n` from the live-NI superset if its NI holds nothing — the
+    /// one place a bit is cleared (the engine's consumer, after visiting).
+    #[inline]
+    pub(crate) fn retire_idle_ni(&mut self, n: NodeId) {
+        let ni = &self.nis[n.index()];
+        if !ni.has_work() && !ni.ej_any() {
+            self.ni_live[n.index() / 64] &= !(1 << (n.index() % 64));
+        }
     }
 
     // ---- packet generation ----------------------------------------------
@@ -454,8 +475,7 @@ impl NetworkCore {
             );
             let (slot, m) = self.arena.flit_arrived(s.node, s.port, s.vc);
             if m_arrived(m) == 1 {
-                self.arena.head_arrival[slot] = cycle;
-                self.arena.last_progress[slot] = cycle;
+                self.arena.stamp_head_arrival(slot, cycle);
             }
         }
         std::mem::swap(&mut self.drained, &mut self.drained_back);
@@ -614,7 +634,7 @@ impl NetworkCore {
     /// predicate is asked only at the set bits of the two.
     pub fn active_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         let (off, n) = (self.rotation_offset(), self.mesh.num_nodes());
-        set_bits_rotating(&self.arena.occ_nodes, &self.ni_live, off, n)
+        set_bits_rotating(self.arena.occ_nodes(), &self.ni_live, off, n)
             .map(NodeId::new)
             .filter(|&node| self.node_active(node))
     }

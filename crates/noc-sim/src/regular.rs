@@ -135,7 +135,7 @@ fn route_and_allocate(core: &mut NetworkCore, policy: &mut dyn RoutingPolicy, no
         // snapshot stays valid: this loop only routes or parks the
         // current slot and installs reservations at *neighbor* routers,
         // and nothing here frees a VC (the only thing that un-parks).
-        let pw = core.arena.ports[core.arena.word(ni, p)];
+        let pw = core.arena.port_words(core.arena.word(ni, p));
         let heads = pw.ready & !pw.routed;
         let mut mask = heads & !pw.parked;
         if counters && pw.parked != 0 {
@@ -151,8 +151,8 @@ fn route_and_allocate(core: &mut NetworkCore, policy: &mut dyn RoutingPolicy, no
             let vc = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let s = core.arena.slot(ni, p, vc);
-            debug_assert_eq!(m_sent(core.arena.meta[s]), 0, "unrouted slot sent a flit");
-            let pkt_id = core.arena.pkt[s];
+            debug_assert_eq!(m_sent(core.arena.meta(s)), 0, "unrouted slot sent a flit");
+            let pkt_id = core.arena.pkt(s);
             if pw.parked & (1 << vc) != 0 {
                 trace_route_blocked(core, node, pkt_id);
                 continue;
@@ -317,12 +317,12 @@ fn gather_switch_requests(core: &NetworkCore, ni: usize) -> [u64; NUM_PORTS] {
     let vcs = core.arena.vcs_per_port();
     let mut out_reqs = [0u64; NUM_PORTS];
     for p in 0..NUM_PORTS {
-        let pw = core.arena.ports[core.arena.word(ni, p)];
+        let pw = core.arena.port_words(core.arena.word(ni, p));
         let mut mask = pw.ready & pw.routed;
         while mask != 0 {
             let vc = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let m = core.arena.meta[core.arena.slot(ni, p, vc)];
+            let m = core.arena.meta(core.arena.slot(ni, p, vc));
             out_reqs[crate::arena::m_route(m) as usize] |= 1 << (p * vcs + vc);
         }
     }
@@ -349,7 +349,7 @@ fn eject_stage(
     }
     if let Some((p, vc)) = core.router(node).eject_lock {
         debug_assert!(core.arena.is_occupied(ni, p, vc), "eject lock on empty VC");
-        let m = core.arena.meta[core.arena.slot(ni, p, vc)];
+        let m = core.arena.meta(core.arena.slot(ni, p, vc));
         if m_sent(m) < m_arrived(m) {
             eject_flit(core, node, p, vc);
             *used_mask |= ((1u64 << vcs) - 1) << (p * vcs);
@@ -386,7 +386,7 @@ fn eject_stage(
         core.arena.is_occupied(ni, p, vc),
         "switch-allocation winner must be occupied"
     );
-    let pkt_id = core.arena.pkt[core.arena.slot(ni, p, vc)];
+    let pkt_id = core.arena.pkt(core.arena.slot(ni, p, vc));
     let class = core.store.get(pkt_id).class;
     core.ni_mut(node).ej_begin(class, pkt_id);
     core.router_mut(node).eject_lock = Some((p, vc));
@@ -412,8 +412,8 @@ fn send_flit(
         "granted flit from empty VC"
     );
     let (s, m) = core.arena.flit_sent(node.index(), p, vc);
-    core.arena.last_progress[s] = cycle;
-    let pkt_id = core.arena.pkt[s];
+    core.arena.stamp_progress(s, cycle);
+    let pkt_id = core.arena.pkt(s);
     let out_vc_raw = m_out_vc(m);
     assert!(
         out_vc_raw != NO_OUT_VC,
@@ -450,8 +450,8 @@ fn eject_flit(core: &mut NetworkCore, node: NodeId, p: usize, vc: usize) {
         "ejecting VC must be occupied"
     );
     let (s, m) = core.arena.flit_sent(node.index(), p, vc);
-    core.arena.last_progress[s] = cycle;
-    let pkt_id = core.arena.pkt[s];
+    core.arena.stamp_progress(s, cycle);
+    let pkt_id = core.arena.pkt(s);
     let drained = m_sent(m) == m_len(m);
     if drained {
         core.mark_drained(node, Port::from_index(p), vc);
@@ -662,7 +662,7 @@ fn trace_suppressed_stalls(core: &mut NetworkCore, node: NodeId, reqs: u64) {
 /// words (requests are only raised for occupied slots).
 fn requester_pkt(core: &NetworkCore, node: NodeId, idx: usize) -> PacketId {
     // `idx = p * vcs + vc` is the slot's offset within the node.
-    core.arena.pkt[core.arena.slot(node.index(), 0, 0) + idx]
+    core.arena.pkt(core.arena.slot(node.index(), 0, 0) + idx)
 }
 
 /// Records an `SaLost` stall for every requester that lost this output

@@ -76,7 +76,7 @@ pub struct RouteDecision {
 /// Policies must be [`Send`]: schemes own their policies (often boxed),
 /// and every scheme crosses a thread boundary when the bench harness
 /// parallelizes sweeps.
-pub trait RoutingPolicy: Send {
+pub trait RoutingPolicy: Send + DesiredPorts {
     /// The discipline whose [`introspect::route_set`] `route` selects
     /// from — the union of its lanes for a policy that routes VCs
     /// differently ([`EscapeVcRouting`]).
@@ -123,12 +123,22 @@ pub trait RoutingPolicy: Send {
     ///
     /// [`SimConfig::vc_range_for_class`]: noc_core::config::SimConfig::vc_range_for_class
     fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision>;
+}
 
+/// The route set a [`RoutingPolicy`] selects from. A supertrait with one
+/// blanket implementation, so no policy can define a direction set of its
+/// own: a second `impl` is a conflicting-implementations error (E0119).
+/// Callable on `dyn RoutingPolicy` and on generic policies without
+/// importing it; concrete policy types need it in scope.
+pub trait DesiredPorts {
     /// Directions the packet *could* legally take:
-    /// [`introspect::route_set`] of [`kind`](Self::kind), empty once it
-    /// is at its destination. What `route` selects from and what
-    /// wait-for graphs are built on; no implementation overrides it
-    /// (`noc-lint`'s `routing-locality` rejects a second definition).
+    /// [`introspect::route_set`] of [`RoutingPolicy::kind`], empty once
+    /// it is at its destination. What `route` selects from and what
+    /// wait-for graphs are built on.
+    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> ProductiveDirs;
+}
+
+impl<P: RoutingPolicy + ?Sized> DesiredPorts for P {
     fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> ProductiveDirs {
         introspect::route_set(self.kind(), core.xy(req.at), core.xy(req.dst), req.in_port)
     }
@@ -231,7 +241,7 @@ pub fn pick_scored(
 /// `(at, dst, in_port)` — the credit/occupancy state only picks *among*
 /// admissible directions, never adds to them. [`route_set`] is the one
 /// place those sets are written: the policies below select from it
-/// through [`RoutingPolicy::desired_ports`](super::RoutingPolicy::desired_ports)
+/// through [`DesiredPorts::desired_ports`](super::DesiredPorts::desired_ports)
 /// and `noc-prove` builds its channel-dependency graphs from it, so the
 /// certified routes and the executed ones are the same function.
 pub mod introspect {
@@ -442,7 +452,6 @@ pub mod contract {
                 continue;
             }
             let nbr = core.neighbor(req.at, d).expect("wait dirs stay on-mesh");
-            // noc-lint: allow(occupancy) — synthetic occupancy on a scratch core
             let mut input = core.input_mut(nbr, Port::Dir(d.opposite()).index());
             if occupy {
                 input.install(vc, VcOccupant::reserved(req.pkt, 1, 0));

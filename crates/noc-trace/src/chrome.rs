@@ -284,7 +284,7 @@ pub fn chrome_trace_json(tracer: &Tracer) -> String {
 mod tests {
     use super::*;
     use crate::event::{BypassOutcome, StallCause};
-    use crate::{TraceConfig, TraceLevel};
+    use crate::TraceConfig;
     use noc_core::packet::{MessageClass, Packet, PacketStore};
     use noc_core::topology::{Direction, Mesh, NodeId};
 
@@ -302,10 +302,7 @@ mod tests {
         let link = mesh
             .link(NodeId::new(0), Direction::East)
             .expect("link exists");
-        let cfg = TraceConfig {
-            level: TraceLevel::Full,
-            ..TraceConfig::default()
-        };
+        let cfg = TraceConfig::full();
         let mut t = Tracer::new(&cfg, 4);
         t.set_now(5);
         t.push_event(NodeId::new(0), TraceEvent::LinkTraverse { pkt, link });

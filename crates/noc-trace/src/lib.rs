@@ -38,7 +38,6 @@
 //! Recording never mutates simulation state: enabling any trace level
 //! leaves `NetStats` bitwise identical (gated by `tests/trace_gate.rs`).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;
@@ -99,34 +98,23 @@ impl TraceLevel {
 pub struct TraceConfig {
     /// Recording level.
     pub level: TraceLevel,
-    /// Half-open cycle window `[start, end)` outside which nothing is
-    /// recorded (`None` = always).
-    pub window: Option<(u64, u64)>,
-    /// Restrict full-event recording to these nodes (`None` = all).
-    /// Counters are always kept for every router — the per-router
-    /// metrics table is only meaningful complete.
-    pub nodes: Option<Vec<NodeId>>,
-    /// Per-node event-ring capacity (0 picks the default, 4096).
-    pub ring_capacity: usize,
 }
 
 impl TraceConfig {
-    /// Default per-node ring capacity.
-    pub const DEFAULT_RING_CAPACITY: usize = 4096;
+    /// Per-node event-ring capacity.
+    pub const RING_CAPACITY: usize = 4096;
 
     /// Counters-only configuration.
     pub fn counters() -> Self {
         TraceConfig {
             level: TraceLevel::Counters,
-            ..TraceConfig::default()
         }
     }
 
-    /// Full-event configuration with default capacity and no filters.
+    /// Full-event configuration.
     pub fn full() -> Self {
         TraceConfig {
             level: TraceLevel::Full,
-            ..TraceConfig::default()
         }
     }
 }
@@ -136,9 +124,6 @@ impl TraceConfig {
 #[derive(Debug)]
 pub struct Tracer {
     level: TraceLevel,
-    window: Option<(u64, u64)>,
-    /// Per-node full-event enable flags (empty = all nodes).
-    node_mask: Vec<bool>,
     /// Mirror of the core's cycle counter, synced by the owner at each
     /// cycle boundary so hooks never need a second borrow of the core.
     now: u64,
@@ -154,8 +139,6 @@ impl Tracer {
     pub fn disabled() -> Self {
         Tracer {
             level: TraceLevel::Off,
-            window: None,
-            node_mask: Vec::new(),
             now: 0,
             seq: 0,
             rings: Vec::new(),
@@ -167,31 +150,16 @@ impl Tracer {
     /// Builds a tracer for a network of `num_nodes` nodes. All storage
     /// (rings, counters, histograms) is allocated here, once.
     pub fn new(cfg: &TraceConfig, num_nodes: usize) -> Self {
-        let cap = if cfg.ring_capacity == 0 {
-            TraceConfig::DEFAULT_RING_CAPACITY
-        } else {
-            cfg.ring_capacity
-        };
         let full = matches!(cfg.level, TraceLevel::Full);
         let any = !matches!(cfg.level, TraceLevel::Off);
-        let node_mask = match &cfg.nodes {
-            Some(sel) => {
-                let mut mask = vec![false; num_nodes];
-                for n in sel {
-                    mask[n.index()] = true;
-                }
-                mask
-            }
-            None => Vec::new(),
-        };
         Tracer {
             level: cfg.level,
-            window: cfg.window,
-            node_mask,
             now: 0,
             seq: 0,
             rings: if full {
-                (0..num_nodes).map(|_| EventRing::new(cap)).collect()
+                (0..num_nodes)
+                    .map(|_| EventRing::new(TraceConfig::RING_CAPACITY))
+                    .collect()
             } else {
                 Vec::new()
             },
@@ -229,29 +197,16 @@ impl Tracer {
         self.now = cycle;
     }
 
-    #[inline]
-    fn in_window(&self) -> bool {
-        match self.window {
-            Some((start, end)) => self.now >= start && self.now < end,
-            None => true,
-        }
-    }
-
-    #[inline]
-    fn node_selected(&self, node: NodeId) -> bool {
-        self.node_mask.is_empty() || self.node_mask[node.index()]
-    }
-
     // ---- recording --------------------------------------------------------
 
-    /// Records one event at `node`. Allocation-free: a filtered indexed
-    /// store into the node's pre-allocated ring.
+    /// Records one event at `node`. Allocation-free: an indexed store
+    /// into the node's pre-allocated ring.
     ///
     /// Do not call this directly from hot code — go through [`trace!`],
     /// which wraps the call in the branch-on-disabled gate (`noc-lint`
     /// enforces this in hot scopes).
     pub fn push_event(&mut self, node: NodeId, event: TraceEvent) {
-        if !self.events_on() || !self.in_window() || !self.node_selected(node) {
+        if !self.events_on() {
             return;
         }
         let rec = TraceRecord {
@@ -267,7 +222,7 @@ impl Tracer {
     /// Counts a packet injection at `node` (class-indexed).
     #[inline]
     pub fn count_inject(&mut self, node: NodeId, class: usize) {
-        if self.counters_on() && self.in_window() {
+        if self.counters_on() {
             self.metrics[node.index()].injected[class] += 1;
         }
     }
@@ -275,7 +230,7 @@ impl Tracer {
     /// Counts a tail ejection at `node` (class-indexed).
     #[inline]
     pub fn count_eject(&mut self, node: NodeId, class: usize) {
-        if self.counters_on() && self.in_window() {
+        if self.counters_on() {
             self.metrics[node.index()].ejected[class] += 1;
         }
     }
@@ -290,7 +245,7 @@ impl Tracer {
     /// blocked heads at once, by population count).
     #[inline]
     pub fn count_stall_n(&mut self, node: NodeId, cause: StallCause, n: u64) {
-        if self.counters_on() && self.in_window() {
+        if self.counters_on() {
             self.metrics[node.index()].stalls[cause.index()] += n;
         }
     }
@@ -299,7 +254,7 @@ impl Tracer {
     /// lane counter instead of the regular-pipeline counter).
     #[inline]
     pub fn count_link(&mut self, node: NodeId, bypass: bool) {
-        if self.counters_on() && self.in_window() {
+        if self.counters_on() {
             let m = &mut self.metrics[node.index()];
             if bypass {
                 m.link_flits_bypass += 1;
@@ -312,7 +267,7 @@ impl Tracer {
     /// Counts a FastPass upgrade launched at prime router `node`.
     #[inline]
     pub fn count_bypass_launch(&mut self, node: NodeId) {
-        if self.counters_on() && self.in_window() {
+        if self.counters_on() {
             self.metrics[node.index()].bypass_launches += 1;
         }
     }
@@ -321,7 +276,7 @@ impl Tracer {
     /// occupancy integral.
     #[inline]
     pub fn sample_occupancy(&mut self, node_idx: usize, occupied: u64) {
-        if self.counters_on() && self.in_window() {
+        if self.counters_on() {
             let m = &mut self.metrics[node_idx];
             m.occupancy_integral += occupied;
             m.cycles_sampled += 1;
@@ -332,7 +287,7 @@ impl Tracer {
     /// the lane-occupancy histogram (last bucket aggregates overflow).
     #[inline]
     pub fn sample_lanes(&mut self, active: u64) {
-        if self.counters_on() && self.in_window() {
+        if self.counters_on() {
             let last = self.lane_hist.len() - 1;
             let bucket = (active as usize).min(last);
             self.lane_hist[bucket] += 1;
@@ -498,33 +453,6 @@ mod tests {
         assert!(recs.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(recs[0].cycle, 10);
         assert_eq!(recs[2].cycle, 11);
-    }
-
-    #[test]
-    fn window_and_node_filters_apply() {
-        let mut store = PacketStore::new();
-        let p = pkt(&mut store);
-        let cfg = TraceConfig {
-            level: TraceLevel::Full,
-            window: Some((100, 200)),
-            nodes: Some(vec![NodeId::new(1)]),
-            ring_capacity: 16,
-        };
-        let mut t = Tracer::new(&cfg, 4);
-        t.set_now(50); // before window
-        t.push_event(NodeId::new(1), TraceEvent::Eject { pkt: p });
-        t.count_stall(NodeId::new(1), StallCause::SaLost);
-        t.set_now(150); // inside window
-        t.push_event(NodeId::new(1), TraceEvent::Eject { pkt: p });
-        t.push_event(NodeId::new(2), TraceEvent::Eject { pkt: p }); // filtered node
-        t.count_stall(NodeId::new(2), StallCause::SaLost); // counters ignore node filter
-        t.set_now(200); // past window (half-open)
-        t.push_event(NodeId::new(1), TraceEvent::Eject { pkt: p });
-        let recs = t.records_in_order();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].cycle, 150);
-        assert_eq!(t.metrics()[1].stalls[StallCause::SaLost.index()], 0);
-        assert_eq!(t.metrics()[2].stalls[StallCause::SaLost.index()], 1);
     }
 
     #[test]

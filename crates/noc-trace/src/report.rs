@@ -67,7 +67,7 @@ pub fn packet_lifetime(tracer: &Tracer, pkt_raw: u64) -> String {
 mod tests {
     use super::*;
     use crate::event::TraceEvent;
-    use crate::{TraceConfig, TraceLevel};
+    use crate::TraceConfig;
     use noc_core::packet::{MessageClass, Packet, PacketStore};
     use noc_core::topology::NodeId;
 
@@ -88,10 +88,7 @@ mod tests {
             1,
             0,
         ));
-        let cfg = TraceConfig {
-            level: TraceLevel::Full,
-            ..TraceConfig::default()
-        };
+        let cfg = TraceConfig::full();
         let mut t = Tracer::new(&cfg, 4);
         t.set_now(1);
         t.push_event(NodeId::new(0), TraceEvent::Inject { pkt: a, vc: 0 });

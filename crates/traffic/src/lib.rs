@@ -12,7 +12,6 @@
 //! * [`apps`] — per-application parameterizations of the protocol model
 //!   standing in for the PARSEC/SPLASH-2 traces of Figs. 10, 12 and 13b.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;

@@ -10,13 +10,14 @@
 //! each scheme's Table II buffer configuration, and prints a compact
 //! scoreboard: latency, accepted throughput, misroutes and buffer cost.
 
-use fastpass_noc::power::{router_area, RouterParams, SchemeKind};
+use fastpass_noc::power::{router_area, RouterParams};
+use fastpass_noc::schemes::SchemeId;
 use fastpass_noc::sim::Simulation;
 use fastpass_noc::traffic::{SyntheticPattern, SyntheticWorkload};
 
-// `fastpass_noc::serve::SchemeId` is the canonical scheme factory (the
-// one `nocsim` and every sweep use), but this example shows direct
-// construction through the public APIs on purpose.
+// `SchemeId` is also the canonical scheme factory (the one `nocsim` and
+// every sweep use), but this example shows direct construction through
+// the public APIs on purpose; it names the power model's router.
 use fastpass_noc::baselines::{
     drain::DrainConfig, pitstop::PitstopConfig, spin::SpinConfig, swap::SwapConfig, Drain,
     EscapeVc, MinBd, Pitstop, Spin, Swap, Tfc,
@@ -66,25 +67,8 @@ fn main() {
                 "TFC" => Box::new(Tfc::new(1)),
                 _ => Box::new(FastPass::new(&cfg, FastPassConfig::default())),
             };
-            let kind = match name {
-                "EscapeVC" => SchemeKind::EscapeVc,
-                "SPIN" => SchemeKind::Spin,
-                "SWAP" => SchemeKind::Swap,
-                "DRAIN" => SchemeKind::Drain,
-                "Pitstop" => SchemeKind::Pitstop,
-                "MinBD" => SchemeKind::MinBd,
-                "TFC" => SchemeKind::Tfc,
-                _ => SchemeKind::FastPass,
-            };
-            let area = router_area(
-                kind,
-                &RouterParams {
-                    vns,
-                    vcs_per_vn: vcs,
-                    ..RouterParams::default()
-                },
-            )
-            .total();
+            let id = SchemeId::parse(name).expect("a catalogue scheme name");
+            let area = router_area(id, &RouterParams::from(&cfg)).total();
             let wl = SyntheticWorkload::new(SyntheticPattern::Transpose, rate, 17);
             let mut sim = Simulation::new(cfg, scheme, Box::new(wl));
             let stats = sim.run_windows(4_000, 10_000);

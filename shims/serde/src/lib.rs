@@ -267,7 +267,9 @@ impl Serialize for char {
 impl Deserialize for char {
     fn from_content(c: &Content) -> Result<Self, DeError> {
         match c {
-            Content::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
+            Content::Str(s) if s.chars().count() == 1 => {
+                Ok(s.chars().next().expect("guard counted one char"))
+            }
             _ => Err(DeError(format!("expected single-char string, got {c:?}"))),
         }
     }

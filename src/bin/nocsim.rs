@@ -26,8 +26,6 @@
 //! * `--warmup/--cycles <n>` — window lengths; `--quota <n>` — closed-loop
 //!   transactions per core; `--seed <n>`; `--json` for machine output.
 
-#![forbid(unsafe_code)]
-
 use fastpass_noc::core::stats::NetStats;
 use fastpass_noc::schemes::{SchemeId, ALL_SCHEMES};
 use fastpass_noc::sim::{Simulation, Workload};

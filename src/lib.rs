@@ -23,7 +23,6 @@
 //!
 //! See `examples/quickstart.rs` for a complete, runnable walk-through.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use baselines;

@@ -4,7 +4,7 @@
 //! reported reproduction claim has silently changed.
 
 use bench::{runner::make_sim, SchemeId};
-use fastpass_noc::power::{router_area, router_power, RouterParams, SchemeKind};
+use fastpass_noc::power::{router_area, router_power, RouterParams};
 use fastpass_noc::sim::Simulation;
 use traffic::{AppModel, SyntheticPattern};
 
@@ -117,24 +117,22 @@ fn drain_tail_worse_than_fastpass() {
 /// Fig. 11's headline claims, through the public power API.
 #[test]
 fn power_area_claims() {
-    let vn6 = RouterParams::default();
-    let vn0 = RouterParams {
-        vns: 0,
-        vcs_per_vn: 2,
-        ..RouterParams::default()
-    };
-    let escape_a = router_area(SchemeKind::EscapeVc, &vn6).total();
-    let fp_a = router_area(SchemeKind::FastPass, &vn0).total();
+    // Each router at the buffers the simulator runs it with.
+    let params = |id: SchemeId| RouterParams::from(&id.sim_config(8, 2, 0));
+    let area = |id| router_area(id, &params(id)).total();
+    let power = |id| router_power(id, &params(id)).total();
+    let escape_a = area(SchemeId::EscapeVc);
+    let fp_a = area(SchemeId::FastPass);
     let reduction = 1.0 - fp_a / escape_a;
     assert!(
         reduction >= 0.35,
         "area reduction {reduction:.2} below the paper's ~0.40 claim"
     );
-    let escape_p = router_power(SchemeKind::EscapeVc, &vn6).total();
-    let fp_p = router_power(SchemeKind::FastPass, &vn0).total();
+    let escape_p = power(SchemeId::EscapeVc);
+    let fp_p = power(SchemeId::FastPass);
     assert!(1.0 - fp_p / escape_p >= 0.35);
     // Pitstop ≈ FastPass.
-    let pit_a = router_area(SchemeKind::Pitstop, &vn0).total();
+    let pit_a = area(SchemeId::Pitstop);
     assert!((fp_a - pit_a).abs() / fp_a < 0.10);
 }
 

@@ -40,10 +40,7 @@ fn golden() -> Vec<GoldenPoint> {
 }
 
 fn trace_cfg(level: TraceLevel) -> TraceConfig {
-    TraceConfig {
-        level,
-        ..TraceConfig::default()
-    }
+    TraceConfig { level }
 }
 
 #[test]
