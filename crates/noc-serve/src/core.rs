@@ -1,7 +1,8 @@
 //! The daemon engine: point registry, worker pool, job tracking.
 //!
 //! Every sweep point is identified by its content-derived cache key
-//! ([`crate::point_cache_key`]). The engine keeps one state per key —
+//! ([`crate::SpecKey`]), hashed before the engine lock is taken. The
+//! engine keeps one state per key —
 //! `Queued → Running → Done`/`Failed` — in a single registry shared by
 //! all jobs, which is what makes cross-client deduplication free: a
 //! submit that names a key another job is already computing simply
@@ -34,7 +35,7 @@ use crate::proto::{flight_event, StatusReport};
 use crate::statsd::StatsdSink;
 use crate::store::{format_key, Provenance};
 use crate::{
-    point_cache_key, simulate_point, FlightRecord, LatencyPoint, MetricsReport, Store, SweepResult,
+    simulate_point, FlightRecord, LatencyPoint, MetricsReport, SpecKey, Store, SweepResult,
     SweepSpec, CACHE_SCHEMA_VERSION,
 };
 use std::collections::{HashMap, VecDeque};
@@ -232,7 +233,15 @@ impl Daemon {
     /// one has computed or started. Returns the job handle to collect.
     pub fn submit(&self, specs: Vec<SweepSpec>) -> Job {
         let m = &self.shared.metrics;
-        let mut keys = Vec::with_capacity(specs.len());
+        // Every key is hashed before the lock is taken: the critical
+        // section below only looks keys up.
+        let keys: Vec<Vec<u64>> = specs
+            .iter()
+            .map(|spec| {
+                let spec_key = SpecKey::new(spec);
+                spec.rates.iter().map(|&r| spec_key.point(r)).collect()
+            })
+            .collect();
         let mut total = 0u64;
         let (mut computed, mut cached, mut deduped) = (0u64, 0u64, 0u64);
         // Flight records are buffered while holding the lock and
@@ -242,11 +251,8 @@ impl Daemon {
         let mut state = self.shared.state.lock().expect("engine lock");
         let id = state.next_job;
         state.next_job += 1;
-        for spec in &specs {
-            let mut spec_keys = Vec::with_capacity(spec.rates.len());
-            for &rate in &spec.rates {
-                let key = point_cache_key(spec, rate);
-                spec_keys.push(key);
+        for (spec, spec_keys) in specs.iter().zip(&keys) {
+            for (&rate, &key) in spec.rates.iter().zip(spec_keys) {
                 total += 1;
                 let kind = match state.points.get(&key) {
                     Some(PointState::Done(_) | PointState::Failed(_)) => {
@@ -286,7 +292,6 @@ impl Daemon {
                 r.kind = Some(kind.to_string());
                 trail.push(r);
             }
-            keys.push(spec_keys);
         }
         m.jobs_submitted.add(1);
         m.points_requested.add(total);
@@ -748,7 +753,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SchemeId;
+    use crate::{point_cache_key, SchemeId};
     use traffic::SyntheticPattern;
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -228,41 +228,105 @@ impl SweepOptions {
 pub use crate::store::CACHE_SCHEMA_VERSION;
 
 /// FNV-1a 64-bit, used for stable cache keys (`DefaultHasher` makes no
-/// cross-version stability promise).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// cross-version stability promise). A streaming state: it folds one
+/// byte at a time, so hashing a text in pieces gives the same value as
+/// hashing it whole, and `write!` feeds it formatted text without
+/// building a `String`.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    const BASIS: Fnv1a64 = Fnv1a64(0xcbf2_9ce4_8422_2325);
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
-    h
+}
+
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a64::BASIS;
+    h.write(bytes);
+    h.0
+}
+
+/// One spec's cache-key derivation, done once per spec.
+///
+/// A point's key is the FNV-1a hash of the canonical text
+/// `v{version}|{scheme}|{pattern}|{cfg_json}|{rate:?}|{seed}|{warmup}|{measure}`,
+/// where `cfg_json` is the spec's full serialized [`SimConfig`]. Within
+/// a spec only the rate changes, so this holds the hash state after the
+/// prefix up to and including the fourth `|`, and [`SpecKey::point`]
+/// continues it over the tail. Because FNV-1a is a streaming hash the
+/// result is exactly the hash of the whole text: splitting it changes no
+/// key. This is the only place the key text is built.
+///
+/// [`SimConfig`]: noc_core::config::SimConfig
+#[derive(Debug, Clone, Copy)]
+pub struct SpecKey {
+    prefix: Fnv1a64,
+    seed: u64,
+    warmup: u64,
+    measure: u64,
+}
+
+impl SpecKey {
+    /// Hashes `spec`'s prefix under the current [`CACHE_SCHEMA_VERSION`].
+    pub fn new(spec: &SweepSpec) -> SpecKey {
+        SpecKey::with_version(spec, CACHE_SCHEMA_VERSION)
+    }
+
+    /// [`SpecKey::new`] with an explicit schema version — factored out
+    /// so tests can prove that bumping [`CACHE_SCHEMA_VERSION`] changes
+    /// every key (and therefore forces recomputation instead of stale
+    /// cache hits).
+    fn with_version(spec: &SweepSpec, version: u32) -> SpecKey {
+        use std::fmt::Write;
+        let cfg = spec.id.sim_config(spec.size, spec.fp_vcs, spec.seed);
+        let cfg_json = serde_json::to_string(&cfg).expect("SimConfig serializes");
+        let mut prefix = Fnv1a64::BASIS;
+        write!(
+            prefix,
+            "v{version}|{}|{}|{cfg_json}|",
+            spec.id.name(),
+            spec.pattern.name(),
+        )
+        .expect("hashing never fails");
+        SpecKey {
+            prefix,
+            seed: spec.seed,
+            warmup: spec.warmup,
+            measure: spec.measure,
+        }
+    }
+
+    /// The cache key of this spec's point at `rate`.
+    pub fn point(&self, rate: f64) -> u64 {
+        use std::fmt::Write;
+        let mut h = self.prefix;
+        write!(h, "{rate:?}|{}|{}|{}", self.seed, self.warmup, self.measure)
+            .expect("hashing never fails");
+        h.0
+    }
 }
 
 /// The cache key of one simulation point: a stable hash over everything
 /// that determines its result — scheme, pattern, the full [`SimConfig`]
-/// (serialized), rate, seed and window lengths.
+/// (serialized), rate, seed and window lengths. Callers keying many
+/// rates of one spec should build its [`SpecKey`] once instead.
 ///
 /// [`SimConfig`]: noc_core::config::SimConfig
 pub fn point_cache_key(spec: &SweepSpec, rate: f64) -> u64 {
-    point_cache_key_versioned(spec, rate, CACHE_SCHEMA_VERSION)
-}
-
-/// [`point_cache_key`] with an explicit schema version — factored out so
-/// tests can prove that bumping [`CACHE_SCHEMA_VERSION`] changes every
-/// key (and therefore forces recomputation instead of stale cache hits).
-fn point_cache_key_versioned(spec: &SweepSpec, rate: f64, version: u32) -> u64 {
-    let cfg = spec.id.sim_config(spec.size, spec.fp_vcs, spec.seed);
-    let cfg_json = serde_json::to_string(&cfg).expect("SimConfig serializes");
-    let canonical = format!(
-        "v{version}|{}|{}|{}|{rate:?}|{}|{}|{}",
-        spec.id.name(),
-        spec.pattern.name(),
-        cfg_json,
-        spec.seed,
-        spec.warmup,
-        spec.measure,
-    );
-    fnv1a64(canonical.as_bytes())
+    SpecKey::new(spec).point(rate)
 }
 
 /// The stats digest of the golden fixtures and bitwise gates: a run's
@@ -379,13 +443,20 @@ pub fn run_sweep_parallel(specs: &[SweepSpec], opts: &SweepOptions) -> Vec<Sweep
         .collect();
     let total = points.len();
     let store = opts.cache_dir.as_deref().map(Store::new);
+    // One key derivation per spec, not per point: the workers only
+    // finish each rate's hash.
+    let spec_keys: Vec<SpecKey> = match store {
+        Some(_) => specs.iter().map(SpecKey::new).collect(),
+        None => Vec::new(),
+    };
     let jobs: Vec<_> = points
         .iter()
         .map(|&(si, _, rate)| {
             let spec = &specs[si];
             let store = store.as_ref();
+            let spec_key = spec_keys.get(si);
             move || -> (LatencyPoint, bool) {
-                let key = store.map(|s| (s, point_cache_key(spec, rate)));
+                let key = store.zip(spec_key).map(|(s, k)| (s, k.point(rate)));
                 if let Some(hit) = key.and_then(|(store, k)| store.load(k)) {
                     return (hit, true);
                 }
@@ -623,11 +694,11 @@ mod tests {
         let current = point_cache_key(&spec, 0.02);
         assert_eq!(
             current,
-            point_cache_key_versioned(&spec, 0.02, CACHE_SCHEMA_VERSION)
+            SpecKey::with_version(&spec, CACHE_SCHEMA_VERSION).point(0.02)
         );
         for old in 0..CACHE_SCHEMA_VERSION {
             assert_ne!(
-                point_cache_key_versioned(&spec, 0.02, old),
+                SpecKey::with_version(&spec, old).point(0.02),
                 current,
                 "v{old} key must not collide with the current key"
             );
@@ -639,7 +710,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fp_cache_schema_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let stale_key = point_cache_key_versioned(&spec, 0.02, CACHE_SCHEMA_VERSION - 1);
+        let stale_key = SpecKey::with_version(&spec, CACHE_SCHEMA_VERSION - 1).point(0.02);
         let poisoned = mk(0.02, 99_999.0);
         let stamp = Provenance::now(0, None, String::new(), 0);
         Store::new(&dir).store_with_provenance(stale_key, &poisoned, Some(&stamp));
@@ -661,6 +732,56 @@ mod tests {
             "recomputed point must be stored under the current-version key"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Keys written by earlier builds, as literals: a store primed by an
+    /// older build must keep hitting. A key derivation that drifts would
+    /// still agree with itself, so only literals catch it.
+    #[test]
+    fn cache_keys_are_pinned() {
+        use SchemeId::{EscapeVc, FastPass, MinBd, Spin, Vct};
+        use SyntheticPattern::{Transpose, Uniform};
+        const SMOKE: (u64, u64) = (1_000, 3_000);
+        // (scheme, pattern, size, fp_vcs, (warmup, measure), seed), then
+        // (rate, key) pairs.
+        #[rustfmt::skip]
+        let pinned: [(_, _, _, _, _, _, &[(f64, u64)]); 7] = [
+            // A VN scheme at 8x8, and a rate with a 16-digit expansion.
+            (EscapeVc, Uniform, 8, 2, SMOKE, 1,
+             &[(0.02, 0xaeee_0ab2_71fc_e018), (1.0 / 3.0, 0x54e8_19e2_b666_4c72)]),
+            // FastPass with a non-default VC count.
+            (FastPass, Transpose, 4, 4, SMOKE, 5,
+             &[(0.05, 0x4555_2965_c986_efe5), (0.1, 0x29dd_a165_4a65_019f)]),
+            // The smoke binary's grid (tests/golden/store holds its blobs).
+            (FastPass, Uniform, 4, 2, SMOKE, 5,
+             &[(0.02, 0x9808_6440_85ca_b863), (0.05, 0x9a9f_5df7_1923_53ce),
+               (0.08, 0x458f_353b_6176_7cd5)]),
+            (Vct, Uniform, 4, 2, SMOKE, 5,
+             &[(0.02, 0x23ce_ca7d_ec61_7139), (0.05, 0x5333_550a_c17e_2780),
+               (0.08, 0x2638_9448_0cb4_5737)]),
+            (Vct, Uniform, 4, 2, (100, 200), u64::MAX, &[(1.0 / 3.0, 0x877c_615e_27e0_760e)]),
+            (MinBd, Transpose, 8, 2, (500, 1_500), 7, &[(0.14, 0x1cb8_f716_bdf3_f49c)]),
+            // Rates whose `{:?}` and `{}` renderings differ ("1.0" / "1").
+            (Spin, Transpose, 4, 2, (100, 200), 3,
+             &[(1.0, 0x42fc_840b_8d21_250d), (1e-7, 0x3692_bb78_c839_d596)]),
+        ];
+        for (id, pattern, size, fp_vcs, (warmup, measure), seed, keys) in pinned {
+            let spec = SweepSpec {
+                id,
+                pattern,
+                rates: keys.iter().map(|&(rate, _)| rate).collect(),
+                size,
+                fp_vcs,
+                warmup,
+                measure,
+                seed,
+            };
+            let spec_key = SpecKey::new(&spec);
+            for &(rate, key) in keys {
+                assert_eq!(point_cache_key(&spec, rate), key, "{spec:?} @ {rate}");
+                assert_eq!(spec_key.point(rate), key, "{spec:?} @ {rate}");
+            }
+        }
     }
 
     #[test]

@@ -37,13 +37,18 @@
 //! is recomputed and the entry overwritten. [`Store::gc`] deletes such
 //! entries eagerly.
 //!
-//! Writes are atomic (unique temp file + rename) so a crashed or
-//! interrupted writer can leave at worst an orphaned `*.tmp.*` file,
-//! which `gc` sweeps up.
+//! Writes are atomic (temp file + rename) so a crashed or interrupted
+//! writer can leave at worst an orphaned `*.tmp.*` file, which `gc`
+//! sweeps up. Every write gets its own temp name,
+//! `<key>.tmp.<pid>.<seq>` with a process-wide sequence number: were two
+//! threads of one process to share a temp path, the second `create`
+//! would truncate the inode the first is about to rename into place.
 
 use crate::runner::LatencyPoint;
 use serde::{field, Content, DeError, Deserialize, Serialize};
+use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Bump when the cache entry format or simulation semantics change in a
@@ -135,20 +140,20 @@ fn resolve_git_sha() -> String {
     "unknown".to_string()
 }
 
-/// The on-disk envelope around one stored point.
+/// The on-disk envelope around one stored point, as read back.
 ///
-/// Serialization is hand-written (not derived) for two reasons: `None`
-/// provenance is *omitted* rather than written as `null`, and — because
-/// the derive's deserializer treats every field as required — a
-/// hand-rolled decode is what lets pre-v3 envelopes (no `provenance`
-/// key) still parse as envelopes, so [`Store::gc`] classifies them as
-/// stale-schema rather than corrupt.
+/// The decode is hand-written (not derived): the derive's deserializer
+/// treats every field as required, and a hand-rolled decode is what lets
+/// pre-v3 envelopes (no `provenance` key) still parse as envelopes, so
+/// [`Store::gc`] classifies them as stale-schema rather than corrupt.
+/// The write side is [`EnvelopeOut`].
 #[derive(Debug, Clone)]
 struct Envelope {
     /// Schema generation that produced this entry.
     schema_version: u32,
-    /// The point's cache key, hex-encoded — must match the filename.
-    key: String,
+    /// The `key` field's bytes when it is 16 bytes long, the length of
+    /// every rendered key; any other string matches no filename.
+    key: Option<[u8; 16]>,
     /// The stored result.
     point: LatencyPoint,
     /// Compute provenance, when the writer stamped it.
@@ -157,13 +162,44 @@ struct Envelope {
 
 impl Envelope {
     /// Whether this entry may be served for `key`: written by the
-    /// current schema generation, under that key.
+    /// current schema generation, under that key — byte for byte its
+    /// lowercase rendering, so a foreign (say, uppercase) key is a miss.
     fn is_current_for(&self, key: u64) -> bool {
-        self.schema_version == CACHE_SCHEMA_VERSION && self.key == format_key(key)
+        self.schema_version == CACHE_SCHEMA_VERSION && self.key == Some(hex_key(key))
     }
 }
 
-impl Serialize for Envelope {
+impl Deserialize for Envelope {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let map = c
+            .as_map()
+            .ok_or_else(|| DeError("envelope must be a JSON object".to_string()))?;
+        let key = field(map, "key")?
+            .as_str()
+            .ok_or_else(|| DeError("envelope key must be a string".to_string()))?;
+        Ok(Envelope {
+            schema_version: u32::from_content(field(map, "schema_version")?)?,
+            key: key.as_bytes().try_into().ok(),
+            point: LatencyPoint::from_content(field(map, "point")?)?,
+            provenance: match field(map, "provenance") {
+                Ok(content) => Option::<Provenance>::from_content(content)?,
+                Err(_) => None,
+            },
+        })
+    }
+}
+
+/// An envelope as the store writes it. Serialization is hand-written
+/// (not derived) so that `None` provenance is *omitted* rather than
+/// written as `null`.
+struct EnvelopeOut<'a> {
+    schema_version: u32,
+    key: &'a str,
+    point: &'a LatencyPoint,
+    provenance: Option<&'a Provenance>,
+}
+
+impl Serialize for EnvelopeOut<'_> {
     fn to_content(&self) -> Content {
         let mut map = vec![
             (
@@ -173,27 +209,10 @@ impl Serialize for Envelope {
             ("key".to_string(), self.key.to_content()),
             ("point".to_string(), self.point.to_content()),
         ];
-        if let Some(p) = &self.provenance {
+        if let Some(p) = self.provenance {
             map.push(("provenance".to_string(), p.to_content()));
         }
         Content::Map(map)
-    }
-}
-
-impl Deserialize for Envelope {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let map = c
-            .as_map()
-            .ok_or_else(|| DeError("envelope must be a JSON object".to_string()))?;
-        Ok(Envelope {
-            schema_version: u32::from_content(field(map, "schema_version")?)?,
-            key: String::from_content(field(map, "key")?)?,
-            point: LatencyPoint::from_content(field(map, "point")?)?,
-            provenance: match field(map, "provenance") {
-                Ok(content) => Option::<Provenance>::from_content(content)?,
-                Err(_) => None,
-            },
-        })
     }
 }
 
@@ -293,21 +312,26 @@ impl Store {
         point: &LatencyPoint,
         provenance: Option<&Provenance>,
     ) -> bool {
+        /// Makes temp names unique across this process's threads; the
+        /// pid makes them unique across processes.
+        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
         if std::fs::create_dir_all(&self.dir).is_err() {
             return false;
         }
-        let envelope = Envelope {
+        let envelope = EnvelopeOut {
             schema_version: CACHE_SCHEMA_VERSION,
-            key: format_key(key),
-            point: point.clone(),
-            provenance: provenance.cloned(),
+            key: &format_key(key),
+            point,
+            provenance,
         };
         let Ok(json) = serde_json::to_string_pretty(&envelope) else {
             return false;
         };
-        let tmp = self
-            .dir
-            .join(format!("{key:016x}.tmp.{}", std::process::id()));
+        let tmp = self.dir.join(format!(
+            "{key:016x}.tmp.{}.{}",
+            std::process::id(),
+            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         if std::fs::write(&tmp, json).is_err() {
             let _ = std::fs::remove_file(&tmp);
             return false;
@@ -393,10 +417,50 @@ pub fn format_key(key: u64) -> String {
     format!("{key:016x}")
 }
 
+/// [`format_key`]'s bytes, rendered on the stack.
+fn hex_key(key: u64) -> [u8; 16] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = [0u8; 16];
+    for (i, digit) in out.iter_mut().enumerate() {
+        *digit = DIGITS[(key >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out
+}
+
+/// Blobs up to this size are read with a single `read` into a stack
+/// buffer; a stored envelope is about 430 bytes.
+const STACK_READ: usize = 1024;
+
 /// Reads the blob at `path` as an envelope of any schema generation;
 /// `None` if it is absent, unreadable or not an envelope.
+///
+/// One `open` and, for any blob that fits [`STACK_READ`], one `read`: a
+/// read that does not fill the buffer is taken as the whole file. Blobs
+/// are never written in place ([`Store::store_with_provenance`] renames
+/// a finished temp file over them), and a short read of a regular file
+/// is its end. Were a read ever cut short anyway, the prefix would lack
+/// the envelope's closing brace and decode as a miss, never as a wrong
+/// point. Larger blobs read the rest onto the heap.
 fn read_envelope(path: &Path) -> Option<Envelope> {
-    serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()
+    let mut file = std::fs::File::open(path).ok()?;
+    let mut buf = [0u8; STACK_READ];
+    let n = loop {
+        match file.read(&mut buf) {
+            Ok(n) => break n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return None,
+        }
+    };
+    if n < buf.len() {
+        return decode_envelope(&buf[..n]);
+    }
+    let mut blob = buf.to_vec();
+    file.read_to_end(&mut blob).ok()?;
+    decode_envelope(&blob)
+}
+
+fn decode_envelope(blob: &[u8]) -> Option<Envelope> {
+    serde_json::from_str(std::str::from_utf8(blob).ok()?).ok()
 }
 
 #[cfg(test)]
@@ -462,10 +526,10 @@ mod tests {
         let store = temp_store("stale");
         std::fs::create_dir_all(store.dir()).unwrap();
         // Stale: a well-formed envelope from a previous schema version.
-        let stale = Envelope {
+        let stale = EnvelopeOut {
             schema_version: CACHE_SCHEMA_VERSION - 1,
-            key: format_key(1),
-            point: point(0.1, 99_999.0),
+            key: &format_key(1),
+            point: &point(0.1, 99_999.0),
             provenance: None,
         };
         std::fs::write(store.path_of(1), serde_json::to_string(&stale).unwrap()).unwrap();
@@ -489,16 +553,86 @@ mod tests {
     fn key_mismatch_inside_envelope_is_a_miss() {
         let store = temp_store("mismatch");
         std::fs::create_dir_all(store.dir()).unwrap();
-        let wrong = Envelope {
-            schema_version: CACHE_SCHEMA_VERSION,
-            key: format_key(99),
-            point: point(0.1, 1.0),
-            provenance: None,
+        let write = |k: u64, key: &str| {
+            let envelope = EnvelopeOut {
+                schema_version: CACHE_SCHEMA_VERSION,
+                key,
+                point: &point(0.1, 1.0),
+                provenance: None,
+            };
+            std::fs::write(store.path_of(k), serde_json::to_string(&envelope).unwrap()).unwrap();
         };
-        std::fs::write(store.path_of(5), serde_json::to_string(&wrong).unwrap()).unwrap();
-        assert!(store.load(5).is_none());
+        write(5, &format_key(99));
+        // The key check is byte-exact: the same key in uppercase, or
+        // without its leading zeros, names a different blob.
+        write(0xab, &format_key(0xab).to_uppercase());
+        write(6, "6");
+        write(7, &format_key(7));
+        for k in [5, 0xab, 6] {
+            assert!(store.load(k).is_none(), "{k:x} served");
+        }
+        assert!(store.load(7).is_some(), "the canonical key loads");
         let report = store.gc();
-        assert_eq!(report.dropped_stale, 1, "{report:?}");
+        assert_eq!((report.dropped_stale, report.kept), (3, 1), "{report:?}");
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn hex_key_is_format_key_on_the_stack() {
+        for k in [0, 1, 0xab, 0x0123_4567_89ab_cdef, u64::MAX] {
+            assert_eq!(hex_key(k), format_key(k).as_bytes(), "{k:x}");
+        }
+    }
+
+    /// A blob that overflows the stack buffer is read to its end, not
+    /// cut at the buffer's size.
+    #[test]
+    fn blobs_larger_than_the_stack_buffer_load() {
+        let store = temp_store("large");
+        let prov = Provenance {
+            unix_ms: 1,
+            wall_ms: 2,
+            worker: None,
+            git_sha: "x".repeat(2 * STACK_READ),
+            cycles: 3,
+        };
+        assert!(store.store_with_provenance(9, &point(0.1, 4.0), Some(&prov)));
+        assert!(std::fs::metadata(store.path_of(9)).unwrap().len() > 2 * STACK_READ as u64);
+        let (got, stamped) = store.load_entry(9).expect("large entry loads");
+        assert_eq!(got.avg_latency, 4.0);
+        assert_eq!(stamped, Some(prov));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Threads of one process storing the same key each write their own
+    /// temp file: no store fails, and a concurrent reader never sees the
+    /// primed entry missing or torn.
+    #[test]
+    fn same_process_writers_never_share_a_temp_path() {
+        let store = temp_store("temprace");
+        assert!(store.store(7, &point(0.1, 12.0)));
+        let start = std::sync::Barrier::new(3);
+        let (stored, misses) = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..2_000)
+                            .filter(|_| store.store(7, &point(0.1, 12.0)))
+                            .count()
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                start.wait();
+                (0..4_000).filter(|_| store.load(7).is_none()).count()
+            });
+            let stored: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+            (stored, reader.join().unwrap())
+        });
+        assert_eq!(stored, 4_000, "every store must land");
+        assert_eq!(misses, 0, "a load of the primed key missed");
+        assert_eq!(store.gc().dropped_temp, 0, "no temp file left behind");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

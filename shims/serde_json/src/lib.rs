@@ -70,6 +70,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -164,11 +165,22 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    /// The input; `bytes` is the same text.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// The input from `start` up to the cursor. The parser only ever
+    /// stops at an ASCII byte or the end of the input, so the slice
+    /// never splits a character and needs no UTF-8 validation.
+    fn text_since(&self, start: usize) -> Result<&'a str, Error> {
+        self.src
+            .get(start..self.pos)
+            .ok_or_else(|| Error::new(format!("split character at byte {}", self.pos)))
+    }
+
     fn skip_ws(&mut self) {
         while let Some(b) = self.bytes.get(self.pos) {
             if b.is_ascii_whitespace() {
@@ -234,12 +246,14 @@ impl Parser<'_> {
             }
             Some(b'{') => {
                 self.pos += 1;
-                let mut entries = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
-                    return Ok(Content::Map(entries));
+                    return Ok(Content::Map(Vec::new()));
                 }
+                // Room for a typical struct's fields up front, so small
+                // objects never reallocate.
+                let mut entries = Vec::with_capacity(8);
                 loop {
                     self.skip_ws();
                     let key = self.parse_string()?;
@@ -277,10 +291,7 @@ impl Parser<'_> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| Error::new(e.to_string()))?,
-            );
+            out.push_str(self.text_since(start)?);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -338,9 +349,25 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| Error::new(e.to_string()))?;
+        let text = self.text_since(start)?;
         if !is_float {
+            // Fast path: up to 19 digits always fit a u64. Same variants
+            // as the general path below: `U128` unless negative, and
+            // negative integers (`-0` too) are `I128`.
+            let (negative, digits) = match text.strip_prefix('-') {
+                Some(digits) => (true, digits),
+                None => (false, text),
+            };
+            if (1..=19).contains(&digits.len()) {
+                let v = digits
+                    .bytes()
+                    .fold(0u64, |v, d| v * 10 + u64::from(d - b'0'));
+                return Ok(if negative {
+                    Content::I128(-i128::from(v))
+                } else {
+                    Content::U128(u128::from(v))
+                });
+            }
             if let Ok(v) = text.parse::<u128>() {
                 return Ok(Content::U128(v));
             }
@@ -395,11 +422,117 @@ mod tests {
         assert!(from_str::<Vec<u64>>("[1,2").is_err());
         assert!(from_str::<f64>("1 2").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+        // The same inputs fail before any type is asked for, as do the
+        // edges of the string and integer fast paths.
+        for bad in [
+            "nope",
+            "[1,2",
+            "1 2",
+            "\"unterminated",
+            "\"plain\\",
+            "\"plain\\q\"",
+            "\"\\u00\"",
+            "-",
+            "--1",
+            "1-2",
+            "{\"a\" 1}",
+        ] {
+            assert!(from_str::<Content>(bad).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]
     fn big_u64_survives() {
         let v = u64::MAX;
         assert_eq!(from_str::<u64>(&to_string(&v).unwrap()).unwrap(), v);
+    }
+
+    #[test]
+    fn strings_switching_to_escapes_after_a_plain_prefix() {
+        for (json, want) in [
+            ("\"\"", ""),
+            ("\"plain\"", "plain"),
+            ("\"plain\\ntail\"", "plain\ntail"),
+            ("\"plain\\\"\"", "plain\""),
+            ("\"plain\\u0041\\u00e9tail\"", "plainAétail"),
+            ("\"\\\\lead\"", "\\lead"),
+            ("\"a\\/b\\tc\\bd\\fe\\rf\"", "a/b\tc\u{8}d\u{c}e\rf"),
+            ("\"é and ü\\n\"", "é and ü\n"),
+        ] {
+            assert_eq!(
+                from_str::<Content>(json),
+                Ok(Content::Str(want.into())),
+                "{json}"
+            );
+        }
+    }
+
+    #[test]
+    fn integer_variants_at_the_edges() {
+        let u = |v: u128| Ok(Content::U128(v));
+        let i = |v: i128| Ok(Content::I128(v));
+        let cases = [
+            ("0", u(0)),
+            ("007", u(7)),
+            ("-0", i(0)),
+            ("-1", i(-1)),
+            ("9999999999999999999", u(9_999_999_999_999_999_999)),
+            ("10000000000000000000", u(10_000_000_000_000_000_000)),
+            ("-9999999999999999999", i(-9_999_999_999_999_999_999)),
+            ("18446744073709551615", u(u64::MAX.into())),
+            ("18446744073709551616", u(u128::from(u64::MAX) + 1)),
+            ("-9223372036854775808", i(i64::MIN.into())),
+            ("-9223372036854775809", i(i128::from(i64::MIN) - 1)),
+            ("340282366920938463463374607431768211455", u(u128::MAX)),
+            ("-170141183460469231731687303715884105728", i(i128::MIN)),
+        ];
+        for (json, want) in cases {
+            assert_eq!(from_str::<Content>(json), want, "{json}");
+        }
+        // Past u128 an integer is a float, as it always was.
+        assert_eq!(
+            from_str::<Content>("340282366920938463463374607431768211456"),
+            Ok(Content::F64(2f64.powi(128)))
+        );
+        assert_eq!(from_str::<u64>("18446744073709551615"), Ok(u64::MAX));
+        assert_eq!(from_str::<i64>("-9223372036854775808"), Ok(i64::MIN));
+        assert!(from_str::<u64>("18446744073709551616").is_err());
+    }
+
+    #[test]
+    fn reparsed_output_writes_the_same_bytes() {
+        let value = Content::Map(vec![
+            ("key".into(), Content::Str("00d57c9a6a2e4f11".into())),
+            ("esc".into(), Content::Str("a\"b\\c\nd\u{1}é".into())),
+            (
+                "ints".into(),
+                Content::Seq(vec![
+                    Content::U128(0),
+                    Content::U128(u64::MAX.into()),
+                    Content::U128(u128::from(u64::MAX) + 1),
+                    Content::I128(-1),
+                    Content::I128(i64::MIN.into()),
+                ]),
+            ),
+            (
+                "floats".into(),
+                Content::Seq(vec![Content::F64(0.1), Content::F64(-2.5e-7)]),
+            ),
+            ("empty".into(), Content::Map(Vec::new())),
+            ("none".into(), Content::Null),
+            ("yes".into(), Content::Bool(true)),
+        ]);
+        for json in [
+            to_string(&value).unwrap(),
+            to_string_pretty(&value).unwrap(),
+        ] {
+            let back = from_str::<Content>(&json).unwrap();
+            assert_eq!(back, value);
+            assert_eq!(to_string(&back).unwrap(), to_string(&value).unwrap());
+            assert_eq!(
+                to_string_pretty(&back).unwrap(),
+                to_string_pretty(&value).unwrap()
+            );
+        }
     }
 }
