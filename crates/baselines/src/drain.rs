@@ -20,7 +20,7 @@ use noc_sim::network::NetworkCore;
 use noc_sim::ni::EjectEntry;
 use noc_sim::regular::{advance, AdvanceCtx};
 use noc_sim::routing::FullyAdaptive;
-use noc_sim::scheme::{Scheme, SchemeProperties};
+use noc_sim::scheme::Scheme;
 
 /// Tunables for [`Drain`].
 #[derive(Debug, Clone, Copy)]
@@ -203,23 +203,6 @@ impl Drain {
 }
 
 impl Scheme for Drain {
-    fn name(&self) -> &'static str {
-        "DRAIN"
-    }
-
-    fn properties(&self) -> SchemeProperties {
-        SchemeProperties {
-            no_detection: true,
-            protocol_deadlock_freedom: true, // works with 0 VNs in principle,
-            network_deadlock_freedom: true,  // but needs non-minimal buffers [13]
-            full_path_diversity: true,
-            high_throughput: false,
-            low_power: false,
-            scalable: false,
-            no_misrouting: false,
-        }
-    }
-
     fn required_vns(&self) -> usize {
         6
     }

@@ -11,7 +11,7 @@
 use noc_sim::network::NetworkCore;
 use noc_sim::regular::{advance, AdvanceCtx};
 use noc_sim::routing::EscapeVcRouting;
-use noc_sim::scheme::{Scheme, SchemeProperties};
+use noc_sim::scheme::Scheme;
 
 /// The EscapeVC baseline (implements [`Scheme`]).
 #[derive(Debug)]
@@ -29,24 +29,6 @@ impl EscapeVc {
 }
 
 impl Scheme for EscapeVc {
-    fn name(&self) -> &'static str {
-        "EscapeVC"
-    }
-
-    fn properties(&self) -> SchemeProperties {
-        // Table I, row "Escape VCs".
-        SchemeProperties {
-            no_detection: true,
-            protocol_deadlock_freedom: false,
-            network_deadlock_freedom: true,
-            full_path_diversity: false, // not within the escape VC
-            high_throughput: false,
-            low_power: false, // 6 VNs
-            scalable: true,
-            no_misrouting: true,
-        }
-    }
-
     fn required_vns(&self) -> usize {
         6
     }

@@ -19,7 +19,7 @@ use noc_core::rng::DetRng;
 use noc_core::topology::{Direction, Mesh, NodeId, DIRECTIONS};
 use noc_sim::network::NetworkCore;
 use noc_sim::ni::EjectEntry;
-use noc_sim::scheme::{Scheme, SchemeProperties, StateExport};
+use noc_sim::scheme::{Scheme, StateExport};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Tunables for [`MinBd`].
@@ -123,23 +123,6 @@ impl MinBd {
 }
 
 impl Scheme for MinBd {
-    fn name(&self) -> &'static str {
-        "MinBD"
-    }
-
-    fn properties(&self) -> SchemeProperties {
-        SchemeProperties {
-            no_detection: true,
-            protocol_deadlock_freedom: true, // bufferless: no buffer cycles
-            network_deadlock_freedom: true,
-            full_path_diversity: true,
-            high_throughput: false, // deflections waste bandwidth
-            low_power: true,
-            scalable: true,
-            no_misrouting: false,
-        }
-    }
-
     fn required_vns(&self) -> usize {
         0
     }

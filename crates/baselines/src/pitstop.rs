@@ -16,7 +16,7 @@ use noc_sim::network::NetworkCore;
 use noc_sim::ni::EjectEntry;
 use noc_sim::regular::{advance, AdvanceCtx};
 use noc_sim::routing::FullyAdaptive;
-use noc_sim::scheme::{Scheme, SchemeProperties, StateExport};
+use noc_sim::scheme::{Scheme, StateExport};
 use std::collections::VecDeque;
 
 /// Tunables for [`Pitstop`].
@@ -255,25 +255,6 @@ impl Pitstop {
 }
 
 impl Scheme for Pitstop {
-    fn name(&self) -> &'static str {
-        "Pitstop"
-    }
-
-    fn properties(&self) -> SchemeProperties {
-        // Table I, row Pitstop: everything except high throughput and
-        // scalability (single class, single bypass at a time).
-        SchemeProperties {
-            no_detection: true,
-            protocol_deadlock_freedom: true,
-            network_deadlock_freedom: true,
-            full_path_diversity: true,
-            high_throughput: false,
-            low_power: true,
-            scalable: false,
-            no_misrouting: true,
-        }
-    }
-
     fn required_vns(&self) -> usize {
         0
     }

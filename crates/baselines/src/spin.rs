@@ -15,7 +15,7 @@
 use noc_sim::network::NetworkCore;
 use noc_sim::regular::{advance, AdvanceCtx};
 use noc_sim::routing::FullyAdaptive;
-use noc_sim::scheme::{Scheme, SchemeProperties, StateExport};
+use noc_sim::scheme::{Scheme, StateExport};
 use noc_sim::waitgraph::{rotate_cycle, WaitGraph};
 
 /// Tunables for [`Spin`].
@@ -87,25 +87,6 @@ impl Spin {
 }
 
 impl Scheme for Spin {
-    fn name(&self) -> &'static str {
-        "SPIN"
-    }
-
-    fn properties(&self) -> SchemeProperties {
-        // Table I, row SPIN: requires detection, no protocol freedom,
-        // full path diversity, poor scalability.
-        SchemeProperties {
-            no_detection: false,
-            protocol_deadlock_freedom: false,
-            network_deadlock_freedom: true,
-            full_path_diversity: true,
-            high_throughput: false,
-            low_power: false,
-            scalable: false,
-            no_misrouting: true,
-        }
-    }
-
     fn required_vns(&self) -> usize {
         6
     }

@@ -11,7 +11,7 @@ use noc_core::topology::{NodeId, Port, NUM_PORTS};
 use noc_sim::network::NetworkCore;
 use noc_sim::regular::{advance, AdvanceCtx};
 use noc_sim::routing::{DesiredPorts, FullyAdaptive, RouteReq};
-use noc_sim::scheme::{Scheme, SchemeProperties};
+use noc_sim::scheme::Scheme;
 
 /// Tunables for [`Swap`].
 #[derive(Debug, Clone, Copy)]
@@ -109,23 +109,6 @@ impl Swap {
 }
 
 impl Scheme for Swap {
-    fn name(&self) -> &'static str {
-        "SWAP"
-    }
-
-    fn properties(&self) -> SchemeProperties {
-        SchemeProperties {
-            no_detection: true,
-            protocol_deadlock_freedom: false,
-            network_deadlock_freedom: true,
-            full_path_diversity: true,
-            high_throughput: false,
-            low_power: false,
-            scalable: true,
-            no_misrouting: false, // the displaced packet is misrouted
-        }
-    }
-
     fn required_vns(&self) -> usize {
         6
     }

@@ -17,7 +17,7 @@ use noc_sim::routing::introspect::PolicyKind;
 use noc_sim::routing::{
     downstream_credits, pick_scored, DesiredPorts, RouteDecision, RouteReq, RoutingPolicy,
 };
-use noc_sim::scheme::{Scheme, SchemeProperties};
+use noc_sim::scheme::Scheme;
 
 /// West-first routing weighted by region tokens: the score of a
 /// direction is the free-VC count one hop away plus the free-VC count
@@ -74,23 +74,6 @@ impl Tfc {
 }
 
 impl Scheme for Tfc {
-    fn name(&self) -> &'static str {
-        "TFC"
-    }
-
-    fn properties(&self) -> SchemeProperties {
-        SchemeProperties {
-            no_detection: true,
-            protocol_deadlock_freedom: false, // needs 6 VNs
-            network_deadlock_freedom: true,   // west-first
-            full_path_diversity: false,
-            high_throughput: false,
-            low_power: false,
-            scalable: true,
-            no_misrouting: true,
-        }
-    }
-
     fn required_vns(&self) -> usize {
         6
     }

@@ -9,19 +9,19 @@
 use noc_sim::network::NetworkCore;
 use noc_sim::regular::{advance, AdvanceCtx};
 use noc_sim::routing::{DorXy, DorYx, RoutingPolicy};
-use noc_sim::scheme::{Scheme, SchemeProperties};
+use noc_sim::scheme::Scheme;
 
 /// Plain credit-based VCT (implements [`Scheme`]).
 pub struct CreditVct {
     policy: Box<dyn RoutingPolicy>,
     vns: usize,
-    name: &'static str,
 }
 
 impl std::fmt::Debug for CreditVct {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CreditVct")
-            .field("name", &self.name)
+            .field("policy", &self.policy.name())
+            .field("vns", &self.vns)
             .finish()
     }
 }
@@ -32,7 +32,6 @@ impl CreditVct {
         CreditVct {
             policy: Box::new(DorXy),
             vns,
-            name: "VCT-XY",
         }
     }
 
@@ -41,29 +40,11 @@ impl CreditVct {
         CreditVct {
             policy: Box::new(DorYx),
             vns,
-            name: "VCT-YX",
         }
     }
 }
 
 impl Scheme for CreditVct {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn properties(&self) -> SchemeProperties {
-        SchemeProperties {
-            no_detection: true,
-            protocol_deadlock_freedom: false, // needs VNs
-            network_deadlock_freedom: true,   // turn-restricted routing
-            full_path_diversity: false,
-            high_throughput: false,
-            low_power: false,
-            scalable: true,
-            no_misrouting: true,
-        }
-    }
-
     fn required_vns(&self) -> usize {
         self.vns
     }

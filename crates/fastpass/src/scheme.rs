@@ -51,7 +51,7 @@ use noc_sim::network::{LinkSet, NetworkCore};
 use noc_sim::ni::{EjRefusal, EjectEntry};
 use noc_sim::regular::{advance, AdvanceCtx};
 use noc_sim::routing::FullyAdaptive;
-use noc_sim::scheme::{Scheme, SchemeProperties, StateExport};
+use noc_sim::scheme::{Scheme, StateExport};
 use noc_trace::{trace, BypassOutcome, StallCause, TraceEvent};
 
 /// Tunables for [`FastPass`].
@@ -450,24 +450,6 @@ impl FastPass {
 }
 
 impl Scheme for FastPass {
-    fn name(&self) -> &'static str {
-        "FastPass"
-    }
-
-    fn properties(&self) -> SchemeProperties {
-        // Table I, last row: ticks in every column.
-        SchemeProperties {
-            no_detection: true,
-            protocol_deadlock_freedom: true,
-            network_deadlock_freedom: true,
-            full_path_diversity: true,
-            high_throughput: true,
-            low_power: true,
-            scalable: true,
-            no_misrouting: true,
-        }
-    }
-
     fn required_vns(&self) -> usize {
         0
     }

@@ -89,52 +89,6 @@ impl Distribution {
     pub fn sum(&self) -> u128 {
         self.sum
     }
-
-    /// Whether the sample buffer is currently sorted, i.e. whether
-    /// [`percentile_sorted`](Self::percentile_sorted) may be called.
-    /// True after [`seal`](Self::seal) (or any `percentile` query) until
-    /// the next [`record`](Self::record)/[`merge`](Self::merge).
-    pub fn is_sealed(&self) -> bool {
-        self.sorted || self.samples.is_empty()
-    }
-
-    /// Sorts the samples so percentiles become readable through a shared
-    /// reference ([`percentile_sorted`](Self::percentile_sorted)).
-    ///
-    /// Readers that only hold `&Distribution` — the windowed sampler, or
-    /// any exporter walking a finished [`NetStats`] — cannot use the lazy
-    /// `&mut self` [`percentile`](Self::percentile) path. Sealing once at
-    /// the end of a run gives them the identical nearest-rank answers
-    /// without interior mutability or a defensive clone.
-    pub fn seal(&mut self) {
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-    }
-
-    /// Exact percentile through a shared reference. Identical results to
-    /// [`percentile`](Self::percentile) (proven by a unit test), but
-    /// requires the distribution to be sealed first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 100]`, or if samples were recorded
-    /// since the last [`seal`](Self::seal) — answering from an unsorted
-    /// buffer would silently return garbage.
-    pub fn percentile_sorted(&self, p: f64) -> Option<u64> {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        if self.samples.is_empty() {
-            return None;
-        }
-        assert!(
-            self.sorted,
-            "percentile_sorted on an unsealed Distribution; call seal() first"
-        );
-        let n = self.samples.len();
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        Some(self.samples[rank.saturating_sub(1).min(n - 1)])
-    }
 }
 
 /// A `Copy` snapshot of [`NetStats`]' additive counters, used by the
@@ -442,57 +396,6 @@ mod tests {
         assert_eq!(d.percentile(100.0), Some(10));
         d.record(1);
         assert_eq!(d.percentile(0.0), Some(1));
-    }
-
-    #[test]
-    fn percentile_sorted_matches_mut_percentile() {
-        // Adversarial sample set: duplicates, zeros, a huge outlier, and
-        // insertion order far from sorted.
-        let data: Vec<u64> = vec![7, 7, 0, 3, 1_000_000, 42, 7, 0, 13, 9, 9, 2];
-        let mut lazy = Distribution::new();
-        let mut sealed = Distribution::new();
-        for &v in &data {
-            lazy.record(v);
-            sealed.record(v);
-        }
-        assert!(!sealed.is_sealed());
-        sealed.seal();
-        assert!(sealed.is_sealed());
-        for p in [0.0, 1.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0] {
-            assert_eq!(
-                lazy.percentile(p),
-                sealed.percentile_sorted(p),
-                "p = {p} diverged between the &mut and sealed paths"
-            );
-        }
-        // Sealing is idempotent and survives further queries.
-        sealed.seal();
-        assert_eq!(sealed.percentile_sorted(50.0), lazy.percentile(50.0));
-    }
-
-    #[test]
-    fn seal_invalidated_by_record() {
-        let mut d = Distribution::new();
-        d.record(5);
-        d.seal();
-        d.record(1);
-        assert!(!d.is_sealed());
-    }
-
-    #[test]
-    #[should_panic(expected = "unsealed")]
-    fn percentile_sorted_rejects_unsealed() {
-        let mut d = Distribution::new();
-        d.record(2);
-        d.record(1);
-        let _ = d.percentile_sorted(50.0);
-    }
-
-    #[test]
-    fn percentile_sorted_empty_is_none_without_seal() {
-        let d = Distribution::new();
-        assert_eq!(d.percentile_sorted(99.0), None);
-        assert!(d.is_sealed(), "an empty distribution is trivially sorted");
     }
 
     #[test]

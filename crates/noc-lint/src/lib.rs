@@ -12,8 +12,8 @@
 //! Shipped rules (see [`rules::RULES`]):
 //!
 //! * `determinism` — no `HashMap`/`HashSet`, wall-clock time, or OS
-//!   randomness in the simulator crates (their `#[cfg(test)]` code and
-//!   the service crate exempt);
+//!   randomness in the simulator crates (their `#[cfg(test)]` code
+//!   exempt; the service crate is not one of them);
 //! * `hot-loop-alloc` — no allocation/`collect()`/`clone()` in
 //!   `regular.rs` or in `advance`/`step`/`route`/`apply_staged` bodies;
 //! * `routing-locality` — routing decisions (`RoutingPolicy` impls,

@@ -51,18 +51,6 @@ const SIM_CRATES: &[&str] = &[
     "noc-trace",
 ];
 
-/// Service crates that *intentionally* use wall-clock time, OS threads
-/// and hash maps: the `nocserve` daemon measures uptime, sleeps its
-/// accept loop and keys its point registry by content hash — none of
-/// which feeds simulation results (points are computed through
-/// `noc_serve::runner::simulate_point`'s pure pipeline, which lives in
-/// the same crate since the sweep library moved under the daemon). The exemption is
-/// scoped here as a crate list rather than sprayed through the code as
-/// inline `allow` comments, so it stays a single reviewable decision;
-/// a unit test pins it disjoint from [`SIM_CRATES`] so no crate can
-/// ever be both a service and a simulator.
-const SERVICE_CRATES: &[&str] = &["noc-serve"];
-
 /// Files that are hot per-cycle paths in their entirety.
 const HOT_FILES: &[&str] = &["crates/noc-sim/src/regular.rs"];
 
@@ -152,7 +140,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let mask = test_token_mask(&lexed.tokens);
     let mut diags = Vec::new();
 
-    if info.in_crates(SIM_CRATES) && !info.in_crates(SERVICE_CRATES) {
+    if info.in_crates(SIM_CRATES) {
         check_determinism(&lexed.tokens, &mask, rel_path, &mut diags);
     }
     check_hot_loop(&info, &lexed.tokens, &mask, &mut diags);
@@ -410,28 +398,4 @@ fn is_path_seq(tokens: &[Token], i: usize, segments: &[&str]) -> bool {
         }
     }
     true
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The service exemption must never quietly swallow a simulator
-    /// crate: a crate in both lists would ship nondeterminism with the
-    /// lint green. Same for the narrower hot/routing scopes.
-    #[test]
-    fn service_crates_are_disjoint_from_every_sim_scope() {
-        for service in SERVICE_CRATES {
-            for (name, scope) in [
-                ("SIM_CRATES", SIM_CRATES),
-                ("HOT_CRATES", HOT_CRATES),
-                ("ROUTING_CRATES", ROUTING_CRATES),
-            ] {
-                assert!(
-                    !scope.contains(service),
-                    "`{service}` is listed as a service crate AND in {name}"
-                );
-            }
-        }
-    }
 }

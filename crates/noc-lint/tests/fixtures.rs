@@ -73,7 +73,7 @@ fn determinism_exempts_the_service_crate_but_not_the_simulator() {
                drop((t, h, m)); }\n";
     assert!(
         !rules_fired("crates/noc-serve/src/core.rs", src).contains(&"determinism"),
-        "noc-serve is a whitelisted service crate"
+        "noc-serve is not a simulator crate"
     );
     let diags = lint_source("crates/noc-sim/src/core.rs", src);
     assert!(
@@ -95,7 +95,7 @@ fn observability_modules_inherit_the_service_crate_scoping() {
     ] {
         assert!(
             !rules_fired(file, clocky).contains(&"determinism"),
-            "{file} is inside the whitelisted service crate"
+            "{file} is inside the service crate"
         );
     }
 }

@@ -1,7 +1,8 @@
 //! The scheme catalogue: what each scheme of the paper's comparison
-//! *is* — its Table II configuration, its constructor, its routing
-//! discipline — stated once, on the scheme layer, below everything that
-//! runs or verifies a scheme.
+//! *is* — its name, its Table I row, its Table II configuration, its
+//! constructor, its routing discipline — stated once, on the scheme
+//! layer, below everything that runs or verifies a scheme. A
+//! `noc_sim::Scheme` is only what the scheme does each cycle.
 //!
 //! Three consumers read it and restate none of it: the sweep library
 //! (`noc_serve::registry` is this crate) runs figures and the benchmark
@@ -64,6 +65,28 @@ pub const ALL_SCHEMES: [SchemeId; 8] = [
     SchemeId::Tfc,
     SchemeId::FastPass,
 ];
+
+/// Qualitative properties of a deadlock-freedom solution: one row of the
+/// paper's Table I, fields in its column order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchemeProperties {
+    /// Needs no deadlock detection circuit.
+    pub no_detection: bool,
+    /// Free of protocol-level deadlock without relying on VNs.
+    pub protocol_deadlock_freedom: bool,
+    /// Free of network-level deadlock.
+    pub network_deadlock_freedom: bool,
+    /// Routing retains full (minimal) path diversity.
+    pub full_path_diversity: bool,
+    /// Delivers high throughput at saturation.
+    pub high_throughput: bool,
+    /// Low buffering cost (no VNs / few VCs).
+    pub low_power: bool,
+    /// Resolution cost does not grow with network size.
+    pub scalable: bool,
+    /// Never misroutes packets.
+    pub no_misrouting: bool,
+}
 
 /// The schemes' own parameter structs, as [`SchemeId::build_tuned`]
 /// hands them to the constructors. The default is what every figure
@@ -128,6 +151,48 @@ impl SchemeId {
             .into_iter()
             .chain([SchemeId::Vct])
             .find(|id| id.name().eq_ignore_ascii_case(name))
+    }
+
+    /// The scheme's row of Table I.
+    pub fn properties(self) -> SchemeProperties {
+        const Y: bool = true;
+        const N: bool = false;
+        // Columns in Table I's order: no detection, protocol deadlock
+        // freedom, network deadlock freedom, full path diversity, high
+        // throughput, low power, scalable, no misrouting.
+        let row = match self {
+            // Path diversity: not within the escape VC; power: 6 VNs.
+            SchemeId::EscapeVc => [Y, N, Y, N, N, N, Y, Y],
+            // Requires detection; the probe round trip scales poorly.
+            SchemeId::Spin => [N, N, Y, Y, N, N, N, Y],
+            // The displaced packet is misrouted.
+            SchemeId::Swap => [Y, N, Y, Y, N, N, Y, N],
+            // Protocol freedom: works with 0 VNs in principle, but needs
+            // non-minimal buffers [13].
+            SchemeId::Drain => [Y, Y, Y, Y, N, N, N, N],
+            // Single class, single bypass at a time: neither high
+            // throughput nor scalable.
+            SchemeId::Pitstop => [Y, Y, Y, Y, N, Y, N, Y],
+            // Bufferless: no buffer cycles, but deflections waste
+            // bandwidth.
+            SchemeId::MinBd => [Y, Y, Y, Y, N, Y, Y, N],
+            // Needs 6 VNs; deadlock-free by west-first routing.
+            SchemeId::Tfc => [Y, N, Y, N, N, N, Y, Y],
+            // Ticks in every column.
+            SchemeId::FastPass => [Y, Y, Y, Y, Y, Y, Y, Y],
+            // Needs VNs; deadlock-free by turn-restricted routing.
+            SchemeId::Vct => [Y, N, Y, N, N, N, Y, Y],
+        };
+        SchemeProperties {
+            no_detection: row[0],
+            protocol_deadlock_freedom: row[1],
+            network_deadlock_freedom: row[2],
+            full_path_diversity: row[3],
+            high_throughput: row[4],
+            low_power: row[5],
+            scalable: row[6],
+            no_misrouting: row[7],
+        }
     }
 
     /// VNs per Table II.
@@ -244,7 +309,24 @@ mod tests {
         });
         for (id, cfg, scheme) in figures.chain(points) {
             assert_eq!(scheme.required_vns(), cfg.vns, "{}", id.name());
-            assert_eq!(scheme.name(), id.name());
+        }
+    }
+
+    /// The paper's headline for Table I: only FastPass ticks every
+    /// column.
+    #[test]
+    fn fastpass_is_the_only_all_true_row() {
+        for id in ALL_SCHEMES.into_iter().chain([SchemeId::Vct]) {
+            let p = id.properties();
+            let every = p.no_detection
+                && p.protocol_deadlock_freedom
+                && p.network_deadlock_freedom
+                && p.full_path_diversity
+                && p.high_throughput
+                && p.low_power
+                && p.scalable
+                && p.no_misrouting;
+            assert_eq!(every, id == SchemeId::FastPass, "{}", id.name());
         }
     }
 

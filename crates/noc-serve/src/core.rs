@@ -71,9 +71,11 @@ impl ServeConfig {
     ///
     /// * `NOC_SERVE_SOCK`, falling back to `NOC_SERVE`, then
     ///   `results/nocserve.sock`;
-    /// * `NOC_SERVE_STORE`, falling back to `FP_CACHE`, then
-    ///   `results/cache` — deliberately the batch executor's default, so
-    ///   daemon and batch runs share one store;
+    /// * `NOC_SERVE_STORE`, falling back to `FP_CACHE` when it names a
+    ///   directory ([`crate::runner::fp_cache_dir`]; a daemon always
+    ///   stores, so `off` does not apply), then `results/cache` —
+    ///   deliberately the batch executor's default, so daemon and batch
+    ///   runs share one store;
     /// * `NOC_JOBS` workers (default: available cores);
     /// * 4 points per claim;
     /// * `NOC_SERVE_STATSD` telemetry target (default: off);
@@ -86,8 +88,9 @@ impl ServeConfig {
                 .or_else(|| env(crate::client::SOCK_ENV))
                 .map_or_else(crate::client::default_socket, PathBuf::from),
             store_dir: env("NOC_SERVE_STORE")
-                .or_else(|| env("FP_CACHE"))
-                .map_or_else(|| PathBuf::from("results/cache"), PathBuf::from),
+                .map(PathBuf::from)
+                .or_else(|| crate::runner::fp_cache_dir(std::env::var("FP_CACHE").ok().as_deref()))
+                .unwrap_or_else(|| PathBuf::from("results/cache")),
             workers: crate::num_jobs(),
             batch: 4,
             statsd: env("NOC_SERVE_STATSD"),
@@ -665,11 +668,6 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             m.note_timing("queue_wait_ms", claim.queued_ms);
         }
         let mut r = FlightRecord::of(flight_event::CLAIMED);
-        r.worker = Some(worker_id);
-        r.points = Some(n);
-        r.cycles = Some(cycles);
-        shared.flight.publish(r);
-        let mut r = FlightRecord::of(flight_event::BATCH_STARTED);
         r.worker = Some(worker_id);
         r.points = Some(n);
         r.cycles = Some(cycles);

@@ -238,8 +238,8 @@ pub fn load_flight(path: &Path) -> Result<Vec<FlightRecord>, String> {
 ///   many `resolved` records as it declared points;
 /// * every point that was `resolved{enqueued}` was eventually `stored`
 ///   or `failed`;
-/// * per worker, `claimed` / `batch_started` / `batch_done` counts
-///   agree (no batch vanished mid-flight);
+/// * per worker, `claimed` and `batch_done` counts agree (no batch
+///   vanished mid-flight);
 /// * the log carries at least one `queue` depth sample.
 pub fn validate_chains(records: &[FlightRecord]) -> Vec<String> {
     let mut problems = Vec::new();
@@ -248,7 +248,7 @@ pub fn validate_chains(records: &[FlightRecord]) -> Vec<String> {
     let mut resolved: BTreeMap<u64, u64> = BTreeMap::new();
     let mut enqueued_keys: BTreeSet<&str> = BTreeSet::new();
     let mut settled_keys: BTreeSet<&str> = BTreeSet::new();
-    let mut per_worker: BTreeMap<u64, [u64; 3]> = BTreeMap::new();
+    let mut per_worker: BTreeMap<u64, [u64; 2]> = BTreeMap::new();
     let mut queue_samples = 0u64;
     for r in records {
         match r.event.as_str() {
@@ -280,11 +280,8 @@ pub fn validate_chains(records: &[FlightRecord]) -> Vec<String> {
             flight_event::CLAIMED => {
                 per_worker.entry(r.worker.unwrap_or(0)).or_default()[0] += 1;
             }
-            flight_event::BATCH_STARTED => {
-                per_worker.entry(r.worker.unwrap_or(0)).or_default()[1] += 1;
-            }
             flight_event::BATCH_DONE => {
-                per_worker.entry(r.worker.unwrap_or(0)).or_default()[2] += 1;
+                per_worker.entry(r.worker.unwrap_or(0)).or_default()[1] += 1;
             }
             flight_event::QUEUE => queue_samples += 1,
             other => problems.push(format!("unknown event {other:?}")),
@@ -309,11 +306,9 @@ pub fn validate_chains(records: &[FlightRecord]) -> Vec<String> {
     for key in enqueued_keys.difference(&settled_keys) {
         problems.push(format!("point {key}: enqueued but never stored or failed"));
     }
-    for (worker, [claimed, started, done]) in &per_worker {
-        if claimed != started || started != done {
-            problems.push(format!(
-                "worker {worker}: {claimed} claimed / {started} started / {done} done"
-            ));
+    for (worker, [claimed, done]) in &per_worker {
+        if claimed != done {
+            problems.push(format!("worker {worker}: {claimed} claimed / {done} done"));
         }
     }
     if queue_samples == 0 {
@@ -531,10 +526,6 @@ mod tests {
         r.depth = Some(1);
         log.push(r);
         let mut r = record(ev::CLAIMED);
-        r.worker = Some(0);
-        r.points = Some(1);
-        log.push(r);
-        let mut r = record(ev::BATCH_STARTED);
         r.worker = Some(0);
         r.points = Some(1);
         log.push(r);

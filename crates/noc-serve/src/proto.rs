@@ -42,8 +42,8 @@ use traffic::SyntheticPattern;
 pub const PROTO_VERSION: u32 = 2;
 
 /// Flight-recorder event names — the vocabulary of one job's lifecycle
-/// span chain (`submitted → resolved → claimed → batch_started →
-/// batch_done → stored → responded`), plus the sampler's `queue` depth
+/// span chain (`submitted → resolved → claimed → batch_done → stored →
+/// responded`), plus the sampler's `queue` depth
 /// records. Shared by the daemon (producer), `nocctl watch`/`flight`
 /// (consumers) and the chain validator so the three cannot drift.
 pub mod flight_event {
@@ -53,12 +53,10 @@ pub mod flight_event {
     /// and `kind` (one of [`KIND_MEMORY`], [`KIND_STORE`],
     /// [`KIND_DEDUP`], [`KIND_ENQUEUED`]).
     pub const RESOLVED: &str = "resolved";
-    /// A worker claimed a queued point; carries `key`, `worker` and the
-    /// queue wait in `wall_ms`.
+    /// A worker claimed a batch of queued points and begins simulating
+    /// it; carries `worker`, `points` and `cycles` (warmup + measure
+    /// window per point).
     pub const CLAIMED: &str = "claimed";
-    /// A worker began simulating a claimed batch; carries `worker` and
-    /// `points`.
-    pub const BATCH_STARTED: &str = "batch_started";
     /// A batch finished; carries `worker`, `points`, `wall_ms` and
     /// `cycles` (warmup + measure window per point).
     pub const BATCH_DONE: &str = "batch_done";

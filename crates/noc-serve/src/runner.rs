@@ -17,7 +17,8 @@
 //!   self-contained (enforced by a test in `tests/parallel_sweep.rs`).
 //!
 //! Knobs: `NOC_JOBS` (worker threads, default = available cores),
-//! `FP_CACHE` (cache directory; `off` disables), `FP_OUT` (JSON output
+//! `FP_CACHE` (cache directory; `off`, `0` or empty disables —
+//! [`fp_cache_dir`]), `FP_OUT` (JSON output
 //! directory, default `results/`).
 
 use crate::registry::SchemeId;
@@ -197,19 +198,24 @@ pub struct SweepOptions {
     pub progress: bool,
 }
 
+/// The cache directory an `FP_CACHE` value names: `results/cache` when
+/// unset, `None` (caching off) for `off`, `0` or empty, else the value
+/// as a path. Both executors read `FP_CACHE` through this one parser.
+pub fn fp_cache_dir(value: Option<&str>) -> Option<PathBuf> {
+    match value {
+        None => Some(PathBuf::from("results/cache")),
+        Some("" | "off" | "0") => None,
+        Some(dir) => Some(PathBuf::from(dir)),
+    }
+}
+
 impl SweepOptions {
-    /// Options from the environment: `NOC_JOBS` workers, cache under
-    /// `results/cache/` unless `FP_CACHE` overrides the directory or
-    /// disables it (`off`/`0`/empty), progress on.
+    /// Options from the environment: `NOC_JOBS` workers, the cache
+    /// directory [`fp_cache_dir`] reads from `FP_CACHE`, progress on.
     pub fn from_env() -> Self {
-        let cache_dir = match std::env::var("FP_CACHE") {
-            Err(_) => Some(PathBuf::from("results/cache")),
-            Ok(v) if v.is_empty() || v == "off" || v == "0" => None,
-            Ok(v) => Some(PathBuf::from(v)),
-        };
         SweepOptions {
             jobs: num_jobs(),
-            cache_dir,
+            cache_dir: fp_cache_dir(std::env::var("FP_CACHE").ok().as_deref()),
             progress: true,
         }
     }
@@ -571,6 +577,16 @@ mod tests {
         std::env::set_var("FP_TEST_KNOB_OVF", u64::MAX.to_string());
         assert_eq!(env_u64("FP_TEST_KNOB_OVF", 5), u64::MAX);
         std::env::remove_var("FP_TEST_KNOB_OVF");
+    }
+
+    #[test]
+    fn fp_cache_names_a_directory_or_turns_caching_off() {
+        let dir = |s: &str| Some(PathBuf::from(s));
+        assert_eq!(fp_cache_dir(None), dir("results/cache"));
+        for off in ["", "off", "0"] {
+            assert_eq!(fp_cache_dir(Some(off)), None, "{off:?}");
+        }
+        assert_eq!(fp_cache_dir(Some("/tmp/fp")), dir("/tmp/fp"));
     }
 
     #[test]

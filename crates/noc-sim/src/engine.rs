@@ -63,7 +63,6 @@ pub struct Simulation {
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("scheme", &self.scheme.name())
             .field("cycle", &self.core.cycle())
             .field("consumed", &self.consumed)
             .finish()
@@ -82,8 +81,7 @@ impl Simulation {
         assert_eq!(
             cfg.vns,
             scheme.required_vns(),
-            "scheme {} requires {} VNs, config has {}",
-            scheme.name(),
+            "scheme requires {} VNs, config has {}",
             scheme.required_vns(),
             cfg.vns
         );
@@ -95,11 +93,6 @@ impl Simulation {
             consumed: 0,
             sampler: None,
         }
-    }
-
-    /// The scheme's display name.
-    pub fn scheme_name(&self) -> &'static str {
-        self.scheme.name()
     }
 
     /// Shared access to the scheme (overlay inspection, state export for
@@ -340,37 +333,18 @@ impl Simulation {
 }
 
 /// Minimal scheme + workload pair for in-crate tests (`engine`,
-/// `batch`): XY-routed VCT with uniform-random single-class open-loop
-/// traffic. Scheme crates proper live above `noc-sim`, so in-crate
-/// tests bring their own.
+/// `scheme`, `batch`): XY-routed VCT with uniform-random single-class
+/// open-loop traffic. Scheme crates proper live above `noc-sim`, so
+/// in-crate tests bring their own.
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::*;
     use crate::regular::{advance, AdvanceCtx};
     use crate::routing::DorXy;
-    use crate::scheme::SchemeProperties;
-    use noc_core::config::SimConfig;
-    use noc_core::packet::{MessageClass, Packet};
     use noc_core::rng::DetRng;
-    use noc_core::topology::NodeId;
 
     pub(crate) struct PlainXy;
     impl Scheme for PlainXy {
-        fn name(&self) -> &'static str {
-            "plain-xy"
-        }
-        fn properties(&self) -> SchemeProperties {
-            SchemeProperties {
-                no_detection: true,
-                protocol_deadlock_freedom: false,
-                network_deadlock_freedom: true,
-                full_path_diversity: false,
-                high_throughput: false,
-                low_power: false,
-                scalable: true,
-                no_misrouting: true,
-            }
-        }
         fn required_vns(&self) -> usize {
             0
         }
@@ -426,64 +400,9 @@ pub(crate) mod tests_support {
 
 #[cfg(test)]
 mod tests {
+    use super::tests_support::{PlainXy, UniformReq};
     use super::*;
-    use crate::regular::{advance, AdvanceCtx};
-    use crate::routing::DorXy;
-    use crate::scheme::SchemeProperties;
-    use noc_core::packet::Packet;
     use noc_core::rng::DetRng;
-
-    struct PlainXy;
-    impl Scheme for PlainXy {
-        fn name(&self) -> &'static str {
-            "plain-xy"
-        }
-        fn properties(&self) -> SchemeProperties {
-            SchemeProperties {
-                no_detection: true,
-                protocol_deadlock_freedom: false,
-                network_deadlock_freedom: true,
-                full_path_diversity: false,
-                high_throughput: false,
-                low_power: false,
-                scalable: true,
-                no_misrouting: true,
-            }
-        }
-        fn required_vns(&self) -> usize {
-            0
-        }
-        fn step(&mut self, core: &mut NetworkCore) {
-            advance(core, &mut DorXy, &AdvanceCtx::default());
-        }
-    }
-
-    /// Uniform-random single-class open-loop traffic for engine tests.
-    struct UniformReq {
-        rate: f64,
-        rng: DetRng,
-    }
-    impl Workload for UniformReq {
-        fn tick(&mut self, core: &mut NetworkCore) {
-            let n = core.mesh().num_nodes();
-            let cycle = core.cycle();
-            for src in 0..n {
-                if self.rng.chance(self.rate) {
-                    let mut dst = self.rng.range(0, n - 1);
-                    if dst >= src {
-                        dst += 1;
-                    }
-                    core.generate(Packet::new(
-                        NodeId::new(src),
-                        NodeId::new(dst),
-                        MessageClass::Request,
-                        1,
-                        cycle,
-                    ));
-                }
-            }
-        }
-    }
 
     fn sim(rate: f64) -> Simulation {
         Simulation::new(

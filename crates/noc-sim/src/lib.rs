@@ -65,4 +65,4 @@ pub use engine::{Simulation, Workload};
 pub use network::{LinkSet, NetworkCore};
 pub use probe::{Phase, PhaseProbe};
 pub use sampler::{Sampler, SamplerConfig, WindowSample};
-pub use scheme::{ExportItem, Scheme, SchemeProperties, StateExport};
+pub use scheme::{ExportItem, Scheme, StateExport};

@@ -62,28 +62,6 @@ impl StateExport {
     }
 }
 
-/// Qualitative properties of a deadlock-freedom solution, reproducing the
-/// columns of Table I of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchemeProperties {
-    /// Needs no deadlock detection circuit.
-    pub no_detection: bool,
-    /// Free of protocol-level deadlock without relying on VNs.
-    pub protocol_deadlock_freedom: bool,
-    /// Free of network-level deadlock.
-    pub network_deadlock_freedom: bool,
-    /// Routing retains full (minimal) path diversity.
-    pub full_path_diversity: bool,
-    /// Delivers high throughput at saturation.
-    pub high_throughput: bool,
-    /// Low buffering cost (no VNs / few VCs).
-    pub low_power: bool,
-    /// Resolution cost does not grow with network size.
-    pub scalable: bool,
-    /// Never misroutes packets.
-    pub no_misrouting: bool,
-}
-
 /// A flow-control scheme: FastPass or one of the baselines.
 ///
 /// A scheme owns whatever overlay state it needs (TDM schedules, flights,
@@ -91,18 +69,16 @@ pub struct SchemeProperties {
 /// [`step`](Scheme::step) call, typically by doing its own bookkeeping and
 /// then delegating to [`regular::advance`](crate::regular::advance).
 ///
+/// The trait is behaviour only. What a scheme *is* — its name, its
+/// Table I row, its Table II configuration — lives in the scheme
+/// catalogue (`noc_schemes::SchemeId`), one layer up.
+///
 /// Schemes must be [`Send`]: the bench harness fans independent
 /// simulations out across worker threads, moving each `Box<dyn Scheme>`
 /// onto the thread that runs it. Keep scheme state in owned containers
 /// (no `Rc`, no thread-local interior mutability) — see DESIGN.md's
 /// scheme-author checklist.
 pub trait Scheme: Send {
-    /// Display name, as used in the paper's figures.
-    fn name(&self) -> &'static str;
-
-    /// Table I row for this scheme.
-    fn properties(&self) -> SchemeProperties;
-
     /// Number of virtual networks the scheme requires for protocol-level
     /// deadlock freedom (0 for FastPass and Pitstop, 6 for the rest).
     fn required_vns(&self) -> usize;
@@ -131,47 +107,17 @@ pub trait Scheme: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regular::{advance, AdvanceCtx};
-    use crate::routing::DorXy;
-
-    /// A trivially correct scheme: plain credit-based VCT with XY routing
-    /// (deadlock-free by routing restriction, needs VNs for protocol
-    /// freedom).
-    struct PlainXy;
-
-    impl Scheme for PlainXy {
-        fn name(&self) -> &'static str {
-            "plain-xy"
-        }
-        fn properties(&self) -> SchemeProperties {
-            SchemeProperties {
-                no_detection: true,
-                protocol_deadlock_freedom: false,
-                network_deadlock_freedom: true,
-                full_path_diversity: false,
-                high_throughput: false,
-                low_power: false,
-                scalable: true,
-                no_misrouting: true,
-            }
-        }
-        fn required_vns(&self) -> usize {
-            6
-        }
-        fn step(&mut self, core: &mut NetworkCore) {
-            advance(core, &mut DorXy, &AdvanceCtx::default());
-        }
-    }
+    use crate::engine::tests_support::PlainXy;
 
     #[test]
     fn trait_object_usable() {
         let mut s: Box<dyn Scheme> = Box::new(PlainXy);
-        assert_eq!(s.name(), "plain-xy");
+        assert_eq!(s.required_vns(), 0);
         assert_eq!(s.overlay_packets(), 0);
         let mut core = NetworkCore::new(
             noc_core::config::SimConfig::builder()
                 .mesh(2, 2)
-                .vns(6)
+                .vns(0)
                 .vcs_per_vn(2)
                 .build(),
         );

@@ -282,26 +282,10 @@ mod tests {
     use noc_core::config::SimConfig;
     use noc_sim::regular::{advance, AdvanceCtx};
     use noc_sim::routing::DorXy;
-    use noc_sim::scheme::SchemeProperties;
     use noc_sim::{Scheme, Simulation};
 
     struct PlainXy;
     impl Scheme for PlainXy {
-        fn name(&self) -> &'static str {
-            "plain-xy"
-        }
-        fn properties(&self) -> SchemeProperties {
-            SchemeProperties {
-                no_detection: true,
-                protocol_deadlock_freedom: false,
-                network_deadlock_freedom: true,
-                full_path_diversity: false,
-                high_throughput: false,
-                low_power: false,
-                scalable: true,
-                no_misrouting: true,
-            }
-        }
         fn required_vns(&self) -> usize {
             6
         }

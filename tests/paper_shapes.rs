@@ -3,7 +3,7 @@
 //! the regression net for EXPERIMENTS.md: if one of these fails, a
 //! reported reproduction claim has silently changed.
 
-use bench::{runner::make_sim, SchemeId};
+use bench::{runner::make_sim, SchemeId, ALL_SCHEMES};
 use fastpass_noc::power::{router_area, router_power, RouterParams};
 use fastpass_noc::sim::Simulation;
 use traffic::{AppModel, SyntheticPattern};
@@ -40,7 +40,9 @@ fn tfc_saturates_early_on_transpose() {
     );
 }
 
-/// Misrouting: MinBD deflects under load; FastPass never does (Table I).
+/// Misrouting (Table I's last column): MinBD deflects under load; every
+/// catalogue row that claims `no_misrouting` — FastPass among them —
+/// ends a run past its knee without a single deflection.
 #[test]
 fn misrouting_profile() {
     let mut sim = make_sim(SchemeId::MinBd, SyntheticPattern::Transpose, 0.15, 4, 1, 7);
@@ -57,6 +59,16 @@ fn misrouting_profile() {
     );
     let stats = sim.run_windows(2_000, 6_000);
     assert_eq!(stats.deflections, 0, "FastPass never misroutes");
+
+    for id in ALL_SCHEMES.into_iter().chain([SchemeId::Vct]) {
+        let mut sim = make_sim(id, SyntheticPattern::Transpose, 0.14, 8, 4, 7);
+        let deflections = sim.run_windows(1_000, 3_000).deflections;
+        if id.properties().no_misrouting {
+            assert_eq!(deflections, 0, "{} claims no misrouting", id.name());
+        } else if id == SchemeId::MinBd {
+            assert!(deflections > 0, "MinBD must deflect on 8x8");
+        }
+    }
 }
 
 /// Fig. 9's shape: the bufferless component of FastPass-Packet latency
