@@ -5,8 +5,9 @@
 //! that each construct their own [`Simulation`] from a seeded RNG. The
 //! runners here exploit that:
 //!
-//! * [`parallel_map`] — an ordered work-queue executor
-//!   (`std::thread::scope` + channels, no dependencies) shared by all
+//! * [`parallel_map`] — an ordered work-queue executor (the calling
+//!   thread plus `std::thread::scope` helpers claiming jobs from one
+//!   atomic cursor, no dependencies) shared by all
 //!   `fig*`/`table*`/`ablation` binaries;
 //! * [`run_sweep_parallel`] — the latency-vs-rate sweep entry point,
 //!   with per-point progress lines and a deterministic on-disk result
@@ -25,9 +26,10 @@ use crate::registry::SchemeId;
 use crate::store::{git_sha, Provenance, Store};
 use noc_sim::Simulation;
 use serde::{Deserialize, Serialize};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use traffic::{SyntheticPattern, SyntheticWorkload};
 
 /// Reads a `u64` knob from the environment with a default.
@@ -46,22 +48,25 @@ pub fn num_jobs() -> usize {
 }
 
 /// Runs `jobs` on `workers` threads and returns the results in job
-/// order. `on_done` fires on the coordinating thread as each job
+/// order. `on_done` fires on the thread that ran the job as soon as it
 /// finishes (in completion order), for progress reporting.
 ///
-/// Each job is claimed atomically from a shared queue, so long and short
-/// jobs balance across workers. Results come back over a channel; the
-/// output `Vec` is assembled by job index, which makes the caller's view
-/// independent of scheduling order — the cornerstone of the
-/// serial-vs-parallel determinism guarantee.
+/// The calling thread is one of the workers: it runs jobs beside
+/// `workers - 1` scoped helpers, so `workers == 1` spawns nothing. Each
+/// job is claimed from a shared atomic cursor, so long and short jobs
+/// balance across workers. Every worker keeps its own `(index, value)`
+/// pairs, and after the join the output `Vec` is assembled by job index,
+/// which makes the caller's view independent of scheduling order — the
+/// cornerstone of the serial-vs-parallel determinism guarantee.
 ///
 /// # Panics
 ///
-/// Propagates the first panicking job's payload after all workers stop.
+/// A panicking job stops every worker from claiming more; once all have
+/// stopped, its original payload is re-raised unchanged.
 pub fn parallel_map_with<T, F>(
     jobs: Vec<F>,
     workers: usize,
-    mut on_done: impl FnMut(usize, &T),
+    on_done: impl Fn(usize, &T) + Sync,
 ) -> Vec<T>
 where
     T: Send,
@@ -73,38 +78,41 @@ where
     }
     let queue: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
     let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        for _ in 0..workers.clamp(1, n) {
-            let tx = tx.clone();
-            let queue = &queue;
-            let next = &next;
-            s.spawn(move || loop {
+    let work = || -> std::thread::Result<Vec<(usize, T)>> {
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut done = Vec::new();
+            loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
-                    break;
+                    return done;
                 }
                 let job = queue[i]
                     .lock()
                     .expect("job slot poisoned")
                     .take()
                     .expect("job claimed twice");
-                // If send fails the coordinator is gone (a sibling
-                // panicked); stop quietly and let scope re-raise.
-                if tx.send((i, job())).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        // Ends when every worker is done (all senders dropped); short
-        // reads mean a worker panicked, which scope exit re-raises.
-        while let Ok((i, value)) = rx.recv() {
-            on_done(i, &value);
+                let value = job();
+                on_done(i, &value);
+                done.push((i, value));
+            }
+        }))
+        // A panic empties the queue for every other worker.
+        .inspect_err(|_| next.store(n, Ordering::Relaxed))
+    };
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers.clamp(1, n)).map(|_| s.spawn(work)).collect();
+        let own = work();
+        // `work` catches its own panics, so a join never fails.
+        std::iter::once(own)
+            .chain(helpers.into_iter().map(|h| h.join().unwrap_or_else(Err)))
+            .collect()
+    });
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for outcome in outcomes {
+        for (i, value) in outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload)) {
             results[i] = Some(value);
         }
-    });
+    }
     results
         .into_iter()
         .map(|r| r.expect("worker completed every claimed job"))
@@ -488,9 +496,9 @@ pub fn run_sweep_parallel(specs: &[SweepSpec], opts: &SweepOptions) -> Vec<Sweep
             }
         })
         .collect();
-    let mut done = 0usize;
+    let finished = AtomicUsize::new(0);
     let results = parallel_map_with(jobs, opts.jobs, |i, (point, cached)| {
-        done += 1;
+        let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
         if opts.progress {
             let (si, _, _) = points[i];
             let spec = &specs[si];
@@ -641,6 +649,68 @@ mod tests {
     fn parallel_map_empty_is_empty() {
         let jobs: Vec<fn() -> u32> = Vec::new();
         assert!(parallel_map(jobs, 4).is_empty());
+    }
+
+    #[test]
+    fn parallel_map_with_one_worker_runs_every_job_on_the_caller() {
+        let caller = std::thread::current().id();
+        // Job 0 holds its worker until another job starts or 200 ms
+        // pass, so any second thread would get to claim jobs meanwhile.
+        let (started, other_started) = std::sync::mpsc::channel::<()>();
+        let other_started = Mutex::new(other_started);
+        let jobs: Vec<_> = (0..16)
+            .map(|i| {
+                let (started, other_started) = (started.clone(), &other_started);
+                move || {
+                    if i == 0 {
+                        let wait = std::time::Duration::from_millis(200);
+                        let _ = other_started.lock().unwrap().recv_timeout(wait);
+                    } else {
+                        let _ = started.send(());
+                    }
+                    std::thread::current().id()
+                }
+            })
+            .collect();
+        let ran_on = parallel_map_with(jobs, 1, |_, &id| assert_eq!(id, caller));
+        assert!(ran_on.iter().all(|&id| id == caller), "{ran_on:?}");
+    }
+
+    #[test]
+    fn parallel_map_reports_every_index_exactly_once() {
+        let calls: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
+        let jobs: Vec<_> = (0..200).map(|i| move || i).collect();
+        let out = parallel_map_with(jobs, 4, |i, &value| {
+            assert_eq!(i, value);
+            calls[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(out, (0..200).collect::<Vec<_>>());
+        for (i, c) in calls.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "on_done calls for job {i}");
+        }
+    }
+
+    #[test]
+    fn parallel_map_re_raises_the_original_panic_payload() {
+        for workers in [1, 4] {
+            let jobs: Vec<_> = (0..100)
+                .map(|i| {
+                    move || {
+                        if i == 7 {
+                            panic!("boom");
+                        }
+                        i
+                    }
+                })
+                .collect();
+            let payload =
+                std::panic::catch_unwind(|| parallel_map(jobs, workers)).expect_err("job 7 panics");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"boom"),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

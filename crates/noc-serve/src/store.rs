@@ -35,11 +35,14 @@
 //! field that disagrees with the filename, a blob that is not an
 //! envelope at all — is a cache *miss*, never a wrong answer: the point
 //! is recomputed and the entry overwritten. [`Store::gc`] deletes such
-//! entries eagerly.
+//! entries eagerly. The generic JSON decode defines that classification;
+//! blobs in the writer's own layout are read by a layout-exact reader
+//! held to the same answers (`read_canonical`).
 //!
 //! Writes are atomic (temp file + rename) so a crashed or interrupted
 //! writer can leave at worst an orphaned `*.tmp.*` file, which `gc`
-//! sweeps up. Every write gets its own temp name,
+//! sweeps up; a write or rename that fails removes its own temp file.
+//! Every write gets its own temp name,
 //! `<key>.tmp.<pid>.<seq>` with a process-wide sequence number: were two
 //! threads of one process to share a temp path, the second `create`
 //! would truncate the inode the first is about to rename into place.
@@ -332,11 +335,12 @@ impl Store {
             std::process::id(),
             TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        if std::fs::write(&tmp, json).is_err() {
+        let landed =
+            std::fs::write(&tmp, json).is_ok() && std::fs::rename(&tmp, self.path_of(key)).is_ok();
+        if !landed {
             let _ = std::fs::remove_file(&tmp);
-            return false;
         }
-        std::fs::rename(&tmp, self.path_of(key)).is_ok()
+        landed
     }
 
     /// Removes the entry stored under `key`. Returns whether an entry
@@ -440,7 +444,9 @@ const STACK_READ: usize = 1024;
 /// a finished temp file over them), and a short read of a regular file
 /// is its end. Were a read ever cut short anyway, the prefix would lack
 /// the envelope's closing brace and decode as a miss, never as a wrong
-/// point. Larger blobs read the rest onto the heap.
+/// point. Such a blob goes to [`read_canonical`] first and to the
+/// generic [`decode_envelope`] only if that declines it. Larger blobs
+/// read the rest onto the heap and take the generic decode.
 fn read_envelope(path: &Path) -> Option<Envelope> {
     let mut file = std::fs::File::open(path).ok()?;
     let mut buf = [0u8; STACK_READ];
@@ -452,15 +458,156 @@ fn read_envelope(path: &Path) -> Option<Envelope> {
         }
     };
     if n < buf.len() {
-        return decode_envelope(&buf[..n]);
+        let blob = &buf[..n];
+        return read_canonical(blob).or_else(|| decode_envelope(blob));
     }
     let mut blob = buf.to_vec();
     file.read_to_end(&mut blob).ok()?;
     decode_envelope(&blob)
 }
 
+/// The definition of what a blob holds: JSON text parsed into a
+/// [`Content`] tree and decoded by [`Envelope`]'s `Deserialize`.
 fn decode_envelope(blob: &[u8]) -> Option<Envelope> {
     serde_json::from_str(std::str::from_utf8(blob).ok()?).ok()
+}
+
+/// Reads an envelope laid out exactly as [`Store::store_with_provenance`]
+/// writes it, straight from the bytes: no [`Content`] tree, and no
+/// allocation but `git_sha`. `None` means "not in that layout", never
+/// "corrupt" — the caller then asks [`decode_envelope`], which stays the
+/// definition; whenever this returns `Some`, the envelope equals the one
+/// `decode_envelope` returns for the same bytes (tested on the writer's
+/// edge values and on every small mutation of them).
+///
+/// It accepts the pretty layout in field order with an optional
+/// `provenance` and nothing after the closing brace. A float is `null`
+/// (NaN, as the generic decode maps it) or a number token holding `.`,
+/// `e` or `E`, parsed by the same `str::parse::<f64>`; an integer is at
+/// most 19 digits; a string holds no `\` and no control byte. Anything
+/// else — integer-spelled floats, `-0`, escapes, other whitespace or
+/// field orders, compact JSON — is declined.
+fn read_canonical(blob: &[u8]) -> Option<Envelope> {
+    let mut r = Canonical {
+        text: std::str::from_utf8(blob).ok()?,
+        pos: 0,
+    };
+    r.expect("{\n  \"schema_version\": ")?;
+    let schema_version = u32::try_from(r.integer()?).ok()?;
+    r.expect(",\n  \"key\": ")?;
+    let key = r.string()?.as_bytes().try_into().ok();
+    r.expect(",\n  \"point\": {\n    \"rate\": ")?;
+    let rate = r.float()?;
+    r.expect(",\n    \"avg_latency\": ")?;
+    let avg_latency = r.float()?;
+    r.expect(",\n    \"throughput\": ")?;
+    let throughput = r.float()?;
+    r.expect(",\n    \"delivered\": ")?;
+    let delivered = r.integer()?;
+    r.expect(",\n    \"fastpass_fraction\": ")?;
+    let fastpass_fraction = r.float()?;
+    r.expect(",\n    \"dropped_fraction\": ")?;
+    let dropped_fraction = r.float()?;
+    r.expect("\n  }")?;
+    let provenance = if r.expect("\n}").is_some() {
+        None
+    } else {
+        r.expect(",\n  \"provenance\": {\n    \"unix_ms\": ")?;
+        let unix_ms = r.integer()?;
+        r.expect(",\n    \"wall_ms\": ")?;
+        let wall_ms = r.integer()?;
+        r.expect(",\n    \"worker\": ")?;
+        let worker = match r.expect("null") {
+            Some(()) => None,
+            None => Some(r.integer()?),
+        };
+        r.expect(",\n    \"git_sha\": ")?;
+        let git_sha = r.string()?.to_string();
+        r.expect(",\n    \"cycles\": ")?;
+        let cycles = r.integer()?;
+        r.expect("\n  }\n}")?;
+        Some(Provenance {
+            unix_ms,
+            wall_ms,
+            worker,
+            git_sha,
+            cycles,
+        })
+    };
+    (r.pos == blob.len()).then_some(Envelope {
+        schema_version,
+        key,
+        point: LatencyPoint {
+            rate,
+            avg_latency,
+            throughput,
+            delivered,
+            fastpass_fraction,
+            dropped_fraction,
+        },
+        provenance,
+    })
+}
+
+/// [`read_canonical`]'s cursor. Every method consumes what it accepts
+/// and returns `None` for anything outside the writer's layout.
+struct Canonical<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Canonical<'a> {
+    fn expect(&mut self, literal: &str) -> Option<()> {
+        let found = self.text[self.pos..].starts_with(literal);
+        if found {
+            self.pos += literal.len();
+        }
+        found.then_some(())
+    }
+
+    /// The number token at the cursor, cut where the generic parser cuts
+    /// it: a digit or `-`, then every following byte of `0-9 . e E + -`.
+    fn number(&mut self) -> Option<&'a str> {
+        let rest = &self.text[self.pos..];
+        if !rest.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+            return None;
+        }
+        let len = rest
+            .find(|c: char| !matches!(c, '0'..='9' | '.' | 'e' | 'E' | '+' | '-'))
+            .unwrap_or(rest.len());
+        self.pos += len;
+        Some(&rest[..len])
+    }
+
+    fn integer(&mut self) -> Option<u64> {
+        let token = self.number()?;
+        if token.len() > 19 || !token.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        Some(token.bytes().fold(0, |v, d| v * 10 + u64::from(d - b'0')))
+    }
+
+    fn float(&mut self) -> Option<f64> {
+        if self.expect("null").is_some() {
+            return Some(f64::NAN);
+        }
+        let token = self.number()?;
+        if !token.contains(['.', 'e', 'E']) {
+            return None;
+        }
+        token.parse().ok()
+    }
+
+    fn string(&mut self) -> Option<&'a str> {
+        self.expect("\"")?;
+        let rest = &self.text[self.pos..];
+        let len = rest.find(|c: char| c == '"' || c == '\\' || c < ' ')?;
+        if !rest[len..].starts_with('"') {
+            return None;
+        }
+        self.pos += len + 1;
+        Some(&rest[..len])
+    }
 }
 
 #[cfg(test)]
@@ -716,5 +863,228 @@ mod tests {
         let store = temp_store("missing");
         assert_eq!(store.gc(), GcReport::default());
         assert_eq!(store.stats(), StoreStats::default());
+    }
+
+    #[test]
+    fn a_failed_rename_leaves_no_temp_file() {
+        let store = temp_store("rename");
+        // A directory where the blob goes: the write lands, the rename
+        // over it fails.
+        std::fs::create_dir_all(store.path_of(5)).unwrap();
+        assert!(!store.store(5, &point(0.1, 1.0)));
+        let temps: Vec<_> = std::fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(temps.is_empty(), "orphaned temp files: {temps:?}");
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Envelopes equal field by field, floats by bit pattern (so NaN
+    /// equals NaN and `-0.0` differs from `0.0`).
+    fn same_envelope(a: &Envelope, b: &Envelope) -> bool {
+        let floats = |p: &LatencyPoint| {
+            [
+                p.rate,
+                p.avg_latency,
+                p.throughput,
+                p.fastpass_fraction,
+                p.dropped_fraction,
+            ]
+            .map(f64::to_bits)
+        };
+        a.schema_version == b.schema_version
+            && a.key == b.key
+            && floats(&a.point) == floats(&b.point)
+            && a.point.delivered == b.point.delivered
+            && a.provenance == b.provenance
+    }
+
+    /// [`read_canonical`] on `blob`, asserting what it is held to:
+    /// whenever it accepts, the generic decode accepts the same envelope.
+    fn canonical_checked(blob: &[u8]) -> Option<Envelope> {
+        let fast = read_canonical(blob)?;
+        let text = String::from_utf8_lossy(blob);
+        let generic = decode_envelope(blob)
+            .unwrap_or_else(|| panic!("only the canonical reader accepts {text:?}"));
+        assert!(
+            same_envelope(&fast, &generic),
+            "{text:?}: canonical {fast:?} != generic {generic:?}"
+        );
+        Some(fast)
+    }
+
+    fn stamp(worker: Option<u64>, git_sha: &str) -> Option<Provenance> {
+        Some(Provenance {
+            unix_ms: 1_792_057_930_565,
+            wall_ms: 3,
+            worker,
+            git_sha: git_sha.to_string(),
+            cycles: 4_000,
+        })
+    }
+
+    /// Blobs the real writer produces over edge values, under keys from
+    /// 0x100, with whether the canonical reader must take each.
+    fn edge_blobs(store: &Store) -> Vec<(u64, Vec<u8>, bool)> {
+        let odd = LatencyPoint {
+            rate: 0.02,
+            avg_latency: f64::NAN,
+            throughput: f64::INFINITY,
+            delivered: 7_100_002,
+            fastpass_fraction: f64::NEG_INFINITY,
+            dropped_fraction: -0.0,
+        };
+        let tiny = LatencyPoint {
+            rate: 5e-324,
+            avg_latency: 1.0 / 3.0,
+            throughput: f64::MAX,
+            delivered: 0,
+            fastpass_fraction: 0.0,
+            dropped_fraction: 1e300,
+        };
+        let huge = LatencyPoint {
+            delivered: u64::MAX,
+            ..tiny.clone()
+        };
+        let sha = "904c324d8ac77c893d3b8dfd40d8ae14837ec377";
+        let cases = [
+            (&odd, stamp(None, sha), true),
+            (&odd, None, true),
+            (&tiny, stamp(Some(2), "é-sha"), true),
+            (&tiny, stamp(Some(u64::MAX), sha), false),
+            (&huge, None, false),
+            (&odd, stamp(None, "quote\"d"), false),
+            (&odd, stamp(None, "back\\slash"), false),
+            (&tiny, stamp(Some(1), "ctl\u{1}"), false),
+        ];
+        cases
+            .into_iter()
+            .enumerate()
+            .map(|(i, (point, prov, canonical))| {
+                let key = 0x100 + i as u64;
+                assert!(store.store_with_provenance(key, point, prov.as_ref()));
+                (key, std::fs::read(store.path_of(key)).unwrap(), canonical)
+            })
+            .collect()
+    }
+
+    /// The committed smoke-grid store (`tests/golden/store/`), by key.
+    fn golden_blobs() -> Vec<(u64, Vec<u8>)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/store");
+        let mut blobs: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+                (
+                    Store::parse_key(&stem).unwrap(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect();
+        blobs.sort();
+        assert_eq!(blobs.len(), 6, "the fixture holds six blobs");
+        blobs
+    }
+
+    #[test]
+    fn canonical_reader_agrees_with_the_generic_decode() {
+        let store = temp_store("canonical");
+        for (key, blob, canonical) in edge_blobs(&store) {
+            let text = String::from_utf8_lossy(&blob);
+            assert_eq!(
+                canonical_checked(&blob).is_some(),
+                canonical,
+                "canonical path for {text}"
+            );
+            let generic = decode_envelope(&blob).expect("the writer's bytes decode");
+            let (point, provenance) = store.load_entry(key).expect("the writer's bytes load");
+            let loaded = Envelope {
+                point,
+                provenance,
+                ..generic.clone()
+            };
+            assert!(same_envelope(&loaded, &generic), "{text}");
+        }
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// The golden blobs read canonically, and the writer, given what it
+    /// read, writes them back byte for byte.
+    #[test]
+    fn golden_blobs_take_the_canonical_path() {
+        let store = temp_store("golden");
+        for (key, blob) in golden_blobs() {
+            let env = canonical_checked(&blob).expect("a golden blob reads canonically");
+            assert!(env.is_current_for(key), "{key:016x}");
+            assert!(env.provenance.is_some(), "{key:016x}");
+            assert!(store.store_with_provenance(key, &env.point, env.provenance.as_ref()));
+            assert!(
+                std::fs::read(store.path_of(key)).unwrap() == blob,
+                "{key:016x} rewritten differently"
+            );
+        }
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Every truncation, every single-byte replacement from the JSON
+    /// alphabet and every inserted space of some writer-made blobs and
+    /// the golden ones: where the canonical reader accepts a mutant it
+    /// agrees with the generic decode, and `Store::load` answers what the
+    /// generic decode alone answers.
+    #[test]
+    fn mutated_blobs_load_as_the_generic_decode_says() {
+        let store = temp_store("mutants");
+        let mut blobs: Vec<(u64, Vec<u8>)> = edge_blobs(&store)
+            .into_iter()
+            .filter(|&(_, _, canonical)| canonical)
+            .map(|(key, blob, _)| (key, blob))
+            .collect();
+        assert_eq!(blobs.len(), 3);
+        blobs.extend(golden_blobs());
+        let (mut mutants, mut canonical) = (0, 0);
+        for (key, blob) in blobs {
+            let mut variants: Vec<Vec<u8>> = (0..blob.len()).map(|n| blob[..n].to_vec()).collect();
+            for at in 0..blob.len() {
+                for &b in b"{}\":,.-e09n\\ \n" {
+                    if blob[at] != b {
+                        let mut m = blob.clone();
+                        m[at] = b;
+                        variants.push(m);
+                    }
+                }
+            }
+            for at in 0..=blob.len() {
+                let mut m = blob.clone();
+                m.insert(at, b' ');
+                variants.push(m);
+            }
+            for m in variants {
+                mutants += 1;
+                canonical += usize::from(canonical_checked(&m).is_some());
+                std::fs::write(store.path_of(key), &m).unwrap();
+                let want = decode_envelope(&m).filter(|e| e.is_current_for(key));
+                let got = store.load_entry(key);
+                let text = String::from_utf8_lossy(&m);
+                match (got, want) {
+                    (None, None) => {}
+                    (Some((point, provenance)), Some(want)) => {
+                        let got = Envelope {
+                            point,
+                            provenance,
+                            ..want.clone()
+                        };
+                        assert!(same_envelope(&got, &want), "{text}");
+                    }
+                    (got, want) => panic!("{text}: loaded {got:?}, generic {want:?}"),
+                }
+            }
+        }
+        // Digit swaps and the like keep the layout: a real share of the
+        // mutants must have exercised the canonical path.
+        assert!(canonical * 20 > mutants, "{canonical} of {mutants}");
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 }
