@@ -43,8 +43,8 @@ pub use noc_serve::{
     emit_json, env_u64, format_key, git_sha, netstats_fnv64, num_jobs, parallel_map,
     parallel_map_with, point_cache_key, run_sweep_parallel, simulate_point, FlightRecord,
     FlightStats, GcReport, HistogramSummary, LatencyPoint, MetricValue, MetricsReport, Provenance,
-    SchemeId, StatusReport, Store, StoreStats, SweepOptions, SweepResult, SweepSpec, WireSpec,
-    WorkerReport, ALL_SCHEMES, CACHE_SCHEMA_VERSION, PROTO_VERSION,
+    SchemeId, Store, StoreStats, SweepOptions, SweepResult, SweepSpec, WireSpec, WorkerReport,
+    ALL_SCHEMES, CACHE_SCHEMA_VERSION, PROTO_VERSION,
 };
 pub use phases::{PhaseTimes, WallProbe};
 pub use serve_client::{run_sweeps, Client, ExecMode};

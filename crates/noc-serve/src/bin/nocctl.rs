@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! nocctl [--sock PATH] ping [--wait SECS]
-//! nocctl [--sock PATH] status [--json]
 //! nocctl [--sock PATH] metrics [--json]
 //! nocctl [--sock PATH] watch
 //! nocctl [--sock PATH] fetch KEY...
@@ -14,9 +13,9 @@
 //!
 //! The socket defaults to `NOC_SERVE_SOCK`, then `NOC_SERVE`, then
 //! `results/nocserve.sock`. `ping --wait N` retries for up to N seconds
-//! — CI uses it as the daemon-readiness barrier. `status --json` dumps
-//! the raw [`noc_serve::proto::StatusReport`] (CI's `serve-summary.json`);
-//! `metrics --json` the full [`noc_serve::proto::MetricsReport`]. `watch`
+//! — CI uses it as the daemon-readiness barrier. `metrics --json` dumps
+//! the full [`noc_serve::proto::MetricsReport`], the daemon's one
+//! report (CI asserts dedup with its counters). `watch`
 //! streams the daemon's live flight records as JSON lines until the
 //! daemon shuts down (or ctrl-C). `flight` works **offline**: it loads
 //! a flight-recorder JSONL log, proves every job's span chain is
@@ -29,7 +28,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: nocctl [--sock PATH] <ping [--wait SECS] | status [--json] | metrics [--json] | watch | fetch KEY... | evict KEY... | gc | shutdown> | nocctl flight IN.jsonl [--chrome OUT.json]";
+const USAGE: &str = "usage: nocctl [--sock PATH] <ping [--wait SECS] | metrics [--json] | watch | fetch KEY... | evict KEY... | gc | shutdown> | nocctl flight IN.jsonl [--chrome OUT.json]";
 
 fn main() -> ExitCode {
     match run() {
@@ -80,52 +79,6 @@ fn run() -> Result<(), String> {
                     Err(_) => std::thread::sleep(Duration::from_millis(100)),
                 }
             }
-        }
-        "status" => {
-            let report = connect()?.status()?;
-            if rest.iter().any(|a| a == "--json") {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&report)
-                        .map_err(|e| format!("cannot encode status: {e}"))?
-                );
-            } else {
-                println!(
-                    "nocserve at {} (proto v{}, schema v{})",
-                    sock.display(),
-                    report.proto,
-                    report.schema
-                );
-                println!(
-                    "  uptime {}s, {} workers",
-                    report.uptime_secs, report.workers
-                );
-                println!(
-                    "  connections {}, requests {} ({} malformed)",
-                    report.connections, report.requests, report.bad_requests
-                );
-                println!(
-                    "  jobs {}/{} complete; points {} requested = {} computed + {} store hits + {} memory hits + {} deduped ({} failed)",
-                    report.jobs_completed,
-                    report.jobs_submitted,
-                    report.points_requested,
-                    report.points_computed,
-                    report.store_hits,
-                    report.memory_hits,
-                    report.dedup_waits,
-                    report.points_failed
-                );
-                println!(
-                    "  queue {} (+{} in flight); store {}: {} entries, {} bytes ({} evictions)",
-                    report.queue_depth,
-                    report.inflight,
-                    report.store_dir,
-                    report.store.entries,
-                    report.store.bytes,
-                    report.evictions
-                );
-            }
-            Ok(())
         }
         "metrics" => {
             let report = connect()?.metrics()?;

@@ -7,8 +7,7 @@
 //! both built on it.
 
 use crate::proto::{
-    decode_response, encode, FetchedPoint, FlightRecord, MetricsReport, Request, Response,
-    StatusReport, WireSpec,
+    decode_response, encode, FetchedPoint, FlightRecord, MetricsReport, Request, Response, WireSpec,
 };
 use crate::runner::{SweepResult, SweepSpec};
 use crate::store::GcReport;
@@ -97,19 +96,6 @@ impl Client {
         match self.roundtrip(&Request::Ping)? {
             Response::Pong { proto } => Ok(proto),
             other => Err(format!("unexpected reply to ping: {other:?}")),
-        }
-    }
-
-    /// Fetches the daemon's counters and store stats.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and unexpected responses, as readable strings.
-    pub fn status(&mut self) -> Result<StatusReport, String> {
-        match self.roundtrip(&Request::Status)? {
-            Response::Status(report) => Ok(*report),
-            Response::Error { message } => Err(message),
-            other => Err(format!("unexpected reply to status: {other:?}")),
         }
     }
 

@@ -31,12 +31,12 @@
 
 use crate::flight::FlightBus;
 use crate::metrics::MetricsRegistry;
-use crate::proto::{flight_event, StatusReport};
+use crate::proto::flight_event;
 use crate::statsd::StatsdSink;
 use crate::store::{format_key, Provenance};
 use crate::{
     simulate_point, FlightRecord, LatencyPoint, MetricsReport, SpecKey, Store, SweepResult,
-    SweepSpec, CACHE_SCHEMA_VERSION,
+    SweepSpec,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -144,7 +144,6 @@ struct Shared {
     /// Daemon-wide build identity, stamped into point provenance.
     git_sha: String,
     started: Instant,
-    workers: usize,
     batch: usize,
     shutdown: AtomicBool,
 }
@@ -212,11 +211,10 @@ impl Daemon {
             flight,
             git_sha: crate::git_sha(),
             started: Instant::now(),
-            workers: config.workers.max(1),
             batch: config.batch.max(1),
             shutdown: AtomicBool::new(false),
         });
-        for worker in 0..shared.workers {
+        for worker in 0..config.workers.max(1) {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || worker_loop(&shared, worker));
         }
@@ -299,8 +297,6 @@ impl Daemon {
         m.jobs_submitted.add(1);
         m.points_requested.add(total);
         m.points_enqueued.add(computed);
-        m.points_cached.add(cached);
-        m.points_deduped.add(deduped);
         m.points_per_job.record(total);
         let queue_depth = state.queue.len() as u64;
         drop(state);
@@ -406,11 +402,6 @@ impl Daemon {
         Ok(sweeps)
     }
 
-    /// Looks up one stored point: memory first, then the store.
-    pub fn fetch(&self, key: u64) -> Option<LatencyPoint> {
-        self.fetch_entry(key).map(|(point, _)| point)
-    }
-
     /// Looks up one stored point together with its provenance stamp.
     /// The store is consulted first (it carries provenance); memory
     /// covers points whose envelope predates the stamp or that only
@@ -464,9 +455,10 @@ impl Daemon {
         }
     }
 
-    /// Publishes the terminal `responded` flight record for `job` (the
-    /// transport layer calls this right after writing the terminal
-    /// response line).
+    /// Publishes the `responded` flight record that closes `job`'s span:
+    /// the transport stopped answering it, with a result, an error, or
+    /// because the peer hung up. The transport calls this exactly once
+    /// per submitted job, before writing any terminal line.
     pub fn note_responded(&self, job: u64) {
         let mut r = FlightRecord::of(flight_event::RESPONDED);
         r.job = Some(job);
@@ -478,39 +470,9 @@ impl Daemon {
         self.shared.flight.subscribe()
     }
 
-    /// Snapshots every counter into a [`StatusReport`].
-    pub fn status(&self) -> StatusReport {
-        let m = &self.shared.metrics;
-        let state = self.shared.state.lock().expect("engine lock");
-        let (queue_depth, inflight) = (state.queue.len() as u64, state.inflight);
-        drop(state);
-        StatusReport {
-            proto: crate::PROTO_VERSION,
-            schema: CACHE_SCHEMA_VERSION,
-            uptime_secs: self.shared.started.elapsed().as_secs(),
-            workers: self.shared.workers as u64,
-            connections: m.connections.get(),
-            requests: m.requests.get(),
-            bad_requests: m.bad_requests.get(),
-            jobs_submitted: m.jobs_submitted.get(),
-            jobs_completed: m.jobs_completed.get(),
-            points_requested: m.points_requested.get(),
-            points_computed: m.points_computed.get(),
-            points_failed: m.points_failed.get(),
-            store_hits: m.store_hits.get(),
-            memory_hits: m.memory_hits.get(),
-            dedup_waits: m.dedup_waits.get(),
-            evictions: m.evictions.get(),
-            queue_depth,
-            inflight,
-            store: self.shared.store.stats(),
-            store_dir: self.shared.store.dir().display().to_string(),
-        }
-    }
-
-    /// Snapshots the full metrics registry (counters, gauges,
-    /// histograms, per-worker utilization, flight-bus health) into the
-    /// wire report behind `nocctl metrics`.
+    /// Snapshots the full metrics registry (counters, gauges sampled
+    /// now, histograms, per-worker utilization, flight-bus health) into
+    /// the wire report behind `nocctl metrics` — the daemon's one report.
     pub fn metrics_report(&self) -> MetricsReport {
         self.sample_now();
         self.shared.metrics.report(
@@ -540,7 +502,7 @@ impl Daemon {
     }
 
     /// Final observability drain: pushes remaining counter deltas and
-    /// timings to statsd, then flushes and joins the flight writer so
+    /// gauges to statsd, then flushes and joins the flight writer so
     /// the JSONL log is complete on disk. Call once, after the last
     /// request is answered.
     pub fn flush_observability(&self) {
@@ -665,7 +627,6 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         m.worker_busy(worker, true);
         for claim in &claims {
             m.queue_wait_ms.record(claim.queued_ms);
-            m.note_timing("queue_wait_ms", claim.queued_ms);
         }
         let mut r = FlightRecord::of(flight_event::CLAIMED);
         r.worker = Some(worker_id);
@@ -723,7 +684,6 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         m.worker_busy(worker, false);
         m.worker_batch(worker, n, wall_ms);
         m.batch_wall_ms.record(wall_ms);
-        m.note_timing("batch_ms", wall_ms);
         for r in trail {
             shared.flight.publish(r);
         }
@@ -819,9 +779,9 @@ mod tests {
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap()
         );
-        let status = daemon.status();
-        assert_eq!(status.points_computed, 2);
-        assert_eq!(status.memory_hits, 2);
+        let m = &daemon.shared.metrics;
+        assert_eq!(m.points_computed.get(), 2);
+        assert_eq!(m.memory_hits.get(), 2);
         daemon.request_shutdown();
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }
@@ -845,8 +805,9 @@ mod tests {
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap()
         );
-        assert_eq!(daemon.status().points_computed, 0);
-        assert_eq!(daemon.status().store_hits, 2);
+        let m = &daemon.shared.metrics;
+        assert_eq!(m.points_computed.get(), 0);
+        assert_eq!(m.store_hits.get(), 2);
         daemon.request_shutdown();
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }
@@ -864,13 +825,13 @@ mod tests {
             let sweeps = daemon.collect(job).expect("deduped job completes");
             assert_eq!(serde_json::to_string(&sweeps).unwrap(), baseline);
         }
-        let status = daemon.status();
-        assert_eq!(status.points_computed, 2, "each unique point exactly once");
-        assert_eq!(status.points_requested, 8);
+        let m = &daemon.shared.metrics;
+        assert_eq!(m.points_computed.get(), 2, "each unique point exactly once");
+        assert_eq!(m.points_requested.get(), 8);
         assert_eq!(
-            status.store_hits + status.memory_hits + status.dedup_waits,
+            m.store_hits.get() + m.memory_hits.get() + m.dedup_waits.get(),
             6,
-            "the other six lookups resolved without simulation: {status:?}"
+            "the other six lookups resolved without simulation: {m:?}"
         );
         daemon.request_shutdown();
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
@@ -892,7 +853,7 @@ mod tests {
         assert_eq!((again.computed, again.cached), (1, 1));
         wait_complete(&daemon, &again);
         daemon.collect(&again).unwrap();
-        assert_eq!(daemon.status().points_computed, 3);
+        assert_eq!(daemon.shared.metrics.points_computed.get(), 3);
         daemon.request_shutdown();
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }
@@ -906,8 +867,7 @@ mod tests {
         wait_complete(&daemon, &job);
         daemon.collect(&job).expect("job completes");
         let key = point_cache_key(&spec, spec.rates[0]);
-        let (point, provenance) = daemon.fetch_entry(key).expect("stored point");
-        assert_eq!(point, daemon.fetch(key).expect("fetch agrees"));
+        let (_, provenance) = daemon.fetch_entry(key).expect("stored point");
         let provenance = provenance.expect("worker-computed points are stamped");
         assert!(provenance.worker.is_some(), "{provenance:?}");
         assert_eq!(provenance.cycles, spec.warmup + spec.measure);

@@ -37,7 +37,7 @@
 //! the registry drains into (statsd-format lines appended to a file).
 //! The `nocserve` binary boots the engine behind the transport;
 //! `nocctl` is the operator CLI
-//! (ping/status/metrics/watch/flight/fetch/evict/gc/shutdown).
+//! (ping/metrics/watch/flight/fetch/evict/gc/shutdown).
 //!
 //! Unlike the simulation crates, this crate *intentionally* uses wall
 //! clocks, threads and OS sockets — it is a service, not a model.
@@ -65,8 +65,8 @@ pub use crate::core::{Daemon, JobProgress, ServeConfig};
 pub use flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains, FlightBus};
 pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use proto::{
-    FlightRecord, FlightStats, HistogramSummary, MetricValue, MetricsReport, StatusReport,
-    WireSpec, WorkerReport, PROTO_VERSION,
+    FlightRecord, FlightStats, HistogramSummary, MetricValue, MetricsReport, WireSpec,
+    WorkerReport, PROTO_VERSION,
 };
 pub use registry::{SchemeId, ALL_SCHEMES};
 pub use runner::{

@@ -15,6 +15,9 @@
 //! ← {"event":"result","job":1,"sweeps":[…]}
 //! ```
 //!
+//! Generations are numbered by [`PROTO_VERSION`]; v3 folded `status`
+//! into `metrics`, the daemon's one report.
+//!
 //! The types here are shared verbatim by the daemon (`noc-serve`), the
 //! `nocctl` CLI and the figure binaries' `--serve` mode, so the two
 //! sides cannot drift. Sweep specs travel as [`WireSpec`] — scheme and
@@ -28,18 +31,19 @@
 //! `Serialize`/`Deserialize` by hand over the shim's [`Content`] tree.
 
 use crate::runner::{LatencyPoint, SweepResult, SweepSpec};
-use crate::store::{GcReport, Provenance, StoreStats};
+use crate::store::{GcReport, Provenance};
 use crate::SchemeId;
 use serde::{field, Content, DeError, Deserialize, Serialize};
 use traffic::SyntheticPattern;
 
-/// Wire protocol version, echoed in `pong` and `status` so clients can
+/// Wire protocol version, echoed in `pong` and `metrics` so clients can
 /// detect a daemon speaking a different generation.
 ///
 /// v2 added the observability surface: the `metrics` and `watch`
 /// commands, the `flight` event stream, and the optional provenance
-/// stamp on `fetch` answers.
-pub const PROTO_VERSION: u32 = 2;
+/// stamp on `fetch` answers. v3 folded `status` into `metrics`: the
+/// daemon has one report.
+pub const PROTO_VERSION: u32 = 3;
 
 /// Flight-recorder event names — the vocabulary of one job's lifecycle
 /// span chain (`submitted → resolved → claimed → batch_done → stored →
@@ -65,7 +69,8 @@ pub mod flight_event {
     pub const STORED: &str = "stored";
     /// A point's simulation panicked; carries `key` and `worker`.
     pub const FAILED: &str = "failed";
-    /// The terminal result (or error) for a job was sent; carries `job`.
+    /// The daemon stopped answering the job: result, error, or the
+    /// peer hung up; carries `job`.
     pub const RESPONDED: &str = "responded";
     /// A sampler tick's queue-depth reading; carries `depth`.
     pub const QUEUE: &str = "queue";
@@ -242,7 +247,9 @@ pub struct FlightStats {
 }
 
 /// The full metrics-registry dump answered to [`Request::Metrics`] —
-/// what `nocctl metrics [--json]` renders.
+/// what `nocctl metrics [--json]` renders, and the daemon's one report:
+/// the CI `serve` job's dedup proof reads `points_computed` and the hit
+/// counters out of `counters`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsReport {
     /// Wire protocol version.
@@ -347,8 +354,6 @@ impl WireSpec {
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
-    /// Daemon counters and store stats; answered with [`Response::Status`].
-    Status,
     /// A sweep job; answered with accepted/progress/result stream.
     Submit {
         /// The sweeps to resolve.
@@ -385,7 +390,6 @@ impl Serialize for Request {
         let mut map: Vec<(String, Content)> = Vec::new();
         let cmd = match self {
             Request::Ping => "ping",
-            Request::Status => "status",
             Request::Submit { .. } => "submit",
             Request::Fetch { .. } => "fetch",
             Request::Evict { .. } => "evict",
@@ -416,7 +420,6 @@ impl Deserialize for Request {
             .ok_or_else(|| DeError("`cmd` must be a string".to_string()))?;
         match cmd {
             "ping" => Ok(Request::Ping),
-            "status" => Ok(Request::Status),
             "submit" => Ok(Request::Submit {
                 specs: Vec::<WireSpec>::from_content(field(map, "specs")?)?,
             }),
@@ -433,53 +436,6 @@ impl Deserialize for Request {
             other => Err(DeError(format!("unknown cmd `{other}`"))),
         }
     }
-}
-
-/// Daemon counters as reported by [`Request::Status`] — the CI `serve`
-/// job's dedup proof reads `points_computed` and the hit counters out
-/// of this JSON (`serve-summary.json`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StatusReport {
-    /// Wire protocol version.
-    pub proto: u32,
-    /// Store schema version in effect.
-    pub schema: u32,
-    /// Seconds since the daemon started.
-    pub uptime_secs: u64,
-    /// Worker threads in the pool.
-    pub workers: u64,
-    /// Connections accepted.
-    pub connections: u64,
-    /// Requests parsed (well-formed lines).
-    pub requests: u64,
-    /// Malformed or unparseable request lines.
-    pub bad_requests: u64,
-    /// Submit requests accepted.
-    pub jobs_submitted: u64,
-    /// Submit requests fully answered.
-    pub jobs_completed: u64,
-    /// Points requested across all jobs (with multiplicity).
-    pub points_requested: u64,
-    /// Points actually simulated by the worker pool.
-    pub points_computed: u64,
-    /// Points that failed (a worker panicked on them).
-    pub points_failed: u64,
-    /// Points served from the on-disk store.
-    pub store_hits: u64,
-    /// Points served from the in-memory results map.
-    pub memory_hits: u64,
-    /// Points deduplicated onto another job's in-flight computation.
-    pub dedup_waits: u64,
-    /// Store entries evicted via `evict`.
-    pub evictions: u64,
-    /// Points queued but not yet claimed by a worker.
-    pub queue_depth: u64,
-    /// Points currently being simulated.
-    pub inflight: u64,
-    /// On-disk store size.
-    pub store: StoreStats,
-    /// Store directory (diagnostics).
-    pub store_dir: String,
 }
 
 /// One `fetch` answer: the key, whether the store had it, the point,
@@ -554,8 +510,6 @@ pub enum Response {
         /// One sweep per submitted spec.
         sweeps: Vec<SweepResult>,
     },
-    /// Daemon counters.
-    Status(Box<StatusReport>),
     /// Fetch answers, in request key order.
     Points {
         /// One entry per requested key.
@@ -591,7 +545,6 @@ impl Serialize for Response {
             Response::Accepted { .. } => "accepted",
             Response::Progress { .. } => "progress",
             Response::Result { .. } => "result",
-            Response::Status(_) => "status",
             Response::Points { .. } => "points",
             Response::Evicted { .. } => "evicted",
             Response::GcDone(_) => "gc",
@@ -626,7 +579,6 @@ impl Serialize for Response {
                 map.push(("job".to_string(), job.to_content()));
                 map.push(("sweeps".to_string(), sweeps.to_content()));
             }
-            Response::Status(report) => map.push(("status".to_string(), report.to_content())),
             Response::Points { points } => map.push(("points".to_string(), points.to_content())),
             Response::Evicted { removed } => {
                 map.push(("removed".to_string(), removed.to_content()));
@@ -672,9 +624,6 @@ impl Deserialize for Response {
                 job: u("job")?,
                 sweeps: Vec::<SweepResult>::from_content(field(map, "sweeps")?)?,
             }),
-            "status" => Ok(Response::Status(Box::new(StatusReport::from_content(
-                field(map, "status")?,
-            )?))),
             "points" => Ok(Response::Points {
                 points: Vec::<FetchedPoint>::from_content(field(map, "points")?)?,
             }),
@@ -837,7 +786,6 @@ mod tests {
     fn requests_round_trip() {
         let reqs = vec![
             Request::Ping,
-            Request::Status,
             Request::Submit {
                 specs: vec![WireSpec::from_spec(&spec())],
             },
@@ -887,11 +835,6 @@ mod tests {
                     points: vec![],
                 }],
             },
-            Response::Status(Box::new(StatusReport {
-                proto: PROTO_VERSION,
-                points_computed: 6,
-                ..StatusReport::default()
-            })),
             Response::Points {
                 points: vec![FetchedPoint {
                     key: "00000000000000ff".into(),
@@ -974,6 +917,10 @@ mod tests {
         assert!(
             decode_request("{\"cmd\":\"submit\"}").is_err(),
             "missing specs"
+        );
+        assert!(
+            decode_request("{\"cmd\":\"status\"}").is_err(),
+            "v3 folded status into metrics"
         );
         assert!(decode_response("{\"event\":\"warp\"}").is_err());
     }

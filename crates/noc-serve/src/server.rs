@@ -5,11 +5,12 @@
 //! JSON protocol of [`crate::proto`]. Malformed lines are answered with
 //! an `error` event and the connection stays usable; a client that
 //! disconnects mid-job just loses its stream — the engine keeps
-//! computing and the results land in the store, so the retry is free.
+//! computing and the results land in the store, so the retry is free,
+//! and the job's flight span still closes.
 //! A `shutdown` request flags the engine, which the accept loop (polling
 //! between non-blocking accepts) observes to stop the daemon.
 
-use crate::core::{Daemon, ServeConfig};
+use crate::core::{Daemon, Job, ServeConfig};
 use crate::proto::{decode_request, encode, FetchedPoint, Request, Response};
 use crate::store::format_key;
 use crate::Store;
@@ -108,7 +109,6 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
                     proto: crate::PROTO_VERSION,
                 },
             ),
-            Request::Status => send(&mut writer, &Response::Status(Box::new(daemon.status()))),
             Request::Metrics => send(
                 &mut writer,
                 &Response::Metrics(Box::new(daemon.metrics_report())),
@@ -156,21 +156,34 @@ fn handle_submit(daemon: &Daemon, writer: &mut UnixStream, specs: Vec<crate::Wir
         );
     }
     let job = daemon.submit(decoded);
-    if !send(
-        writer,
-        &Response::Accepted {
-            job: job.id,
-            points: job.total,
-            computed: job.computed,
-            cached: job.cached,
-            deduped: job.deduped,
-        },
-    ) {
-        return false;
+    let terminal = stream_job(daemon, writer, &job);
+    // Every exit closes the job's flight span, once: a result, an error,
+    // or a peer that hung up mid-job (the engine keeps computing; the
+    // points land in the store for the retry). Published *before* the
+    // terminal write so that once the client has the answer, the record
+    // is already on the bus: a shutdown racing in right after cannot
+    // lose it.
+    daemon.note_responded(job.id);
+    terminal.is_some_and(|resp| send(writer, &resp))
+}
+
+/// Writes `accepted` and the progress stream of `job`, then returns its
+/// terminal response — the assembled result or an error — or `None`
+/// once the peer is gone.
+fn stream_job(daemon: &Daemon, writer: &mut UnixStream, job: &Job) -> Option<Response> {
+    let accepted = Response::Accepted {
+        job: job.id,
+        points: job.total,
+        computed: job.computed,
+        cached: job.cached,
+        deduped: job.deduped,
+    };
+    if !send(writer, &accepted) {
+        return None;
     }
     let mut done = 0;
     loop {
-        let snap = daemon.wait_progress(&job, done);
+        let snap = daemon.wait_progress(job, done);
         if snap.done > done
             && !send(
                 writer,
@@ -181,39 +194,23 @@ fn handle_submit(daemon: &Daemon, writer: &mut UnixStream, specs: Vec<crate::Wir
                 },
             )
         {
-            // Client hung up mid-job: the engine keeps computing; the
-            // points land in the store for the retry.
-            return false;
+            return None;
         }
         done = snap.done;
         if snap.complete {
-            break;
+            return Some(match daemon.collect(job) {
+                Ok(sweeps) => Response::Result {
+                    job: job.id,
+                    sweeps,
+                },
+                Err(message) => Response::Error { message },
+            });
         }
         if daemon.is_shutdown() {
-            daemon.note_responded(job.id);
-            return send(
-                writer,
-                &Response::Error {
-                    message: "daemon shutting down".to_string(),
-                },
-            );
+            return Some(Response::Error {
+                message: "daemon shutting down".to_string(),
+            });
         }
-    }
-    // The terminal line (result or error) closes the job's flight span
-    // either way — `responded` means "a terminal answer is being
-    // written", not "the job succeeded". Published *before* the write
-    // so that once the client has the answer, the record is already on
-    // the bus: a shutdown racing in right after cannot lose it.
-    daemon.note_responded(job.id);
-    match daemon.collect(&job) {
-        Ok(sweeps) => send(
-            writer,
-            &Response::Result {
-                job: job.id,
-                sweeps,
-            },
-        ),
-        Err(message) => send(writer, &Response::Error { message }),
     }
 }
 

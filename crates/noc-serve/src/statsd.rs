@@ -7,11 +7,10 @@
 //! ```text
 //! nocserve.points_computed:4|c
 //! nocserve.queue_depth:2|g
-//! nocserve.batch_ms:118|ms
 //! ```
 //!
 //! The sink is a **drain target**, not an inline emitter: `count` /
-//! `gauge` / `timing_ms` only buffer lines in memory, and the metrics
+//! `gauge` only buffer lines in memory, and the metrics
 //! registry's sampler tick calls [`StatsdSink::flush`] to write them
 //! out in one appending burst. Nothing on a request or worker path ever
 //! opens a file.
@@ -66,16 +65,6 @@ impl StatsdSink {
         }
     }
 
-    /// A sink configured from `NOC_SERVE_STATSD` (empty/unset disables).
-    pub fn from_env() -> StatsdSink {
-        StatsdSink::new(std::env::var("NOC_SERVE_STATSD").ok().as_deref())
-    }
-
-    /// Whether lines are actually going anywhere.
-    pub fn enabled(&self) -> bool {
-        self.target.is_some()
-    }
-
     /// Buffers a counter increment (`|c`).
     pub fn count(&self, metric: &str, value: u64) {
         self.push(metric, value, "c");
@@ -84,11 +73,6 @@ impl StatsdSink {
     /// Buffers a gauge level (`|g`).
     pub fn gauge(&self, metric: &str, value: u64) {
         self.push(metric, value, "g");
-    }
-
-    /// Buffers a timing in milliseconds (`|ms`).
-    pub fn timing_ms(&self, metric: &str, value: u64) {
-        self.push(metric, value, "ms");
     }
 
     fn push(&self, metric: &str, value: u64, kind: &str) {
@@ -142,16 +126,14 @@ mod tests {
         let path = std::env::temp_dir().join(format!("nocstatsd_{}.txt", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let sink = StatsdSink::new(path.to_str());
-        assert!(sink.enabled());
         sink.count("points_computed", 4);
         sink.gauge("queue_depth", 2);
-        sink.timing_ms("batch_ms", 118);
         assert!(!path.exists(), "nothing written before flush");
         sink.flush();
         let text = std::fs::read_to_string(&path).expect("flushed file");
         assert_eq!(
             text,
-            "nocserve.points_computed:4|c\nnocserve.queue_depth:2|g\nnocserve.batch_ms:118|ms\n"
+            "nocserve.points_computed:4|c\nnocserve.queue_depth:2|g\n"
         );
         sink.flush(); // empty flush appends nothing
         assert_eq!(
@@ -176,7 +158,6 @@ mod tests {
     #[test]
     fn disabled_sink_is_a_noop() {
         let sink = StatsdSink::new(None);
-        assert!(!sink.enabled());
         sink.count("anything", 1);
         sink.flush(); // must not panic or create files
     }

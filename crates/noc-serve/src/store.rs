@@ -243,8 +243,8 @@ impl GcReport {
     }
 }
 
-/// A snapshot of the store's size, for status reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// A snapshot of the store's size on disk.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Number of `*.json` entries present (valid or not).
     pub entries: u64,

@@ -8,7 +8,7 @@
 #![allow(dead_code)]
 
 use noc_serve::client::Client;
-use noc_serve::{serve, SchemeId, ServeConfig, SweepSpec};
+use noc_serve::{serve, MetricsReport, SchemeId, ServeConfig, SweepSpec};
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -38,6 +38,16 @@ pub fn small_spec(id: SchemeId, pattern: SyntheticPattern, seed: u64) -> SweepSp
         measure: 1_500,
         seed,
     }
+}
+
+/// The lifetime total of counter `name` in a `metrics` report.
+pub fn counter(report: &MetricsReport, name: &str) -> u64 {
+    report
+        .counters
+        .iter()
+        .find(|c| c.name == name)
+        .map(|c| c.value)
+        .unwrap_or_else(|| panic!("no counter `{name}` in {report:?}"))
 }
 
 /// One live daemon on scratch paths.

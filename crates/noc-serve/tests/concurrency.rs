@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{tiny_spec, TestDaemon};
+use common::{counter, tiny_spec, TestDaemon};
 use noc_serve::{point_cache_key, SchemeId, SweepSpec};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -99,12 +99,13 @@ proptest! {
                 }
             }
         }
-        let status = daemon.client().status().expect("status");
-        prop_assert_eq!(status.points_computed, unique.len() as u64);
-        prop_assert_eq!(status.points_requested, requested);
-        prop_assert_eq!(status.points_failed, 0);
+        let report = daemon.client().metrics().expect("metrics");
+        let count = |name: &str| counter(&report, name);
+        prop_assert_eq!(count("points_computed"), unique.len() as u64);
+        prop_assert_eq!(count("points_requested"), requested);
+        prop_assert_eq!(count("points_failed"), 0);
         prop_assert_eq!(
-            status.store_hits + status.memory_hits + status.dedup_waits,
+            count("store_hits") + count("memory_hits") + count("dedup_waits"),
             requested - unique.len() as u64
         );
 

@@ -5,10 +5,12 @@
 
 mod common;
 
-use common::{small_spec, TestDaemon};
+use common::{counter, small_spec, TestDaemon};
 use noc_serve::flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains};
-use noc_serve::proto::flight_event as ev;
-use noc_serve::{run_sweep_parallel, SchemeId, SweepOptions, SweepSpec};
+use noc_serve::proto::{decode_response, encode, flight_event as ev, Request, Response};
+use noc_serve::{run_sweep_parallel, SchemeId, SweepOptions, SweepSpec, WireSpec};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use traffic::SyntheticPattern;
@@ -73,19 +75,15 @@ fn watch_streams_lifecycle_without_perturbing_results() {
 
     // The wire metrics report reflects the work that just happened.
     let report = daemon.client().metrics().expect("metrics");
-    let counter = |name: &str| {
-        report
-            .counters
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.value)
-            .unwrap_or(u64::MAX)
-    };
+    let counter = |name: &str| counter(&report, name);
     assert_eq!(counter("jobs_submitted"), 2);
     assert_eq!(counter("jobs_completed"), 2);
     assert_eq!(counter("points_requested"), 12);
     assert_eq!(
-        counter("points_computed") + counter("points_cached") + counter("points_deduped"),
+        counter("points_computed")
+            + counter("store_hits")
+            + counter("memory_hits")
+            + counter("dedup_waits"),
         12,
         "{report:?}"
     );
@@ -175,11 +173,7 @@ fn flight_log_and_statsd_drain_cover_resolution_paths() {
     );
 
     let statsd = std::fs::read_to_string(&statsd_path).expect("statsd drain wrote the file");
-    for needle in [
-        "nocserve.jobs_submitted:",
-        "nocserve.queue_depth:",
-        "nocserve.batch_ms:",
-    ] {
+    for needle in ["nocserve.jobs_submitted:", "nocserve.queue_depth:"] {
         assert!(statsd.contains(needle), "missing {needle:?} in:\n{statsd}");
     }
     // Counters drain as per-tick deltas; across all drains they must
@@ -191,4 +185,49 @@ fn flight_log_and_statsd_drain_cover_resolution_paths() {
         .map(|v| v.parse::<u64>().expect("counter value"))
         .sum();
     assert_eq!(computed, 6, "deltas sum to the total in:\n{statsd}");
+}
+
+/// A client that hangs up mid-job still closes the job's span: the
+/// handler publishes `responded` when its progress write finds the peer
+/// gone, so the log validates and exports like any other.
+#[test]
+fn a_client_hanging_up_mid_job_still_closes_its_span() {
+    let spec = small_spec(SchemeId::FastPass, SyntheticPattern::Uniform, 3);
+    let daemon = TestDaemon::boot_fresh_observed("hangup");
+    {
+        let mut stream = UnixStream::connect(&daemon.sock).expect("connect");
+        let submit = encode(&Request::Submit {
+            specs: vec![WireSpec::from_spec(&spec)],
+        });
+        writeln!(stream, "{submit}").expect("send submit");
+        let mut accepted = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut accepted)
+            .expect("read accepted");
+        assert!(
+            matches!(decode_response(&accepted), Ok(Response::Accepted { .. })),
+            "{accepted}"
+        );
+    } // <- hung up here, job in flight
+
+    // The job finishes with nobody listening, so the daemon's next
+    // progress write meets the closed peer.
+    let computed = || {
+        counter(
+            &daemon.client().metrics().expect("metrics"),
+            "points_computed",
+        )
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while computed() < 3 {
+        assert!(Instant::now() < deadline, "job never finished");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let flight_path = daemon.flight_path();
+    let mut daemon = daemon;
+    daemon.stop();
+
+    let records = load_flight(&flight_path).expect("flight log loads");
+    assert_eq!(validate_chains(&records), Vec::<String>::new());
+    check_daemon_trace(&chrome_trace(&records)).expect("valid chrome trace");
 }

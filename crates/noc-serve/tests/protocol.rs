@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::TestDaemon;
+use common::{counter, TestDaemon};
 use noc_serve::proto::{decode_response, encode, Request, Response, WireSpec};
 use noc_serve::{point_cache_key, SchemeId, SweepSpec};
 use std::io::{BufRead, BufReader, Write};
@@ -92,9 +92,17 @@ fn malformed_lines_get_errors_and_the_connection_stays_usable() {
     conn.send_line(&encode(&Request::Ping));
     assert!(matches!(conn.recv(), Response::Pong { .. }));
 
-    let status = daemon.client().status().expect("status");
-    assert_eq!(status.bad_requests, 5, "malformed lines counted");
-    assert_eq!(status.points_computed, 0, "nothing was simulated");
+    let report = daemon.client().metrics().expect("metrics");
+    assert_eq!(
+        counter(&report, "bad_requests"),
+        5,
+        "malformed lines counted"
+    );
+    assert_eq!(
+        counter(&report, "points_computed"),
+        0,
+        "nothing was simulated"
+    );
 }
 
 #[test]
@@ -145,9 +153,9 @@ fn client_disconnect_mid_job_leaves_the_daemon_healthy() {
     assert_eq!(sweeps[0].points.len(), spec.rates.len());
 
     // Every point was simulated exactly once despite the dead client.
-    let status = daemon.client().status().expect("status");
-    assert_eq!(status.points_computed, spec.rates.len() as u64);
-    assert_eq!(status.points_failed, 0);
+    let report = daemon.client().metrics().expect("metrics");
+    assert_eq!(counter(&report, "points_computed"), spec.rates.len() as u64);
+    assert_eq!(counter(&report, "points_failed"), 0);
 }
 
 #[test]
@@ -177,9 +185,9 @@ fn restarted_daemon_serves_warm_store_without_recompute() {
         "warm store must serve every point: {receipt:?}"
     );
     assert_eq!(serde_json::to_string_pretty(&sweeps).unwrap(), first_run);
-    let status = daemon.client().status().expect("status");
-    assert_eq!(status.points_computed, 0);
-    assert_eq!(status.store_hits, 2);
+    let report = daemon.client().metrics().expect("metrics");
+    assert_eq!(counter(&report, "points_computed"), 0);
+    assert_eq!(counter(&report, "store_hits"), 2);
     let _ = std::fs::remove_dir_all(store.parent().unwrap());
 }
 
