@@ -1,9 +1,9 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each `src/bin/figN.rs` / `tableN.rs` binary reproduces one artifact of
-//! the evaluation section; this library holds what is about *figures*:
-//! the `--serve` dispatch ([`serve_client`]: [`ExecMode`],
-//! [`run_sweeps`]), the trace/telemetry/phase-time exporters
+//! The `fig` binary (`src/bin/fig/`) reproduces the artifacts of the
+//! evaluation section, `fig <name>` each; this library holds what is
+//! about *figures*: the `--serve` dispatch ([`serve_client`]:
+//! [`ExecMode`], [`run_sweeps`]), the trace/telemetry/phase-time exporters
 //! ([`trace_out`], [`telemetry`], [`phases`]) and plain-text emitters.
 //! The sweep library itself — the one point path ([`simulate_point`])
 //! with its sweep runners, the result store, the wire protocol and its
@@ -16,7 +16,8 @@
 //! (`benchmark/README.md`). Binaries honour these environment variables
 //! so quick runs and full runs use the same code:
 //!
-//! * `FP_WARMUP` / `FP_MEASURE` — cycles per window (defaults per binary);
+//! * `FP_WARMUP` / `FP_MEASURE` — cycles per window, and `FP_SIZE` — mesh
+//!   edge (defaults per figure);
 //! * `FP_OUT` — directory for JSON results (default `results/`);
 //! * `NOC_JOBS` — worker threads for parallel sweeps (default: available
 //!   cores);
@@ -26,7 +27,7 @@
 //!   `trace/`; used by `smoke --trace`);
 //! * `NOC_SERVE` — socket of a running `nocserve` daemon; routes sweeps
 //!   through it instead of the in-process executor (same as passing
-//!   `--serve` to a sweep binary — see [`serve_client`]).
+//!   `--serve` to `smoke` or `fig` — see [`serve_client`]).
 
 #![warn(missing_docs)]
 

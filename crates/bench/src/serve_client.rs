@@ -1,6 +1,6 @@
-//! The `--serve` dispatch used by the figure binaries.
+//! The `--serve` dispatch used by the figure harness.
 //!
-//! The figure binaries call [`run_sweeps`], which routes a spec list
+//! The rate-sweep figures call [`run_sweeps`], which routes a spec list
 //! either through the in-process executor ([`run_sweep_parallel`]) or —
 //! when `--serve[=SOCKET]` is on the command line or `NOC_SERVE` is set
 //! — through a running daemon via [`noc_serve::client::Client`]
@@ -75,7 +75,7 @@ pub fn run_sweeps_via(sock: &Path, specs: &[SweepSpec]) -> Result<Vec<SweepResul
     Ok(sweeps)
 }
 
-/// The figure binaries' sweep entry point: batch by default, daemon when
+/// The figures' sweep entry point: batch by default, daemon when
 /// `--serve` / `NOC_SERVE` asks for it ([`ExecMode::from_env`]).
 ///
 /// Serve mode is explicit opt-in, so an unreachable daemon is an error,
@@ -91,22 +91,6 @@ pub fn run_sweeps(specs: &[SweepSpec]) -> Vec<SweepResult> {
                 std::process::exit(2);
             }
         },
-    }
-}
-
-/// For binaries whose jobs are not point-addressable (saturation
-/// searches, power models, p99 scans): if serve mode was requested,
-/// explain why this binary runs its custom jobs locally anyway. Sweeps
-/// submitted through the daemon cover only `(spec, rate)` points; these
-/// binaries' work units depend on intermediate results, so they cannot
-/// be deduplicated by content key yet.
-pub fn warn_if_serve_requested(binary: &str) {
-    if let ExecMode::Serve(sock) = ExecMode::from_env() {
-        eprintln!(
-            "[{binary}] note: serve mode ({}) covers rate-sweep points only; \
-             this binary's custom jobs run in-process",
-            sock.display()
-        );
     }
 }
 

@@ -3,7 +3,7 @@
 //! [`Client`] wraps one Unix-socket connection and speaks the
 //! newline-delimited JSON protocol from [`crate::proto`] — the other end
 //! of the wire [`crate::server`] answers. `nocctl` and the figure
-//! binaries' `--serve` dispatch (the `bench` crate's `serve_client`) are
+//! harness's `--serve` dispatch (the `bench` crate's `serve_client`) are
 //! both built on it.
 
 use crate::proto::{

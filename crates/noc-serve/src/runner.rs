@@ -7,8 +7,7 @@
 //!
 //! * [`parallel_map`] — an ordered work-queue executor (the calling
 //!   thread plus `std::thread::scope` helpers claiming jobs from one
-//!   atomic cursor, no dependencies) shared by all
-//!   `fig*`/`table*`/`ablation` binaries;
+//!   atomic cursor, no dependencies) behind every figure's own jobs;
 //! * [`run_sweep_parallel`] — the latency-vs-rate sweep entry point,
 //!   with per-point progress lines and a deterministic on-disk result
 //!   cache under `results/cache/` so interrupted sweeps resume instead
