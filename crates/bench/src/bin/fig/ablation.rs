@@ -68,7 +68,7 @@ pub fn run() -> Outcome {
     }
 
     let mut rows = Vec::new();
-    let stats = run_sims(sims, |sim| sim.run_windows(warmup, measure));
+    let stats = run_sims(sims, move |sim| sim.run_windows(warmup, measure));
     for ((display, knob, value), s) in labels.into_iter().zip(stats) {
         let (lat, thpt) = (s.avg_latency(), s.throughput_packets());
         let (fpf, drp) = (s.fastpass_fraction(), s.dropped_fraction());

@@ -58,7 +58,7 @@ pub fn run() -> Outcome {
             sims.push(app_sim(id, app, size, fp_vcs, 13, Some(quota), 1.0));
         }
     }
-    let measured = run_sims(sims, |sim| {
+    let measured = run_sims(sims, move |sim| {
         let ran = sim.run(max_cycles);
         let lat = sim.core.stats.avg_latency();
         (lat, sim.workload_finished().then_some(ran))

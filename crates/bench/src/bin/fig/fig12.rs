@@ -25,7 +25,7 @@ pub fn run() -> Outcome {
             sims.push(app_sim(id, app, size, 2, 17, None, 1.0));
         }
     }
-    let p99s = run_sims(sims, |sim| {
+    let p99s = run_sims(sims, move |sim| {
         let mut stats = sim.run_windows(warmup, measure);
         stats.latency.percentile(99.0).unwrap_or(0)
     });

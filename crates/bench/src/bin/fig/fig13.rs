@@ -57,7 +57,7 @@ pub fn run() -> Outcome {
     sims.extend(AppModel::FIG13.map(|app| app_sim(FastPass, app, size, 1, 29, None, 2.0)));
     let labels = rates.map(|rate| format!("uniform@{rate}")).into_iter();
     let labels = labels.chain(AppModel::FIG13.map(|app| app.name().to_string()));
-    let stats = run_sims(sims, |sim| sim.run_windows(warmup, measure));
+    let stats = run_sims(sims, move |sim| sim.run_windows(warmup, measure));
     let mut rows: Vec<Fig13Row> = labels.zip(&stats).map(|(l, s)| breakdown(l, s)).collect();
     let apps = rows.split_off(rates.len());
 

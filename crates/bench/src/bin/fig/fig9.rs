@@ -31,7 +31,7 @@ pub fn run() -> Outcome {
         "rate", "reg lat", "fp lat", "fp buffered", "fp bufferless", "fp frac"
     );
     let sims = rates.map(|rate| make_sim(FastPass, SyntheticPattern::Uniform, rate, size, 1, 11));
-    let stats = run_sims(sims.into(), |sim| sim.run_windows(warmup, measure));
+    let stats = run_sims(sims.into(), move |sim| sim.run_windows(warmup, measure));
     let rows: Vec<Fig9Row> = rates
         .into_iter()
         .zip(stats)

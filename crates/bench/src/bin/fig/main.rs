@@ -28,6 +28,7 @@ use bench::{emit_json, env_u64, num_jobs, parallel_map, ExecMode};
 use noc_sim::Simulation;
 use serde::Serialize;
 use std::process::ExitCode;
+use std::sync::Arc;
 use traffic::AppModel;
 
 /// A figure's rows for its JSON file (`None`: the tables only print), or
@@ -64,7 +65,10 @@ fn window(warmup: u64, measure: u64, size: u64) -> (u64, u64, usize) {
 /// Runs `each` on every simulation across `NOC_JOBS` workers, results
 /// in order. These runs are not the `(spec, rate)` points the daemon
 /// serves, so serve mode runs them here too and says so.
-fn run_sims<T: Send>(sims: Vec<Simulation>, each: impl Fn(&mut Simulation) -> T + Sync) -> Vec<T> {
+fn run_sims<T: Send + 'static>(
+    sims: Vec<Simulation>,
+    each: impl Fn(&mut Simulation) -> T + Send + Sync + 'static,
+) -> Vec<T> {
     if let ExecMode::Serve(sock) = ExecMode::from_env() {
         eprintln!(
             "[fig] note: serve mode ({}) covers rate-sweep points only; \
@@ -72,8 +76,11 @@ fn run_sims<T: Send>(sims: Vec<Simulation>, each: impl Fn(&mut Simulation) -> T 
             sock.display()
         );
     }
-    let each = &each;
-    let jobs = sims.into_iter().map(|mut sim| move || each(&mut sim));
+    let each = Arc::new(each);
+    let jobs = sims.into_iter().map(|mut sim| {
+        let each = Arc::clone(&each);
+        move || each(&mut sim)
+    });
     parallel_map(jobs.collect(), num_jobs())
 }
 

@@ -45,6 +45,13 @@ use traffic::SyntheticPattern;
 /// daemon has one report.
 pub const PROTO_VERSION: u32 = 3;
 
+/// The longest request line the daemon reads, in bytes, newline not
+/// counted. A longer line draws one `error` event and the daemon closes
+/// the connection, so a client that never sends a newline costs the
+/// daemon at most this much memory. A submit of a thousand specs is
+/// well under it.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Flight-recorder event names — the vocabulary of one job's lifecycle
 /// span chain (`submitted → resolved → claimed → batch_done → stored →
 /// responded`), plus the sampler's `queue` depth

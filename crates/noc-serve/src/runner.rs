@@ -6,8 +6,9 @@
 //! runners here exploit that:
 //!
 //! * [`parallel_map`] — an ordered work-queue executor (the calling
-//!   thread plus `std::thread::scope` helpers claiming jobs from one
-//!   atomic cursor, no dependencies) behind every figure's own jobs;
+//!   thread plus helpers from a process-wide pool of parked threads,
+//!   claiming jobs from one atomic cursor, no dependencies) behind
+//!   every figure's own jobs;
 //! * [`run_sweep_parallel`] — the latency-vs-rate sweep entry point,
 //!   with per-point progress lines and a deterministic on-disk result
 //!   cache under `results/cache/` so interrupted sweeps resume instead
@@ -28,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use traffic::{SyntheticPattern, SyntheticWorkload};
 
 /// Reads a `u64` knob from the environment with a default.
@@ -51,61 +52,70 @@ pub fn num_jobs() -> usize {
 /// finishes (in completion order), for progress reporting.
 ///
 /// The calling thread is one of the workers: it runs jobs beside
-/// `workers - 1` scoped helpers, so `workers == 1` spawns nothing. Each
-/// job is claimed from a shared atomic cursor, so long and short jobs
-/// balance across workers. Every worker keeps its own `(index, value)`
-/// pairs, and after the join the output `Vec` is assembled by job index,
+/// `workers - 1` helpers from a process-wide pool, so `workers == 1`
+/// touches no helper. A helper is spawned the first time a call finds
+/// none parked, and parks again when its call is done, so a later call
+/// wakes it instead of paying a spawn. Each job is claimed from a
+/// shared atomic cursor, so long and short jobs balance across workers.
+/// Every worker keeps its own `(index, value)` pairs, and once every
+/// helper has reported, the output `Vec` is assembled by job index,
 /// which makes the caller's view independent of scheduling order — the
 /// cornerstone of the serial-vs-parallel determinism guarantee.
+///
+/// Jobs, results and `on_done` are `'static` because a parked helper
+/// outlives any borrow the caller could lend it; a helper lets go of
+/// the call's state before it reports, so nothing of a call (an
+/// unclaimed job, `on_done`'s captures) outlives the call. A job may
+/// itself call `parallel_map`, and several threads may call at once:
+/// each call takes helpers no other call holds.
 ///
 /// # Panics
 ///
 /// A panicking job stops every worker from claiming more; once all have
-/// stopped, its original payload is re-raised unchanged.
-pub fn parallel_map_with<T, F>(
-    jobs: Vec<F>,
-    workers: usize,
-    on_done: impl Fn(usize, &T) + Sync,
-) -> Vec<T>
+/// stopped, its original payload is re-raised unchanged. The helper
+/// that ran it survives and serves later calls.
+pub fn parallel_map_with<T, F, D>(jobs: Vec<F>, workers: usize, on_done: D) -> Vec<T>
 where
-    T: Send,
-    F: FnOnce() -> T + Send,
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+    D: Fn(usize, &T) + Send + Sync + 'static,
 {
     let n = jobs.len();
     if n == 0 {
         return Vec::new();
     }
-    let queue: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let next = AtomicUsize::new(0);
-    let work = || -> std::thread::Result<Vec<(usize, T)>> {
-        std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut done = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return done;
-                }
-                let job = queue[i]
-                    .lock()
-                    .expect("job slot poisoned")
-                    .take()
-                    .expect("job claimed twice");
-                let value = job();
-                on_done(i, &value);
-                done.push((i, value));
-            }
-        }))
-        // A panic empties the queue for every other worker.
-        .inspect_err(|_| next.store(n, Ordering::Relaxed))
-    };
-    let outcomes: Vec<_> = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..workers.clamp(1, n)).map(|_| s.spawn(work)).collect();
-        let own = work();
-        // `work` catches its own panics, so a join never fails.
-        std::iter::once(own)
-            .chain(helpers.into_iter().map(|h| h.join().unwrap_or_else(Err)))
-            .collect()
+    let call = Arc::new(Call {
+        queue: jobs.into_iter().map(|f| Mutex::new(Some(f))).collect(),
+        next: AtomicUsize::new(0),
+        on_done,
     });
+    let (report, reports) = mpsc::channel();
+    let helpers: Vec<Arc<Helper>> = (1..workers.clamp(1, n))
+        .map(|_| {
+            let (call, report) = (Arc::clone(&call), report.clone());
+            Helper::start(Box::new(move || {
+                let outcome = call.work();
+                // Let go of the call's jobs before reporting, so none
+                // outlives the call.
+                drop(call);
+                let _ = report.send(outcome);
+            }))
+        })
+        .collect();
+    // Only the helpers hold senders now: a helper lost without a
+    // report closes the channel instead of hanging the caller.
+    drop(report);
+    let own = call.work();
+    let outcomes: Vec<_> = std::iter::once(own)
+        .chain(
+            helpers
+                .iter()
+                .map(|_| reports.recv().expect("every helper reports")),
+        )
+        .collect();
+    if !helpers.is_empty() {
+        idle_helpers().extend(helpers);
+    }
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     for outcome in outcomes {
         for (i, value) in outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload)) {
@@ -121,10 +131,115 @@ where
 /// [`parallel_map_with`] without a progress callback.
 pub fn parallel_map<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
 where
-    T: Send,
-    F: FnOnce() -> T + Send,
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
 {
     parallel_map_with(jobs, workers, |_, _| {})
+}
+
+/// One [`parallel_map_with`] call's shared state: the jobs, the cursor
+/// every worker claims from, and the progress callback.
+struct Call<F, D> {
+    queue: Vec<Mutex<Option<F>>>,
+    next: AtomicUsize,
+    on_done: D,
+}
+
+impl<F, D> Call<F, D> {
+    /// Claims and runs jobs until the cursor passes the last one,
+    /// keeping each result with its index.
+    fn work<T>(&self) -> std::thread::Result<Vec<(usize, T)>>
+    where
+        F: FnOnce() -> T,
+        D: Fn(usize, &T),
+    {
+        let n = self.queue.len();
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut done = Vec::new();
+            loop {
+                let i = self.next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return done;
+                }
+                let job = self.queue[i]
+                    .lock()
+                    .expect("job slot poisoned")
+                    .take()
+                    .expect("job claimed twice");
+                let value = job();
+                (self.on_done)(i, &value);
+                done.push((i, value));
+            }
+        }))
+        // A panic empties the queue for every other worker.
+        .inspect_err(|_| self.next.store(n, Ordering::Relaxed))
+    }
+}
+
+/// What a helper runs for one call: its share of the call's jobs, then
+/// its report.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// A pooled helper thread. It parks on `wake` until a caller puts a
+/// task in `slot`, runs it, and parks again; the caller puts it back
+/// among the idle helpers once it has reported.
+struct Helper {
+    slot: Mutex<Option<Task>>,
+    wake: Condvar,
+}
+
+/// Helpers that no call holds, the most recently parked last.
+fn idle_helpers() -> MutexGuard<'static, Vec<Arc<Helper>>> {
+    static IDLE: Mutex<Vec<Arc<Helper>>> = Mutex::new(Vec::new());
+    IDLE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Helper threads spawned by this process, for the tests' reuse check.
+#[cfg(test)]
+static SPAWNED: AtomicUsize = AtomicUsize::new(0);
+
+impl Helper {
+    /// Hands `task` to an idle helper, spawning one if none is parked,
+    /// and returns the helper, now held by the caller.
+    fn start(task: Task) -> Arc<Helper> {
+        let parked = idle_helpers().pop();
+        let helper = parked.unwrap_or_else(|| {
+            let helper = Arc::new(Helper {
+                slot: Mutex::new(None),
+                wake: Condvar::new(),
+            });
+            let own = Arc::clone(&helper);
+            std::thread::Builder::new()
+                .name("parallel_map".into())
+                .spawn(move || own.serve())
+                .expect("spawn a helper thread");
+            #[cfg(test)]
+            SPAWNED.fetch_add(1, Ordering::Relaxed);
+            helper
+        });
+        *helper.slot.lock().expect("helper slot poisoned") = Some(task);
+        helper.wake.notify_one();
+        helper
+    }
+
+    /// The helper thread's body: run each task it is handed, forever.
+    fn serve(&self) {
+        loop {
+            let mut slot = self.slot.lock().expect("helper slot poisoned");
+            let task = loop {
+                match slot.take() {
+                    Some(task) => break task,
+                    None => slot = self.wake.wait(slot).expect("helper slot poisoned"),
+                }
+            };
+            drop(slot);
+            // A task catches its jobs' panics. Anything else it raises
+            // (a job's `Drop`) ends this thread and drops the task's
+            // report sender, so the caller's `recv` fails instead of
+            // waiting, and the helper never returns to the pool.
+            task();
+        }
+    }
 }
 
 /// One point of a latency-vs-injection-rate curve (Fig. 7).
@@ -444,90 +559,112 @@ pub fn sweep(
 /// missing points. Results are bitwise identical to the serial
 /// [`sweep`] path regardless of worker count or cache state.
 pub fn run_sweep_parallel(specs: &[SweepSpec], opts: &SweepOptions) -> Vec<SweepResult> {
-    let points: Vec<(usize, usize, f64)> = specs
-        .iter()
-        .enumerate()
-        .flat_map(|(si, spec)| {
-            spec.rates
-                .iter()
-                .enumerate()
-                .map(move |(ri, &r)| (si, ri, r))
-        })
-        .collect();
-    let total = points.len();
     let store = opts.cache_dir.as_deref().map(Store::new);
     // One key derivation per spec, not per point: the workers only
     // finish each rate's hash.
-    let spec_keys: Vec<SpecKey> = match store {
+    let keys = match store {
         Some(_) => specs.iter().map(SpecKey::new).collect(),
         None => Vec::new(),
     };
+    // Jobs are `'static`, so they share owned copies of the specs, the
+    // store and the keys.
+    let batch = Arc::new(SweepBatch {
+        specs: specs.to_vec(),
+        store,
+        keys,
+    });
+    let points: Vec<(usize, f64)> = specs
+        .iter()
+        .enumerate()
+        .flat_map(|(si, spec)| spec.rates.iter().map(move |&r| (si, r)))
+        .collect();
     let jobs: Vec<_> = points
         .iter()
-        .map(|&(si, _, rate)| {
-            let spec = &specs[si];
-            let store = store.as_ref();
-            let spec_key = spec_keys.get(si);
-            move || -> (LatencyPoint, bool) {
-                let key = store.zip(spec_key).map(|(s, k)| (s, k.point(rate)));
-                if let Some(hit) = key.and_then(|(store, k)| store.load(k)) {
-                    return (hit, true);
-                }
-                let begun = std::time::Instant::now();
-                let point = simulate_point(spec, rate);
-                if let Some((store, k)) = key {
-                    // Provenance is metadata only — worker None marks
-                    // the in-process batch executor as the producer. The
-                    // sha is resolved here, on a write, so an all-hit
-                    // sweep never forks `git`.
-                    let stamp = Provenance::now(
-                        begun.elapsed().as_millis() as u64,
-                        None,
-                        git_sha(),
-                        spec.warmup + spec.measure,
-                    );
-                    // Cache writes are best-effort: a full disk or
-                    // unwritable directory degrades to recomputation,
-                    // never to a wrong result.
-                    store.store_with_provenance(k, &point, Some(&stamp));
-                }
-                (point, false)
-            }
+        .map(|&(si, rate)| {
+            let batch = Arc::clone(&batch);
+            move || batch.point(si, rate)
         })
         .collect();
-    let finished = AtomicUsize::new(0);
-    let results = parallel_map_with(jobs, opts.jobs, |i, (point, cached)| {
-        let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
-        if opts.progress {
-            let (si, _, _) = points[i];
-            let spec = &specs[si];
-            eprintln!(
-                "[sweep {done}/{total}] {}/{} {}x{} rate={:.3} lat={:.1}{}",
-                spec.id.name(),
-                spec.pattern.name(),
-                spec.size,
-                spec.size,
-                point.rate,
-                point.avg_latency,
-                if *cached { " (cached)" } else { "" },
-            );
+    let on_done = {
+        let batch = Arc::clone(&batch);
+        let (progress, finished) = (opts.progress, AtomicUsize::new(0));
+        move |i: usize, (point, cached): &(LatencyPoint, bool)| {
+            let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
+            if progress {
+                let spec = &batch.specs[points[i].0];
+                eprintln!(
+                    "[sweep {done}/{}] {}/{} {}x{} rate={:.3} lat={:.1}{}",
+                    points.len(),
+                    spec.id.name(),
+                    spec.pattern.name(),
+                    spec.size,
+                    spec.size,
+                    point.rate,
+                    point.avg_latency,
+                    if *cached { " (cached)" } else { "" },
+                );
+            }
         }
-    });
-    let mut sweeps: Vec<SweepResult> = specs
+    };
+    // Results come back in job order, which is spec order and, within a
+    // spec, rate order.
+    let mut results = parallel_map_with(jobs, opts.jobs, on_done).into_iter();
+    specs
         .iter()
         .map(|spec| SweepResult {
             scheme: spec.id.name().to_string(),
             pattern: spec.pattern.name().to_string(),
             size: spec.size,
-            points: Vec::with_capacity(spec.rates.len()),
+            points: results
+                .by_ref()
+                .take(spec.rates.len())
+                .map(|(point, _)| point)
+                .collect(),
         })
-        .collect();
-    // `points` and `results` share indexing; rate order within a spec is
-    // preserved because flat_map emitted rates in order.
-    for (&(si, _, _), (point, _)) in points.iter().zip(results) {
-        sweeps[si].points.push(point);
+        .collect()
+}
+
+/// What every job of one [`run_sweep_parallel`] call shares.
+struct SweepBatch {
+    specs: Vec<SweepSpec>,
+    store: Option<Store>,
+    /// One per spec when there is a store; empty otherwise.
+    keys: Vec<SpecKey>,
+}
+
+impl SweepBatch {
+    /// Spec `si`'s point at `rate`: a store hit, or a fresh simulation
+    /// that is then stored. The flag says whether it was a hit.
+    fn point(&self, si: usize, rate: f64) -> (LatencyPoint, bool) {
+        let spec = &self.specs[si];
+        let key = self
+            .store
+            .as_ref()
+            .zip(self.keys.get(si))
+            .map(|(s, k)| (s, k.point(rate)));
+        if let Some(hit) = key.and_then(|(store, k)| store.load(k)) {
+            return (hit, true);
+        }
+        let begun = std::time::Instant::now();
+        let point = simulate_point(spec, rate);
+        if let Some((store, k)) = key {
+            // Provenance is metadata only — worker None marks the
+            // in-process batch executor as the producer. The sha is
+            // resolved here, on a write, so an all-hit sweep never forks
+            // `git`.
+            let stamp = Provenance::now(
+                begun.elapsed().as_millis() as u64,
+                None,
+                git_sha(),
+                spec.warmup + spec.measure,
+            );
+            // Cache writes are best-effort: a full disk or unwritable
+            // directory degrades to recomputation, never to a wrong
+            // result.
+            store.store_with_provenance(k, &point, Some(&stamp));
+        }
+        (point, false)
     }
-    sweeps
 }
 
 /// Writes a serializable result into `$FP_OUT/<name>.json` (default
@@ -543,6 +680,8 @@ pub fn emit_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     fn mk(rate: f64, lat: f64) -> LatencyPoint {
         LatencyPoint {
@@ -631,8 +770,46 @@ mod tests {
         assert_eq!(inf.saturation_rate(), 0.1);
     }
 
+    /// Serialises the tests that call with helpers: another call could
+    /// take a parked helper between two calls of a test that watches
+    /// the pool, or spawn one while it counts.
+    fn pool_to_myself() -> MutexGuard<'static, ()> {
+        static POOL: Mutex<()> = Mutex::new(());
+        POOL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Two jobs that each wait (up to 10 s) until both have started, so
+    /// a two-worker call runs them on two threads. Each returns the
+    /// thread it ran on.
+    fn met_pair() -> Vec<impl FnOnce() -> ThreadId + Send + 'static> {
+        let started = Arc::new(AtomicUsize::new(0));
+        (0..2)
+            .map(|_| {
+                let started = Arc::clone(&started);
+                move || {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                    std::thread::current().id()
+                }
+            })
+            .collect()
+    }
+
+    /// The one thread of `ran_on` that is not the caller's.
+    fn helper_of(ran_on: &[ThreadId]) -> ThreadId {
+        let caller = std::thread::current().id();
+        assert!(ran_on.contains(&caller), "the caller runs jobs: {ran_on:?}");
+        let helpers: Vec<_> = ran_on.iter().filter(|&&id| id != caller).collect();
+        assert_eq!(helpers.len(), 1, "one helper ran a job: {ran_on:?}");
+        *helpers[0]
+    }
+
     #[test]
     fn parallel_map_preserves_order_and_balances() {
+        let _pool = pool_to_myself();
         let jobs: Vec<_> = (0..37).map(|i| move || i * 2).collect();
         let out = parallel_map(jobs, 4);
         assert_eq!(out, (0..37).map(|i| i * 2).collect::<Vec<_>>());
@@ -640,6 +817,7 @@ mod tests {
 
     #[test]
     fn parallel_map_runs_with_more_workers_than_jobs() {
+        let _pool = pool_to_myself();
         let jobs: Vec<_> = (0..3).map(|i| move || i).collect();
         assert_eq!(parallel_map(jobs, 64), vec![0, 1, 2]);
     }
@@ -655,14 +833,14 @@ mod tests {
         let caller = std::thread::current().id();
         // Job 0 holds its worker until another job starts or 200 ms
         // pass, so any second thread would get to claim jobs meanwhile.
-        let (started, other_started) = std::sync::mpsc::channel::<()>();
-        let other_started = Mutex::new(other_started);
+        let (started, other_started) = mpsc::channel::<()>();
+        let other_started = Arc::new(Mutex::new(other_started));
         let jobs: Vec<_> = (0..16)
             .map(|i| {
-                let (started, other_started) = (started.clone(), &other_started);
+                let (started, other_started) = (started.clone(), Arc::clone(&other_started));
                 move || {
                     if i == 0 {
-                        let wait = std::time::Duration::from_millis(200);
+                        let wait = Duration::from_millis(200);
                         let _ = other_started.lock().unwrap().recv_timeout(wait);
                     } else {
                         let _ = started.send(());
@@ -671,17 +849,20 @@ mod tests {
                 }
             })
             .collect();
-        let ran_on = parallel_map_with(jobs, 1, |_, &id| assert_eq!(id, caller));
+        let ran_on = parallel_map_with(jobs, 1, move |_, &id| assert_eq!(id, caller));
         assert!(ran_on.iter().all(|&id| id == caller), "{ran_on:?}");
     }
 
     #[test]
     fn parallel_map_reports_every_index_exactly_once() {
-        let calls: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
+        let _pool = pool_to_myself();
+        let calls: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..200).map(|_| AtomicUsize::new(0)).collect());
         let jobs: Vec<_> = (0..200).map(|i| move || i).collect();
-        let out = parallel_map_with(jobs, 4, |i, &value| {
+        let counts = Arc::clone(&calls);
+        let out = parallel_map_with(jobs, 4, move |i, &value| {
             assert_eq!(i, value);
-            calls[i].fetch_add(1, Ordering::Relaxed);
+            counts[i].fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(out, (0..200).collect::<Vec<_>>());
         for (i, c) in calls.iter().enumerate() {
@@ -691,6 +872,7 @@ mod tests {
 
     #[test]
     fn parallel_map_re_raises_the_original_panic_payload() {
+        let _pool = pool_to_myself();
         for workers in [1, 4] {
             let jobs: Vec<_> = (0..100)
                 .map(|i| {
@@ -710,6 +892,110 @@ mod tests {
                 "{workers} workers"
             );
         }
+    }
+
+    #[test]
+    fn helpers_are_parked_and_woken_not_respawned() {
+        let _pool = pool_to_myself();
+        let helper = helper_of(&parallel_map(met_pair(), 2));
+        let spawned = SPAWNED.load(Ordering::SeqCst);
+        for _ in 0..3 {
+            assert_eq!(helper_of(&parallel_map(met_pair(), 2)), helper);
+        }
+        assert_eq!(SPAWNED.load(Ordering::SeqCst), spawned, "no helper spawned");
+    }
+
+    #[test]
+    fn nothing_of_a_call_outlives_the_call() {
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let _pool = pool_to_myself();
+        for panic_at in [None, Some(3)] {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let jobs: Vec<_> = (0..64)
+                .map(|i| {
+                    let held = Counted(Arc::clone(&drops));
+                    move || {
+                        let _held = held;
+                        assert_ne!(Some(i), panic_at, "planted");
+                        i
+                    }
+                })
+                .collect();
+            let held = Counted(Arc::clone(&drops));
+            let on_done = move |_: usize, _: &usize| {
+                let _ = &held;
+            };
+            let call =
+                std::panic::catch_unwind(AssertUnwindSafe(|| parallel_map_with(jobs, 2, on_done)));
+            assert_eq!(call.is_err(), panic_at.is_some());
+            // 64 jobs, claimed or not, and `on_done`.
+            assert_eq!(drops.load(Ordering::SeqCst), 65, "panic at {panic_at:?}");
+        }
+    }
+
+    #[test]
+    fn a_job_may_call_parallel_map() {
+        let _pool = pool_to_myself();
+        let jobs: Vec<_> = (0..8)
+            .map(|i| {
+                move || {
+                    let inner: Vec<_> = (0..16).map(|j| move || i * 100 + j).collect();
+                    parallel_map(inner, 2).into_iter().sum::<usize>()
+                }
+            })
+            .collect();
+        let expected: Vec<usize> = (0..8).map(|i| 16 * i * 100 + 120).collect();
+        assert_eq!(parallel_map(jobs, 2), expected);
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_their_own_results() {
+        let _pool = pool_to_myself();
+        let callers: Vec<_> = (0..2u64)
+            .map(|caller| {
+                std::thread::spawn(move || {
+                    for round in 0..20u64 {
+                        let jobs: Vec<_> = (0..50u64).map(|i| move || (caller, round, i)).collect();
+                        let expected: Vec<_> = (0..50).map(|i| (caller, round, i)).collect();
+                        assert_eq!(parallel_map(jobs, 2), expected);
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("caller saw only its own results");
+        }
+    }
+
+    #[test]
+    fn a_helper_whose_job_panicked_serves_the_next_call() {
+        let _pool = pool_to_myself();
+        let caller = std::thread::current().id();
+        let jobs: Vec<_> = met_pair()
+            .into_iter()
+            .map(|meet| {
+                move || {
+                    let ran_on = meet();
+                    if ran_on != caller {
+                        std::panic::panic_any(ran_on);
+                    }
+                    ran_on
+                }
+            })
+            .collect();
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| parallel_map(jobs, 2)))
+            .expect_err("the helper's job panics");
+        let helper = *payload
+            .downcast_ref::<ThreadId>()
+            .expect("original payload");
+        let spawned = SPAWNED.load(Ordering::SeqCst);
+        assert_eq!(helper_of(&parallel_map(met_pair(), 2)), helper);
+        assert_eq!(SPAWNED.load(Ordering::SeqCst), spawned, "no helper spawned");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Each connection gets its own thread speaking the newline-delimited
 //! JSON protocol of [`crate::proto`]. Malformed lines are answered with
-//! an `error` event and the connection stays usable; a client that
+//! an `error` event and the connection stays usable; a line longer than
+//! [`MAX_REQUEST_LINE`] is answered with one and closes it; a client that
 //! disconnects mid-job just loses its stream — the engine keeps
 //! computing and the results land in the store, so the retry is free,
 //! and the job's flight span still closes.
@@ -11,10 +12,10 @@
 //! between non-blocking accepts) observes to stop the daemon.
 
 use crate::core::{Daemon, Job, ServeConfig};
-use crate::proto::{decode_request, encode, FetchedPoint, Request, Response};
+use crate::proto::{decode_request, encode, FetchedPoint, Request, Response, MAX_REQUEST_LINE};
 use crate::store::format_key;
 use crate::Store;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
@@ -76,15 +77,54 @@ fn send(stream: &mut UnixStream, resp: &Response) -> bool {
     stream.write_all(line.as_bytes()).is_ok()
 }
 
-/// Serves one connection until EOF, a dead peer, or shutdown.
+/// One read of a request line.
+enum Line {
+    /// A complete line, newline stripped.
+    Text(String),
+    /// More than [`MAX_REQUEST_LINE`] bytes without a newline.
+    TooLong,
+    /// End of stream, a dead peer, or bytes that are not UTF-8.
+    End,
+}
+
+/// Reads one request line, never buffering more than
+/// [`MAX_REQUEST_LINE`] bytes plus the newline. A last line without a
+/// newline still counts as a line.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Line {
+    buf.clear();
+    let cap = MAX_REQUEST_LINE as u64 + 1;
+    match reader.by_ref().take(cap).read_until(b'\n', buf) {
+        Ok(0) | Err(_) => return Line::End,
+        Ok(_) if buf.last() == Some(&b'\n') => {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        Ok(n) if n as u64 == cap => return Line::TooLong,
+        Ok(_) => {}
+    }
+    std::str::from_utf8(buf).map_or(Line::End, |text| Line::Text(text.to_string()))
+}
+
+/// Serves one connection until EOF, a dead peer, an over-long line, or
+/// shutdown.
 fn handle_connection(daemon: &Daemon, stream: UnixStream) {
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            return; // peer vanished mid-line
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_line(&mut reader, &mut buf) {
+            Line::Text(line) => line,
+            Line::TooLong => {
+                daemon.note_request(false);
+                let message = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+                let _ = send(&mut writer, &Response::Error { message });
+                return;
+            }
+            Line::End => return,
         };
         if line.trim().is_empty() {
             continue;

@@ -4,7 +4,7 @@
 mod common;
 
 use common::{counter, TestDaemon};
-use noc_serve::proto::{decode_response, encode, Request, Response, WireSpec};
+use noc_serve::proto::{decode_response, encode, Request, Response, WireSpec, MAX_REQUEST_LINE};
 use noc_serve::{point_cache_key, SchemeId, SweepSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -103,6 +103,39 @@ fn malformed_lines_get_errors_and_the_connection_stays_usable() {
         0,
         "nothing was simulated"
     );
+}
+
+#[test]
+fn an_endless_line_draws_one_error_and_the_daemon_lives_on() {
+    let daemon = TestDaemon::boot_fresh("longline");
+    let mut conn = RawConn::open(&daemon);
+    // 5 MiB with no newline, written beside the read: the daemon stops
+    // reading at its cap, so the writer may see the connection close.
+    let mut writer = conn.writer.try_clone().expect("clone stream");
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 5 << 20]);
+    });
+    match conn.recv() {
+        Response::Error { message } => assert!(
+            message.contains(&MAX_REQUEST_LINE.to_string()),
+            "error should name the cap: {message}"
+        ),
+        other => panic!("an endless line should draw an error, got {other:?}"),
+    }
+    let mut rest = String::new();
+    let closed = matches!(conn.reader.read_line(&mut rest), Ok(0) | Err(_));
+    assert!(
+        closed,
+        "the connection closes after the error, got {rest:?}"
+    );
+    flood.join().expect("writer thread");
+
+    // A fresh connection is served, and the line counted as bad.
+    let mut fresh = RawConn::open(&daemon);
+    fresh.send_line(&encode(&Request::Ping));
+    assert!(matches!(fresh.recv(), Response::Pong { .. }));
+    let report = daemon.client().metrics().expect("metrics");
+    assert_eq!(counter(&report, "bad_requests"), 1, "the long line counted");
 }
 
 #[test]
