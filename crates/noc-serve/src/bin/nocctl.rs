@@ -11,8 +11,7 @@
 //! nocctl flight IN.jsonl [--chrome OUT.json]
 //! ```
 //!
-//! The socket defaults to `NOC_SERVE_SOCK`, then `NOC_SERVE`, then
-//! `results/nocserve.sock`. `ping --wait N` retries for up to N seconds
+//! The socket defaults to `NOC_SERVE`, then `results/nocserve.sock`. `ping --wait N` retries for up to N seconds
 //! — CI uses it as the daemon-readiness barrier. `metrics --json` dumps
 //! the full [`noc_serve::proto::MetricsReport`], the daemon's one
 //! report (CI asserts dedup with its counters). `watch`

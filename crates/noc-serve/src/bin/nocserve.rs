@@ -1,23 +1,23 @@
 //! The sweep-service daemon.
 //!
 //! ```text
-//! nocserve [--sock PATH] [--store DIR] [--jobs N] [--batch N]
+//! nocserve [--sock PATH] [--store DIR] [--jobs N]
 //!          [--statsd PATH] [--flight PATH] [--tick-ms N]
 //! ```
 //!
-//! Flags override the environment ([`ServeConfig::from_env`]:
-//! `NOC_SERVE_SOCK`/`NOC_SERVE`, `NOC_SERVE_STORE`/`FP_CACHE`,
-//! `NOC_JOBS`, `NOC_SERVE_STATSD`, `NOC_SERVE_FLIGHT`,
-//! `NOC_SERVE_TICK_MS`). `--statsd` takes a file path; `--flight` names
-//! the JSONL lifecycle log `nocctl flight` consumes. Runs in the
-//! foreground until a client sends `shutdown`; drive it with `nocctl`
-//! or any figure binary's `--serve` mode.
+//! Flags override the defaults [`ServeConfig::from_env`] takes from the
+//! names the daemon shares with clients and batch runs (`NOC_SERVE`
+//! for the socket, `FP_CACHE` for the store, `NOC_JOBS`). `--statsd`
+//! takes a file path; `--flight` names the JSONL lifecycle log `nocctl
+//! flight` consumes; `--tick-ms` sets the sampler period (default 500).
+//! Runs in the foreground until a client sends `shutdown`; drive it
+//! with `nocctl` or any figure binary's `--serve` mode.
 
 use noc_serve::{serve, ServeConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: nocserve [--sock PATH] [--store DIR] [--jobs N] [--batch N] [--statsd PATH] [--flight PATH] [--tick-ms N]";
+const USAGE: &str = "usage: nocserve [--sock PATH] [--store DIR] [--jobs N] [--statsd PATH] [--flight PATH] [--tick-ms N]";
 
 fn main() -> ExitCode {
     let mut config = ServeConfig::from_env();
@@ -43,11 +43,6 @@ fn main() -> ExitCode {
                 v.parse()
                     .map(|n| config.workers = n)
                     .map_err(|_| format!("--jobs wants a number, got `{v}`"))
-            }),
-            "--batch" => value("--batch").and_then(|v| {
-                v.parse()
-                    .map(|n| config.batch = n)
-                    .map_err(|_| format!("--batch wants a number, got `{v}`"))
             }),
             "--help" | "-h" => {
                 println!("{USAGE}");

@@ -132,7 +132,7 @@ impl Client {
     /// I/O failures and unexpected responses, as readable strings.
     pub fn gc(&mut self) -> Result<GcReport, String> {
         match self.roundtrip(&Request::Gc)? {
-            Response::GcDone(report) => Ok(report),
+            Response::Gc { report } => Ok(report),
             Response::Error { message } => Err(message),
             other => Err(format!("unexpected reply to gc: {other:?}")),
         }
@@ -146,7 +146,7 @@ impl Client {
     /// I/O failures and unexpected responses, as readable strings.
     pub fn metrics(&mut self) -> Result<MetricsReport, String> {
         match self.roundtrip(&Request::Metrics)? {
-            Response::Metrics(report) => Ok(*report),
+            Response::Metrics { metrics } => Ok(*metrics),
             Response::Error { message } => Err(message),
             other => Err(format!("unexpected reply to metrics: {other:?}")),
         }
@@ -179,7 +179,7 @@ impl Client {
                 return Ok(()); // daemon shut down: clean end of stream
             }
             match decode_response(&line)? {
-                Response::Flight(record) => {
+                Response::Flight { record } => {
                     if !on_event(record) {
                         return Ok(());
                     }

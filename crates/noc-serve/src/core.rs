@@ -16,9 +16,9 @@
 //! ([`crate::run_sweep_parallel`]) and the serial reference
 //! ([`crate::runner::sweep`]) call, which is the whole
 //! bitwise-equivalence argument: there is one point path, so a point's
-//! bytes cannot depend on who asked for it. A panicking point poisons
-//! only its batch: the worker catches the unwind, marks those keys
-//! `Failed` and keeps serving.
+//! bytes cannot depend on who asked for it. A panicking point fails
+//! only itself: the worker catches the unwind around each point, marks
+//! that key `Failed`, stores the rest of its batch and keeps serving.
 //!
 //! Observability rides alongside, never inside, the engine lock: every
 //! lifecycle step updates the lock-free [`MetricsRegistry`] and
@@ -46,7 +46,8 @@ use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Daemon configuration, normally read from the environment.
+/// Daemon configuration: [`ServeConfig::from_env`], then `nocserve`'s
+/// flags.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Socket path to listen on.
@@ -67,38 +68,35 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Reads the configuration from the environment:
+    /// The configuration a bare `nocserve` runs with. It reads only the
+    /// environment names it shares with clients and the batch executor;
+    /// every other setting is a `nocserve` flag:
     ///
-    /// * `NOC_SERVE_SOCK`, falling back to `NOC_SERVE`, then
+    /// * the socket: `NOC_SERVE` ([`crate::client::SOCK_ENV`], which
+    ///   also puts a figure binary in serve mode), then
     ///   `results/nocserve.sock`;
-    /// * `NOC_SERVE_STORE`, falling back to `FP_CACHE` when it names a
-    ///   directory ([`crate::runner::fp_cache_dir`]; a daemon always
-    ///   stores, so `off` does not apply), then `results/cache` —
-    ///   deliberately the batch executor's default, so daemon and batch
-    ///   runs share one store;
+    /// * the store: `FP_CACHE` when it names a directory
+    ///   ([`crate::runner::fp_cache_dir`]; a daemon always stores, so
+    ///   `off` does not apply), then `results/cache` — deliberately the
+    ///   batch executor's default, so daemon and batch runs share one
+    ///   store;
     /// * `NOC_JOBS` workers (default: available cores);
     /// * 4 points per claim;
-    /// * `NOC_SERVE_STATSD` telemetry target (default: off);
-    /// * `NOC_SERVE_FLIGHT` flight-recorder JSONL path (default: off);
-    /// * `NOC_SERVE_TICK_MS` sampler period (default 500).
+    /// * no statsd target and no flight recorder;
+    /// * a 500 ms sampler tick.
     pub fn from_env() -> ServeConfig {
-        let env = |k: &str| std::env::var(k).ok().filter(|s| !s.is_empty());
         ServeConfig {
-            socket: env("NOC_SERVE_SOCK")
-                .or_else(|| env(crate::client::SOCK_ENV))
+            socket: std::env::var(crate::client::SOCK_ENV)
+                .ok()
+                .filter(|s| !s.is_empty())
                 .map_or_else(crate::client::default_socket, PathBuf::from),
-            store_dir: env("NOC_SERVE_STORE")
-                .map(PathBuf::from)
-                .or_else(|| crate::runner::fp_cache_dir(std::env::var("FP_CACHE").ok().as_deref()))
+            store_dir: crate::runner::fp_cache_dir(std::env::var("FP_CACHE").ok().as_deref())
                 .unwrap_or_else(|| PathBuf::from("results/cache")),
             workers: crate::num_jobs(),
             batch: 4,
-            statsd: env("NOC_SERVE_STATSD"),
-            flight: env("NOC_SERVE_FLIGHT").map(PathBuf::from),
-            tick_ms: env("NOC_SERVE_TICK_MS")
-                .and_then(|s| s.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(500),
+            statsd: None,
+            flight: None,
+            tick_ms: 500,
         }
     }
 }
@@ -585,16 +583,17 @@ fn claim_batch(state: &mut State, max: usize) -> Vec<Claim> {
     batch
 }
 
-/// Simulates one claimed batch, point after point, each with the wall
-/// time it took. Split out so the worker can wrap the whole simulation
-/// in `catch_unwind`.
-fn run_claims(claims: &[Claim]) -> Vec<(LatencyPoint, u64)> {
+/// Simulates one claimed batch, point after point: each point's value
+/// with the wall time it took, or the message of its panic. A point
+/// that panics fails alone; the points around it still run.
+fn run_claims(claims: &[Claim]) -> Vec<Result<(LatencyPoint, u64), String>> {
     claims
         .iter()
         .map(|c| {
             let begun = Instant::now();
-            let point = simulate_point(&c.spec, c.rate);
-            (point, begun.elapsed().as_millis() as u64)
+            catch_unwind(AssertUnwindSafe(|| simulate_point(&c.spec, c.rate)))
+                .map(|point| (point, begun.elapsed().as_millis() as u64))
+                .map_err(|panic| panic_message(&*panic))
         })
         .collect()
 }
@@ -635,15 +634,15 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         shared.flight.publish(r);
 
         let begun = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_claims(&claims)));
+        let outcomes = run_claims(&claims);
         let wall_ms = begun.elapsed().as_millis() as u64;
 
         // Persist outside the lock: identical keys can only ever race
         // to write identical bytes (provenance differs per writer, but
         // the *point* — the only payload correctness depends on — is
         // key-determined).
-        if let Ok(points) = &outcome {
-            for (claim, (point, point_ms)) in claims.iter().zip(points) {
+        for (claim, outcome) in claims.iter().zip(&outcomes) {
+            if let Ok((point, point_ms)) = outcome {
                 let provenance =
                     Provenance::now(*point_ms, Some(worker_id), shared.git_sha.clone(), cycles);
                 shared
@@ -655,30 +654,22 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         let mut trail: Vec<FlightRecord> = Vec::with_capacity(claims.len() + 1);
         let mut state = shared.state.lock().expect("engine lock");
         state.inflight -= n;
-        match outcome {
-            Ok(points) => {
-                m.points_computed.add(n);
-                for (claim, (point, _)) in claims.into_iter().zip(points) {
-                    let mut r = FlightRecord::of(flight_event::STORED);
-                    r.worker = Some(worker_id);
-                    r.key = Some(format_key(claim.key));
-                    trail.push(r);
-                    state.points.insert(claim.key, PointState::Done(point));
+        for (claim, outcome) in claims.into_iter().zip(outcomes) {
+            let (event, settled) = match outcome {
+                Ok((point, _)) => {
+                    m.points_computed.add(1);
+                    (flight_event::STORED, PointState::Done(point))
                 }
-            }
-            Err(panic) => {
-                let msg = panic_message(&panic);
-                m.points_failed.add(n);
-                for claim in claims {
-                    let mut r = FlightRecord::of(flight_event::FAILED);
-                    r.worker = Some(worker_id);
-                    r.key = Some(format_key(claim.key));
-                    trail.push(r);
-                    state
-                        .points
-                        .insert(claim.key, PointState::Failed(msg.clone()));
+                Err(msg) => {
+                    m.points_failed.add(1);
+                    (flight_event::FAILED, PointState::Failed(msg))
                 }
-            }
+            };
+            let mut r = FlightRecord::of(event);
+            r.worker = Some(worker_id);
+            r.key = Some(format_key(claim.key));
+            trail.push(r);
+            state.points.insert(claim.key, settled);
         }
         drop(state);
         m.worker_busy(worker, false);
@@ -872,6 +863,47 @@ mod tests {
         assert!(provenance.worker.is_some(), "{provenance:?}");
         assert_eq!(provenance.cycles, spec.warmup + spec.measure);
         daemon.request_shutdown();
+        let _ = std::fs::remove_dir_all(&cfg.store_dir);
+    }
+
+    /// A NaN rate hashes to a key like any other and panics inside the
+    /// simulation; it fails alone, and the points claimed with it are
+    /// computed and stored.
+    #[test]
+    fn a_panicking_point_fails_only_itself() {
+        let flight =
+            std::env::temp_dir().join(format!("nocserve_core_panic_{}.flight", std::process::id()));
+        let cfg = ServeConfig {
+            workers: 1,
+            flight: Some(flight.clone()),
+            ..config("panic")
+        };
+        let daemon = boot(&cfg);
+        let spec = SweepSpec {
+            rates: vec![0.02, f64::NAN, 0.04],
+            ..tiny_spec(23)
+        };
+        let job = daemon.submit(vec![spec.clone()]);
+        wait_complete(&daemon, &job);
+        let err = daemon
+            .collect(&job)
+            .expect_err("the NaN point fails the job");
+        assert!(err.contains("probability is NaN"), "{err}");
+        daemon.note_responded(job.id);
+        let m = &daemon.shared.metrics;
+        assert_eq!((m.points_computed.get(), m.points_failed.get()), (2, 1));
+        for rate in [0.02, 0.04] {
+            let key = point_cache_key(&spec, rate);
+            assert!(daemon.store().load(key).is_some(), "rate {rate} not stored");
+        }
+        daemon.request_shutdown();
+        daemon.flush_observability();
+        let records = crate::flight::load_flight(&flight).expect("flight log loads");
+        assert_eq!(
+            crate::flight::validate_chains(&records),
+            Vec::<String>::new()
+        );
+        let _ = std::fs::remove_file(&flight);
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }
 

@@ -25,15 +25,11 @@
 //! [`SweepResult`]/[`LatencyPoint`] structs the batch executor emits,
 //! which is what makes the daemon's output bitwise-comparable to batch
 //! JSON artifacts.
-//!
-//! The vendored serde shim derives only structs and unit enums, so the
-//! tagged [`Request`]/[`Response`] unions implement
-//! `Serialize`/`Deserialize` by hand over the shim's [`Content`] tree.
 
 use crate::runner::{LatencyPoint, SweepResult, SweepSpec};
 use crate::store::{GcReport, Provenance};
 use crate::SchemeId;
-use serde::{field, Content, DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use traffic::SyntheticPattern;
 
 /// Wire protocol version, echoed in `pong` and `metrics` so clients can
@@ -95,31 +91,39 @@ pub mod flight_event {
 /// One flight-recorder event: a timestamped lifecycle record with only
 /// the fields that event carries (see [`flight_event`]).
 ///
-/// Serialization is hand-written: absent optional fields are *omitted*
-/// (keeping the JSONL log compact and grep-friendly), and the decoder
-/// tolerates both missing optionals and unknown extra fields, so a v2
-/// client can tail a future daemon's log without choking.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Absent optional fields are *omitted* (keeping the JSONL log compact
+/// and grep-friendly), and the decoder tolerates both missing optionals
+/// and unknown extra fields, so a client can tail a newer daemon's log
+/// without choking.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FlightRecord {
     /// Microseconds since the daemon started.
     pub ts_us: u64,
     /// Event name (one of [`flight_event`]).
     pub event: String,
-    /// Job id, for job-scoped events.
-    pub job: Option<u64>,
     /// Point cache key (16 hex digits), for point-scoped events.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub key: Option<String>,
     /// Resolution kind, for `resolved` events.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub kind: Option<String>,
+    /// Job id, for job-scoped events.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub job: Option<u64>,
     /// Worker id, for worker-scoped events.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub worker: Option<u64>,
     /// Point count (job total or batch size).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub points: Option<u64>,
     /// Wall-clock milliseconds (batch duration, queue wait).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub wall_ms: Option<u64>,
     /// Simulated cycles per point (warmup + measure).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cycles: Option<u64>,
     /// Queue depth, for `queue` samples.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub depth: Option<u64>,
 }
 
@@ -131,67 +135,6 @@ impl FlightRecord {
             event: event.to_string(),
             ..FlightRecord::default()
         }
-    }
-}
-
-impl Serialize for FlightRecord {
-    fn to_content(&self) -> Content {
-        let mut map = vec![
-            ("ts_us".to_string(), self.ts_us.to_content()),
-            ("event".to_string(), self.event.to_content()),
-        ];
-        let numbers = [
-            ("job", &self.job),
-            ("worker", &self.worker),
-            ("points", &self.points),
-            ("wall_ms", &self.wall_ms),
-            ("cycles", &self.cycles),
-            ("depth", &self.depth),
-        ];
-        if let Some(key) = &self.key {
-            map.push(("key".to_string(), key.to_content()));
-        }
-        if let Some(kind) = &self.kind {
-            map.push(("kind".to_string(), kind.to_content()));
-        }
-        for (name, value) in numbers {
-            if let Some(v) = value {
-                map.push((name.to_string(), v.to_content()));
-            }
-        }
-        Content::Map(map)
-    }
-}
-
-impl Deserialize for FlightRecord {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let map = c
-            .as_map()
-            .ok_or_else(|| DeError("flight record must be a JSON object".to_string()))?;
-        let opt_u = |name: &str| -> Result<Option<u64>, DeError> {
-            match field(map, name) {
-                Ok(content) => Option::<u64>::from_content(content),
-                Err(_) => Ok(None),
-            }
-        };
-        let opt_s = |name: &str| -> Result<Option<String>, DeError> {
-            match field(map, name) {
-                Ok(content) => Option::<String>::from_content(content),
-                Err(_) => Ok(None),
-            }
-        };
-        Ok(FlightRecord {
-            ts_us: u64::from_content(field(map, "ts_us")?)?,
-            event: String::from_content(field(map, "event")?)?,
-            job: opt_u("job")?,
-            key: opt_s("key")?,
-            kind: opt_s("kind")?,
-            worker: opt_u("worker")?,
-            points: opt_u("points")?,
-            wall_ms: opt_u("wall_ms")?,
-            cycles: opt_u("cycles")?,
-            depth: opt_u("depth")?,
-        })
     }
 }
 
@@ -357,7 +300,8 @@ impl WireSpec {
 }
 
 /// A client request: one line, tagged by `"cmd"`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "cmd", rename_all = "snake_case")]
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
@@ -378,7 +322,7 @@ pub enum Request {
         keys: Vec<String>,
     },
     /// Run a store garbage-collection pass; answered with
-    /// [`Response::GcDone`].
+    /// [`Response::Gc`].
     Gc,
     /// Metrics-registry dump (counters, percentiles, worker
     /// utilization); answered with [`Response::Metrics`].
@@ -392,65 +336,12 @@ pub enum Request {
     Shutdown,
 }
 
-impl Serialize for Request {
-    fn to_content(&self) -> Content {
-        let mut map: Vec<(String, Content)> = Vec::new();
-        let cmd = match self {
-            Request::Ping => "ping",
-            Request::Submit { .. } => "submit",
-            Request::Fetch { .. } => "fetch",
-            Request::Evict { .. } => "evict",
-            Request::Gc => "gc",
-            Request::Metrics => "metrics",
-            Request::Watch => "watch",
-            Request::Shutdown => "shutdown",
-        };
-        map.push(("cmd".to_string(), Content::Str(cmd.to_string())));
-        match self {
-            Request::Submit { specs } => map.push(("specs".to_string(), specs.to_content())),
-            Request::Fetch { keys } | Request::Evict { keys } => {
-                map.push(("keys".to_string(), keys.to_content()));
-            }
-            _ => {}
-        }
-        Content::Map(map)
-    }
-}
-
-impl Deserialize for Request {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let map = c
-            .as_map()
-            .ok_or_else(|| DeError("request must be a JSON object".to_string()))?;
-        let cmd = field(map, "cmd")?
-            .as_str()
-            .ok_or_else(|| DeError("`cmd` must be a string".to_string()))?;
-        match cmd {
-            "ping" => Ok(Request::Ping),
-            "submit" => Ok(Request::Submit {
-                specs: Vec::<WireSpec>::from_content(field(map, "specs")?)?,
-            }),
-            "fetch" => Ok(Request::Fetch {
-                keys: Vec::<String>::from_content(field(map, "keys")?)?,
-            }),
-            "evict" => Ok(Request::Evict {
-                keys: Vec::<String>::from_content(field(map, "keys")?)?,
-            }),
-            "gc" => Ok(Request::Gc),
-            "metrics" => Ok(Request::Metrics),
-            "watch" => Ok(Request::Watch),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(DeError(format!("unknown cmd `{other}`"))),
-        }
-    }
-}
-
 /// One `fetch` answer: the key, whether the store had it, the point,
 /// and — when the envelope was stamped — its compute provenance.
 ///
-/// `Deserialize` is hand-written so `provenance` is optional on the
-/// wire: a v2 client still decodes a v1 daemon's answers.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// `provenance` may be absent on the wire: a v2 client still decodes a
+/// v1 daemon's answers.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FetchedPoint {
     /// The requested key.
     pub key: String,
@@ -459,28 +350,13 @@ pub struct FetchedPoint {
     /// The stored point, when found.
     pub point: Option<LatencyPoint>,
     /// How and when the point was computed, when the store recorded it.
+    #[serde(default)]
     pub provenance: Option<Provenance>,
 }
 
-impl Deserialize for FetchedPoint {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let map = c
-            .as_map()
-            .ok_or_else(|| DeError("fetched point must be a JSON object".to_string()))?;
-        Ok(FetchedPoint {
-            key: String::from_content(field(map, "key")?)?,
-            found: bool::from_content(field(map, "found")?)?,
-            point: Option::<LatencyPoint>::from_content(field(map, "point")?)?,
-            provenance: match field(map, "provenance") {
-                Ok(content) => Option::<Provenance>::from_content(content)?,
-                Err(_) => None,
-            },
-        })
-    }
-}
-
 /// A daemon response line, tagged by `"event"`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "event", rename_all = "snake_case")]
 pub enum Response {
     /// Liveness answer.
     Pong {
@@ -528,13 +404,22 @@ pub enum Response {
         removed: u64,
     },
     /// Garbage-collection outcome.
-    GcDone(GcReport),
+    Gc {
+        /// What the pass found and did.
+        report: GcReport,
+    },
     /// The metrics-registry dump.
-    Metrics(Box<MetricsReport>),
+    Metrics {
+        /// The report.
+        metrics: Box<MetricsReport>,
+    },
     /// A watch subscription is live; [`Response::Flight`] events follow.
     Watching,
     /// One live flight-recorder event on a watching connection.
-    Flight(FlightRecord),
+    Flight {
+        /// The event.
+        record: FlightRecord,
+    },
     /// The request could not be served; the connection stays open.
     Error {
         /// Human-readable reason.
@@ -542,118 +427,6 @@ pub enum Response {
     },
     /// Shutdown acknowledged; the daemon is stopping.
     Bye,
-}
-
-impl Serialize for Response {
-    fn to_content(&self) -> Content {
-        let mut map: Vec<(String, Content)> = Vec::new();
-        let tag = match self {
-            Response::Pong { .. } => "pong",
-            Response::Accepted { .. } => "accepted",
-            Response::Progress { .. } => "progress",
-            Response::Result { .. } => "result",
-            Response::Points { .. } => "points",
-            Response::Evicted { .. } => "evicted",
-            Response::GcDone(_) => "gc",
-            Response::Metrics(_) => "metrics",
-            Response::Watching => "watching",
-            Response::Flight(_) => "flight",
-            Response::Error { .. } => "error",
-            Response::Bye => "bye",
-        };
-        map.push(("event".to_string(), Content::Str(tag.to_string())));
-        match self {
-            Response::Pong { proto } => map.push(("proto".to_string(), proto.to_content())),
-            Response::Accepted {
-                job,
-                points,
-                computed,
-                cached,
-                deduped,
-            } => {
-                map.push(("job".to_string(), job.to_content()));
-                map.push(("points".to_string(), points.to_content()));
-                map.push(("computed".to_string(), computed.to_content()));
-                map.push(("cached".to_string(), cached.to_content()));
-                map.push(("deduped".to_string(), deduped.to_content()));
-            }
-            Response::Progress { job, done, total } => {
-                map.push(("job".to_string(), job.to_content()));
-                map.push(("done".to_string(), done.to_content()));
-                map.push(("total".to_string(), total.to_content()));
-            }
-            Response::Result { job, sweeps } => {
-                map.push(("job".to_string(), job.to_content()));
-                map.push(("sweeps".to_string(), sweeps.to_content()));
-            }
-            Response::Points { points } => map.push(("points".to_string(), points.to_content())),
-            Response::Evicted { removed } => {
-                map.push(("removed".to_string(), removed.to_content()));
-            }
-            Response::GcDone(report) => map.push(("report".to_string(), report.to_content())),
-            Response::Metrics(report) => map.push(("metrics".to_string(), report.to_content())),
-            Response::Flight(record) => map.push(("record".to_string(), record.to_content())),
-            Response::Error { message } => {
-                map.push(("message".to_string(), message.to_content()));
-            }
-            Response::Watching | Response::Bye => {}
-        }
-        Content::Map(map)
-    }
-}
-
-impl Deserialize for Response {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let map = c
-            .as_map()
-            .ok_or_else(|| DeError("response must be a JSON object".to_string()))?;
-        let tag = field(map, "event")?
-            .as_str()
-            .ok_or_else(|| DeError("`event` must be a string".to_string()))?;
-        let u = |name: &str| -> Result<u64, DeError> { u64::from_content(field(map, name)?) };
-        match tag {
-            "pong" => Ok(Response::Pong {
-                proto: u32::from_content(field(map, "proto")?)?,
-            }),
-            "accepted" => Ok(Response::Accepted {
-                job: u("job")?,
-                points: u("points")?,
-                computed: u("computed")?,
-                cached: u("cached")?,
-                deduped: u("deduped")?,
-            }),
-            "progress" => Ok(Response::Progress {
-                job: u("job")?,
-                done: u("done")?,
-                total: u("total")?,
-            }),
-            "result" => Ok(Response::Result {
-                job: u("job")?,
-                sweeps: Vec::<SweepResult>::from_content(field(map, "sweeps")?)?,
-            }),
-            "points" => Ok(Response::Points {
-                points: Vec::<FetchedPoint>::from_content(field(map, "points")?)?,
-            }),
-            "evicted" => Ok(Response::Evicted {
-                removed: u("removed")?,
-            }),
-            "gc" => Ok(Response::GcDone(GcReport::from_content(field(
-                map, "report",
-            )?)?)),
-            "metrics" => Ok(Response::Metrics(Box::new(MetricsReport::from_content(
-                field(map, "metrics")?,
-            )?))),
-            "watching" => Ok(Response::Watching),
-            "flight" => Ok(Response::Flight(FlightRecord::from_content(field(
-                map, "record",
-            )?)?)),
-            "error" => Ok(Response::Error {
-                message: String::from_content(field(map, "message")?)?,
-            }),
-            "bye" => Ok(Response::Bye),
-            other => Err(DeError(format!("unknown event `{other}`"))),
-        }
-    }
 }
 
 /// Encodes a message as one compact JSON line (no trailing newline —
@@ -789,129 +562,233 @@ mod tests {
         assert_eq!(SyntheticPattern::from_name("bogus"), None);
     }
 
-    #[test]
-    fn requests_round_trip() {
-        let reqs = vec![
-            Request::Ping,
-            Request::Submit {
-                specs: vec![WireSpec::from_spec(&spec())],
-            },
-            Request::Fetch {
-                keys: vec!["00000000000000ff".to_string()],
-            },
-            Request::Evict {
-                keys: vec!["00000000000000ff".to_string()],
-            },
-            Request::Gc,
-            Request::Metrics,
-            Request::Watch,
-            Request::Shutdown,
-        ];
-        for req in reqs {
-            let line = encode(&req);
-            assert!(!line.contains('\n'), "one line per message: {line}");
-            let back = decode_request(&line).expect("round trip");
-            assert_eq!(back, req);
+    /// A point with every float spelled differently, so its bytes pin
+    /// the shim's float rendering too.
+    fn wire_point() -> LatencyPoint {
+        LatencyPoint {
+            rate: 0.02,
+            avg_latency: 17.25,
+            throughput: 0.019_5,
+            delivered: 312,
+            fastpass_fraction: 0.5,
+            dropped_fraction: 0.0,
         }
     }
 
-    #[test]
-    fn responses_round_trip() {
-        let resps = vec![
-            Response::Pong {
-                proto: PROTO_VERSION,
-            },
-            Response::Accepted {
-                job: 3,
+    fn stamp() -> Provenance {
+        Provenance {
+            unix_ms: 1_700_000_000_000,
+            wall_ms: 42,
+            worker: Some(1),
+            git_sha: "abc123".into(),
+            cycles: 300,
+        }
+    }
+
+    /// Every flight field set; [`FULL_RECORD`] is its line.
+    fn full_record() -> FlightRecord {
+        FlightRecord {
+            ts_us: 1_234,
+            event: flight_event::RESOLVED.into(),
+            job: Some(3),
+            key: Some("00000000000000ff".into()),
+            kind: Some(flight_event::KIND_STORE.into()),
+            worker: Some(1),
+            points: Some(4),
+            wall_ms: Some(118),
+            cycles: Some(300),
+            depth: Some(2),
+        }
+    }
+
+    const FULL_RECORD: &str = r#"{"ts_us":1234,"event":"resolved","key":"00000000000000ff","kind":"store","job":3,"worker":1,"points":4,"wall_ms":118,"cycles":300,"depth":2}"#;
+
+    /// A found, stamped answer or a missing, unstamped one.
+    fn fetched(found: bool) -> FetchedPoint {
+        FetchedPoint {
+            key: "00000000000000ff".into(),
+            found,
+            point: found.then(wire_point),
+            provenance: found.then(stamp),
+        }
+    }
+
+    /// A fetch answer writes `provenance` even when it is `null`.
+    const FETCHED_FULL: &str = r#"{"key":"00000000000000ff","found":true,"point":{"rate":0.02,"avg_latency":17.25,"throughput":0.0195,"delivered":312,"fastpass_fraction":0.5,"dropped_fraction":0.0},"provenance":{"unix_ms":1700000000000,"wall_ms":42,"worker":1,"git_sha":"abc123","cycles":300}}"#;
+    const FETCHED_BARE: &str =
+        r#"{"key":"00000000000000ff","found":false,"point":null,"provenance":null}"#;
+
+    fn metrics_report() -> MetricsReport {
+        MetricsReport {
+            proto: PROTO_VERSION,
+            uptime_secs: 9,
+            counters: vec![MetricValue {
+                name: "points_computed".into(),
+                value: 6,
+            }],
+            gauges: vec![MetricValue {
+                name: "queue_depth".into(),
+                value: 0,
+            }],
+            histograms: vec![HistogramSummary {
+                name: "batch_wall_ms".into(),
+                count: 3,
+                sum: 420,
+                max: 200,
+                p50: 100,
+                p90: 200,
+                p99: 200,
+            }],
+            workers: vec![WorkerReport {
+                worker: 0,
+                batches: 2,
                 points: 6,
-                computed: 4,
-                cached: 1,
-                deduped: 1,
+                busy_ms: 400,
+                utilization: 0.5,
+            }],
+            flight: FlightStats {
+                emitted: 40,
+                written: 40,
+                dropped: 0,
+                watchers: 1,
             },
-            Response::Progress {
-                job: 3,
-                done: 5,
-                total: 6,
-            },
-            Response::Result {
-                job: 3,
-                sweeps: vec![SweepResult {
-                    scheme: "FastPass".into(),
-                    pattern: "uniform".into(),
-                    size: 4,
-                    points: vec![],
-                }],
-            },
-            Response::Points {
-                points: vec![FetchedPoint {
-                    key: "00000000000000ff".into(),
-                    found: false,
-                    point: None,
-                    provenance: Some(Provenance {
-                        unix_ms: 1_700_000_000_000,
-                        wall_ms: 42,
-                        worker: None,
-                        git_sha: "abc123".into(),
-                        cycles: 300,
-                    }),
-                }],
-            },
-            Response::Evicted { removed: 2 },
-            Response::GcDone(GcReport::default()),
-            Response::Metrics(Box::new(MetricsReport {
-                proto: PROTO_VERSION,
-                uptime_secs: 9,
-                counters: vec![MetricValue {
-                    name: "points_computed".into(),
-                    value: 6,
-                }],
-                gauges: vec![MetricValue {
-                    name: "queue_depth".into(),
-                    value: 0,
-                }],
-                histograms: vec![HistogramSummary {
-                    name: "batch_wall_ms".into(),
-                    count: 3,
-                    sum: 420,
-                    max: 200,
-                    p50: 100,
-                    p90: 200,
-                    p99: 200,
-                }],
-                workers: vec![WorkerReport {
-                    worker: 0,
-                    batches: 2,
-                    points: 6,
-                    busy_ms: 400,
-                    utilization: 0.5,
-                }],
-                flight: FlightStats {
-                    emitted: 40,
-                    written: 40,
-                    dropped: 0,
-                    watchers: 1,
+        }
+    }
+
+    const METRICS: &str = r#"{"proto":3,"uptime_secs":9,"counters":[{"name":"points_computed","value":6}],"gauges":[{"name":"queue_depth","value":0}],"histograms":[{"name":"batch_wall_ms","count":3,"sum":420,"max":200,"p50":100,"p90":200,"p99":200}],"workers":[{"worker":0,"batches":2,"points":6,"busy_ms":400,"utilization":0.5}],"flight":{"emitted":40,"written":40,"dropped":0,"watchers":1}}"#;
+
+    /// The exact line of every request, each decoding back to itself.
+    #[test]
+    fn request_lines_are_pinned() {
+        let key = || vec!["00000000000000ff".to_string()];
+        let pins = [
+            (Request::Ping, r#"{"cmd":"ping"}"#),
+            (
+                Request::Submit {
+                    specs: vec![WireSpec::from_spec(&spec())],
                 },
-            })),
-            Response::Watching,
-            Response::Flight(FlightRecord {
-                ts_us: 1_234,
-                event: flight_event::BATCH_DONE.into(),
-                worker: Some(1),
-                points: Some(4),
-                wall_ms: Some(118),
-                cycles: Some(300),
-                ..FlightRecord::default()
-            }),
-            Response::Error {
-                message: "nope".into(),
-            },
-            Response::Bye,
+                r#"{"cmd":"submit","specs":[{"scheme":"FastPass","pattern":"uniform","rates":[0.02,0.05],"size":4,"fp_vcs":2,"warmup":100,"measure":300,"seed":5}]}"#,
+            ),
+            (
+                Request::Fetch { keys: key() },
+                r#"{"cmd":"fetch","keys":["00000000000000ff"]}"#,
+            ),
+            (
+                Request::Evict { keys: key() },
+                r#"{"cmd":"evict","keys":["00000000000000ff"]}"#,
+            ),
+            (Request::Gc, r#"{"cmd":"gc"}"#),
+            (Request::Metrics, r#"{"cmd":"metrics"}"#),
+            (Request::Watch, r#"{"cmd":"watch"}"#),
+            (Request::Shutdown, r#"{"cmd":"shutdown"}"#),
         ];
-        for resp in resps {
-            let line = encode(&resp);
-            assert!(!line.contains('\n'), "one line per message: {line}");
-            let back = decode_response(&line).expect("round trip");
-            assert_eq!(back, resp);
+        for (req, line) in pins {
+            assert_eq!(encode(&req), line);
+            assert_eq!(decode_request(line), Ok(req), "{line}");
+        }
+    }
+
+    /// The exact line of every response, each decoding back to itself.
+    #[test]
+    fn response_lines_are_pinned() {
+        let point = r#"{"rate":0.02,"avg_latency":17.25,"throughput":0.0195,"delivered":312,"fastpass_fraction":0.5,"dropped_fraction":0.0}"#;
+        let pins = [
+            (Response::Pong { proto: 3 }, r#"{"event":"pong","proto":3}"#.to_string()),
+            (
+                Response::Accepted {
+                    job: 3,
+                    points: 6,
+                    computed: 4,
+                    cached: 1,
+                    deduped: 1,
+                },
+                r#"{"event":"accepted","job":3,"points":6,"computed":4,"cached":1,"deduped":1}"#.to_string(),
+            ),
+            (
+                Response::Progress {
+                    job: 3,
+                    done: 5,
+                    total: 6,
+                },
+                r#"{"event":"progress","job":3,"done":5,"total":6}"#.to_string(),
+            ),
+            (
+                Response::Result {
+                    job: 3,
+                    sweeps: vec![SweepResult {
+                        scheme: "FastPass".into(),
+                        pattern: "uniform".into(),
+                        size: 4,
+                        points: vec![wire_point()],
+                    }],
+                },
+                format!(
+                    r#"{{"event":"result","job":3,"sweeps":[{{"scheme":"FastPass","pattern":"uniform","size":4,"points":[{point}]}}]}}"#
+                ),
+            ),
+            (
+                Response::Points {
+                    points: vec![fetched(true), fetched(false)],
+                },
+                format!(
+                    r#"{{"event":"points","points":[{},{}]}}"#,
+                    FETCHED_FULL, FETCHED_BARE
+                ),
+            ),
+            (
+                Response::Evicted { removed: 2 },
+                r#"{"event":"evicted","removed":2}"#.to_string(),
+            ),
+            (
+                Response::Gc {
+                    report: GcReport {
+                        scanned: 5,
+                        kept: 3,
+                        dropped_stale: 1,
+                        dropped_corrupt: 1,
+                        dropped_temp: 2,
+                    },
+                },
+                r#"{"event":"gc","report":{"scanned":5,"kept":3,"dropped_stale":1,"dropped_corrupt":1,"dropped_temp":2}}"#.to_string(),
+            ),
+            (
+                Response::Metrics {
+                    metrics: Box::new(metrics_report()),
+                },
+                format!(r#"{{"event":"metrics","metrics":{METRICS}}}"#),
+            ),
+            (Response::Watching, r#"{"event":"watching"}"#.to_string()),
+            (
+                Response::Flight {
+                    record: full_record(),
+                },
+                format!(r#"{{"event":"flight","record":{FULL_RECORD}}}"#),
+            ),
+            (
+                Response::Error {
+                    message: "nope".into(),
+                },
+                r#"{"event":"error","message":"nope"}"#.to_string(),
+            ),
+            (Response::Bye, r#"{"event":"bye"}"#.to_string()),
+        ];
+        for (resp, line) in pins {
+            assert_eq!(encode(&resp), line);
+            assert_eq!(decode_response(&line), Ok(resp), "{line}");
+        }
+    }
+
+    /// A flight record writes the fields it has, in declaration order,
+    /// and nothing for the ones it lacks; the bare line decodes.
+    #[test]
+    fn flight_record_lines_are_pinned() {
+        let pins = [
+            (full_record(), FULL_RECORD),
+            (FlightRecord::default(), r#"{"ts_us":0,"event":""}"#),
+        ];
+        for (record, line) in pins {
+            assert_eq!(encode(&record), line);
+            assert_eq!(serde_json::from_str::<FlightRecord>(line), Ok(record));
         }
     }
 
@@ -925,33 +802,11 @@ mod tests {
             decode_request("{\"cmd\":\"submit\"}").is_err(),
             "missing specs"
         );
-        assert!(
-            decode_request("{\"cmd\":\"status\"}").is_err(),
-            "v3 folded status into metrics"
-        );
-        assert!(decode_response("{\"event\":\"warp\"}").is_err());
-    }
-
-    #[test]
-    fn flight_records_omit_absent_fields_and_tolerate_missing_ones() {
-        // A sparse record serializes without its unset fields…
-        let line = encode(&FlightRecord {
-            ts_us: 7,
-            event: flight_event::QUEUE.into(),
-            depth: Some(3),
-            ..FlightRecord::default()
-        });
-        for absent in ["job", "key", "kind", "worker", "wall_ms", "cycles"] {
-            assert!(
-                !line.contains(absent),
-                "`{absent}` should be omitted: {line}"
-            );
-        }
-        // …and the minimal possible line still decodes.
-        let minimal: FlightRecord =
-            serde_json::from_str("{\"ts_us\":1,\"event\":\"submitted\"}").expect("minimal decodes");
-        assert_eq!(minimal.event, flight_event::SUBMITTED);
-        assert_eq!(minimal.job, None);
+        // v3 folded status into metrics.
+        let status = decode_request("{\"cmd\":\"status\"}").unwrap_err();
+        assert!(status.contains("unknown cmd `status`"), "{status}");
+        let warp = decode_response("{\"event\":\"warp\"}").unwrap_err();
+        assert!(warp.contains("unknown event `warp`"), "{warp}");
     }
 
     #[test]

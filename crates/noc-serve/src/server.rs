@@ -151,13 +151,20 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
             ),
             Request::Metrics => send(
                 &mut writer,
-                &Response::Metrics(Box::new(daemon.metrics_report())),
+                &Response::Metrics {
+                    metrics: Box::new(daemon.metrics_report()),
+                },
             ),
             Request::Watch => handle_watch(daemon, &mut writer),
             Request::Submit { specs } => handle_submit(daemon, &mut writer, specs),
             Request::Fetch { keys } => handle_fetch(daemon, &mut writer, &keys),
             Request::Evict { keys } => handle_evict(daemon, &mut writer, &keys),
-            Request::Gc => send(&mut writer, &Response::GcDone(daemon.gc())),
+            Request::Gc => send(
+                &mut writer,
+                &Response::Gc {
+                    report: daemon.gc(),
+                },
+            ),
             Request::Shutdown => {
                 let _ = send(&mut writer, &Response::Bye);
                 daemon.request_shutdown();
@@ -267,7 +274,7 @@ fn handle_watch(daemon: &Daemon, writer: &mut UnixStream) -> bool {
     loop {
         match rx.recv_timeout(Duration::from_millis(200)) {
             Ok(record) => {
-                if !send(writer, &Response::Flight(record)) {
+                if !send(writer, &Response::Flight { record }) {
                     return false; // peer gone; dropping rx unsubscribes
                 }
             }

@@ -1,6 +1,6 @@
 //! Telemetry sink emitting [statsd line protocol] counters.
 //!
-//! `NOC_SERVE_STATSD` names the target: a plain file path, one metric
+//! `nocserve --statsd` names the target: a plain file path, one metric
 //! per line, so "scraping" is `tail -f` or feeding the file to any
 //! statsd relay. Lines look like:
 //!

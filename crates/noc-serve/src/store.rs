@@ -48,7 +48,7 @@
 //! would truncate the inode the first is about to rename into place.
 
 use crate::runner::LatencyPoint;
-use serde::{field, Content, DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,23 +143,22 @@ fn resolve_git_sha() -> String {
     "unknown".to_string()
 }
 
-/// The on-disk envelope around one stored point, as read back.
-///
-/// The decode is hand-written (not derived): the derive's deserializer
-/// treats every field as required, and a hand-rolled decode is what lets
-/// pre-v3 envelopes (no `provenance` key) still parse as envelopes, so
-/// [`Store::gc`] classifies them as stale-schema rather than corrupt.
-/// The write side is [`EnvelopeOut`].
-#[derive(Debug, Clone)]
+/// The on-disk envelope around one stored point: what the store writes
+/// and, through the generic decode, the definition of what it reads.
+/// [`read_canonical`] spells the same record out by layout.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Envelope {
     /// Schema generation that produced this entry.
     schema_version: u32,
-    /// The `key` field's bytes when it is 16 bytes long, the length of
-    /// every rendered key; any other string matches no filename.
-    key: Option<[u8; 16]>,
+    /// The key the writer stored it under ([`format_key`]).
+    key: String,
     /// The stored result.
     point: LatencyPoint,
-    /// Compute provenance, when the writer stamped it.
+    /// Compute provenance, when the writer stamped it; omitted, not
+    /// `null`, when it did not, and absent in pre-v3 envelopes, which
+    /// therefore still parse and [`Store::gc`] classifies as
+    /// stale-schema rather than corrupt.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     provenance: Option<Provenance>,
 }
 
@@ -168,54 +167,7 @@ impl Envelope {
     /// current schema generation, under that key — byte for byte its
     /// lowercase rendering, so a foreign (say, uppercase) key is a miss.
     fn is_current_for(&self, key: u64) -> bool {
-        self.schema_version == CACHE_SCHEMA_VERSION && self.key == Some(hex_key(key))
-    }
-}
-
-impl Deserialize for Envelope {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let map = c
-            .as_map()
-            .ok_or_else(|| DeError("envelope must be a JSON object".to_string()))?;
-        let key = field(map, "key")?
-            .as_str()
-            .ok_or_else(|| DeError("envelope key must be a string".to_string()))?;
-        Ok(Envelope {
-            schema_version: u32::from_content(field(map, "schema_version")?)?,
-            key: key.as_bytes().try_into().ok(),
-            point: LatencyPoint::from_content(field(map, "point")?)?,
-            provenance: match field(map, "provenance") {
-                Ok(content) => Option::<Provenance>::from_content(content)?,
-                Err(_) => None,
-            },
-        })
-    }
-}
-
-/// An envelope as the store writes it. Serialization is hand-written
-/// (not derived) so that `None` provenance is *omitted* rather than
-/// written as `null`.
-struct EnvelopeOut<'a> {
-    schema_version: u32,
-    key: &'a str,
-    point: &'a LatencyPoint,
-    provenance: Option<&'a Provenance>,
-}
-
-impl Serialize for EnvelopeOut<'_> {
-    fn to_content(&self) -> Content {
-        let mut map = vec![
-            (
-                "schema_version".to_string(),
-                self.schema_version.to_content(),
-            ),
-            ("key".to_string(), self.key.to_content()),
-            ("point".to_string(), self.point.to_content()),
-        ];
-        if let Some(p) = self.provenance {
-            map.push(("provenance".to_string(), p.to_content()));
-        }
-        Content::Map(map)
+        self.schema_version == CACHE_SCHEMA_VERSION && self.key.as_bytes() == hex_key(key)
     }
 }
 
@@ -321,11 +273,11 @@ impl Store {
         if std::fs::create_dir_all(&self.dir).is_err() {
             return false;
         }
-        let envelope = EnvelopeOut {
+        let envelope = Envelope {
             schema_version: CACHE_SCHEMA_VERSION,
-            key: &format_key(key),
-            point,
-            provenance,
+            key: format_key(key),
+            point: point.clone(),
+            provenance: provenance.cloned(),
         };
         let Ok(json) = serde_json::to_string_pretty(&envelope) else {
             return false;
@@ -467,18 +419,19 @@ fn read_envelope(path: &Path) -> Option<Envelope> {
 }
 
 /// The definition of what a blob holds: JSON text parsed into a
-/// [`Content`] tree and decoded by [`Envelope`]'s `Deserialize`.
+/// [`serde::Content`] tree and decoded by [`Envelope`]'s `Deserialize`.
 fn decode_envelope(blob: &[u8]) -> Option<Envelope> {
     serde_json::from_str(std::str::from_utf8(blob).ok()?).ok()
 }
 
 /// Reads an envelope laid out exactly as [`Store::store_with_provenance`]
-/// writes it, straight from the bytes: no [`Content`] tree, and no
-/// allocation but `git_sha`. `None` means "not in that layout", never
-/// "corrupt" — the caller then asks [`decode_envelope`], which stays the
-/// definition; whenever this returns `Some`, the envelope equals the one
-/// `decode_envelope` returns for the same bytes (tested on the writer's
-/// edge values and on every small mutation of them).
+/// writes it, straight from the bytes: no [`serde::Content`] tree, and
+/// no allocation but `key` and `git_sha`. `None` means "not in that
+/// layout", never "corrupt" — the caller then asks [`decode_envelope`],
+/// which stays the definition; whenever this returns `Some`, the
+/// envelope equals the one `decode_envelope` returns for the same bytes
+/// (tested on the writer's edge values and on every small mutation of
+/// them).
 ///
 /// It accepts the pretty layout in field order with an optional
 /// `provenance` and nothing after the closing brace. A float is `null`
@@ -495,7 +448,7 @@ fn read_canonical(blob: &[u8]) -> Option<Envelope> {
     r.expect("{\n  \"schema_version\": ")?;
     let schema_version = u32::try_from(r.integer()?).ok()?;
     r.expect(",\n  \"key\": ")?;
-    let key = r.string()?.as_bytes().try_into().ok();
+    let key = r.string()?.to_string();
     r.expect(",\n  \"point\": {\n    \"rate\": ")?;
     let rate = r.float()?;
     r.expect(",\n    \"avg_latency\": ")?;
@@ -673,10 +626,10 @@ mod tests {
         let store = temp_store("stale");
         std::fs::create_dir_all(store.dir()).unwrap();
         // Stale: a well-formed envelope from a previous schema version.
-        let stale = EnvelopeOut {
+        let stale = Envelope {
             schema_version: CACHE_SCHEMA_VERSION - 1,
-            key: &format_key(1),
-            point: &point(0.1, 99_999.0),
+            key: format_key(1),
+            point: point(0.1, 99_999.0),
             provenance: None,
         };
         std::fs::write(store.path_of(1), serde_json::to_string(&stale).unwrap()).unwrap();
@@ -701,10 +654,10 @@ mod tests {
         let store = temp_store("mismatch");
         std::fs::create_dir_all(store.dir()).unwrap();
         let write = |k: u64, key: &str| {
-            let envelope = EnvelopeOut {
+            let envelope = Envelope {
                 schema_version: CACHE_SCHEMA_VERSION,
-                key,
-                point: &point(0.1, 1.0),
+                key: key.to_string(),
+                point: point(0.1, 1.0),
                 provenance: None,
             };
             std::fs::write(store.path_of(k), serde_json::to_string(&envelope).unwrap()).unwrap();
@@ -881,24 +834,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    /// Envelopes equal field by field, floats by bit pattern (so NaN
-    /// equals NaN and `-0.0` differs from `0.0`).
+    /// Envelopes equal as their `Debug` text, which spells every field,
+    /// floats by shortest round trip (so NaN equals NaN and `-0.0`
+    /// differs from `0.0`): a field added to the record is compared
+    /// without a line here.
     fn same_envelope(a: &Envelope, b: &Envelope) -> bool {
-        let floats = |p: &LatencyPoint| {
-            [
-                p.rate,
-                p.avg_latency,
-                p.throughput,
-                p.fastpass_fraction,
-                p.dropped_fraction,
-            ]
-            .map(f64::to_bits)
-        };
-        a.schema_version == b.schema_version
-            && a.key == b.key
-            && floats(&a.point) == floats(&b.point)
-            && a.point.delivered == b.point.delivered
-            && a.provenance == b.provenance
+        format!("{a:?}") == format!("{b:?}")
     }
 
     /// [`read_canonical`] on `blob`, asserting what it is held to:

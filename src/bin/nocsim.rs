@@ -30,6 +30,7 @@ use fastpass_noc::core::stats::NetStats;
 use fastpass_noc::schemes::{SchemeId, ALL_SCHEMES};
 use fastpass_noc::sim::{Simulation, Workload};
 use fastpass_noc::traffic::{AppModel, SyntheticPattern, SyntheticWorkload};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -102,20 +103,36 @@ fn print_listing() {
     println!();
 }
 
+/// The `--json` report: one object per run. A float with no value
+/// (the latency of a run that delivered nothing) is `null`, as in the
+/// result store.
+#[derive(Serialize)]
+struct JsonReport {
+    delivered: u64,
+    avg_latency: f64,
+    throughput: f64,
+    fastpass_fraction: f64,
+    dropped: u64,
+    rejections: u64,
+    deflections: u64,
+    cycles: u64,
+}
+
 fn report(stats: &NetStats, cycles_run: u64, json: bool) {
     if json {
+        let report = JsonReport {
+            delivered: stats.delivered(),
+            avg_latency: stats.avg_latency(),
+            throughput: stats.throughput_packets(),
+            fastpass_fraction: stats.fastpass_fraction(),
+            dropped: stats.dropped,
+            rejections: stats.rejections,
+            deflections: stats.deflections,
+            cycles: cycles_run,
+        };
         println!(
-            "{{\"delivered\":{},\"avg_latency\":{:.3},\"throughput\":{:.6},\
-             \"fastpass_fraction\":{:.4},\"dropped\":{},\"rejections\":{},\
-             \"deflections\":{},\"cycles\":{}}}",
-            stats.delivered(),
-            stats.avg_latency(),
-            stats.throughput_packets(),
-            stats.fastpass_fraction(),
-            stats.dropped,
-            stats.rejections,
-            stats.deflections,
-            cycles_run,
+            "{}",
+            serde_json::to_string(&report).expect("a flat record serializes")
         );
         return;
     }

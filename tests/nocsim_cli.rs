@@ -64,3 +64,25 @@ fn out_of_range_size_and_vcs_are_usage_errors() {
         );
     }
 }
+
+/// `--json` prints one JSON object even when a float has no value: a
+/// run that delivers nothing has no average latency, printed `null`.
+#[test]
+fn json_report_is_json_when_nothing_is_delivered() {
+    let out = nocsim(&[
+        "--scheme", "fastpass", "--size", "4", "--rate", "0.001", "--warmup", "0", "--cycles", "1",
+        "--json",
+    ]);
+    let report: serde::Content =
+        serde_json::from_str(out.trim()).unwrap_or_else(|e| panic!("{e}: {out}"));
+    let field = |name: &str| {
+        report
+            .as_map()
+            .and_then(|m| m.iter().find(|(k, _)| k == name))
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("no `{name}` in {out}"))
+    };
+    assert_eq!(field("delivered").as_u64(), Some(0), "{out}");
+    assert_eq!(field("avg_latency"), serde::Content::Null, "{out}");
+    assert_eq!(field("cycles").as_u64(), Some(1), "{out}");
+}
