@@ -17,7 +17,7 @@
 use noc_sim::{Sampler, WindowSample};
 use noc_trace::chrome::{counter, meta, num, Arg};
 use noc_trace::StallCause;
-use serde::Content;
+use serde::{Content, Serialize};
 
 /// Process id used for telemetry counter tracks in Chrome traces
 /// (routers are pid 0, FastPass lanes pid 1 — see `noc_trace::chrome`).
@@ -27,64 +27,20 @@ pub const PID_TELEMETRY: u64 = 2;
 fn stall_series(w: &WindowSample) -> Vec<Arg> {
     StallCause::ALL
         .iter()
-        .map(|&c| num(c.label(), w.stalls[c.index()]))
+        .map(|&c| num(c.label(), w.trace.stalls[c.index()]))
         .collect()
 }
 
-/// One window as an ordered JSON object.
-fn window_content(w: &WindowSample) -> Content {
-    Content::Map(vec![
-        num("start_cycle", w.start_cycle),
-        num("end_cycle", w.end_cycle),
-        num("delivered", w.delivered),
-        num("delivered_fastpass", w.delivered_fastpass),
-        num("flits_delivered", w.flits_delivered),
-        num("generated", w.generated),
-        num("dropped", w.dropped),
-        num("rejections", w.rejections),
-        num("deflections", w.deflections),
-        num("latency_count", w.latency_count),
-        num("latency_sum", w.latency_sum),
-        (
-            "mean_latency".to_string(),
-            match w.mean_latency() {
-                Some(m) => Content::F64(m),
-                None => Content::Null,
-            },
-        ),
-        (
-            "in_flight".to_string(),
-            Content::Seq(
-                w.in_flight
-                    .iter()
-                    .map(|&v| Content::U128(v.into()))
-                    .collect(),
-            ),
-        ),
-        num("overlay_packets", w.overlay_packets),
-        num("occupied_vcs", w.occupied_vcs),
-        num("ni_source", w.ni_source),
-        num("ni_inj", w.ni_inj),
-        num("ni_ej", w.ni_ej),
-        num("ni_regen", w.ni_regen),
-        ("stalls".to_string(), Content::Map(stall_series(w))),
-        num("link_flits_regular", w.link_flits_regular),
-        num("link_flits_bypass", w.link_flits_bypass),
-        num("bypass_launches", w.bypass_launches),
-        num("occupancy_integral", w.occupancy_integral),
-    ])
-}
-
 /// Serializes a sampler's full series as a pretty-printed JSON document:
-/// `{"sample_every", "dropped_windows", "windows": [...]}`.
+/// `{"sample_every", "dropped_windows", "stall_causes", "windows": [...]}`,
+/// each window the derived shape of [`WindowSample`] and
+/// `stall_causes` naming the indices of its `trace.stalls` array.
 pub fn windows_json(sampler: &Sampler) -> String {
     let doc = Content::Map(vec![
         num("sample_every", sampler.config().sample_every),
         num("dropped_windows", sampler.dropped_windows()),
-        (
-            "windows".to_string(),
-            Content::Seq(sampler.windows().iter().map(window_content).collect()),
-        ),
+        ("stall_causes".to_string(), StallCause::LABELS.to_content()),
+        ("windows".to_string(), sampler.windows().to_content()),
     ]);
     serde_json::to_string_pretty(&doc).unwrap_or_else(|_| "{}".to_string())
 }
@@ -130,18 +86,21 @@ pub fn series_summary(sampler: &Sampler) -> String {
             String::new()
         }
     ));
-    let delivered: Vec<f64> = ws.iter().map(|w| w.delivered as f64).collect();
-    let total_delivered: u64 = ws.iter().map(|w| w.delivered).sum();
+    let delivered: Vec<f64> = ws.iter().map(|w| w.stats.delivered() as f64).collect();
+    let total_delivered: u64 = ws.iter().map(|w| w.stats.delivered()).sum();
     out.push_str(&line(
         "delivered",
         delivered,
         format!("total {total_delivered}"),
     ));
-    let latency: Vec<f64> = ws.iter().map(|w| w.mean_latency().unwrap_or(0.0)).collect();
+    let latency: Vec<f64> = ws
+        .iter()
+        .map(|w| w.stats.mean_latency().unwrap_or(0.0))
+        .collect();
     let last_lat = ws
         .iter()
         .rev()
-        .find_map(|w| w.mean_latency())
+        .find_map(|w| w.stats.mean_latency())
         .unwrap_or(0.0);
     out.push_str(&line("latency", latency, format!("last {last_lat:.1} cyc")));
     let in_flight: Vec<f64> = ws.iter().map(|w| w.in_flight_total() as f64).collect();
@@ -151,9 +110,9 @@ pub fn series_summary(sampler: &Sampler) -> String {
         in_flight,
         format!("peak {max_in_flight}"),
     ));
-    let total_stalls: u64 = ws.iter().map(|w| w.total_stalls()).sum();
+    let total_stalls: u64 = ws.iter().map(|w| w.trace.total_stalls()).sum();
     if total_stalls > 0 {
-        let stalls: Vec<f64> = ws.iter().map(|w| w.total_stalls() as f64).collect();
+        let stalls: Vec<f64> = ws.iter().map(|w| w.trace.total_stalls() as f64).collect();
         out.push_str(&line("stalls", stalls, format!("total {total_stalls}")));
     }
     out
@@ -180,8 +139,8 @@ pub fn counter_events(sampler: &Sampler) -> Vec<Content> {
             "delivered/window",
             ts,
             vec![
-                num("regular", w.delivered - w.delivered_fastpass),
-                num("fastpass", w.delivered_fastpass),
+                num("regular", w.stats.delivered_regular),
+                num("fastpass", w.stats.delivered_fastpass),
             ],
         ));
         out.push(track(
@@ -202,16 +161,16 @@ pub fn counter_events(sampler: &Sampler) -> Vec<Content> {
                 num("ej", w.ni_ej),
             ],
         ));
-        if w.total_stalls() > 0 {
+        if w.trace.total_stalls() > 0 {
             out.push(track("stalls/window", ts, stall_series(w)));
         }
-        if w.link_flits_regular + w.link_flits_bypass > 0 {
+        if w.trace.link_flits_regular + w.trace.link_flits_bypass > 0 {
             out.push(track(
                 "link_flits/window",
                 ts,
                 vec![
-                    num("regular", w.link_flits_regular),
-                    num("bypass", w.link_flits_bypass),
+                    num("regular", w.trace.link_flits_regular),
+                    num("bypass", w.trace.link_flits_bypass),
                 ],
             ));
         }
@@ -276,22 +235,64 @@ mod tests {
         assert_eq!(sparkline(&[f64::NAN, 1.0]).chars().next(), Some('▁'));
     }
 
+    /// The value at `path` in a parsed document.
+    fn at<'a>(doc: &'a Content, path: &[&str]) -> &'a Content {
+        path.iter().fold(doc, |c, key| {
+            serde::field(c.as_map().expect("an object"), key)
+                .unwrap_or_else(|_| panic!("no `{key}` in {path:?}"))
+        })
+    }
+
+    fn u64_at(doc: &Content, path: &[&str]) -> u64 {
+        at(doc, path)
+            .as_u64()
+            .unwrap_or_else(|| panic!("{path:?} is not a count"))
+    }
+
     #[test]
-    fn windows_json_is_valid_and_complete() {
-        let sim = sampled_run(0.1, false);
+    fn windows_json_reconciles_with_the_run() {
+        // Armed at cycle 0, the sampler's span is the whole run, so the
+        // run's own totals are the deltas the windows must add up to.
+        let sim = sampled_run(0.3, true);
         let sampler = sim.sampler().expect("sampler installed");
-        let json = windows_json(sampler);
-        let doc: Content = serde_json::from_str(&json).expect("valid JSON");
-        let map = doc.as_map().expect("object");
-        let windows = serde::field(map, "windows")
-            .expect("windows field")
+        let doc: Content = serde_json::from_str(&windows_json(sampler)).expect("valid JSON");
+        let causes: Vec<&str> = at(&doc, &["stall_causes"])
             .as_seq()
-            .expect("array")
-            .len();
-        assert_eq!(windows, sampler.windows().len());
-        assert!(windows == 10, "1000 cycles / 100 = {windows} windows");
-        assert!(json.contains("\"mean_latency\""));
-        assert!(json.contains("\"occupied_vcs\""));
+            .expect("an array")
+            .iter()
+            .filter_map(Content::as_str)
+            .collect();
+        let labels: Vec<&str> = StallCause::ALL.iter().map(|c| c.label()).collect();
+        assert_eq!(causes, labels, "labels in counter-array order");
+
+        let windows = at(&doc, &["windows"]).as_seq().expect("an array");
+        assert_eq!(windows.len(), 10, "1000 cycles / 100");
+        let sum = |path: &[&str]| windows.iter().map(|w| u64_at(w, path)).sum::<u64>();
+        let stats = sim.core.stats.snapshot();
+        assert_eq!(
+            sum(&["stats", "delivered_regular"]),
+            stats.delivered_regular
+        );
+        assert_eq!(
+            sum(&["stats", "delivered_fastpass"]),
+            stats.delivered_fastpass
+        );
+        assert_eq!(sum(&["stats", "latency_count"]), stats.latency_count);
+        assert!(stats.delivered() > 0, "reconciliation must not be vacuous");
+
+        let totals = sim.tracer().totals();
+        for (i, cause) in causes.iter().enumerate() {
+            let in_windows: u64 = windows
+                .iter()
+                .map(|w| {
+                    at(w, &["trace", "stalls"]).as_seq().expect("an array")[i]
+                        .as_u64()
+                        .expect("a count")
+                })
+                .sum();
+            assert_eq!(in_windows, totals.stalls[i], "{cause}");
+        }
+        assert!(totals.total_stalls() > 0, "high load must stall somewhere");
     }
 
     #[test]

@@ -421,8 +421,8 @@ impl FastPass {
     }
 
     /// Builds this cycle's suppression set from flight link windows,
-    /// asserting collision freedom, counting lane flit-hops for link
-    /// utilization, and flagging preempted ejection ports.
+    /// asserting collision freedom, counting lane flit-hops for the
+    /// tracer, and flagging preempted ejection ports.
     fn build_suppression(&mut self, core: &mut NetworkCore) {
         let cycle = core.cycle();
         self.suppressed.clear();
@@ -437,7 +437,6 @@ impl FastPass {
                      TDM non-overlap invariant violated"
                 );
                 // Each busy link-cycle carries exactly one lane flit.
-                core.count_link_flit(l);
                 if core.trace.counters_on() {
                     trace_bypass_link(core, l, f.pkt);
                 }

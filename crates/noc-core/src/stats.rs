@@ -101,7 +101,7 @@ impl Distribution {
 /// represented by their `(count, sum)` pair — enough for per-window
 /// means; exact window percentiles would require the samples themselves,
 /// which the no-allocation sampling contract rules out.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StatsSnapshot {
     /// Packets delivered via regular pass only.
     pub delivered_regular: u64,

@@ -270,12 +270,8 @@ impl WireSpec {
         if self.rates.is_empty() {
             return Err("spec has no rates".to_string());
         }
-        if let Some(bad) = self
-            .rates
-            .iter()
-            .find(|r| !r.is_finite() || **r <= 0.0 || **r > 1.0)
-        {
-            return Err(format!("rate {bad} outside (0, 1]"));
+        for &rate in &self.rates {
+            traffic::check_rate(rate)?;
         }
         if !(2..=64).contains(&self.size) {
             return Err(format!("mesh size {} outside 2..=64", self.size));

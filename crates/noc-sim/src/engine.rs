@@ -532,8 +532,12 @@ mod tests {
         assert_eq!(sampler.dropped_windows(), 0);
         // 15 full 64-cycle windows plus one 40-cycle flush window.
         assert_eq!(sampler.windows().len(), 16);
-        let sum_delivered: u64 = sampler.windows().iter().map(|w| w.delivered).sum();
-        let sum_flits: u64 = sampler.windows().iter().map(|w| w.flits_delivered).sum();
+        let sum_delivered: u64 = sampler.windows().iter().map(|w| w.stats.delivered()).sum();
+        let sum_flits: u64 = sampler
+            .windows()
+            .iter()
+            .map(|w| w.stats.flits_delivered)
+            .sum();
         assert_eq!(sum_delivered, stats_delivered, "delivered reconciles");
         assert_eq!(sum_flits, stats_flits, "flits reconcile");
         assert!(stats_delivered > 0, "reconciliation must not be vacuous");

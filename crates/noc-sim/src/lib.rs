@@ -31,7 +31,6 @@
 //!   (used by SPIN and by deadlock instrumentation in tests).
 //! * [`engine`] — the [`engine::Simulation`] driver,
 //!   workloads and warmup/measurement windows.
-//! * [`inspect`] — link-utilization heatmaps and congestion reports.
 //! * [`audit`] — deep structural invariant checks over the whole
 //!   network state (used at test checkpoints and when developing new
 //!   schemes).
@@ -47,7 +46,6 @@ pub mod arena;
 pub mod audit;
 pub mod batch;
 pub mod engine;
-pub mod inspect;
 pub mod network;
 pub mod ni;
 pub mod probe;

@@ -136,7 +136,6 @@ pub struct NetworkCore {
     /// Reusable per-cycle scratch owned here so the regular pipeline
     /// allocates nothing in steady state: the active-node worklist.
     scratch_nodes: Vec<NodeId>,
-    link_flits: Vec<u64>,
     probe: ProbeSlot,
     /// Flat neighbor table (`node * 4 + direction` → neighbor index or
     /// [`NO_NBR`]): the hot pipeline asks for neighbors several times per
@@ -178,7 +177,6 @@ impl NetworkCore {
             staged_back: Vec::new(),
             drained_back: Vec::new(),
             scratch_nodes: Vec::new(),
-            link_flits: vec![0; mesh.num_links()],
             probe: ProbeSlot(None),
             topo_nbr: (0..n)
                 .flat_map(|i| {
@@ -583,19 +581,6 @@ impl NetworkCore {
                 .iter()
                 .map(|ni| ni.resident_packets())
                 .sum::<usize>()
-    }
-
-    /// Records one flit crossing a directed link (utilization
-    /// accounting for [`inspect`](crate::inspect)). The regular pipeline
-    /// and FastPass flights both report through this.
-    pub fn count_link_flit(&mut self, l: LinkId) {
-        self.link_flits[l.index()] += 1;
-    }
-
-    /// Flits that have crossed each directed link since construction,
-    /// indexed by [`LinkId::index`].
-    pub fn link_flits(&self) -> &[u64] {
-        &self.link_flits
     }
 
     /// Iterates node ids in a rotating order that changes every cycle,

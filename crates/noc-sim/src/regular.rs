@@ -428,9 +428,8 @@ fn send_flit(
             trace_sa_grant(core, node, pkt_id, Port::Dir(d).index() as u8);
         }
     }
-    if let Some(l) = core.link(node, d) {
-        core.count_link_flit(l);
-        if core.trace.counters_on() {
+    if core.trace.counters_on() {
+        if let Some(l) = core.link(node, d) {
             trace_link_traverse(core, node, pkt_id, l);
         }
     }

@@ -6,9 +6,9 @@
 //! queue growth near saturation are invisible in them. The [`Sampler`]
 //! closes that gap: every `sample_every` cycles it appends one
 //! [`WindowSample`] — the window's exact contribution to every additive
-//! counter (via [`StatsSnapshot`]/[`NetworkTotals`] deltas) plus
-//! instantaneous gauges of live state — into a pre-allocated
-//! fixed-capacity series.
+//! counter (two deltas: a [`StatsSnapshot`] and the tracer's
+//! [`RouterMetrics`] total) plus instantaneous gauges of live state —
+//! into a pre-allocated fixed-capacity series.
 //!
 //! Contract (mirrors the tracer's, enforced by `tests/sampler_gate.rs`
 //! and `noc-lint`):
@@ -27,16 +27,16 @@
 //!   change sweep-cache keys, because it does not change results.
 //!
 //! Stall-cause counts, link utilization and the VC-occupancy integral
-//! are reused from `noc-trace`'s per-router counters ([`NetworkTotals`])
-//! rather than recounted: they are live (non-zero) only when tracing is
-//! at counters level or above. The occupancy *gauge*
-//! ([`WindowSample::occupied_vcs`]) is sampled directly and works with
-//! tracing off.
+//! are the tracer's per-router counters, summed, rather than recounted:
+//! [`WindowSample::trace`] is non-zero only when tracing is at counters
+//! level or above. The occupancy *gauge* ([`WindowSample::occupied_vcs`])
+//! is sampled directly and works with tracing off.
 
 use crate::network::NetworkCore;
 use noc_core::packet::{CLASSES, NUM_CLASSES};
 use noc_core::stats::StatsSnapshot;
-use noc_trace::{NetworkTotals, StallCause};
+use noc_trace::RouterMetrics;
+use serde::Serialize;
 
 /// Sampling configuration. Deliberately *not* part of
 /// [`SimConfig`](noc_core::config::SimConfig) — see the module docs.
@@ -61,30 +61,19 @@ impl Default for SamplerConfig {
 
 /// One sampling window: counter deltas over `(start_cycle, end_cycle]`
 /// plus gauges read at `end_cycle`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct WindowSample {
     /// Cycle the window opened at (exclusive).
     pub start_cycle: u64,
     /// Cycle the window closed at (inclusive).
     pub end_cycle: u64,
-    /// Packets delivered in the window (regular + FastPass).
-    pub delivered: u64,
-    /// FastPass-delivered packets in the window.
-    pub delivered_fastpass: u64,
-    /// Flits delivered in the window.
-    pub flits_delivered: u64,
-    /// Packets generated in the window.
-    pub generated: u64,
-    /// Injection-queue drop events in the window.
-    pub dropped: u64,
-    /// FastPass ejection rejections in the window.
-    pub rejections: u64,
-    /// Deflections/misroutes in the window.
-    pub deflections: u64,
-    /// Latency samples recorded in the window.
-    pub latency_count: u64,
-    /// Sum of those latency samples, in cycles.
-    pub latency_sum: u64,
+    /// The window's network statistics: deliveries, generation, drops,
+    /// rejections, deflections, latency and hop sums and counts.
+    pub stats: StatsSnapshot,
+    /// The window's tracer counters, summed over routers: stall causes,
+    /// link flits, launches, the occupancy integral (all zero unless
+    /// tracing counters are on).
+    pub trace: RouterMetrics,
     /// Gauge: live packets anywhere in the system, per class.
     pub in_flight: [u64; NUM_CLASSES],
     /// Gauge: packets held by the scheme's overlay (FastPass flights).
@@ -99,54 +88,12 @@ pub struct WindowSample {
     pub ni_ej: u64,
     /// Gauge: packets awaiting drop-regeneration, summed over nodes.
     pub ni_regen: u64,
-    /// Stall cycles by cause in the window (zero unless tracing counters
-    /// are on), indexed by [`StallCause::index`].
-    pub stalls: [u64; StallCause::COUNT],
-    /// Regular-pipeline link flits in the window (tracing counters only).
-    pub link_flits_regular: u64,
-    /// FastPass-lane flit-cycles in the window (tracing counters only).
-    pub link_flits_bypass: u64,
-    /// FastPass launches in the window (tracing counters only).
-    pub bypass_launches: u64,
-    /// VC-occupancy integral accumulated in the window (tracing counters
-    /// only); divide by [`len_cycles`](Self::len_cycles) for the window's
-    /// mean occupied-VC count.
-    pub occupancy_integral: u64,
 }
 
 impl WindowSample {
-    /// Window length in cycles.
-    pub fn len_cycles(&self) -> u64 {
-        self.end_cycle - self.start_cycle
-    }
-
-    /// Mean end-to-end latency of packets delivered in this window.
-    pub fn mean_latency(&self) -> Option<f64> {
-        if self.latency_count == 0 {
-            None
-        } else {
-            Some(self.latency_sum as f64 / self.latency_count as f64)
-        }
-    }
-
-    /// Delivered throughput over the window, packets/cycle (all nodes).
-    pub fn throughput(&self) -> f64 {
-        let c = self.len_cycles();
-        if c == 0 {
-            0.0
-        } else {
-            self.delivered as f64 / c as f64
-        }
-    }
-
     /// Total live packets across classes (gauge).
     pub fn in_flight_total(&self) -> u64 {
         self.in_flight.iter().sum()
-    }
-
-    /// Total stall cycles across causes in the window.
-    pub fn total_stalls(&self) -> u64 {
-        self.stalls.iter().sum()
     }
 }
 
@@ -160,7 +107,7 @@ pub struct Sampler {
     windows: Vec<WindowSample>,
     dropped_windows: u64,
     last_stats: StatsSnapshot,
-    last_trace: NetworkTotals,
+    last_trace: RouterMetrics,
     window_open_cycle: u64,
 }
 
@@ -180,7 +127,7 @@ impl Sampler {
             windows: Vec::with_capacity(cfg.max_windows),
             dropped_windows: 0,
             last_stats: StatsSnapshot::default(),
-            last_trace: NetworkTotals::default(),
+            last_trace: RouterMetrics::default(),
             window_open_cycle: 0,
         }
     }
@@ -225,26 +172,12 @@ impl Sampler {
         let now = core.cycle();
         let stats = core.stats.snapshot();
         let trace = core.trace.totals();
-        let sd = stats.delta_since(&self.last_stats);
-        let td = trace.delta_since(&self.last_trace);
         let mut w = WindowSample {
             start_cycle: self.window_open_cycle,
             end_cycle: now,
-            delivered: sd.delivered(),
-            delivered_fastpass: sd.delivered_fastpass,
-            flits_delivered: sd.flits_delivered,
-            generated: sd.generated,
-            dropped: sd.dropped,
-            rejections: sd.rejections,
-            deflections: sd.deflections,
-            latency_count: sd.latency_count,
-            latency_sum: u64::try_from(sd.latency_sum).unwrap_or(u64::MAX),
+            stats: stats.delta_since(&self.last_stats),
+            trace: trace.delta_since(&self.last_trace),
             overlay_packets,
-            stalls: td.stalls,
-            link_flits_regular: td.link_flits_regular,
-            link_flits_bypass: td.link_flits_bypass,
-            bypass_launches: td.bypass_launches,
-            occupancy_integral: td.occupancy_integral,
             ..WindowSample::default()
         };
         for pkt in core.store.iter() {
@@ -311,24 +244,12 @@ mod tests {
     }
 
     #[test]
-    fn window_sample_derived_metrics() {
+    fn in_flight_total_sums_classes() {
         let w = WindowSample {
-            start_cycle: 100,
-            end_cycle: 200,
-            delivered: 50,
-            latency_count: 4,
-            latency_sum: 100,
             in_flight: [1, 0, 2, 0, 0, 0],
-            stalls: [1; StallCause::COUNT],
             ..WindowSample::default()
         };
-        assert_eq!(w.len_cycles(), 100);
-        assert_eq!(w.mean_latency(), Some(25.0));
-        assert_eq!(w.throughput(), 0.5);
         assert_eq!(w.in_flight_total(), 3);
-        assert_eq!(w.total_stalls(), StallCause::COUNT as u64);
-        let empty = WindowSample::default();
-        assert_eq!(empty.mean_latency(), None);
-        assert_eq!(empty.throughput(), 0.0);
+        assert_eq!(WindowSample::default().in_flight_total(), 0);
     }
 }

@@ -47,30 +47,26 @@ impl StallCause {
         StallCause::RouteBlocked,
     ];
 
-    /// Counter-array index of this cause.
+    /// Every cause's label, in counter-array order: the `stall_causes`
+    /// header of the JSON exports.
+    pub const LABELS: [&'static str; StallCause::COUNT] = [
+        "link_suppressed",
+        "sa_lost",
+        "ej_backpressure",
+        "ej_reserved",
+        "ej_preempted",
+        "no_free_vc",
+        "route_blocked",
+    ];
+
+    /// Counter-array index of this cause: its declaration order.
     pub fn index(self) -> usize {
-        match self {
-            StallCause::LinkSuppressed => 0,
-            StallCause::SaLost => 1,
-            StallCause::EjBackpressure => 2,
-            StallCause::EjReserved => 3,
-            StallCause::EjPreempted => 4,
-            StallCause::NoFreeVc => 5,
-            StallCause::RouteBlocked => 6,
-        }
+        self as usize
     }
 
     /// Stable snake_case label (used in JSON exports and reports).
     pub fn label(self) -> &'static str {
-        match self {
-            StallCause::LinkSuppressed => "link_suppressed",
-            StallCause::SaLost => "sa_lost",
-            StallCause::EjBackpressure => "ej_backpressure",
-            StallCause::EjReserved => "ej_reserved",
-            StallCause::EjPreempted => "ej_preempted",
-            StallCause::NoFreeVc => "no_free_vc",
-            StallCause::RouteBlocked => "route_blocked",
-        }
+        Self::LABELS[self.index()]
     }
 }
 

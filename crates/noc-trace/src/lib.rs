@@ -306,11 +306,15 @@ impl Tracer {
         &self.metrics
     }
 
-    /// Network-wide counter sums as one `Copy` value (all-zero when the
-    /// level is off). Allocation-free: this is the windowed sampler's
-    /// per-window read of the stall / link-utilization counters.
-    pub fn totals(&self) -> NetworkTotals {
-        NetworkTotals::accumulate(&self.metrics)
+    /// Network-wide counter sums: every router's counters added into one
+    /// (all-zero when the level is off). Allocation-free: this is the
+    /// windowed sampler's per-window read of the tracer's counters.
+    pub fn totals(&self) -> RouterMetrics {
+        let mut total = RouterMetrics::default();
+        for m in &self.metrics {
+            total.add(m);
+        }
+        total
     }
 
     /// The event ring of one node (full mode only).
@@ -343,6 +347,7 @@ impl Tracer {
     /// Assembles the metrics report (routers + histograms).
     pub fn metrics_report(&self) -> MetricsReport {
         MetricsReport {
+            stall_causes: StallCause::LABELS,
             routers: self.metrics.clone(),
             lane_occupancy: self.lane_hist.clone(),
             dropped_events: self.dropped_events(),

@@ -3,20 +3,24 @@
 //!
 //! Counters are plain pre-allocated integer arrays bumped by the tracer
 //! in counters/full mode — the per-cycle cost is a branch plus an add,
-//! and in off mode just the branch. Serialization is implemented by hand
-//! (not derived) so the JSON shape is an explicit, stable contract.
+//! and in off mode just the branch. One record serves every view: a
+//! router's counters, the network total ([`Tracer::totals`](crate::Tracer::totals)
+//! sums the routers with [`RouterMetrics::add`]) and a sampling window
+//! (the [`RouterMetrics::delta_since`] of two totals). Its JSON shape is
+//! the derived one: fields in declaration order, `stalls` an array in
+//! [`StallCause::ALL`] order.
 
 use crate::event::StallCause;
 use noc_core::packet::NUM_CLASSES;
-use serde::{Content, Serialize};
+use serde::Serialize;
 
-/// Counters for one router/NI pair.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Counters for one router/NI pair, or their sum over routers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RouterMetrics {
     /// Sum over sampled cycles of the router's occupied-VC count; divide
     /// by [`RouterMetrics::cycles_sampled`] for mean buffer occupancy.
     pub occupancy_integral: u64,
-    /// Cycles the occupancy integral covers.
+    /// Cycles the occupancy integral covers (router-cycles in a sum).
     pub cycles_sampled: u64,
     /// Packets injected into the router's local port, per class.
     pub injected: [u64; NUM_CLASSES],
@@ -33,128 +37,51 @@ pub struct RouterMetrics {
     pub bypass_launches: u64,
 }
 
+/// The network-wide counter sum, which is a [`RouterMetrics`] too. The
+/// name stays for callers that still spell it.
+pub type NetworkTotals = RouterMetrics;
+
 impl RouterMetrics {
-    /// Mean occupied VCs over the sampled window (0 when unsampled).
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.cycles_sampled == 0 {
-            0.0
-        } else {
-            self.occupancy_integral as f64 / self.cycles_sampled as f64
-        }
-    }
-
     /// Total stall cycles across all causes.
     pub fn total_stalls(&self) -> u64 {
         self.stalls.iter().sum()
     }
-}
 
-fn u64_seq(xs: &[u64]) -> Content {
-    Content::Seq(xs.iter().map(|&x| Content::U128(x as u128)).collect())
-}
-
-impl Serialize for RouterMetrics {
-    fn to_content(&self) -> Content {
-        let stall_map = StallCause::ALL
-            .iter()
-            .map(|&c| {
-                (
-                    c.label().to_string(),
-                    Content::U128(self.stalls[c.index()] as u128),
-                )
-            })
-            .collect();
-        Content::Map(vec![
-            (
-                "occupancy_integral".to_string(),
-                Content::U128(self.occupancy_integral as u128),
-            ),
-            (
-                "cycles_sampled".to_string(),
-                Content::U128(self.cycles_sampled as u128),
-            ),
-            (
-                "mean_occupancy".to_string(),
-                Content::F64(self.mean_occupancy()),
-            ),
-            ("injected".to_string(), u64_seq(&self.injected)),
-            ("ejected".to_string(), u64_seq(&self.ejected)),
-            ("stalls".to_string(), Content::Map(stall_map)),
-            (
-                "link_flits_regular".to_string(),
-                Content::U128(self.link_flits_regular as u128),
-            ),
-            (
-                "link_flits_bypass".to_string(),
-                Content::U128(self.link_flits_bypass as u128),
-            ),
-            (
-                "bypass_launches".to_string(),
-                Content::U128(self.bypass_launches as u128),
-            ),
-        ])
-    }
-}
-
-/// Network-wide sums of [`RouterMetrics`] counters, as one `Copy` value.
-///
-/// This is the reuse point for the windowed sampler: every counter here
-/// is monotonically non-decreasing while tracing stays enabled, so two
-/// totals bracketing a window subtract to the window's exact stall /
-/// link-utilization contribution without walking per-router state twice.
-/// With tracing disabled (or at [`TraceLevel::Off`](crate::TraceLevel))
-/// all fields are zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetworkTotals {
-    /// Sum of per-router occupancy integrals.
-    pub occupancy_integral: u64,
-    /// Packets injected, summed over routers and classes.
-    pub injected: u64,
-    /// Packets ejected, summed over routers and classes.
-    pub ejected: u64,
-    /// Stall cycles by cause, summed over routers.
-    pub stalls: [u64; StallCause::COUNT],
-    /// Regular-pipeline link flits, summed over routers.
-    pub link_flits_regular: u64,
-    /// FastPass-lane flit-cycles, summed over routers.
-    pub link_flits_bypass: u64,
-    /// FastPass upgrades launched, summed over routers.
-    pub bypass_launches: u64,
-}
-
-impl NetworkTotals {
-    /// Sums the given per-router counters.
-    pub fn accumulate(routers: &[RouterMetrics]) -> NetworkTotals {
-        let mut t = NetworkTotals::default();
-        for r in routers {
-            t.occupancy_integral += r.occupancy_integral;
-            t.injected += r.injected.iter().sum::<u64>();
-            t.ejected += r.ejected.iter().sum::<u64>();
-            for (acc, &s) in t.stalls.iter_mut().zip(r.stalls.iter()) {
-                *acc += s;
-            }
-            t.link_flits_regular += r.link_flits_regular;
-            t.link_flits_bypass += r.link_flits_bypass;
-            t.bypass_launches += r.bypass_launches;
-        }
-        t
-    }
-
-    /// Total stall cycles across all causes.
-    pub fn total_stalls(&self) -> u64 {
-        self.stalls.iter().sum()
+    /// Adds `other`'s counters into `self`, field by field.
+    pub fn add(&mut self, other: &RouterMetrics) {
+        // Destructured without `..`: a new counter is a compile error
+        // here until it is summed.
+        let RouterMetrics {
+            occupancy_integral,
+            cycles_sampled,
+            injected,
+            ejected,
+            stalls,
+            link_flits_regular,
+            link_flits_bypass,
+            bypass_launches,
+        } = other;
+        self.occupancy_integral += occupancy_integral;
+        self.cycles_sampled += cycles_sampled;
+        add_each(&mut self.injected, injected);
+        add_each(&mut self.ejected, ejected);
+        add_each(&mut self.stalls, stalls);
+        self.link_flits_regular += link_flits_regular;
+        self.link_flits_bypass += link_flits_bypass;
+        self.bypass_launches += bypass_launches;
     }
 
     /// Field-wise `self - earlier` (saturating: a tracer re-arm between
     /// totals degrades to zeros instead of wrapping).
-    pub fn delta_since(&self, earlier: &NetworkTotals) -> NetworkTotals {
-        let mut d = NetworkTotals {
+    pub fn delta_since(&self, earlier: &RouterMetrics) -> RouterMetrics {
+        RouterMetrics {
             occupancy_integral: self
                 .occupancy_integral
                 .saturating_sub(earlier.occupancy_integral),
-            injected: self.injected.saturating_sub(earlier.injected),
-            ejected: self.ejected.saturating_sub(earlier.ejected),
-            stalls: [0; StallCause::COUNT],
+            cycles_sampled: self.cycles_sampled.saturating_sub(earlier.cycles_sampled),
+            injected: sub_each(&self.injected, &earlier.injected),
+            ejected: sub_each(&self.ejected, &earlier.ejected),
+            stalls: sub_each(&self.stalls, &earlier.stalls),
             link_flits_regular: self
                 .link_flits_regular
                 .saturating_sub(earlier.link_flits_regular),
@@ -162,17 +89,26 @@ impl NetworkTotals {
                 .link_flits_bypass
                 .saturating_sub(earlier.link_flits_bypass),
             bypass_launches: self.bypass_launches.saturating_sub(earlier.bypass_launches),
-        };
-        for (i, s) in d.stalls.iter_mut().enumerate() {
-            *s = self.stalls[i].saturating_sub(earlier.stalls[i]);
         }
-        d
     }
 }
 
+fn add_each<const N: usize>(acc: &mut [u64; N], xs: &[u64; N]) {
+    for (a, x) in acc.iter_mut().zip(xs) {
+        *a += x;
+    }
+}
+
+fn sub_each<const N: usize>(xs: &[u64; N], earlier: &[u64; N]) -> [u64; N] {
+    std::array::from_fn(|i| xs[i].saturating_sub(earlier[i]))
+}
+
 /// The full metrics section: every router plus network-wide histograms.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricsReport {
+    /// What each index of a `stalls` array counts ([`StallCause::LABELS`]),
+    /// so the document describes itself.
+    pub stall_causes: [&'static str; StallCause::COUNT],
     /// Per-router counters, indexed by node index.
     pub routers: Vec<RouterMetrics>,
     /// Histogram of concurrently active FastPass flights: bucket `i`
@@ -183,55 +119,34 @@ pub struct MetricsReport {
     pub dropped_events: u64,
 }
 
-impl Serialize for MetricsReport {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            (
-                "routers".to_string(),
-                Content::Seq(self.routers.iter().map(|r| r.to_content()).collect()),
-            ),
-            ("lane_occupancy".to_string(), u64_seq(&self.lane_occupancy)),
-            (
-                "dropped_events".to_string(),
-                Content::U128(self.dropped_events as u128),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Content;
 
     #[test]
-    fn mean_occupancy_handles_empty_window() {
-        let m = RouterMetrics::default();
-        assert_eq!(m.mean_occupancy(), 0.0);
-        let m = RouterMetrics {
-            occupancy_integral: 10,
-            cycles_sampled: 4,
-            ..Default::default()
-        };
-        assert_eq!(m.mean_occupancy(), 2.5);
-    }
-
-    #[test]
-    fn totals_accumulate_and_delta() {
+    fn add_sums_and_delta_subtracts() {
         let mut a = RouterMetrics::default();
         a.stalls[StallCause::SaLost.index()] = 3;
         a.injected[0] = 5;
         a.link_flits_regular = 7;
+        a.cycles_sampled = 2;
         let mut b = RouterMetrics::default();
         b.stalls[StallCause::SaLost.index()] = 2;
         b.ejected[1] = 4;
         b.bypass_launches = 1;
-        let t = NetworkTotals::accumulate(&[a, b]);
+        b.cycles_sampled = 2;
+        let mut t = RouterMetrics::default();
+        for r in [a, b] {
+            t.add(&r);
+        }
         assert_eq!(t.stalls[StallCause::SaLost.index()], 5);
         assert_eq!(t.total_stalls(), 5);
-        assert_eq!(t.injected, 5);
-        assert_eq!(t.ejected, 4);
+        assert_eq!(t.injected[0], 5);
+        assert_eq!(t.ejected[1], 4);
         assert_eq!(t.link_flits_regular, 7);
         assert_eq!(t.bypass_launches, 1);
+        assert_eq!(t.cycles_sampled, 4, "router-cycles add up");
 
         let mut later = t;
         later.stalls[StallCause::SaLost.index()] += 10;
@@ -239,11 +154,13 @@ mod tests {
         let d = later.delta_since(&t);
         assert_eq!(d.stalls[StallCause::SaLost.index()], 10);
         assert_eq!(d.link_flits_bypass, 6);
-        assert_eq!(d.injected, 0);
+        assert_eq!(d.injected, [0; NUM_CLASSES]);
         // Saturating across a re-arm: earlier bigger than later clamps.
         assert_eq!(t.delta_since(&later).total_stalls(), 0);
-        // Disabled tracer shape: no routers, all-zero totals.
-        assert_eq!(NetworkTotals::accumulate(&[]), NetworkTotals::default());
+        // Adding the disabled tracer's zeros leaves a total unchanged.
+        let before = t;
+        t.add(&RouterMetrics::default());
+        assert_eq!(t, before);
     }
 
     #[test]
@@ -252,15 +169,35 @@ mod tests {
         r.stalls[StallCause::SaLost.index()] = 3;
         r.injected[0] = 5;
         let report = MetricsReport {
+            stall_causes: StallCause::LABELS,
             routers: vec![r],
             lane_occupancy: vec![10, 2, 0],
             dropped_events: 1,
         };
         let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        assert!(json.contains("\"sa_lost\": 3"), "{json}");
-        assert!(json.contains("\"lane_occupancy\""), "{json}");
-        // Round-trips through the generic JSON parser.
         let parsed: Content = serde_json::from_str(&json).expect("valid JSON");
-        assert!(parsed.as_map().is_some());
+        let doc = parsed.as_map().expect("an object");
+        let causes: Vec<&str> = serde::field(doc, "stall_causes")
+            .expect("a stall_causes header")
+            .as_seq()
+            .expect("an array")
+            .iter()
+            .filter_map(Content::as_str)
+            .collect();
+        assert_eq!(causes, StallCause::LABELS);
+        let routers = serde::field(doc, "routers").expect("routers");
+        let router = routers.as_seq().expect("an array")[0]
+            .as_map()
+            .expect("an object");
+        let stalls: Vec<u64> = serde::field(router, "stalls")
+            .expect("stalls")
+            .as_seq()
+            .expect("stalls is an array")
+            .iter()
+            .filter_map(Content::as_u64)
+            .collect();
+        assert_eq!(stalls.len(), StallCause::COUNT);
+        assert_eq!(stalls[StallCause::SaLost.index()], 3);
+        assert!(json.contains("\"lane_occupancy\""), "{json}");
     }
 }

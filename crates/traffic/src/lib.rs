@@ -20,4 +20,4 @@ pub mod synthetic;
 
 pub use apps::AppModel;
 pub use protocol::ProtocolWorkload;
-pub use synthetic::{SyntheticPattern, SyntheticWorkload};
+pub use synthetic::{check_rate, SyntheticPattern, SyntheticWorkload};

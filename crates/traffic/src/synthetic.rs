@@ -178,6 +178,20 @@ pub struct SyntheticWorkload {
     classes: Vec<MessageClass>,
 }
 
+/// The one rule for an injection rate, in packets/node/cycle, that a
+/// front end accepts: it lies in `(0, 1]`.
+///
+/// # Errors
+///
+/// Names the rate when it is NaN, infinite, not positive or above 1.
+pub fn check_rate(rate: f64) -> Result<(), String> {
+    if rate > 0.0 && rate <= 1.0 {
+        Ok(())
+    } else {
+        Err(format!("rate {rate} outside (0, 1]"))
+    }
+}
+
 impl SyntheticWorkload {
     /// Creates a workload injecting at `rate` packets/node/cycle.
     pub fn new(pattern: SyntheticPattern, rate: f64, seed: u64) -> Self {
@@ -259,6 +273,17 @@ mod tests {
 
     fn mesh8() -> Mesh {
         Mesh::new(8, 8)
+    }
+
+    #[test]
+    fn rates_outside_zero_one_are_rejected() {
+        for ok in [1e-6, 0.05, 1.0] {
+            assert_eq!(check_rate(ok), Ok(()));
+        }
+        for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            let err = check_rate(bad).expect_err("rejected");
+            assert!(err.contains(&format!("rate {bad} ")), "{err}");
+        }
     }
 
     #[test]

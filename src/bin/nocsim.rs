@@ -19,7 +19,8 @@
 //! * `--app <name>` — run a closed-loop application model instead of a
 //!   synthetic pattern (`radix`, `canneal`, `fft`, `fmm`, `lu_cb`,
 //!   `streamcluster`, `volrend`, `barnes`);
-//! * `--rate <f64>` — injection rate in packets/node/cycle (default 0.05);
+//! * `--rate <f64>` — injection rate in packets/node/cycle, in `(0, 1]`
+//!   (default 0.05);
 //! * `--size <n>` — mesh edge (default 8, 2 to 255); `--vcs <n>` —
 //!   FastPass VCs (1 to 12; every other scheme runs Table II's VN/VC
 //!   configuration);
@@ -29,7 +30,7 @@
 use fastpass_noc::core::stats::NetStats;
 use fastpass_noc::schemes::{SchemeId, ALL_SCHEMES};
 use fastpass_noc::sim::{Simulation, Workload};
-use fastpass_noc::traffic::{AppModel, SyntheticPattern, SyntheticWorkload};
+use fastpass_noc::traffic::{check_rate, AppModel, SyntheticPattern, SyntheticWorkload};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -180,6 +181,7 @@ fn run() -> Result<(), String> {
     let warmup: u64 = args.num("warmup", 5_000)?;
     let cycles: u64 = args.num("cycles", 20_000)?;
     let rate: f64 = args.num("rate", 0.05)?;
+    check_rate(rate)?;
 
     // Table II's configuration for the scheme, from the one registry.
     let id = SchemeId::parse(scheme_name)

@@ -86,3 +86,27 @@ fn json_report_is_json_when_nothing_is_delivered() {
     assert_eq!(field("avg_latency"), serde::Content::Null, "{out}");
     assert_eq!(field("cycles").as_u64(), Some(1), "{out}");
 }
+
+/// A rate outside `(0, 1]` is a usage error under the wire's own rule,
+/// not a panic (`nan`), a silent idle network (`-0.5`) or a silent
+/// clamp to 1 (`3`).
+#[test]
+fn out_of_range_rates_are_usage_errors() {
+    for rate in ["nan", "-0.5", "3"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_nocsim"))
+            .args(["--size", "4", "--rate", rate, "--json"])
+            .output()
+            .expect("nocsim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--rate {rate}: {stderr}");
+        assert!(out.stdout.is_empty(), "--rate {rate} simulated something");
+        assert_eq!(stderr.lines().count(), 1, "--rate {rate}: {stderr}");
+        assert!(
+            stderr.starts_with("nocsim: ")
+                && stderr
+                    .to_lowercase()
+                    .contains(&format!("rate {rate} outside (0, 1]")),
+            "--rate {rate}: {stderr}"
+        );
+    }
+}

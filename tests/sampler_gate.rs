@@ -116,10 +116,10 @@ fn window_sums_reconcile_with_run_totals() {
 
     // Monotone-counter deltas sum back to the end-of-run totals.
     let sum = |f: fn(&WindowSample) -> u64| windows.iter().map(f).sum::<u64>();
-    assert_eq!(sum(|w| w.delivered), stats.delivered());
-    assert_eq!(sum(|w| w.flits_delivered), stats.flits_delivered);
-    assert_eq!(sum(|w| w.generated), stats.generated);
-    assert_eq!(sum(|w| w.latency_count), stats.latency.count() as u64);
+    assert_eq!(sum(|w| w.stats.delivered()), stats.delivered());
+    assert_eq!(sum(|w| w.stats.flits_delivered), stats.flits_delivered);
+    assert_eq!(sum(|w| w.stats.generated), stats.generated);
+    assert_eq!(sum(|w| w.stats.latency_count), stats.latency.count() as u64);
 
     // Stall cycles: a single whole-measurement window must equal the sum
     // of the fine-grained windows (both are deltas over the same span).
@@ -134,10 +134,16 @@ fn window_sums_reconcile_with_run_totals() {
     let coarse_windows = coarse.sampler().expect("sampler").windows();
     assert_eq!(coarse_windows.len(), 1, "one window spans the measurement");
     let one = &coarse_windows[0];
-    assert_eq!(sum(|w| w.total_stalls()), one.total_stalls());
-    assert!(one.total_stalls() > 0, "rate 0.08 must stall somewhere");
-    assert_eq!(sum(|w| w.link_flits_regular), one.link_flits_regular);
-    assert_eq!(sum(|w| w.delivered), one.delivered);
+    assert_eq!(sum(|w| w.trace.total_stalls()), one.trace.total_stalls());
+    assert!(
+        one.trace.total_stalls() > 0,
+        "rate 0.08 must stall somewhere"
+    );
+    assert_eq!(
+        sum(|w| w.trace.link_flits_regular),
+        one.trace.link_flits_regular
+    );
+    assert_eq!(sum(|w| w.stats.delivered()), one.stats.delivered());
 }
 
 #[test]
