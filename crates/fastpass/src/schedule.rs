@@ -15,6 +15,10 @@
 
 use noc_core::topology::{Mesh, NodeId, NUM_PORTS};
 
+/// Cycles of slack a launch's round trip keeps beyond its `2·hops +
+/// 2·len` flight; the shortest slot keeps it beyond the worst case.
+pub const BUDGET_SLACK: u64 = 4;
+
 /// Position within the TDM schedule at some cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotInfo {
@@ -53,7 +57,7 @@ impl TdmSchedule {
     /// # Panics
     ///
     /// Panics if `width > height` or the slot is too short for any
-    /// round trip (`< 2·diameter + 2·max-packet + slack`).
+    /// round trip (`< 2·diameter + 2·max-packet + BUDGET_SLACK`).
     pub fn with_slot_cycles(mesh: Mesh, slot_cycles: u64) -> Self {
         assert!(
             mesh.width() <= mesh.height(),
@@ -75,9 +79,9 @@ impl TdmSchedule {
     }
 
     /// Smallest slot that admits a worst-case rejected round trip:
-    /// `2·diameter + 2·max_len + slack`.
+    /// `2·diameter + 2·max_len + BUDGET_SLACK`.
     pub fn min_slot_cycles(mesh: Mesh) -> u64 {
-        (2 * mesh.diameter() + 2 * 5 + 4) as u64
+        (2 * mesh.diameter() + 2 * 5) as u64 + BUDGET_SLACK
     }
 
     /// The slot length `K`.

@@ -43,7 +43,7 @@
 //! ground truth for all of this reasoning.
 
 use crate::flight::{Flight, FlightState};
-use crate::schedule::TdmSchedule;
+use crate::schedule::{TdmSchedule, BUDGET_SLACK};
 use noc_core::config::SimConfig;
 use noc_core::packet::{MessageClass, PacketId, CLASSES};
 use noc_core::topology::{LinkId, NodeId, Port, NUM_PORTS};
@@ -60,8 +60,6 @@ pub struct FastPassConfig {
     /// Overrides the slot length `K` (default: the paper's design-time
     /// formula, [`TdmSchedule::paper_slot_cycles`]).
     pub slot_cycles: Option<u64>,
-    /// Extra cycles of round-trip budget beyond `2·hops + 2·len`.
-    pub budget_slack: u64,
     /// Maximum packet trains concurrently in flight per lane (1 = the
     /// paper's strict serialization; see the module docs).
     pub pipeline_depth: usize,
@@ -71,7 +69,6 @@ impl Default for FastPassConfig {
     fn default() -> Self {
         FastPassConfig {
             slot_cycles: None,
-            budget_slack: 4,
             pipeline_depth: 4,
         }
     }
@@ -372,7 +369,7 @@ impl FastPass {
                 return false;
             }
             let h = mesh.hops(prime, dst) as u64;
-            if 2 * h + 2 * len as u64 + self.cfg.budget_slack > remaining {
+            if 2 * h + 2 * len as u64 + BUDGET_SLACK > remaining {
                 return false;
             }
             // Distinct destinations (ejection-port exclusivity).
@@ -609,7 +606,6 @@ mod tests {
             slot_cycles: Some(TdmSchedule::min_slot_cycles(noc_core::topology::Mesh::new(
                 4, 4,
             ))),
-            budget_slack: 4,
             pipeline_depth: 4,
         }
     }
@@ -701,7 +697,6 @@ mod tests {
                     slot_cycles: Some(TdmSchedule::min_slot_cycles(noc_core::topology::Mesh::new(
                         8, 8,
                     ))),
-                    budget_slack: 4,
                     pipeline_depth: depth,
                 },
             );

@@ -22,7 +22,7 @@
 //!
 //! Observability rides alongside, never inside, the engine lock: every
 //! lifecycle step updates the lock-free [`MetricsRegistry`] and
-//! publishes a [`FlightRecord`] to the [`FlightBus`] *after* dropping
+//! publishes a [`FlightEvent`] to the [`FlightBus`] *after* dropping
 //! the state lock, and a sampler tick thread turns the registry into
 //! statsd lines and queue-depth flight samples every
 //! [`ServeConfig::tick_ms`]. Points computed by workers are persisted
@@ -31,12 +31,11 @@
 
 use crate::flight::FlightBus;
 use crate::metrics::MetricsRegistry;
-use crate::proto::flight_event;
 use crate::statsd::StatsdSink;
 use crate::store::{format_key, Provenance};
 use crate::{
-    simulate_point, FlightRecord, LatencyPoint, MetricsReport, SpecKey, Store, SweepResult,
-    SweepSpec,
+    simulate_point, FlightEvent, FlightRecord, LatencyPoint, MetricsReport, Resolution, SpecKey,
+    Store, SweepResult, SweepSpec,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -241,35 +240,34 @@ impl Daemon {
                 spec.rates.iter().map(|&r| spec_key.point(r)).collect()
             })
             .collect();
-        let mut total = 0u64;
+        let points: u64 = keys.iter().map(|k| k.len() as u64).sum();
         let (mut computed, mut cached, mut deduped) = (0u64, 0u64, 0u64);
-        // Flight records are buffered while holding the lock and
-        // published only after dropping it — the bus must never extend
-        // the engine's critical section.
-        let mut trail: Vec<FlightRecord> = Vec::new();
         let mut state = self.shared.state.lock().expect("engine lock");
         let id = state.next_job;
         state.next_job += 1;
+        // Flight events are buffered while holding the lock and
+        // published only after dropping it — the bus must never extend
+        // the engine's critical section.
+        let mut trail = vec![FlightEvent::Submitted { job: id, points }];
         for (spec, spec_keys) in specs.iter().zip(&keys) {
             for (&rate, &key) in spec.rates.iter().zip(spec_keys) {
-                total += 1;
                 let kind = match state.points.get(&key) {
                     Some(PointState::Done(_) | PointState::Failed(_)) => {
                         cached += 1;
                         m.memory_hits.add(1);
-                        flight_event::KIND_MEMORY
+                        Resolution::Memory
                     }
                     Some(PointState::Queued { .. } | PointState::Running) => {
                         deduped += 1;
                         m.dedup_waits.add(1);
-                        flight_event::KIND_DEDUP
+                        Resolution::Dedup
                     }
                     None => {
                         if let Some(point) = self.shared.store.load(key) {
                             state.points.insert(key, PointState::Done(point));
                             cached += 1;
                             m.store_hits.add(1);
-                            flight_event::KIND_STORE
+                            Resolution::Store
                         } else {
                             state.points.insert(
                                 key,
@@ -281,37 +279,32 @@ impl Daemon {
                             );
                             state.queue.push_back(key);
                             computed += 1;
-                            flight_event::KIND_ENQUEUED
+                            Resolution::Enqueued
                         }
                     }
                 };
-                let mut r = FlightRecord::of(flight_event::RESOLVED);
-                r.job = Some(id);
-                r.key = Some(format_key(key));
-                r.kind = Some(kind.to_string());
-                trail.push(r);
+                trail.push(FlightEvent::Resolved {
+                    key: format_key(key),
+                    kind,
+                    job: id,
+                });
             }
         }
         m.jobs_submitted.add(1);
-        m.points_requested.add(total);
+        m.points_requested.add(points);
         m.points_enqueued.add(computed);
-        m.points_per_job.record(total);
-        let queue_depth = state.queue.len() as u64;
+        m.points_per_job.record(points);
+        trail.push(FlightEvent::Queue {
+            depth: state.queue.len() as u64,
+        });
         drop(state);
         self.shared.work_cv.notify_all();
-        let mut r = FlightRecord::of(flight_event::SUBMITTED);
-        r.job = Some(id);
-        r.points = Some(total);
-        self.shared.flight.publish(r);
-        for r in trail {
-            self.shared.flight.publish(r);
+        for event in trail {
+            self.shared.flight.publish(event);
         }
-        let mut r = FlightRecord::of(flight_event::QUEUE);
-        r.depth = Some(queue_depth);
-        self.shared.flight.publish(r);
         Job {
             id,
-            total,
+            total: points,
             computed,
             cached,
             deduped,
@@ -458,9 +451,7 @@ impl Daemon {
     /// because the peer hung up. The transport calls this exactly once
     /// per submitted job, before writing any terminal line.
     pub fn note_responded(&self, job: u64) {
-        let mut r = FlightRecord::of(flight_event::RESPONDED);
-        r.job = Some(job);
-        self.shared.flight.publish(r);
+        self.shared.flight.publish(FlightEvent::Responded { job });
     }
 
     /// Subscribes a live `watch` stream to the flight bus.
@@ -522,9 +513,9 @@ fn tick_loop(shared: &Arc<Shared>, tick_ms: u64) {
             return;
         }
         daemon.sample_now();
-        let mut r = FlightRecord::of(flight_event::QUEUE);
-        r.depth = Some(shared.metrics.queue_depth.load(Ordering::Relaxed));
-        shared.flight.publish(r);
+        shared.flight.publish(FlightEvent::Queue {
+            depth: shared.metrics.queue_depth.load(Ordering::Relaxed),
+        });
         shared.metrics.drain_into(&shared.statsd);
     }
 }
@@ -627,11 +618,11 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         for claim in &claims {
             m.queue_wait_ms.record(claim.queued_ms);
         }
-        let mut r = FlightRecord::of(flight_event::CLAIMED);
-        r.worker = Some(worker_id);
-        r.points = Some(n);
-        r.cycles = Some(cycles);
-        shared.flight.publish(r);
+        shared.flight.publish(FlightEvent::Claimed {
+            worker: worker_id,
+            points: n,
+            cycles,
+        });
 
         let begun = Instant::now();
         let outcomes = run_claims(&claims);
@@ -651,39 +642,39 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             }
         }
 
-        let mut trail: Vec<FlightRecord> = Vec::with_capacity(claims.len() + 1);
+        let mut trail: Vec<FlightEvent> = Vec::with_capacity(claims.len());
         let mut state = shared.state.lock().expect("engine lock");
         state.inflight -= n;
         for (claim, outcome) in claims.into_iter().zip(outcomes) {
+            let (key, worker) = (format_key(claim.key), worker_id);
             let (event, settled) = match outcome {
                 Ok((point, _)) => {
                     m.points_computed.add(1);
-                    (flight_event::STORED, PointState::Done(point))
+                    (FlightEvent::Stored { key, worker }, PointState::Done(point))
                 }
                 Err(msg) => {
                     m.points_failed.add(1);
-                    (flight_event::FAILED, PointState::Failed(msg))
+                    (FlightEvent::Failed { key, worker }, PointState::Failed(msg))
                 }
             };
-            let mut r = FlightRecord::of(event);
-            r.worker = Some(worker_id);
-            r.key = Some(format_key(claim.key));
-            trail.push(r);
+            trail.push(event);
             state.points.insert(claim.key, settled);
         }
-        drop(state);
-        m.worker_busy(worker, false);
+        // Counted before the points are visible as settled, so a client
+        // that sees its job complete reads a registry that has this batch.
         m.worker_batch(worker, n, wall_ms);
         m.batch_wall_ms.record(wall_ms);
-        for r in trail {
-            shared.flight.publish(r);
+        drop(state);
+        m.worker_busy(worker, false);
+        for event in trail {
+            shared.flight.publish(event);
         }
-        let mut r = FlightRecord::of(flight_event::BATCH_DONE);
-        r.worker = Some(worker_id);
-        r.points = Some(n);
-        r.wall_ms = Some(wall_ms);
-        r.cycles = Some(cycles);
-        shared.flight.publish(r);
+        shared.flight.publish(FlightEvent::BatchDone {
+            worker: worker_id,
+            points: n,
+            wall_ms,
+            cycles,
+        });
         shared.done_cv.notify_all();
     }
 }

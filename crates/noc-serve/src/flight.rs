@@ -2,8 +2,8 @@
 //! lifecycle, plus the live `watch` fan-out and the Perfetto exporter.
 //!
 //! Producers (the accept loop, submit path and workers) call
-//! [`FlightBus::publish`] with a [`FlightRecord`]; the bus stamps the
-//! daemon-relative timestamp and hands the record to
+//! [`FlightBus::publish`] with a [`FlightEvent`]; the bus stamps the
+//! daemon-relative timestamp and hands the [`FlightRecord`] to
 //!
 //! * a dedicated **writer thread** over a bounded channel — the hot
 //!   path only formats one JSON line and `try_send`s it, so a slow or
@@ -20,8 +20,7 @@
 //! threads under one daemon process — the service-level counterpart of
 //! `noc-trace`'s per-flit exporter, following the same conventions.
 
-use crate::proto::{flight_event, FlightStats};
-use crate::FlightRecord;
+use crate::proto::{encode, FlightEvent, FlightRecord, FlightStats, Resolution};
 use noc_trace::chrome::{counter, instant, meta, num, span, text, validate};
 use serde::Content;
 use std::collections::{BTreeMap, BTreeSet};
@@ -121,23 +120,20 @@ impl FlightBus {
         })
     }
 
-    /// Stamps `record` with the daemon-relative timestamp and fans it
-    /// out to the log writer and every watcher. Never blocks: a full
-    /// writer queue drops the record (counted in [`FlightStats`]), a
-    /// full watcher queue skips that watcher.
-    pub fn publish(&self, mut record: FlightRecord) {
-        record.ts_us = self.start.elapsed().as_micros() as u64;
+    /// Stamps `event` with the daemon-relative timestamp and fans the
+    /// record out to the log writer and every watcher. Never blocks: a
+    /// full writer queue drops the record (counted in [`FlightStats`]),
+    /// a full watcher queue skips that watcher.
+    pub fn publish(&self, event: FlightEvent) {
+        let record = FlightRecord {
+            ts_us: self.start.elapsed().as_micros() as u64,
+            event,
+        };
         self.emitted.fetch_add(1, Ordering::Relaxed);
         if let Some(sink) = &self.sink {
-            match serde_json::to_string(&record) {
-                Ok(line) => {
-                    if sink.tx.try_send(WriterMsg::Record(line)).is_err() {
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(_) => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
+            let line = encode(&record);
+            if sink.tx.try_send(WriterMsg::Record(line)).is_err() {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
         let mut watchers = self.watchers.lock().expect("flight watchers lock");
@@ -214,21 +210,20 @@ fn writer_loop(file: std::fs::File, rx: Receiver<WriterMsg>, written: &AtomicU64
 }
 
 /// Parses a flight JSONL file. Blank lines are skipped; a malformed
-/// line is an error naming its line number (the writer emits one record
-/// per line, so damage means truncation or external edits).
+/// line — including an unknown event, or one missing a field its event
+/// carries — is an error naming its line number (the writer emits one
+/// record per line, so damage means truncation or external edits).
 pub fn load_flight(path: &Path) -> Result<Vec<FlightRecord>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("flight: read {}: {e}", path.display()))?;
-    let mut records = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: FlightRecord = serde_json::from_str(line)
-            .map_err(|e| format!("flight: {}:{}: {e:?}", path.display(), idx + 1))?;
-        records.push(record);
-    }
-    Ok(records)
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(idx, line)| {
+            serde_json::from_str(line)
+                .map_err(|e| format!("flight: {}:{}: {e:?}", path.display(), idx + 1))
+        })
+        .collect()
 }
 
 /// Proves every job's span chain in `records` is complete. Returns the
@@ -246,45 +241,28 @@ pub fn validate_chains(records: &[FlightRecord]) -> Vec<String> {
     let mut submitted: BTreeMap<u64, u64> = BTreeMap::new();
     let mut responded: BTreeMap<u64, u64> = BTreeMap::new();
     let mut resolved: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut enqueued_keys: BTreeSet<&str> = BTreeSet::new();
-    let mut settled_keys: BTreeSet<&str> = BTreeSet::new();
+    let mut enqueued_keys = BTreeSet::new();
+    let mut settled_keys = BTreeSet::new();
     let mut per_worker: BTreeMap<u64, [u64; 2]> = BTreeMap::new();
     let mut queue_samples = 0u64;
     for r in records {
-        match r.event.as_str() {
-            flight_event::SUBMITTED => {
-                if let Some(job) = r.job {
-                    submitted.insert(job, r.points.unwrap_or(0));
+        match &r.event {
+            FlightEvent::Submitted { job, points } => {
+                submitted.insert(*job, *points);
+            }
+            FlightEvent::Responded { job } => *responded.entry(*job).or_insert(0) += 1,
+            FlightEvent::Resolved { key, kind, job } => {
+                *resolved.entry(*job).or_insert(0) += 1;
+                if *kind == Resolution::Enqueued {
+                    enqueued_keys.insert(key);
                 }
             }
-            flight_event::RESPONDED => {
-                if let Some(job) = r.job {
-                    *responded.entry(job).or_insert(0) += 1;
-                }
+            FlightEvent::Stored { key, .. } | FlightEvent::Failed { key, .. } => {
+                settled_keys.insert(key);
             }
-            flight_event::RESOLVED => {
-                if let Some(job) = r.job {
-                    *resolved.entry(job).or_insert(0) += 1;
-                }
-                if r.kind.as_deref() == Some(flight_event::KIND_ENQUEUED) {
-                    if let Some(key) = &r.key {
-                        enqueued_keys.insert(key);
-                    }
-                }
-            }
-            flight_event::STORED | flight_event::FAILED => {
-                if let Some(key) = &r.key {
-                    settled_keys.insert(key);
-                }
-            }
-            flight_event::CLAIMED => {
-                per_worker.entry(r.worker.unwrap_or(0)).or_default()[0] += 1;
-            }
-            flight_event::BATCH_DONE => {
-                per_worker.entry(r.worker.unwrap_or(0)).or_default()[1] += 1;
-            }
-            flight_event::QUEUE => queue_samples += 1,
-            other => problems.push(format!("unknown event {other:?}")),
+            FlightEvent::Claimed { worker, .. } => per_worker.entry(*worker).or_default()[0] += 1,
+            FlightEvent::BatchDone { worker, .. } => per_worker.entry(*worker).or_default()[1] += 1,
+            FlightEvent::Queue { .. } => queue_samples += 1,
         }
     }
     for (job, points) in &submitted {
@@ -332,109 +310,76 @@ pub fn validate_chains(records: &[FlightRecord]) -> Vec<String> {
 /// Timestamps are already microseconds since daemon start, Perfetto's
 /// native unit.
 pub fn chrome_trace(records: &[FlightRecord]) -> String {
-    let mut events: Vec<Content> = Vec::new();
-    events.push(meta("process_name", PID_DAEMON, None, "nocserve daemon"));
-    let workers: BTreeSet<u64> = records.iter().filter_map(|r| r.worker).collect();
-    for w in &workers {
-        events.push(meta(
-            "thread_name",
-            PID_DAEMON,
-            Some(WORKER_TID_BASE + w),
-            &format!("worker {w}"),
-        ));
-    }
-    let mut job_bounds: BTreeMap<u64, (Option<u64>, Option<u64>, u64)> = BTreeMap::new();
+    let mut events = Vec::new();
+    let (mut workers, mut jobs) = (BTreeSet::new(), BTreeSet::new());
+    // Each job's submitted (ts, points), until `responded` closes its span.
+    let mut open = BTreeMap::new();
     for r in records {
-        let Some(job) = r.job else { continue };
-        let entry = job_bounds.entry(job).or_insert((None, None, 0));
-        match r.event.as_str() {
-            flight_event::SUBMITTED => {
-                entry.0 = Some(r.ts_us);
-                entry.2 = r.points.unwrap_or(0);
+        let ts = r.ts_us;
+        let mut on_worker = |name: &str, worker: u64, args| {
+            workers.insert(worker);
+            let tid = WORKER_TID_BASE + worker;
+            instant(name, "worker", PID_DAEMON, tid, ts, args)
+        };
+        events.push(match &r.event {
+            FlightEvent::Submitted { job, points } => {
+                jobs.insert(*job);
+                open.insert(*job, (ts, *points));
+                continue;
             }
-            flight_event::RESPONDED => entry.1 = Some(r.ts_us),
-            _ => {}
-        }
+            FlightEvent::Responded { job } => {
+                jobs.insert(*job);
+                let Some((start, points)) = open.remove(job) else {
+                    continue;
+                };
+                let (tid, dur) = (JOB_TID_BASE + job, ts.saturating_sub(start));
+                let (name, args) = (format!("job {job}"), vec![num("points", points)]);
+                span(&name, "job", PID_DAEMON, tid, start, dur, args)
+            }
+            FlightEvent::Resolved { key, kind, job } => {
+                jobs.insert(*job);
+                // The kind as the line spells it.
+                let kind = serde::Serialize::to_content(kind);
+                let kind = kind.as_str().unwrap_or_default();
+                let args = vec![text("kind", kind), text("key", key)];
+                let name = format!("resolved:{kind}");
+                instant(&name, "resolve", PID_DAEMON, JOB_TID_BASE + job, ts, args)
+            }
+            FlightEvent::BatchDone {
+                worker,
+                points,
+                wall_ms,
+                cycles,
+            } => {
+                workers.insert(*worker);
+                let dur = wall_ms.saturating_mul(1_000);
+                let (tid, start) = (WORKER_TID_BASE + worker, ts.saturating_sub(dur));
+                let args = vec![num("points", *points), num("cycles", *cycles)];
+                span("batch", "batch", PID_DAEMON, tid, start, dur, args)
+            }
+            FlightEvent::Claimed { worker, .. } => on_worker("claimed", *worker, Vec::new()),
+            FlightEvent::Stored { key, worker } => {
+                on_worker("stored", *worker, vec![text("key", key)])
+            }
+            FlightEvent::Failed { key, worker } => {
+                on_worker("failed", *worker, vec![text("key", key)])
+            }
+            FlightEvent::Queue { depth } => {
+                let args = vec![num("depth", *depth)];
+                counter("queue_depth", PID_DAEMON, None, ts, args)
+            }
+        });
     }
-    for (job, (start, end, points)) in &job_bounds {
-        let tid = JOB_TID_BASE + job;
-        events.push(meta(
-            "thread_name",
-            PID_DAEMON,
-            Some(tid),
-            &format!("job {job}"),
-        ));
-        if let (Some(start), Some(end)) = (start, end) {
-            events.push(span(
-                &format!("job {job}"),
-                "job",
-                PID_DAEMON,
-                tid,
-                *start,
-                end.saturating_sub(*start),
-                vec![num("points", *points)],
-            ));
-        }
+    let worker_names = workers
+        .iter()
+        .map(|w| (WORKER_TID_BASE + w, format!("worker {w}")));
+    let job_names = jobs.iter().map(|j| (JOB_TID_BASE + j, format!("job {j}")));
+    let mut trace = vec![meta("process_name", PID_DAEMON, None, "nocserve daemon")];
+    for (tid, name) in worker_names.chain(job_names) {
+        trace.push(meta("thread_name", PID_DAEMON, Some(tid), &name));
     }
-    for r in records {
-        match r.event.as_str() {
-            flight_event::RESOLVED => {
-                if let Some(job) = r.job {
-                    let kind = r.kind.as_deref().unwrap_or("?");
-                    let mut args = vec![text("kind", kind)];
-                    args.extend(r.key.as_deref().map(|key| text("key", key)));
-                    events.push(instant(
-                        &format!("resolved:{kind}"),
-                        "resolve",
-                        PID_DAEMON,
-                        JOB_TID_BASE + job,
-                        r.ts_us,
-                        args,
-                    ));
-                }
-            }
-            flight_event::BATCH_DONE => {
-                if let Some(worker) = r.worker {
-                    let dur = r.wall_ms.unwrap_or(0).saturating_mul(1_000);
-                    let mut args = Vec::new();
-                    args.extend(r.points.map(|points| num("points", points)));
-                    args.extend(r.cycles.map(|cycles| num("cycles", cycles)));
-                    events.push(span(
-                        "batch",
-                        "batch",
-                        PID_DAEMON,
-                        WORKER_TID_BASE + worker,
-                        r.ts_us.saturating_sub(dur),
-                        dur,
-                        args,
-                    ));
-                }
-            }
-            flight_event::CLAIMED | flight_event::STORED | flight_event::FAILED => {
-                if let Some(worker) = r.worker {
-                    events.push(instant(
-                        &r.event,
-                        "worker",
-                        PID_DAEMON,
-                        WORKER_TID_BASE + worker,
-                        r.ts_us,
-                        r.key.iter().map(|key| text("key", key)).collect(),
-                    ));
-                }
-            }
-            flight_event::QUEUE => {
-                events.push(counter(
-                    "queue_depth",
-                    PID_DAEMON,
-                    None,
-                    r.ts_us,
-                    vec![num("depth", r.depth.unwrap_or(0))],
-                ));
-            }
-            _ => {}
-        }
-    }
-    serde_json::to_string(&Content::Seq(events)).expect("chrome trace serializes")
+    trace.extend(events);
+    serde_json::to_string(&Content::Seq(trace)).expect("chrome trace serializes")
 }
 
 /// What [`check_daemon_trace`] verified about an exported trace.
@@ -499,53 +444,26 @@ pub fn check_daemon_trace(json: &str) -> Result<DaemonTraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::flight_event as ev;
-
-    fn record(event: &str) -> FlightRecord {
-        FlightRecord::of(event)
-    }
 
     /// A minimal coherent log: one job, one enqueued point, one batch.
-    fn coherent_log() -> Vec<FlightRecord> {
-        let mut log = Vec::new();
-        let mut r = record(ev::SUBMITTED);
-        r.job = Some(1);
-        r.points = Some(2);
-        log.push(r);
-        let mut r = record(ev::RESOLVED);
-        r.job = Some(1);
-        r.key = Some("00000000000000aa".to_string());
-        r.kind = Some(ev::KIND_STORE.to_string());
-        log.push(r);
-        let mut r = record(ev::RESOLVED);
-        r.job = Some(1);
-        r.key = Some("00000000000000bb".to_string());
-        r.kind = Some(ev::KIND_ENQUEUED.to_string());
-        log.push(r);
-        let mut r = record(ev::QUEUE);
-        r.depth = Some(1);
-        log.push(r);
-        let mut r = record(ev::CLAIMED);
-        r.worker = Some(0);
-        r.points = Some(1);
-        log.push(r);
-        let mut r = record(ev::BATCH_DONE);
-        r.worker = Some(0);
-        r.points = Some(1);
-        r.wall_ms = Some(12);
-        r.cycles = Some(3_000);
-        r.ts_us = 20_000;
-        log.push(r);
-        let mut r = record(ev::STORED);
-        r.worker = Some(0);
-        r.key = Some("00000000000000bb".to_string());
-        r.ts_us = 20_001;
-        log.push(r);
-        let mut r = record(ev::RESPONDED);
-        r.job = Some(1);
-        r.ts_us = 20_500;
-        log.push(r);
-        log
+    const COHERENT_LOG: &str = r#"{"ts_us":0,"event":"submitted","job":1,"points":2}
+{"ts_us":0,"event":"resolved","key":"00000000000000aa","kind":"store","job":1}
+{"ts_us":0,"event":"resolved","key":"00000000000000bb","kind":"enqueued","job":1}
+{"ts_us":0,"event":"queue","depth":1}
+{"ts_us":0,"event":"claimed","worker":0,"points":1,"cycles":3000}
+{"ts_us":20000,"event":"batch_done","worker":0,"points":1,"wall_ms":12,"cycles":3000}
+{"ts_us":20001,"event":"stored","key":"00000000000000bb","worker":0}
+{"ts_us":20500,"event":"responded","job":1}"#;
+
+    /// [`COHERENT_LOG`] without the lines containing `cut` (`""` cuts
+    /// nothing).
+    fn coherent_log(cut: &str) -> Vec<FlightRecord> {
+        let lines = COHERENT_LOG
+            .lines()
+            .filter(|l| cut.is_empty() || !l.contains(cut));
+        lines
+            .map(|l| serde_json::from_str(l).expect("pinned line"))
+            .collect()
     }
 
     #[test]
@@ -553,19 +471,36 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("flight-bus-{}", std::process::id()));
         let path = dir.join("log").join("run.flight");
         let bus = FlightBus::new(Some(&path)).expect("bus");
-        for event in [ev::SUBMITTED, ev::QUEUE, ev::RESPONDED] {
-            bus.publish(record(event));
+        let events = [
+            FlightEvent::Submitted { job: 1, points: 0 },
+            FlightEvent::Queue { depth: 0 },
+            FlightEvent::Responded { job: 1 },
+        ];
+        for event in events.clone() {
+            bus.publish(event);
         }
         bus.shutdown();
         let stats = bus.stats();
         assert_eq!((stats.emitted, stats.written, stats.dropped), (3, 3, 0));
         let records = load_flight(&path).expect("load");
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[0].event, ev::SUBMITTED);
+        let logged: Vec<FlightEvent> = records.iter().map(|r| r.event.clone()).collect();
+        assert_eq!(logged, events);
         assert!(
             records.windows(2).all(|w| w[0].ts_us <= w[1].ts_us),
             "timestamps are monotone"
         );
+        // A line the vocabulary does not know stops the load, naming
+        // the line; so does a known event missing a field it carries.
+        for (bad, why) in [
+            (r#"{"ts_us":1,"event":"warp"}"#, "unknown event `warp`"),
+            (r#"{"ts_us":1,"event":"queue"}"#, "missing field `depth`"),
+        ] {
+            let log = std::fs::read_to_string(&path).expect("read");
+            std::fs::write(&path, format!("{log}{bad}\n")).expect("append");
+            let err = load_flight(&path).expect_err(bad);
+            assert!(err.contains("run.flight:4:") && err.contains(why), "{err}");
+            std::fs::write(&path, log).expect("restore");
+        }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -577,8 +512,8 @@ mod tests {
         // far larger than the queue and require the hot path neither
         // blocked nor lost count.
         let bus = FlightBus::with_queue(Some(&path), 1).expect("bus");
-        for _ in 0..500 {
-            bus.publish(record(ev::QUEUE));
+        for depth in 0..500 {
+            bus.publish(FlightEvent::Queue { depth });
         }
         bus.shutdown();
         let stats = bus.stats();
@@ -598,11 +533,12 @@ mod tests {
         let bus = FlightBus::new(None).expect("bus");
         let rx = bus.subscribe();
         assert_eq!(bus.stats().watchers, 1);
-        bus.publish(record(ev::SUBMITTED));
+        let submitted = FlightEvent::Submitted { job: 1, points: 0 };
+        bus.publish(submitted.clone());
         let got = rx.recv().expect("watcher sees the record");
-        assert_eq!(got.event, ev::SUBMITTED);
+        assert_eq!(got.event, submitted);
         drop(rx);
-        bus.publish(record(ev::RESPONDED));
+        bus.publish(FlightEvent::Responded { job: 1 });
         assert_eq!(bus.stats().watchers, 0, "disconnected watcher pruned");
         // No sink, so nothing written and nothing dropped.
         assert_eq!((bus.stats().written, bus.stats().dropped), (0, 0));
@@ -610,54 +546,29 @@ mod tests {
 
     #[test]
     fn chain_validator_accepts_coherent_and_names_gaps() {
-        assert_eq!(validate_chains(&coherent_log()), Vec::<String>::new());
-
-        // Drop the response: the job chain is broken.
-        let mut log = coherent_log();
-        log.retain(|r| r.event != ev::RESPONDED);
-        let problems = validate_chains(&log);
-        assert!(
-            problems.iter().any(|p| p.contains("never responded")),
-            "{problems:?}"
-        );
-
-        // Drop the store: the enqueued point never settled.
-        let mut log = coherent_log();
-        log.retain(|r| r.event != ev::STORED);
-        let problems = validate_chains(&log);
-        assert!(
-            problems.iter().any(|p| p.contains("never stored")),
-            "{problems:?}"
-        );
-
-        // Lose a resolution: point counts disagree.
-        let mut log = coherent_log();
-        let idx = log
-            .iter()
-            .position(|r| r.event == ev::RESOLVED)
-            .expect("has resolved");
-        log.remove(idx);
-        let problems = validate_chains(&log);
-        assert!(
-            problems.iter().any(|p| p.contains("resolved")),
-            "{problems:?}"
-        );
+        assert_eq!(validate_chains(&coherent_log("")), Vec::<String>::new());
+        for (cut, problem) in [
+            // Drop the response: the job chain is broken.
+            ("responded", "never responded"),
+            // Drop the store: the enqueued point never settled.
+            ("stored", "never stored"),
+            // Lose a resolution: point counts disagree.
+            ("\"store\"", "2 points submitted but 1 resolved"),
+        ] {
+            let problems = validate_chains(&coherent_log(cut));
+            assert!(problems.iter().any(|p| p.contains(problem)), "{problems:?}");
+        }
     }
 
     #[test]
     fn chrome_export_round_trips_the_checker() {
-        let json = chrome_trace(&coherent_log());
+        let json = chrome_trace(&coherent_log(""));
         let summary = check_daemon_trace(&json).expect("valid trace");
         assert_eq!(summary.jobs, 1);
         assert_eq!(summary.batch_spans, 1);
         assert_eq!(summary.counter_samples, 1);
         // The checker rejects a trace whose job thread lost its span.
-        let amputated = chrome_trace(
-            &coherent_log()
-                .into_iter()
-                .filter(|r| r.event != ev::RESPONDED)
-                .collect::<Vec<_>>(),
-        );
+        let amputated = chrome_trace(&coherent_log("responded"));
         let err = check_daemon_trace(&amputated).expect_err("span missing");
         assert!(err.contains("no lifetime span"), "{err}");
     }

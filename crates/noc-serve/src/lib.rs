@@ -65,8 +65,8 @@ pub use crate::core::{Daemon, JobProgress, ServeConfig};
 pub use flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains, FlightBus};
 pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use proto::{
-    FlightRecord, FlightStats, HistogramSummary, MetricValue, MetricsReport, WireSpec,
-    WorkerReport, PROTO_VERSION,
+    FlightEvent, FlightRecord, FlightStats, HistogramSummary, MetricValue, MetricsReport,
+    Resolution, WireSpec, WorkerReport, PROTO_VERSION,
 };
 pub use registry::{SchemeId, ALL_SCHEMES};
 pub use runner::{

@@ -48,94 +48,102 @@ pub const PROTO_VERSION: u32 = 3;
 /// well under it.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
-/// Flight-recorder event names — the vocabulary of one job's lifecycle
-/// span chain (`submitted → resolved → claimed → batch_done → stored →
-/// responded`), plus the sampler's `queue` depth
-/// records. Shared by the daemon (producer), `nocctl watch`/`flight`
-/// (consumers) and the chain validator so the three cannot drift.
-pub mod flight_event {
-    /// A submit was accepted; carries `job` and `points`.
-    pub const SUBMITTED: &str = "submitted";
-    /// One point of a job resolved at submit time; carries `job`, `key`
-    /// and `kind` (one of [`KIND_MEMORY`], [`KIND_STORE`],
-    /// [`KIND_DEDUP`], [`KIND_ENQUEUED`]).
-    pub const RESOLVED: &str = "resolved";
-    /// A worker claimed a batch of queued points and begins simulating
-    /// it; carries `worker`, `points` and `cycles` (warmup + measure
-    /// window per point).
-    pub const CLAIMED: &str = "claimed";
-    /// A batch finished; carries `worker`, `points`, `wall_ms` and
-    /// `cycles` (warmup + measure window per point).
-    pub const BATCH_DONE: &str = "batch_done";
-    /// A computed point landed in the on-disk store; carries `key` and
-    /// `worker`.
-    pub const STORED: &str = "stored";
-    /// A point's simulation panicked; carries `key` and `worker`.
-    pub const FAILED: &str = "failed";
-    /// The daemon stopped answering the job: result, error, or the
-    /// peer hung up; carries `job`.
-    pub const RESPONDED: &str = "responded";
-    /// A sampler tick's queue-depth reading; carries `depth`.
-    pub const QUEUE: &str = "queue";
-
-    /// `resolved` kind: served from the in-memory results map.
-    pub const KIND_MEMORY: &str = "memory";
-    /// `resolved` kind: served from the on-disk store.
-    pub const KIND_STORE: &str = "store";
-    /// `resolved` kind: rode another job's in-flight computation.
-    pub const KIND_DEDUP: &str = "dedup";
-    /// `resolved` kind: newly enqueued for the worker pool.
-    pub const KIND_ENQUEUED: &str = "enqueued";
-}
-
-/// One flight-recorder event: a timestamped lifecycle record with only
-/// the fields that event carries (see [`flight_event`]).
-///
-/// Absent optional fields are *omitted* (keeping the JSONL log compact
-/// and grep-friendly), and the decoder tolerates both missing optionals
-/// and unknown extra fields, so a client can tail a newer daemon's log
-/// without choking.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// One flight-recorder line: the daemon-relative timestamp, then the
+/// event's tag and fields (`{"ts_us":5,"event":"stored","key":…,"worker":1}`).
+/// Decoding ignores unknown extra keys, so a client can tail a newer
+/// daemon's log; an unknown event, or one missing a field, is an error.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightRecord {
     /// Microseconds since the daemon started.
     pub ts_us: u64,
-    /// Event name (one of [`flight_event`]).
-    pub event: String,
-    /// Point cache key (16 hex digits), for point-scoped events.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub key: Option<String>,
-    /// Resolution kind, for `resolved` events.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub kind: Option<String>,
-    /// Job id, for job-scoped events.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub job: Option<u64>,
-    /// Worker id, for worker-scoped events.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub worker: Option<u64>,
-    /// Point count (job total or batch size).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub points: Option<u64>,
-    /// Wall-clock milliseconds (batch duration, queue wait).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub wall_ms: Option<u64>,
-    /// Simulated cycles per point (warmup + measure).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub cycles: Option<u64>,
-    /// Queue depth, for `queue` samples.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub depth: Option<u64>,
+    /// What happened.
+    #[serde(flatten)]
+    pub event: FlightEvent,
 }
 
-impl FlightRecord {
-    /// A record of `event` with no fields set (the producer fills in
-    /// what the event carries).
-    pub fn of(event: &str) -> FlightRecord {
-        FlightRecord {
-            event: event.to_string(),
-            ..FlightRecord::default()
-        }
-    }
+/// The flight vocabulary: one job's span chain (`submitted → resolved →
+/// claimed → batch_done → stored | failed → responded`) plus the
+/// sampler's `queue` depth. Shared by the daemon (producer), `nocctl
+/// watch`/`flight` (consumers) and the chain validator. Fields are in
+/// line order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "event", rename_all = "snake_case")]
+pub enum FlightEvent {
+    /// A submit was accepted.
+    Submitted {
+        /// Job id.
+        job: u64,
+        /// Points in the job.
+        points: u64,
+    },
+    /// One point of a job resolved at submit time.
+    Resolved {
+        /// Point cache key (16 hex digits).
+        key: String,
+        /// Where the point came from.
+        kind: Resolution,
+        /// Job id.
+        job: u64,
+    },
+    /// A worker claimed a batch of queued points.
+    Claimed {
+        /// Worker id.
+        worker: u64,
+        /// Points in the batch.
+        points: u64,
+        /// Simulated cycles per point (warmup + measure).
+        cycles: u64,
+    },
+    /// A batch finished.
+    BatchDone {
+        /// Worker id.
+        worker: u64,
+        /// Points in the batch.
+        points: u64,
+        /// Wall-clock milliseconds the batch took.
+        wall_ms: u64,
+        /// Simulated cycles per point (warmup + measure).
+        cycles: u64,
+    },
+    /// A computed point landed in the on-disk store.
+    Stored {
+        /// Point cache key.
+        key: String,
+        /// Worker id.
+        worker: u64,
+    },
+    /// A point's simulation panicked.
+    Failed {
+        /// Point cache key.
+        key: String,
+        /// Worker id.
+        worker: u64,
+    },
+    /// The daemon stopped answering the job: result, error, or the peer
+    /// hung up.
+    Responded {
+        /// Job id.
+        job: u64,
+    },
+    /// A queue-depth reading (sampler tick or submit).
+    Queue {
+        /// Queued points.
+        depth: u64,
+    },
+}
+
+/// Where a `resolved` point came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum Resolution {
+    /// The in-memory results map.
+    Memory,
+    /// The on-disk store.
+    Store,
+    /// Another job's in-flight computation.
+    Dedup,
+    /// Newly enqueued for the worker pool.
+    Enqueued,
 }
 
 /// One named counter or gauge reading in a [`MetricsReport`].
@@ -282,6 +290,9 @@ impl WireSpec {
         if self.measure == 0 {
             return Err("measure window must be at least 1 cycle".to_string());
         }
+        self.warmup
+            .checked_add(self.measure)
+            .ok_or("warmup + measure window overflows u64")?;
         Ok(SweepSpec {
             id,
             pattern,
@@ -540,9 +551,18 @@ mod tests {
                 },
                 "measure",
             ),
+            (
+                WireSpec {
+                    warmup: u64::MAX,
+                    measure: 1,
+                    ..good.clone()
+                },
+                "window",
+            ),
         ];
         for (bad, what) in cases {
-            assert!(bad.to_spec().is_err(), "{what} should be rejected");
+            let err = bad.to_spec().expect_err(what);
+            assert!(err.contains(what), "{what} should be named in {err:?}");
         }
     }
 
@@ -581,23 +601,18 @@ mod tests {
         }
     }
 
-    /// Every flight field set; [`FULL_RECORD`] is its line.
-    fn full_record() -> FlightRecord {
-        FlightRecord {
-            ts_us: 1_234,
-            event: flight_event::RESOLVED.into(),
-            job: Some(3),
-            key: Some("00000000000000ff".into()),
-            kind: Some(flight_event::KIND_STORE.into()),
-            worker: Some(1),
-            points: Some(4),
-            wall_ms: Some(118),
-            cycles: Some(300),
-            depth: Some(2),
-        }
-    }
-
-    const FULL_RECORD: &str = r#"{"ts_us":1234,"event":"resolved","key":"00000000000000ff","kind":"store","job":3,"worker":1,"points":4,"wall_ms":118,"cycles":300,"depth":2}"#;
+    /// The line of every flight event, as the daemon has always written
+    /// it.
+    const FLIGHT_LINES: [&str; 8] = [
+        r#"{"ts_us":1,"event":"submitted","job":3,"points":6}"#,
+        r#"{"ts_us":2,"event":"resolved","key":"00000000000000ff","kind":"store","job":3}"#,
+        r#"{"ts_us":3,"event":"claimed","worker":1,"points":4,"cycles":300}"#,
+        r#"{"ts_us":4,"event":"batch_done","worker":1,"points":4,"wall_ms":118,"cycles":300}"#,
+        r#"{"ts_us":5,"event":"stored","key":"00000000000000ff","worker":1}"#,
+        r#"{"ts_us":6,"event":"failed","key":"00000000000000ff","worker":0}"#,
+        r#"{"ts_us":7,"event":"responded","job":3}"#,
+        r#"{"ts_us":8,"event":"queue","depth":2}"#,
+    ];
 
     /// A found, stamped answer or a missing, unstamped one.
     fn fetched(found: bool) -> FetchedPoint {
@@ -756,9 +771,9 @@ mod tests {
             (Response::Watching, r#"{"event":"watching"}"#.to_string()),
             (
                 Response::Flight {
-                    record: full_record(),
+                    record: serde_json::from_str(FLIGHT_LINES[1]).expect("pinned line"),
                 },
-                format!(r#"{{"event":"flight","record":{FULL_RECORD}}}"#),
+                format!(r#"{{"event":"flight","record":{}}}"#, FLIGHT_LINES[1]),
             ),
             (
                 Response::Error {
@@ -774,18 +789,21 @@ mod tests {
         }
     }
 
-    /// A flight record writes the fields it has, in declaration order,
-    /// and nothing for the ones it lacks; the bare line decodes.
+    /// Every flight event decodes from its line and encodes back to it
+    /// byte for byte: timestamp, tag, then its fields in line order.
+    /// Every resolution kind is its snake-case name.
     #[test]
     fn flight_record_lines_are_pinned() {
-        let pins = [
-            (full_record(), FULL_RECORD),
-            (FlightRecord::default(), r#"{"ts_us":0,"event":""}"#),
-        ];
-        for (record, line) in pins {
+        let mut variants = std::collections::HashSet::new();
+        for line in FLIGHT_LINES {
+            let record: FlightRecord = serde_json::from_str(line).expect(line);
             assert_eq!(encode(&record), line);
-            assert_eq!(serde_json::from_str::<FlightRecord>(line), Ok(record));
+            variants.insert(std::mem::discriminant(&record.event));
         }
+        assert_eq!(variants.len(), FLIGHT_LINES.len(), "one line per event");
+        use Resolution::*;
+        let kinds = encode(&[Memory, Store, Dedup, Enqueued]);
+        assert_eq!(kinds, r#"["memory","store","dedup","enqueued"]"#);
     }
 
     #[test]
@@ -815,10 +833,11 @@ mod tests {
             decode_response("{\"event\":\"pong\",\"proto\":2,\"motd\":\"hi\"}").expect("response");
         assert_eq!(resp, Response::Pong { proto: 2 });
         let record: FlightRecord = serde_json::from_str(
-            "{\"ts_us\":5,\"event\":\"stored\",\"key\":\"00000000000000ff\",\"shard\":9}",
+            "{\"ts_us\":5,\"event\":\"stored\",\"key\":\"00000000000000ff\",\"worker\":1,\"shard\":9}",
         )
         .expect("flight record");
-        assert_eq!(record.key.as_deref(), Some("00000000000000ff"));
+        let line = r#"{"ts_us":5,"event":"stored","key":"00000000000000ff","worker":1}"#;
+        assert_eq!(encode(&record), line);
         // A fetch answer without the provenance key (a v1 daemon)
         // decodes with provenance: None.
         let fetched: FetchedPoint =

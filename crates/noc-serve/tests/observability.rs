@@ -7,8 +7,10 @@ mod common;
 
 use common::{counter, small_spec, TestDaemon};
 use noc_serve::flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains};
-use noc_serve::proto::{decode_response, encode, flight_event as ev, Request, Response};
-use noc_serve::{run_sweep_parallel, SchemeId, SweepOptions, SweepSpec, WireSpec};
+use noc_serve::proto::Resolution::{Dedup, Enqueued, Memory, Store};
+use noc_serve::proto::{decode_response, encode, FlightEvent, FlightRecord, Request, Response};
+use noc_serve::{run_sweep_parallel, MetricsReport, SchemeId, SweepOptions, SweepSpec, WireSpec};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Mutex};
@@ -23,6 +25,70 @@ fn specs() -> Vec<SweepSpec> {
     .into_iter()
     .map(|(id, pattern)| small_spec(id, pattern, 23))
     .collect()
+}
+
+/// Folds a flight log into the registry's counts and asserts they are
+/// the `metrics` report's: every submit, resolution, settled point and
+/// batch the registry counted left exactly one record.
+fn assert_log_reconciles(records: &[FlightRecord], report: &MetricsReport) {
+    let batches = report.histograms.iter().find(|h| h.name == "batch_wall_ms");
+    let batch_points = report.workers.iter().map(|w| w.points).sum();
+    let want: BTreeMap<&str, u64> = [
+        "jobs_submitted",
+        "points_requested",
+        "memory_hits",
+        "store_hits",
+        "dedup_waits",
+        "points_enqueued",
+        "points_computed",
+        "points_failed",
+    ]
+    .map(|name| (name, counter(report, name)))
+    .into_iter()
+    .chain([
+        ("batches", batches.expect("batch histogram").count),
+        ("batch_points", batch_points),
+    ])
+    .collect();
+    let mut folded: BTreeMap<&str, u64> = want.keys().map(|&name| (name, 0)).collect();
+    for r in records {
+        let counts = match &r.event {
+            FlightEvent::Submitted { points, .. } => {
+                vec![("jobs_submitted", 1), ("points_requested", *points)]
+            }
+            FlightEvent::Resolved { kind: Memory, .. } => vec![("memory_hits", 1)],
+            FlightEvent::Resolved { kind: Store, .. } => vec![("store_hits", 1)],
+            FlightEvent::Resolved { kind: Dedup, .. } => vec![("dedup_waits", 1)],
+            FlightEvent::Resolved { kind: Enqueued, .. } => vec![("points_enqueued", 1)],
+            FlightEvent::Stored { .. } => vec![("points_computed", 1)],
+            FlightEvent::Failed { .. } => vec![("points_failed", 1)],
+            FlightEvent::BatchDone { points, .. } => {
+                vec![("batches", 1), ("batch_points", *points)]
+            }
+            FlightEvent::Claimed { .. }
+            | FlightEvent::Responded { .. }
+            | FlightEvent::Queue { .. } => vec![],
+        };
+        for (name, by) in counts {
+            *folded.entry(name).or_default() += by;
+        }
+    }
+    assert_eq!(folded, want, "flight log vs metrics report");
+}
+
+/// The CI `serve` job's check on a release daemon: the flight log at
+/// `NOCSERVE_FLIGHT` reconciles with the `nocctl metrics --json` report
+/// saved at `NOCSERVE_METRICS` (run with `-- --ignored`).
+#[test]
+#[ignore = "reads NOCSERVE_FLIGHT and NOCSERVE_METRICS"]
+fn a_saved_log_reconciles_with_its_metrics() {
+    let path = |var: &str| std::env::var(var).unwrap_or_else(|_| panic!("{var} is not set"));
+    let records = load_flight(path("NOCSERVE_FLIGHT").as_ref()).expect("flight log loads");
+    let metrics = std::fs::read_to_string(path("NOCSERVE_METRICS")).expect("metrics file");
+    assert_log_reconciles(
+        &records,
+        &serde_json::from_str(&metrics).expect("metrics report"),
+    );
 }
 
 /// A live watcher must see the job lifecycle stream, and its presence
@@ -109,25 +175,17 @@ fn watch_streams_lifecycle_without_perturbing_results() {
     daemon.stop();
     watcher.join().expect("watcher thread");
 
-    // The watcher saw the lifecycle vocabulary, not just noise.
+    // The watcher saw the whole story live: its stream proves out and
+    // reconciles with the registry just like the log on disk.
     let seen = seen.lock().expect("seen lock");
-    for event in [ev::SUBMITTED, ev::RESOLVED, ev::BATCH_DONE, ev::RESPONDED] {
-        assert!(
-            seen.iter().any(|r| r.event == event),
-            "watcher never saw {event:?} among {} records",
-            seen.len()
-        );
-    }
-    assert_eq!(
-        seen.iter().filter(|r| r.event == ev::SUBMITTED).count(),
-        2,
-        "one submitted record per job"
-    );
+    assert_eq!(validate_chains(&seen), Vec::<String>::new());
+    assert_log_reconciles(&seen, &report);
 
     // After shutdown the JSONL log is complete on disk: chains prove
     // out and the Perfetto export passes its structural checker.
     let records = load_flight(&flight_path).expect("flight log loads");
     assert_eq!(validate_chains(&records), Vec::<String>::new());
+    assert_log_reconciles(&records, &report);
     let summary = check_daemon_trace(&chrome_trace(&records)).expect("valid chrome trace");
     assert_eq!(summary.jobs, 2);
     assert!(summary.batch_spans >= 1 && summary.counter_samples >= 1);
@@ -148,29 +206,18 @@ fn flight_log_and_statsd_drain_cover_resolution_paths() {
         .client()
         .submit(&specs, |_, _| {})
         .expect("warm job completes");
+    let report = daemon.client().metrics().expect("metrics");
     let (flight_path, statsd_path) = (daemon.flight_path(), daemon.statsd_path());
     let mut daemon = daemon;
     daemon.stop();
 
     let records = load_flight(&flight_path).expect("flight log loads");
     assert_eq!(validate_chains(&records), Vec::<String>::new());
-    let kind_count = |kind: &str| {
-        records
-            .iter()
-            .filter(|r| r.event == ev::RESOLVED && r.kind.as_deref() == Some(kind))
-            .count()
-    };
-    assert_eq!(kind_count(ev::KIND_ENQUEUED), 6, "cold submit enqueues all");
-    assert_eq!(kind_count(ev::KIND_MEMORY), 6, "warm resubmit hits memory");
-    assert!(
-        records.iter().any(|r| r.event == ev::QUEUE),
-        "queue depth was sampled"
-    );
-    assert_eq!(
-        records.iter().filter(|r| r.event == ev::STORED).count(),
-        6,
-        "every computed point left a stored record"
-    );
+    assert_log_reconciles(&records, &report);
+    // The cold submit enqueued all six points, the warm resubmit hit
+    // memory for all six, and each computed point was stored once.
+    let paths = ["points_enqueued", "memory_hits", "points_computed"].map(|n| counter(&report, n));
+    assert_eq!(paths, [6, 6, 6], "{report:?}");
 
     let statsd = std::fs::read_to_string(&statsd_path).expect("statsd drain wrote the file");
     for needle in ["nocserve.jobs_submitted:", "nocserve.queue_depth:"] {

@@ -4,7 +4,9 @@
 mod common;
 
 use common::{counter, TestDaemon};
-use noc_serve::proto::{decode_response, encode, Request, Response, WireSpec, MAX_REQUEST_LINE};
+use noc_serve::proto::{
+    decode_response, encode, FlightEvent, Request, Response, WireSpec, MAX_REQUEST_LINE,
+};
 use noc_serve::{point_cache_key, SchemeId, SweepSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -287,7 +289,7 @@ fn metrics_and_watch_work_without_a_flight_log() {
     let watcher = std::thread::spawn(move || {
         watcher_client
             .watch(|record| {
-                sink.lock().expect("seen lock").push(record.event);
+                sink.lock().expect("seen lock").push(record);
                 true
             })
             .expect("watch ends cleanly at shutdown");
@@ -310,14 +312,12 @@ fn metrics_and_watch_work_without_a_flight_log() {
     let mut daemon = daemon;
     daemon.stop();
     watcher.join().expect("watcher thread");
+    // The stream alone tells the job's whole story: it opens and closes
+    // exactly once, and every chain in between proves out.
     let seen = seen.lock().expect("seen lock");
-    for event in [
-        noc_serve::proto::flight_event::SUBMITTED,
-        noc_serve::proto::flight_event::RESPONDED,
-    ] {
-        assert!(
-            seen.contains(&event.to_string()),
-            "missing {event:?} in {seen:?}"
-        );
-    }
+    let events = |is: fn(&FlightEvent) -> bool| seen.iter().filter(|r| is(&r.event)).count();
+    let opened = events(|e| matches!(e, FlightEvent::Submitted { .. }));
+    let closed = events(|e| matches!(e, FlightEvent::Responded { .. }));
+    assert_eq!((opened, closed), (1, 1), "{seen:?}");
+    assert_eq!(noc_serve::validate_chains(&seen), Vec::<String>::new());
 }

@@ -25,7 +25,9 @@
 //!   no-op on fields, which are snake case already);
 //! * field `default`: a missing key decodes as `Default::default()`;
 //! * field `skip_serializing_if = "path"`: the field is left out when
-//!   `path(&field)` is true.
+//!   `path(&field)` is true;
+//! * field `flatten`: the field's map is merged into the parent's, and
+//!   the field decodes from the parent's whole map.
 //!
 //! Decoding ignores keys the type does not name. Generics, tuple
 //! variants of more than one field, struct variants outside a tagged
@@ -58,6 +60,7 @@ struct Field {
     name: String,
     default: bool,
     skip_serializing_if: Option<String>,
+    flatten: bool,
 }
 
 struct Variant {
@@ -93,11 +96,12 @@ impl Item {
 fn push_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
     let mut out = String::new();
     for f in fields {
-        let push = format!(
-            "__map.push((\"{n}\".to_string(), ::serde::Serialize::to_content({a})));",
-            n = f.name,
-            a = access(&f.name)
-        );
+        let (n, a) = (&f.name, access(&f.name));
+        let push = if f.flatten {
+            format!("match ::serde::Serialize::to_content({a}) {{ ::serde::Content::Map(m) => __map.extend(m), _ => panic!(\"can only flatten maps (`{n}`)\") }}")
+        } else {
+            format!("__map.push((\"{n}\".to_string(), ::serde::Serialize::to_content({a})));")
+        };
         match &f.skip_serializing_if {
             Some(path) => out += &format!("if !{path}({}) {{ {push} }}", access(&f.name)),
             None => out += &push,
@@ -112,7 +116,9 @@ fn field_inits(fields: &[Field]) -> String {
         .iter()
         .map(|f| {
             let n = &f.name;
-            if f.default {
+            if f.flatten {
+                format!("{n}: ::serde::Deserialize::from_content(c)?")
+            } else if f.default {
                 format!(
                     "{n}: ::serde::field(map, \"{n}\").ok().map(::serde::Deserialize::from_content)\
                      .transpose()?.unwrap_or_default()"
@@ -377,11 +383,13 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             name: name.to_string(),
             default: false,
             skip_serializing_if: None,
+            flatten: false,
         };
         for (key, value) in attrs {
             match (key.as_str(), value) {
                 ("default", None) => field.default = true,
                 ("skip_serializing_if", Some(path)) => field.skip_serializing_if = Some(path),
+                ("flatten", None) => field.flatten = true,
                 (k, v) => panic!("unsupported field attribute #[serde({k} = {v:?})] on `{name}`"),
             }
         }

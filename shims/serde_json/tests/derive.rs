@@ -1,6 +1,6 @@
 //! The derive's attribute surface, through JSON text: internally tagged
 //! enums with `rename_all = "snake_case"`, and `default` /
-//! `skip_serializing_if` fields. Every expected line is what real serde
+//! `skip_serializing_if` / `flatten` fields. Every expected line is what real serde
 //! writes for the same declaration.
 
 use serde::{Deserialize, Serialize};
@@ -97,6 +97,25 @@ fn a_missing_required_field_is_an_error() {
     assert!(err.to_string().contains("missing field `dropped`"), "{err}");
     let err = serde_json::from_str::<Stamp>(r#"{"who":"w1"}"#).unwrap_err();
     assert!(err.to_string().contains("missing field `at`"), "{err}");
+}
+
+/// A tagged enum flattened under a common field.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Envelope {
+    seq: u64,
+    #[serde(flatten)]
+    message: Message,
+}
+
+#[test]
+fn a_flattened_field_merges_into_its_parent() {
+    let message = Message::GcDone { dropped: 3 };
+    let envelope = Envelope { seq: 2, message };
+    let line = r#"{"seq":2,"kind":"gc_done","dropped":3}"#;
+    assert_eq!(serde_json::to_string(&envelope).unwrap(), line);
+    // Decoding hands the flattened type the whole map, unknown keys too.
+    let extra = r#"{"seq":2,"kind":"gc_done","dropped":3,"x":1}"#;
+    assert_eq!(serde_json::from_str::<Envelope>(extra).unwrap(), envelope);
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
