@@ -26,7 +26,7 @@ pub fn run() -> Outcome {
         }
     }
     let p99s = run_sims(sims, move |sim| {
-        let mut stats = sim.run_windows(warmup, measure);
+        let stats = sim.run_windows(warmup, measure);
         stats.latency.percentile(99.0).unwrap_or(0)
     });
     let mut cells = Vec::new();

@@ -2,7 +2,7 @@
 //! simulations through [`noc_sim::batch::run_windows_batched`] must
 //! produce, for every one of them, *bitwise identical* results to
 //! running it alone through `run_windows` — the full serialized
-//! [`NetStats`](noc_core::stats::NetStats) (every distribution sample)
+//! [`NetStats`](noc_core::stats::NetStats) (every distribution histogram)
 //! and the full sampler window series, across random seeds, rates,
 //! schemes and **mixed mesh sizes in the same batch**.
 //!

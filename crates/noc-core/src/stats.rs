@@ -7,18 +7,29 @@
 //! (Fig. 13).
 
 use crate::packet::{DeliveryKind, Packet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
+use std::collections::BTreeMap;
 
-/// An online distribution of `u64` samples with exact percentiles.
+/// Values below this bound are counted in [`Distribution`]'s dense
+/// array; larger ones in its sorted map. Latencies and hop counts stay
+/// below it until a network saturates, so the map holds only the tail.
+const DENSE_BOUND: u64 = 1024;
+
+/// An exact histogram of `u64` samples: value → number of occurrences.
 ///
-/// Stores all samples; simulations in this repository eject at most a few
-/// hundred thousand packets per run, so exact percentiles are affordable
-/// and avoid quantile-sketch error in the tail-latency figure.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Memory grows with the number of *distinct* values, not with the
+/// number of samples, so a run of any length keeps its statistics in a
+/// few kilobytes while every percentile stays exact (no quantile-sketch
+/// error in the tail-latency figure).
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Distribution {
-    samples: Vec<u64>,
+    /// `dense[v]` counts the samples equal to `v`, for `v` below
+    /// [`DENSE_BOUND`]; it grows to the largest such value seen.
+    dense: Vec<u64>,
+    /// Counts of the samples at or above [`DENSE_BOUND`].
+    sparse: BTreeMap<u64, u64>,
+    count: usize,
     sum: u128,
-    sorted: bool,
 }
 
 impl Distribution {
@@ -29,33 +40,52 @@ impl Distribution {
 
     /// Adds a sample.
     pub fn record(&mut self, v: u64) {
-        self.samples.push(v);
+        if v < DENSE_BOUND {
+            let i = v as usize;
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, 0);
+            }
+            self.dense[i] += 1;
+        } else {
+            *self.sparse.entry(v).or_insert(0) += 1;
+        }
+        self.count += 1;
         self.sum += v as u128;
-        self.sorted = false;
+    }
+
+    /// Every distinct sample value with its count, in ascending order.
+    fn counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0u64..)
+            .zip(self.dense.iter().copied())
+            .filter(|&(_, n)| n > 0)
+            .chain(self.sparse.iter().map(|(&v, &n)| (v, n)))
     }
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.count
     }
 
     /// Arithmetic mean, or `None` if empty.
     pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             None
         } else {
-            Some(self.sum as f64 / self.samples.len() as f64)
+            Some(self.sum as f64 / self.count as f64)
         }
     }
 
     /// Largest sample, or `None` if empty.
     pub fn max(&self) -> Option<u64> {
-        self.samples.iter().copied().max()
+        // `dense` ends at the largest dense value seen, so its last
+        // entry is never zero.
+        let dense_max = self.dense.len().checked_sub(1).map(|v| v as u64);
+        self.sparse.keys().next_back().copied().or(dense_max)
     }
 
     /// Smallest sample, or `None` if empty.
     pub fn min(&self) -> Option<u64> {
-        self.samples.iter().copied().min()
+        self.counts().next().map(|(v, _)| v)
     }
 
     /// Exact percentile (`p` in `[0, 100]`) with nearest-rank rounding,
@@ -64,25 +94,22 @@ impl Distribution {
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> Option<u64> {
+    pub fn percentile(&self, p: f64) -> Option<u64> {
         assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        if self.samples.is_empty() {
+        if self.count == 0 {
             return None;
         }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        let n = self.samples.len();
+        let n = self.count;
         let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        Some(self.samples[rank.saturating_sub(1).min(n - 1)])
-    }
-
-    /// Merges another distribution into this one.
-    pub fn merge(&mut self, other: &Distribution) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sum += other.sum;
-        self.sorted = false;
+        // 0-based index of the wanted sample in ascending order.
+        let index = rank.saturating_sub(1).min(n - 1) as u64;
+        let mut seen = 0;
+        self.counts()
+            .find(|&(_, c)| {
+                seen += c;
+                seen > index
+            })
+            .map(|(v, _)| v)
     }
 
     /// Sum of all samples (exact, no overflow for realistic runs).
@@ -99,8 +126,9 @@ impl Distribution {
 /// only ever accumulate between resets), so the difference of two
 /// snapshots taken from the same window is exact. Distributions are
 /// represented by their `(count, sum)` pair — enough for per-window
-/// means; exact window percentiles would require the samples themselves,
-/// which the no-allocation sampling contract rules out.
+/// means; exact window percentiles would require a copy of each
+/// histogram per window, which the no-allocation sampling contract rules
+/// out.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StatsSnapshot {
     /// Packets delivered via regular pass only.
@@ -173,7 +201,7 @@ impl StatsSnapshot {
 }
 
 /// Aggregate network statistics for one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct NetStats {
     /// End-to-end latency (generation → tail ejected) of delivered packets.
     pub latency: Distribution,
@@ -370,32 +398,38 @@ mod tests {
 
     #[test]
     fn distribution_empty() {
-        let mut d = Distribution::new();
+        let d = Distribution::new();
         assert_eq!(d.mean(), None);
         assert_eq!(d.percentile(99.0), None);
         assert_eq!(d.max(), None);
     }
 
     #[test]
-    fn distribution_merge() {
-        let mut a = Distribution::new();
-        let mut b = Distribution::new();
-        a.record(1);
-        b.record(3);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), Some(2.0));
-    }
-
-    #[test]
     fn record_interleaved_with_percentile_queries() {
-        // percentile() sorts lazily; recording afterwards must re-sort.
         let mut d = Distribution::new();
         d.record(10);
         d.record(5);
         assert_eq!(d.percentile(100.0), Some(10));
         d.record(1);
         assert_eq!(d.percentile(0.0), Some(1));
+    }
+
+    #[test]
+    fn size_follows_distinct_values_not_samples() {
+        let mut d = Distribution::new();
+        for i in 0..1_000_000u64 {
+            d.record(i % 100);
+        }
+        for v in [DENSE_BOUND, 5_000, 18_600] {
+            d.record(v);
+        }
+        let json = serde_json::to_string(&d).expect("Distribution serializes");
+        assert!(json.len() < 4096, "{} bytes", json.len());
+        assert_eq!(
+            (d.count(), d.min(), d.max()),
+            (1_000_003, Some(0), Some(18_600))
+        );
+        assert_eq!(d.percentile(100.0), Some(18_600));
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub struct Tuning {
     pub pitstop: PitstopConfig,
     /// MinBD side buffer and eject bandwidth.
     pub minbd: MinBdConfig,
-    /// FastPass slot override, budget slack and pipeline depth.
+    /// FastPass slot override and pipeline depth.
     pub fastpass: FastPassConfig,
 }
 

@@ -14,6 +14,11 @@ use crate::store::GcReport;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+
+/// How long [`Client::shutdown`] waits for the daemon to remove its
+/// socket after saying `bye`.
+const SHUTDOWN_WAIT: Duration = Duration::from_secs(10);
 
 /// Environment variable naming the daemon socket; doubles as the
 /// env-only way to put a binary in serve mode (same effect as
@@ -45,6 +50,7 @@ pub struct SubmitReceipt {
 pub struct Client {
     reader: BufReader<UnixStream>,
     writer: UnixStream,
+    sock: PathBuf,
 }
 
 impl Client {
@@ -59,6 +65,7 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
+            sock: sock.to_path_buf(),
         })
     }
 
@@ -190,17 +197,31 @@ impl Client {
         }
     }
 
-    /// Asks the daemon to stop.
+    /// Asks the daemon to stop, and returns once it has: the daemon
+    /// removes its socket only after flushing its flight log and
+    /// statsd drain, so a caller may read those files straight away.
     ///
     /// # Errors
     ///
-    /// I/O failures and unexpected responses, as readable strings.
+    /// I/O failures and unexpected responses, as readable strings, and
+    /// a socket still present [`SHUTDOWN_WAIT`] after `bye`.
     pub fn shutdown(&mut self) -> Result<(), String> {
         match self.roundtrip(&Request::Shutdown)? {
-            Response::Bye => Ok(()),
-            Response::Error { message } => Err(message),
-            other => Err(format!("unexpected reply to shutdown: {other:?}")),
+            Response::Bye => {}
+            Response::Error { message } => return Err(message),
+            other => return Err(format!("unexpected reply to shutdown: {other:?}")),
         }
+        let deadline = Instant::now() + SHUTDOWN_WAIT;
+        while self.sock.exists() {
+            if Instant::now() >= deadline {
+                return Err(format!(
+                    "daemon said bye but {} is still there after {SHUTDOWN_WAIT:?}",
+                    self.sock.display()
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        Ok(())
     }
 
     /// Submits a sweep job and blocks until its terminal `result`,

@@ -1,9 +1,10 @@
-//! The in-process metrics registry: lock-free counters, gauges and
-//! fixed-bucket histograms behind the `metrics` wire command.
+//! The in-process metrics registry: counters, gauges and exact
+//! histograms behind the `metrics` wire command.
 //!
-//! Every value is an atomic, so recording from workers and connection
-//! threads never contends on the engine lock — the registry is written
-//! from wherever the event happens and read by two consumers:
+//! Counters and gauges are atomics and each histogram has its own small
+//! lock, so recording from workers and connection threads never
+//! contends on the engine lock — the registry is written from wherever
+//! the event happens and read by two consumers:
 //!
 //! * the **drainer**: the sampler tick calls
 //!   [`MetricsRegistry::drain_into`], which forwards counter *deltas*
@@ -13,14 +14,14 @@
 //!   into the wire [`MetricsReport`] for `nocctl metrics` — the
 //!   daemon's one report.
 //!
-//! Histograms use fixed logarithmic-ish bucket bounds; percentiles are
-//! bucket-resolution (a percentile reports its bucket's *upper bound*),
-//! which is exact enough to answer "are batches milliseconds or
-//! seconds" without ever allocating on the record path.
+//! A histogram is the simulator's [`Distribution`] — the one histogram
+//! type in the workspace — so its percentiles are exact sample values.
 
 use crate::proto::{FlightStats, HistogramSummary, MetricValue, MetricsReport, WorkerReport};
 use crate::statsd::StatsdSink;
+use noc_core::stats::Distribution;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// A monotone counter that remembers how much of it has been drained
 /// (so the statsd drain emits deltas while `metrics` reports totals).
@@ -51,84 +52,36 @@ impl Counter {
     }
 }
 
-/// Histogram bucket upper bounds in milliseconds (the last implicit
-/// bucket is unbounded). Chosen to resolve both sub-ms queue waits and
-/// minute-long batches.
-const BOUNDS: [u64; 15] = [
-    1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 30_000, 60_000,
-];
-
-/// A fixed-bucket histogram: allocation-free to record, summarized with
-/// bucket-resolution p50/p90/p99.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BOUNDS.len() + 1],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
+/// An exact histogram any thread can record into: the simulator's
+/// [`Distribution`] behind a mutex, summarized with exact p50/p90/p99.
+#[derive(Debug, Default)]
+pub struct Histogram(Mutex<Distribution>);
 
 impl Histogram {
+    fn lock(&self) -> MutexGuard<'_, Distribution> {
+        self.0
+            .lock()
+            .expect("a histogram record never panics while holding the lock")
+    }
+
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        let idx = BOUNDS
-            .iter()
-            .position(|&bound| value <= bound)
-            .unwrap_or(BOUNDS.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        self.lock().record(value);
     }
 
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// The upper bound of the bucket containing the `pct`-th percentile
-    /// sample, clamped to the exact max so a percentile never exceeds
-    /// an observed value (the overflow bucket reports the exact max).
-    /// 0 when empty.
-    fn percentile(&self, pct: u64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let max = self.max.load(Ordering::Relaxed);
-        // Rank of the target sample, 1-based, rounding up.
-        let rank = (count * pct).div_ceil(100).max(1);
-        let mut seen = 0;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return BOUNDS.get(idx).copied().unwrap_or(max).min(max);
-            }
-        }
-        max
-    }
-
-    /// Snapshots the histogram into its wire summary.
+    /// Snapshots the histogram into its wire summary (all zero when
+    /// empty).
     pub fn summary(&self, name: &str) -> HistogramSummary {
+        let d = self.lock();
+        let pct = |p| d.percentile(p).unwrap_or(0);
         HistogramSummary {
             name: name.to_string(),
-            count: self.count(),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            p50: self.percentile(50),
-            p90: self.percentile(90),
-            p99: self.percentile(99),
+            count: d.count() as u64,
+            sum: u64::try_from(d.sum()).unwrap_or(u64::MAX),
+            max: d.max().unwrap_or(0),
+            p50: pct(50.0),
+            p90: pct(90.0),
+            p99: pct(99.0),
         }
     }
 }
@@ -363,25 +316,28 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_are_bucket_bounds() {
+    fn histogram_percentiles_are_exact_values() {
         let h = Histogram::default();
         for _ in 0..98 {
-            h.record(3); // bucket (2, 5]
+            h.record(3);
         }
-        h.record(150); // bucket (100, 200]
-        h.record(70_000); // overflow bucket
+        h.record(150);
+        h.record(70_000);
         let s = h.summary("t");
-        assert_eq!(s.count, 100);
-        assert_eq!(s.max, 70_000);
-        assert_eq!(s.p50, 5, "bulk lands in the (2,5] bucket");
-        assert_eq!(s.p90, 5);
-        assert_eq!(s.p99, 200, "99th sample is the 150ms one");
-        // Percentiles in the overflow bucket report the exact max.
+        assert_eq!((s.count, s.sum, s.max), (100, 70_444, 70_000));
+        assert_eq!((s.p50, s.p90), (3, 3), "the bulk's exact value");
+        assert_eq!(s.p99, 150, "99th sample is the 150ms one");
         let h = Histogram::default();
         h.record(1_000_000);
         assert_eq!(h.summary("o").p50, 1_000_000);
         // Empty histogram: everything zero.
-        assert_eq!(Histogram::default().summary("e").p99, 0);
+        assert_eq!(
+            Histogram::default().summary("e"),
+            HistogramSummary {
+                name: "e".to_string(),
+                ..HistogramSummary::default()
+            }
+        );
     }
 
     #[test]

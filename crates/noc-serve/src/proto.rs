@@ -155,8 +155,8 @@ pub struct MetricValue {
     pub value: u64,
 }
 
-/// A fixed-bucket histogram's summary: totals plus bucket-resolution
-/// percentiles (each percentile reports its bucket's upper bound).
+/// An exact histogram's summary: totals plus nearest-rank percentiles,
+/// each an observed sample value. All zero when nothing was recorded.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSummary {
     /// Histogram name.
@@ -165,13 +165,13 @@ pub struct HistogramSummary {
     pub count: u64,
     /// Sum of all samples.
     pub sum: u64,
-    /// Largest sample seen (exact, not bucketed).
+    /// Largest sample seen.
     pub max: u64,
-    /// 50th-percentile bucket bound.
+    /// 50th-percentile sample.
     pub p50: u64,
-    /// 90th-percentile bucket bound.
+    /// 90th-percentile sample.
     pub p90: u64,
-    /// 99th-percentile bucket bound.
+    /// 99th-percentile sample.
     pub p99: u64,
 }
 

@@ -458,7 +458,8 @@ pub fn point_cache_key(spec: &SweepSpec, rate: f64) -> u64 {
 }
 
 /// The stats digest of the golden fixtures and bitwise gates: a run's
-/// full serialized [`NetStats`] (every counter and distribution sample)
+/// full serialized [`NetStats`] (every counter and every distribution's
+/// value → count histogram)
 /// under the cache keys' FNV-1a, as 16 hex digits.
 ///
 /// [`NetStats`]: noc_core::stats::NetStats

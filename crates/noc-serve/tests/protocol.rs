@@ -321,3 +321,19 @@ fn metrics_and_watch_work_without_a_flight_log() {
     assert_eq!((opened, closed), (1, 1), "{seen:?}");
     assert_eq!(noc_serve::validate_chains(&seen), Vec::<String>::new());
 }
+
+/// `shutdown` returns only once the daemon has stopped: before anyone
+/// joins its thread, the socket is gone and the flight log is complete.
+#[test]
+fn shutdown_returns_after_the_daemon_has_flushed() {
+    let mut daemon = TestDaemon::boot_fresh_observed("shutdown_flush");
+    daemon
+        .client()
+        .submit(&[tiny_spec(73)], |_, _| {})
+        .expect("job completes");
+    daemon.client().shutdown().expect("daemon stops");
+    assert!(!daemon.sock.exists(), "socket outlived shutdown");
+    let records = noc_serve::load_flight(&daemon.flight_path()).expect("flight log loads");
+    assert_eq!(noc_serve::validate_chains(&records), Vec::<String>::new());
+    daemon.stop();
+}

@@ -35,7 +35,8 @@ struct GoldenPoint {
     scheme: String,
     rate: f64,
     /// FNV-1a 64 over the serde_json serialization of the full NetStats
-    /// (every distribution sample included), as a hex string.
+    /// (every distribution's value → count histogram included), as a hex
+    /// string.
     netstats_fnv64: String,
     delivered: u64,
     generated: u64,

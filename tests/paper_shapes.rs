@@ -115,7 +115,7 @@ fn drain_tail_worse_than_fastpass() {
         let scheme = id.build(&cfg, 9);
         let wl = AppModel::Volrend.workload(16, None);
         let mut sim = Simulation::new(cfg, scheme, Box::new(wl));
-        let mut stats = sim.run_windows(4_000, 12_000);
+        let stats = sim.run_windows(4_000, 12_000);
         stats.latency.percentile(99.0).unwrap_or(0)
     };
     let drain = p99(SchemeId::Drain);
