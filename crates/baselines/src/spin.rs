@@ -105,8 +105,7 @@ impl Scheme for Spin {
                 // Probe returned: rebuild the dependency graph and spin
                 // the first confirmed cycle.
                 let graph = WaitGraph::build(core, &self.routing, self.cfg.detection_threshold);
-                let found = (0..graph.len()).find_map(|v| graph.find_cycle_from(v));
-                if let Some(cycle_verts) = found {
+                if let Some(cycle_verts) = graph.deps().find_cycle() {
                     rotate_cycle(core, &graph, &cycle_verts);
                     self.spins += 1;
                 }
@@ -173,13 +172,13 @@ mod tests {
         assert!(sim.total_consumed() > 500);
     }
 
-    #[test]
-    fn no_probes_at_low_load() {
-        let mut core = NetworkCore::new(cfg(2));
-        let mut spin = Spin::new(1, SpinConfig::default());
-        let mut wl = SyntheticWorkload::new(SyntheticPattern::Uniform, 0.02, 2);
+    /// Steps `spin` directly under `wl` for `cycles` cycles, consuming
+    /// every packet as soon as it is consumable, and returns the scheme
+    /// for its diagnostics.
+    fn drive(cfg: SimConfig, mut spin: Spin, mut wl: SyntheticWorkload, cycles: u64) -> Spin {
         use noc_sim::Workload;
-        for _ in 0..3_000 {
+        let mut core = NetworkCore::new(cfg);
+        for _ in 0..cycles {
             wl.tick(&mut core);
             spin.step(&mut core);
             let now = core.cycle();
@@ -193,8 +192,42 @@ mod tests {
             }
             core.advance_cycle();
         }
+        spin
+    }
+
+    #[test]
+    fn no_probes_at_low_load() {
+        let spin = drive(
+            cfg(2),
+            Spin::new(1, SpinConfig::default()),
+            SyntheticWorkload::new(SyntheticPattern::Uniform, 0.02, 2),
+            3_000,
+        );
         assert_eq!(spin.probes, 0, "no suspicion at trivial load");
         assert_eq!(spin.spins, 0);
+    }
+
+    /// Past saturation on the paper's mesh, probes return both ways:
+    /// most find no cycle in the wait graph, and at least one finds and
+    /// spins one. This is the regime `golden_saturated` pins, so it
+    /// keeps that gate's coverage of the cycle search from silently
+    /// disappearing.
+    #[test]
+    fn probes_miss_and_hit_past_saturation() {
+        let cfg = SimConfig::builder()
+            .mesh(8, 8)
+            .vns(6)
+            .vcs_per_vn(2)
+            .seed(5)
+            .build();
+        let spin = drive(
+            cfg,
+            Spin::new(5, SpinConfig::default()),
+            SyntheticWorkload::new(SyntheticPattern::Uniform, 0.14, 5),
+            1_500,
+        );
+        assert!(spin.spins >= 1, "no probe found a cycle");
+        assert!(spin.probes > spin.spins, "every probe found a cycle");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! `--serve[=SOCKET]` (or `NOC_SERVE`) routes the sweep through a
 //! running `nocserve` daemon instead of the in-process executor; the
 //! emitted `smoke.json` is bitwise identical either way (the `serve` CI
-//! job diffs the two). The assertion legs (irregular certification,
-//! fault pipeline, telemetry) always run locally.
+//! job diffs the two). The telemetry summary and the traced points
+//! always run locally.
 
 use bench::runner::make_sim;
 use bench::trace_out::{run_traced_point, trace_out_dir};
@@ -85,38 +85,10 @@ fn main() {
     }
     let path = emit_json("smoke", &results).expect("write results");
     println!("smoke sweep OK — JSON written to {}", path.display());
-    run_fault_certification();
     print_telemetry_summary(&specs[0]);
 
     if let Some(level) = trace_level {
         run_traced_smoke(level, &specs[0]);
-    }
-}
-
-/// Smoke coverage for the irregular side, which the simulator substrate
-/// (regular meshes only) cannot execute and `noc-prove` therefore
-/// certifies statically (`holistic-lanes`: the Hierholzer holistic path
-/// covers every surviving directed link exactly once and segments into
-/// disjoint lanes for every partition count): the 4×4 mesh with the 5↔6
-/// channel disabled, and two points of the seeded fault pipeline, whose
-/// generator must be deterministic by `(seed, count)`.
-fn run_fault_certification() {
-    let mesh = noc_core::topology::Mesh::new(8, 8);
-    let a = noc_core::fault::generate(mesh, 3, 4).expect("connected 8x8 fault config");
-    let b = noc_core::fault::generate(mesh, 3, 4).expect("connected 8x8 fault config");
-    assert_eq!(
-        a.disabled, b.disabled,
-        "fault generator must be deterministic by (seed, count)"
-    );
-    let mut points = vec![noc_prove::configs::irregular_smoke()];
-    points.extend(noc_prove::configs::fault_suite(2));
-    for cfg in points {
-        let cert = noc_prove::certify(&cfg);
-        assert!(cert.certified(), "fault point failed: {}", cert.summary());
-        println!(
-            "certified {} ({}, {} directed links)",
-            cert.config, cert.proof, cert.vertices
-        );
     }
 }
 

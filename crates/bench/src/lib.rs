@@ -49,7 +49,7 @@ pub use noc_serve::{
 };
 pub use phases::{PhaseTimes, WallProbe};
 pub use serve_client::{run_sweeps, Client, ExecMode};
-pub use telemetry::{merge_counter_tracks, series_summary, sparkline, windows_json};
+pub use telemetry::{series_summary, sparkline, windows_json};
 pub use trace_out::{
     check_chrome_trace, check_chrome_trace_full, run_traced_point, trace_out_dir, TraceCheckSummary,
 };

@@ -9,10 +9,9 @@
 //!   next to the PR 4 trace artifacts;
 //! * [`sparkline`] / [`series_summary`] — Unicode sparklines printed by
 //!   `smoke`, a zero-dependency glance at congestion onset;
-//! * [`counter_events`] / [`merge_counter_tracks`] — Chrome
-//!   `trace_event` counter (phase `C`) events merged into the Perfetto
-//!   files, so time-series metrics render as counter tracks above the
-//!   per-router flit tracks.
+//! * [`counter_events`] — Chrome `trace_event` counter (phase `C`)
+//!   events appended to the Perfetto files' event list, so time-series
+//!   metrics render as counter tracks above the per-router flit tracks.
 
 use noc_sim::{Sampler, WindowSample};
 use noc_trace::chrome::{counter, meta, num, Arg};
@@ -178,23 +177,6 @@ pub fn counter_events(sampler: &Sampler) -> Vec<Content> {
     out
 }
 
-/// Merges the sampler's counter tracks into an existing Chrome trace
-/// JSON document (a top-level event array, as produced by
-/// `noc_trace::chrome_trace_json`). Returns the merged document.
-///
-/// # Errors
-///
-/// Returns a message if `chrome_json` is not a top-level JSON array.
-pub fn merge_counter_tracks(chrome_json: &str, sampler: &Sampler) -> Result<String, String> {
-    let doc: Content =
-        serde_json::from_str(chrome_json).map_err(|e| format!("not valid JSON: {e:?}"))?;
-    let Content::Seq(mut events) = doc else {
-        return Err("top level must be a JSON array of trace events".to_string());
-    };
-    events.extend(counter_events(sampler));
-    serde_json::to_string_pretty(&Content::Seq(events)).map_err(|e| format!("serialize: {e:?}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,16 +309,5 @@ mod tests {
             names.iter().any(|n| n == "stalls/window"),
             "high load with counters must stall somewhere: {names:?}"
         );
-    }
-
-    #[test]
-    fn merge_appends_counters_to_a_chrome_trace() {
-        let sim = sampled_run(0.1, false);
-        let sampler = sim.sampler().expect("sampler");
-        let base = r#"[{"name":"link","ph":"X","pid":0,"tid":0,"ts":1,"dur":1}]"#;
-        let merged = merge_counter_tracks(base, sampler).expect("merges");
-        assert!(merged.contains("\"ph\": \"C\""), "{merged}");
-        assert!(merged.contains("delivered/window"));
-        assert!(merge_counter_tracks("{}", sampler).is_err());
     }
 }

@@ -25,9 +25,11 @@
 //! [`LatencyPoint`]: crate::runner::LatencyPoint
 
 use crate::runner::{make_sim, SweepSpec};
-use crate::telemetry::{merge_counter_tracks, windows_json};
+use crate::telemetry::{counter_events, windows_json};
 use noc_sim::SamplerConfig;
-use noc_trace::{chrome_trace_json, packet_lifetimes, TraceConfig, Tracer};
+use noc_trace::chrome::chrome_trace_events;
+use noc_trace::{packet_lifetimes, TraceConfig, Tracer};
+use serde::Content;
 use std::path::{Path, PathBuf};
 
 /// Summary of one validated Chrome trace file.
@@ -50,7 +52,7 @@ pub struct TraceCheckSummary {
 }
 
 /// Validates a Chrome `trace_event` JSON document — a flit trace from
-/// [`chrome_trace_json`] (plus merged telemetry counter tracks), or a
+/// [`noc_trace::chrome_trace_json`] (plus telemetry counter tracks), or a
 /// daemon flight export — against the workspace's one structural
 /// validator ([`noc_trace::chrome::validate`], which states the
 /// per-event rules), and requires that it records more than metadata.
@@ -178,26 +180,31 @@ pub fn run_traced_point(
     sim.set_sampler(&sampler_for(spec.measure));
     sim.run_windows(spec.warmup, spec.measure);
     sim.finish_sampling();
-    let stem = point_stem(spec, rate);
-    let mut paths = write_artifacts(dir, &stem, sim.tracer())?;
     let sampler = sim.sampler().expect("sampler installed above");
-    // Merge the window series into the Chrome trace as counter tracks,
-    // and write the raw series alongside for offline plotting.
-    let chrome_path = &paths[0];
-    let chrome = std::fs::read_to_string(chrome_path)?;
-    let merged = merge_counter_tracks(&chrome, sampler).map_err(std::io::Error::other)?;
-    std::fs::write(chrome_path, merged)?;
+    // The window series rides in the Chrome trace as counter tracks,
+    // and is written raw alongside for offline plotting.
+    let mut events = chrome_trace_events(sim.tracer());
+    events.extend(counter_events(sampler));
+    let chrome = serde_json::to_string_pretty(&Content::Seq(events))
+        .expect("content tree always serializes");
+    let stem = point_stem(spec, rate);
+    let mut paths = write_artifacts(dir, &stem, &chrome, sim.tracer())?;
     let windows = dir.join(format!("{stem}.windows.json"));
     std::fs::write(&windows, windows_json(sampler))?;
     paths.push(windows);
     Ok(paths)
 }
 
-fn write_artifacts(dir: &Path, stem: &str, tracer: &Tracer) -> std::io::Result<Vec<PathBuf>> {
+fn write_artifacts(
+    dir: &Path,
+    stem: &str,
+    chrome_json: &str,
+    tracer: &Tracer,
+) -> std::io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     let io_err = |what: &str| std::io::Error::other(format!("{what} failed to serialize"));
     let chrome = dir.join(format!("{stem}.trace.json"));
-    std::fs::write(&chrome, chrome_trace_json(tracer))?;
+    std::fs::write(&chrome, chrome_json)?;
     let metrics = dir.join(format!("{stem}.metrics.json"));
     let report = serde_json::to_string_pretty(&tracer.metrics_report())
         .map_err(|_| io_err("metrics report"))?;

@@ -18,6 +18,7 @@
 //! this module provides the general construction (with proofs-as-tests)
 //! for arbitrary topologies.
 
+use noc_core::graph::Digraph;
 use std::collections::BTreeMap;
 
 /// A directed edge `(from, to)` in an irregular topology.
@@ -83,22 +84,11 @@ impl IrregularTopo {
         if self.n == 0 {
             return true;
         }
-        let mut adj = vec![Vec::new(); self.n];
+        let mut g = Digraph::new(self.n);
         for (a, b) in self.directed_links() {
-            adj[a].push(b);
+            g.add_edge(a as u32, b as u32);
         }
-        let mut seen = vec![false; self.n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        while let Some(v) = stack.pop() {
-            for &w in &adj[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        seen.into_iter().all(|s| s)
+        g.reachable_from(0).into_iter().all(|r| r)
     }
 }
 

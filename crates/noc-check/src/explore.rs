@@ -281,19 +281,18 @@ fn drain(
 /// Classifies a wedged state via the wait-for graph.
 fn diagnose(cc: &CheckConfig, sim: &Simulation) -> WedgeKind {
     let g = WaitGraph::build(&sim.core, cc.diag_policy().as_ref(), 0);
-    for start in 0..g.len() {
-        if let Some(cycle) = g.find_cycle_from(start) {
-            let positions = cycle
+    match g.deps().find_cycle() {
+        Some(cycle) => WedgeKind::BufferCycle(
+            cycle
                 .iter()
                 .map(|&i| {
                     let (pos, _pkt) = g.vertex(i);
                     format!("n{}:p{}:v{}", pos.node.index(), pos.port, pos.vc)
                 })
-                .collect();
-            return WedgeKind::BufferCycle(positions);
-        }
+                .collect(),
+        ),
+        None => WedgeKind::Quiescent,
     }
-    WedgeKind::Quiescent
 }
 
 /// Internal mutable search state.

@@ -11,6 +11,7 @@
 //! during sampling, so every returned fault set leaves all nodes
 //! mutually reachable.
 
+use crate::graph::Digraph;
 use crate::rng::DetRng;
 use crate::topology::{Direction, Mesh, NodeId};
 
@@ -89,26 +90,14 @@ pub fn is_connected_without(mesh: Mesh, disabled: &[DisabledChannel]) -> bool {
     if n == 0 {
         return true;
     }
-    let mut seen = vec![false; n];
-    let mut stack = vec![0usize];
-    seen[0] = true;
-    let mut reached = 1usize;
-    while let Some(v) = stack.pop() {
-        let node = NodeId::new(v);
-        for d in crate::topology::DIRECTIONS {
-            let Some(nb) = mesh.neighbor(node, d) else {
-                continue;
-            };
-            let w = nb.index();
-            if seen[w] || disabled.binary_search(&canonical(v, w)).is_ok() {
-                continue;
-            }
-            seen[w] = true;
-            reached += 1;
-            stack.push(w);
+    let mut g = Digraph::new(n);
+    for (a, b) in all_channels(mesh) {
+        if disabled.binary_search(&(a, b)).is_err() {
+            g.add_edge(a as u32, b as u32);
+            g.add_edge(b as u32, a as u32);
         }
     }
-    reached == n
+    g.reachable_from(0).into_iter().all(|r| r)
 }
 
 /// Error from [`generate`].

@@ -5,9 +5,10 @@
 //! agree on: the [mesh topology](topology), [packets and message
 //! classes](packet), the [simulation configuration](config) mirroring
 //! Table II of the paper, deterministic [randomness](rng), seeded
-//! [fault configurations](fault) for degraded-topology studies, and
-//! [statistics](stats) collection (latency distributions, throughput,
-//! packet-type breakdowns).
+//! [fault configurations](fault) for degraded-topology studies, the one
+//! [directed graph](graph) every cycle and connectivity search runs on,
+//! and [statistics](stats) collection (latency distributions,
+//! throughput, packet-type breakdowns).
 //!
 //! # Example
 //!
@@ -25,6 +26,7 @@
 
 pub mod config;
 pub mod fault;
+pub mod graph;
 pub mod packet;
 pub mod rng;
 pub mod stats;

@@ -155,8 +155,8 @@ pub fn fault_suite(count: usize) -> Vec<ProveConfig> {
         .collect()
 }
 
-/// The certified irregular smoke point shared by the CI smoke sweep and
-/// the irregular figure: a 4×4 mesh minus the `R5 ↔ R6` channel.
+/// The certified irregular point shared by the full suite and the
+/// irregular figure: a 4×4 mesh minus the `R5 ↔ R6` channel.
 pub fn irregular_smoke() -> ProveConfig {
     let fault = FaultConfig {
         mesh: Mesh::new(4, 4),

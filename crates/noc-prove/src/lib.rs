@@ -9,13 +9,12 @@
 //! [certificates](certificate::Certificate) that CI archives and the
 //! sweep infrastructure consults before simulating a configuration.
 //!
-//! The two proof engines:
-//!
-//! * [`cdg`] — generic digraph cycle detection (with concrete cycle
-//!   extraction, the payload of a failure certificate);
-//! * [`model`] — CDG construction: `(link, VC)` channels, route
-//!   continuation edges from the introspected routing functions, and
-//!   consumer-backlog protocol-coupling edges.
+//! [`model`] builds the CDG: `(link, VC)` channels, route continuation
+//! edges from the introspected routing functions, and consumer-backlog
+//! protocol-coupling edges. The graph is the workspace's one
+//! [`Digraph`](noc_core::graph::Digraph), so the cycle search (with
+//! concrete cycle extraction, the payload of a failure certificate) is
+//! the same DFS that SPIN and `noc-check` run on the wait-for graph.
 //!
 //! [`prove::certify`] dispatches the scheme-specific obligations (see
 //! that module's proof taxonomy), and [`configs`] defines the certified
@@ -40,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cdg;
 pub mod certificate;
 pub mod configs;
 pub mod model;

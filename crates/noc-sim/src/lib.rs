@@ -27,8 +27,9 @@
 //!   and Duato-style escape-VC routing.
 //! * [`regular`] — the shared credit-based pipeline: ejection, switch
 //!   allocation, injection, and staged-arrival application.
-//! * [`waitgraph`] — wait-for-graph construction and cycle detection
-//!   (used by SPIN and by deadlock instrumentation in tests).
+//! * [`waitgraph`] — wait-for-graph construction as a
+//!   `noc_core::graph::Digraph` plus SPIN's rotation (used by SPIN, by
+//!   `noc-check`'s wedge diagnosis and by deadlock tests).
 //! * [`engine`] — the [`engine::Simulation`] driver,
 //!   workloads and warmup/measurement windows.
 //! * [`audit`] — deep structural invariant checks over the whole

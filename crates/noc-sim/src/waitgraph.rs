@@ -1,4 +1,4 @@
-//! Wait-for-graph construction and dependency-cycle detection.
+//! Wait-for-graph construction and SPIN's synchronized rotation.
 //!
 //! A vertex is a buffered packet occupying a VC; an edge `v → w` means
 //! "the packet at `v` could make its next hop into the buffer currently
@@ -8,10 +8,12 @@
 //! one step along the cycle is exactly SPIN's synchronized movement, and
 //! detecting such cycles is how the integration tests prove FastPass
 //! resolves deadlocks rather than merely avoiding the traffic that causes
-//! them.
+//! them. The graph is a [`Digraph`], so the cycle search is the
+//! workspace's one DFS ([`Digraph::find_cycle`]).
 
 use crate::network::NetworkCore;
 use crate::routing::{RouteReq, RoutingPolicy};
+use noc_core::graph::Digraph;
 use noc_core::packet::PacketId;
 use noc_core::topology::{NodeId, Port, NUM_PORTS};
 use std::collections::BTreeMap;
@@ -27,11 +29,13 @@ pub struct BufferPos {
     pub vc: usize,
 }
 
-/// The wait-for graph over currently blocked, quiescent packets.
+/// The wait-for graph over currently blocked, quiescent packets: the
+/// vertices' positions plus their dependency [`Digraph`], whose vertex
+/// `i` is the packet at [`WaitGraph::vertex`]`(i)`.
 #[derive(Debug, Clone)]
 pub struct WaitGraph {
     verts: Vec<(BufferPos, PacketId)>,
-    edges: Vec<Vec<usize>>,
+    deps: Digraph,
 }
 
 impl WaitGraph {
@@ -55,14 +59,14 @@ impl WaitGraph {
                             && occ.blocked_for(now) >= min_blocked
                         {
                             let pos = BufferPos { node, port, vc };
-                            index.insert(pos, verts.len());
+                            index.insert(pos, verts.len() as u32);
                             verts.push((pos, occ.pkt));
                         }
                     }
                 }
             }
         }
-        let mut edges = vec![Vec::new(); verts.len()];
+        let mut deps = Digraph::new(verts.len());
         for (vi, &(pos, pkt_id)) in verts.iter().enumerate() {
             let req = RouteReq::new(core, pos.node, Port::from_index(pos.port), pos.vc, pkt_id);
             for d in policy.desired_ports(core, &req).iter() {
@@ -78,12 +82,12 @@ impl WaitGraph {
                         vc,
                     };
                     if let Some(&wi) = index.get(&target) {
-                        edges[vi].push(wi);
+                        deps.add_edge(vi as u32, wi);
                     }
                 }
             }
         }
-        WaitGraph { verts, edges }
+        WaitGraph { verts, deps }
     }
 
     /// Number of vertices (blocked quiescent packets).
@@ -97,96 +101,15 @@ impl WaitGraph {
     }
 
     /// Position and packet of vertex `i`.
-    pub fn vertex(&self, i: usize) -> (BufferPos, PacketId) {
-        self.verts[i]
+    pub fn vertex(&self, i: u32) -> (BufferPos, PacketId) {
+        self.verts[i as usize]
     }
 
-    /// Finds a dependency cycle reachable from vertex `start`, returned
-    /// as vertex indices in order (`cycle[i]` waits on `cycle[i+1]`,
-    /// wrapping). Returns `None` if no cycle is reachable.
-    pub fn find_cycle_from(&self, start: usize) -> Option<Vec<usize>> {
-        // Iterative DFS with an explicit path stack.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            White,
-            Gray,
-            Black,
-        }
-        let mut mark = vec![Mark::White; self.verts.len()];
-        let mut path: Vec<usize> = Vec::new();
-        let mut iters: Vec<usize> = Vec::new();
-        mark[start] = Mark::Gray;
-        path.push(start);
-        iters.push(0);
-        while let Some(&v) = path.last() {
-            let i = *iters
-                .last()
-                .expect("iters parallels the non-empty path stack");
-            if i < self.edges[v].len() {
-                *iters
-                    .last_mut()
-                    .expect("iters parallels the non-empty path stack") += 1;
-                let w = self.edges[v][i];
-                match mark[w] {
-                    Mark::Gray => {
-                        // Cycle: the path suffix from w's position.
-                        let at = path
-                            .iter()
-                            .position(|&x| x == w)
-                            .expect("gray vertex is on the current DFS path");
-                        return Some(path[at..].to_vec());
-                    }
-                    Mark::White => {
-                        mark[w] = Mark::Gray;
-                        path.push(w);
-                        iters.push(0);
-                    }
-                    Mark::Black => {}
-                }
-            } else {
-                mark[v] = Mark::Black;
-                path.pop();
-                iters.pop();
-            }
-        }
-        None
-    }
-
-    /// Whether any dependency cycle exists in the graph.
-    pub fn has_cycle(&self) -> bool {
-        (0..self.verts.len()).any(|v| self.find_cycle_from(v).is_some())
-    }
-
-    /// Builds a synthetic graph from an adjacency list, for testing the
-    /// cycle-detection algorithms against independent oracles. Vertex `i`
-    /// is given the placeholder position `node i, port 0, vc 0` and a
-    /// placeholder packet; only the edge structure is meaningful.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any edge target is out of range.
-    pub fn from_edges(num_verts: usize, edges: Vec<Vec<usize>>) -> Self {
-        assert_eq!(edges.len(), num_verts, "one adjacency row per vertex");
-        for row in &edges {
-            for &w in row {
-                assert!(w < num_verts, "edge target {w} out of range");
-            }
-        }
-        let mut verts = Vec::with_capacity(num_verts);
-        for i in 0..num_verts {
-            let pos = BufferPos {
-                node: NodeId::new(i),
-                port: 0,
-                vc: 0,
-            };
-            verts.push((pos, PacketId::PLACEHOLDER));
-        }
-        WaitGraph { verts, edges }
-    }
-
-    /// Outgoing edges of vertex `i` (oracle cross-checks in tests).
-    pub fn edges_of(&self, i: usize) -> &[usize] {
-        &self.edges[i]
+    /// The dependency edges: `v → w` when `v`'s packet could move into
+    /// `w`'s buffer. A cycle of it ([`Digraph::find_cycle`]) is a
+    /// (potential) deadlock that [`rotate_cycle`] spins.
+    pub fn deps(&self) -> &Digraph {
+        &self.deps
     }
 }
 
@@ -201,7 +124,7 @@ impl WaitGraph {
 ///
 /// Panics if any occupant vanished or became non-quiescent since the
 /// graph was built (callers must use a freshly built graph).
-pub fn rotate_cycle(core: &mut NetworkCore, graph: &WaitGraph, cycle: &[usize]) -> Vec<PacketId> {
+pub fn rotate_cycle(core: &mut NetworkCore, graph: &WaitGraph, cycle: &[u32]) -> Vec<PacketId> {
     // Take every packet out first (simultaneous), then reinstall shifted.
     let mut taken = Vec::with_capacity(cycle.len());
     for &vi in cycle {
@@ -274,7 +197,10 @@ mod tests {
         let policy = FullyAdaptive::new(1);
         let g = WaitGraph::build(&c, &policy, 0);
         assert_eq!(g.len(), 4);
-        assert!(g.has_cycle(), "the 4-packet ring must be detected");
+        assert!(
+            g.deps().find_cycle().is_some(),
+            "the 4-packet ring must be detected"
+        );
     }
 
     #[test]
@@ -284,8 +210,7 @@ mod tests {
         let policy = FullyAdaptive::new(1);
         let g = WaitGraph::build(&c, &policy, 0);
         assert_eq!(g.len(), 1);
-        assert!(!g.has_cycle());
-        assert!(g.find_cycle_from(0).is_none());
+        assert!(g.deps().find_cycle().is_none());
     }
 
     #[test]
@@ -301,9 +226,7 @@ mod tests {
         let mut c = build_deadlocked_core();
         let policy = FullyAdaptive::new(1);
         let g = WaitGraph::build(&c, &policy, 0);
-        let cycle = (0..g.len())
-            .find_map(|v| g.find_cycle_from(v))
-            .expect("cycle exists");
+        let cycle = g.deps().find_cycle().expect("cycle exists");
         let before = c.resident_packets();
         let moved = rotate_cycle(&mut c, &g, &cycle);
         assert_eq!(moved.len(), cycle.len());

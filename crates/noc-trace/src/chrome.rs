@@ -213,6 +213,14 @@ pub fn validate(json: &str) -> Result<Vec<EventHead>, String> {
 /// Returns the JSON text (an array of trace event objects). Load it at
 /// `ui.perfetto.dev` or `chrome://tracing`.
 pub fn chrome_trace_json(tracer: &Tracer) -> String {
+    serde_json::to_string(&Content::Seq(chrome_trace_events(tracer)))
+        .expect("content tree always serializes")
+}
+
+/// The event list [`chrome_trace_json`] serializes: track metadata,
+/// then every recorded event in order. Callers that add tracks of their
+/// own (the telemetry counters) append to it and serialize once.
+pub fn chrome_trace_events(tracer: &Tracer) -> Vec<Content> {
     let mut events: Vec<Content> = Vec::new();
     // Track naming metadata.
     events.push(meta(
@@ -276,8 +284,7 @@ pub fn chrome_trace_json(tracer: &Tracer) -> String {
             instant(name, cat, pid, tid, rec.cycle, args)
         });
     }
-
-    serde_json::to_string(&Content::Seq(events)).expect("content tree always serializes")
+    events
 }
 
 #[cfg(test)]

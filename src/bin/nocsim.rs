@@ -29,13 +29,21 @@
 
 use fastpass_noc::core::stats::NetStats;
 use fastpass_noc::schemes::{SchemeId, ALL_SCHEMES};
-use fastpass_noc::sim::{Simulation, Workload};
-use fastpass_noc::traffic::{check_rate, AppModel, SyntheticPattern, SyntheticWorkload};
+use fastpass_noc::serve::runner::make_sim;
+use fastpass_noc::sim::Simulation;
+use fastpass_noc::traffic::{check_rate, AppModel, SyntheticPattern};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
 struct Args(HashMap<String, String>);
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 3] = ["list", "json", "help"];
+/// Flags that take a value.
+const OPTIONS: [&str; 10] = [
+    "scheme", "pattern", "app", "rate", "size", "vcs", "seed", "warmup", "cycles", "quota",
+];
 
 impl Args {
     fn parse() -> Result<Self, String> {
@@ -45,9 +53,12 @@ impl Args {
             let Some(key) = k.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{k}` (expected --key value)"));
             };
-            if key == "list" || key == "json" || key == "help" {
+            if SWITCHES.contains(&key) {
                 map.insert(key.to_string(), "true".to_string());
                 continue;
+            }
+            if !OPTIONS.contains(&key) {
+                return Err(format!("unknown flag `--{key}` (try --help)"));
             }
             let Some(v) = it.next() else {
                 return Err(format!("missing value for --{key}"));
@@ -71,10 +82,6 @@ impl Args {
     fn flag(&self, key: &str) -> bool {
         self.get(key) == Some("true")
     }
-}
-
-fn pattern_by_name(name: &str) -> Option<SyntheticPattern> {
-    SyntheticPattern::ALL.into_iter().find(|p| p.name() == name)
 }
 
 /// Every application model: Fig. 10's seven plus Barnes.
@@ -184,25 +191,28 @@ fn run() -> Result<(), String> {
     check_rate(rate)?;
 
     // Table II's configuration for the scheme, from the one registry.
+    // Range errors come first: `make_sim` panics where this errs.
     let id = SchemeId::parse(scheme_name)
         .ok_or_else(|| format!("unknown scheme `{scheme_name}` (try --list)"))?;
     let cfg = id
         .try_sim_config(size, vcs, seed)
         .map_err(|e| e.to_string())?;
-    let scheme = id.build(&cfg, seed);
 
-    let workload: Box<dyn Workload> = if let Some(app_name) = args.get("app") {
+    let mut sim = if let Some(app_name) = args.get("app") {
         let app = app_by_name(app_name)
             .ok_or_else(|| format!("unknown app `{app_name}` (try --list)"))?;
         let quota: u64 = args.num("quota", 0)?;
-        Box::new(app.workload(cfg.mesh.num_nodes(), (quota > 0).then_some(quota)))
+        let workload = app.workload(cfg.mesh.num_nodes(), (quota > 0).then_some(quota));
+        let scheme = id.build(&cfg, seed);
+        Simulation::new(cfg, scheme, Box::new(workload))
     } else {
+        // The sweep's own point constructor, so a run reproduces a
+        // stored point of the same spec.
         let pname = args.get("pattern").unwrap_or("uniform");
-        let pattern = pattern_by_name(pname).ok_or_else(|| format!("unknown pattern `{pname}`"))?;
-        Box::new(SyntheticWorkload::new(pattern, rate, seed ^ 0x5EED))
+        let pattern = SyntheticPattern::from_name(pname)
+            .ok_or_else(|| format!("unknown pattern `{pname}` (try --list)"))?;
+        make_sim(id, pattern, rate, size, vcs, seed)
     };
-
-    let mut sim = Simulation::new(cfg, scheme, workload);
     let stats = if args.get("app").is_some() && args.num::<u64>("quota", 0)? > 0 {
         // Closed loop: run to completion (bounded by --cycles as a cap
         // only if it is larger than the default).

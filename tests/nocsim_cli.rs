@@ -1,14 +1,22 @@
 //! The `nocsim` front-end runs every scheme it advertises: each name on
 //! `--list`'s `schemes` line resolves through the registry and delivers
-//! packets on a small mesh.
+//! packets on a small mesh. Bad arguments are usage errors, and a
+//! synthetic run is the sweep's own point.
 
-use std::process::Command;
+use fastpass_noc::schemes::SchemeId;
+use fastpass_noc::serve::runner::{simulate_point, SweepSpec};
+use fastpass_noc::traffic::SyntheticPattern;
+use std::process::{Command, Output};
 
-fn nocsim(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_nocsim"))
+fn run_nocsim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_nocsim"))
         .args(args)
         .output()
-        .expect("nocsim runs");
+        .expect("nocsim runs")
+}
+
+fn nocsim(args: &[&str]) -> String {
+    let out = run_nocsim(args);
     assert!(
         out.status.success(),
         "nocsim {args:?} failed: {}",
@@ -50,19 +58,22 @@ fn out_of_range_size_and_vcs_are_usage_errors() {
         (["--scheme", "escapevc", "--size", "0"], edge),
         (["--scheme", "minbd", "--size", "256"], edge),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_nocsim"))
-            .args(args)
-            .output()
-            .expect("nocsim runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} simulated something");
-        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-        assert!(
-            stderr.starts_with("nocsim: ") && stderr.contains(bound),
-            "{args:?}: {stderr}"
-        );
+        assert_usage_error(&args, bound);
     }
+}
+
+/// `nocsim args` is a usage error: exit 2 and one `nocsim:` line that
+/// contains `needle`, with nothing simulated.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = run_nocsim(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} simulated something");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(
+        stderr.starts_with("nocsim: ") && stderr.contains(needle),
+        "{args:?}: {stderr}"
+    );
 }
 
 /// `--json` prints one JSON object even when a float has no value: a
@@ -73,18 +84,75 @@ fn json_report_is_json_when_nothing_is_delivered() {
         "--scheme", "fastpass", "--size", "4", "--rate", "0.001", "--warmup", "0", "--cycles", "1",
         "--json",
     ]);
+    assert_eq!(field(&out, "delivered").as_u64(), Some(0), "{out}");
+    assert_eq!(field(&out, "avg_latency"), serde::Content::Null, "{out}");
+    assert_eq!(field(&out, "cycles").as_u64(), Some(1), "{out}");
+}
+
+/// Field `name` of a `--json` report.
+fn field(out: &str, name: &str) -> serde::Content {
     let report: serde::Content =
         serde_json::from_str(out.trim()).unwrap_or_else(|e| panic!("{e}: {out}"));
-    let field = |name: &str| {
-        report
-            .as_map()
-            .and_then(|m| m.iter().find(|(k, _)| k == name))
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| panic!("no `{name}` in {out}"))
+    report
+        .as_map()
+        .and_then(|m| m.iter().find(|(k, _)| k == name))
+        .map(|(_, v)| v.clone())
+        .unwrap_or_else(|| panic!("no `{name}` in {out}"))
+}
+
+/// A misspelt or unknown flag is a usage error naming it, not a
+/// silent default run.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    assert_usage_error(&["--size", "4", "--patern", "transpose"], "`--patern`");
+    assert_usage_error(&["--size", "4", "--json", "--rates", "0.1"], "`--rates`");
+}
+
+/// Pattern names match case-insensitively, as on the wire.
+#[test]
+fn pattern_names_ignore_case() {
+    let run = |name| {
+        nocsim(&[
+            "--size",
+            "4",
+            "--pattern",
+            name,
+            "--cycles",
+            "500",
+            "--json",
+        ])
     };
-    assert_eq!(field("delivered").as_u64(), Some(0), "{out}");
-    assert_eq!(field("avg_latency"), serde::Content::Null, "{out}");
-    assert_eq!(field("cycles").as_u64(), Some(1), "{out}");
+    assert_eq!(run("Transpose"), run("transpose"));
+}
+
+/// A synthetic run is the point the sweep stores for the same spec:
+/// same seed derivation, same counters.
+#[test]
+fn a_synthetic_run_reproduces_the_stored_point() {
+    let spec = SweepSpec {
+        id: SchemeId::FastPass,
+        pattern: SyntheticPattern::Uniform,
+        rates: vec![0.1],
+        size: 4,
+        fp_vcs: 2,
+        warmup: 300,
+        measure: 1_000,
+        seed: 7,
+    };
+    let point = simulate_point(&spec, 0.1);
+    let out = nocsim(&[
+        "--size", "4", "--vcs", "2", "--seed", "7", "--rate", "0.1", "--warmup", "300", "--cycles",
+        "1000", "--json",
+    ]);
+    assert_eq!(field(&out, "delivered").as_u64(), Some(point.delivered));
+    for (name, want) in [
+        ("throughput", point.throughput),
+        ("avg_latency", point.avg_latency),
+    ] {
+        let got = <f64 as serde::Deserialize>::from_content(&field(&out, name))
+            .unwrap_or_else(|e| panic!("{name}: {e}: {out}"));
+        assert_eq!(got.to_bits(), want.to_bits(), "{name}: {out}");
+    }
 }
 
 /// A rate outside `(0, 1]` is a usage error under the wire's own rule,
@@ -93,10 +161,7 @@ fn json_report_is_json_when_nothing_is_delivered() {
 #[test]
 fn out_of_range_rates_are_usage_errors() {
     for rate in ["nan", "-0.5", "3"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_nocsim"))
-            .args(["--size", "4", "--rate", rate, "--json"])
-            .output()
-            .expect("nocsim runs");
+        let out = run_nocsim(&["--size", "4", "--rate", rate, "--json"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "--rate {rate}: {stderr}");
         assert!(out.stdout.is_empty(), "--rate {rate} simulated something");

@@ -186,10 +186,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Wait-graph properties (PR 7): the cycle detector the deadlock schemes
-// and the model checker both trust, cross-checked against independent
-// oracles on random graphs, and SPIN's rotation checked against the
-// conservation auditor.
+// Graph properties: the one cycle search (`Digraph::find_cycle`) that
+// SPIN, the model checker and the certifier all trust, cross-checked
+// against a reachability oracle on random graphs, and SPIN's rotation
+// checked against the conservation auditor.
 // ---------------------------------------------------------------------
 
 /// Brute-force transitive closure with path length ≥ 1
@@ -217,39 +217,84 @@ fn reach_plus(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<bool>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `find_cycle_from` agrees with the reachability oracle on random
-    /// adjacency structures: a cycle is reachable from `s` iff some
-    /// vertex on a cycle is reachable from `s`. Any cycle returned must
-    /// also be structurally genuine (consecutive edges exist, including
-    /// the wrap) and actually reachable from the start vertex.
+    /// `find_cycle` agrees with the reachability oracle on random
+    /// digraphs, duplicate edges and all, before and after `dedup`: it
+    /// finds a cycle iff some vertex reaches itself, and any cycle it
+    /// returns is simple, on the oracle's cycles, and made of real
+    /// edges, including the wrap. (The proptest shim has no tuple
+    /// strategies, so each edge is one integer `raw` decomposed as
+    /// `(raw / n, raw % n)`.)
     #[test]
     fn wait_graph_cycles_match_reachability_oracle(
-        rows in proptest::collection::vec(0u64..4096, 1..10),
+        n in 1usize..24,
+        raw_edges in proptest::collection::vec(0usize..(24 * 24), 0..80),
+        dedup in 0u8..2,
     ) {
-        use fastpass_noc::sim::waitgraph::WaitGraph;
+        use fastpass_noc::core::graph::Digraph;
 
-        let n = rows.len();
-        let edges: Vec<Vec<usize>> = rows
-            .iter()
-            .map(|&bits| (0..n).filter(|&j| bits >> j & 1 == 1).collect())
-            .collect();
-        let g = WaitGraph::from_edges(n, edges.clone());
+        let mut edges = vec![Vec::new(); n];
+        let mut g = Digraph::new(n);
+        for raw in raw_edges {
+            let (a, b) = ((raw / n) % n, raw % n);
+            edges[a].push(b);
+            g.add_edge(a as u32, b as u32);
+        }
+        if dedup == 1 {
+            g.dedup();
+        }
         let r = reach_plus(n, &edges);
-        let on_cycle: Vec<bool> = (0..n).map(|v| r[v][v]).collect();
-        for s in 0..n {
-            let found = g.find_cycle_from(s);
-            let oracle = on_cycle[s] || (0..n).any(|v| r[s][v] && on_cycle[v]);
-            prop_assert_eq!(found.is_some(), oracle);
-            if let Some(cyc) = found {
-                prop_assert!(!cyc.is_empty());
+        match g.find_cycle() {
+            Some(cyc) => {
+                let mut distinct = cyc.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                prop_assert!(!cyc.is_empty() && distinct.len() == cyc.len(), "{cyc:?}");
                 for k in 0..cyc.len() {
                     let (a, b) = (cyc[k], cyc[(k + 1) % cyc.len()]);
-                    prop_assert!(g.edges_of(a).contains(&b));
+                    prop_assert!(g.successors(a).contains(&b), "{cyc:?}");
+                    prop_assert!(r[a as usize][a as usize], "{cyc:?}");
                 }
-                prop_assert!(cyc[0] == s || r[s][cyc[0]]);
+            }
+            None => prop_assert!((0..n).all(|v| !r[v][v]), "missed a cycle"),
+        }
+    }
+
+    /// Random DAGs (edges only from lower to higher ids) are always
+    /// reported acyclic.
+    #[test]
+    fn dags_are_acyclic(
+        n in 2usize..24,
+        raw_edges in proptest::collection::vec(0u32..(24 * 24), 0..80),
+    ) {
+        use fastpass_noc::core::graph::Digraph;
+
+        let n32 = n as u32;
+        let mut g = Digraph::new(n);
+        for raw in raw_edges {
+            let a = (raw / n32) % (n32 - 1);
+            let b = (a + 1 + raw % (n32 - 1 - a).max(1)).min(n32 - 1);
+            if a < b {
+                g.add_edge(a, b);
             }
         }
-        prop_assert_eq!(g.has_cycle(), (0..n).any(|v| on_cycle[v]));
+        g.dedup();
+        prop_assert!(g.find_cycle().is_none());
+    }
+
+    /// A back edge that closes a directed chain is detected, and the
+    /// reported path walks the chain.
+    #[test]
+    fn chain_with_back_edge_found(len in 2usize..40, back_to in 0usize..40) {
+        use fastpass_noc::core::graph::Digraph;
+
+        let back_to = back_to % (len - 1);
+        let mut g = Digraph::new(len);
+        for i in 0..len as u32 - 1 {
+            g.add_edge(i, i + 1);
+        }
+        g.add_edge(len as u32 - 1, back_to as u32);
+        let chain: Vec<u32> = (back_to as u32..len as u32).collect();
+        prop_assert_eq!(g.find_cycle(), Some(chain));
     }
 
     /// SPIN's synchronized rotation never breaks packet conservation or
@@ -296,7 +341,7 @@ proptest! {
         prop_assert!(audit_conservation(&core, 0, 0).is_empty());
         for _ in 0..rounds {
             let g = WaitGraph::build(&core, &policy, 0);
-            let Some(cyc) = (0..g.len()).find_map(|v| g.find_cycle_from(v)) else {
+            let Some(cyc) = g.deps().find_cycle() else {
                 break; // rotation resolved the ring — nothing left to spin
             };
             let moved = rotate_cycle(&mut core, &g, &cyc);
