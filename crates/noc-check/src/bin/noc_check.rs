@@ -7,9 +7,10 @@
 //!
 //! Runs the selected verification matrices (default: `2x2` plus the
 //! planted soundness check), writes `summary.json` and any wedge traces
-//! under `--out` (default `target/noc-check`), prints one line per
-//! config, and exits nonzero if any config's verdict differs from its
-//! expectation or a replay fails to confirm. (The static lane lemmas
+//! under `--out` (default `target/noc-check`; no wall-clock time goes
+//! into these files, so two runs leave identical bytes), prints one
+//! line per config, and exits nonzero if any config's verdict differs
+//! from its expectation or a replay fails to confirm. (The static lane lemmas
 //! are `noc-prove`'s: every point explored here also has a certificate
 //! there.)
 
@@ -122,12 +123,13 @@ fn main() {
         let (replay_result, trace_path) = match &report.verdict {
             Verdict::Wedged(cex) => {
                 let (r, trace) = replay(cc, cex);
-                let path = args.out.join(format!("{}-wedge.trace.json", cc.point.name));
+                let name = format!("{}-wedge.trace.json", cc.point.name);
+                let path = args.out.join(&name);
                 if let Err(e) = std::fs::write(&path, trace) {
                     eprintln!("noc-check: cannot write {}: {e}", path.display());
                     std::process::exit(2);
                 }
-                (Some(r), Some(path.display().to_string()))
+                (Some(r), Some(name))
             }
             _ => (None, None),
         };
@@ -140,9 +142,8 @@ fn main() {
             as_expected,
             replay: replay_result,
             trace_path,
-            seconds,
         };
-        println!("{}", Summary::describe(&outcome));
+        println!("{}", Summary::describe(&outcome, seconds));
         if let Some(r) = &outcome.replay {
             for m in &r.mismatches {
                 println!("    replay mismatch: {m}");

@@ -14,10 +14,9 @@ pub struct ConfigOutcome {
     pub as_expected: bool,
     /// Replay confirmation (present iff the verdict is a wedge).
     pub replay: Option<ReplayResult>,
-    /// Trace artifact path (present iff a wedge was replayed to disk).
+    /// Trace artifact file name, relative to the output directory
+    /// (present iff a wedge was replayed to disk).
     pub trace_path: Option<String>,
-    /// Wall-clock seconds spent exploring.
-    pub seconds: f64,
 }
 
 /// The full run summary serialized to `summary.json`.
@@ -34,8 +33,10 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// One-line human rendering of a config outcome.
-    pub fn describe(o: &ConfigOutcome) -> String {
+    /// One-line human rendering of a config outcome that took `seconds`
+    /// of wall-clock time to explore (printed, never serialized, so the
+    /// summary of two runs of one build is byte-identical).
+    pub fn describe(o: &ConfigOutcome, seconds: f64) -> String {
         let verdict = match &o.report.verdict {
             Verdict::DeadlockFree => {
                 if o.report.truncated_paths == 0 && !o.report.budget_exhausted {
@@ -78,7 +79,7 @@ impl Summary {
             o.report.terminals_drained,
             o.report.deepest_path,
             o.report.depth_limit,
-            o.seconds,
+            seconds,
             replayed
         )
     }

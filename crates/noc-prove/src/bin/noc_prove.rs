@@ -7,8 +7,9 @@
 //!
 //! Certifies the selected configurations, writes one
 //! `<config>.cert.json` per config plus `summary.json` under `--out`
-//! (default `target/noc-prove`), prints one line per certificate, and
-//! exits nonzero if any certificate differs from its expectation.
+//! (default `target/noc-prove`; timings go to stdout only, so two runs
+//! leave identical bytes), prints one line per certificate, and exits
+//! nonzero if any certificate differs from its expectation.
 //!
 //! `--expect-clean` overrides per-config expectations and demands a
 //! `certified` verdict from everything selected — CI uses it to
@@ -112,7 +113,6 @@ struct Summary {
     cycles: usize,
     refuted: usize,
     unexpected: Vec<String>,
-    elapsed_ms: u64,
 }
 
 fn main() {
@@ -170,7 +170,6 @@ fn main() {
         cycles: certs.iter().filter(|c| c.verdict == "cycle-found").count(),
         refuted: certs.iter().filter(|c| c.verdict == "refuted").count(),
         unexpected: unexpected.clone(),
-        elapsed_ms: start.elapsed().as_millis() as u64,
     };
     let json = serde_json::to_string_pretty(&summary).expect("summary serializes");
     if let Err(e) = std::fs::write(args.out.join("summary.json"), json) {
@@ -179,7 +178,11 @@ fn main() {
     }
     println!(
         "noc-prove: {} configs, {} certified, {} cycle(s), {} refuted in {} ms",
-        summary.total, summary.certified, summary.cycles, summary.refuted, summary.elapsed_ms
+        summary.total,
+        summary.certified,
+        summary.cycles,
+        summary.refuted,
+        start.elapsed().as_millis()
     );
     if !unexpected.is_empty() {
         eprintln!("noc-prove: unexpected verdicts: {}", unexpected.join(", "));

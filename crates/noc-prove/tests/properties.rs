@@ -36,8 +36,6 @@ proptest! {
             PolicyKind::Yx,
             PolicyKind::FullyAdaptive,
             PolicyKind::WestFirst,
-            PolicyKind::NorthLast,
-            PolicyKind::OddEven,
             PolicyKind::EscapeXy,
         ] {
             let rg = route_graph(kind, Mesh::new(w, h));

@@ -29,6 +29,7 @@
 use crate::runner::{LatencyPoint, SweepResult, SweepSpec};
 use crate::store::{GcReport, Provenance};
 use crate::SchemeId;
+use noc_core::topology::Mesh;
 use serde::{Deserialize, Serialize};
 use traffic::SyntheticPattern;
 
@@ -284,6 +285,8 @@ impl WireSpec {
         if !(2..=64).contains(&self.size) {
             return Err(format!("mesh size {} outside 2..=64", self.size));
         }
+        let side = self.size as usize;
+        pattern.check(Mesh::new(side, side))?;
         if !(1..=8).contains(&self.fp_vcs) {
             return Err(format!("fp_vcs {} outside 1..=8", self.fp_vcs));
         }
@@ -536,6 +539,14 @@ mod tests {
                     ..good.clone()
                 },
                 "size",
+            ),
+            (
+                WireSpec {
+                    pattern: "bit-rotation".into(),
+                    size: 6,
+                    ..good.clone()
+                },
+                "power-of-two",
             ),
             (
                 WireSpec {

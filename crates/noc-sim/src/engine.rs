@@ -195,9 +195,8 @@ impl Simulation {
 
     /// Whether the workload reports itself finished (closed-loop
     /// workloads stop the run early; open-loop ones never finish).
-    /// [`run`](Self::run) checks this before every cycle, and the
-    /// batched executor ([`crate::batch`]) must observe the identical
-    /// predicate to stay cycle-for-cycle equivalent.
+    /// [`run`](Self::run) checks this before every cycle; drivers that
+    /// step a closed-loop run themselves read it to know when it ended.
     pub fn workload_finished(&self) -> bool {
         self.workload.finished(&self.core)
     }
@@ -332,10 +331,22 @@ impl Simulation {
     }
 }
 
+/// [`Simulation::run_windows`] on each simulation in turn, returning
+/// the measured [`NetStats`] in input order.
+///
+/// Kept only because the repository benchmark
+/// (`benchmark/src/{lanes,wl_engine}.rs`) calls it by this name; nothing
+/// in the workspace does.
+pub fn run_windows_batched(sims: &mut [Simulation], warmup: u64, measure: u64) -> Vec<NetStats> {
+    sims.iter_mut()
+        .map(|s| s.run_windows(warmup, measure))
+        .collect()
+}
+
 /// Minimal scheme + workload pair for in-crate tests (`engine`,
-/// `scheme`, `batch`): XY-routed VCT with uniform-random single-class
-/// open-loop traffic. Scheme crates proper live above `noc-sim`, so
-/// in-crate tests bring their own.
+/// `scheme`): XY-routed VCT with uniform-random single-class open-loop
+/// traffic. Scheme crates proper live above `noc-sim`, so in-crate tests
+/// bring their own.
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::*;
@@ -377,24 +388,6 @@ pub(crate) mod tests_support {
                 }
             }
         }
-    }
-
-    /// A `side × side` XY/VCT simulation under uniform traffic, fully
-    /// determined by `(side, rate, seed)`.
-    pub(crate) fn synthetic_sim(side: usize, rate: f64, seed: u64) -> Simulation {
-        Simulation::new(
-            SimConfig::builder()
-                .mesh(side, side)
-                .vns(0)
-                .vcs_per_vn(2)
-                .seed(seed)
-                .build(),
-            Box::new(PlainXy),
-            Box::new(UniformReq {
-                rate,
-                rng: DetRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
-            }),
-        )
     }
 }
 

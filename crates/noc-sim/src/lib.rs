@@ -45,7 +45,6 @@
 pub mod arbiter;
 pub mod arena;
 pub mod audit;
-pub mod batch;
 pub mod engine;
 pub mod network;
 pub mod ni;
@@ -59,8 +58,7 @@ pub mod vc;
 pub mod waitgraph;
 
 pub use arena::{InputMut, InputRef, VcArena};
-pub use batch::run_windows_batched;
-pub use engine::{Simulation, Workload};
+pub use engine::{run_windows_batched, Simulation, Workload};
 pub use network::{LinkSet, NetworkCore};
 pub use probe::{Phase, PhaseProbe};
 pub use sampler::{Sampler, SamplerConfig, WindowSample};

@@ -14,7 +14,7 @@
 //! pipeline would make runs irreproducible. The probe *interface* lives
 //! here; the `std::time::Instant`-based implementation lives in
 //! `crates/bench`, outside the lint's determinism scope, and only ever
-//! observes. [`NoopProbe`] is the in-crate reference implementation.
+//! observes.
 //!
 //! Phases may nest: `SchemeStep` brackets the whole scheme step, and the
 //! regular pipeline's stage phases (`RouteAlloc`, `SwitchAlloc`, `Eject`,
@@ -99,29 +99,21 @@ pub trait PhaseProbe: Send {
     fn end(&mut self, phase: Phase);
 }
 
-/// The do-nothing probe: documents the interface, and gives tests a
-/// cheap installable probe proving the hooks are transparent.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopProbe;
-
-impl PhaseProbe for NoopProbe {
-    fn begin(&mut self, _phase: Phase) {}
-    fn end(&mut self, _phase: Phase) {}
-}
-
 /// A probe that records begin/end call counts per phase — used by tests
 /// to prove the hooks fire, balance, and nest correctly. Not a timer.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct CountingProbe {
+pub(crate) struct CountingProbe {
     /// `begin` calls per phase, indexed by [`Phase::index`].
-    pub begins: [u64; Phase::COUNT],
+    pub(crate) begins: [u64; Phase::COUNT],
     /// `end` calls per phase, indexed by [`Phase::index`].
-    pub ends: [u64; Phase::COUNT],
+    pub(crate) ends: [u64; Phase::COUNT],
     depth: usize,
     /// Maximum observed nesting depth.
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
 }
 
+#[cfg(test)]
 impl PhaseProbe for CountingProbe {
     fn begin(&mut self, phase: Phase) {
         self.begins[phase.index()] += 1;

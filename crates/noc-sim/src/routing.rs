@@ -1,5 +1,4 @@
-//! Routing policies: XY, YX, fully adaptive, the west-first /
-//! north-last / odd-even turn models, and escape-VC.
+//! Routing policies: XY, YX, fully adaptive, west-first, and escape-VC.
 //!
 //! A policy performs route computation *and* downstream VC selection for
 //! a head packet (RC + VA of the 1-cycle router). Table II assigns:
@@ -140,7 +139,7 @@ pub trait DesiredPorts {
 
 impl<P: RoutingPolicy + ?Sized> DesiredPorts for P {
     fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> ProductiveDirs {
-        introspect::route_set(self.kind(), core.xy(req.at), core.xy(req.dst), req.in_port)
+        introspect::route_set(self.kind(), core.xy(req.at), core.xy(req.dst))
     }
 }
 
@@ -217,8 +216,8 @@ fn select(
 
 /// Selects the direction of `dirs` with a free VC for the request's
 /// class and the highest `score`, a coin flip deciding between equal
-/// scores (`Port::Local` for a packet at its destination): the turn
-/// models score by downstream credits, TFC by region tokens.
+/// scores (`Port::Local` for a packet at its destination): west-first
+/// scores by downstream credits, TFC by region tokens.
 pub fn pick_scored(
     core: &NetworkCore,
     req: &RouteReq,
@@ -238,14 +237,14 @@ pub fn pick_scored(
 /// The route sets themselves, as pure functions for static analysis.
 ///
 /// Every discipline's *admissible direction set* is a pure function of
-/// `(at, dst, in_port)` — the credit/occupancy state only picks *among*
+/// `(at, dst)` — the credit/occupancy state only picks *among*
 /// admissible directions, never adds to them. [`route_set`] is the one
 /// place those sets are written: the policies below select from it
 /// through [`DesiredPorts::desired_ports`](super::DesiredPorts::desired_ports)
 /// and `noc-prove` builds its channel-dependency graphs from it, so the
 /// certified routes and the executed ones are the same function.
 pub mod introspect {
-    use noc_core::topology::{Direction, Port, ProductiveDirs};
+    use noc_core::topology::{Direction, ProductiveDirs};
 
     /// Which routing discipline's route set to enumerate.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,10 +257,6 @@ pub mod introspect {
         FullyAdaptive,
         /// West-first turn model ([`super::WestFirst`], TFC's substrate).
         WestFirst,
-        /// North-last turn model ([`super::NorthLast`]).
-        NorthLast,
-        /// Odd-even turn model ([`super::OddEven`]).
-        OddEven,
         /// The deterministic escape lane of [`super::EscapeVcRouting`]
         /// (XY into the escape VC).
         EscapeXy,
@@ -275,8 +270,6 @@ pub mod introspect {
                 PolicyKind::Yx => "yx",
                 PolicyKind::FullyAdaptive => "fully-adaptive",
                 PolicyKind::WestFirst => "west-first",
-                PolicyKind::NorthLast => "north-last",
-                PolicyKind::OddEven => "odd-even",
                 PolicyKind::EscapeXy => "escape-xy",
             }
         }
@@ -290,20 +283,9 @@ pub mod introspect {
                 PolicyKind::Xy => Box::new(super::DorXy),
                 PolicyKind::Yx => Box::new(super::DorYx),
                 PolicyKind::FullyAdaptive => Box::new(super::FullyAdaptive::new(seed)),
-                PolicyKind::WestFirst | PolicyKind::NorthLast | PolicyKind::OddEven => {
-                    Box::new(super::TurnModel::new(self, seed))
-                }
+                PolicyKind::WestFirst => Box::new(super::WestFirst::new(seed)),
                 PolicyKind::EscapeXy => Box::new(super::EscapeVcRouting::new(seed)),
             }
-        }
-    }
-
-    /// The direction a packet travelled to arrive on `in_port` (`None`
-    /// for freshly injected packets).
-    pub fn travel_dir(in_port: Port) -> Option<Direction> {
-        match in_port {
-            Port::Dir(d) => Some(d.opposite()),
-            Port::Local => None,
         }
     }
 
@@ -322,16 +304,10 @@ pub mod introspect {
     }
 
     /// The full admissible direction set of `kind` for a head at mesh
-    /// coordinates `at`, bound for `dst`, that arrived on `in_port`: the
-    /// [`wait_dirs`] the discipline keeps, in the same order. Empty when
-    /// `at == dst` (route to `Port::Local`) — and, for odd-even, at
-    /// `(at, in_port)` states its own turn rules never reach.
-    pub fn route_set(
-        kind: PolicyKind,
-        at: (u16, u16),
-        dst: (u16, u16),
-        in_port: Port,
-    ) -> ProductiveDirs {
+    /// coordinates `at`, bound for `dst`: the [`wait_dirs`] the
+    /// discipline keeps, in the same order. Empty iff `at == dst` (route
+    /// to `Port::Local`).
+    pub fn route_set(kind: PolicyKind, at: (u16, u16), dst: (u16, u16)) -> ProductiveDirs {
         let wait = wait_dirs(at, dst);
         match kind {
             PolicyKind::FullyAdaptive => wait,
@@ -341,30 +317,6 @@ pub mod introspect {
             // All westward correction first, then adaptive.
             PolicyKind::WestFirst => {
                 wait.filter(|d| d == Direction::West || !wait.contains(Direction::West))
-            }
-            // North only once nothing else is productive.
-            PolicyKind::NorthLast => wait.filter(|d| d != Direction::North || wait.len() == 1),
-            // See [`super::OddEven`] for the rule derivation.
-            PolicyKind::OddEven => {
-                let even = at.0.is_multiple_of(2);
-                let prev = travel_dir(in_port);
-                wait.filter(|d| match d {
-                    Direction::North | Direction::South => {
-                        // EN/ES forbidden at even columns; a packet still
-                        // heading west must keep its future N/S->W turn
-                        // legal (even columns only).
-                        !(prev == Some(Direction::East) && even) && (dst.0 >= at.0 || even)
-                    }
-                    // NW/SW forbidden at odd columns.
-                    Direction::West => {
-                        !matches!(prev, Some(Direction::North | Direction::South)) || even
-                    }
-                    // Never enter an even destination column eastbound
-                    // with vertical offset left: no legal turn there.
-                    Direction::East => {
-                        !(dst.1 != at.1 && dst.0.is_multiple_of(2) && dst.0 == at.0 + 1)
-                    }
-                })
             }
         }
     }
@@ -512,14 +464,10 @@ pub mod contract {
             .map(|i| pairs[i].0)
             .collect();
         granted_dirs.dedup();
-        let certified: Vec<_> = introspect::route_set(
-            policy.kind(),
-            core.xy(req.at),
-            core.xy(req.dst),
-            req.in_port,
-        )
-        .iter()
-        .collect();
+        let certified: Vec<_> =
+            introspect::route_set(policy.kind(), core.xy(req.at), core.xy(req.dst))
+                .iter()
+                .collect();
         if granted_dirs != certified {
             return Err(format!(
                 "grants directions {granted_dirs:?}, yet the route set of its kind is {certified:?}"
@@ -604,28 +552,28 @@ impl RoutingPolicy for FullyAdaptive {
     }
 }
 
-/// The three turn-model policies — [`WestFirst`], [`NorthLast`],
-/// [`OddEven`] — differ only in the route set of their
-/// [`PolicyKind`]: each picks the admitted direction with the most
-/// downstream credits, coin-flip tie-break.
+/// West-first partially-adaptive routing (used by TFC). All westward
+/// correction happens first; once the packet no longer needs to go west,
+/// it picks the remaining productive direction with the most downstream
+/// credits, coin-flip tie-break. West-first forbids every turn into
+/// West, which breaks all cycles: deadlock-free.
 #[derive(Debug, Clone)]
-pub struct TurnModel {
-    kind: PolicyKind,
+pub struct WestFirst {
     rng: DetRng,
 }
 
-impl TurnModel {
-    fn new(kind: PolicyKind, seed: u64) -> Self {
-        TurnModel {
-            kind,
+impl WestFirst {
+    /// Creates the policy with a deterministic tie-break stream.
+    pub fn new(seed: u64) -> Self {
+        WestFirst {
             rng: DetRng::new(seed),
         }
     }
 }
 
-impl RoutingPolicy for TurnModel {
+impl RoutingPolicy for WestFirst {
     fn kind(&self) -> PolicyKind {
-        self.kind
+        PolicyKind::WestFirst
     }
 
     fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
@@ -633,59 +581,6 @@ impl RoutingPolicy for TurnModel {
         pick_scored(core, req, dirs, &mut self.rng, |d| {
             downstream_credits(core, req.at, d, req.class.index())
         })
-    }
-}
-
-/// West-first partially-adaptive routing (used by TFC). All westward
-/// correction happens first; once the packet no longer needs to go west,
-/// it may adaptively pick among the remaining productive directions.
-/// West-first forbids every turn into West, which breaks all cycles:
-/// deadlock-free.
-pub enum WestFirst {}
-
-/// North-last partially-adaptive routing: a packet may adaptively use
-/// East/West/South, but may only head North once no other productive
-/// direction remains (with minimal routing: once it is in the
-/// destination column). All turns out of North are thereby eliminated,
-/// which breaks every cycle: deadlock-free without VCs or detection.
-pub enum NorthLast {}
-
-/// Odd-even turn-model routing (Chiu): partially adaptive and
-/// deadlock-free by restricting *where* turns may occur instead of
-/// *which* turns exist —
-///
-/// * EN and ES turns are forbidden at nodes in even columns;
-/// * NW and SW turns are forbidden at nodes in odd columns.
-///
-/// Minimal-routing corollaries in its route set: an eastbound packet
-/// with remaining vertical offset must not enter an even destination
-/// column from the west (it could never turn there), and a packet that
-/// still needs to travel west may only move vertically in even columns
-/// (the later N/S→W turn must be legal).
-pub enum OddEven {}
-
-// The three names are constructors of the one `TurnModel` type.
-#[allow(clippy::new_ret_no_self)]
-impl WestFirst {
-    /// Creates the policy with a deterministic tie-break stream.
-    pub fn new(seed: u64) -> TurnModel {
-        TurnModel::new(PolicyKind::WestFirst, seed)
-    }
-}
-
-#[allow(clippy::new_ret_no_self)]
-impl NorthLast {
-    /// Creates the policy with a deterministic tie-break stream.
-    pub fn new(seed: u64) -> TurnModel {
-        TurnModel::new(PolicyKind::NorthLast, seed)
-    }
-}
-
-#[allow(clippy::new_ret_no_self)]
-impl OddEven {
-    /// Creates the policy with a deterministic tie-break stream.
-    pub fn new(seed: u64) -> TurnModel {
-        TurnModel::new(PolicyKind::OddEven, seed)
     }
 }
 
@@ -723,12 +618,7 @@ impl RoutingPolicy for EscapeVcRouting {
         // VCs, the first listed on a tie.
         let adaptive = |d| free_in(core, req.at, d, escape + 1..range.end);
         // Escape lane: the deterministic XY hop into the escape VC.
-        let xy = introspect::route_set(
-            PolicyKind::EscapeXy,
-            core.xy(req.at),
-            core.xy(req.dst),
-            req.in_port,
-        );
+        let xy = introspect::route_set(PolicyKind::EscapeXy, core.xy(req.at), core.xy(req.dst));
         let escape_lane = |d| free_in(core, req.at, d, escape..escape + 1);
         select(req, self.desired_ports(core, req), adaptive, |_| false)
             .or_else(|| select(req, xy, escape_lane, |_| false))
@@ -916,62 +806,29 @@ mod tests {
         assert!(range.contains(&dec.out_vc));
     }
 
-    #[test]
-    fn north_is_deferred_to_last() {
-        let mut c = core(0, 2);
-        // (2,2) -> (3,0): productive {E, N}; north-last must pick E.
-        let pkt = req_between(&mut c, 10, 3);
-        let mut pol = NorthLast::new(3);
-        for _ in 0..10 {
-            let dec = route_of(&c, &mut pol, pkt, 10).unwrap();
-            assert_eq!(dec.out_port, Port::Dir(Direction::East));
-        }
-        // Column-aligned: North is the only productive and is allowed.
-        let pkt2 = req_between(&mut c, 14, 2); // (2,3) -> (2,0)
-        let dec = route_of(&c, &mut pol, pkt2, 14).unwrap();
-        assert_eq!(dec.out_port, Port::Dir(Direction::North));
-    }
-
-    /// `route_set` itself, at the coordinates the turn-model tests above
-    /// route through, plus the dimension orders it derives from the wait
+    /// `route_set` itself, at the coordinates the west-first test above
+    /// routes through, plus the dimension orders it derives from the wait
     /// set's listing order.
     #[test]
     fn route_set_filters_the_wait_set() {
         use super::introspect::route_set;
         use Direction::{East, North, South, West};
         use PolicyKind as K;
-        let (inj, from) = (Port::Local, Port::Dir);
-        type Case = (K, (u16, u16), (u16, u16), Port, &'static [Direction]);
-        let cases: [Case; 13] = [
+        type Case = (K, (u16, u16), (u16, u16), &'static [Direction]);
+        let cases: [Case; 7] = [
             // (2,2) -> (0,0): W and N productive.
-            (K::WestFirst, (2, 2), (0, 0), inj, &[West]),
-            (K::WestFirst, (0, 0), (3, 3), inj, &[East, South]),
-            // (2,2) -> (3,0): E and N productive; North only once alone.
-            (K::NorthLast, (2, 2), (3, 0), inj, &[East]),
-            (K::NorthLast, (2, 3), (2, 0), inj, &[North]),
-            // Travelling east (arrived on the West input port): EN is
-            // forbidden at an even column, allowed at an odd one.
-            (K::OddEven, (2, 2), (2, 0), from(West), &[]),
-            (K::OddEven, (1, 2), (1, 0), from(West), &[North]),
-            // Travelling north at an odd column: NW forbidden; injected
-            // packets are unrestricted by turn history.
-            (K::OddEven, (1, 2), (0, 2), from(South), &[]),
-            (K::OddEven, (1, 2), (0, 2), inj, &[West]),
+            (K::WestFirst, (2, 2), (0, 0), &[West]),
+            (K::WestFirst, (0, 0), (3, 3), &[East, South]),
             // Dimension orders and the adaptive set, on a diagonal.
-            (K::Xy, (1, 1), (2, 0), inj, &[East]),
-            (K::EscapeXy, (1, 1), (2, 0), inj, &[East]),
-            (K::Yx, (1, 1), (2, 0), inj, &[North]),
-            (K::FullyAdaptive, (1, 1), (2, 0), inj, &[East, North]),
-            (K::FullyAdaptive, (1, 1), (1, 1), inj, &[]),
+            (K::Xy, (1, 1), (2, 0), &[East]),
+            (K::EscapeXy, (1, 1), (2, 0), &[East]),
+            (K::Yx, (1, 1), (2, 0), &[North]),
+            (K::FullyAdaptive, (1, 1), (2, 0), &[East, North]),
+            (K::FullyAdaptive, (1, 1), (1, 1), &[]),
         ];
-        for (kind, at, dst, in_port, want) in cases {
-            let got: Vec<_> = route_set(kind, at, dst, in_port).iter().collect();
-            assert_eq!(
-                got,
-                want,
-                "{} at {at:?} dst {dst:?} in {in_port}",
-                kind.name()
-            );
+        for (kind, at, dst, want) in cases {
+            let got: Vec<_> = route_set(kind, at, dst).iter().collect();
+            assert_eq!(got, want, "{} at {at:?} dst {dst:?}", kind.name());
         }
     }
 
@@ -985,8 +842,6 @@ mod tests {
         contract::check(&mut FullyAdaptive::new(1)).unwrap();
         contract::check(&mut WestFirst::new(1)).unwrap();
         contract::check(&mut EscapeVcRouting::new(1)).unwrap();
-        contract::check(&mut NorthLast::new(1)).unwrap();
-        contract::check(&mut OddEven::new(1)).unwrap();
     }
 
     /// The checker is not vacuous: a policy that draws a random number
@@ -1051,60 +906,58 @@ mod tests {
         }
     }
 
-    /// Empirical deadlock-freedom soak for the turn-model policies: heavy
-    /// adversarial traffic, a single VC, no resolution scheme — if the
-    /// turn rules were wrong, the network would wedge.
+    /// Empirical deadlock-freedom soak for west-first: heavy adversarial
+    /// traffic, a single VC, no resolution scheme — if the turn rule were
+    /// wrong, the network would wedge.
     #[test]
-    fn turn_models_never_wedge() {
+    fn west_first_never_wedges() {
         use crate::regular::{advance, AdvanceCtx};
-        for mut pol in [NorthLast::new(5), OddEven::new(5), WestFirst::new(5)] {
-            let which = pol.name();
-            let mut c = NetworkCore::new(
-                noc_core::config::SimConfig::builder()
-                    .mesh(4, 4)
-                    .vns(0)
-                    .vcs_per_vn(1)
-                    .seed(7)
-                    .build(),
-            );
-            let mut wl_rng = noc_core::rng::DetRng::new(11);
-            let mut last_consumed = 0u64;
-            let mut consumed = 0u64;
-            for cycle in 0..8_000u64 {
-                // Saturating random traffic.
-                for src in 0..16 {
-                    if wl_rng.chance(0.4) {
-                        let mut dst = wl_rng.range(0, 15);
-                        if dst >= src {
-                            dst += 1;
-                        }
-                        c.generate(Packet::new(
-                            NodeId::new(src),
-                            NodeId::new(dst),
-                            MessageClass::Request,
-                            1 + 4 * (wl_rng.chance(0.5) as u8),
-                            cycle,
-                        ));
+        let mut pol = WestFirst::new(5);
+        let mut c = NetworkCore::new(
+            noc_core::config::SimConfig::builder()
+                .mesh(4, 4)
+                .vns(0)
+                .vcs_per_vn(1)
+                .seed(7)
+                .build(),
+        );
+        let mut wl_rng = noc_core::rng::DetRng::new(11);
+        let mut last_consumed = 0u64;
+        let mut consumed = 0u64;
+        for cycle in 0..8_000u64 {
+            // Saturating random traffic.
+            for src in 0..16 {
+                if wl_rng.chance(0.4) {
+                    let mut dst = wl_rng.range(0, 15);
+                    if dst >= src {
+                        dst += 1;
                     }
+                    c.generate(Packet::new(
+                        NodeId::new(src),
+                        NodeId::new(dst),
+                        MessageClass::Request,
+                        1 + 4 * (wl_rng.chance(0.5) as u8),
+                        cycle,
+                    ));
                 }
-                advance(&mut c, &mut pol, &AdvanceCtx::default());
-                let now = c.cycle();
-                for n in c.mesh().nodes() {
-                    if c.ni(n).ej_consumable(MessageClass::Request, now).is_some() {
-                        let e = c.ni_mut(n).pop_ej(MessageClass::Request).unwrap();
-                        c.store.remove(e.pkt);
-                        consumed += 1;
-                        last_consumed = now;
-                    }
-                }
-                c.advance_cycle();
             }
-            assert!(consumed > 1_000, "{which}: too little delivered");
-            assert!(
-                c.cycle() - last_consumed < 500,
-                "{which} wedged: no consumption for {} cycles",
-                c.cycle() - last_consumed
-            );
+            advance(&mut c, &mut pol, &AdvanceCtx::default());
+            let now = c.cycle();
+            for n in c.mesh().nodes() {
+                if c.ni(n).ej_consumable(MessageClass::Request, now).is_some() {
+                    let e = c.ni_mut(n).pop_ej(MessageClass::Request).unwrap();
+                    c.store.remove(e.pkt);
+                    consumed += 1;
+                    last_consumed = now;
+                }
+            }
+            c.advance_cycle();
         }
+        assert!(consumed > 1_000, "too little delivered");
+        assert!(
+            c.cycle() - last_consumed < 500,
+            "wedged: no consumption for {} cycles",
+            c.cycle() - last_consumed
+        );
     }
 }

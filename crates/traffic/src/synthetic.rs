@@ -84,8 +84,7 @@ impl SyntheticPattern {
     /// # Panics
     ///
     /// Panics if the mesh does not satisfy the pattern's structural
-    /// requirement (square for transpose, power-of-two nodes for the bit
-    /// patterns).
+    /// requirement, the one [`check`](Self::check) names.
     pub fn dest(self, mesh: Mesh, src: NodeId, rng: &mut DetRng) -> Option<NodeId> {
         let n = mesh.num_nodes();
         let bits = n.trailing_zeros() as usize;
@@ -192,6 +191,35 @@ pub fn check_rate(rate: f64) -> Result<(), String> {
     }
 }
 
+impl SyntheticPattern {
+    /// The one rule for a mesh a front end runs this pattern on: the bit
+    /// patterns need a power-of-two node count, transpose a square mesh.
+    ///
+    /// # Errors
+    ///
+    /// Names the pattern, its requirement and the mesh when it is unmet.
+    pub fn check(self, mesh: Mesh) -> Result<(), String> {
+        let (w, h, n) = (mesh.width(), mesh.height(), mesh.num_nodes());
+        match self {
+            SyntheticPattern::Shuffle
+            | SyntheticPattern::BitRotation
+            | SyntheticPattern::BitComplement
+                if !n.is_power_of_two() =>
+            {
+                Err(format!(
+                    "pattern {} needs a power-of-two node count; a {w}x{h} mesh has {n}",
+                    self.name()
+                ))
+            }
+            SyntheticPattern::Transpose if w != h => Err(format!(
+                "pattern {} needs a square mesh, not {w}x{h}",
+                self.name()
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl SyntheticWorkload {
     /// Creates a workload injecting at `rate` packets/node/cycle.
     pub fn new(pattern: SyntheticPattern, rate: f64, seed: u64) -> Self {
@@ -283,6 +311,44 @@ mod tests {
         for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
             let err = check_rate(bad).expect_err("rejected");
             assert!(err.contains(&format!("rate {bad} ")), "{err}");
+        }
+    }
+
+    /// `check` accepts exactly the meshes `dest` runs on: every pattern
+    /// on 6×6 (36 nodes), 8×8 and a non-square 4×8, each source node.
+    #[test]
+    fn check_names_exactly_the_meshes_dest_rejects() {
+        use SyntheticPattern as P;
+        for (w, h) in [(6, 6), (8, 8), (4, 8)] {
+            let mesh = Mesh::new(w, h);
+            for p in P::ALL {
+                let bit = matches!(p, P::Shuffle | P::BitRotation | P::BitComplement);
+                let unmet = match (w, h) {
+                    (6, 6) => bit,
+                    (4, 8) => p == P::Transpose,
+                    _ => false,
+                };
+                let checked = p.check(mesh);
+                assert_eq!(
+                    checked.is_err(),
+                    unmet,
+                    "{} on {w}x{h}: {checked:?}",
+                    p.name()
+                );
+                if let Err(e) = checked {
+                    assert!(
+                        e.contains(p.name()) && e.contains(&format!("{w}x{h}")),
+                        "{e}"
+                    );
+                }
+                let runs = std::panic::catch_unwind(|| {
+                    let mut rng = DetRng::new(3);
+                    for src in mesh.nodes() {
+                        p.dest(mesh, src, &mut rng);
+                    }
+                });
+                assert_eq!(runs.is_err(), unmet, "{} on {w}x{h}", p.name());
+            }
         }
     }
 

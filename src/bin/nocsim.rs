@@ -211,6 +211,7 @@ fn run() -> Result<(), String> {
         let pname = args.get("pattern").unwrap_or("uniform");
         let pattern = SyntheticPattern::from_name(pname)
             .ok_or_else(|| format!("unknown pattern `{pname}` (try --list)"))?;
+        pattern.check(cfg.mesh)?;
         make_sim(id, pattern, rate, size, vcs, seed)
     };
     let stats = if args.get("app").is_some() && args.num::<u64>("quota", 0)? > 0 {

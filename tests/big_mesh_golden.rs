@@ -1,13 +1,12 @@
-//! Big-mesh golden gate for the batched executor.
+//! Big-mesh golden gate: the simulator at 256 nodes.
 //!
 //! Runs 16×16-mesh sweep points through
-//! [`noc_sim::batch::run_windows_batched`] — all points interleaved in
-//! one hot loop — and compares the FNV-1a hash of each point's fully
-//! serialized [`NetStats`](noc_core::stats::NetStats) JSON against the
-//! committed `tests/golden/netstats_16x16.json` fixture. A passing run
-//! proves two things at once: the simulator's behavior at 256 nodes is
-//! bitwise reproducible across commits, and batched interleaving does
-//! not perturb any point's results.
+//! [`Simulation::run_windows`](noc_sim::Simulation::run_windows) and
+//! compares the FNV-1a hash of each point's fully serialized
+//! [`NetStats`](noc_core::stats::NetStats) JSON against the committed
+//! `tests/golden/netstats_16x16.json` fixture. A passing run proves the
+//! simulator's behavior at 256 nodes is bitwise reproducible across
+//! commits.
 //!
 //! Two scopes share the one fixture:
 //!
@@ -29,8 +28,6 @@
 
 use bench::runner::{make_sim, netstats_fnv64};
 use bench::SchemeId;
-use noc_sim::batch::run_windows_batched;
-use noc_sim::Simulation;
 use traffic::SyntheticPattern;
 
 const MESH_SIZE: usize = 16;
@@ -67,24 +64,22 @@ fn smoke_matrix() -> Vec<(SchemeId, f64)> {
     SCHEMES.iter().map(|&id| (id, RATES[0])).collect()
 }
 
-/// Runs `points` as one batch and returns their golden records in
-/// input order.
-fn run_batched(points: &[(SchemeId, f64)]) -> Vec<GoldenPoint> {
-    let mut sims: Vec<Simulation> = points
-        .iter()
-        .map(|&(id, rate)| make_sim(id, SyntheticPattern::Uniform, rate, MESH_SIZE, FP_VCS, SEED))
-        .collect();
-    let all = run_windows_batched(&mut sims, WARMUP, MEASURE);
+/// Runs each of `points` and returns their golden records in input
+/// order.
+fn run_points(points: &[(SchemeId, f64)]) -> Vec<GoldenPoint> {
     points
         .iter()
-        .zip(&all)
-        .map(|(&(id, rate), stats)| GoldenPoint {
-            scheme: id.name().to_string(),
-            rate,
-            netstats_fnv64: netstats_fnv64(stats),
-            delivered: stats.delivered(),
-            generated: stats.generated,
-            cycles: stats.cycles,
+        .map(|&(id, rate)| {
+            let mut sim = make_sim(id, SyntheticPattern::Uniform, rate, MESH_SIZE, FP_VCS, SEED);
+            let stats = sim.run_windows(WARMUP, MEASURE);
+            GoldenPoint {
+                scheme: id.name().to_string(),
+                rate,
+                netstats_fnv64: netstats_fnv64(&stats),
+                delivered: stats.delivered(),
+                generated: stats.generated,
+                cycles: stats.cycles,
+            }
         })
         .collect()
 }
@@ -93,10 +88,11 @@ fn env_on(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
+// The name predates the serial run; CI steps and test selections use it.
 #[test]
 fn big_mesh_batched_matches_golden_fixture() {
     if env_on("FP_GOLDEN_REGEN") {
-        let points = run_batched(&full_matrix());
+        let points = run_points(&full_matrix());
         let json = serde_json::to_string_pretty(&points).unwrap();
         std::fs::write(FIXTURE, json + "\n").expect("write fixture");
         eprintln!("regenerated {FIXTURE}");
@@ -107,7 +103,7 @@ fn big_mesh_batched_matches_golden_fixture() {
     } else {
         smoke_matrix()
     };
-    let points = run_batched(&matrix);
+    let points = run_points(&matrix);
     let text = std::fs::read_to_string(FIXTURE)
         .expect("missing tests/golden/netstats_16x16.json — run with FP_GOLDEN_REGEN=1 once");
     let golden: Vec<GoldenPoint> = serde_json::from_str(&text).expect("fixture parses");
@@ -123,7 +119,7 @@ fn big_mesh_batched_matches_golden_fixture() {
             });
         assert_eq!(
             got, want,
-            "16x16 batched NetStats diverged from golden fixture for {} @ rate {}",
+            "16x16 NetStats diverged from golden fixture for {} @ rate {}",
             want.scheme, want.rate
         );
     }

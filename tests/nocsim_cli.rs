@@ -62,6 +62,16 @@ fn out_of_range_size_and_vcs_are_usage_errors() {
     }
 }
 
+/// A bit pattern on a mesh whose node count is not a power of two is a
+/// usage error under the pattern's own rule, not a panic mid-run.
+#[test]
+fn patterns_the_mesh_cannot_carry_are_usage_errors() {
+    assert_usage_error(
+        &["--size", "6", "--pattern", "bit-rotation"],
+        "bit-rotation needs a power-of-two node count",
+    );
+}
+
 /// `nocsim args` is a usage error: exit 2 and one `nocsim:` line that
 /// contains `needle`, with nothing simulated.
 fn assert_usage_error(args: &[&str], needle: &str) {
