@@ -90,27 +90,47 @@ impl fmt::Display for MessageClass {
 }
 
 /// Unique identifier of a packet for the lifetime of a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// One word, `seq << 32 | slot`: `seq` is the packet's creation sequence
+/// (0, 1, 2, … per store, never reused) and `slot` the [`PacketStore`]
+/// slot it lives in, which a later packet may reuse once this one is
+/// removed. [`raw`](Self::raw), `Display` and `Debug` show `seq` only,
+/// and since `seq` is unique and sits in the high bits, `Ord`, `Eq` and
+/// `Hash` on the whole word order and identify ids exactly as `seq`
+/// does. The slot half is the store's business.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(u64);
 
 impl PacketId {
     /// Filler value for pre-sized storage (flat arenas, scratch slots)
     /// whose entries are guarded by a separate occupancy signal. Readers
     /// must never interpret a slot's id without checking that signal: the
-    /// placeholder aliases a real id (`raw() == 0`) on purpose, so any
-    /// code path that trusts it unguarded fails loudly in conservation
-    /// audits rather than silently dropping traffic.
+    /// placeholder aliases a real id (the first packet, `raw() == 0`) on
+    /// purpose, so any code path that trusts it unguarded fails loudly in
+    /// conservation audits rather than silently dropping traffic.
     pub const PLACEHOLDER: PacketId = PacketId(0);
 
-    /// Raw value (also the insertion order of the packet).
+    /// Creation sequence of the packet: 0 for the first packet a store
+    /// creates, 1 for the next, and so on.
     pub fn raw(self) -> u64 {
-        self.0
+        self.0 >> 32
+    }
+
+    /// The store slot this packet occupies.
+    fn slot(self) -> usize {
+        (self.0 & u64::from(u32::MAX)) as usize
     }
 }
 
 impl fmt::Display for PacketId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "P{}", self.0)
+        write!(f, "P{}", self.raw())
+    }
+}
+
+impl fmt::Debug for PacketId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("PacketId").field(&self.raw()).finish()
     }
 }
 
@@ -128,7 +148,7 @@ pub enum DeliveryKind {
 ///
 /// Timing fields are filled in by the simulator as the packet progresses;
 /// they feed the latency statistics of Figs. 7, 9, 10 and 12.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Packet {
     id: PacketId,
     /// Source node.
@@ -248,9 +268,21 @@ impl PacketSeed {
 /// Buffers and queues throughout the simulator store only [`PacketId`]s;
 /// the store maps them back to the full [`Packet`]. Delivered packets are
 /// removed by the engine once their statistics are recorded.
+///
+/// The store is a slab: `remove` puts the packet's slot on a LIFO free
+/// list and `insert` reuses the most recently freed slot, appending one
+/// only when every slot is live. Memory is therefore proportional to
+/// the peak number of live packets, not to the packets ever created.
+/// Because a slot is reused, every lookup checks that the slot still
+/// holds the packet its id names: [`get`](Self::get),
+/// [`get_mut`](Self::get_mut) and [`remove`](Self::remove) panic on a
+/// stale id, and [`contains`](Self::contains) answers false.
 #[derive(Debug, Default)]
 pub struct PacketStore {
-    packets: Vec<Option<Packet>>,
+    slots: Vec<Option<Packet>>,
+    /// Indices of the empty slots, most recently freed last.
+    free: Vec<u32>,
+    created: u64,
     live: usize,
 }
 
@@ -261,9 +293,23 @@ impl PacketStore {
     }
 
     /// Inserts a new packet, assigning its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store has already created 2^32 packets, or would
+    /// need more than 2^32 slots: neither fits its half of a [`PacketId`].
     pub fn insert(&mut self, seed: PacketSeed) -> PacketId {
-        let id = PacketId(self.packets.len() as u64);
-        self.packets.push(Some(Packet {
+        let seq = u32::try_from(self.created).expect("packet store: 2^32 packets created");
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("packet store: 2^32 slots live");
+                self.slots.push(None);
+                slot
+            }
+        };
+        let id = PacketId(u64::from(seq) << 32 | u64::from(slot));
+        self.slots[slot as usize] = Some(Packet {
             id,
             src: seed.src,
             dst: seed.dst,
@@ -279,7 +325,8 @@ impl PacketStore {
             rejections: 0,
             drops: 0,
             txn: seed.txn,
-        }));
+        });
+        self.created += 1;
         self.live += 1;
         id
     }
@@ -289,11 +336,13 @@ impl PacketStore {
     /// # Panics
     ///
     /// Panics if the packet was already freed — buffers must never hold
-    /// stale ids.
+    /// stale ids. This holds in release builds too, even once a later
+    /// packet occupies the freed slot.
     pub fn get(&self, id: PacketId) -> &Packet {
-        self.packets[id.0 as usize]
-            .as_ref()
-            .expect("packet freed while still referenced")
+        match self.slots.get(id.slot()) {
+            Some(Some(p)) if p.id == id => p,
+            _ => panic!("packet freed while still referenced"),
+        }
     }
 
     /// Mutable access to a packet.
@@ -302,24 +351,31 @@ impl PacketStore {
     ///
     /// Panics if the packet was already freed.
     pub fn get_mut(&mut self, id: PacketId) -> &mut Packet {
-        self.packets[id.0 as usize]
-            .as_mut()
-            .expect("packet freed while still referenced")
+        match self.slots.get_mut(id.slot()) {
+            Some(Some(p)) if p.id == id => p,
+            _ => panic!("packet freed while still referenced"),
+        }
     }
 
     /// Whether `id` still refers to a live packet.
     pub fn contains(&self, id: PacketId) -> bool {
-        self.packets.get(id.0 as usize).is_some_and(|p| p.is_some())
+        matches!(self.slots.get(id.slot()), Some(Some(p)) if p.id == id)
     }
 
     /// Number of packets ever created.
-    pub fn created(&self) -> usize {
-        self.packets.len()
+    pub fn created(&self) -> u64 {
+        self.created
     }
 
     /// Number of live (not yet freed) packets.
     pub fn live(&self) -> usize {
         self.live
+    }
+
+    /// Number of slots allocated: the peak of [`live`](Self::live) so
+    /// far, since a slot is appended only when every slot is live.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Removes and returns a packet (used after its stats are recorded).
@@ -328,16 +384,18 @@ impl PacketStore {
     ///
     /// Panics if the packet was already freed.
     pub fn remove(&mut self, id: PacketId) -> Packet {
-        let p = self.packets[id.0 as usize]
-            .take()
-            .expect("packet freed twice");
+        assert!(self.contains(id), "packet freed twice");
+        let p = self.slots[id.slot()].take().expect("checked live above");
+        // The slot index came from a `u32` in `insert`.
+        self.free.push(id.slot() as u32);
         self.live -= 1;
         p
     }
 
-    /// Iterator over all live packets.
+    /// Iterator over all live packets, in no particular order (slot
+    /// order, which reuse decouples from creation order).
     pub fn iter(&self) -> impl Iterator<Item = &Packet> {
-        self.packets.iter().filter_map(|p| p.as_ref())
+        self.slots.iter().flatten()
     }
 }
 
@@ -347,6 +405,10 @@ mod tests {
 
     fn node(i: usize) -> NodeId {
         NodeId::new(i)
+    }
+
+    fn request() -> PacketSeed {
+        Packet::new(node(0), node(1), MessageClass::Request, 1, 0)
     }
 
     #[test]
@@ -393,6 +455,78 @@ mod tests {
         store.remove(a);
         // Removing a must not disturb b.
         assert_eq!(store.get(b).dst, node(2));
+        // Creation sequence keeps counting across slot reuse.
+        let c = store.insert(request());
+        store.remove(b);
+        let d = store.insert(request());
+        let e = store.insert(request());
+        let raws: Vec<u64> = [a, b, c, d, e].iter().map(|id| id.raw()).collect();
+        assert_eq!(raws, [0, 1, 2, 3, 4]);
+        assert!(a < b && b < c && c < d && d < e);
+        assert_eq!(format!("{e} {e:?}"), "P4 PacketId(4)");
+        assert_eq!(store.created(), 5);
+        assert_eq!(store.slots(), 3);
+    }
+
+    /// Frees `a`, then inserts `b`, which takes `a`'s slot.
+    fn reused_slot() -> (PacketStore, PacketId, PacketId) {
+        let mut store = PacketStore::new();
+        let a = store.insert(request());
+        store.remove(a);
+        let b = store.insert(Packet::new(node(2), node(3), MessageClass::Response, 5, 9));
+        (store, a, b)
+    }
+
+    #[test]
+    fn a_freed_slot_is_reused_by_a_later_id() {
+        let (store, a, b) = reused_slot();
+        assert_eq!(store.slots(), 1);
+        assert_eq!(a.slot(), b.slot());
+        assert!(b > a);
+        assert!(b.raw() > a.raw());
+        assert_ne!(a, b);
+        assert!(!store.contains(a));
+        assert!(store.contains(b));
+        assert_eq!(store.get(b).id(), b);
+        assert_eq!(store.get(b).gen_cycle, 9);
+        assert_eq!(store.iter().map(Packet::id).collect::<Vec<_>>(), [b]);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet freed while still referenced")]
+    fn get_rejects_an_id_whose_slot_was_reused() {
+        let (store, a, _) = reused_slot();
+        store.get(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet freed while still referenced")]
+    fn get_mut_rejects_an_id_whose_slot_was_reused() {
+        let (mut store, a, _) = reused_slot();
+        store.get_mut(a).hops += 1;
+    }
+
+    #[test]
+    #[should_panic(expected = "packet freed twice")]
+    fn remove_rejects_an_id_whose_slot_was_reused() {
+        let (mut store, a, _) = reused_slot();
+        store.remove(a);
+    }
+
+    #[test]
+    fn the_free_list_is_lifo() {
+        let mut store = PacketStore::new();
+        let ids: Vec<_> = (0..3).map(|_| store.insert(request())).collect();
+        store.remove(ids[0]);
+        store.remove(ids[2]);
+        let (x, y, z) = (
+            store.insert(request()),
+            store.insert(request()),
+            store.insert(request()),
+        );
+        assert_eq!((x.slot(), y.slot(), z.slot()), (2, 0, 3));
+        assert_eq!(store.slots(), 4);
+        assert_eq!(store.live(), 4);
     }
 
     #[test]

@@ -229,7 +229,7 @@ pub fn audit(core: &NetworkCore) -> Vec<AuditError> {
 /// [`overlay_packets`]: crate::scheme::Scheme::overlay_packets
 pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) -> Vec<AuditError> {
     let mut errors = Vec::new();
-    let created = core.store.created() as u64;
+    let created = core.store.created();
     let live = core.store.live() as u64;
     if created != delivered + live {
         errors.push(AuditError {

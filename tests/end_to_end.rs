@@ -5,8 +5,10 @@
 use fastpass_noc::core::config::SimConfig;
 use fastpass_noc::fastpass::{FastPass, FastPassConfig};
 use fastpass_noc::schemes::{SchemeId, ALL_SCHEMES};
-use fastpass_noc::sim::Simulation;
+use fastpass_noc::sim::{NetworkCore, Simulation, Workload};
 use fastpass_noc::traffic::{AppModel, SyntheticPattern, SyntheticWorkload};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 #[test]
 fn every_scheme_delivers_every_pattern() {
@@ -78,6 +80,53 @@ fn packet_conservation_under_load() {
         generated,
         consumed + in_flight,
         "conservation: {generated} generated vs {consumed} consumed + {in_flight} in flight"
+    );
+}
+
+/// Synthetic traffic that records the store's live count right after
+/// generating, where it peaks within a cycle: packets leave the store
+/// only later, in the scheme step and the NI consumer.
+struct PeakLive {
+    traffic: SyntheticWorkload,
+    peak: Arc<AtomicUsize>,
+}
+
+impl Workload for PeakLive {
+    fn tick(&mut self, core: &mut NetworkCore) {
+        self.traffic.tick(core);
+        self.peak.fetch_max(core.store.live(), Ordering::Relaxed);
+    }
+}
+
+/// The packet store is a slab whose slots are reused LIFO, so it
+/// appends a slot only when every slot is live: over a long run its size
+/// is exactly the peak live count, not the packets ever created.
+#[test]
+fn packet_store_holds_only_the_peak_live_count() {
+    let id = SchemeId::EscapeVc;
+    let cfg = id.sim_config(4, 2, 11);
+    let scheme = id.build(&cfg, 1);
+    let peak = Arc::new(AtomicUsize::new(0));
+    let traffic = SyntheticWorkload::new(SyntheticPattern::Uniform, 0.05, 21);
+    let workload = PeakLive {
+        traffic,
+        peak: Arc::clone(&peak),
+    };
+    let mut sim = Simulation::new(cfg, scheme, Box::new(workload));
+    // No warmup reset: `generated` counts every packet the store created.
+    sim.run(200_000);
+    let store = &sim.core.store;
+    assert_eq!(
+        store.slots(),
+        peak.load(Ordering::Relaxed),
+        "slots vs peak live"
+    );
+    assert_eq!(store.created(), sim.core.stats.generated);
+    assert!(
+        store.created() > 100 * store.slots() as u64,
+        "{} created, {} slots",
+        store.created(),
+        store.slots()
     );
 }
 
