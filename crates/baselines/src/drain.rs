@@ -190,7 +190,7 @@ impl Drain {
                     if arrived_home && core.ni(node).ej_can_accept(class, pkt) {
                         let ready = now + core.cfg().ni_consume_cycles;
                         core.ni_mut(node).ej_begin(class, pkt);
-                        core.store.get_mut(pkt).eject_cycle = Some(now);
+                        core.store.get_mut(pkt).eject_cycle.set(now);
                         core.ni_mut(node)
                             .ej_commit(class, EjectEntry { pkt, ready });
                         continue;

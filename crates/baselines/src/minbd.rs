@@ -113,7 +113,7 @@ impl MinBd {
                 self.pending[i].pop_front();
                 core.ni_mut(node).ej_begin(class, pkt);
                 let ready = now + core.cfg().ni_consume_cycles;
-                core.store.get_mut(pkt).eject_cycle = Some(now);
+                core.store.get_mut(pkt).eject_cycle.set(now);
                 core.ni_mut(node)
                     .ej_commit(class, EjectEntry { pkt, ready });
                 self.in_air -= 1;
@@ -168,7 +168,7 @@ impl Scheme for MinBd {
                 if let Some((pkt, seq)) = self.inj[i] {
                     let (len, dst, age) = {
                         let p = core.store.get(pkt);
-                        (p.len_flits, p.dst, p.inject_cycle.unwrap_or(cycle))
+                        (p.len_flits, p.dst, p.inject_cycle.get().unwrap_or(cycle))
                     };
                     flits.push(DeflFlit {
                         pkt,
@@ -183,13 +183,13 @@ impl Scheme for MinBd {
                         None
                     };
                 } else {
-                    core.ni_mut(node).refill_inj();
+                    core.refill_inj(node);
                     for class in CLASSES {
                         if let Some(pkt) = core.ni(node).inj_head(class) {
                             core.ni_mut(node).pop_inj(class);
                             let (len, dst) = {
                                 let p = core.store.get_mut(pkt);
-                                p.inject_cycle = Some(cycle);
+                                p.inject_cycle.set(cycle);
                                 (p.len_flits, p.dst)
                             };
                             self.in_air += 1;
@@ -368,18 +368,19 @@ mod tests {
             5,
             0,
         ));
+        let mut got = None;
         for _ in 0..100 {
             mb.step(&mut core);
             core.advance_cycle();
-            if core
+            got = core
                 .ni(NodeId::new(15))
-                .ej_consumable(MessageClass::Request, core.cycle())
-                .is_some()
-            {
+                .ej_consumable(MessageClass::Request, core.cycle());
+            if got.is_some() {
                 break;
             }
         }
-        let pkt = core.store.get(id);
+        assert_eq!(got, Some(id));
+        let pkt = core.store.get(got.expect("checked above"));
         assert!(pkt.eject_cycle.is_some(), "packet delivered");
         assert!(pkt.hops >= 6, "at least minimal hops");
         assert_eq!(mb.overlay_packets(), 0);

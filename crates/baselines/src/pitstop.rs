@@ -133,7 +133,7 @@ impl Pitstop {
                 if core.store.get(pkt).gen_cycle + self.cfg.threshold <= now {
                     core.ni_mut(node).pop_inj(active);
                     if core.store.get(pkt).inject_cycle.is_none() {
-                        core.store.get_mut(pkt).inject_cycle = Some(now);
+                        core.store.get_mut(pkt).inject_cycle.set(now);
                     }
                     self.pits[node.index()].push_back(pkt);
                     self.pitted += 1;
@@ -247,7 +247,7 @@ impl Pitstop {
             let class = core.store.get(pkt).class;
             core.ni_mut(node).ej_begin(class, pkt);
             let ready = now + core.cfg().ni_consume_cycles;
-            core.store.get_mut(pkt).eject_cycle = Some(now);
+            core.store.get_mut(pkt).eject_cycle.set(now);
             core.ni_mut(node)
                 .ej_commit(class, EjectEntry { pkt, ready });
         }

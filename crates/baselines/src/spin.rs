@@ -62,20 +62,23 @@ impl Spin {
         }
     }
 
+    /// Whether any buffered packet is an unrouted, quiescent head blocked
+    /// for the detection threshold. Reads occupancy words, so idle
+    /// routers and free VCs cost nothing.
     fn any_suspect(&self, core: &NetworkCore) -> bool {
         let now = core.cycle();
-        let vcs = core.cfg().vcs_per_port();
-        core.mesh().nodes().any(|n| {
-            (0..noc_core::topology::NUM_PORTS).any(|p| {
-                (0..vcs).any(|vc| {
-                    core.input(n, p).occupant(vc).is_some_and(|o| {
+        core.mesh()
+            .nodes()
+            .filter(|&n| core.occupied_vcs(n) != 0)
+            .any(|n| {
+                (0..noc_core::topology::NUM_PORTS).any(|p| {
+                    core.input(n, p).occupied().any(|(_, o)| {
                         o.route.is_none()
                             && o.quiescent()
                             && o.blocked_for(now) >= self.cfg.detection_threshold
                     })
                 })
             })
-        })
     }
 
     /// The probe's modelled round-trip latency: proportional to the

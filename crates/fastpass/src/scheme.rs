@@ -223,7 +223,7 @@ impl FastPass {
                             let ready = cycle + core.cfg().ni_consume_cycles;
                             let class = {
                                 let pkt = core.store.get_mut(f.pkt);
-                                pkt.eject_cycle = Some(cycle);
+                                pkt.eject_cycle.set(cycle);
                                 pkt.hops += f.hops_out() as u32;
                                 pkt.bufferless_cycles += cycle + 1 - f.launch;
                                 pkt.class
@@ -273,12 +273,12 @@ impl FastPass {
     ) {
         let cycle = core.cycle();
         if core.ni(prime).inj_full(MessageClass::Request) {
-            let queue: Vec<PacketId> = core.ni(prime).inj_iter(MessageClass::Request).collect();
-            let victim_idx = queue
-                .iter()
+            let victim_idx = core
+                .ni(prime)
+                .inj_iter(MessageClass::Request)
                 .enumerate()
                 .rev()
-                .find(|(_, &id)| core.store.get(id).rejections == 0)
+                .find(|&(_, id)| core.store.get(id).rejections == 0)
                 .map(|(i, _)| i);
             if let Some(idx) = victim_idx {
                 let victim = core
@@ -315,6 +315,11 @@ impl FastPass {
                 }
             }
             let prime = self.schedule.prime(p, info.phase);
+            // A prime with no buffered packet and nothing queued at its
+            // NI has no candidate: `scan` would return `None` untouched.
+            if core.occupied_vcs(prime) == 0 && !core.ni(prime).has_work() {
+                continue;
+            }
             let covered = self.schedule.covered_partition(p, cycle);
             let remaining = self.schedule.remaining_in_slot(cycle);
             let Some((cand, dst, len)) = self.scan(core, p, prime, covered, remaining, cycle)
@@ -333,10 +338,10 @@ impl FastPass {
             {
                 let pkt = core.store.get_mut(pkt_id);
                 if pkt.upgrade_cycle.is_none() {
-                    pkt.upgrade_cycle = Some(cycle);
+                    pkt.upgrade_cycle.set(cycle);
                 }
                 if pkt.inject_cycle.is_none() {
-                    pkt.inject_cycle = Some(cycle);
+                    pkt.inject_cycle.set(cycle);
                 }
             }
             self.counters.upgrades += 1;

@@ -29,8 +29,9 @@
 //! counterexample is replayed concretely before being believed.
 
 use crate::script::ScriptCtl;
-use noc_core::packet::{PacketId, CLASSES};
-use noc_core::topology::NUM_PORTS;
+use noc_core::packet::{MessageClass, PacketId, CLASSES};
+use noc_core::topology::{NodeId, NUM_PORTS};
+use noc_sim::ni::SourceEntry;
 use noc_sim::{ExportItem, Simulation, StateExport};
 
 /// Canonicalization knobs.
@@ -72,18 +73,54 @@ impl Fnv {
 /// script (there should be none) fold as a tagged descriptor of their
 /// store record instead, so the digest stays total.
 fn fold_pkt(h: &mut Fnv, sim: &Simulation, ctl: &ScriptCtl, pkt: PacketId) {
+    fold_job_or(h, ctl, pkt, || {
+        let p = sim.core.store.get(pkt);
+        [
+            p.src.index(),
+            p.dst.index(),
+            p.class.index(),
+            p.len_flits as usize,
+        ]
+    });
+}
+
+/// Folds a source-queue entry of `node`'s `class` queue exactly as
+/// [`fold_pkt`] folds the packet it is or will be stored as: a pending
+/// record has no store record, but its descriptor words are the same.
+fn fold_source(
+    h: &mut Fnv,
+    sim: &Simulation,
+    ctl: &ScriptCtl,
+    node: NodeId,
+    class: MessageClass,
+    entry: SourceEntry,
+) {
+    match entry {
+        SourceEntry::Stored(pkt) => fold_pkt(h, sim, ctl, pkt),
+        SourceEntry::Pending(p) => fold_job_or(h, ctl, p.id(), || {
+            [
+                node.index(),
+                p.dst().index(),
+                class.index(),
+                p.len_flits() as usize,
+            ]
+        }),
+    }
+}
+
+/// The job id of `pkt`, or the tagged `[src, dst, class, len]`
+/// descriptor `describe` returns.
+fn fold_job_or(h: &mut Fnv, ctl: &ScriptCtl, pkt: PacketId, describe: impl FnOnce() -> [usize; 4]) {
     match ctl.job_of(pkt) {
         Some(job) => {
             h.word(2);
             h.word(job);
         }
         None => {
-            let p = sim.core.store.get(pkt);
             h.word(3);
-            h.word(p.src.index() as u64);
-            h.word(p.dst.index() as u64);
-            h.word(p.class.index() as u64);
-            h.word(p.len_flits as u64);
+            for w in describe() {
+                h.word(w as u64);
+            }
         }
     }
 }
@@ -151,8 +188,8 @@ pub fn canon_hash(sim: &Simulation, ctl: &ScriptCtl, params: &CanonParams) -> u6
     for node in core.mesh().nodes() {
         let ni = core.ni(node);
         for class in CLASSES {
-            for pkt in ni.source_iter(class) {
-                fold_pkt(&mut h, sim, ctl, pkt);
+            for entry in ni.source_iter(class) {
+                fold_source(&mut h, sim, ctl, node, class, entry);
             }
             h.word(u64::MAX);
             for pkt in ni.inj_iter(class) {

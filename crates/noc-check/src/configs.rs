@@ -181,7 +181,9 @@ mod tests {
             let cc = by_name(name).expect("known point");
             let mut core = NetworkCore::new(cc.point.sim_config());
             let (src, dst) = (NodeId::new(0), NodeId::new(3));
-            let pkt = core.generate(Packet::new(src, dst, MessageClass::Request, 1, 0));
+            let pkt = core
+                .store
+                .insert(Packet::new(src, dst, MessageClass::Request, 1, 0));
             let req = RouteReq::new(&core, src, Port::Local, 0, pkt);
             let ports = cc.diag_policy().desired_ports(&core, &req);
             assert_eq!(ports.len(), dirs, "{name}: {ports:?}");

@@ -9,7 +9,10 @@
 
 use crate::topology::NodeId;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::num::NonZeroU8;
 
 /// Coherence message class.
 ///
@@ -94,12 +97,18 @@ impl fmt::Display for MessageClass {
 /// One word, `seq << 32 | slot`: `seq` is the packet's creation sequence
 /// (0, 1, 2, … per store, never reused) and `slot` the [`PacketStore`]
 /// slot it lives in, which a later packet may reuse once this one is
-/// removed. [`raw`](Self::raw), `Display` and `Debug` show `seq` only,
-/// and since `seq` is unique and sits in the high bits, `Ord`, `Eq` and
-/// `Hash` on the whole word order and identify ids exactly as `seq`
-/// does. The slot half is the store's business.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// removed. A packet still waiting as a [`PendingPacket`] has no slot
+/// yet: its id's slot half is `u32::MAX` until the store materializes
+/// it.
+/// [`raw`](Self::raw), `Display` and `Debug` show `seq` only, and `Eq`,
+/// `Ord` and `Hash` read `seq` only, so an id taken before
+/// materialization equals, orders and hashes like the one the packet
+/// holds afterwards. The slot half is the store's business.
+#[derive(Clone, Copy)]
 pub struct PacketId(u64);
+
+/// Slot half of the id of a packet that holds no store slot yet.
+const NO_SLOT: u32 = u32::MAX;
 
 impl PacketId {
     /// Filler value for pre-sized storage (flat arenas, scratch slots)
@@ -110,15 +119,45 @@ impl PacketId {
     /// conservation audits rather than silently dropping traffic.
     pub const PLACEHOLDER: PacketId = PacketId(0);
 
+    fn new(seq: u32, slot: u32) -> PacketId {
+        PacketId(u64::from(seq) << 32 | u64::from(slot))
+    }
+
     /// Creation sequence of the packet: 0 for the first packet a store
     /// creates, 1 for the next, and so on.
     pub fn raw(self) -> u64 {
         self.0 >> 32
     }
 
-    /// The store slot this packet occupies.
+    /// The store slot this packet occupies ([`NO_SLOT`] while pending).
     fn slot(self) -> usize {
         (self.0 & u64::from(u32::MAX)) as usize
+    }
+}
+
+impl PartialEq for PacketId {
+    fn eq(&self, other: &Self) -> bool {
+        self.raw() == other.raw()
+    }
+}
+
+impl Eq for PacketId {}
+
+impl PartialOrd for PacketId {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for PacketId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.raw().cmp(&other.raw())
+    }
+}
+
+impl Hash for PacketId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.raw().hash(state);
     }
 }
 
@@ -144,6 +183,59 @@ pub enum DeliveryKind {
     FastPass,
 }
 
+/// An `Option<u64>` in one word: `u64::MAX`, which no cycle or
+/// transaction id reaches, stands for `None`. A [`Packet`]'s optional
+/// stamps use it so a store slot is 80 bytes rather than 112.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct OptU64(u64);
+
+impl OptU64 {
+    /// No value.
+    pub const NONE: OptU64 = OptU64(u64::MAX);
+
+    /// The value, if set.
+    pub fn get(self) -> Option<u64> {
+        (self.0 != u64::MAX).then_some(self.0)
+    }
+
+    /// Sets the value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is `u64::MAX`, the word that means "none".
+    pub fn set(&mut self, v: u64) {
+        assert_ne!(v, u64::MAX, "u64::MAX is reserved for none");
+        self.0 = v;
+    }
+
+    /// Whether a value is set.
+    pub fn is_some(self) -> bool {
+        self.0 != u64::MAX
+    }
+
+    /// Whether no value is set.
+    pub fn is_none(self) -> bool {
+        self.0 == u64::MAX
+    }
+}
+
+impl From<Option<u64>> for OptU64 {
+    fn from(v: Option<u64>) -> Self {
+        let mut o = OptU64::NONE;
+        if let Some(v) = v {
+            o.set(v);
+        }
+        o
+    }
+}
+
+/// Shows as the `Option<u64>` it stands for.
+impl fmt::Debug for OptU64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// A packet in flight.
 ///
 /// Timing fields are filled in by the simulator as the packet progresses;
@@ -162,15 +254,15 @@ pub struct Packet {
     /// Cycle the packet was created (enqueued at the source NI).
     pub gen_cycle: u64,
     /// Cycle the head flit entered the network, once it did.
-    pub inject_cycle: Option<u64>,
+    pub inject_cycle: OptU64,
     /// Cycle the tail flit was ejected at the destination, once it was.
-    pub eject_cycle: Option<u64>,
+    pub eject_cycle: OptU64,
     /// Hops traversed so far (regular + bufferless).
     pub hops: u32,
     /// Times this packet was deflected/misrouted (MinBD, SWAP, DRAIN).
     pub deflections: u32,
     /// Cycle the packet was upgraded to a FastPass-Packet, if ever.
-    pub upgrade_cycle: Option<u64>,
+    pub upgrade_cycle: OptU64,
     /// Cycles spent traversing bufferlessly on FastPass-Lanes (including
     /// returning paths). The remainder of its latency is "regular time".
     pub bufferless_cycles: u64,
@@ -181,7 +273,7 @@ pub struct Packet {
     /// MSHR state (only ever injection-queue requests, §III-C4).
     pub drops: u32,
     /// Protocol transaction this packet belongs to, if any.
-    pub txn: Option<u64>,
+    pub txn: OptU64,
 }
 
 impl Packet {
@@ -216,12 +308,12 @@ impl Packet {
 
     /// Total latency from generation to final ejection, if delivered.
     pub fn latency(&self) -> Option<u64> {
-        self.eject_cycle.map(|e| e - self.gen_cycle)
+        self.eject_cycle.get().map(|e| e - self.gen_cycle)
     }
 
     /// Network latency from injection to ejection, if delivered.
     pub fn network_latency(&self) -> Option<u64> {
-        match (self.inject_cycle, self.eject_cycle) {
+        match (self.inject_cycle.get(), self.eject_cycle.get()) {
             (Some(i), Some(e)) => Some(e.saturating_sub(i)),
             _ => None,
         }
@@ -263,6 +355,41 @@ impl PacketSeed {
     }
 }
 
+/// A packet whose creation sequence is reserved but which holds no
+/// store slot yet: everything an open-loop source queue needs to know
+/// about it, in 16 bytes. Its source is the node whose queue holds it
+/// and its class the queue; [`PacketStore::materialize`] turns it into a
+/// [`Packet`] under the reserved sequence, so its id, and with it every
+/// order and label derived from ids, is the one it would have had if it
+/// had been stored at generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PendingPacket {
+    seq: u32,
+    dst: NodeId,
+    // Never zero (a packet has at least one flit): the niche keeps an
+    // enum of this and a `PacketId` at 16 bytes too.
+    len_flits: NonZeroU8,
+    gen_cycle: u64,
+}
+
+impl PendingPacket {
+    /// The id the packet will hold once materialized (equal to it, but
+    /// naming no slot: look the packet up by the materialized id).
+    pub fn id(&self) -> PacketId {
+        PacketId::new(self.seq, NO_SLOT)
+    }
+
+    /// Destination node.
+    pub fn dst(&self) -> NodeId {
+        self.dst
+    }
+
+    /// Length in flits.
+    pub fn len_flits(&self) -> u8 {
+        self.len_flits.get()
+    }
+}
+
 /// Central owner of all packets in a simulation.
 ///
 /// Buffers and queues throughout the simulator store only [`PacketId`]s;
@@ -277,6 +404,12 @@ impl PacketSeed {
 /// holds the packet its id names: [`get`](Self::get),
 /// [`get_mut`](Self::get_mut) and [`remove`](Self::remove) panic on a
 /// stale id, and [`contains`](Self::contains) answers false.
+///
+/// A packet may also be created in two steps: [`reserve`](Self::reserve)
+/// takes its creation sequence and returns a slot-free
+/// [`PendingPacket`], and [`materialize`](Self::materialize) later gives
+/// it a slot under that sequence. [`created`](Self::created) counts
+/// reserved sequences, [`live`](Self::live) only packets holding a slot.
 #[derive(Debug, Default)]
 pub struct PacketStore {
     slots: Vec<Option<Packet>>,
@@ -297,18 +430,75 @@ impl PacketStore {
     /// # Panics
     ///
     /// Panics if the store has already created 2^32 packets, or would
-    /// need more than 2^32 slots: neither fits its half of a [`PacketId`].
+    /// need more than 2^32 - 1 slots: neither fits its half of a
+    /// [`PacketId`].
     pub fn insert(&mut self, seed: PacketSeed) -> PacketId {
+        let seq = self.next_seq();
+        self.place(seq, seed)
+    }
+
+    /// Reserves the next creation sequence for `seed` without giving it
+    /// a slot: the returned record is the packet until
+    /// [`materialize`](Self::materialize) stores it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the seed carries a protocol transaction (a pending
+    /// record has no room for one: insert such packets directly), if its
+    /// length is zero, or if the store has already created 2^32 packets.
+    pub fn reserve(&mut self, seed: &PacketSeed) -> PendingPacket {
+        assert!(seed.txn.is_none(), "a pending packet cannot carry a txn");
+        let len_flits = NonZeroU8::new(seed.len_flits).expect("a packet has at least one flit");
+        PendingPacket {
+            seq: self.next_seq(),
+            dst: seed.dst,
+            len_flits,
+            gen_cycle: seed.gen_cycle,
+        }
+    }
+
+    /// Stores a reserved packet, generated at `src` in `class`, under its
+    /// reserved sequence, and returns its id (equal to
+    /// [`PendingPacket::id`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store would need more than 2^32 - 1 slots.
+    pub fn materialize(
+        &mut self,
+        pending: PendingPacket,
+        src: NodeId,
+        class: MessageClass,
+    ) -> PacketId {
+        let seed = Packet::new(
+            src,
+            pending.dst,
+            class,
+            pending.len_flits(),
+            pending.gen_cycle,
+        );
+        self.place(pending.seq, seed)
+    }
+
+    fn next_seq(&mut self) -> u32 {
         let seq = u32::try_from(self.created).expect("packet store: 2^32 packets created");
+        self.created += 1;
+        seq
+    }
+
+    fn place(&mut self, seq: u32, seed: PacketSeed) -> PacketId {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("packet store: 2^32 slots live");
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != NO_SLOT)
+                    .expect("packet store: 2^32 slots live");
                 self.slots.push(None);
                 slot
             }
         };
-        let id = PacketId(u64::from(seq) << 32 | u64::from(slot));
+        let id = PacketId::new(seq, slot);
         self.slots[slot as usize] = Some(Packet {
             id,
             src: seed.src,
@@ -316,17 +506,16 @@ impl PacketStore {
             class: seed.class,
             len_flits: seed.len_flits,
             gen_cycle: seed.gen_cycle,
-            inject_cycle: None,
-            eject_cycle: None,
+            inject_cycle: OptU64::NONE,
+            eject_cycle: OptU64::NONE,
             hops: 0,
             deflections: 0,
-            upgrade_cycle: None,
+            upgrade_cycle: OptU64::NONE,
             bufferless_cycles: 0,
             rejections: 0,
             drops: 0,
-            txn: seed.txn,
+            txn: seed.txn.into(),
         });
-        self.created += 1;
         self.live += 1;
         id
     }
@@ -337,7 +526,8 @@ impl PacketStore {
     ///
     /// Panics if the packet was already freed — buffers must never hold
     /// stale ids. This holds in release builds too, even once a later
-    /// packet occupies the freed slot.
+    /// packet occupies the freed slot. A pending packet's id names no
+    /// slot and panics the same way.
     pub fn get(&self, id: PacketId) -> &Packet {
         match self.slots.get(id.slot()) {
             Some(Some(p)) if p.id == id => p,
@@ -362,12 +552,12 @@ impl PacketStore {
         matches!(self.slots.get(id.slot()), Some(Some(p)) if p.id == id)
     }
 
-    /// Number of packets ever created.
+    /// Number of packets ever created, pending ones included.
     pub fn created(&self) -> u64 {
         self.created
     }
 
-    /// Number of live (not yet freed) packets.
+    /// Number of live packets: materialized and not yet freed.
     pub fn live(&self) -> usize {
         self.live
     }
@@ -530,14 +720,119 @@ mod tests {
     }
 
     #[test]
+    fn a_pending_packet_materializes_with_its_reserved_seq() {
+        let mut store = PacketStore::new();
+        let pending = store.reserve(&Packet::new(
+            node(4),
+            node(7),
+            MessageClass::Writeback,
+            5,
+            33,
+        ));
+        assert_eq!(std::mem::size_of::<PendingPacket>(), 16);
+        assert_eq!((store.created(), store.live(), store.slots()), (1, 0, 0));
+        assert!(!store.contains(pending.id()));
+        let id = store.materialize(pending, node(4), MessageClass::Writeback);
+        assert_eq!(id, pending.id());
+        assert_eq!(id.raw(), 0);
+        let p = store.get(id);
+        assert_eq!((p.id(), p.src, p.dst), (id, node(4), node(7)));
+        assert_eq!(
+            (p.class, p.len_flits, p.gen_cycle),
+            (MessageClass::Writeback, 5, 33)
+        );
+        assert_eq!((p.txn.get(), p.inject_cycle.get(), p.hops), (None, None, 0));
+        assert_eq!((store.created(), store.live(), store.slots()), (1, 1, 1));
+    }
+
+    #[test]
+    fn seq_order_survives_late_materialization() {
+        let mut store = PacketStore::new();
+        let early = store.reserve(&request());
+        let middle = store.insert(request());
+        let late = store.reserve(&request());
+        // Materialized out of order, into slots in the same out-of-order
+        // sequence, yet ids compare by creation.
+        let late_id = store.materialize(late, node(0), MessageClass::Request);
+        let early_id = store.materialize(early, node(0), MessageClass::Request);
+        assert_eq!([early_id, middle, late_id].map(PacketId::raw), [0, 1, 2]);
+        assert!(early_id < middle && middle < late_id);
+        assert_eq!(format!("{early_id} {late_id:?}"), "P0 PacketId(2)");
+        assert_eq!(store.created(), 3);
+    }
+
+    #[test]
+    fn a_pending_id_equals_and_hashes_like_the_materialized_one() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |id: PacketId| {
+            let mut h = DefaultHasher::new();
+            id.hash(&mut h);
+            h.finish()
+        };
+        let mut store = PacketStore::new();
+        store.insert(request());
+        let pending = store.reserve(&request());
+        let id = store.materialize(pending, node(0), MessageClass::Request);
+        assert_eq!(pending.id(), id);
+        assert_eq!(pending.id().cmp(&id), Ordering::Equal);
+        assert_eq!(hash(pending.id()), hash(id));
+        let map = std::collections::BTreeMap::from([(pending.id(), "job")]);
+        assert_eq!(map.get(&id), Some(&"job"));
+    }
+
+    #[test]
+    #[should_panic(expected = "packet freed while still referenced")]
+    fn a_pending_id_names_no_slot() {
+        let mut store = PacketStore::new();
+        let pending = store.reserve(&request());
+        store.get(pending.id());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot carry a txn")]
+    fn a_transaction_cannot_be_pending() {
+        PacketStore::new().reserve(&request().with_txn(3));
+    }
+
+    #[test]
+    fn a_store_slot_is_80_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Packet>>(), 80);
+    }
+
+    #[test]
+    fn opt_u64_reads_as_the_option_it_stands_for() {
+        let mut o = OptU64::NONE;
+        assert_eq!(
+            (o.get(), o.is_none(), format!("{o:?}")),
+            (None, true, "None".into())
+        );
+        o.set(0);
+        assert_eq!(
+            (o.get(), o.is_some(), format!("{o:?}")),
+            (Some(0), true, "Some(0)".into())
+        );
+        o.set(u64::MAX - 1);
+        assert_eq!(o.get(), Some(u64::MAX - 1));
+        assert_eq!(OptU64::from(Some(7)).get(), Some(7));
+        assert_eq!(OptU64::from(None), OptU64::NONE);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved for none")]
+    fn opt_u64_refuses_its_none_word() {
+        let mut o = OptU64::NONE;
+        o.set(u64::MAX);
+    }
+
+    #[test]
     fn latency_accounting() {
         let mut store = PacketStore::new();
         let id = store.insert(Packet::new(node(0), node(3), MessageClass::Request, 1, 100));
         assert_eq!(store.get(id).latency(), None);
         {
             let p = store.get_mut(id);
-            p.inject_cycle = Some(110);
-            p.eject_cycle = Some(150);
+            p.inject_cycle.set(110);
+            p.eject_cycle.set(150);
         }
         assert_eq!(store.get(id).latency(), Some(50));
         assert_eq!(store.get(id).network_latency(), Some(40));
@@ -548,7 +843,7 @@ mod tests {
     fn upgraded_packet_reports_fastpass_delivery() {
         let mut store = PacketStore::new();
         let id = store.insert(Packet::new(node(0), node(3), MessageClass::Request, 1, 0));
-        store.get_mut(id).upgrade_cycle = Some(7);
+        store.get_mut(id).upgrade_cycle.set(7);
         assert_eq!(store.get(id).delivery_kind(), DeliveryKind::FastPass);
     }
 

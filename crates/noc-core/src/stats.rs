@@ -480,11 +480,11 @@ mod tests {
         ));
         {
             let p = store.get_mut(id);
-            p.inject_cycle = Some(104);
-            p.eject_cycle = Some(140);
+            p.inject_cycle.set(104);
+            p.eject_cycle.set(140);
             p.hops = 6;
             if fastpass {
-                p.upgrade_cycle = Some(120);
+                p.upgrade_cycle.set(120);
                 p.bufferless_cycles = 12;
             }
         }

@@ -185,9 +185,11 @@ pub fn audit(core: &NetworkCore) -> Vec<AuditError> {
 ///
 /// Checks:
 /// * **packet conservation** — every packet ever injected is delivered,
-///   resident, or overlay-held: `created == delivered + live` (nothing
-///   leaves the store except through consumption) and
-///   `live == resident + overlay` (nothing in the store is orphaned);
+///   resident, or overlay-held: `created == delivered + live + pending`
+///   (nothing leaves the store except through consumption; `pending`
+///   counts the source-queue records not stored yet) and
+///   `live + pending == resident + overlay` (nothing in the store is
+///   orphaned);
 /// * **arena-word consistency** — per `(node, port)` the routed and
 ///   ready words are subsets of the occupancy word, each occupied slot's
 ///   routed bit matches its stored route and its ready bit matches
@@ -231,12 +233,13 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
     let mut errors = Vec::new();
     let created = core.store.created();
     let live = core.store.live() as u64;
-    if created != delivered + live {
+    let pending = core.pending_packets() as u64;
+    if created != delivered + live + pending {
         errors.push(AuditError {
             location: "packet store".into(),
             problem: format!(
                 "{created} packets created but {delivered} delivered + {live} live \
-                 (a packet left the store without being consumed)"
+                 + {pending} pending (a packet left the store without being consumed)"
             ),
         });
     }
@@ -382,13 +385,14 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
     // Residency counting indexes downstream VCs, so it is only
     // well-defined once every allocated credit is in range.
     if credits_in_range {
+        // Residency counts source-queue entries, pending ones included.
         let resident = core.resident_packets();
-        if live as usize != resident + overlay {
+        if (live + pending) as usize != resident + overlay {
             errors.push(AuditError {
                 location: "packet store".into(),
                 problem: format!(
-                    "{live} live packets but {resident} resident + {overlay} overlay \
-                     (a packet is in the store but nowhere in the system)"
+                    "{live} live + {pending} pending packets but {resident} resident \
+                     + {overlay} overlay (a packet is in the store but nowhere in the system)"
                 ),
             });
         }
@@ -582,7 +586,7 @@ mod tests {
     #[test]
     fn detects_counter_corruption() {
         let mut c = core();
-        let id = c.generate(Packet::new(
+        let id = c.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(5),
             MessageClass::Request,
@@ -600,7 +604,7 @@ mod tests {
     #[test]
     fn detects_dangling_reservation() {
         let mut c = core();
-        let id = c.generate(Packet::new(
+        let id = c.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(5),
             MessageClass::Request,
@@ -652,7 +656,7 @@ mod tests {
     #[test]
     fn conservation_flags_a_leaked_packet() {
         let mut c = core();
-        let id = c.generate(Packet::new(
+        let id = c.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(5),
             MessageClass::Request,
@@ -675,7 +679,7 @@ mod tests {
         let mut c = core();
         let ids: Vec<PacketId> = (0..2)
             .map(|i| {
-                c.generate(Packet::new(
+                c.store.insert(Packet::new(
                     NodeId::new(i),
                     NodeId::new(6),
                     MessageClass::Request,
@@ -704,7 +708,7 @@ mod tests {
     fn conservation_flags_out_of_range_credit() {
         use noc_core::topology::Direction;
         let mut c = core();
-        let id = c.generate(Packet::new(
+        let id = c.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(6),
             MessageClass::Request,
@@ -890,7 +894,7 @@ mod tests {
     #[test]
     fn conservation_flags_a_drifted_occupied_nodes_bit() {
         let mut c = core();
-        let id = c.generate(Packet::new(
+        let id = c.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(6),
             MessageClass::Request,
@@ -913,7 +917,7 @@ mod tests {
     #[test]
     fn conservation_flags_drifted_ready_and_parked_words() {
         let mut c = core();
-        let id = c.generate(Packet::new(
+        let id = c.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(6),
             MessageClass::Request,

@@ -7,12 +7,12 @@
 //! buffers are freed only when the tail flit has left.
 
 use crate::arena::{m_arrived, InputMut, InputRef, VcArena};
-use crate::ni::NiState;
+use crate::ni::{NiState, SourceEntry};
 use crate::probe::{Phase, PhaseProbe};
 use crate::router::RouterState;
 use crate::vc::VcOccupant;
 use noc_core::config::SimConfig;
-use noc_core::packet::{PacketId, PacketSeed, PacketStore};
+use noc_core::packet::{PacketId, PacketSeed, PacketStore, CLASSES};
 use noc_core::stats::NetStats;
 use noc_core::topology::{Direction, LinkId, Mesh, NodeId, Port, DIRECTIONS, NUM_PORTS};
 use noc_trace::{TraceConfig, Tracer};
@@ -405,6 +405,14 @@ impl NetworkCore {
     /// Creates a packet and enqueues it at its source NI. This is the
     /// single entry point for workloads (open- and closed-loop).
     ///
+    /// The packet's creation sequence, and so its id, is taken here, but
+    /// a packet without a protocol transaction waits in the source queue
+    /// as a [`PendingPacket`](noc_core::packet::PendingPacket) and enters
+    /// the store only when [`refill_inj`](Self::refill_inj) moves it into
+    /// the injection queue: look it up in [`store`](Self::store) by the
+    /// id buffers hold, not by the one returned here (the two are equal,
+    /// but only the stored one names a slot).
+    ///
     /// # Panics
     ///
     /// Panics if the seed's source equals its destination or the packet
@@ -419,15 +427,38 @@ impl NetworkCore {
         );
         let class = seed.class;
         let src = seed.src;
-        let id = self.store.insert(seed);
-        self.nis[src.index()].push_source(class, id);
+        // MSHR-bounded protocol traffic never backs up far: its packets
+        // are stored at once rather than widen every pending record.
+        let entry = match seed.txn {
+            Some(_) => SourceEntry::Stored(self.store.insert(seed)),
+            None => SourceEntry::Pending(self.store.reserve(&seed)),
+        };
+        self.nis[src.index()].push_source(class, entry);
         self.stats.generated += 1;
         #[cfg(test)]
         if self.fault_skip_generate_mark {
-            return id;
+            return entry.id();
         }
         self.ni_live[src.index() / 64] |= 1 << (src.index() % 64);
-        id
+        entry.id()
+    }
+
+    /// Moves packets from `node`'s source queues into its injection
+    /// queues while there is room, storing each pending one as it moves
+    /// (see [`NiState::refill_inj`]). Returns how many moved. The NI
+    /// holds the same packets before and after, so its live-NI mark
+    /// stands as it is.
+    pub fn refill_inj(&mut self, node: NodeId) -> usize {
+        self.nis[node.index()].refill_inj(node, &mut self.store)
+    }
+
+    /// Pending packets (created, not yet stored) across every source
+    /// queue: `store.created()` is delivered + `store.live()` + this.
+    pub fn pending_packets(&self) -> usize {
+        self.nis
+            .iter()
+            .map(|ni| CLASSES.iter().map(|&c| ni.pending(c)).sum::<usize>())
+            .sum()
     }
 
     // ---- staged flit movement --------------------------------------------
@@ -710,8 +741,39 @@ mod tests {
         ));
         assert_eq!(core.stats.generated, 1);
         assert_eq!(core.ni(NodeId::new(0)).source_depth(), 1);
-        assert_eq!(core.store.get(id).dst, NodeId::new(8));
         assert_eq!(core.resident_packets(), 1);
+        // Created, but pending: no store slot until it moves on.
+        assert_eq!((core.store.created(), core.store.live()), (1, 0));
+        assert_eq!(core.pending_packets(), 1);
+        assert_eq!(core.refill_inj(NodeId::new(0)), 1);
+        let stored = core
+            .ni(NodeId::new(0))
+            .inj_head(MessageClass::Request)
+            .expect("refilled");
+        assert_eq!(stored, id);
+        assert_eq!(core.store.get(stored).dst, NodeId::new(8));
+        assert_eq!((core.store.live(), core.pending_packets()), (1, 0));
+    }
+
+    #[test]
+    fn transaction_packets_are_stored_at_generation() {
+        let mut core = small_core();
+        let seed = Packet::new(NodeId::new(0), NodeId::new(8), MessageClass::Request, 1, 0);
+        let plain = core.generate(seed.clone());
+        let txn = core.generate(seed.with_txn(7));
+        assert_eq!((core.store.created(), core.store.live()), (2, 1));
+        assert_eq!(core.store.get(txn).txn.get(), Some(7));
+        assert!(!core.store.contains(plain));
+        core.refill_inj(NodeId::new(0));
+        let queued: Vec<_> = core
+            .ni(NodeId::new(0))
+            .inj_iter(MessageClass::Request)
+            .collect();
+        assert_eq!(
+            queued,
+            [plain, txn],
+            "generation order kept across the two forms"
+        );
     }
 
     #[test]
@@ -743,7 +805,7 @@ mod tests {
     #[test]
     fn staged_arrival_lifecycle() {
         let mut core = small_core();
-        let id = core.generate(Packet::new(
+        let id = core.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(8),
             MessageClass::Request,
@@ -770,7 +832,7 @@ mod tests {
     #[test]
     fn drain_frees_vc_at_apply() {
         let mut core = small_core();
-        let id = core.generate(Packet::new(
+        let id = core.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(8),
             MessageClass::Request,
@@ -793,7 +855,7 @@ mod tests {
     #[should_panic(expected = "staged moves pending")]
     fn advance_cycle_with_pending_moves_panics() {
         let mut core = small_core();
-        let id = core.generate(Packet::new(
+        let id = core.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(8),
             MessageClass::Request,
@@ -809,7 +871,7 @@ mod tests {
     #[test]
     fn take_vc_packet_frees_immediately() {
         let mut core = small_core();
-        let id = core.generate(Packet::new(
+        let id = core.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(8),
             MessageClass::Request,

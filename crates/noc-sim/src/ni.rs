@@ -12,8 +12,31 @@
 //! ever dropped from, and dropped requests are regenerated from MSHR
 //! state after a local re-issue delay.
 
-use noc_core::packet::{MessageClass, PacketId, NUM_CLASSES};
+use noc_core::packet::{MessageClass, PacketId, PacketStore, PendingPacket, CLASSES, NUM_CLASSES};
+use noc_core::topology::NodeId;
 use std::collections::VecDeque;
+
+/// An entry of an open-loop source queue (16 bytes either way).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SourceEntry {
+    /// A generated packet that holds no store slot yet: the refill that
+    /// moves it into the injection queue stores it.
+    Pending(PendingPacket),
+    /// A packet already in the store: a regenerated request, or one that
+    /// carries a protocol transaction.
+    Stored(PacketId),
+}
+
+impl SourceEntry {
+    /// The packet's id (a pending one's names no slot yet, but equals the
+    /// id it will be stored under).
+    pub fn id(self) -> PacketId {
+        match self {
+            SourceEntry::Pending(p) => p.id(),
+            SourceEntry::Stored(id) => id,
+        }
+    }
+}
 
 /// An entry waiting in an ejection queue: the packet and the cycle from
 /// which the consumer may take it.
@@ -57,8 +80,10 @@ pub struct NiState {
     /// Unbounded open-loop source queues, one per class. Packets wait
     /// here before there is room in the finite injection queue; source
     /// queueing time counts toward packet latency (standard open-loop
-    /// methodology).
-    source: [VecDeque<PacketId>; NUM_CLASSES],
+    /// methodology). Past saturation these hold most packets of a run,
+    /// so a generated packet waits as a 16-byte pending record and takes
+    /// a store slot only when it moves on.
+    source: [VecDeque<SourceEntry>; NUM_CLASSES],
     /// Finite per-class injection queues (the buffers a FastPass prime
     /// router scans first, and the only droppable buffers).
     inj: [VecDeque<PacketId>; NUM_CLASSES],
@@ -118,9 +143,10 @@ impl NiState {
 
     // ---- source side -------------------------------------------------
 
-    /// Enqueues a freshly generated packet at the source.
-    pub fn push_source(&mut self, class: MessageClass, pkt: PacketId) {
-        self.source[class.index()].push_back(pkt);
+    /// Enqueues a freshly generated packet at the back of its source
+    /// queue.
+    pub fn push_source(&mut self, class: MessageClass, entry: SourceEntry) {
+        self.source[class.index()].push_back(entry);
         self.inj_items += 1;
         self.src_items += 1;
     }
@@ -128,7 +154,7 @@ impl NiState {
     /// Enqueues a regenerated packet at the *front* of its source queue
     /// (it logically predates everything behind it).
     pub fn push_source_front(&mut self, class: MessageClass, pkt: PacketId) {
-        self.source[class.index()].push_front(pkt);
+        self.source[class.index()].push_front(SourceEntry::Stored(pkt));
         self.inj_items += 1;
         self.src_items += 1;
     }
@@ -143,22 +169,33 @@ impl NiState {
         self.src_items as usize
     }
 
+    /// Pending records (packets not yet in the store) in a class's source
+    /// queue.
+    pub fn pending(&self, class: MessageClass) -> usize {
+        self.source[class.index()]
+            .iter()
+            .filter(|e| matches!(e, SourceEntry::Pending(_)))
+            .count()
+    }
+
     /// Moves packets from source queues into injection queues while there
-    /// is room. Returns how many were moved.
-    pub fn refill_inj(&mut self) -> usize {
+    /// is room, storing each pending record as a packet generated at
+    /// `src` (this NI's node). Returns how many were moved.
+    pub fn refill_inj(&mut self, src: NodeId, store: &mut PacketStore) -> usize {
         if self.src_items == 0 {
             return 0;
         }
         let mut moved = 0;
-        for c in 0..NUM_CLASSES {
+        for class in CLASSES {
+            let c = class.index();
             while self.inj[c].len() < self.inj_cap {
-                match self.source[c].pop_front() {
-                    Some(p) => {
-                        self.inj[c].push_back(p);
-                        moved += 1;
-                    }
+                let pkt = match self.source[c].pop_front() {
+                    Some(SourceEntry::Pending(p)) => store.materialize(p, src, class),
+                    Some(SourceEntry::Stored(id)) => id,
                     None => break,
-                }
+                };
+                self.inj[c].push_back(pkt);
+                moved += 1;
             }
         }
         self.src_items -= moved as u32;
@@ -222,13 +259,16 @@ impl NiState {
     }
 
     /// Iterates a class's injection queue front-to-back.
-    pub fn inj_iter(&self, class: MessageClass) -> impl Iterator<Item = PacketId> + '_ {
+    pub fn inj_iter(
+        &self,
+        class: MessageClass,
+    ) -> impl DoubleEndedIterator<Item = PacketId> + ExactSizeIterator + '_ {
         self.inj[class.index()].iter().copied()
     }
 
     /// Iterates a class's source queue front-to-back (state export for
     /// the model checker; the queue is unbounded, order is behavioural).
-    pub fn source_iter(&self, class: MessageClass) -> impl Iterator<Item = PacketId> + '_ {
+    pub fn source_iter(&self, class: MessageClass) -> impl Iterator<Item = SourceEntry> + '_ {
         self.source[class.index()].iter().copied()
     }
 
@@ -456,48 +496,94 @@ mod tests {
         store.insert(Packet::new(NodeId::new(0), NodeId::new(1), class, 1, 0))
     }
 
+    /// A freshly generated packet of node 0, as `generate` queues it.
+    fn generated(store: &mut PacketStore, class: MessageClass) -> SourceEntry {
+        SourceEntry::Pending(store.reserve(&Packet::new(
+            NodeId::new(0),
+            NodeId::new(1),
+            class,
+            1,
+            0,
+        )))
+    }
+
+    fn refill(ni: &mut NiState, store: &mut PacketStore) -> usize {
+        ni.refill_inj(NodeId::new(0), store)
+    }
+
+    #[test]
+    fn source_entries_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<SourceEntry>(), 16);
+    }
+
     #[test]
     fn source_to_inj_refill_respects_capacity() {
         let mut store = PacketStore::new();
         let mut ni = NiState::new(2, 2);
         for _ in 0..5 {
-            let p = pkt(&mut store, MessageClass::Request);
+            let p = generated(&mut store, MessageClass::Request);
             ni.push_source(MessageClass::Request, p);
         }
-        assert_eq!(ni.refill_inj(), 2);
+        assert_eq!(refill(&mut ni, &mut store), 2);
         assert!(ni.inj_full(MessageClass::Request));
         assert_eq!(ni.source_depth(), 3);
+        assert_eq!(ni.pending(MessageClass::Request), 3);
+        // Only what moved took a store slot.
+        assert_eq!((store.created(), store.live()), (5, 2));
         // Popping one makes room for exactly one more.
         ni.pop_inj(MessageClass::Request);
-        assert_eq!(ni.refill_inj(), 1);
+        assert_eq!(refill(&mut ni, &mut store), 1);
+        assert_eq!(store.live(), 3);
+    }
+
+    #[test]
+    fn refill_stores_a_pending_record_as_generated() {
+        let mut store = PacketStore::new();
+        let mut ni = NiState::new(4, 4);
+        let seed = Packet::new(NodeId::new(6), NodeId::new(2), MessageClass::Forward, 5, 17);
+        let entry = SourceEntry::Pending(store.reserve(&seed));
+        ni.push_source(MessageClass::Forward, entry);
+        ni.refill_inj(NodeId::new(6), &mut store);
+        let id = ni.inj_head(MessageClass::Forward).expect("moved");
+        assert_eq!(id, entry.id());
+        let p = store.get(id);
+        assert_eq!((p.src, p.dst, p.class), (seed.src, seed.dst, seed.class));
+        assert_eq!((p.len_flits, p.gen_cycle), (5, 17));
     }
 
     #[test]
     fn regenerated_packets_jump_the_source_queue() {
         let mut store = PacketStore::new();
         let mut ni = NiState::new(4, 4);
-        let a = pkt(&mut store, MessageClass::Request);
+        let a = generated(&mut store, MessageClass::Request);
         let b = pkt(&mut store, MessageClass::Request);
+        let c = generated(&mut store, MessageClass::Request);
         ni.push_source(MessageClass::Request, a);
         ni.push_source_front(MessageClass::Request, b);
-        ni.refill_inj();
+        ni.push_source(MessageClass::Request, c);
+        assert_eq!(
+            ni.source_iter(MessageClass::Request).collect::<Vec<_>>(),
+            [SourceEntry::Stored(b), a, c]
+        );
+        refill(&mut ni, &mut store);
         assert_eq!(ni.pop_inj(MessageClass::Request), Some(b));
-        assert_eq!(ni.pop_inj(MessageClass::Request), Some(a));
+        assert_eq!(ni.pop_inj(MessageClass::Request), Some(a.id()));
+        assert_eq!(ni.pop_inj(MessageClass::Request), Some(c.id()));
     }
 
     #[test]
     fn dynamic_bubble_drop_and_park() {
         let mut store = PacketStore::new();
         let mut ni = NiState::new(2, 2);
-        let a = pkt(&mut store, MessageClass::Request);
-        let b = pkt(&mut store, MessageClass::Request);
+        let a = generated(&mut store, MessageClass::Request);
+        let b = generated(&mut store, MessageClass::Request);
         ni.push_source(MessageClass::Request, a);
         ni.push_source(MessageClass::Request, b);
-        ni.refill_inj();
+        refill(&mut ni, &mut store);
         assert!(ni.inj_full(MessageClass::Request));
         // The *newest* injection request (b) is the drop victim.
         let victim = ni.drop_inj_tail(MessageClass::Request).unwrap();
-        assert_eq!(victim, b);
+        assert_eq!(victim, b.id());
         let rejected = pkt(&mut store, MessageClass::Request);
         ni.park_rejected(MessageClass::Request, rejected);
         // The rejected packet is at the *front*: first to be re-examined.
@@ -513,18 +599,18 @@ mod tests {
     fn park_overflow_uses_bypass_latch_and_blocks_refill() {
         let mut store = PacketStore::new();
         let mut ni = NiState::new(1, 1);
-        let a = pkt(&mut store, MessageClass::Request);
+        let a = generated(&mut store, MessageClass::Request);
         ni.push_source(MessageClass::Request, a);
-        ni.refill_inj();
+        refill(&mut ni, &mut store);
         let r = pkt(&mut store, MessageClass::Request);
         // No droppable victim scenario: park still succeeds (green path).
         ni.park_rejected(MessageClass::Request, r);
         assert_eq!(ni.inj_head(MessageClass::Request), Some(r));
         assert_eq!(ni.inj_len(MessageClass::Request), 2);
         // Over capacity: refill refuses to add more.
-        let b = pkt(&mut store, MessageClass::Request);
+        let b = generated(&mut store, MessageClass::Request);
         ni.push_source(MessageClass::Request, b);
-        assert_eq!(ni.refill_inj(), 0);
+        assert_eq!(refill(&mut ni, &mut store), 0);
     }
 
     #[test]
@@ -533,12 +619,12 @@ mod tests {
         let mut ni = NiState::new(3, 1);
         let ids: Vec<_> = (0..3)
             .map(|_| {
-                let p = pkt(&mut store, MessageClass::Request);
+                let p = generated(&mut store, MessageClass::Request);
                 ni.push_source(MessageClass::Request, p);
-                p
+                p.id()
             })
             .collect();
-        ni.refill_inj();
+        refill(&mut ni, &mut store);
         let order: Vec<_> = ni.inj_iter(MessageClass::Request).collect();
         assert_eq!(order, ids);
         let victim = ni.remove_inj_at(MessageClass::Request, 1).unwrap();
@@ -609,15 +695,17 @@ mod tests {
     fn per_class_queues_are_independent() {
         let mut store = PacketStore::new();
         let mut ni = NiState::new(1, 1);
-        let req = pkt(&mut store, MessageClass::Request);
-        let resp = pkt(&mut store, MessageClass::Response);
+        let req = generated(&mut store, MessageClass::Request);
+        let resp = generated(&mut store, MessageClass::Response);
         ni.push_source(MessageClass::Request, req);
         ni.push_source(MessageClass::Response, resp);
-        ni.refill_inj();
+        refill(&mut ni, &mut store);
         assert!(ni.inj_full(MessageClass::Request));
         assert!(ni.inj_full(MessageClass::Response));
-        assert_eq!(ni.inj_head(MessageClass::Request), Some(req));
-        assert_eq!(ni.inj_head(MessageClass::Response), Some(resp));
+        assert_eq!(ni.inj_head(MessageClass::Request), Some(req.id()));
+        assert_eq!(ni.inj_head(MessageClass::Response), Some(resp.id()));
+        let stored = ni.inj_head(MessageClass::Response).expect("moved");
+        assert_eq!(store.get(stored).class, MessageClass::Response);
         assert_eq!(ni.resident_packets(), 2);
     }
 

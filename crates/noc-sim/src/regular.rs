@@ -457,7 +457,7 @@ fn eject_flit(core: &mut NetworkCore, node: NodeId, p: usize, vc: usize) {
         let ready = cycle + core.cfg().ni_consume_cycles;
         let class = {
             let pkt = core.store.get_mut(pkt_id);
-            pkt.eject_cycle = Some(cycle);
+            pkt.eject_cycle.set(cycle);
             pkt.class
         };
         core.ni_mut(node)
@@ -484,7 +484,7 @@ fn injection(core: &mut NetworkCore, node: NodeId) {
         let class = core.store.get(pkt).class;
         core.ni_mut(node).push_source_front(class, pkt);
     }
-    core.ni_mut(node).refill_inj();
+    core.refill_inj(node);
 
     // Continue an active injection stream: one flit per cycle.
     if let Some(stream) = core.ni(node).inj_stream {
@@ -532,7 +532,7 @@ fn injection(core: &mut NetworkCore, node: NodeId) {
         .expect("queue head vanished");
     let len = {
         let pkt = core.store.get_mut(pkt_id);
-        pkt.inject_cycle = Some(cycle);
+        pkt.inject_cycle.set(cycle);
         pkt.len_flits
     };
     core.arena.install(
@@ -769,7 +769,7 @@ mod tests {
         let (got, _) = run_until_consumable(&mut c, dst, MessageClass::Request, 100)
             .expect("packet never delivered");
         assert_eq!(got, id);
-        let pkt = c.store.get(id);
+        let pkt = c.store.get(got);
         assert_eq!(pkt.hops, 6);
         assert!(pkt.inject_cycle.is_some());
         let lat = pkt.latency().unwrap();
@@ -784,10 +784,10 @@ mod tests {
         let mut c5 = core(4, 4);
         let src = NodeId::new(0);
         let dst = NodeId::new(3);
-        let a = c1.generate(Packet::new(src, dst, MessageClass::Request, 1, 0));
-        let b = c5.generate(Packet::new(src, dst, MessageClass::Request, 5, 0));
-        run_until_consumable(&mut c1, dst, MessageClass::Request, 100).unwrap();
-        run_until_consumable(&mut c5, dst, MessageClass::Request, 100).unwrap();
+        c1.generate(Packet::new(src, dst, MessageClass::Request, 1, 0));
+        c5.generate(Packet::new(src, dst, MessageClass::Request, 5, 0));
+        let (a, _) = run_until_consumable(&mut c1, dst, MessageClass::Request, 100).unwrap();
+        let (b, _) = run_until_consumable(&mut c5, dst, MessageClass::Request, 100).unwrap();
         let l1 = c1.store.get(a).latency().unwrap();
         let l5 = c5.store.get(b).latency().unwrap();
         assert_eq!(
@@ -1012,8 +1012,9 @@ mod tests {
             c.advance_cycle();
         }
         assert!(c.router(dst).eject_lock.is_none());
-        assert_eq!(c.ni(dst).ej_len(MessageClass::Request), 1);
-        let done = c.store.get(id).eject_cycle.unwrap();
+        let landed = c.ni(dst).ej_iter(MessageClass::Request).next().unwrap().pkt;
+        assert_eq!((c.ni(dst).ej_len(MessageClass::Request), landed), (1, id));
+        let done = c.store.get(landed).eject_cycle.get().unwrap();
         assert!(
             done > engaged_at + 10,
             "completion must reflect the stall ({done} vs engaged {engaged_at})"

@@ -640,7 +640,7 @@ mod tests {
     }
 
     fn req_between(core: &mut NetworkCore, src: usize, dst: usize) -> noc_core::PacketId {
-        core.generate(Packet::new(
+        core.store.insert(Packet::new(
             NodeId::new(src),
             NodeId::new(dst),
             MessageClass::Request,
@@ -791,7 +791,7 @@ mod tests {
     fn vn_isolation_respected() {
         // A Response packet must only be offered Response-VN VCs.
         let mut c = core(6, 2);
-        let pkt = c.generate(Packet::new(
+        let pkt = c.store.insert(Packet::new(
             NodeId::new(0),
             NodeId::new(3),
             MessageClass::Response,

@@ -189,6 +189,7 @@ impl Sampler {
             w.ni_source += ni.source_depth() as u64;
             w.ni_regen += ni.regen_pending() as u64;
             for c in CLASSES {
+                w.in_flight[c.index()] += ni.pending(c) as u64;
                 w.ni_inj += ni.inj_len(c) as u64;
                 w.ni_ej += ni.ej_len(c) as u64;
             }

@@ -160,7 +160,7 @@ mod tests {
 
     /// Places a quiescent packet into a specific buffer.
     fn place(core: &mut NetworkCore, node: usize, port: Port, src: usize, dst: usize) {
-        let id = core.generate(Packet::new(
+        let id = core.store.insert(Packet::new(
             NodeId::new(src),
             NodeId::new(dst),
             MessageClass::Request,

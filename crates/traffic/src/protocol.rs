@@ -190,7 +190,7 @@ impl Workload for ProtocolWorkload {
         self.open = self.open.saturating_sub(1);
         let cycle = core.cycle();
         let here = pkt.dst;
-        let txn = pkt.txn.unwrap_or(0);
+        let txn = pkt.txn.get().unwrap_or(0);
         match pkt.class {
             MessageClass::Request => {
                 // Home node: respond directly (a sink obligation) or

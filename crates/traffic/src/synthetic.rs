@@ -298,9 +298,30 @@ impl Workload for SyntheticWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_core::packet::CLASSES;
+    use noc_sim::ni::SourceEntry;
 
     fn mesh8() -> Mesh {
         Mesh::new(8, 8)
+    }
+
+    /// `(class, length)` of every packet waiting in a source queue, where
+    /// ticking the workload alone leaves all it generated.
+    fn queued(core: &NetworkCore) -> Vec<(MessageClass, u8)> {
+        let mut out = Vec::new();
+        for n in core.mesh().nodes() {
+            for class in CLASSES {
+                for entry in core.ni(n).source_iter(class) {
+                    let len = match entry {
+                        SourceEntry::Pending(p) => p.len_flits(),
+                        SourceEntry::Stored(id) => core.store.get(id).len_flits,
+                    };
+                    out.push((class, len));
+                }
+            }
+        }
+        assert!(!out.is_empty(), "the workload generated nothing");
+        out
     }
 
     #[test]
@@ -465,8 +486,8 @@ mod tests {
             wl.tick(&mut core);
             core.advance_cycle();
         }
-        for p in core.store.iter() {
-            assert_eq!(p.class, MessageClass::Request);
+        for (class, _) in queued(&core) {
+            assert_eq!(class, MessageClass::Request);
         }
     }
 
@@ -482,8 +503,8 @@ mod tests {
                 wl.tick(&mut core);
                 core.advance_cycle();
             }
-            for p in core.store.iter() {
-                assert_eq!(p.len_flits, expect_len);
+            for (_, len) in queued(&core) {
+                assert_eq!(len, expect_len);
             }
         }
     }

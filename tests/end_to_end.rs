@@ -3,9 +3,11 @@
 //! determinism through the full public API.
 
 use fastpass_noc::core::config::SimConfig;
+use fastpass_noc::core::packet::NUM_CLASSES;
+use fastpass_noc::core::topology::NUM_PORTS;
 use fastpass_noc::fastpass::{FastPass, FastPassConfig};
 use fastpass_noc::schemes::{SchemeId, ALL_SCHEMES};
-use fastpass_noc::sim::{NetworkCore, Simulation, Workload};
+use fastpass_noc::sim::{NetworkCore, Scheme, Simulation, StateExport};
 use fastpass_noc::traffic::{AppModel, SyntheticPattern, SyntheticWorkload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -83,18 +85,53 @@ fn packet_conservation_under_load() {
     );
 }
 
-/// Synthetic traffic that records the store's live count right after
-/// generating, where it peaks within a cycle: packets leave the store
-/// only later, in the scheme step and the NI consumer.
-struct PeakLive {
-    traffic: SyntheticWorkload,
-    peak: Arc<AtomicUsize>,
+/// A scheme that, after each step, records the store's live count, its
+/// own overlay and the NIs' source backlog. The live count peaks there
+/// within a cycle: refills store pending packets during the step, and
+/// packets leave the store only later, in the NI consumer.
+struct AfterStep {
+    inner: Box<dyn Scheme>,
+    peaks: Arc<Peaks>,
 }
 
-impl Workload for PeakLive {
-    fn tick(&mut self, core: &mut NetworkCore) {
-        self.traffic.tick(core);
-        self.peak.fetch_max(core.store.live(), Ordering::Relaxed);
+#[derive(Default)]
+struct Peaks {
+    live: AtomicUsize,
+    overlay: AtomicUsize,
+    backlog: AtomicUsize,
+}
+
+impl AfterStep {
+    fn wrap(inner: Box<dyn Scheme>) -> (Box<dyn Scheme>, Arc<Peaks>) {
+        let peaks = Arc::new(Peaks::default());
+        let peaks2 = Arc::clone(&peaks);
+        (Box::new(AfterStep { inner, peaks }), peaks2)
+    }
+}
+
+impl Scheme for AfterStep {
+    fn required_vns(&self) -> usize {
+        self.inner.required_vns()
+    }
+
+    fn step(&mut self, core: &mut NetworkCore) {
+        self.inner.step(core);
+        let backlog = core.mesh().nodes().map(|n| core.ni(n).source_depth()).sum();
+        self.peaks
+            .live
+            .fetch_max(core.store.live(), Ordering::Relaxed);
+        self.peaks
+            .overlay
+            .fetch_max(self.inner.overlay_packets(), Ordering::Relaxed);
+        self.peaks.backlog.fetch_max(backlog, Ordering::Relaxed);
+    }
+
+    fn overlay_packets(&self) -> usize {
+        self.inner.overlay_packets()
+    }
+
+    fn export_state(&self, core: &NetworkCore, out: &mut StateExport) {
+        self.inner.export_state(core, out);
     }
 }
 
@@ -105,20 +142,15 @@ impl Workload for PeakLive {
 fn packet_store_holds_only_the_peak_live_count() {
     let id = SchemeId::EscapeVc;
     let cfg = id.sim_config(4, 2, 11);
-    let scheme = id.build(&cfg, 1);
-    let peak = Arc::new(AtomicUsize::new(0));
+    let (scheme, peaks) = AfterStep::wrap(id.build(&cfg, 1));
     let traffic = SyntheticWorkload::new(SyntheticPattern::Uniform, 0.05, 21);
-    let workload = PeakLive {
-        traffic,
-        peak: Arc::clone(&peak),
-    };
-    let mut sim = Simulation::new(cfg, scheme, Box::new(workload));
+    let mut sim = Simulation::new(cfg, scheme, Box::new(traffic));
     // No warmup reset: `generated` counts every packet the store created.
     sim.run(200_000);
     let store = &sim.core.store;
     assert_eq!(
         store.slots(),
-        peak.load(Ordering::Relaxed),
+        peaks.live.load(Ordering::Relaxed),
         "slots vs peak live"
     );
     assert_eq!(store.created(), sim.core.stats.generated);
@@ -128,6 +160,38 @@ fn packet_store_holds_only_the_peak_live_count() {
         store.created(),
         store.slots()
     );
+}
+
+/// Past its knee an open-loop point's source queues grow without bound,
+/// but a packet waiting there is a pending record, not a store slot: the
+/// store never holds more than the network can (every VC slot, every
+/// injection and ejection queue, and the scheme's overlay), while the
+/// backlog grows far beyond that.
+#[test]
+fn a_backlog_past_the_knee_takes_no_store_slots() {
+    let id = SchemeId::Pitstop;
+    let cfg = id.sim_config(4, 2, 11);
+    let nodes = cfg.mesh.num_nodes();
+    let queues = NUM_CLASSES * (cfg.inj_queue_packets + cfg.ej_queue_packets);
+    let capacity = nodes * (NUM_PORTS * cfg.vcs_per_port() + queues);
+    let (scheme, peaks) = AfterStep::wrap(id.build(&cfg, 1));
+    let traffic = SyntheticWorkload::new(SyntheticPattern::Uniform, 0.5, 21);
+    let mut sim = Simulation::new(cfg, scheme, Box::new(traffic));
+    sim.run(20_000);
+    let overlay = peaks.overlay.load(Ordering::Relaxed);
+    let backlog = peaks.backlog.load(Ordering::Relaxed);
+    let store = &sim.core.store;
+    assert!(
+        store.slots() <= capacity + overlay,
+        "{} slots > {capacity} network + {overlay} overlay",
+        store.slots()
+    );
+    assert!(
+        backlog >= 10 * capacity,
+        "backlog {backlog} not past the knee (capacity {capacity})"
+    );
+    assert_eq!(store.created(), sim.core.stats.generated);
+    sim.assert_conserved();
 }
 
 #[test]
