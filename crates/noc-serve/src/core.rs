@@ -20,14 +20,14 @@
 //! only itself: the worker catches the unwind around each point, marks
 //! that key `Failed`, stores the rest of its batch and keeps serving.
 //!
-//! Observability rides alongside, never inside, the engine lock: every
-//! lifecycle step updates the lock-free [`MetricsRegistry`] and
-//! publishes a [`FlightEvent`] to the [`FlightBus`] *after* dropping
-//! the state lock, and a sampler tick thread turns the registry into
-//! statsd lines and queue-depth flight samples every
-//! [`ServeConfig::tick_ms`]. Points computed by workers are persisted
-//! with a [`Provenance`] stamp (the point's own wall time, worker id,
-//! daemon git sha) so a fetched result can say where it came from.
+//! A lifecycle step is counted only by recording its [`FlightEvent`] on
+//! a [`Trail`]: applied to the [`MetricsRegistry`] under the engine lock
+//! (a client that sees the step reads counters that include it), then
+//! published to the [`FlightBus`] after the lock drops. A sampler thread
+//! takes utilization samples, records queue depth and drains statsd
+//! every [`ServeConfig::tick_ms`]. Worker-computed points are stored with
+//! a [`Provenance`] stamp (the point's own wall time, worker id, daemon
+//! git sha) so a fetched result can say where it came from.
 
 use crate::flight::FlightBus;
 use crate::metrics::MetricsRegistry;
@@ -118,8 +118,7 @@ enum PointState {
 }
 
 /// Mutable engine state, guarded by one mutex. Counters live in the
-/// lock-free [`MetricsRegistry`] instead — only the point registry and
-/// queue need the lock.
+/// atomic [`MetricsRegistry`] instead.
 struct State {
     points: HashMap<u64, PointState>,
     queue: VecDeque<u64>,
@@ -143,6 +142,53 @@ struct Shared {
     started: Instant,
     batch: usize,
     shutdown: AtomicBool,
+}
+
+impl Shared {
+    /// The engine's gauge levels: `[queue_depth, inflight]`.
+    fn levels(&self) -> [u64; 2] {
+        let state = self.state.lock().expect("engine lock");
+        [state.queue.len() as u64, state.inflight]
+    }
+}
+
+/// The one way the daemon records a lifecycle step: [`Trail::record`]
+/// counts a flight event at once (under the engine lock, where one is
+/// held), and [`Trail::publish`] hands the events to the bus after the
+/// lock drops, so the bus never extends the critical section.
+struct Trail<'a> {
+    shared: &'a Shared,
+    events: Vec<FlightEvent>,
+}
+
+impl<'a> Trail<'a> {
+    fn new(shared: &'a Shared) -> Trail<'a> {
+        Trail {
+            shared,
+            events: Vec::new(),
+        }
+    }
+
+    fn record(&mut self, event: FlightEvent) -> &mut Trail<'a> {
+        self.shared.metrics.apply(&event);
+        self.events.push(event);
+        self
+    }
+
+    /// How many recorded `resolved` events have one of `kinds`.
+    fn tally(&self, kinds: &[Resolution]) -> u64 {
+        let resolved = self
+            .events
+            .iter()
+            .filter(|e| matches!(e, FlightEvent::Resolved { kind, .. } if kinds.contains(kind)));
+        resolved.count() as u64
+    }
+
+    fn publish(&mut self) {
+        for event in self.events.drain(..) {
+            self.shared.flight.publish(event);
+        }
+    }
 }
 
 /// A submitted job: the accepted counts plus the key grid to collect.
@@ -230,7 +276,6 @@ impl Daemon {
     /// the store, then the in-flight registry, enqueueing only what no
     /// one has computed or started. Returns the job handle to collect.
     pub fn submit(&self, specs: Vec<SweepSpec>) -> Job {
-        let m = &self.shared.metrics;
         // Every key is hashed before the lock is taken: the critical
         // section below only looks keys up.
         let keys: Vec<Vec<u64>> = specs
@@ -241,32 +286,19 @@ impl Daemon {
             })
             .collect();
         let points: u64 = keys.iter().map(|k| k.len() as u64).sum();
-        let (mut computed, mut cached, mut deduped) = (0u64, 0u64, 0u64);
+        let mut trail = Trail::new(&self.shared);
         let mut state = self.shared.state.lock().expect("engine lock");
         let id = state.next_job;
         state.next_job += 1;
-        // Flight events are buffered while holding the lock and
-        // published only after dropping it — the bus must never extend
-        // the engine's critical section.
-        let mut trail = vec![FlightEvent::Submitted { job: id, points }];
+        trail.record(FlightEvent::Submitted { job: id, points });
         for (spec, spec_keys) in specs.iter().zip(&keys) {
             for (&rate, &key) in spec.rates.iter().zip(spec_keys) {
                 let kind = match state.points.get(&key) {
-                    Some(PointState::Done(_) | PointState::Failed(_)) => {
-                        cached += 1;
-                        m.memory_hits.add(1);
-                        Resolution::Memory
-                    }
-                    Some(PointState::Queued { .. } | PointState::Running) => {
-                        deduped += 1;
-                        m.dedup_waits.add(1);
-                        Resolution::Dedup
-                    }
+                    Some(PointState::Done(_) | PointState::Failed(_)) => Resolution::Memory,
+                    Some(PointState::Queued { .. } | PointState::Running) => Resolution::Dedup,
                     None => {
                         if let Some(point) = self.shared.store.load(key) {
                             state.points.insert(key, PointState::Done(point));
-                            cached += 1;
-                            m.store_hits.add(1);
                             Resolution::Store
                         } else {
                             state.points.insert(
@@ -278,39 +310,33 @@ impl Daemon {
                                 },
                             );
                             state.queue.push_back(key);
-                            computed += 1;
                             Resolution::Enqueued
                         }
                     }
                 };
-                trail.push(FlightEvent::Resolved {
+                trail.record(FlightEvent::Resolved {
                     key: format_key(key),
                     kind,
                     job: id,
                 });
             }
         }
-        m.jobs_submitted.add(1);
-        m.points_requested.add(points);
-        m.points_enqueued.add(computed);
-        m.points_per_job.record(points);
-        trail.push(FlightEvent::Queue {
+        trail.record(FlightEvent::Queue {
             depth: state.queue.len() as u64,
         });
         drop(state);
         self.shared.work_cv.notify_all();
-        for event in trail {
-            self.shared.flight.publish(event);
-        }
-        Job {
+        let job = Job {
             id,
             total: points,
-            computed,
-            cached,
-            deduped,
+            computed: trail.tally(&[Resolution::Enqueued]),
+            cached: trail.tally(&[Resolution::Memory, Resolution::Store]),
+            deduped: trail.tally(&[Resolution::Dedup]),
             specs,
             keys,
-        }
+        };
+        trail.publish();
+        job
     }
 
     fn progress_locked(&self, state: &State, job: &Job) -> JobProgress {
@@ -419,9 +445,7 @@ impl Daemon {
         }
         let removed = self.shared.store.evict(key) || in_memory;
         drop(state);
-        if removed {
-            self.shared.metrics.evictions.add(1);
-        }
+        self.shared.metrics.evictions.add(u64::from(removed));
         removed
     }
 
@@ -451,7 +475,9 @@ impl Daemon {
     /// because the peer hung up. The transport calls this exactly once
     /// per submitted job, before writing any terminal line.
     pub fn note_responded(&self, job: u64) {
-        self.shared.flight.publish(FlightEvent::Responded { job });
+        Trail::new(&self.shared)
+            .record(FlightEvent::Responded { job })
+            .publish();
     }
 
     /// Subscribes a live `watch` stream to the flight bus.
@@ -459,23 +485,13 @@ impl Daemon {
         self.shared.flight.subscribe()
     }
 
-    /// Snapshots the full metrics registry (counters, gauges sampled
-    /// now, histograms, per-worker utilization, flight-bus health) into
-    /// the wire report behind `nocctl metrics` — the daemon's one report.
+    /// The wire report behind `nocctl metrics`, the daemon's one report:
+    /// counters, gauges read now, histograms, worker utilization over
+    /// the ticks so far (a report takes no sample), flight-bus health.
     pub fn metrics_report(&self) -> MetricsReport {
-        self.sample_now();
-        self.shared.metrics.report(
-            self.shared.started.elapsed().as_secs(),
-            self.shared.flight.stats(),
-        )
-    }
-
-    /// One sampler observation (also called by the tick thread).
-    fn sample_now(&self) {
-        let state = self.shared.state.lock().expect("engine lock");
-        let (depth, inflight) = (state.queue.len() as u64, state.inflight);
-        drop(state);
-        self.shared.metrics.sample(depth, inflight);
+        let uptime = self.shared.started.elapsed().as_secs();
+        let (levels, flight) = (self.shared.levels(), self.shared.flight.stats());
+        self.shared.metrics.report(uptime, levels, flight)
     }
 
     /// Flags shutdown and wakes every worker and job waiter.
@@ -495,28 +511,26 @@ impl Daemon {
     /// the JSONL log is complete on disk. Call once, after the last
     /// request is answered.
     pub fn flush_observability(&self) {
-        self.shared.metrics.drain_into(&self.shared.statsd);
+        let levels = self.shared.levels();
+        self.shared.metrics.drain_into(&self.shared.statsd, levels);
         self.shared.flight.shutdown();
     }
 }
 
-/// Sampler tick body: every `tick_ms`, sample the gauges and worker
-/// busy bits, publish a queue-depth flight record, and drain the
-/// registry into the statsd sink.
+/// Sampler tick body: every `tick_ms`, sample the worker busy bits,
+/// record the queue depth, and drain the registry into the statsd sink.
 fn tick_loop(shared: &Arc<Shared>, tick_ms: u64) {
-    let daemon = Daemon {
-        shared: Arc::clone(shared),
-    };
     loop {
         std::thread::sleep(Duration::from_millis(tick_ms));
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        daemon.sample_now();
-        shared.flight.publish(FlightEvent::Queue {
-            depth: shared.metrics.queue_depth.load(Ordering::Relaxed),
-        });
-        shared.metrics.drain_into(&shared.statsd);
+        let levels = shared.levels();
+        shared.metrics.sample_workers();
+        Trail::new(shared)
+            .record(FlightEvent::Queue { depth: levels[0] })
+            .publish();
+        shared.metrics.drain_into(&shared.statsd, levels);
     }
 }
 
@@ -618,11 +632,13 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         for claim in &claims {
             m.queue_wait_ms.record(claim.queued_ms);
         }
-        shared.flight.publish(FlightEvent::Claimed {
-            worker: worker_id,
-            points: n,
-            cycles,
-        });
+        Trail::new(shared)
+            .record(FlightEvent::Claimed {
+                worker: worker_id,
+                points: n,
+                cycles,
+            })
+            .publish();
 
         let begun = Instant::now();
         let outcomes = run_claims(&claims);
@@ -642,39 +658,29 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             }
         }
 
-        let mut trail: Vec<FlightEvent> = Vec::with_capacity(claims.len());
+        let mut trail = Trail::new(shared);
         let mut state = shared.state.lock().expect("engine lock");
         state.inflight -= n;
         for (claim, outcome) in claims.into_iter().zip(outcomes) {
             let (key, worker) = (format_key(claim.key), worker_id);
             let (event, settled) = match outcome {
-                Ok((point, _)) => {
-                    m.points_computed.add(1);
-                    (FlightEvent::Stored { key, worker }, PointState::Done(point))
-                }
-                Err(msg) => {
-                    m.points_failed.add(1);
-                    (FlightEvent::Failed { key, worker }, PointState::Failed(msg))
-                }
+                Ok((point, _)) => (FlightEvent::Stored { key, worker }, PointState::Done(point)),
+                Err(msg) => (FlightEvent::Failed { key, worker }, PointState::Failed(msg)),
             };
-            trail.push(event);
+            trail.record(event);
             state.points.insert(claim.key, settled);
         }
         // Counted before the points are visible as settled, so a client
         // that sees its job complete reads a registry that has this batch.
-        m.worker_batch(worker, n, wall_ms);
-        m.batch_wall_ms.record(wall_ms);
-        drop(state);
-        m.worker_busy(worker, false);
-        for event in trail {
-            shared.flight.publish(event);
-        }
-        shared.flight.publish(FlightEvent::BatchDone {
+        trail.record(FlightEvent::BatchDone {
             worker: worker_id,
             points: n,
             wall_ms,
             cycles,
         });
+        drop(state);
+        m.worker_busy(worker, false);
+        trail.publish();
         shared.done_cv.notify_all();
     }
 }
@@ -731,6 +737,13 @@ mod tests {
         }
     }
 
+    /// The lifetime total of counter `name` in `daemon`'s report.
+    fn counter(daemon: &Daemon, name: &str) -> u64 {
+        let report = daemon.metrics_report();
+        let found = report.counters.iter().find(|c| c.name == name);
+        found.map_or(u64::MAX, |c| c.value)
+    }
+
     fn wait_complete(daemon: &Daemon, job: &Job) {
         let mut done = 0;
         loop {
@@ -761,9 +774,8 @@ mod tests {
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap()
         );
-        let m = &daemon.shared.metrics;
-        assert_eq!(m.points_computed.get(), 2);
-        assert_eq!(m.memory_hits.get(), 2);
+        assert_eq!(counter(&daemon, "points_computed"), 2);
+        assert_eq!(counter(&daemon, "memory_hits"), 2);
         daemon.request_shutdown();
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }
@@ -787,9 +799,8 @@ mod tests {
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap()
         );
-        let m = &daemon.shared.metrics;
-        assert_eq!(m.points_computed.get(), 0);
-        assert_eq!(m.store_hits.get(), 2);
+        assert_eq!(counter(&daemon, "points_computed"), 0);
+        assert_eq!(counter(&daemon, "store_hits"), 2);
         daemon.request_shutdown();
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }
@@ -807,13 +818,17 @@ mod tests {
             let sweeps = daemon.collect(job).expect("deduped job completes");
             assert_eq!(serde_json::to_string(&sweeps).unwrap(), baseline);
         }
-        let m = &daemon.shared.metrics;
-        assert_eq!(m.points_computed.get(), 2, "each unique point exactly once");
-        assert_eq!(m.points_requested.get(), 8);
+        let counter = |name| counter(&daemon, name);
         assert_eq!(
-            m.store_hits.get() + m.memory_hits.get() + m.dedup_waits.get(),
+            counter("points_computed"),
+            2,
+            "each unique point exactly once"
+        );
+        assert_eq!(counter("points_requested"), 8);
+        assert_eq!(
+            counter("store_hits") + counter("memory_hits") + counter("dedup_waits"),
             6,
-            "the other six lookups resolved without simulation: {m:?}"
+            "the other six lookups resolved without simulation"
         );
         daemon.request_shutdown();
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
@@ -835,7 +850,7 @@ mod tests {
         assert_eq!((again.computed, again.cached), (1, 1));
         wait_complete(&daemon, &again);
         daemon.collect(&again).unwrap();
-        assert_eq!(daemon.shared.metrics.points_computed.get(), 3);
+        assert_eq!(counter(&daemon, "points_computed"), 3);
         daemon.request_shutdown();
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }
@@ -881,8 +896,8 @@ mod tests {
             .expect_err("the NaN point fails the job");
         assert!(err.contains("probability is NaN"), "{err}");
         daemon.note_responded(job.id);
-        let m = &daemon.shared.metrics;
-        assert_eq!((m.points_computed.get(), m.points_failed.get()), (2, 1));
+        let counts = ["points_computed", "points_failed"].map(|name| counter(&daemon, name));
+        assert_eq!(counts, [2, 1]);
         for rate in [0.02, 0.04] {
             let key = point_cache_key(&spec, rate);
             assert!(daemon.store().load(key).is_some(), "rate {rate} not stored");
@@ -898,6 +913,37 @@ mod tests {
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }
 
+    /// Utilization is a duty cycle over sampler ticks: a `metrics` poll
+    /// while a worker is busy reads the gauges but takes no sample.
+    #[test]
+    fn a_metrics_poll_takes_no_utilization_sample() {
+        let cfg = ServeConfig {
+            tick_ms: 3_600_000,
+            ..config("poll")
+        };
+        let daemon = boot(&cfg);
+        daemon.submit(vec![SweepSpec {
+            measure: 20_000,
+            ..tiny_spec(29)
+        }]);
+        let mut busy_polls = 0;
+        loop {
+            let report = daemon.metrics_report();
+            let inflight = report.gauges.iter().find(|g| g.name == "inflight");
+            busy_polls += u32::from(inflight.expect("inflight gauge").value > 0);
+            for w in &report.workers {
+                assert_eq!(w.utilization, 0.0, "a poll sampled {w:?}");
+            }
+            if counter(&daemon, "points_computed") == 2 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(busy_polls > 0, "no poll ran while the batch was in flight");
+        daemon.request_shutdown();
+        let _ = std::fs::remove_dir_all(&cfg.store_dir);
+    }
+
     #[test]
     fn metrics_report_tracks_engine_activity() {
         let cfg = config("metrics");
@@ -905,18 +951,14 @@ mod tests {
         let job = daemon.submit(vec![tiny_spec(19)]);
         wait_complete(&daemon, &job);
         daemon.collect(&job).expect("job completes");
+        for (name, want) in [
+            ("jobs_submitted", 1),
+            ("points_computed", 2),
+            ("points_enqueued", 2),
+        ] {
+            assert_eq!(counter(&daemon, name), want, "{name}");
+        }
         let report = daemon.metrics_report();
-        let counter = |name: &str| {
-            report
-                .counters
-                .iter()
-                .find(|c| c.name == name)
-                .map(|c| c.value)
-                .unwrap_or(u64::MAX)
-        };
-        assert_eq!(counter("jobs_submitted"), 1);
-        assert_eq!(counter("points_computed"), 2);
-        assert_eq!(counter("points_enqueued"), 2);
         let batches = report
             .histograms
             .iter()

@@ -30,8 +30,8 @@
 //!
 //! Service module map: [`core`] is the engine (state machine, worker
 //! pool, dedup registry); [`server`] the transport (accept loop,
-//! per-connection protocol handler); [`metrics`] the lock-free metrics
-//! registry (counters, gauges, histograms, worker utilization);
+//! per-connection protocol handler); [`metrics`] the metrics registry
+//! (counters folded from flight events, histograms, utilization);
 //! [`flight`] the flight recorder (JSONL lifecycle log, live `watch`
 //! fan-out, Perfetto export); [`statsd`] the buffered telemetry sink
 //! the registry drains into (statsd-format lines appended to a file).

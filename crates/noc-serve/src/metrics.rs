@@ -1,10 +1,11 @@
 //! The in-process metrics registry: counters, gauges and exact
 //! histograms behind the `metrics` wire command.
 //!
-//! Counters and gauges are atomics and each histogram has its own small
-//! lock, so recording from workers and connection threads never
-//! contends on the engine lock — the registry is written from wherever
-//! the event happens and read by two consumers:
+//! A count a [`FlightEvent`] determines has one writer,
+//! [`MetricsRegistry::apply`], so the daemon counts a lifecycle step only
+//! by recording its event, and a flight log replays to the same counts.
+//! Counters are atomics, each histogram has its own small lock, and the
+//! gauges are levels the engine passes in. Two consumers read it:
 //!
 //! * the **drainer**: the sampler tick calls
 //!   [`MetricsRegistry::drain_into`], which forwards counter *deltas*
@@ -19,6 +20,7 @@
 
 use crate::proto::{FlightStats, HistogramSummary, MetricValue, MetricsReport, WorkerReport};
 use crate::statsd::StatsdSink;
+use crate::{FlightEvent, Resolution};
 use noc_core::stats::Distribution;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -86,9 +88,9 @@ impl Histogram {
     }
 }
 
-/// One worker's utilization counters. `busy` is flipped by the worker
-/// around each batch; the sampler tick turns it into a busy/idle duty
-/// cycle (`busy_samples / samples`).
+/// One worker's counters. `busy` is flipped by the worker around each
+/// batch, and the sampler tick turns it into a busy/idle duty cycle
+/// (`busy_samples / samples`); the rest is folded from `batch_done`.
 #[derive(Debug, Default)]
 pub struct WorkerStats {
     busy: AtomicBool,
@@ -115,19 +117,15 @@ impl WorkerStats {
             batches: self.batches.load(Ordering::Relaxed),
             points: self.points.load(Ordering::Relaxed),
             busy_ms: self.busy_ms.load(Ordering::Relaxed),
-            utilization: if samples == 0 {
-                0.0
-            } else {
-                busy_samples as f64 / samples as f64
-            },
+            utilization: busy_samples as f64 / samples.max(1) as f64,
         }
     }
 }
 
 /// The daemon's metrics registry. One instance lives in the engine's
-/// shared block; every field is independently updatable without the
-/// engine lock.
-#[derive(Debug)]
+/// shared block. The public fields are the counts no event determines;
+/// `default()` tracks no worker slot.
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
     /// Connections accepted.
     pub connections: Counter,
@@ -136,66 +134,43 @@ pub struct MetricsRegistry {
     /// Malformed request lines.
     pub bad_requests: Counter,
     /// Submit requests accepted.
-    pub jobs_submitted: Counter,
+    jobs_submitted: Counter,
     /// Submit requests fully answered.
     pub jobs_completed: Counter,
     /// Points requested across all jobs (with multiplicity).
-    pub points_requested: Counter,
+    points_requested: Counter,
     /// Points newly enqueued at submit time.
-    pub points_enqueued: Counter,
+    points_enqueued: Counter,
     /// Points actually simulated by the worker pool.
-    pub points_computed: Counter,
+    points_computed: Counter,
     /// Points whose simulation panicked.
-    pub points_failed: Counter,
+    points_failed: Counter,
     /// Points served from the on-disk store.
-    pub store_hits: Counter,
+    store_hits: Counter,
     /// Points served from the in-memory results map.
-    pub memory_hits: Counter,
+    memory_hits: Counter,
     /// Points deduplicated onto another job's in-flight computation.
-    pub dedup_waits: Counter,
+    dedup_waits: Counter,
     /// Store entries evicted via `evict`.
     pub evictions: Counter,
     /// Store entries removed by gc passes.
     pub gc_dropped: Counter,
     /// Wall-clock per claimed batch.
-    pub batch_wall_ms: Histogram,
+    batch_wall_ms: Histogram,
     /// Queue wait per claimed point (enqueue → claim).
     pub queue_wait_ms: Histogram,
     /// Points per submitted job.
-    pub points_per_job: Histogram,
-    /// Last-sampled queue depth (gauge).
-    pub queue_depth: AtomicU64,
-    /// Last-sampled in-flight point count (gauge).
-    pub inflight: AtomicU64,
+    points_per_job: Histogram,
     workers: Vec<WorkerStats>,
 }
 
 impl MetricsRegistry {
     /// A registry tracking `workers` worker slots.
     pub fn new(workers: usize) -> MetricsRegistry {
+        let workers = (0..workers.max(1)).map(|_| WorkerStats::default());
         MetricsRegistry {
-            connections: Counter::default(),
-            requests: Counter::default(),
-            bad_requests: Counter::default(),
-            jobs_submitted: Counter::default(),
-            jobs_completed: Counter::default(),
-            points_requested: Counter::default(),
-            points_enqueued: Counter::default(),
-            points_computed: Counter::default(),
-            points_failed: Counter::default(),
-            store_hits: Counter::default(),
-            memory_hits: Counter::default(),
-            dedup_waits: Counter::default(),
-            evictions: Counter::default(),
-            gc_dropped: Counter::default(),
-            batch_wall_ms: Histogram::default(),
-            queue_wait_ms: Histogram::default(),
-            points_per_job: Histogram::default(),
-            queue_depth: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            workers: (0..workers.max(1))
-                .map(|_| WorkerStats::default())
-                .collect(),
+            workers: workers.collect(),
+            ..MetricsRegistry::default()
         }
     }
 
@@ -227,78 +202,95 @@ impl MetricsRegistry {
         }
     }
 
-    /// Credits worker `id` with one finished batch.
-    pub fn worker_batch(&self, id: usize, points: u64, wall_ms: u64) {
-        if let Some(w) = self.workers.get(id) {
-            w.batches.fetch_add(1, Ordering::Relaxed);
-            w.points.fetch_add(points, Ordering::Relaxed);
-            w.busy_ms.fetch_add(wall_ms, Ordering::Relaxed);
+    /// Folds one flight event into the counts it determines. A
+    /// `batch_done` naming no worker slot still counts its wall time.
+    pub fn apply(&self, event: &FlightEvent) {
+        match event {
+            FlightEvent::Submitted { points, .. } => {
+                self.jobs_submitted.add(1);
+                self.points_requested.add(*points);
+                self.points_per_job.record(*points);
+            }
+            FlightEvent::Resolved { kind, .. } => match kind {
+                Resolution::Memory => &self.memory_hits,
+                Resolution::Store => &self.store_hits,
+                Resolution::Dedup => &self.dedup_waits,
+                Resolution::Enqueued => &self.points_enqueued,
+            }
+            .add(1),
+            FlightEvent::Stored { .. } => self.points_computed.add(1),
+            FlightEvent::Failed { .. } => self.points_failed.add(1),
+            FlightEvent::BatchDone {
+                worker,
+                points,
+                wall_ms,
+                ..
+            } => {
+                self.batch_wall_ms.record(*wall_ms);
+                let slot = usize::try_from(*worker)
+                    .ok()
+                    .and_then(|i| self.workers.get(i));
+                if let Some(w) = slot {
+                    w.batches.fetch_add(1, Ordering::Relaxed);
+                    w.points.fetch_add(*points, Ordering::Relaxed);
+                    w.busy_ms.fetch_add(*wall_ms, Ordering::Relaxed);
+                }
+            }
+            FlightEvent::Claimed { .. }
+            | FlightEvent::Responded { .. }
+            | FlightEvent::Queue { .. } => {}
         }
     }
 
-    /// One sampler observation: records the gauge levels and each
-    /// worker's busy/idle state.
-    pub fn sample(&self, queue_depth: u64, inflight: u64) {
-        self.queue_depth.store(queue_depth, Ordering::Relaxed);
-        self.inflight.store(inflight, Ordering::Relaxed);
+    /// One tick's utilization sample of every worker's busy bit.
+    pub fn sample_workers(&self) {
         for w in &self.workers {
             w.sample();
         }
     }
 
-    /// Drains counter deltas and gauge levels into the statsd sink,
-    /// then flushes it. Called from the sampler tick and
-    /// once more at shutdown; a disabled sink makes this a near-no-op
-    /// (deltas are still consumed).
-    pub fn drain_into(&self, sink: &StatsdSink) {
+    /// Drains counter deltas and the gauge `levels` (`[queue_depth,
+    /// inflight]`) into the statsd sink, then flushes it. Called from
+    /// the sampler tick and once more at shutdown; a disabled sink makes
+    /// this a near-no-op (deltas are still consumed).
+    pub fn drain_into(&self, sink: &StatsdSink, levels: [u64; 2]) {
         for (name, counter) in self.counters() {
             let delta = counter.take_delta();
             if delta > 0 {
                 sink.count(name, delta);
             }
         }
-        sink.gauge("queue_depth", self.queue_depth.load(Ordering::Relaxed));
-        sink.gauge("inflight", self.inflight.load(Ordering::Relaxed));
+        sink.gauge("queue_depth", levels[0]);
+        sink.gauge("inflight", levels[1]);
         sink.flush();
     }
 
-    /// Snapshots the registry into the wire report.
-    pub fn report(&self, uptime_secs: u64, flight: FlightStats) -> MetricsReport {
+    /// Snapshots the registry, with the gauge `levels` (`[queue_depth,
+    /// inflight]`), into the wire report.
+    pub fn report(&self, uptime_secs: u64, levels: [u64; 2], flight: FlightStats) -> MetricsReport {
+        let workers = self.workers.iter().enumerate();
         MetricsReport {
             proto: crate::PROTO_VERSION,
             uptime_secs,
-            counters: self
-                .counters()
-                .iter()
-                .map(|(name, counter)| MetricValue {
-                    name: (*name).to_string(),
-                    value: counter.get(),
-                })
-                .collect(),
+            counters: Vec::from(self.counters().map(|(name, c)| metric(name, c.get()))),
             gauges: vec![
-                MetricValue {
-                    name: "queue_depth".to_string(),
-                    value: self.queue_depth.load(Ordering::Relaxed),
-                },
-                MetricValue {
-                    name: "inflight".to_string(),
-                    value: self.inflight.load(Ordering::Relaxed),
-                },
+                metric("queue_depth", levels[0]),
+                metric("inflight", levels[1]),
             ],
             histograms: vec![
                 self.batch_wall_ms.summary("batch_wall_ms"),
                 self.queue_wait_ms.summary("queue_wait_ms"),
                 self.points_per_job.summary("points_per_job"),
             ],
-            workers: self
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(id, w)| w.report(id as u64))
-                .collect(),
+            workers: workers.map(|(id, w)| w.report(id as u64)).collect(),
             flight,
         }
     }
+}
+
+fn metric(name: &str, value: u64) -> MetricValue {
+    let name = name.to_string();
+    MetricValue { name, value }
 }
 
 #[cfg(test)]
@@ -341,20 +333,135 @@ mod tests {
     }
 
     #[test]
-    fn worker_utilization_tracks_sampled_busy_state() {
+    fn worker_utilization_counts_tick_samples_only() {
         let reg = MetricsRegistry::new(2);
         reg.worker_busy(0, true);
-        reg.sample(4, 2);
+        reg.sample_workers();
         reg.worker_busy(0, false);
-        reg.sample(0, 0);
-        reg.worker_batch(0, 4, 120);
-        let report = reg.report(1, FlightStats::default());
+        reg.sample_workers();
+        reg.worker_busy(1, true);
+        let report = reg.report(1, [4, 2], FlightStats::default());
         assert_eq!(report.workers.len(), 2);
         let w0 = &report.workers[0];
         assert!((w0.utilization - 0.5).abs() < 1e-9, "{w0:?}");
-        assert_eq!((w0.batches, w0.points, w0.busy_ms), (1, 4, 120));
-        assert_eq!(report.workers[1].utilization, 0.0);
-        assert_eq!(report.gauges[0].value, 0, "last sample wins");
+        assert_eq!(
+            report.workers[1].utilization, 0.0,
+            "a report samples no worker"
+        );
+        let gauges: Vec<_> = report.gauges.iter().map(|g| (&*g.name, g.value)).collect();
+        assert_eq!(gauges, [("queue_depth", 4), ("inflight", 2)]);
+    }
+
+    /// Every counter, histogram count/sum and worker field that applying
+    /// `event` to a fresh two-worker registry moves, as `name=value`.
+    fn moved_by(event: FlightEvent) -> Vec<String> {
+        let reg = MetricsRegistry::new(2);
+        reg.apply(&event);
+        let r = reg.report(0, [0, 0], FlightStats::default());
+        let counters = r.counters.iter().map(|c| (c.name.clone(), c.value));
+        let mut fields: Vec<(String, u64)> = counters.collect();
+        for h in &r.histograms {
+            fields.push((format!("{}.count", h.name), h.count));
+            fields.push((format!("{}.sum", h.name), h.sum));
+        }
+        for w in &r.workers {
+            let id = w.worker;
+            fields.push((format!("w{id}.batches"), w.batches));
+            fields.push((format!("w{id}.points"), w.points));
+            fields.push((format!("w{id}.busy_ms"), w.busy_ms));
+            fields.push((format!("w{id}.utilization"), w.utilization.to_bits()));
+        }
+        let moved = fields.into_iter().filter(|(_, value)| *value != 0);
+        moved
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect()
+    }
+
+    #[test]
+    fn apply_moves_exactly_the_fields_each_event_determines() {
+        let key = || "00000000000000aa".to_string();
+        let resolved = |kind| FlightEvent::Resolved {
+            key: key(),
+            kind,
+            job: 1,
+        };
+        let cases: [(FlightEvent, &[&str]); 13] = [
+            (
+                FlightEvent::Submitted { job: 1, points: 5 },
+                &[
+                    "jobs_submitted=1",
+                    "points_requested=5",
+                    "points_per_job.count=1",
+                    "points_per_job.sum=5",
+                ],
+            ),
+            (resolved(Resolution::Memory), &["memory_hits=1"]),
+            (resolved(Resolution::Store), &["store_hits=1"]),
+            (resolved(Resolution::Dedup), &["dedup_waits=1"]),
+            (resolved(Resolution::Enqueued), &["points_enqueued=1"]),
+            (
+                FlightEvent::Stored {
+                    key: key(),
+                    worker: 1,
+                },
+                &["points_computed=1"],
+            ),
+            (
+                FlightEvent::Failed {
+                    key: key(),
+                    worker: 1,
+                },
+                &["points_failed=1"],
+            ),
+            (
+                FlightEvent::BatchDone {
+                    worker: 1,
+                    points: 3,
+                    wall_ms: 40,
+                    cycles: 300,
+                },
+                &[
+                    "batch_wall_ms.count=1",
+                    "batch_wall_ms.sum=40",
+                    "w1.batches=1",
+                    "w1.points=3",
+                    "w1.busy_ms=40",
+                ],
+            ),
+            // A worker id with no slot: the batch's wall time counts,
+            // no worker is credited.
+            (
+                FlightEvent::BatchDone {
+                    worker: 7,
+                    points: 3,
+                    wall_ms: 40,
+                    cycles: 300,
+                },
+                &["batch_wall_ms.count=1", "batch_wall_ms.sum=40"],
+            ),
+            (
+                FlightEvent::BatchDone {
+                    worker: u64::MAX,
+                    points: 3,
+                    wall_ms: 40,
+                    cycles: 300,
+                },
+                &["batch_wall_ms.count=1", "batch_wall_ms.sum=40"],
+            ),
+            (
+                FlightEvent::Claimed {
+                    worker: 1,
+                    points: 3,
+                    cycles: 300,
+                },
+                &[],
+            ),
+            (FlightEvent::Responded { job: 1 }, &[]),
+            (FlightEvent::Queue { depth: 9 }, &[]),
+        ];
+        for (event, want) in cases {
+            assert_eq!(moved_by(event.clone()), want, "{event:?}");
+        }
     }
 
     /// Each fact is one counter: hits, dedup and enqueues are counted

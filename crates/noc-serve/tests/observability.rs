@@ -7,10 +7,10 @@ mod common;
 
 use common::{counter, small_spec, TestDaemon};
 use noc_serve::flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains};
-use noc_serve::proto::Resolution::{Dedup, Enqueued, Memory, Store};
-use noc_serve::proto::{decode_response, encode, FlightEvent, FlightRecord, Request, Response};
-use noc_serve::{run_sweep_parallel, MetricsReport, SchemeId, SweepOptions, SweepSpec, WireSpec};
-use std::collections::BTreeMap;
+use noc_serve::proto::{decode_response, encode, FlightRecord, Request, Response};
+use noc_serve::{
+    run_sweep_parallel, MetricsRegistry, MetricsReport, SchemeId, SweepOptions, SweepSpec, WireSpec,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Mutex};
@@ -27,53 +27,44 @@ fn specs() -> Vec<SweepSpec> {
     .collect()
 }
 
-/// Folds a flight log into the registry's counts and asserts they are
-/// the `metrics` report's: every submit, resolution, settled point and
-/// batch the registry counted left exactly one record.
+/// Replays a flight log into a fresh registry with the daemon's own
+/// fold and asserts it gives the `metrics` report's every count the
+/// log determines: the eight job counters, the `batch_wall_ms` and
+/// `points_per_job` summaries, and each worker's batches, points and
+/// busy time.
 fn assert_log_reconciles(records: &[FlightRecord], report: &MetricsReport) {
-    let batches = report.histograms.iter().find(|h| h.name == "batch_wall_ms");
-    let batch_points = report.workers.iter().map(|w| w.points).sum();
-    let want: BTreeMap<&str, u64> = [
-        "jobs_submitted",
-        "points_requested",
-        "memory_hits",
-        "store_hits",
-        "dedup_waits",
-        "points_enqueued",
-        "points_computed",
-        "points_failed",
-    ]
-    .map(|name| (name, counter(report, name)))
-    .into_iter()
-    .chain([
-        ("batches", batches.expect("batch histogram").count),
-        ("batch_points", batch_points),
-    ])
-    .collect();
-    let mut folded: BTreeMap<&str, u64> = want.keys().map(|&name| (name, 0)).collect();
+    let replay = MetricsRegistry::new(report.workers.len());
     for r in records {
-        let counts = match &r.event {
-            FlightEvent::Submitted { points, .. } => {
-                vec![("jobs_submitted", 1), ("points_requested", *points)]
-            }
-            FlightEvent::Resolved { kind: Memory, .. } => vec![("memory_hits", 1)],
-            FlightEvent::Resolved { kind: Store, .. } => vec![("store_hits", 1)],
-            FlightEvent::Resolved { kind: Dedup, .. } => vec![("dedup_waits", 1)],
-            FlightEvent::Resolved { kind: Enqueued, .. } => vec![("points_enqueued", 1)],
-            FlightEvent::Stored { .. } => vec![("points_computed", 1)],
-            FlightEvent::Failed { .. } => vec![("points_failed", 1)],
-            FlightEvent::BatchDone { points, .. } => {
-                vec![("batches", 1), ("batch_points", *points)]
-            }
-            FlightEvent::Claimed { .. }
-            | FlightEvent::Responded { .. }
-            | FlightEvent::Queue { .. } => vec![],
-        };
-        for (name, by) in counts {
-            *folded.entry(name).or_default() += by;
-        }
+        replay.apply(&r.event);
     }
-    assert_eq!(folded, want, "flight log vs metrics report");
+    let folded = |report: &MetricsReport| {
+        let counters = [
+            "jobs_submitted",
+            "points_requested",
+            "memory_hits",
+            "store_hits",
+            "dedup_waits",
+            "points_enqueued",
+            "points_computed",
+            "points_failed",
+        ]
+        .map(|name| (name, counter(report, name)));
+        let histograms = ["batch_wall_ms", "points_per_job"].map(|name| {
+            let found = report.histograms.iter().find(|h| h.name == name);
+            found.expect("histogram").clone()
+        });
+        let workers: Vec<_> = report
+            .workers
+            .iter()
+            .map(|w| (w.worker, w.batches, w.points, w.busy_ms))
+            .collect();
+        (counters, histograms, workers)
+    };
+    assert_eq!(
+        folded(&replay.report(0, [0, 0], Default::default())),
+        folded(report),
+        "flight log vs metrics report"
+    );
 }
 
 /// The CI `serve` job's check on a release daemon: the flight log at
