@@ -97,7 +97,7 @@ enum Mode {
 }
 
 /// The DRAIN baseline (implements [`Scheme`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Drain {
     cfg: DrainConfig,
     routing: FullyAdaptive,

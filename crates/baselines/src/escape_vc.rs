@@ -14,7 +14,7 @@ use noc_sim::routing::EscapeVcRouting;
 use noc_sim::scheme::Scheme;
 
 /// The EscapeVC baseline (implements [`Scheme`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EscapeVc {
     routing: EscapeVcRouting,
 }

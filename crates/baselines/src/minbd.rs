@@ -51,7 +51,7 @@ struct DeflFlit {
 }
 
 /// The MinBD baseline (implements [`Scheme`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MinBd {
     cfg: MinBdConfig,
     /// Each node's on-mesh directions in [`DIRECTIONS`] order (a

@@ -49,7 +49,7 @@ struct BypassTransit {
 }
 
 /// The Pitstop baseline (implements [`Scheme`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Pitstop {
     cfg: PitstopConfig,
     routing: FullyAdaptive,

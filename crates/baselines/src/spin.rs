@@ -38,7 +38,7 @@ impl Default for SpinConfig {
 }
 
 /// The SPIN baseline (implements [`Scheme`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Spin {
     cfg: SpinConfig,
     routing: FullyAdaptive,

@@ -32,7 +32,7 @@ impl Default for SwapConfig {
 }
 
 /// The SWAP baseline (implements [`Scheme`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Swap {
     cfg: SwapConfig,
     routing: FullyAdaptive,

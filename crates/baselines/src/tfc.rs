@@ -22,7 +22,7 @@ use noc_sim::scheme::Scheme;
 /// West-first routing weighted by region tokens: the score of a
 /// direction is the free-VC count one hop away plus the free-VC count
 /// two hops straight ahead (the token broadcast radius of \[19\]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TokenWestFirst {
     rng: DetRng,
 }
@@ -57,7 +57,7 @@ impl RoutingPolicy for TokenWestFirst {
 }
 
 /// The TFC baseline (implements [`Scheme`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tfc {
     routing: TokenWestFirst,
 }

@@ -12,6 +12,7 @@ use noc_sim::routing::{DorXy, DorYx, RoutingPolicy};
 use noc_sim::scheme::Scheme;
 
 /// Plain credit-based VCT (implements [`Scheme`]).
+#[derive(Clone)]
 pub struct CreditVct {
     policy: Box<dyn RoutingPolicy>,
     vns: usize,

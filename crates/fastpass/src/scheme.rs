@@ -101,6 +101,7 @@ enum Candidate {
 const KEY_MARGIN: u64 = 7;
 
 /// The FastPass scheme (implements [`Scheme`]).
+#[derive(Clone)]
 pub struct FastPass {
     schedule: TdmSchedule,
     cfg: FastPassConfig,

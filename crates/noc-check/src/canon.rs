@@ -14,7 +14,8 @@
 //!
 //! * **Packet renaming**: [`PacketId`]s are assigned in creation order,
 //!   which is schedule-dependent; every id is replaced by its *job id*
-//!   from the [`ScriptCtl`], which is schedule-independent.
+//!   from the simulation's [`ScriptCtl`], which is
+//!   schedule-independent.
 //! * **Time relativization**: absolute cycle values (ready times, last
 //!   progress, regeneration deadlines) are folded as now-relative deltas,
 //!   saturated at `age_cap`. Saturation is exact for schemes whose only
@@ -28,7 +29,7 @@
 //! missed schedule, never a false counterexample — every reported
 //! counterexample is replayed concretely before being believed.
 
-use crate::script::ScriptCtl;
+use crate::script::{script, ScriptCtl};
 use noc_core::packet::{MessageClass, PacketId, CLASSES};
 use noc_core::topology::{NodeId, NUM_PORTS};
 use noc_sim::ni::SourceEntry;
@@ -125,8 +126,14 @@ fn fold_job_or(h: &mut Fnv, ctl: &ScriptCtl, pkt: PacketId, describe: impl FnOnc
     }
 }
 
-/// Computes the canonical digest of the simulation's current state.
-pub fn canon_hash(sim: &Simulation, ctl: &ScriptCtl, params: &CanonParams) -> u64 {
+/// Computes the canonical digest of the current state of a simulation
+/// driven by a [`ScriptedWorkload`](crate::script::ScriptedWorkload).
+///
+/// # Panics
+///
+/// Panics if `sim` runs another workload.
+pub fn canon_hash(sim: &Simulation, params: &CanonParams) -> u64 {
+    let ctl = script(sim);
     let core = &sim.core;
     let now = core.cycle();
     let cap = params.age_cap;

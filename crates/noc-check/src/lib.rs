@@ -16,8 +16,9 @@
 //! * [`canon`] — the state abstraction: packed occupant/queue/overlay
 //!   words, packet-to-job renaming, saturated relative ages, FNV-1a
 //!   digest.
-//! * [`explore`] — replay-based iterative-deepening DFS with a visited
-//!   set, per-state invariant audits, and the drain wedge-oracle.
+//! * [`explore`] — iterative-deepening DFS over cloned simulation
+//!   states with a visited set, per-state invariant audits, and the
+//!   drain wedge-oracle.
 //! * [`replay`] — bitwise counterexample confirmation through a fresh
 //!   traced simulation, producing a Perfetto-loadable artifact.
 //! * [`configs`] — the search bounds and job sets of the named
@@ -44,4 +45,4 @@ pub mod script;
 pub use canon::{canon_hash, CanonParams};
 pub use explore::{check, CheckConfig, CheckReport, Counterexample, Decision, Verdict, WedgeKind};
 pub use replay::{replay, ReplayResult};
-pub use script::{CtlHandle, JobSpec, ScriptCtl, ScriptedWorkload};
+pub use script::{JobSpec, ScriptCtl, ScriptedWorkload};

@@ -11,7 +11,8 @@
 //! human can open the exact deadlocked execution in a timeline viewer.
 
 use crate::canon::canon_hash;
-use crate::explore::{materialize, CheckConfig, Counterexample};
+use crate::explore::{decide, materialize, CheckConfig, Counterexample};
+use crate::script::script;
 use noc_trace::{chrome_trace_json, TraceConfig};
 use serde::Serialize;
 
@@ -35,25 +36,19 @@ pub struct ReplayResult {
 /// tracing, returning the confirmation result and the Chrome-trace JSON
 /// of the whole doomed execution.
 pub fn replay(cc: &CheckConfig, cex: &Counterexample) -> (ReplayResult, String) {
-    // materialize() would replay the schedule too, but tracing must be on
-    // from cycle 0, so drive the steps here.
-    let (mut sim, ctl) = materialize(cc, &[]);
+    // From cycle 0, not from a clone of an explored state: tracing is on
+    // from the first cycle, and the run shares nothing with the search.
+    let mut sim = materialize(cc);
     sim.set_trace(&TraceConfig::full());
     for &d in &cex.schedule {
-        if let Some(j) = d.job() {
-            ctl.lock().expect("script lock").next_inject = Some(j);
-        }
-        sim.step();
+        decide(&mut sim, d);
     }
     for _ in 0..cex.drain_cycles {
         sim.step();
     }
 
-    let state_hash = {
-        let c = ctl.lock().expect("script lock");
-        canon_hash(&sim, &c, &cc.canon)
-    };
-    let consumed = ctl.lock().expect("script lock").consumed;
+    let state_hash = canon_hash(&sim, &cc.canon);
+    let consumed = script(&sim).consumed;
     let in_flight = sim.in_flight();
 
     let mut mismatches = Vec::new();

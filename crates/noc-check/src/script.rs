@@ -3,7 +3,10 @@
 //! The model checker explores *when* traffic enters the network, so the
 //! workload must not make that decision itself. [`ScriptedWorkload`]
 //! injects exactly one job per cycle when the explorer tells it to
-//! (through the shared [`ScriptCtl`]) and otherwise stays silent. Every
+//! (through the [`ScriptCtl`] it owns, which the explorer reaches
+//! through the simulation: [`script_mut`]) and otherwise stays silent.
+//! Because the workload owns all of its state, a cloned simulation is a
+//! deep copy with its own script. Every
 //! packet it ever creates is tagged with a *job id* — a logical identity
 //! that is stable across interleavings — which is what lets the
 //! canonicalizer rename [`PacketId`]s (assigned in creation order, which
@@ -20,9 +23,8 @@
 use noc_core::packet::{MessageClass, Packet, PacketId};
 use noc_core::topology::NodeId;
 use noc_sim::network::NetworkCore;
-use noc_sim::Workload;
+use noc_sim::{Simulation, Workload};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// One unit of scripted traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +51,11 @@ impl JobSpec {
     }
 }
 
-/// Shared control/observation block between the explorer and the
-/// workload. The explorer sets [`next_inject`](Self::next_inject) before
-/// a `Simulation::step`; the workload consumes it during its tick and
+/// The script's control/observation block, owned by the workload. The
+/// explorer sets [`next_inject`](Self::next_inject) before a
+/// `Simulation::step`; the workload consumes it during its tick and
 /// records the packet↔job binding.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ScriptCtl {
     /// The scripted jobs, in job-id order.
     pub jobs: Vec<JobSpec>,
@@ -117,34 +119,47 @@ impl ScriptCtl {
     }
 }
 
-/// Shared handle to a [`ScriptCtl`].
-pub type CtlHandle = Arc<Mutex<ScriptCtl>>;
-
 /// The adversary-driven workload (see module docs).
+#[derive(Debug, Clone)]
 pub struct ScriptedWorkload {
-    ctl: CtlHandle,
+    ctl: ScriptCtl,
 }
 
 impl ScriptedWorkload {
-    /// Creates the workload and the explorer's shared handle to it.
-    pub fn new(jobs: Vec<JobSpec>, nodes: usize, backlog_limit: Option<u32>) -> (Self, CtlHandle) {
-        let ctl = Arc::new(Mutex::new(ScriptCtl::new(jobs, nodes, backlog_limit)));
-        (
-            ScriptedWorkload {
-                ctl: Arc::clone(&ctl),
-            },
-            ctl,
-        )
+    /// Creates the workload with a fresh [`ScriptCtl`].
+    pub fn new(jobs: Vec<JobSpec>, nodes: usize, backlog_limit: Option<u32>) -> Self {
+        ScriptedWorkload {
+            ctl: ScriptCtl::new(jobs, nodes, backlog_limit),
+        }
     }
+}
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ScriptCtl> {
-        self.ctl.lock().expect("script control lock")
-    }
+/// The script of a simulation whose workload is a [`ScriptedWorkload`].
+///
+/// # Panics
+///
+/// Panics if `sim` runs another workload.
+pub fn script(sim: &Simulation) -> &ScriptCtl {
+    &sim.workload::<ScriptedWorkload>()
+        .expect("a checked simulation runs a scripted workload")
+        .ctl
+}
+
+/// The script of `sim`, mutably (see [`script`]).
+///
+/// # Panics
+///
+/// Panics if `sim` runs another workload.
+pub fn script_mut(sim: &mut Simulation) -> &mut ScriptCtl {
+    &mut sim
+        .workload_mut::<ScriptedWorkload>()
+        .expect("a checked simulation runs a scripted workload")
+        .ctl
 }
 
 impl Workload for ScriptedWorkload {
     fn tick(&mut self, core: &mut NetworkCore) {
-        let mut ctl = self.lock();
+        let ctl = &mut self.ctl;
         let Some(j) = ctl.next_inject.take() else {
             return;
         };
@@ -162,7 +177,7 @@ impl Workload for ScriptedWorkload {
     }
 
     fn on_consumed(&mut self, core: &mut NetworkCore, pkt: &Packet) {
-        let mut ctl = self.lock();
+        let ctl = &mut self.ctl;
         ctl.consumed += 1;
         let job = ctl.pkt_job.remove(&pkt.id());
         if ctl.backlog_limit.is_none() {
@@ -192,15 +207,14 @@ impl Workload for ScriptedWorkload {
         if class.is_sink() {
             return true;
         }
-        let ctl = self.lock();
-        match ctl.backlog_limit {
-            Some(limit) => ctl.backlog[node.index()] < limit,
+        match self.ctl.backlog_limit {
+            Some(limit) => self.ctl.backlog[node.index()] < limit,
             None => true,
         }
     }
 
     fn finished(&self, _core: &NetworkCore) -> bool {
-        self.lock().done()
+        self.ctl.done()
     }
 }
 

@@ -410,7 +410,7 @@ impl PendingPacket {
 /// [`PendingPacket`], and [`materialize`](Self::materialize) later gives
 /// it a slot under that sequence. [`created`](Self::created) counts
 /// reserved sequences, [`live`](Self::live) only packets holding a slot.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PacketStore {
     slots: Vec<Option<Packet>>,
     /// Indices of the empty slots, most recently freed last.

@@ -64,44 +64,41 @@ pub fn audit(core: &NetworkCore) -> Vec<AuditError> {
                 let Some(occ) = iu.occupant(vc) else {
                     continue;
                 };
-                let loc = format!("{node} port {} vc {vc}", Port::from_index(p));
+                let loc = || format!("{node} port {} vc {vc}", Port::from_index(p));
                 if occ.sent > occ.arrived {
                     err(
-                        loc.clone(),
+                        loc(),
                         format!("sent {} > arrived {}", occ.sent, occ.arrived),
                     );
                 }
                 if occ.arrived > occ.len {
-                    err(
-                        loc.clone(),
-                        format!("arrived {} > len {}", occ.arrived, occ.len),
-                    );
+                    err(loc(), format!("arrived {} > len {}", occ.arrived, occ.len));
                 }
                 if !core.store.contains(occ.pkt) {
-                    err(loc.clone(), format!("occupant {} not in store", occ.pkt));
+                    err(loc(), format!("occupant {} not in store", occ.pkt));
                     continue;
                 }
                 let pkt = core.store.get(occ.pkt);
                 if pkt.len_flits != occ.len {
                     err(
-                        loc.clone(),
+                        loc(),
                         format!("cached len {} != packet len {}", occ.len, pkt.len_flits),
                     );
                 }
                 if let (Some(Port::Dir(d)), Some(out_vc)) = (occ.route, occ.out_vc) {
                     match mesh.neighbor(node, d) {
-                        None => err(loc.clone(), "route leaves the mesh".into()),
+                        None => err(loc(), "route leaves the mesh".into()),
                         Some(nbr) => {
                             let down = core
                                 .input(nbr, Port::Dir(d.opposite()).index())
                                 .occupant(out_vc);
                             match down {
                                 None => err(
-                                    loc.clone(),
+                                    loc(),
                                     format!("downstream reservation at {nbr} vc {out_vc} missing"),
                                 ),
                                 Some(res) if res.pkt != occ.pkt => err(
-                                    loc.clone(),
+                                    loc(),
                                     format!(
                                         "downstream reservation held by {} not {}",
                                         res.pkt, occ.pkt
@@ -116,11 +113,11 @@ pub fn audit(core: &NetworkCore) -> Vec<AuditError> {
             }
         }
         if let Some((p, vc)) = core.router(node).eject_lock {
-            let loc = format!("{node} eject lock");
+            let loc = || format!("{node} eject lock");
             match core.input(node, p).occupant(vc) {
-                None => err(loc, "locked VC is empty".into()),
+                None => err(loc(), "locked VC is empty".into()),
                 Some(occ) if occ.route != Some(Port::Local) => {
-                    err(loc, format!("locked occupant routed {:?}", occ.route))
+                    err(loc(), format!("locked occupant routed {:?}", occ.route))
                 }
                 _ => {}
             }
@@ -323,11 +320,11 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
                     audit_parked_head(core, node, p, vc, occ.pkt, &mut errors);
                 }
                 if let (Some(Port::Dir(d)), Some(out_vc)) = (occ.route, occ.out_vc) {
-                    let loc = format!("{node} port {} vc {vc}", Port::from_index(p));
+                    let loc = || format!("{node} port {} vc {vc}", Port::from_index(p));
                     if out_vc >= vcs {
                         credits_in_range = false;
                         errors.push(AuditError {
-                            location: loc,
+                            location: loc(),
                             problem: format!("allocated downstream VC {out_vc} >= capacity {vcs}"),
                         });
                         continue;
@@ -336,7 +333,7 @@ pub fn audit_conservation(core: &NetworkCore, overlay: usize, delivered: u64) ->
                         let target = (nbr, Port::Dir(d.opposite()).index(), out_vc);
                         if !reserved.insert(target) {
                             errors.push(AuditError {
-                                location: loc,
+                                location: loc(),
                                 problem: format!(
                                     "downstream VC {nbr} port {} vc {out_vc} reserved twice \
                                      (credit double-spend)",
@@ -413,11 +410,11 @@ fn audit_switch_requests(
 ) {
     let requesters = NUM_PORTS * core.cfg().vcs_per_port();
     for (out, (have, want)) in core.switch_requests(node).into_iter().zip(want).enumerate() {
-        let location = format!("{node} output {}", Port::from_index(out));
+        let location = || format!("{node} output {}", Port::from_index(out));
         let (stale, missing) = (have & !want, want & !have);
         if missing != 0 {
             errors.push(AuditError {
-                location: location.clone(),
+                location: location(),
                 problem: format!(
                     "switch-request word lacks bits {missing:#b} of the gather \
                      (a flit-ready slot routed here is invisible to switch allocation)"
@@ -434,7 +431,7 @@ fn audit_switch_requests(
                 "on slots not flit-ready or not routed here".to_string()
             };
             errors.push(AuditError {
-                location,
+                location: location(),
                 problem: format!(
                     "stale switch-request bits {stale:#b} {why} (request words drifted: \
                      a slot stopped requesting outside install/take/set_route/flit_sent)"
@@ -456,13 +453,13 @@ fn audit_parked_head(
     pkt: PacketId,
     errors: &mut Vec<AuditError>,
 ) {
-    let loc = format!("{node} port {} vc {vc}", Port::from_index(p));
+    let loc = || format!("{node} port {} vc {vc}", Port::from_index(p));
     let packet = core.store.get(pkt);
     let class = packet.class.index();
     let dirs = introspect::wait_dirs(core.xy(node), core.xy(packet.dst));
     if dirs.is_empty() {
         errors.push(AuditError {
-            location: loc,
+            location: loc(),
             problem: "parked head is at its destination (Local is always grantable)".into(),
         });
         return;
@@ -480,7 +477,7 @@ fn audit_parked_head(
             .find(|&v| down.is_free(v) && refused & (1 << v) == 0);
         if let Some(free_vc) = grantable {
             errors.push(AuditError {
-                location: loc.clone(),
+                location: loc(),
                 problem: format!(
                     "parked head has free, never-refused VC {free_vc} of its class at {nbr} \
                      via {d} (missed wake: a VC was freed without un-parking its waiters)"
@@ -489,7 +486,7 @@ fn audit_parked_head(
         }
         if !core.arena.is_waiting_on(node.index(), p, vc, d, vn) {
             errors.push(AuditError {
-                location: loc.clone(),
+                location: loc(),
                 problem: format!(
                     "parked head is not registered as a waiter on {d} \
                      (the next free there would not wake it)"

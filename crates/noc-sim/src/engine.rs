@@ -9,6 +9,7 @@ use noc_core::packet::{MessageClass, Packet};
 use noc_core::stats::NetStats;
 use noc_core::topology::NodeId;
 use noc_trace::{trace, TraceConfig, TraceEvent, Tracer};
+use std::any::Any;
 
 /// A traffic workload driving a simulation.
 ///
@@ -23,7 +24,11 @@ use noc_trace::{trace, TraceConfig, TraceEvent, Tracer};
 /// Workloads must be [`Send`] for the same reason schemes are: the bench
 /// harness runs each simulation on a worker thread, so the whole
 /// `Simulation` (scheme + workload + core) has to move across threads.
-pub trait Workload: Send {
+/// They must be [`Clone`] (through [`WorkloadClone`]), RNG state
+/// included, for the same reason schemes are: a cloned [`Simulation`]
+/// continues exactly as the original would. A driver that owns the
+/// concrete type reads it back with [`Simulation::workload`].
+pub trait Workload: Send + Any + WorkloadClone {
     /// Called once per cycle before the scheme steps; generate new
     /// packets here.
     fn tick(&mut self, core: &mut NetworkCore);
@@ -49,7 +54,35 @@ pub trait Workload: Send {
     }
 }
 
+/// The object-safe clone hook of [`Workload`], implemented for every
+/// `Clone` workload: what lets `Box<dyn Workload>` be [`Clone`].
+pub trait WorkloadClone {
+    /// A boxed deep copy of the workload.
+    fn box_clone(&self) -> Box<dyn Workload>;
+}
+
+impl<T: Workload + Clone> WorkloadClone for T {
+    fn box_clone(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Workload> {
+    fn clone(&self) -> Self {
+        (**self).box_clone()
+    }
+}
+
 /// One simulation: a network, a scheme and a workload.
+///
+/// A simulation is a value: [`Clone`] is a deep copy of the network,
+/// the scheme, the workload (RNG states included), the tracer's
+/// buffers and the sampler's series, sharing nothing with the
+/// original, so the clone steps on exactly as the original would and
+/// stepping one never moves the other. The one thing a clone leaves
+/// behind is the phase probe ([`set_probe`](Self::set_probe)): a probe
+/// observes host time, not simulated state.
+#[derive(Clone)]
 pub struct Simulation {
     /// The simulated network (public for inspection in tests/benches).
     pub core: NetworkCore,
@@ -99,6 +132,21 @@ impl Simulation {
     /// the model checker).
     pub fn scheme(&self) -> &dyn Scheme {
         self.scheme.as_ref()
+    }
+
+    /// The workload, if it is a `W`: how a driver that built the
+    /// simulation around its own workload type reads that workload's
+    /// state back.
+    pub fn workload<W: Workload>(&self) -> Option<&W> {
+        let any: &dyn Any = &*self.workload;
+        any.downcast_ref()
+    }
+
+    /// The workload, mutably, if it is a `W` (see
+    /// [`workload`](Self::workload)).
+    pub fn workload_mut<W: Workload>(&mut self) -> Option<&mut W> {
+        let any: &mut dyn Any = &mut *self.workload;
+        any.downcast_mut()
     }
 
     /// Enables (or re-levels) tracing for all subsequent cycles.
@@ -354,6 +402,7 @@ pub(crate) mod tests_support {
     use crate::routing::DorXy;
     use noc_core::rng::DetRng;
 
+    #[derive(Clone)]
     pub(crate) struct PlainXy;
     impl Scheme for PlainXy {
         fn required_vns(&self) -> usize {
@@ -364,6 +413,7 @@ pub(crate) mod tests_support {
         }
     }
 
+    #[derive(Clone)]
     pub(crate) struct UniformReq {
         pub(crate) rate: f64,
         pub(crate) rng: DetRng,

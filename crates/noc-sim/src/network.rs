@@ -78,9 +78,17 @@ struct StagedArrival {
 }
 
 /// The installed phase probe, if any. Newtype so [`NetworkCore`] keeps
-/// its `#[derive(Debug)]` despite `dyn PhaseProbe` not being `Debug`.
+/// its `#[derive(Debug, Clone)]` despite `dyn PhaseProbe` being
+/// neither: a clone of the core carries no probe, because a probe
+/// observes host time, not simulated state.
 #[derive(Default)]
 struct ProbeSlot(Option<Box<dyn PhaseProbe>>);
+
+impl Clone for ProbeSlot {
+    fn clone(&self) -> Self {
+        ProbeSlot(None)
+    }
+}
 
 impl std::fmt::Debug for ProbeSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -90,8 +98,9 @@ impl std::fmt::Debug for ProbeSlot {
     }
 }
 
-/// The simulated network: all routers, NIs, links and packets.
-#[derive(Debug)]
+/// The simulated network: all routers, NIs, links and packets. A clone
+/// is a deep copy, less the phase probe.
+#[derive(Debug, Clone)]
 pub struct NetworkCore {
     cfg: SimConfig,
     mesh: Mesh,

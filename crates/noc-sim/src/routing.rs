@@ -74,8 +74,9 @@ pub struct RouteDecision {
 ///
 /// Policies must be [`Send`]: schemes own their policies (often boxed),
 /// and every scheme crosses a thread boundary when the bench harness
-/// parallelizes sweeps.
-pub trait RoutingPolicy: Send + DesiredPorts {
+/// parallelizes sweeps. They are [`Clone`] (through [`PolicyClone`]),
+/// random state included, so a scheme owning a boxed policy clones too.
+pub trait RoutingPolicy: Send + DesiredPorts + PolicyClone {
     /// The discipline whose [`introspect::route_set`] `route` selects
     /// from — the union of its lanes for a policy that routes VCs
     /// differently ([`EscapeVcRouting`]).
@@ -122,6 +123,25 @@ pub trait RoutingPolicy: Send + DesiredPorts {
     ///
     /// [`SimConfig::vc_range_for_class`]: noc_core::config::SimConfig::vc_range_for_class
     fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision>;
+}
+
+/// The object-safe clone hook of [`RoutingPolicy`], implemented for
+/// every `Clone` policy: what lets `Box<dyn RoutingPolicy>` be [`Clone`].
+pub trait PolicyClone {
+    /// A boxed deep copy of the policy.
+    fn box_clone(&self) -> Box<dyn RoutingPolicy>;
+}
+
+impl<T: RoutingPolicy + Clone + 'static> PolicyClone for T {
+    fn box_clone(&self) -> Box<dyn RoutingPolicy> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn RoutingPolicy> {
+    fn clone(&self) -> Self {
+        (**self).box_clone()
+    }
 }
 
 /// The route set a [`RoutingPolicy`] selects from. A supertrait with one
@@ -846,7 +866,7 @@ mod tests {
     /// occupancy, or whose grants are not its kind's route set, fails.
     #[test]
     fn route_contract_checker_catches_violations() {
-        #[derive(Debug)]
+        #[derive(Debug, Clone)]
         struct DrawsFirst(FullyAdaptive);
         impl RoutingPolicy for DrawsFirst {
             fn kind(&self) -> PolicyKind {
@@ -860,7 +880,7 @@ mod tests {
         let err = contract::check(&mut DrawsFirst(FullyAdaptive::new(1))).unwrap_err();
         assert!(err.contains("changed the policy's state"), "{err}");
 
-        #[derive(Debug)]
+        #[derive(Debug, Clone)]
         struct FirstFreeWins;
         impl RoutingPolicy for FirstFreeWins {
             fn kind(&self) -> PolicyKind {
@@ -882,7 +902,7 @@ mod tests {
         assert!(err.contains("grants alone"), "{err}");
 
         /// Routes Y-first while naming `claims` as its kind.
-        #[derive(Debug)]
+        #[derive(Debug, Clone)]
         struct Mislabelled {
             claims: PolicyKind,
         }

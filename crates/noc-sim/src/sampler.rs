@@ -101,7 +101,7 @@ impl WindowSample {
 /// [`Simulation::set_sampler`](crate::Simulation::set_sampler); read the
 /// series back with [`windows`](Self::windows) after
 /// [`Simulation::finish_sampling`](crate::Simulation::finish_sampling).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Sampler {
     cfg: SamplerConfig,
     windows: Vec<WindowSample>,

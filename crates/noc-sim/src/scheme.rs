@@ -78,7 +78,12 @@ impl StateExport {
 /// onto the thread that runs it. Keep scheme state in owned containers
 /// (no `Rc`, no thread-local interior mutability) — see DESIGN.md's
 /// scheme-author checklist.
-pub trait Scheme: Send {
+///
+/// Schemes must also be [`Clone`] (through [`SchemeClone`]'s blanket
+/// implementation), RNG state included: a cloned
+/// [`Simulation`](crate::Simulation) continues exactly as the original
+/// would, which is how the model checker forks a search state.
+pub trait Scheme: Send + SchemeClone {
     /// Number of virtual networks the scheme requires for protocol-level
     /// deadlock freedom (0 for FastPass and Pitstop, 6 for the rest).
     fn required_vns(&self) -> usize;
@@ -101,6 +106,25 @@ pub trait Scheme: Send {
     /// fields as *now-relative* saturated deltas via `core.cycle()`.
     fn export_state(&self, core: &NetworkCore, out: &mut StateExport) {
         let _ = (core, out);
+    }
+}
+
+/// The object-safe clone hook of [`Scheme`], implemented for every
+/// `Clone` scheme: what lets `Box<dyn Scheme>` be [`Clone`].
+pub trait SchemeClone {
+    /// A boxed deep copy of the scheme.
+    fn box_clone(&self) -> Box<dyn Scheme>;
+}
+
+impl<T: Scheme + Clone + 'static> SchemeClone for T {
+    fn box_clone(&self) -> Box<dyn Scheme> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Scheme> {
+    fn clone(&self) -> Self {
+        (**self).box_clone()
     }
 }
 

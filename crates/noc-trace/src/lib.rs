@@ -121,7 +121,7 @@ impl TraceConfig {
 
 /// The recording façade. One lives inside the simulator's network core;
 /// a disabled tracer ([`Tracer::disabled`]) owns no storage at all.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tracer {
     level: TraceLevel,
     /// Mirror of the core's cycle counter, synced by the owner at each

@@ -79,7 +79,7 @@ struct CoreState {
 }
 
 /// Closed-loop coherence workload (implements [`Workload`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ProtocolWorkload {
     cfg: ProtocolConfig,
     cores: Vec<CoreState>,
@@ -284,6 +284,7 @@ mod tests {
     use noc_sim::routing::DorXy;
     use noc_sim::{Scheme, Simulation};
 
+    #[derive(Clone)]
     struct PlainXy;
     impl Scheme for PlainXy {
         fn required_vns(&self) -> usize {

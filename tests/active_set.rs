@@ -42,6 +42,7 @@ const MESHES: [(usize, usize, u64); 3] = [(3, 5, 1_200), (9, 9, 500), (16, 16, 2
 type Asked = Arc<Mutex<Vec<(usize, usize)>>>;
 
 /// Delegates everything and records every `can_consume` question.
+#[derive(Clone)]
 struct Observed {
     inner: Box<dyn Workload>,
     asked: Asked,

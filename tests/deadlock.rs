@@ -165,6 +165,7 @@ fn stalled_request_consumers_do_not_block_sinks() {
     use fastpass_noc::core::topology::NodeId;
     use fastpass_noc::sim::NetworkCore;
 
+    #[derive(Clone)]
     struct StalledRequests;
     impl Workload for StalledRequests {
         fn tick(&mut self, core: &mut NetworkCore) {

@@ -89,6 +89,7 @@ fn packet_conservation_under_load() {
 /// own overlay and the NIs' source backlog. The live count peaks there
 /// within a cycle: refills store pending packets during the step, and
 /// packets leave the store only later, in the NI consumer.
+#[derive(Clone)]
 struct AfterStep {
     inner: Box<dyn Scheme>,
     peaks: Arc<Peaks>,
