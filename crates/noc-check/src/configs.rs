@@ -11,9 +11,10 @@
 //!   scripted job set. Bounds are sized so FastPass and the credit
 //!   baselines exhaust their schedule space (zero truncated paths) in
 //!   seconds.
-//! * [`matrix_3x3`] — the weekly tier: deeper, budgeted exploration on a
-//!   3×3 mesh. Verdicts here are bounded (the budget usually runs out
-//!   first) but cover a diameter-3 topology the 2×2 cannot.
+//! * [`matrix_3x3`] — the weekly tier: deeper exploration on a 3×3 mesh,
+//!   a diameter-4 topology the 2×2 cannot cover. Its bounds are sized
+//!   so every point exhausts its schedule space too (FastPass in about
+//!   six million nodes).
 //!
 //! [`planted`] is the checker's own soundness test: the *broken*
 //! configuration of `tests/deadlock.rs` (shared buffers, zero VNs, plain
@@ -31,10 +32,10 @@ use noc_schemes::{verify_points, VerifyPoint};
 /// name (`None`: a point nobody has sized a search for). Depth limits
 /// of the rotating schemes must cover injected traffic draining plus a
 /// full rotation wrap, for idle-tick chains to close against the visited
-/// set: FastPass's TDM rotation is 80 cycles on 2×2 (longer on 3×3,
-/// where the budget is what actually ends the search — a bounded verdict
-/// by design on the weekly tier); Pitstop's class rotation is
-/// 8 × 6 = 48 cycles on both.
+/// set: FastPass's TDM rotation is 80 cycles on 2×2 and longer on 3×3,
+/// whose deepest schedule is 1 044 decisions (so its limit is the
+/// doubling past that, 1 536); Pitstop's class rotation is 8 × 6 = 48
+/// cycles on both.
 fn bounded(point: VerifyPoint) -> Option<CheckConfig> {
     let (jobs, age_cap, horizon, drain_cap, max_depth, node_budget) = match point.name {
         "fastpass-2x2" => (cross_jobs_2x2(), 24, 512, 60_000, 256, 2_500_000),
@@ -44,7 +45,7 @@ fn bounded(point: VerifyPoint) -> Option<CheckConfig> {
         "spin-2x2" => (cross_jobs_2x2(), 20, 1024, 40_000, 48, 60_000),
         "escape-vc-2x2" => (cross_jobs_2x2(), 8, 512, 20_000, 40, 40_000),
         "minbd-min-2x2" => (cross_jobs_2x2(), 8, 512, 20_000, 40, 40_000),
-        "fastpass-3x3" => (cross_jobs_3x3(), 24, 1024, 120_000, 384, 4_000_000),
+        "fastpass-3x3" => (cross_jobs_3x3(), 24, 1024, 120_000, 1536, 12_000_000),
         "vct-xy6-3x3" => (cross_jobs_3x3(), 8, 512, 40_000, 64, 100_000),
         "pitstop-3x3" => (cross_jobs_3x3(), 12, 1024, 120_000, 192, 1_500_000),
         "planted-vct0-protocol-2x2" => (planted_jobs(), 8, 256, 20_000, 48, 400_000),
@@ -103,7 +104,7 @@ pub fn matrix_2x2() -> Vec<CheckConfig> {
     tier(2)
 }
 
-/// The weekly 3×3 matrix: deeper topology, budgeted verdicts.
+/// The weekly 3×3 matrix: deeper topology, exhaustive verdicts.
 pub fn matrix_3x3() -> Vec<CheckConfig> {
     tier(3)
 }
