@@ -1,5 +1,5 @@
-//! The bounded explorer: exhaustive interleaving search with a visited
-//! set, iterative deepening and a drain-based wedge oracle.
+//! The explorer: one depth-first search that expands each canonical
+//! state once, with a drain-based wedge oracle.
 //!
 //! # Search space
 //!
@@ -10,21 +10,29 @@
 //! taken per cycle — [`Decision::TICK`] (advance without injecting) or
 //! `Decision::inject(j)` for any still-pending job `j` — so a decision
 //! *path* is a complete schedule prefix and covers every injection-order,
-//! arbitration and phase interleaving expressible at the configured
-//! depth.
+//! arbitration and phase interleaving.
 //!
 //! A [`Simulation`] is a value — cloning it deep-copies the network,
 //! the scheme and the scripted workload, RNG states included — so a
 //! search node is a state, not a path to replay: each child is its
-//! parent's state plus the child's one decision ([`decide`]). Injecting
-//! children get a clone; the last child, [`Decision::TICK`], takes the
-//! parent's state itself, so the DFS holds a state only for the
-//! ancestors whose injecting children it is inside — at most one per
-//! scripted job, plus the node being expanded. The canonical visited
-//! set ([`canon_hash`]) collapses the combinatorial bulk of equivalent
-//! interleavings. Only [`replay`](mod@crate::replay) still runs a schedule
-//! from cycle 0, as the independent check that a counterexample is
-//! real.
+//! parent's state plus the child's one decision ([`decide`]). Children
+//! are tried injections first, then [`Decision::TICK`]. Injecting
+//! children get a clone; the TICK child takes the parent's state itself
+//! as a tail step, so the search holds a state only for the ancestors
+//! whose injecting children it is inside — at most one per scripted
+//! job, plus the node being expanded. Those ancestors live on a heap
+//! stack, not in recursion: a long tick chain costs one path byte per
+//! level, and no schedule depth can overflow the native stack.
+//!
+//! The visited set ([`canon_hash`]) collapses the combinatorial bulk of
+//! equivalent interleavings, and each canonical state is expanded once,
+//! at the first path that reaches it. There is no depth limit — idle
+//! tick chains close against the visited set once the scheme's
+//! rotation wraps — so the node budget is the only bound, and a search
+//! that ends within it has exhausted the space. The wedge reported is
+//! the first in depth-first order, not necessarily the shallowest. Only
+//! [`replay`](mod@crate::replay) still runs a schedule from cycle 0, as
+//! the independent check that a counterexample is real.
 //!
 //! # Wedge oracle
 //!
@@ -48,7 +56,8 @@ use noc_sim::routing::RoutingPolicy;
 use noc_sim::waitgraph::WaitGraph;
 use noc_sim::Simulation;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 /// One scheduling decision: what the adversary does this cycle.
 ///
@@ -89,9 +98,7 @@ pub struct CheckConfig {
     pub horizon: u64,
     /// Hard cap on drain length per terminal state.
     pub drain_cap: u64,
-    /// Final iterative-deepening depth limit (decisions).
-    pub max_depth: usize,
-    /// Cap on expanded search nodes.
+    /// Cap on expanded search nodes: the search's only bound.
     pub node_budget: u64,
 }
 
@@ -144,7 +151,7 @@ pub struct Counterexample {
 /// The verdict for one configuration.
 #[derive(Debug, Clone, Serialize)]
 pub enum Verdict {
-    /// Every schedule within bounds drains completely.
+    /// Every explored schedule drains completely.
     DeadlockFree,
     /// A schedule wedges — here is the witness.
     Wedged(Counterexample),
@@ -177,13 +184,9 @@ pub struct CheckReport {
     pub terminals_drained: u64,
     /// Deepest decision path expanded.
     pub deepest_path: usize,
-    /// Depth limit the final iterative-deepening round ran with.
-    pub depth_limit: usize,
-    /// Paths cut off at the depth limit with jobs still pending (0 ⇒
-    /// the state space was exhausted and the verdict is unconditional
-    /// within the drain horizon).
-    pub truncated_paths: u64,
-    /// Whether the node budget ran out (verdict is bounded-only).
+    /// Whether the node budget ran out: the verdict is bounded-only.
+    /// Otherwise the state space was exhausted and a clean verdict is
+    /// unconditional within the drain horizon.
     pub budget_exhausted: bool,
 }
 
@@ -288,39 +291,37 @@ fn diagnose(cc: &CheckConfig, sim: &Simulation) -> WedgeKind {
     }
 }
 
+/// A node whose children are still to come: its state, its path length,
+/// and the jobs it has yet to inject. It lives until its last child,
+/// [`Decision::TICK`], takes its state.
+struct Frame {
+    sim: Simulation,
+    depth: usize,
+    inject: std::vec::IntoIter<usize>,
+}
+
 /// Internal mutable search state.
 struct Search<'a> {
     cc: &'a CheckConfig,
-    /// Canonical hash → shallowest depth at which the state was expanded.
-    visited: HashMap<u64, usize>,
-    /// Terminal states already drain-checked.
-    drained: HashSet<u64>,
+    /// Canonical hashes of the states expanded so far.
+    seen: HashSet<u64>,
     nodes: u64,
     terminals: u64,
     deepest: usize,
-    truncated: u64,
     budget_out: bool,
 }
 
-/// What a DFS branch resolved to.
-enum Found {
-    Nothing,
-    Wedge(Counterexample),
-    Violation(Vec<Decision>, Vec<String>),
-}
-
 impl Search<'_> {
-    /// Expands the node `sim`, reached along `path`; `depth_limit`
-    /// bounds further decisions.
-    fn dfs(&mut self, path: &mut Vec<Decision>, mut sim: Simulation, depth_limit: usize) -> Found {
-        if self.nodes >= self.cc.node_budget {
-            self.budget_out = true;
-            return Found::Nothing;
-        }
+    /// Expands `sim`, reached along `path`: audits it and, if its
+    /// canonical state is new, drains it (every job injected) or returns
+    /// the frame its children branch from.
+    fn expand(
+        &mut self,
+        path: &[Decision],
+        mut sim: Simulation,
+    ) -> ControlFlow<Verdict, Option<Frame>> {
         self.nodes += 1;
         self.deepest = self.deepest.max(path.len());
-
-        let hash = canon_hash(&sim, &self.cc.canon);
 
         // Lemma instrumentation + conservation at every explored state.
         let mut errors: Vec<String> = audit(&sim.core)
@@ -337,108 +338,85 @@ impl Search<'_> {
             .map(|e| e.to_string()),
         );
         if !errors.is_empty() {
-            return Found::Violation(path.clone(), errors);
+            let schedule = path.to_vec();
+            return ControlFlow::Break(Verdict::InvariantViolation(Violation { schedule, errors }));
         }
 
+        if !self.seen.insert(canon_hash(&sim, &self.cc.canon)) {
+            return ControlFlow::Continue(None);
+        }
         let pending = script(&sim).pending();
         if pending.is_empty() {
             // Fully injected: deterministic from here — drain-check once
             // per canonical state.
-            if self.drained.insert(hash) {
-                self.terminals += 1;
-                if let DrainOutcome::Wedged(cex) = drain(self.cc, path, &mut sim) {
-                    return Found::Wedge(cex);
-                }
-            }
-            return Found::Nothing;
+            self.terminals += 1;
+            return match drain(self.cc, path, &mut sim) {
+                DrainOutcome::Drained => ControlFlow::Continue(None),
+                DrainOutcome::Wedged(cex) => ControlFlow::Break(Verdict::Wedged(cex)),
+            };
         }
-
-        // Already expanded at this depth or shallower?
-        match self.visited.get(&hash) {
-            Some(&d) if d <= path.len() => return Found::Nothing,
-            _ => {
-                self.visited.insert(hash, path.len());
-            }
-        }
-
-        if path.len() >= depth_limit {
-            self.truncated += 1;
-            return Found::Nothing;
-        }
-
-        for j in pending {
-            match self.child(path, sim.clone(), Decision::inject(j), depth_limit) {
-                Found::Nothing => {}
-                other => return other,
-            }
-        }
-        // The last choice takes the state itself: no sibling needs it.
-        self.child(path, sim, Decision::TICK, depth_limit)
+        let (depth, inject) = (path.len(), pending.into_iter());
+        ControlFlow::Continue(Some(Frame { sim, depth, inject }))
     }
 
-    /// Expands the child `d` derives from `sim`, its parent's state.
-    fn child(
-        &mut self,
-        path: &mut Vec<Decision>,
-        mut sim: Simulation,
-        d: Decision,
-        depth_limit: usize,
-    ) -> Found {
-        decide(&mut sim, d);
-        path.push(d);
-        let found = self.dfs(path, sim, depth_limit);
-        path.pop();
-        found
+    /// The depth-first search from the cycle-0 state, on a heap stack of
+    /// [`Frame`]s: after each expansion the next node is the top frame's
+    /// next child — a clone of its state plus one injection while it has
+    /// jobs to inject, then its own state plus [`Decision::TICK`], which
+    /// pops it. Frames nest only inside injecting children, so at most
+    /// one per scripted job is live, and a tick chain costs one path
+    /// byte per level.
+    fn run(&mut self) -> ControlFlow<Verdict> {
+        let mut path = Vec::new();
+        let mut frames: Vec<Frame> = Vec::new();
+        let mut sim = materialize(self.cc);
+        loop {
+            if self.nodes >= self.cc.node_budget {
+                self.budget_out = true;
+                return ControlFlow::Continue(());
+            }
+            frames.extend(self.expand(&path, sim)?);
+            let Some(top) = frames.last_mut() else {
+                return ControlFlow::Continue(());
+            };
+            path.truncate(top.depth);
+            let d;
+            (sim, d) = match top.inject.next() {
+                Some(j) => (top.sim.clone(), Decision::inject(j)),
+                None => {
+                    let top = frames.pop().expect("the top frame exists");
+                    (top.sim, Decision::TICK)
+                }
+            };
+            decide(&mut sim, d);
+            path.push(d);
+        }
     }
 }
 
-/// Runs the bounded check for one configuration: iterative-deepening DFS
-/// until the space is exhausted (no truncated paths), a counterexample
-/// is found, or the node/depth budgets run out.
+/// Runs the check for one configuration: one depth-first search that
+/// expands each canonical state once, until the space is exhausted, a
+/// counterexample is found, or the node budget runs out.
 pub fn check(cc: &CheckConfig) -> CheckReport {
-    let mut depth = cc.jobs.len().max(1) * 2;
     let mut search = Search {
         cc,
-        visited: HashMap::new(),
-        drained: HashSet::new(),
+        seen: HashSet::new(),
         nodes: 0,
         terminals: 0,
         deepest: 0,
-        truncated: 0,
         budget_out: false,
     };
-    loop {
-        depth = depth.min(cc.max_depth);
-        search.visited.clear();
-        search.drained.clear();
-        search.truncated = 0;
-        let found = search.dfs(&mut Vec::new(), materialize(cc), depth);
-        let verdict = match found {
-            Found::Wedge(cex) => Some(Verdict::Wedged(cex)),
-            Found::Violation(schedule, errors) => {
-                Some(Verdict::InvariantViolation(Violation { schedule, errors }))
-            }
-            Found::Nothing => {
-                if search.truncated == 0 || search.budget_out || depth >= cc.max_depth {
-                    Some(Verdict::DeadlockFree)
-                } else {
-                    None // deepen and retry
-                }
-            }
-        };
-        if let Some(verdict) = verdict {
-            return CheckReport {
-                name: cc.point.name.to_string(),
-                verdict,
-                states_explored: search.visited.len() as u64 + search.drained.len() as u64,
-                nodes_materialized: search.nodes,
-                terminals_drained: search.terminals,
-                deepest_path: search.deepest,
-                depth_limit: depth,
-                truncated_paths: search.truncated,
-                budget_exhausted: search.budget_out,
-            };
-        }
-        depth *= 2;
+    let verdict = match search.run() {
+        ControlFlow::Continue(()) => Verdict::DeadlockFree,
+        ControlFlow::Break(verdict) => verdict,
+    };
+    CheckReport {
+        name: cc.point.name.to_string(),
+        verdict,
+        states_explored: search.seen.len() as u64,
+        nodes_materialized: search.nodes,
+        terminals_drained: search.terminals,
+        deepest_path: search.deepest,
+        budget_exhausted: search.budget_out,
     }
 }

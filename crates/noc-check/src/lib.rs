@@ -16,9 +16,9 @@
 //! * [`canon`] — the state abstraction: packed occupant/queue/overlay
 //!   words, packet-to-job renaming, saturated relative ages, FNV-1a
 //!   digest.
-//! * [`explore`] — iterative-deepening DFS over cloned simulation
-//!   states with a visited set, per-state invariant audits, and the
-//!   drain wedge-oracle.
+//! * [`explore`] — one heap-stacked DFS over cloned simulation states
+//!   that expands each canonical state once, with per-state invariant
+//!   audits and the drain wedge-oracle.
 //! * [`replay`] — bitwise counterexample confirmation through a fresh
 //!   traced simulation, producing a Perfetto-loadable artifact.
 //! * [`configs`] — the search bounds and job sets of the named

@@ -38,21 +38,10 @@ impl Summary {
     /// summary of two runs of one build is byte-identical).
     pub fn describe(o: &ConfigOutcome, seconds: f64) -> String {
         let verdict = match &o.report.verdict {
-            Verdict::DeadlockFree => {
-                if o.report.truncated_paths == 0 && !o.report.budget_exhausted {
-                    "deadlock-free (exhaustive within bounds)".to_string()
-                } else {
-                    format!(
-                        "deadlock-free (bounded: {} truncated paths{})",
-                        o.report.truncated_paths,
-                        if o.report.budget_exhausted {
-                            ", budget exhausted"
-                        } else {
-                            ""
-                        }
-                    )
-                }
+            Verdict::DeadlockFree if o.report.budget_exhausted => {
+                "deadlock-free (bounded: node budget exhausted)".to_string()
             }
+            Verdict::DeadlockFree => "deadlock-free (exhaustive)".to_string(),
             Verdict::Wedged(cex) => format!(
                 "WEDGE after {} decisions + {} drain cycles ({} of {} consumed, {} in flight)",
                 cex.schedule.len(),
@@ -71,14 +60,13 @@ impl Summary {
             None => "",
         };
         format!(
-            "{:28} {} — {} states, {} nodes, {} terminals, depth {}/{} in {:.1}s{}",
+            "{:28} {} — {} states, {} nodes, {} terminals, depth {} in {:.1}s{}",
             o.report.name,
             verdict,
             o.report.states_explored,
             o.report.nodes_materialized,
             o.report.terminals_drained,
             o.report.deepest_path,
-            o.report.depth_limit,
             seconds,
             replayed
         )

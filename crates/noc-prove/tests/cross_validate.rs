@@ -10,7 +10,7 @@
 //!
 //! Configs whose exhaustive exploration is cheap enough for debug-mode
 //! tests are explored live here; the expensive ones (`fastpass-2x2` at
-//! a 2.5M-node budget, `pitstop-2x2` at 600k, their 3×3 siblings) are
+//! a 300k-node budget, `pitstop-2x2` at 60k, their 3×3 siblings) are
 //! validated against the point's declared expectation, which the CI
 //! `modelcheck` job re-establishes dynamically in release mode.
 

@@ -246,7 +246,7 @@ fn checker_rediscovers_planted_wedge_and_replay_confirms() {
 
 /// S1 triage of the prime suspects (`escape_vc` re-entry, `minbd`
 /// deflection draw at minimal buffering): the checker explored their
-/// full 2×2 interleaving space — zero truncated paths — without finding
+/// full 2×2 interleaving space — node budget untouched — without finding
 /// a wedge or an invariant violation, so there is no counterexample to
 /// fix at these bounds. This test keeps both verdicts exhaustive.
 #[test]
@@ -262,10 +262,36 @@ fn checker_clears_escape_vc_and_minbd_exhaustively() {
             "{name}: expected deadlock-free, got {:?}",
             report.verdict
         );
-        assert_eq!(
-            report.truncated_paths, 0,
+        assert!(
+            !report.budget_exhausted,
             "{name}: verdict must be exhaustive, not bounded"
         );
-        assert!(!report.budget_exhausted, "{name}: budget must suffice");
     }
+}
+
+/// The search keeps its frames on the heap, so schedule depth costs no
+/// native stack: `pitstop-2x2`, whose deepest schedule is 65 decisions,
+/// checks exhaustively on a 256 KiB thread stack, which a search that
+/// recursed once per decision (several KiB of frame each) overflows.
+#[test]
+fn checker_search_depth_costs_no_native_stack() {
+    use fastpass_noc::check::{check, configs, Verdict};
+
+    let cc = configs::by_name("pitstop-2x2").expect("pitstop-2x2 is in the matrix");
+    let report = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || check(&cc))
+        .expect("spawn the checker thread")
+        .join()
+        .expect("the checker thread completes");
+    assert!(
+        matches!(report.verdict, Verdict::DeadlockFree),
+        "pitstop-2x2: expected deadlock-free, got {:?}",
+        report.verdict
+    );
+    assert!(!report.budget_exhausted, "pitstop-2x2: budget must suffice");
+    assert_eq!(
+        report.deepest_path, 65,
+        "pitstop-2x2: deepest schedule moved"
+    );
 }
