@@ -212,9 +212,9 @@ mod tests {
 
     /// Past saturation on the paper's mesh, probes return both ways:
     /// most find no cycle in the wait graph, and at least one finds and
-    /// spins one. This is the regime `golden_saturated` pins, so it
-    /// keeps that gate's coverage of the cycle search from silently
-    /// disappearing.
+    /// spins one. This is the regime the saturated grid of
+    /// `tests/golden.rs` pins, so it keeps that gate's coverage of the
+    /// cycle search from silently disappearing.
     #[test]
     fn probes_miss_and_hit_past_saturation() {
         let cfg = SimConfig::builder()

@@ -2,8 +2,8 @@
 //! job's uploads.
 //!
 //! Runs FastPass on a 16×16 mesh under uniform traffic at rate 0.02
-//! (seed 5, 500 + 1 500 cycles: the lowest-rate point of the
-//! `big_mesh_golden` test's matrix) with full tracing and a windowed
+//! (seed 5, 500 + 1 500 cycles: the lowest-rate point of the 16×16
+//! grid in `tests/golden.rs`) with full tracing and a windowed
 //! sampler, writing Chrome-trace / metrics / lifetime / window-series
 //! artifacts into the trace directory (default `trace/`,
 //! `FP_TRACE_OUT` overrides). The point's statistics are gated by that

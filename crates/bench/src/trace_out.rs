@@ -1,8 +1,9 @@
 //! Traced sweep points: artifact emission and Chrome-trace validation.
 //!
 //! A traced point re-runs one `(spec, rate)` simulation with a live
-//! [`Tracer`] and writes three artifacts per point into a trace
-//! directory (default `trace/`, override with `FP_TRACE_OUT`):
+//! [`Tracer`] and windowed sampler and writes four artifacts per point
+//! into a trace directory (default `trace/`, override with
+//! `FP_TRACE_OUT`):
 //!
 //! * `<point>.trace.json` — Chrome `trace_event` JSON, loadable in
 //!   Perfetto / `chrome://tracing` (one track per router, one per
@@ -11,7 +12,9 @@
 //!   [`MetricsReport`](noc_trace::MetricsReport) (occupancy integrals,
 //!   per-class inject/eject counts, stall-cause breakdown,
 //!   lane-occupancy histogram);
-//! * `<point>.lifetimes.txt` — the textual per-packet lifetime report.
+//! * `<point>.lifetimes.txt` — the textual per-packet lifetime report;
+//! * `<point>.windows.json` — the sampler's window series (the same
+//!   series rides in the Chrome trace as counter tracks).
 //!
 //! Traced points never touch the sweep result cache: tracing wants a
 //! fresh simulation every time (the cache stores only [`LatencyPoint`]

@@ -273,9 +273,11 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// The saturation rate: the first offered rate whose latency exceeds
-    /// `3 ×` the first point's latency (the standard definition used in
-    /// Figs. 7/8), or the last rate if it never saturates in range.
+    /// The saturation rate: the last offered rate *before* the first
+    /// point whose latency exceeds `3 ×` the first point's latency or is
+    /// not finite (the definition used in Figs. 7/8), or the last rate if
+    /// no point does; 0 for an empty sweep. Latencies 10, 12, 50 at rates
+    /// 0.1, 0.2, 0.3 give 0.2.
     pub fn saturation_rate(&self) -> f64 {
         let zero_load = self.points.first().map(|p| p.avg_latency).unwrap_or(0.0);
         for w in self.points.windows(2) {

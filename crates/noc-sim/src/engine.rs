@@ -153,7 +153,7 @@ impl Simulation {
     ///
     /// Tracing is observational only: a traced run produces bitwise
     /// identical [`NetStats`] to an untraced one (enforced by the
-    /// `trace_gate` integration test).
+    /// `golden` integration test).
     pub fn set_trace(&mut self, cfg: &TraceConfig) {
         self.core.enable_trace(cfg);
     }
@@ -167,7 +167,7 @@ impl Simulation {
     ///
     /// Like tracing, sampling is observational only: a sampled run
     /// produces bitwise identical [`NetStats`] to an unsampled one
-    /// (enforced by the `sampler_gate` integration test). The sampler's
+    /// (enforced by the `golden` integration test). The sampler's
     /// delta baselines are re-based on the current counters here, and
     /// again at every [`reset_stats`](Self::reset_stats), so the series
     /// always covers exactly the live measurement window.

@@ -85,7 +85,8 @@ impl Phase {
 ///
 /// Implementations must be pure observers: a probe receives no simulator
 /// state and must not influence any, so a probed run produces bitwise
-/// identical [`NetStats`](noc_core::stats::NetStats) to an unprobed one.
+/// identical [`NetStats`](noc_core::stats::NetStats) to an unprobed one
+/// (enforced by the `golden` integration test).
 /// `Send` for the same reason schemes are — simulations move across bench
 /// worker threads whole.
 ///

@@ -10,8 +10,8 @@
 //! [`RouterMetrics`] total) plus instantaneous gauges of live state —
 //! into a pre-allocated fixed-capacity series.
 //!
-//! Contract (mirrors the tracer's, enforced by `tests/sampler_gate.rs`
-//! and `noc-lint`):
+//! Contract (mirrors the tracer's, enforced by `tests/golden.rs` and
+//! `noc-lint`):
 //!
 //! - **Observation only.** The sampler reads the core; it never mutates
 //!   it. A sampled run produces bitwise identical `NetStats` to an

@@ -36,7 +36,7 @@
 //! no-op branch in off mode.
 //!
 //! Recording never mutates simulation state: enabling any trace level
-//! leaves `NetStats` bitwise identical (gated by `tests/trace_gate.rs`).
+//! leaves `NetStats` bitwise identical (gated by `tests/golden.rs`).
 
 #![warn(missing_docs)]
 

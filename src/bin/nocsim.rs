@@ -25,7 +25,10 @@
 //!   FastPass VCs (1 to 12; every other scheme runs Table II's VN/VC
 //!   configuration);
 //! * `--warmup/--cycles <n>` — window lengths; `--quota <n>` — closed-loop
-//!   transactions per core; `--seed <n>`; `--json` for machine output.
+//!   transactions per core: with `--app`, a quota runs the application to
+//!   completion with no warmup, capped at `max(--cycles, 1000000)` cycles
+//!   (so `--cycles` can raise the cap but never lower it);
+//! * `--seed <n>`; `--json` for machine output.
 
 use fastpass_noc::core::stats::NetStats;
 use fastpass_noc::schemes::{SchemeId, ALL_SCHEMES};
@@ -215,8 +218,8 @@ fn run() -> Result<(), String> {
         make_sim(id, pattern, rate, size, vcs, seed)
     };
     let stats = if args.get("app").is_some() && args.num::<u64>("quota", 0)? > 0 {
-        // Closed loop: run to completion (bounded by --cycles as a cap
-        // only if it is larger than the default).
+        // Closed loop: run to completion, capped at 1M cycles or at
+        // --cycles if that is larger; --cycles never lowers the cap.
         let cap = cycles.max(1_000_000);
         let ran = sim.run(cap);
         let mut s = sim.core.stats.clone();
