@@ -5,46 +5,43 @@
 //! cache, JSON emission — end to end in a few seconds, and fails loudly
 //! if any point produces a non-finite latency or delivers nothing.
 //!
-//! `--trace[=level]` (default level `full`) additionally re-runs two
-//! traced points — one low-load uniform point and one high-load FastPass
-//! transpose point that actually exercises the bypass lanes — and writes
-//! Chrome trace / metrics / lifetime artifacts into `trace/` (override
-//! with `FP_TRACE_OUT`). Traced runs never touch the sweep cache, so the
-//! cache-hit accounting of the untraced sweep is unchanged.
+//! `--trace` additionally re-runs three points ([`traced_points`])
+//! with full tracing and writes Chrome trace / metrics / lifetime /
+//! window-series artifacts into `trace/` (override with
+//! `FP_TRACE_OUT`). Each Chrome trace it writes is then checked:
+//! structurally valid, carrying the telemetry counter tracks, and —
+//! where the point demands it — holding both regular `link` and bypass
+//! `lane` traversals. A failed check names the file and exits 1. Traced
+//! runs never touch the sweep cache, so the cache-hit accounting of the
+//! untraced sweep is unchanged.
 //!
 //! `--serve[=SOCKET]` (or `NOC_SERVE`) routes the sweep through a
 //! running `nocserve` daemon instead of the in-process executor; the
 //! emitted `smoke.json` is bitwise identical either way (the `serve` CI
 //! job diffs the two). The telemetry summary and the traced points
-//! always run locally.
+//! always run locally. Any other argument is exit 2 with one usage line.
 
 use bench::runner::make_sim;
-use bench::trace_out::{run_traced_point, trace_out_dir};
+use bench::{check_chrome_trace_full, run_traced_point, trace_out_dir};
 use bench::{emit_json, run_sweeps, SchemeId, SweepSpec};
 use noc_sim::SamplerConfig;
-use noc_trace::{TraceConfig, TraceLevel};
+use noc_trace::TraceConfig;
+use std::process::ExitCode;
 use traffic::SyntheticPattern;
 
-fn parse_trace_flag() -> Option<TraceLevel> {
+fn main() -> ExitCode {
+    let mut trace = false;
     for arg in std::env::args().skip(1) {
-        if arg == "--trace" {
-            return Some(TraceLevel::Full);
+        // `ExecMode` reads the serve flags.
+        if arg == "--serve" || arg.starts_with("--serve=") {
+            continue;
         }
-        if let Some(level) = arg.strip_prefix("--trace=") {
-            match TraceLevel::parse(level) {
-                Ok(l) => return Some(l),
-                Err(e) => {
-                    eprintln!("smoke: {e}");
-                    std::process::exit(2);
-                }
-            }
+        if arg != "--trace" {
+            eprintln!("smoke: unknown argument `{arg}`\nusage: smoke [--trace] [--serve[=SOCKET]]");
+            return ExitCode::from(2);
         }
+        trace = true;
     }
-    None
-}
-
-fn main() {
-    let trace_level = parse_trace_flag();
     let rates = vec![0.02, 0.05, 0.08];
     let specs: Vec<SweepSpec> = [SchemeId::FastPass, SchemeId::Vct]
         .iter()
@@ -87,9 +84,13 @@ fn main() {
     println!("smoke sweep OK — JSON written to {}", path.display());
     print_telemetry_summary(&specs[0]);
 
-    if let Some(level) = trace_level {
-        run_traced_smoke(level, &specs[0]);
+    if trace {
+        if let Err(e) = run_traced_smoke(&specs[0]) {
+            eprintln!("smoke: {e}");
+            return ExitCode::FAILURE;
+        }
     }
+    ExitCode::SUCCESS
 }
 
 /// Re-runs the highest-rate point of `spec` with the windowed sampler
@@ -120,27 +121,58 @@ fn print_telemetry_summary(spec: &SweepSpec) {
     );
 }
 
-/// Traces one low-load point from the untraced sweep plus one high-load
-/// FastPass transpose point (rate 0.3, single-VC buffers) where upgrades
-/// demonstrably fire, so the artifacts contain both regular `link` and
-/// bypass `lane` traversals for `trace_check --require-bypass`.
-fn run_traced_smoke(level: TraceLevel, low_load: &SweepSpec) {
-    let cfg = TraceConfig { level };
-    let bypass_spec = SweepSpec {
-        id: SchemeId::FastPass,
+/// The traced points, each a FastPass spec traced at its one rate, and
+/// whether its trace must hold both regular `link` and bypass `lane`
+/// traversals: a low-load point of the smoke `sweep`; a 1-VC transpose
+/// point past the knee, where upgrades demonstrably fire; and the lowest
+/// rate of `tests/golden.rs`'s 16×16 grid, where lanes fire at 256 nodes.
+fn traced_points(sweep: &SweepSpec) -> [(SweepSpec, bool); 3] {
+    let low_load = SweepSpec {
+        rates: vec![0.05],
+        ..sweep.clone()
+    };
+    let transpose = SweepSpec {
         pattern: SyntheticPattern::Transpose,
         rates: vec![0.3],
-        size: 4,
         fp_vcs: 1,
         warmup: 2_000,
         measure: 8_000,
         seed: 9,
+        ..sweep.clone()
     };
+    let mesh_16x16 = SweepSpec {
+        rates: vec![0.02],
+        size: 16,
+        warmup: 500,
+        measure: 1_500,
+        ..sweep.clone()
+    };
+    [(low_load, false), (transpose, true), (mesh_16x16, true)]
+}
+
+/// Traces every [`traced_points`] point of `sweep` at full level and
+/// checks the Chrome trace each one writes.
+///
+/// # Errors
+///
+/// Names the artifact that could not be written, or the trace file and
+/// what its check found wrong.
+fn run_traced_smoke(sweep: &SweepSpec) -> Result<(), String> {
     let dir = trace_out_dir();
-    for (spec, rate) in [(low_load, 0.05), (&bypass_spec, 0.3)] {
-        let paths = run_traced_point(spec, rate, &cfg, &dir).expect("traced point");
+    for (spec, bypass) in traced_points(sweep) {
+        let rate = spec.rates[0];
+        let paths = run_traced_point(&spec, rate, &TraceConfig::full(), &dir)
+            .map_err(|e| format!("writing trace artifacts into {}: {e}", dir.display()))?;
         for p in &paths {
             println!("traced {} — {}", spec.id.name(), p.display());
         }
+        let trace = &paths[0];
+        let json =
+            std::fs::read_to_string(trace).map_err(|e| format!("{}: {e}", trace.display()))?;
+        let s = check_chrome_trace_full(&json, bypass, true)
+            .map_err(|e| format!("{}: INVALID — {e}", trace.display()))?;
+        let path = trace.display();
+        println!("{path}: OK — {} events, {} counters", s.events, s.counters);
     }
+    Ok(())
 }

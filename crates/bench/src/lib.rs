@@ -36,16 +36,18 @@ pub mod serve_client;
 pub mod telemetry;
 pub mod trace_out;
 
+use std::path::PathBuf;
+
 // The sweep library lives one layer down, in `noc-serve`; these keep
 // every moved module and name resolving at its historical path.
 pub use noc_serve::{proto, registry, runner, store};
 
 pub use noc_serve::{
-    emit_json, env_u64, format_key, git_sha, netstats_fnv64, num_jobs, parallel_map,
-    parallel_map_with, point_cache_key, run_sweep_parallel, simulate_point, FlightRecord,
-    FlightStats, GcReport, HistogramSummary, LatencyPoint, MetricValue, MetricsReport, Provenance,
-    SchemeId, Store, StoreStats, SweepOptions, SweepResult, SweepSpec, WireSpec, WorkerReport,
-    ALL_SCHEMES, CACHE_SCHEMA_VERSION, PROTO_VERSION,
+    env_u64, format_key, git_sha, netstats_fnv64, num_jobs, parallel_map, parallel_map_with,
+    point_cache_key, run_sweep_parallel, simulate_point, FlightRecord, FlightStats, GcReport,
+    HistogramSummary, LatencyPoint, MetricValue, MetricsReport, Provenance, SchemeId, Store,
+    StoreStats, SweepOptions, SweepResult, SweepSpec, WireSpec, WorkerReport, ALL_SCHEMES,
+    CACHE_SCHEMA_VERSION, PROTO_VERSION,
 };
 pub use phases::{PhaseTimes, WallProbe};
 pub use serve_client::{run_sweeps, Client, ExecMode};
@@ -53,3 +55,18 @@ pub use telemetry::{series_summary, sparkline, windows_json};
 pub use trace_out::{
     check_chrome_trace, check_chrome_trace_full, run_traced_point, trace_out_dir, TraceCheckSummary,
 };
+
+/// Writes a serializable result into `$FP_OUT/<name>.json` (default
+/// `results/`), creating the directory as needed. Returns the path.
+///
+/// # Errors
+///
+/// Propagates filesystem errors creating the directory or writing the
+/// file, and a serialization failure.
+pub fn emit_json<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
+    let dir = std::env::var("FP_OUT").unwrap_or_else(|_| "results".to_string());
+    std::fs::create_dir_all(&dir)?;
+    let path = PathBuf::from(dir).join(format!("{name}.json"));
+    std::fs::write(&path, serde_json::to_string_pretty(value)?)?;
+    Ok(path)
+}

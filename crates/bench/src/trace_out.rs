@@ -21,9 +21,9 @@
 //! aggregates anyway), and keeping traced runs out of the cache keeps
 //! the smoke sweep's hit-count assertions in CI exact.
 //!
-//! [`check_chrome_trace`] is the validation half — the `trace_check`
-//! binary is a thin wrapper over it so CI failures reproduce in a unit
-//! test.
+//! [`check_chrome_trace`] is the validation half — `smoke --trace`
+//! checks every trace it writes with it, so CI failures reproduce in a
+//! unit test.
 //!
 //! [`LatencyPoint`]: crate::runner::LatencyPoint
 
@@ -74,8 +74,8 @@ pub fn check_chrome_trace(json: &str, require_bypass: bool) -> Result<TraceCheck
 
 /// [`check_chrome_trace`] with the counter-track requirement exposed:
 /// with `require_counters`, the trace must contain at least one counter
-/// (`"C"`) event — the CI trace-smoke gate uses this to prove the
-/// telemetry merge actually ran.
+/// (`"C"`) event — `smoke --trace` uses this to prove the telemetry
+/// merge actually ran.
 ///
 /// # Errors
 ///

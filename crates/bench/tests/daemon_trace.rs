@@ -1,6 +1,6 @@
 //! One Chrome `trace_event` dialect across the workspace: the daemon's
 //! flight export (process-scoped `queue_depth` counter, no `tid`) must
-//! pass the figure harness's checker — the one `trace_check` runs — not
+//! pass the figure harness's checker — the one `smoke --trace` runs — not
 //! only the daemon's own.
 
 use bench::{SchemeId, SweepSpec};

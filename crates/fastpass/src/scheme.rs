@@ -788,5 +788,6 @@ mod tests {
             8,
             "conservation under rejection pressure"
         );
+        assert!(fp.counters().rejections > 0, "the flood was rejected");
     }
 }

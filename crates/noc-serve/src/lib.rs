@@ -70,7 +70,7 @@ pub use proto::{
 };
 pub use registry::{SchemeId, ALL_SCHEMES};
 pub use runner::{
-    emit_json, env_u64, netstats_fnv64, num_jobs, parallel_map, parallel_map_with, point_cache_key,
+    env_u64, netstats_fnv64, num_jobs, parallel_map, parallel_map_with, point_cache_key,
     run_sweep_parallel, simulate_point, LatencyPoint, SpecKey, SweepOptions, SweepResult,
     SweepSpec, CACHE_SCHEMA_VERSION,
 };

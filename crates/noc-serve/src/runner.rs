@@ -1,4 +1,4 @@
-//! Sweep runners and result emission.
+//! Sweep runners.
 //!
 //! Every figure of the paper is an embarrassingly parallel grid of
 //! independent simulation points — `(scheme, pattern, rate)` triples
@@ -19,8 +19,7 @@
 //!
 //! Knobs: `NOC_JOBS` (worker threads, default = available cores),
 //! `FP_CACHE` (cache directory; `off`, `0` or empty disables —
-//! [`fp_cache_dir`]), `FP_OUT` (JSON output
-//! directory, default `results/`).
+//! [`fp_cache_dir`]).
 
 use crate::registry::SchemeId;
 use crate::store::{git_sha, Provenance, Store};
@@ -668,16 +667,6 @@ impl SweepBatch {
         }
         (point, false)
     }
-}
-
-/// Writes a serializable result into `$FP_OUT/<name>.json` (default
-/// `results/`), creating the directory as needed. Returns the path.
-pub fn emit_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
-    let dir = std::env::var("FP_OUT").unwrap_or_else(|_| "results".to_string());
-    std::fs::create_dir_all(&dir)?;
-    let path = PathBuf::from(dir).join(format!("{name}.json"));
-    std::fs::write(&path, serde_json::to_string_pretty(value)?)?;
-    Ok(path)
 }
 
 #[cfg(test)]

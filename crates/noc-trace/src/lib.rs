@@ -66,33 +66,6 @@ pub enum TraceLevel {
     Full,
 }
 
-impl TraceLevel {
-    /// Parses `off` / `counters` / `full` (case-insensitive).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized input as the error.
-    pub fn parse(s: &str) -> Result<TraceLevel, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" => Ok(TraceLevel::Off),
-            "counters" => Ok(TraceLevel::Counters),
-            "full" => Ok(TraceLevel::Full),
-            other => Err(format!(
-                "unknown trace level `{other}` (expected off|counters|full)"
-            )),
-        }
-    }
-
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceLevel::Off => "off",
-            TraceLevel::Counters => "counters",
-            TraceLevel::Full => "full",
-        }
-    }
-}
-
 /// Tracer configuration handed to `Simulation::set_trace`.
 #[derive(Debug, Clone, Default)]
 pub struct TraceConfig {
@@ -468,14 +441,5 @@ mod tests {
         t.sample_lanes(50); // way past the 3-bucket histogram
         let report = t.metrics_report();
         assert_eq!(report.lane_occupancy, vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn trace_level_parses() {
-        assert_eq!(TraceLevel::parse("full"), Ok(TraceLevel::Full));
-        assert_eq!(TraceLevel::parse("OFF"), Ok(TraceLevel::Off));
-        assert_eq!(TraceLevel::parse("Counters"), Ok(TraceLevel::Counters));
-        assert!(TraceLevel::parse("verbose").is_err());
-        assert_eq!(TraceLevel::Full.name(), "full");
     }
 }

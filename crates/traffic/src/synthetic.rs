@@ -4,9 +4,10 @@
 //! and 5-flit" packets; Fig. 7 additionally shows Bit-rotation. Each node
 //! generates a packet per cycle with probability `rate` (the injection
 //! rate in packets/node/cycle), destined according to the pattern.
-//! Packets are spread uniformly over the six message classes so that
-//! VN-based baselines exercise all of their virtual networks, and are
-//! 1-flit (control) or 5-flit (data) with equal probability.
+//! Packets are spread uniformly over the Request, Forward and Response
+//! classes — Garnet's three-vnet synthetic-traffic convention that the
+//! paper's 6-VN baselines run under — and are 1-flit (control) or
+//! 5-flit (data) with equal probability.
 
 use noc_core::packet::{MessageClass, Packet};
 use noc_core::rng::DetRng;
@@ -165,17 +166,14 @@ pub struct SyntheticWorkload {
     pattern: SyntheticPattern,
     rate: f64,
     rng: DetRng,
-    /// Probability a packet is a single-flit control packet (the rest
-    /// are 5-flit data packets).
-    short_fraction: f64,
-    /// Restrict traffic to a single class instead of spreading over the
-    /// default set (used by the 1-VC FastPass experiments of Figs. 9/13a).
-    single_class: Option<MessageClass>,
-    /// Classes traffic is spread over. Default: Request/Forward/Response,
-    /// matching Garnet's three-vnet synthetic-traffic convention that the
-    /// paper's 6-VN baselines run under.
-    classes: Vec<MessageClass>,
 }
+
+/// The classes synthetic traffic is spread over.
+const SYNTHETIC_CLASSES: [MessageClass; 3] = [
+    MessageClass::Request,
+    MessageClass::Forward,
+    MessageClass::Response,
+];
 
 /// The one rule for an injection rate, in packets/node/cycle, that a
 /// front end accepts: it lies in `(0, 1]`.
@@ -227,37 +225,7 @@ impl SyntheticWorkload {
             pattern,
             rate,
             rng: DetRng::new(seed),
-            short_fraction: 0.5,
-            single_class: None,
-            classes: vec![
-                MessageClass::Request,
-                MessageClass::Forward,
-                MessageClass::Response,
-            ],
         }
-    }
-
-    /// Overrides the set of classes traffic is spread over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is empty.
-    pub fn classes(mut self, classes: &[MessageClass]) -> Self {
-        assert!(!classes.is_empty(), "need at least one class");
-        self.classes = classes.to_vec();
-        self
-    }
-
-    /// Sets the fraction of 1-flit packets (default 0.5).
-    pub fn short_fraction(mut self, f: f64) -> Self {
-        self.short_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Confines all traffic to one message class.
-    pub fn single_class(mut self, class: MessageClass) -> Self {
-        self.single_class = Some(class);
-        self
     }
 
     /// The configured injection rate.
@@ -282,14 +250,8 @@ impl Workload for SyntheticWorkload {
             let Some(dst) = self.pattern.dest(mesh, src, &mut self.rng) else {
                 continue;
             };
-            let class = self
-                .single_class
-                .unwrap_or_else(|| *self.rng.pick(&self.classes));
-            let len = if self.rng.chance(self.short_fraction) {
-                1
-            } else {
-                5
-            };
+            let class = *self.rng.pick(&SYNTHETIC_CLASSES);
+            let len = if self.rng.chance(0.5) { 1 } else { 5 };
             core.generate(Packet::new(src, dst, class, len, cycle));
         }
     }
@@ -476,36 +438,22 @@ mod tests {
     }
 
     #[test]
-    fn single_class_confines_traffic() {
+    fn traffic_spreads_over_three_classes_and_both_lengths() {
         use noc_core::config::SimConfig;
         let mut core =
             NetworkCore::new(SimConfig::builder().mesh(4, 4).vns(0).vcs_per_vn(1).build());
-        let mut wl = SyntheticWorkload::new(SyntheticPattern::Uniform, 0.5, 3)
-            .single_class(MessageClass::Request);
+        let mut wl = SyntheticWorkload::new(SyntheticPattern::Uniform, 0.5, 3);
         for _ in 0..20 {
             wl.tick(&mut core);
             core.advance_cycle();
         }
-        for (class, _) in queued(&core) {
-            assert_eq!(class, MessageClass::Request);
+        let packets = queued(&core);
+        for class in SYNTHETIC_CLASSES {
+            assert!(packets.iter().any(|&(c, _)| c == class), "no {class:?}");
         }
-    }
-
-    #[test]
-    fn short_fraction_extremes() {
-        use noc_core::config::SimConfig;
-        for (frac, expect_len) in [(1.0, 1u8), (0.0, 5u8)] {
-            let mut core =
-                NetworkCore::new(SimConfig::builder().mesh(4, 4).vns(0).vcs_per_vn(1).build());
-            let mut wl =
-                SyntheticWorkload::new(SyntheticPattern::Uniform, 0.5, 3).short_fraction(frac);
-            for _ in 0..10 {
-                wl.tick(&mut core);
-                core.advance_cycle();
-            }
-            for (_, len) in queued(&core) {
-                assert_eq!(len, expect_len);
-            }
+        for (class, len) in packets {
+            assert!(SYNTHETIC_CLASSES.contains(&class), "{class:?}");
+            assert!(len == 1 || len == 5, "{len} flits");
         }
     }
 

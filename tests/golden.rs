@@ -27,7 +27,10 @@
 //! sampling granularities; the 8×8 grid runs plain and with all three
 //! observers installed at once; the 16×16 grid runs plain. An observed
 //! run must also have observed something (events, windows, phase
-//! entries), so the check is never vacuous.
+//! entries), so the check is never vacuous. No grid point rejects a
+//! FastPass flight at a full ejection queue, so one more run floods a
+//! node that never consumes and holds that reject-and-return path to the
+//! same rule: equal statistics under every observer.
 //!
 //! Regenerate (only when simulated behaviour is *intentionally*
 //! changed):
@@ -41,8 +44,14 @@
 
 use bench::runner::{make_sim, netstats_fnv64};
 use bench::{SchemeId, ALL_SCHEMES};
-use fastpass_noc::sim::{Phase, PhaseProbe, SamplerConfig, Simulation, WindowSample};
-use fastpass_noc::trace::{TraceConfig, TraceLevel};
+use fastpass_noc::core::config::SimConfig;
+use fastpass_noc::core::packet::{MessageClass, Packet};
+use fastpass_noc::core::stats::NetStats;
+use fastpass_noc::core::topology::NodeId;
+use fastpass_noc::fastpass::{FastPass, FastPassConfig};
+use fastpass_noc::sim::{NetworkCore, Phase, PhaseProbe, SamplerConfig, Simulation};
+use fastpass_noc::sim::{WindowSample, Workload};
+use fastpass_noc::trace::{BypassOutcome, StallCause, TraceConfig, TraceEvent, TraceLevel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use traffic::SyntheticPattern;
@@ -160,6 +169,11 @@ fn sampled(every: u64) -> Observer {
     }
 }
 
+const PROBED: Observer = Observer {
+    probe: true,
+    ..PLAIN
+};
+
 /// Counts phase entries into a counter the test keeps.
 struct Entries(Arc<AtomicU64>);
 
@@ -170,11 +184,15 @@ impl PhaseProbe for Entries {
     fn end(&mut self, _: Phase) {}
 }
 
-/// Runs `point` on `grid` under `observer`: its record, the simulation
-/// with its observers still installed (sampling flushed) and the number
-/// of phases the probe saw entered.
-fn run(grid: &Grid, (id, pattern, rate): Point, observer: Observer) -> (Record, Simulation, u64) {
-    let mut sim = make_sim(id, pattern, rate, grid.size, FP_VCS, SEED);
+/// Runs `sim` for `warmup + measure` cycles under `observer`, sampling
+/// flushed, and checks the observer recorded something, so no
+/// transparency check is vacuous. `what` names the run in failures.
+fn observed_run(
+    sim: &mut Simulation,
+    observer: Observer,
+    (warmup, measure): (u64, u64),
+    what: &str,
+) -> NetStats {
     if let Some(level) = observer.trace {
         sim.set_trace(&TraceConfig { level });
     }
@@ -188,8 +206,38 @@ fn run(grid: &Grid, (id, pattern, rate): Point, observer: Observer) -> (Record, 
     if observer.probe {
         sim.set_probe(Box::new(Entries(Arc::clone(&entries))));
     }
-    let stats = sim.run_windows(grid.warmup, grid.measure);
+    let stats = sim.run_windows(warmup, measure);
     sim.finish_sampling();
+    if observer.trace == Some(TraceLevel::Full) {
+        assert!(sim.tracer().total_events() > 0, "{what}: no trace events");
+    }
+    if observer.sample_every.is_some() {
+        let windows = sim.sampler().expect("sampler installed").windows();
+        assert!(!windows.is_empty(), "{what}: no windows");
+    }
+    if observer.probe {
+        let entered = entries.load(Ordering::Relaxed);
+        assert!(entered > 0, "{what}: the probe saw no phase");
+    }
+    stats
+}
+
+/// Names a run of `point` on `grid` under `observer` in failures.
+fn describe(grid: &Grid, (id, pattern, rate): Point, observer: Observer) -> String {
+    let (scheme, pattern) = (id.name(), pattern.name());
+    format!(
+        "{} {scheme} / {pattern} @ rate {rate} under {observer:?}",
+        grid.name
+    )
+}
+
+/// Runs `point` on `grid` under `observer`: its record and the
+/// simulation with its observers still installed (sampling flushed).
+fn run(grid: &Grid, point: Point, observer: Observer) -> (Record, Simulation) {
+    let (id, pattern, rate) = point;
+    let mut sim = make_sim(id, pattern, rate, grid.size, FP_VCS, SEED);
+    let what = describe(grid, point, observer);
+    let stats = observed_run(&mut sim, observer, (grid.warmup, grid.measure), &what);
     let record = Record {
         scheme: id.name().to_string(),
         pattern: grid.names_pattern.then(|| pattern.name().to_string()),
@@ -199,7 +247,7 @@ fn run(grid: &Grid, (id, pattern, rate): Point, observer: Observer) -> (Record, 
         generated: stats.generated,
         cycles: stats.cycles,
     };
-    (record, sim, entries.load(Ordering::Relaxed))
+    (record, sim)
 }
 
 /// Fixtures regenerated so far: of the parallel tests sharing a grid,
@@ -232,31 +280,17 @@ fn gate(grid: &Grid, observers: &[Observer]) {
         grid.name
     );
     for &observer in observers {
-        for (id, pattern, rate) in grid.points() {
-            let (got, sim, phase_entries) = run(grid, (id, pattern, rate), observer);
-            let (scheme, pattern) = (id.name(), pattern.name());
-            let what = format!(
-                "{} {scheme} / {pattern} @ rate {rate} under {observer:?}",
-                grid.name
-            );
+        for point in grid.points() {
+            let got = run(grid, point, observer).0;
+            let what = describe(grid, point, observer);
             let want = fixture
                 .iter()
-                .find(|w| (&w.scheme, &w.pattern, w.rate) == (&got.scheme, &got.pattern, rate))
+                .find(|w| (&w.scheme, &w.pattern, w.rate) == (&got.scheme, &got.pattern, point.2))
                 .unwrap_or_else(|| panic!("{what}: {path} has no such point — regenerate it"));
             assert_eq!(
                 &got, want,
                 "{what}: NetStats diverged from the golden fixture"
             );
-            if observer.trace == Some(TraceLevel::Full) {
-                assert!(sim.tracer().total_events() > 0, "{what}: no trace events");
-            }
-            if observer.sample_every.is_some() {
-                let windows = sim.sampler().expect("sampler installed").windows();
-                assert!(!windows.is_empty(), "{what}: no windows");
-            }
-            if observer.probe {
-                assert!(phase_entries > 0, "{what}: the probe saw no phase");
-            }
         }
     }
 }
@@ -298,6 +332,78 @@ fn mesh_16x16_matches_at_every_point() {
 fn low_load_fastpass(rate: f64, observer: Observer) -> Simulation {
     let point = (SchemeId::FastPass, SyntheticPattern::Uniform, rate);
     run(&LOW_LOAD, point, observer).1
+}
+
+/// Every other node sends node `hot` a one-flit request every fourth
+/// cycle, and `hot` never consumes: its one-packet ejection queue stays
+/// full, so FastPass flights reaching it are rejected and fly home
+/// (§III-C4).
+#[derive(Clone)]
+struct Flood {
+    hot: NodeId,
+}
+
+impl Workload for Flood {
+    fn tick(&mut self, core: &mut NetworkCore) {
+        let cycle = core.cycle();
+        if cycle.is_multiple_of(4) {
+            for src in core.mesh().nodes().filter(|&n| n != self.hot) {
+                core.generate(Packet::new(src, self.hot, MessageClass::Request, 1, cycle));
+            }
+        }
+    }
+
+    fn can_consume(&self, node: NodeId, _: MessageClass) -> bool {
+        node != self.hot
+    }
+}
+
+#[test]
+fn rejected_flights_return_home_alike_under_every_observer() {
+    let observers = [
+        PLAIN,
+        traced(TraceLevel::Counters),
+        traced(TraceLevel::Full),
+        sampled(1),
+        PROBED,
+    ];
+    let digests = observers.map(|observer| {
+        let cfg = SimConfig::builder()
+            .mesh(4, 4)
+            .vns(0)
+            .vcs_per_vn(1)
+            .ej_queue_packets(1)
+            .seed(SEED)
+            .build();
+        let scheme = FastPass::new(&cfg, FastPassConfig::default());
+        let flood = Flood {
+            hot: NodeId::new(5),
+        };
+        let mut sim = Simulation::new(cfg, Box::new(scheme), Box::new(flood));
+        let what = format!("flood under {observer:?}");
+        let stats = observed_run(&mut sim, observer, (300, 1_000), &what);
+        assert!(stats.rejections > 0, "{what}: no flight was rejected");
+        if observer.trace == Some(TraceLevel::Full) {
+            let tracer = sim.tracer();
+            let records = tracer.records_in_order();
+            let exits = |want| {
+                records.iter().any(|r| {
+                    matches!(r.event, TraceEvent::BypassExit { outcome, .. } if outcome == want)
+                })
+            };
+            assert!(exits(BypassOutcome::Rejected), "{what}: no Rejected exit");
+            assert!(exits(BypassOutcome::Returned), "{what}: no Returned exit");
+            let stalls = tracer.totals().stalls;
+            let refused =
+                stalls[StallCause::EjBackpressure.index()] + stalls[StallCause::EjReserved.index()];
+            assert!(refused > 0, "{what}: no ejection-refusal stall counted");
+        }
+        netstats_fnv64(&stats)
+    });
+    assert!(
+        digests.iter().all(|d| *d == digests[0]),
+        "observers changed the flood's NetStats: {digests:?}"
+    );
 }
 
 #[test]
