@@ -25,7 +25,8 @@ use bench::runner::make_sim;
 use bench::{check_chrome_trace_full, run_traced_point, trace_out_dir};
 use bench::{emit_json, run_sweeps, SchemeId, SweepSpec};
 use noc_sim::SamplerConfig;
-use noc_trace::TraceConfig;
+use std::fs::File;
+use std::io::BufReader;
 use std::process::ExitCode;
 use traffic::SyntheticPattern;
 
@@ -161,15 +162,14 @@ fn run_traced_smoke(sweep: &SweepSpec) -> Result<(), String> {
     let dir = trace_out_dir();
     for (spec, bypass) in traced_points(sweep) {
         let rate = spec.rates[0];
-        let paths = run_traced_point(&spec, rate, &TraceConfig::full(), &dir)
+        let paths = run_traced_point(&spec, rate, &dir)
             .map_err(|e| format!("writing trace artifacts into {}: {e}", dir.display()))?;
         for p in &paths {
             println!("traced {} — {}", spec.id.name(), p.display());
         }
         let trace = &paths[0];
-        let json =
-            std::fs::read_to_string(trace).map_err(|e| format!("{}: {e}", trace.display()))?;
-        let s = check_chrome_trace_full(&json, bypass, true)
+        let file = File::open(trace).map_err(|e| format!("{}: {e}", trace.display()))?;
+        let s = check_chrome_trace_full(BufReader::new(file), bypass, true)
             .map_err(|e| format!("{}: INVALID — {e}", trace.display()))?;
         let path = trace.display();
         println!("{path}: OK — {} events, {} counters", s.events, s.counters);

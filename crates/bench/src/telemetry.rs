@@ -9,25 +9,24 @@
 //!   next to the PR 4 trace artifacts;
 //! * [`sparkline`] / [`series_summary`] — Unicode sparklines printed by
 //!   `smoke`, a zero-dependency glance at congestion onset;
-//! * [`counter_events`] — Chrome `trace_event` counter (phase `C`)
-//!   events appended to the Perfetto files' event list, so time-series
-//!   metrics render as counter tracks above the per-router flit tracks.
+//! * [`write_counter_tracks`] — Chrome `trace_event` counter (phase
+//!   `C`) events streamed after a Perfetto file's flit events, so
+//!   time-series metrics render as counter tracks above the per-router
+//!   flit tracks.
 
 use noc_sim::{Sampler, WindowSample};
-use noc_trace::chrome::{counter, meta, num, Arg};
-use noc_trace::StallCause;
+use noc_trace::chrome::Arg;
+use noc_trace::{ChromeWriter, StallCause};
 use serde::{Content, Serialize};
+use std::io;
 
 /// Process id used for telemetry counter tracks in Chrome traces
 /// (routers are pid 0, FastPass lanes pid 1 — see `noc_trace::chrome`).
 pub const PID_TELEMETRY: u64 = 2;
 
 /// One `(label, count)` series entry per stall cause.
-fn stall_series(w: &WindowSample) -> Vec<Arg> {
-    StallCause::ALL
-        .iter()
-        .map(|&c| num(c.label(), w.trace.stalls[c.index()]))
-        .collect()
+fn stall_series(w: &WindowSample) -> [Arg<'static>; StallCause::COUNT] {
+    StallCause::ALL.map(|c| Arg::Num(c.label(), w.trace.stalls[c.index()]))
 }
 
 /// Serializes a sampler's full series as a pretty-printed JSON document:
@@ -35,9 +34,10 @@ fn stall_series(w: &WindowSample) -> Vec<Arg> {
 /// each window the derived shape of [`WindowSample`] and
 /// `stall_causes` naming the indices of its `trace.stalls` array.
 pub fn windows_json(sampler: &Sampler) -> String {
+    let count = |key: &str, v: u64| (key.to_string(), v.to_content());
     let doc = Content::Map(vec![
-        num("sample_every", sampler.config().sample_every),
-        num("dropped_windows", sampler.dropped_windows()),
+        count("sample_every", sampler.config().sample_every),
+        count("dropped_windows", sampler.dropped_windows()),
         ("stall_causes".to_string(), StallCause::LABELS.to_content()),
         ("windows".to_string(), sampler.windows().to_content()),
     ]);
@@ -117,64 +117,62 @@ pub fn series_summary(sampler: &Sampler) -> String {
     out
 }
 
-/// Chrome `trace_event` counter events (phase `C`) for the series, one
-/// counter sample per window per track, under [`PID_TELEMETRY`].
-pub fn counter_events(sampler: &Sampler) -> Vec<Content> {
-    let mut out = Vec::new();
+/// Writes the series as Chrome `trace_event` counter events (phase
+/// `C`) onto `out`: one counter sample per window per track, under
+/// [`PID_TELEMETRY`]. An empty series writes nothing.
+///
+/// # Errors
+///
+/// Propagates the writer's error.
+pub fn write_counter_tracks<W: io::Write>(
+    sampler: &Sampler,
+    out: &mut ChromeWriter<W>,
+) -> io::Result<()> {
     if sampler.windows().is_empty() {
-        return out;
+        return Ok(());
     }
-    out.push(meta(
-        "process_name",
-        PID_TELEMETRY,
-        None,
-        "telemetry (windowed)",
-    ));
-    let track =
-        |name: &str, ts: u64, series: Vec<Arg>| counter(name, PID_TELEMETRY, Some(0), ts, series);
+    out.meta("process_name", PID_TELEMETRY, None, "telemetry (windowed)")?;
     for w in sampler.windows() {
-        let ts = w.end_cycle;
-        out.push(track(
+        let mut track = |name: &str, series: &[Arg<'_>]| {
+            out.counter(name, PID_TELEMETRY, Some(0), w.end_cycle, series)
+        };
+        track(
             "delivered/window",
-            ts,
-            vec![
-                num("regular", w.stats.delivered_regular),
-                num("fastpass", w.stats.delivered_fastpass),
+            &[
+                Arg::Num("regular", w.stats.delivered_regular),
+                Arg::Num("fastpass", w.stats.delivered_fastpass),
             ],
-        ));
-        out.push(track(
+        )?;
+        track(
             "in_flight",
-            ts,
-            vec![
-                num("network", w.in_flight_total()),
-                num("overlay", w.overlay_packets),
+            &[
+                Arg::Num("network", w.in_flight_total()),
+                Arg::Num("overlay", w.overlay_packets),
             ],
-        ));
-        out.push(track("occupied_vcs", ts, vec![num("vcs", w.occupied_vcs)]));
-        out.push(track(
+        )?;
+        track("occupied_vcs", &[Arg::Num("vcs", w.occupied_vcs)])?;
+        track(
             "ni_queues",
-            ts,
-            vec![
-                num("source", w.ni_source),
-                num("inj", w.ni_inj),
-                num("ej", w.ni_ej),
+            &[
+                Arg::Num("source", w.ni_source),
+                Arg::Num("inj", w.ni_inj),
+                Arg::Num("ej", w.ni_ej),
             ],
-        ));
+        )?;
         if w.trace.total_stalls() > 0 {
-            out.push(track("stalls/window", ts, stall_series(w)));
+            track("stalls/window", &stall_series(w))?;
         }
         if w.trace.link_flits_regular + w.trace.link_flits_bypass > 0 {
-            out.push(track(
+            track(
                 "link_flits/window",
-                ts,
-                vec![
-                    num("regular", w.trace.link_flits_regular),
-                    num("bypass", w.trace.link_flits_bypass),
+                &[
+                    Arg::Num("regular", w.trace.link_flits_regular),
+                    Arg::Num("bypass", w.trace.link_flits_bypass),
                 ],
-            ));
+            )?;
         }
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -287,11 +285,16 @@ mod tests {
     }
 
     fn track_names(sim: &noc_sim::Simulation) -> Vec<String> {
-        counter_events(sim.sampler().expect("sampler"))
-            .iter()
-            .filter_map(|e| serde::field(e.as_map()?, "name").ok()?.as_str())
-            .map(str::to_string)
-            .collect()
+        let mut out = ChromeWriter::compact(Vec::new());
+        write_counter_tracks(sim.sampler().expect("sampler"), &mut out).expect("in-memory write");
+        let json = out.finish().expect("in-memory write");
+        let mut names = Vec::new();
+        noc_trace::chrome::validate(&json[..], |h| {
+            names.push(h.name);
+            Ok(())
+        })
+        .expect("counter tracks validate");
+        names
     }
 
     #[test]

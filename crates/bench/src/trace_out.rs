@@ -1,8 +1,8 @@
 //! Traced sweep points: artifact emission and Chrome-trace validation.
 //!
-//! A traced point re-runs one `(spec, rate)` simulation with a live
-//! [`Tracer`] and windowed sampler and writes four artifacts per point
-//! into a trace directory (default `trace/`, override with
+//! A traced point re-runs one `(spec, rate)` simulation with full
+//! tracing and the windowed sampler, and writes four artifacts per
+//! point into a trace directory (default `trace/`, override with
 //! `FP_TRACE_OUT`):
 //!
 //! * `<point>.trace.json` — Chrome `trace_event` JSON, loadable in
@@ -16,27 +16,32 @@
 //! * `<point>.windows.json` — the sampler's window series (the same
 //!   series rides in the Chrome trace as counter tracks).
 //!
+//! The trace and the lifetime report are streamed to their files one
+//! event (one line) at a time, so writing them costs the tracer's rings
+//! plus a sorted view of borrowed records, whatever the files' size.
+//!
 //! Traced points never touch the sweep result cache: tracing wants a
 //! fresh simulation every time (the cache stores only [`LatencyPoint`]
 //! aggregates anyway), and keeping traced runs out of the cache keeps
 //! the smoke sweep's hit-count assertions in CI exact.
 //!
 //! [`check_chrome_trace`] is the validation half — `smoke --trace`
-//! checks every trace it writes with it, so CI failures reproduce in a
-//! unit test.
+//! checks every trace it writes with it, reading the file as a stream,
+//! so CI failures reproduce in a unit test.
 //!
 //! [`LatencyPoint`]: crate::runner::LatencyPoint
 
 use crate::runner::{make_sim, SweepSpec};
-use crate::telemetry::{counter_events, windows_json};
+use crate::telemetry::{windows_json, write_counter_tracks};
 use noc_sim::SamplerConfig;
-use noc_trace::chrome::chrome_trace_events;
-use noc_trace::{packet_lifetimes, TraceConfig, Tracer};
-use serde::Content;
+use noc_trace::chrome::{validate, write_tracer};
+use noc_trace::{packet_lifetimes, ChromeWriter, TraceConfig};
+use std::fs::File;
+use std::io::{BufRead, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Summary of one validated Chrome trace file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceCheckSummary {
     /// Total events in the trace array.
     pub events: usize,
@@ -54,11 +59,11 @@ pub struct TraceCheckSummary {
     pub has_bypass_lane: bool,
 }
 
-/// Validates a Chrome `trace_event` JSON document — a flit trace from
-/// [`noc_trace::chrome_trace_json`] (plus telemetry counter tracks), or a
-/// daemon flight export — against the workspace's one structural
-/// validator ([`noc_trace::chrome::validate`], which states the
-/// per-event rules), and requires that it records more than metadata.
+/// Validates a Chrome `trace_event` JSON document — a flit trace
+/// written by [`run_traced_point`], or a daemon flight export — against
+/// the workspace's one structural validator
+/// ([`noc_trace::chrome::validate`], which states the per-event rules),
+/// and requires that it records more than metadata.
 ///
 /// With `require_bypass`, the trace must additionally contain both
 /// regular link traversals (`"link"`) and bypass lane traversals
@@ -69,11 +74,12 @@ pub struct TraceCheckSummary {
 /// Returns a message naming the first offending event and what is wrong
 /// with it.
 pub fn check_chrome_trace(json: &str, require_bypass: bool) -> Result<TraceCheckSummary, String> {
-    check_chrome_trace_full(json, require_bypass, false)
+    check_chrome_trace_full(json.as_bytes(), require_bypass, false)
 }
 
-/// [`check_chrome_trace`] with the counter-track requirement exposed:
-/// with `require_counters`, the trace must contain at least one counter
+/// [`check_chrome_trace`] over a stream (a trace file is never read
+/// whole), with the counter-track requirement exposed: with
+/// `require_counters`, the trace must contain at least one counter
 /// (`"C"`) event — `smoke --trace` uses this to prove the telemetry
 /// merge actually ran.
 ///
@@ -82,22 +88,25 @@ pub fn check_chrome_trace(json: &str, require_bypass: bool) -> Result<TraceCheck
 /// Returns a message naming the first offending event and what is wrong
 /// with it.
 pub fn check_chrome_trace_full(
-    json: &str,
+    trace: impl BufRead,
     require_bypass: bool,
     require_counters: bool,
 ) -> Result<TraceCheckSummary, String> {
-    let heads = noc_trace::chrome::validate(json)?;
-    let phase = |ph: char| heads.iter().filter(|h| h.ph == ph).count();
-    let named = |name: &str| heads.iter().any(|h| h.ph != 'M' && h.name == name);
-    let summary = TraceCheckSummary {
-        events: heads.len(),
-        complete: phase('X'),
-        instants: phase('i'),
-        metadata: phase('M'),
-        counters: phase('C'),
-        has_regular_link: named("link"),
-        has_bypass_lane: named("lane"),
-    };
+    let mut summary = TraceCheckSummary::default();
+    validate(trace, |h| {
+        summary.events += 1;
+        match h.ph {
+            'X' => summary.complete += 1,
+            'i' => summary.instants += 1,
+            'M' => summary.metadata += 1,
+            _ => summary.counters += 1,
+        }
+        if h.ph != 'M' {
+            summary.has_regular_link |= h.name == "link";
+            summary.has_bypass_lane |= h.name == "lane";
+        }
+        Ok(())
+    })?;
     if summary.events == summary.metadata {
         return Err("trace holds only metadata — no simulation events recorded".to_string());
     }
@@ -155,22 +164,18 @@ fn sampler_for(measure: u64) -> SamplerConfig {
     }
 }
 
-/// Runs one `(spec, rate)` point with tracing **and the windowed
+/// Runs one `(spec, rate)` point with full tracing **and the windowed
 /// sampler** enabled, and writes four artifacts into `dir`: the Chrome
-/// trace (with telemetry counter tracks merged in), the metrics report,
-/// the lifetime report, and the `<point>.windows.json` time series.
-/// Returns the paths written (trace JSON first).
+/// trace (pretty layout, telemetry counter tracks after the flit
+/// events), the metrics report, the lifetime report, and the
+/// `<point>.windows.json` time series. Returns the paths written (trace
+/// JSON first).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors creating the directory or writing any
 /// artifact.
-pub fn run_traced_point(
-    spec: &SweepSpec,
-    rate: f64,
-    cfg: &TraceConfig,
-    dir: &Path,
-) -> std::io::Result<Vec<PathBuf>> {
+pub fn run_traced_point(spec: &SweepSpec, rate: f64, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut sim = make_sim(
         spec.id,
         spec.pattern,
@@ -179,42 +184,38 @@ pub fn run_traced_point(
         spec.fp_vcs,
         spec.seed,
     );
-    sim.set_trace(cfg);
+    sim.set_trace(&TraceConfig::full());
     sim.set_sampler(&sampler_for(spec.measure));
     sim.run_windows(spec.warmup, spec.measure);
     sim.finish_sampling();
-    let sampler = sim.sampler().expect("sampler installed above");
+    let (tracer, sampler) = (
+        sim.tracer(),
+        sim.sampler().expect("sampler installed above"),
+    );
+    std::fs::create_dir_all(dir)?;
+    let stem = point_stem(spec, rate);
+    let path = |ext: &str| dir.join(format!("{stem}.{ext}"));
+
+    let chrome = path("trace.json");
+    let mut out = ChromeWriter::pretty(BufWriter::new(File::create(&chrome)?));
+    write_tracer(&mut out, tracer)?;
     // The window series rides in the Chrome trace as counter tracks,
     // and is written raw alongside for offline plotting.
-    let mut events = chrome_trace_events(sim.tracer());
-    events.extend(counter_events(sampler));
-    let chrome = serde_json::to_string_pretty(&Content::Seq(events))
-        .expect("content tree always serializes");
-    let stem = point_stem(spec, rate);
-    let mut paths = write_artifacts(dir, &stem, &chrome, sim.tracer())?;
-    let windows = dir.join(format!("{stem}.windows.json"));
-    std::fs::write(&windows, windows_json(sampler))?;
-    paths.push(windows);
-    Ok(paths)
-}
+    write_counter_tracks(sampler, &mut out)?;
+    out.finish()?;
 
-fn write_artifacts(
-    dir: &Path,
-    stem: &str,
-    chrome_json: &str,
-    tracer: &Tracer,
-) -> std::io::Result<Vec<PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let io_err = |what: &str| std::io::Error::other(format!("{what} failed to serialize"));
-    let chrome = dir.join(format!("{stem}.trace.json"));
-    std::fs::write(&chrome, chrome_json)?;
-    let metrics = dir.join(format!("{stem}.metrics.json"));
-    let report = serde_json::to_string_pretty(&tracer.metrics_report())
-        .map_err(|_| io_err("metrics report"))?;
+    let metrics = path("metrics.json");
+    let report = serde_json::to_string_pretty(&tracer.metrics_report())?;
     std::fs::write(&metrics, report)?;
-    let lifetimes = dir.join(format!("{stem}.lifetimes.txt"));
-    std::fs::write(&lifetimes, packet_lifetimes(tracer))?;
-    Ok(vec![chrome, metrics, lifetimes])
+
+    let lifetimes = path("lifetimes.txt");
+    let mut out = BufWriter::new(File::create(&lifetimes)?);
+    packet_lifetimes(tracer, &mut out)?;
+    out.flush()?;
+
+    let windows = path("windows.json");
+    std::fs::write(&windows, windows_json(sampler))?;
+    Ok(vec![chrome, metrics, lifetimes, windows])
 }
 
 #[cfg(test)]
@@ -240,12 +241,11 @@ mod tests {
     fn traced_point_produces_valid_chrome_trace() {
         let dir = std::env::temp_dir().join(format!("fp_trace_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let paths =
-            run_traced_point(&spec(), 0.05, &TraceConfig::full(), &dir).expect("traced run");
+        let paths = run_traced_point(&spec(), 0.05, &dir).expect("traced run");
         assert_eq!(paths.len(), 4);
         let json = std::fs::read_to_string(&paths[0]).unwrap();
-        let summary =
-            check_chrome_trace_full(&json, false, true).expect("trace validates with counters");
+        let summary = check_chrome_trace_full(json.as_bytes(), false, true)
+            .expect("trace validates with counters");
         assert!(summary.has_regular_link, "uniform load crosses links");
         assert!(summary.metadata > 0, "process/thread names present");
         assert!(summary.counters > 0, "telemetry counter tracks merged in");
@@ -283,19 +283,35 @@ mod tests {
         assert!(check_chrome_trace(only_metadata, false).is_err());
         let counter_without_args = r#"[{"name":"in_flight","ph":"C","pid":2,"tid":0,"ts":1}]"#;
         assert!(check_chrome_trace(counter_without_args, false).is_err());
+        // The stream around the events: every way the array can fail to
+        // be one whole array is rejected, not just bad elements.
+        let link = r#"{"name":"link","ph":"X","pid":0,"tid":0,"ts":1,"dur":1}"#;
+        for (bad, why) in [
+            (format!("[{link},"), "never closed"),
+            (format!("[{link}"), "never closed"),
+            (format!("[{link},]"), "not valid JSON"),
+            (format!("[{link}] x"), "after the closing"),
+            (format!("[{link}][]"), "after the closing"),
+            (link.to_string(), "must be a JSON array"),
+            (String::new(), "empty input"),
+            (format!("[{link}}}]"), "not valid JSON"),
+        ] {
+            let err = check_chrome_trace(&bad, false).expect_err(&bad);
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 
     #[test]
     fn require_counters_demands_a_counter_track() {
         let no_counters = r#"[{"name":"link","ph":"X","pid":0,"tid":0,"ts":1,"dur":1}]"#;
-        assert!(check_chrome_trace_full(no_counters, false, false).is_ok());
-        let err = check_chrome_trace_full(no_counters, false, true).unwrap_err();
+        assert!(check_chrome_trace_full(no_counters.as_bytes(), false, false).is_ok());
+        let err = check_chrome_trace_full(no_counters.as_bytes(), false, true).unwrap_err();
         assert!(err.contains("counter"), "{err}");
         let with_counter = r#"[
             {"name":"link","ph":"X","pid":0,"tid":0,"ts":1,"dur":1},
             {"name":"in_flight","ph":"C","pid":2,"tid":0,"ts":5,"args":{"network":3}}
         ]"#;
-        let s = check_chrome_trace_full(with_counter, false, true).expect("valid");
+        let s = check_chrome_trace_full(with_counter.as_bytes(), false, true).expect("valid");
         assert_eq!(s.counters, 1);
     }
 
@@ -309,6 +325,12 @@ mod tests {
         let s = check_chrome_trace(ok, false).expect("valid");
         assert_eq!((s.events, s.complete, s.instants, s.metadata), (3, 1, 1, 1));
         assert!(s.has_regular_link && !s.has_bypass_lane);
+        // Brackets, braces and escaped quotes inside strings do not
+        // split the array.
+        let tricky = r#" [ {"name":"a]b}c\"],{","ph":"i","pid":0,"tid":1,"ts":2,"s":"t",
+            "args":{"k":"\\\"}]"}} , {"name":"link","ph":"X","pid":0,"tid":0,"ts":1,"dur":1} ] "#;
+        let s = check_chrome_trace(tricky, false).expect("valid");
+        assert_eq!((s.events, s.instants, s.complete), (2, 1, 1));
     }
 
     #[test]
@@ -322,23 +344,6 @@ mod tests {
             {"name":"lane","ph":"X","pid":1,"tid":0,"ts":2,"dur":1}
         ]"#;
         assert!(check_chrome_trace(both, true).is_ok());
-    }
-
-    #[test]
-    fn counters_level_produces_metrics_and_counter_only_trace() {
-        let dir = std::env::temp_dir().join(format!("fp_trace_cnt_test_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = TraceConfig::counters();
-        let paths = run_traced_point(&spec(), 0.05, &cfg, &dir).expect("traced run");
-        let json = std::fs::read_to_string(&paths[0]).unwrap();
-        // No per-flit events at counters level, but the merged telemetry
-        // counter tracks make the trace valid and loadable on their own.
-        let s = check_chrome_trace_full(&json, false, true).expect("counters validate");
-        assert_eq!(s.complete, 0, "no flit events at counters level");
-        assert!(s.counters > 0);
-        let metrics = std::fs::read_to_string(&paths[1]).unwrap();
-        assert!(metrics.contains("occupancy_integral"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

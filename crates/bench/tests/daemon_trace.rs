@@ -44,8 +44,10 @@ fn recorded_daemon_run_passes_the_harness_checker() {
     daemon.flush_observability();
 
     let records = load_flight(&flight).expect("flight log loads");
-    let json = chrome_trace(&records);
-    noc_serve::check_daemon_trace(&json).expect("the daemon's own requirements hold");
+    let mut json = Vec::new();
+    chrome_trace(&records, &mut json).expect("in-memory write");
+    noc_serve::check_daemon_trace(&json[..]).expect("the daemon's own requirements hold");
+    let json = String::from_utf8(json).expect("UTF-8");
     let summary = bench::check_chrome_trace(&json, false).expect("harness checker accepts it");
     assert!(summary.counters >= 1, "queue_depth track present");
     assert!(

@@ -18,6 +18,8 @@ use noc_check::configs;
 use noc_check::explore::{check, CheckConfig, Verdict};
 use noc_check::replay::replay;
 use noc_check::report::{ConfigOutcome, Summary};
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -122,13 +124,13 @@ fn main() {
 
         let (replay_result, trace_path) = match &report.verdict {
             Verdict::Wedged(cex) => {
-                let (r, trace) = replay(cc, cex);
                 let name = format!("{}-wedge.trace.json", cc.point.name);
                 let path = args.out.join(&name);
-                if let Err(e) = std::fs::write(&path, trace) {
+                let written = File::create(&path).and_then(|f| replay(cc, cex, BufWriter::new(f)));
+                let r = written.unwrap_or_else(|e| {
                     eprintln!("noc-check: cannot write {}: {e}", path.display());
                     std::process::exit(2);
-                }
+                });
                 (Some(r), Some(name))
             }
             _ => (None, None),

@@ -7,14 +7,17 @@
 //! runs the same drain, and confirms the wedge reproduces **bitwise**:
 //! the canonical state hash at the wedge cycle, the consumption count
 //! and the in-flight population must all match the explorer's record.
-//! The trace buffer is rendered to a Chrome/Perfetto JSON artifact so a
-//! human can open the exact deadlocked execution in a timeline viewer.
+//! The trace buffer is streamed out as a Chrome/Perfetto JSON artifact
+//! so a human can open the exact deadlocked execution in a timeline
+//! viewer.
 
 use crate::canon::canon_hash;
 use crate::explore::{decide, materialize, CheckConfig, Counterexample};
 use crate::script::script;
-use noc_trace::{chrome_trace_json, TraceConfig};
+use noc_trace::chrome::write_tracer;
+use noc_trace::{ChromeWriter, TraceConfig};
 use serde::Serialize;
+use std::io::{self, Write};
 
 /// Result of replaying a counterexample.
 #[derive(Debug, Clone, Serialize)]
@@ -33,9 +36,17 @@ pub struct ReplayResult {
 }
 
 /// Re-executes `cex` against a fresh simulation of `cc` with full
-/// tracing, returning the confirmation result and the Chrome-trace JSON
-/// of the whole doomed execution.
-pub fn replay(cc: &CheckConfig, cex: &Counterexample) -> (ReplayResult, String) {
+/// tracing, streams the Chrome-trace JSON of the whole doomed execution
+/// (compact layout) onto `trace`, and returns the confirmation result.
+///
+/// # Errors
+///
+/// Propagates `trace`'s write errors.
+pub fn replay(
+    cc: &CheckConfig,
+    cex: &Counterexample,
+    trace: impl Write,
+) -> io::Result<ReplayResult> {
     // From cycle 0, not from a clone of an explored state: tracing is on
     // from the first cycle, and the run shares nothing with the search.
     let mut sim = materialize(cc);
@@ -78,15 +89,14 @@ pub fn replay(cc: &CheckConfig, cex: &Counterexample) -> (ReplayResult, String) 
         ));
     }
 
-    let trace = chrome_trace_json(sim.tracer());
-    (
-        ReplayResult {
-            confirmed: mismatches.is_empty(),
-            state_hash,
-            consumed,
-            in_flight,
-            mismatches,
-        },
-        trace,
-    )
+    let mut out = ChromeWriter::compact(trace);
+    write_tracer(&mut out, sim.tracer())?;
+    out.finish()?;
+    Ok(ReplayResult {
+        confirmed: mismatches.is_empty(),
+        state_hash,
+        consumed,
+        in_flight,
+        mismatches,
+    })
 }

@@ -18,11 +18,15 @@
 //! streams the daemon's live flight records as JSON lines until the
 //! daemon shuts down (or ctrl-C). `flight` works **offline**: it loads
 //! a flight-recorder JSONL log, proves every job's span chain is
-//! complete, and with `--chrome` exports a Perfetto-loadable Chrome
-//! trace (validated structurally after writing).
+//! complete, and with `--chrome` streams a Perfetto-loadable Chrome
+//! trace to the file, then validates it by streaming it back; a file
+//! that fails the check is removed, so a file left behind is a checked
+//! one.
 
 use noc_serve::client::Client;
 use noc_serve::flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains};
+use std::fs::File;
+use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -170,10 +174,18 @@ fn run() -> Result<(), String> {
                 records.len()
             );
             if let Some(out) = chrome_out {
-                let json = chrome_trace(&records);
-                let summary = check_daemon_trace(&json)
-                    .map_err(|e| format!("exported trace failed validation: {e}"))?;
-                std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
+                let exported = File::create(out)
+                    .and_then(|file| chrome_trace(&records, BufWriter::new(file)))
+                    .map_err(|e| format!("cannot write {out}: {e}"))
+                    .and_then(|()| {
+                        let file =
+                            File::open(out).map_err(|e| format!("cannot read {out}: {e}"))?;
+                        check_daemon_trace(BufReader::new(file))
+                            .map_err(|e| format!("exported trace failed validation: {e}"))
+                    });
+                let summary = exported.inspect_err(|_| {
+                    let _ = std::fs::remove_file(out);
+                })?;
                 println!(
                     "{out}: chrome trace with {} job spans, {} batch spans, {} queue samples",
                     summary.jobs, summary.batch_spans, summary.counter_samples

@@ -15,16 +15,16 @@
 //!
 //! The offline half of this module consumes the JSONL file:
 //! [`load_flight`] parses it, [`validate_chains`] proves every job's
-//! span chain is complete, and [`chrome_trace`] renders it as Chrome
+//! span chain is complete, and [`chrome_trace`] streams it as Chrome
 //! `trace_event` JSON (Perfetto-loadable) with workers and jobs as
 //! threads under one daemon process — the service-level counterpart of
-//! `noc-trace`'s per-flit exporter, following the same conventions.
+//! `noc-trace`'s per-flit exporter, through the same writer.
 
 use crate::proto::{encode, FlightEvent, FlightRecord, FlightStats, Resolution};
-use noc_trace::chrome::{counter, instant, meta, num, span, text, validate};
-use serde::Content;
+use noc_trace::chrome::{validate, Arg};
+use noc_trace::ChromeWriter;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
+use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -295,8 +295,9 @@ pub fn validate_chains(records: &[FlightRecord]) -> Vec<String> {
     problems
 }
 
-/// Renders flight records as Chrome `trace_event` JSON (the same array
-/// format `noc-trace` emits, loadable at `ui.perfetto.dev`):
+/// Streams flight records onto `out` as compact Chrome `trace_event`
+/// JSON (the same array format `noc-trace` emits, through the same
+/// [`ChromeWriter`], loadable at `ui.perfetto.dev`):
 ///
 /// * one process (`pid 3`, "nocserve daemon");
 /// * one thread per **worker** carrying its batches as complete spans
@@ -308,42 +309,70 @@ pub fn validate_chains(records: &[FlightRecord]) -> Vec<String> {
 /// * a `queue_depth` counter track from the sampler's `queue` records.
 ///
 /// Timestamps are already microseconds since daemon start, Perfetto's
-/// native unit.
-pub fn chrome_trace(records: &[FlightRecord]) -> String {
-    let mut events = Vec::new();
+/// native unit. The thread names come first, so one pass over the
+/// records collects the tracks and a second writes the events.
+///
+/// # Errors
+///
+/// Propagates `out`'s write errors.
+pub fn chrome_trace(records: &[FlightRecord], out: impl Write) -> io::Result<()> {
     let (mut workers, mut jobs) = (BTreeSet::new(), BTreeSet::new());
+    for r in records {
+        match &r.event {
+            FlightEvent::Submitted { job, .. }
+            | FlightEvent::Responded { job }
+            | FlightEvent::Resolved { job, .. } => {
+                jobs.insert(*job);
+            }
+            FlightEvent::BatchDone { worker, .. }
+            | FlightEvent::Claimed { worker, .. }
+            | FlightEvent::Stored { worker, .. }
+            | FlightEvent::Failed { worker, .. } => {
+                workers.insert(*worker);
+            }
+            FlightEvent::Queue { .. } => {}
+        }
+    }
+    let mut trace = ChromeWriter::compact(out);
+    trace.meta("process_name", PID_DAEMON, None, "nocserve daemon")?;
+    let worker_names = workers
+        .iter()
+        .map(|w| (WORKER_TID_BASE + w, format!("worker {w}")));
+    let job_names = jobs.iter().map(|j| (JOB_TID_BASE + j, format!("job {j}")));
+    for (tid, name) in worker_names.chain(job_names) {
+        trace.meta("thread_name", PID_DAEMON, Some(tid), &name)?;
+    }
+
     // Each job's submitted (ts, points), until `responded` closes its span.
     let mut open = BTreeMap::new();
     for r in records {
         let ts = r.ts_us;
-        let mut on_worker = |name: &str, worker: u64, args| {
-            workers.insert(worker);
-            let tid = WORKER_TID_BASE + worker;
-            instant(name, "worker", PID_DAEMON, tid, ts, args)
-        };
-        events.push(match &r.event {
+        match &r.event {
             FlightEvent::Submitted { job, points } => {
-                jobs.insert(*job);
                 open.insert(*job, (ts, *points));
-                continue;
             }
             FlightEvent::Responded { job } => {
-                jobs.insert(*job);
-                let Some((start, points)) = open.remove(job) else {
-                    continue;
-                };
-                let (tid, dur) = (JOB_TID_BASE + job, ts.saturating_sub(start));
-                let (name, args) = (format!("job {job}"), vec![num("points", points)]);
-                span(&name, "job", PID_DAEMON, tid, start, dur, args)
+                if let Some((start, points)) = open.remove(job) {
+                    let (tid, dur) = (JOB_TID_BASE + job, ts.saturating_sub(start));
+                    let args = [Arg::Num("points", points)];
+                    trace.span(
+                        &format!("job {job}"),
+                        "job",
+                        PID_DAEMON,
+                        tid,
+                        start,
+                        dur,
+                        &args,
+                    )?;
+                }
             }
             FlightEvent::Resolved { key, kind, job } => {
-                jobs.insert(*job);
                 // The kind as the line spells it.
                 let kind = serde::Serialize::to_content(kind);
                 let kind = kind.as_str().unwrap_or_default();
-                let args = vec![text("kind", kind), text("key", key)];
-                let name = format!("resolved:{kind}");
-                instant(&name, "resolve", PID_DAEMON, JOB_TID_BASE + job, ts, args)
+                let args = [Arg::Text("kind", kind), Arg::Text("key", key)];
+                let (name, tid) = (format!("resolved:{kind}"), JOB_TID_BASE + job);
+                trace.instant(&name, "resolve", PID_DAEMON, tid, ts, &args)?;
             }
             FlightEvent::BatchDone {
                 worker,
@@ -351,35 +380,31 @@ pub fn chrome_trace(records: &[FlightRecord]) -> String {
                 wall_ms,
                 cycles,
             } => {
-                workers.insert(*worker);
                 let dur = wall_ms.saturating_mul(1_000);
                 let (tid, start) = (WORKER_TID_BASE + worker, ts.saturating_sub(dur));
-                let args = vec![num("points", *points), num("cycles", *cycles)];
-                span("batch", "batch", PID_DAEMON, tid, start, dur, args)
+                let args = [Arg::Num("points", *points), Arg::Num("cycles", *cycles)];
+                trace.span("batch", "batch", PID_DAEMON, tid, start, dur, &args)?;
             }
-            FlightEvent::Claimed { worker, .. } => on_worker("claimed", *worker, Vec::new()),
+            FlightEvent::Claimed { worker, .. } => {
+                let tid = WORKER_TID_BASE + worker;
+                trace.instant("claimed", "worker", PID_DAEMON, tid, ts, &[])?;
+            }
             FlightEvent::Stored { key, worker } => {
-                on_worker("stored", *worker, vec![text("key", key)])
+                let (tid, args) = (WORKER_TID_BASE + worker, [Arg::Text("key", key)]);
+                trace.instant("stored", "worker", PID_DAEMON, tid, ts, &args)?;
             }
             FlightEvent::Failed { key, worker } => {
-                on_worker("failed", *worker, vec![text("key", key)])
+                let (tid, args) = (WORKER_TID_BASE + worker, [Arg::Text("key", key)]);
+                trace.instant("failed", "worker", PID_DAEMON, tid, ts, &args)?;
             }
             FlightEvent::Queue { depth } => {
-                let args = vec![num("depth", *depth)];
-                counter("queue_depth", PID_DAEMON, None, ts, args)
+                let args = [Arg::Num("depth", *depth)];
+                trace.counter("queue_depth", PID_DAEMON, None, ts, &args)?;
             }
-        });
+        }
     }
-    let worker_names = workers
-        .iter()
-        .map(|w| (WORKER_TID_BASE + w, format!("worker {w}")));
-    let job_names = jobs.iter().map(|j| (JOB_TID_BASE + j, format!("job {j}")));
-    let mut trace = vec![meta("process_name", PID_DAEMON, None, "nocserve daemon")];
-    for (tid, name) in worker_names.chain(job_names) {
-        trace.push(meta("thread_name", PID_DAEMON, Some(tid), &name));
-    }
-    trace.extend(events);
-    serde_json::to_string(&Content::Seq(trace)).expect("chrome trace serializes")
+    trace.finish()?;
+    Ok(())
 }
 
 /// What [`check_daemon_trace`] verified about an exported trace.
@@ -393,50 +418,55 @@ pub struct DaemonTraceSummary {
     pub counter_samples: u64,
 }
 
-/// Validates an exported daemon trace: structurally sound (the
-/// workspace's one validator, [`noc_trace::chrome::validate`]), every
-/// event under `pid 3`, a named daemon process, every job thread
-/// carrying its lifetime span, and a non-empty counter track holding
-/// nothing but `queue_depth` samples.
-pub fn check_daemon_trace(json: &str) -> Result<DaemonTraceSummary, String> {
-    let heads = validate(json)?;
-    if let Some(idx) = heads.iter().position(|h| h.pid != PID_DAEMON) {
-        let pid = heads[idx].pid;
-        return Err(format!("event {idx}: pid {pid}, expected {PID_DAEMON}"));
-    }
-    if !heads.iter().any(|h| h.name == "process_name") {
+/// Validates an exported daemon trace, read as a stream: structurally
+/// sound (the workspace's one validator,
+/// [`noc_trace::chrome::validate`]), every event under `pid 3`, a named
+/// daemon process, every job thread carrying its lifetime span, and a
+/// non-empty counter track holding nothing but `queue_depth` samples.
+///
+/// # Errors
+///
+/// Returns a message naming the first requirement the trace breaks.
+pub fn check_daemon_trace(trace: impl BufRead) -> Result<DaemonTraceSummary, String> {
+    let mut idx = 0u64;
+    let mut named_process = false;
+    // Job tracks sit at `JOB_TID_BASE` and above, worker tracks below.
+    let (mut job_threads, mut job_spans) = (BTreeSet::new(), BTreeSet::new());
+    let (mut batch_spans, mut counter_samples) = (0, 0);
+    validate(trace, |h| {
+        if h.pid != PID_DAEMON {
+            return Err(format!("event {idx}: pid {}, expected {PID_DAEMON}", h.pid));
+        }
+        idx += 1;
+        named_process |= h.name == "process_name";
+        let job_tid = h.tid.filter(|&tid| tid >= JOB_TID_BASE);
+        match h.ph {
+            'M' => job_threads.extend(job_tid),
+            'X' if job_tid.is_some() => job_spans.extend(job_tid),
+            'X' => batch_spans += 1,
+            'C' if h.name != "queue_depth" => {
+                return Err(format!("unexpected counter {:?}", h.name));
+            }
+            'C' => counter_samples += 1,
+            _ => {}
+        }
+        Ok(())
+    })?;
+    if !named_process {
         return Err("no process_name metadata".to_string());
     }
-    // Job tracks sit at `JOB_TID_BASE` and above, worker tracks below.
-    let job_tids = |ph: char| -> BTreeSet<u64> {
-        heads
-            .iter()
-            .filter(|h| h.ph == ph)
-            .filter_map(|h| h.tid.filter(|&tid| tid >= JOB_TID_BASE))
-            .collect()
-    };
-    let job_spans = job_tids('X');
-    if let Some(tid) = job_tids('M').difference(&job_spans).next() {
+    if let Some(tid) = job_threads.difference(&job_spans).next() {
         return Err(format!(
             "job thread {} has no lifetime span",
             tid - JOB_TID_BASE
         ));
     }
-    let counters = || heads.iter().filter(|h| h.ph == 'C');
-    if let Some(stray) = counters().find(|h| h.name != "queue_depth") {
-        return Err(format!("unexpected counter {:?}", stray.name));
-    }
-    let counter_samples = counters().count() as u64;
     if counter_samples == 0 {
         return Err("no queue_depth counter samples".to_string());
     }
-    let batch_spans = heads
-        .iter()
-        .filter(|h| h.ph == 'X' && h.tid.is_some_and(|tid| tid < JOB_TID_BASE))
-        .count();
     Ok(DaemonTraceSummary {
         jobs: job_spans.len() as u64,
-        batch_spans: batch_spans as u64,
+        batch_spans,
         counter_samples,
     })
 }
@@ -562,14 +592,19 @@ mod tests {
 
     #[test]
     fn chrome_export_round_trips_the_checker() {
-        let json = chrome_trace(&coherent_log(""));
-        let summary = check_daemon_trace(&json).expect("valid trace");
+        let export = |records: &[FlightRecord]| {
+            let mut json = Vec::new();
+            chrome_trace(records, &mut json).expect("in-memory write");
+            json
+        };
+        let json = export(&coherent_log(""));
+        let summary = check_daemon_trace(&json[..]).expect("valid trace");
         assert_eq!(summary.jobs, 1);
         assert_eq!(summary.batch_spans, 1);
         assert_eq!(summary.counter_samples, 1);
         // The checker rejects a trace whose job thread lost its span.
-        let amputated = chrome_trace(&coherent_log("responded"));
-        let err = check_daemon_trace(&amputated).expect_err("span missing");
+        let amputated = export(&coherent_log("responded"));
+        let err = check_daemon_trace(&amputated[..]).expect_err("span missing");
         assert!(err.contains("no lifetime span"), "{err}");
     }
 }

@@ -8,8 +8,9 @@
 //! disconnects mid-job just loses its stream — the engine keeps
 //! computing and the results land in the store, so the retry is free,
 //! and the job's flight span still closes.
-//! A `shutdown` request flags the engine, which the accept loop (polling
-//! between non-blocking accepts) observes to stop the daemon.
+//! A `shutdown` request flags the engine and then connects once to the
+//! daemon's own socket, which wakes the blocking accept; the loop checks
+//! the flag after every accept and stops the daemon.
 
 use crate::core::{Daemon, Job, ServeConfig};
 use crate::proto::{decode_request, encode, FetchedPoint, Request, Response, MAX_REQUEST_LINE};
@@ -17,6 +18,7 @@ use crate::store::format_key;
 use crate::Store;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::Path;
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
@@ -36,7 +38,6 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<()> {
     }
     let _ = std::fs::remove_file(&config.socket);
     let listener = UnixListener::bind(&config.socket)?;
-    listener.set_nonblocking(true)?;
     let daemon = Daemon::start(config).map_err(std::io::Error::other)?;
     eprintln!(
         "[nocserve] listening on {} (store {}, {} workers, batch {})",
@@ -46,20 +47,20 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<()> {
         config.batch.max(1)
     );
 
-    while !daemon.is_shutdown() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // A `shutdown` request connects once after flagging: that
+        // connection only wakes this accept.
+        if daemon.is_shutdown() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 daemon.note_connection();
-                let handler = daemon.clone();
-                std::thread::spawn(move || handle_connection(&handler, stream));
+                let (handler, socket) = (daemon.clone(), config.socket.clone());
+                std::thread::spawn(move || handle_connection(&handler, stream, &socket));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => {
-                eprintln!("[nocserve] accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(25));
-            }
+            Err(e) => eprintln!("[nocserve] accept failed: {e}"),
         }
     }
     // Final drain: push remaining telemetry and join the flight writer
@@ -108,8 +109,9 @@ fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Line {
 }
 
 /// Serves one connection until EOF, a dead peer, an over-long line, or
-/// shutdown.
-fn handle_connection(daemon: &Daemon, stream: UnixStream) {
+/// shutdown. `socket` is the daemon's own, which a `shutdown` request
+/// connects to so the accept loop wakes.
+fn handle_connection(daemon: &Daemon, stream: UnixStream, socket: &Path) {
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
@@ -168,6 +170,7 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
             Request::Shutdown => {
                 let _ = send(&mut writer, &Response::Bye);
                 daemon.request_shutdown();
+                let _ = UnixStream::connect(socket);
                 false
             }
         };

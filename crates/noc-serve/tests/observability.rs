@@ -17,6 +17,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use traffic::SyntheticPattern;
 
+/// The Chrome export of `records`, in memory.
+fn export(records: &[FlightRecord]) -> Vec<u8> {
+    let mut json = Vec::new();
+    chrome_trace(records, &mut json).expect("in-memory write");
+    json
+}
+
 fn specs() -> Vec<SweepSpec> {
     [
         (SchemeId::FastPass, SyntheticPattern::Uniform),
@@ -177,7 +184,7 @@ fn watch_streams_lifecycle_without_perturbing_results() {
     let records = load_flight(&flight_path).expect("flight log loads");
     assert_eq!(validate_chains(&records), Vec::<String>::new());
     assert_log_reconciles(&records, &report);
-    let summary = check_daemon_trace(&chrome_trace(&records)).expect("valid chrome trace");
+    let summary = check_daemon_trace(&export(&records)[..]).expect("valid chrome trace");
     assert_eq!(summary.jobs, 2);
     assert!(summary.batch_spans >= 1 && summary.counter_samples >= 1);
 }
@@ -267,5 +274,5 @@ fn a_client_hanging_up_mid_job_still_closes_its_span() {
 
     let records = load_flight(&flight_path).expect("flight log loads");
     assert_eq!(validate_chains(&records), Vec::<String>::new());
-    check_daemon_trace(&chrome_trace(&records)).expect("valid chrome trace");
+    check_daemon_trace(&export(&records)[..]).expect("valid chrome trace");
 }

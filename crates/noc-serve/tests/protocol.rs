@@ -4,12 +4,14 @@
 mod common;
 
 use common::{counter, TestDaemon};
+use noc_serve::client::Client;
 use noc_serve::proto::{
     decode_response, encode, FlightEvent, Request, Response, WireSpec, MAX_REQUEST_LINE,
 };
 use noc_serve::{point_cache_key, SchemeId, SweepSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 fn tiny_spec(seed: u64) -> SweepSpec {
     common::tiny_spec(SchemeId::Vct, seed)
@@ -336,4 +338,27 @@ fn shutdown_returns_after_the_daemon_has_flushed() {
     let records = noc_serve::load_flight(&daemon.flight_path()).expect("flight log loads");
     assert_eq!(noc_serve::validate_chains(&records), Vec::<String>::new());
     daemon.stop();
+}
+
+/// The accept loop blocks in `accept`, so a fresh connection is served
+/// at once: a loop polling a non-blocking accept between sleeps makes
+/// each connect wait out the sleep (25 ms a connect, with 25 ms polls).
+#[test]
+fn a_fresh_connection_is_answered_without_a_polling_wait() {
+    let daemon = TestDaemon::boot_fresh("connect_rtt");
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            let mut client = Client::connect(&daemon.sock).expect("daemon is listening");
+            client.ping().expect("pong");
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median connect + ping {median:?} over {rtts:?}"
+    );
+    daemon.shutdown();
 }

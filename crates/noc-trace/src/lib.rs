@@ -13,8 +13,9 @@
 //!   integrals, stall-cause breakdown, lane-occupancy histogram);
 //! * [`Tracer`] — the recording façade owned by the network core, with
 //!   a three-position [`TraceLevel`] switch;
-//! * exporters — Chrome `trace_event` JSON ([`chrome_trace_json`]) and
-//!   a textual per-packet lifetime report ([`packet_lifetimes`]).
+//! * exporters — Chrome `trace_event` JSON streamed through
+//!   [`ChromeWriter`] ([`chrome::write_tracer`]) and a textual
+//!   per-packet lifetime report ([`packet_lifetimes`]).
 //!
 //! # The no-alloc hook contract
 //!
@@ -46,7 +47,7 @@ pub mod metrics;
 pub mod report;
 pub mod ring;
 
-pub use chrome::chrome_trace_json;
+pub use chrome::ChromeWriter;
 pub use event::{BypassOutcome, StallCause, TraceEvent, TraceRecord};
 pub use metrics::{MetricsReport, NetworkTotals, RouterMetrics};
 pub use report::{packet_lifetime, packet_lifetimes};
@@ -312,8 +313,21 @@ impl Tracer {
     /// All held records merged across nodes, in exact recording order
     /// (sorted by the global sequence number). Cold path; allocates.
     pub fn records_in_order(&self) -> Vec<TraceRecord> {
-        let mut out: Vec<TraceRecord> = self.rings.iter().flat_map(|r| r.iter().copied()).collect();
-        out.sort_by_key(|r| r.seq);
+        self.held_records_by(|r| r.seq)
+            .into_iter()
+            .copied()
+            .collect()
+    }
+
+    /// Every held record, borrowed from the rings (not copied) and
+    /// sorted by `key`, which must be unique per record (every key here
+    /// ends in `seq`). The exporters' one view of the rings.
+    pub(crate) fn held_records_by<K: Ord>(
+        &self,
+        key: impl Fn(&TraceRecord) -> K,
+    ) -> Vec<&TraceRecord> {
+        let mut out: Vec<&TraceRecord> = self.rings.iter().flat_map(EventRing::iter).collect();
+        out.sort_unstable_by_key(|r| key(r));
         out
     }
 

@@ -8,38 +8,43 @@
 use crate::event::TraceRecord;
 use crate::Tracer;
 use std::fmt::Write as _;
+use std::io;
 
-/// Renders the lifetime of every traced packet, ordered by packet id.
+/// Writes the lifetime of every traced packet onto `out`, ordered by
+/// packet id, one line at a time: the records are borrowed from the
+/// tracer's rings, never copied or rendered whole.
 ///
 /// Events lost to ring overwriting are summarized in a header line so a
 /// truncated lifetime is never mistaken for a complete one.
-pub fn packet_lifetimes(tracer: &Tracer) -> String {
-    let mut records: Vec<TraceRecord> = tracer.records_in_order();
-    records.sort_by_key(|r| (r.event.pkt().raw(), r.seq));
-    let mut out = String::new();
-    let _ = writeln!(
+///
+/// # Errors
+///
+/// Propagates `out`'s write errors.
+pub fn packet_lifetimes(tracer: &Tracer, mut out: impl io::Write) -> io::Result<()> {
+    let records = tracer.held_records_by(|r| (r.event.pkt().raw(), r.seq));
+    writeln!(
         out,
         "# packet lifetimes: {} events from {} nodes ({} dropped by ring overwrite)",
         records.len(),
         tracer.num_nodes(),
         tracer.dropped_events()
-    );
+    )?;
     let mut current: Option<u64> = None;
-    for rec in &records {
+    for rec in records {
         let pkt = rec.event.pkt();
         if current != Some(pkt.raw()) {
-            let _ = writeln!(out, "\npacket {pkt}:");
+            writeln!(out, "\npacket {pkt}:")?;
             current = Some(pkt.raw());
         }
-        let _ = writeln!(
+        writeln!(
             out,
             "  cycle {:>8}  node {:>4}  {}",
             rec.cycle,
             rec.node.index(),
             rec.event
-        );
+        )?;
     }
-    out
+    Ok(())
 }
 
 /// Renders the lifetime of one packet (empty string if never traced).
@@ -95,7 +100,9 @@ mod tests {
         t.push_event(NodeId::new(1), TraceEvent::Inject { pkt: b, vc: 1 });
         t.set_now(2);
         t.push_event(NodeId::new(3), TraceEvent::Eject { pkt: a });
-        let text = packet_lifetimes(&t);
+        let mut text = Vec::new();
+        packet_lifetimes(&t, &mut text).expect("in-memory write");
+        let text = String::from_utf8(text).expect("UTF-8");
         let a_pos = text.find(&format!("packet {a}:")).expect("packet a block");
         let b_pos = text.find(&format!("packet {b}:")).expect("packet b block");
         assert!(a_pos < b_pos, "blocks ordered by packet id");

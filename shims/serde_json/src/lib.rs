@@ -146,7 +146,10 @@ fn newline_indent(indent: Option<usize>, depth: usize, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string, escaped exactly as
+/// [`to_string`] escapes it. Streaming writers that lay out their own
+/// documents use this so there is one JSON escaper.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for ch in s.chars() {
         match ch {
