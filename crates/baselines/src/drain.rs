@@ -41,6 +41,14 @@ impl Default for DrainConfig {
     }
 }
 
+/// Whether [`hamiltonian_ring`] can build a ring over `mesh`: both
+/// edges at least 2 and one of them even. The scheme catalogue refuses
+/// a DRAIN configuration on any other mesh through this predicate.
+pub fn has_hamiltonian_ring(mesh: Mesh) -> bool {
+    let (w, h) = (mesh.width(), mesh.height());
+    w >= 2 && h >= 2 && (w % 2 == 0 || h % 2 == 0)
+}
+
 /// Builds the serpentine Hamiltonian cycle over a mesh.
 ///
 /// Row 0 is traversed fully east; rows 1..h serpentine over columns
@@ -49,14 +57,15 @@ impl Default for DrainConfig {
 ///
 /// # Panics
 ///
-/// Panics for odd×odd meshes (no Hamiltonian cycle exists) and for
-/// degenerate single-row/column meshes.
+/// Panics where [`has_hamiltonian_ring`] is false: for odd×odd meshes
+/// (no Hamiltonian cycle exists) and for degenerate single-row/column
+/// meshes.
 pub fn hamiltonian_ring(mesh: Mesh) -> Vec<NodeId> {
     let (w, h) = (mesh.width(), mesh.height());
-    assert!(w >= 2 && h >= 2, "ring needs at least a 2×2 mesh");
     assert!(
-        w % 2 == 0 || h % 2 == 0,
-        "odd×odd meshes admit no Hamiltonian cycle"
+        has_hamiltonian_ring(mesh),
+        "a {w}x{h} mesh has no Hamiltonian ring: it needs both edges at least 2 \
+         and one even (odd×odd meshes admit no Hamiltonian cycle)"
     );
     // Ensure even height; otherwise build on the transpose and flip.
     let transpose = h % 2 != 0;
@@ -271,6 +280,19 @@ mod tests {
     #[should_panic(expected = "odd×odd")]
     fn odd_odd_rejected() {
         let _ = hamiltonian_ring(Mesh::new(3, 3));
+    }
+
+    #[test]
+    fn rings_exist_where_an_edge_is_even_and_none_is_one() {
+        for (w, h, ring) in [
+            (2, 2, true),
+            (3, 4, true),
+            (5, 2, true),
+            (3, 3, false),
+            (1, 4, false),
+        ] {
+            assert_eq!(has_hamiltonian_ring(Mesh::new(w, h)), ring, "{w}x{h}");
+        }
     }
 
     #[test]

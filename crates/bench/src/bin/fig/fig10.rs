@@ -27,21 +27,14 @@ struct Fig10Cell {
     normalized_exec: f64,
 }
 
-/// The figure's eight configurations — every buffered scheme of the
-/// comparison at FastPass VC=2, then FastPass again at VC=4 — labelled
-/// from the configuration each one actually runs
-/// (`"{name}({vns}VN,{vcs}VC)"`).
-fn configs(size: usize) -> Vec<(SchemeId, usize, String)> {
+/// The figure's eight configurations: every buffered scheme of the
+/// comparison at FastPass VC=2, then FastPass again at VC=4.
+fn configs() -> Vec<(SchemeId, usize)> {
     ALL_SCHEMES
         .into_iter()
         .filter(|&id| id != SchemeId::MinBd)
         .map(|id| (id, 2))
         .chain([(SchemeId::FastPass, 4)])
-        .map(|(id, fp_vcs)| {
-            let cfg = id.sim_config(size, fp_vcs, 0);
-            let label = format!("{}({}VN,{}VC)", id.name(), cfg.vns, cfg.vcs_per_vn);
-            (id, fp_vcs, label)
-        })
         .collect()
 }
 
@@ -51,13 +44,23 @@ pub fn run() -> Outcome {
     let max_cycles = env_u64("FP_MAXCYCLES", 400_000);
     // One run per (app, config) in grid order: its average latency and,
     // if every core finished its quota within the cap, its execution time.
-    let configs = configs(size);
+    let configs = configs();
     let mut sims = Vec::new();
     for app in AppModel::FIG10 {
-        for &(id, fp_vcs, _) in &configs {
-            sims.push(app_sim(id, app, size, fp_vcs, 13, Some(quota), 1.0));
+        for &(id, fp_vcs) in &configs {
+            sims.push(app_sim(id, app, size, fp_vcs, 13, Some(quota), 1.0)?);
         }
     }
+    // Each configuration labelled from the configuration it actually
+    // runs (`"{name}({vns}VN,{vcs}VC)"`).
+    let labels: Vec<String> = configs
+        .iter()
+        .zip(&sims)
+        .map(|(&(id, _), sim)| {
+            let cfg = sim.core.cfg();
+            format!("{}({}VN,{}VC)", id.name(), cfg.vns, cfg.vcs_per_vn)
+        })
+        .collect();
     let measured = run_sims(sims, move |sim| {
         let ran = sim.run(max_cycles);
         let lat = sim.core.stats.avg_latency();
@@ -73,7 +76,7 @@ pub fn run() -> Outcome {
         );
         // EscapeVC, the first configuration, is the baseline.
         let base_exec = runs[0].1;
-        for ((_, fp_vcs, label), &(lat, exec)) in configs.iter().zip(runs) {
+        for (((_, fp_vcs), label), &(lat, exec)) in configs.iter().zip(&labels).zip(runs) {
             let Some(exec) = exec else {
                 println!("  {label:<20} {lat:>10.1} {:>12} {:>10}", "capped", "-");
                 capped.push(format!("{app} on {label}"));
@@ -102,7 +105,7 @@ pub fn run() -> Outcome {
     }
     // Averages across apps (the paper's "Average" group).
     println!("\nAverage across apps:");
-    for (_, _, label) in &configs {
+    for label in &labels {
         let mine: Vec<&Fig10Cell> = cells.iter().filter(|c| c.scheme == *label).collect();
         let lat = mine.iter().map(|c| c.avg_latency).sum::<f64>() / mine.len() as f64;
         let norm = mine.iter().map(|c| c.normalized_exec).sum::<f64>() / mine.len() as f64;

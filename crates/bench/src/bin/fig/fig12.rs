@@ -22,7 +22,7 @@ pub fn run() -> Outcome {
     let mut sims = Vec::new();
     for app in AppModel::FIG12 {
         for id in FIVE_SCHEMES {
-            sims.push(app_sim(id, app, size, 2, 17, None, 1.0));
+            sims.push(app_sim(id, app, size, 2, 17, None, 1.0)?);
         }
     }
     let p99s = run_sims(sims, move |sim| {

@@ -7,9 +7,8 @@
 //! saturation for synthetic traffic, ~0.3% for applications — vs.
 //! SCARAB's up-to-9%).
 
-use crate::{app_sim, run_sims, window, Outcome};
-use bench::{runner::make_sim, SchemeId::FastPass};
-use noc_sim::Simulation;
+use crate::{app_sim, run_sims, sweep_sims, window, Outcome};
+use bench::{SchemeId::FastPass, SweepSpec};
 use serde::Serialize;
 use traffic::{AppModel, SyntheticPattern};
 
@@ -52,9 +51,19 @@ pub fn run() -> Outcome {
     // then (b) each application. The paper's 13b runs the 1-VC
     // configuration under real loads; the models run at 2x nominal so
     // the single-VC network is in the regime where FastFlow engages.
-    let uniform = |rate| make_sim(FastPass, SyntheticPattern::Uniform, rate, size, 1, 23);
-    let mut sims: Vec<Simulation> = rates.map(uniform).into();
-    sims.extend(AppModel::FIG13.map(|app| app_sim(FastPass, app, size, 1, 29, None, 2.0)));
+    let mut sims = sweep_sims(&SweepSpec {
+        id: FastPass,
+        pattern: SyntheticPattern::Uniform,
+        rates: rates.into(),
+        size,
+        fp_vcs: 1,
+        warmup,
+        measure,
+        seed: 23,
+    })?;
+    for app in AppModel::FIG13 {
+        sims.push(app_sim(FastPass, app, size, 1, 29, None, 2.0)?);
+    }
     let labels = rates.map(|rate| format!("uniform@{rate}")).into_iter();
     let labels = labels.chain(AppModel::FIG13.map(|app| app.name().to_string()));
     let stats = run_sims(sims, move |sim| sim.run_windows(warmup, measure));

@@ -37,7 +37,7 @@ pub fn run() -> Outcome {
             });
         }
     }
-    let all = run_sweeps(&specs);
+    let all = run_sweeps(&specs)?;
     for (pattern, results) in patterns.iter().zip(all.chunks(ALL_SCHEMES.len())) {
         println!(
             "== Fig. 7 ({}) — avg latency vs injection rate ==",

@@ -42,7 +42,7 @@ pub fn run() -> Outcome {
     }
     let rows: Vec<Fig8Row> = specs
         .iter()
-        .zip(run_sweeps(&specs))
+        .zip(run_sweeps(&specs)?)
         .map(|(spec, r)| {
             // Accepted throughput at the saturation rate.
             let sat = r.saturation_rate();

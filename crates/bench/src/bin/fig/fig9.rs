@@ -7,8 +7,8 @@
 //! ("regular time") component grows with load; regular packets' total
 //! latency grows with load as usual.
 
-use crate::{run_sims, window, Outcome};
-use bench::{runner::make_sim, SchemeId::FastPass};
+use crate::{run_sims, sweep_sims, window, Outcome};
+use bench::{SchemeId::FastPass, SweepSpec};
 use serde::Serialize;
 use traffic::SyntheticPattern;
 
@@ -30,8 +30,17 @@ pub fn run() -> Outcome {
         "{:>6} {:>10} {:>10} {:>12} {:>14} {:>8}",
         "rate", "reg lat", "fp lat", "fp buffered", "fp bufferless", "fp frac"
     );
-    let sims = rates.map(|rate| make_sim(FastPass, SyntheticPattern::Uniform, rate, size, 1, 11));
-    let stats = run_sims(sims.into(), move |sim| sim.run_windows(warmup, measure));
+    let sims = sweep_sims(&SweepSpec {
+        id: FastPass,
+        pattern: SyntheticPattern::Uniform,
+        rates: rates.into(),
+        size,
+        fp_vcs: 1,
+        warmup,
+        measure,
+        seed: 11,
+    })?;
+    let stats = run_sims(sims, move |sim| sim.run_windows(warmup, measure));
     let rows: Vec<Fig9Row> = rates
         .into_iter()
         .zip(stats)

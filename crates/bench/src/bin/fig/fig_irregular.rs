@@ -48,7 +48,7 @@ pub fn run() -> Outcome {
         warmup: 1_000,
         measure: 3_000,
         seed: 5,
-    }]);
+    }])?;
     println!(
         "healthy 4x4 reference: saturation {:.2}, zero-load latency {:.1}",
         reference[0].saturation_rate(),

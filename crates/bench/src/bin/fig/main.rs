@@ -23,8 +23,9 @@ mod fig_irregular;
 mod table1;
 mod table2;
 
+use bench::runner::make_sim;
 use bench::SchemeId::{self, Drain, FastPass, Pitstop, Spin, Swap};
-use bench::{emit_json, env_u64, num_jobs, parallel_map, ExecMode};
+use bench::{emit_json, env_u64, num_jobs, parallel_map, ExecMode, SweepSpec};
 use noc_sim::Simulation;
 use serde::Serialize;
 use std::process::ExitCode;
@@ -90,10 +91,28 @@ fn scheme_header(first: &str, ids: &[SchemeId]) {
     println!("{first}{names}");
 }
 
+/// The simulations of `spec`'s rates, each built as the sweep builds
+/// its points ([`make_sim`]), once [`SweepSpec::admit`] accepts the spec
+/// (Figs. 9 and 13a run their own statistics over them).
+fn sweep_sims(spec: &SweepSpec) -> Result<Vec<Simulation>, String> {
+    spec.admit()?;
+    let &SweepSpec {
+        id,
+        pattern,
+        size,
+        fp_vcs,
+        seed,
+        ..
+    } = spec;
+    let sim = |&rate: &f64| make_sim(id, pattern, rate, size, fp_vcs, seed);
+    Ok(spec.rates.iter().map(sim).collect())
+}
+
 /// An application-traffic simulation (Figs. 10, 12 and 13b): `id` at its
 /// Table II configuration under `app`'s closed-loop model, its
 /// transaction rate scaled by `intensity`, `quota` transactions per core
-/// (`None`: open-ended).
+/// (`None`: open-ended). A `size` or `fp_vcs` the scheme cannot run on
+/// ([`SchemeId::try_sim_config`]) is the figure's error.
 fn app_sim(
     id: SchemeId,
     app: AppModel,
@@ -102,11 +121,13 @@ fn app_sim(
     seed: u64,
     quota: Option<u64>,
     intensity: f64,
-) -> Simulation {
-    let cfg = id.sim_config(size, fp_vcs, seed);
+) -> Result<Simulation, String> {
+    let cfg = id
+        .try_sim_config(size, fp_vcs, seed)
+        .map_err(|e| e.to_string())?;
     let scheme = id.build(&cfg, seed);
     let workload = app.workload_scaled(cfg.mesh.num_nodes(), quota, intensity);
-    Simulation::new(cfg, scheme, Box::new(workload))
+    Ok(Simulation::new(cfg, scheme, Box::new(workload)))
 }
 
 fn usage(err: &str) -> ExitCode {

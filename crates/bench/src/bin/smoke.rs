@@ -57,7 +57,13 @@ fn main() -> ExitCode {
             seed: 5,
         })
         .collect();
-    let results = run_sweeps(&specs);
+    let results = match run_sweeps(&specs) {
+        Ok(results) => results,
+        Err(err) => {
+            eprintln!("error: {err}");
+            return ExitCode::from(2);
+        }
+    };
     for r in &results {
         assert_eq!(r.points.len(), rates.len(), "{}: missing points", r.scheme);
         for p in &r.points {

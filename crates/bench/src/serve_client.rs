@@ -11,7 +11,7 @@
 
 pub use noc_serve::client::{default_socket, Client, SubmitReceipt, SOCK_ENV};
 use noc_serve::runner::{run_sweep_parallel, SweepOptions, SweepResult, SweepSpec};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// How a binary should execute its sweeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,14 +52,29 @@ impl ExecMode {
     }
 }
 
-/// Runs `specs` through the daemon at `sock`, printing progress to
-/// stderr the way the batch executor logs per-point completion.
+/// The figures' sweep entry point: batch by default, daemon when
+/// `--serve` / `NOC_SERVE` asks for it ([`ExecMode::from_env`]). In
+/// serve mode it prints progress to stderr the way the batch executor
+/// logs per-point completion.
+///
+/// Serve mode is explicit opt-in, so an unreachable daemon is an error,
+/// not a silent fallback — falling back would make the CI dedup and
+/// equivalence assertions vacuous.
 ///
 /// # Errors
 ///
-/// Connection and protocol failures, as readable strings.
-pub fn run_sweeps_via(sock: &Path, specs: &[SweepSpec]) -> Result<Vec<SweepResult>, String> {
-    let mut client = Client::connect(sock)
+/// The first spec [`SweepSpec::admit`] refuses, checked before either
+/// executor sees any spec; in serve mode, connection and protocol
+/// failures, as readable strings.
+pub fn run_sweeps(specs: &[SweepSpec]) -> Result<Vec<SweepResult>, String> {
+    for spec in specs {
+        spec.admit()?;
+    }
+    let sock = match ExecMode::from_env() {
+        ExecMode::Batch => return Ok(run_sweep_parallel(specs, &SweepOptions::from_env())),
+        ExecMode::Serve(sock) => sock,
+    };
+    let mut client = Client::connect(&sock)
         .map_err(|e| format!("cannot reach nocserve at {}: {e}", sock.display()))?;
     let mut last = 0u64;
     let (receipt, sweeps) = client.submit(specs, |done, total| {
@@ -73,25 +88,6 @@ pub fn run_sweeps_via(sock: &Path, specs: &[SweepSpec]) -> Result<Vec<SweepResul
         receipt.job, receipt.points, receipt.computed, receipt.cached, receipt.deduped
     );
     Ok(sweeps)
-}
-
-/// The figures' sweep entry point: batch by default, daemon when
-/// `--serve` / `NOC_SERVE` asks for it ([`ExecMode::from_env`]).
-///
-/// Serve mode is explicit opt-in, so an unreachable daemon is an error,
-/// not a silent fallback — falling back would make the CI dedup and
-/// equivalence assertions vacuous.
-pub fn run_sweeps(specs: &[SweepSpec]) -> Vec<SweepResult> {
-    match ExecMode::from_env() {
-        ExecMode::Batch => run_sweep_parallel(specs, &SweepOptions::from_env()),
-        ExecMode::Serve(sock) => match run_sweeps_via(&sock, specs) {
-            Ok(sweeps) => sweeps,
-            Err(err) => {
-                eprintln!("error: {err}");
-                std::process::exit(2);
-            }
-        },
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! The `fig` command line: bad arguments are exit 2 with one usage line
 //! naming every figure, DESIGN.md's experiment index documents exactly
 //! those figures, serve mode notes in-process jobs once per figure that
-//! has them, and a Fig. 10 run cut short by `FP_MAXCYCLES` fails.
+//! has them, a Fig. 10 run cut short by `FP_MAXCYCLES` fails, and an
+//! `FP_SIZE` a figure's schemes cannot run on fails that figure alone.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -85,4 +86,29 @@ fn fig10_runs_cut_short_by_the_cycle_cap_fail_the_figure() {
     assert!(stderr.contains("hit FP_MAXCYCLES=50"), "{stderr}");
     assert!(stderr.contains("Radix on EscapeVC(6VN,2VC)"), "{stderr}");
     assert!(!out_dir("fig10_capped").join("fig10.json").exists());
+}
+
+/// DRAIN has no Hamiltonian ring on a 5×5 mesh: Fig. 7's sweeps and
+/// Fig. 12's application runs are refused before anything simulates,
+/// each figure failing with one line and no panic, while Fig. 9
+/// (FastPass only) runs and writes its JSON. A 1×1 mesh is refused
+/// under the edge bound.
+#[test]
+fn a_mesh_size_a_scheme_cannot_run_fails_that_figure_only() {
+    let (code, stdout, stderr) = fig(&["fig7", "fig12", "fig9"], &[("FP_SIZE", "5")], "odd");
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for name in ["fig7", "fig12"] {
+        let prefix = format!("fig {name}: ");
+        let failed: Vec<&str> = stderr.lines().filter(|l| l.starts_with(&prefix)).collect();
+        assert_eq!(failed.len(), 1, "{stderr}");
+        assert!(failed[0].contains("DRAIN"), "{stderr}");
+        assert!(!out_dir("odd").join(format!("{name}.json")).exists());
+    }
+    assert!(out_dir("odd").join("fig9.json").is_file(), "{stderr}");
+
+    let (code, stdout, stderr) = fig(&["fig9"], &[("FP_SIZE", "1")], "one");
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains("mesh edge must be 2 to 255"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

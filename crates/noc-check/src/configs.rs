@@ -156,6 +156,8 @@ mod tests {
         assert_eq!(all().count(), verify_points().len());
         for cc in all() {
             validate(&cc).unwrap_or_else(|e| panic!("{}: {e}", cc.point.name));
+            let admitted = cc.point.id.admits(&cc.point.sim_config());
+            admitted.unwrap_or_else(|e| panic!("{}: {e}", cc.point.name));
         }
         assert_eq!(matrix_2x2().len(), 7);
         assert_eq!(matrix_3x3().len(), 3);

@@ -211,6 +211,18 @@ mod tests {
         assert_eq!(before, names.len(), "duplicate config names");
     }
 
+    /// Every row is a configuration its scheme can be built on, so a
+    /// refused row (DRAIN on an odd×odd mesh, say) fails here rather
+    /// than in the prove run.
+    #[test]
+    fn every_row_is_admitted_by_its_scheme() {
+        for c in full_suite() {
+            c.scheme
+                .admits(&c.sim)
+                .unwrap_or_else(|e| panic!("{}: {e}", c.name));
+        }
+    }
+
     #[test]
     fn fault_suite_is_deterministic() {
         let a: Vec<String> = fault_suite(4).into_iter().map(|c| c.name).collect();

@@ -239,9 +239,10 @@ impl SchemeId {
     ///
     /// # Errors
     ///
-    /// Returns the bound a mesh edge or VC count violates. No scheme
-    /// (and no workload) runs on a single router, so the edge starts at
-    /// 2; node ids are 16-bit, so it ends at 255.
+    /// Returns the bound a mesh edge or VC count violates, or the
+    /// scheme's own refusal ([`SchemeId::admits`]). No scheme (and no
+    /// workload) runs on a single router, so the edge starts at 2; node
+    /// ids are 16-bit, so it ends at 255.
     pub fn try_sim_config(
         self,
         size: usize,
@@ -256,12 +257,35 @@ impl SchemeId {
             SchemeId::MinBd => 1, // buffers unused
             _ => 2,
         };
-        SimConfig::builder()
+        let cfg = SimConfig::builder()
             .mesh(size, size)
             .vns(self.vns())
             .vcs_per_vn(vcs)
             .seed(seed)
-            .try_build()
+            .try_build()?;
+        self.admits(&cfg)?;
+        Ok(cfg)
+    }
+
+    /// Whether the scheme can be built on `cfg`: its structural
+    /// refusals of a configuration every layer below accepts. DRAIN's
+    /// periodic drain circulates packets over a Hamiltonian ring, which
+    /// no odd×odd mesh has; every other scheme builds on any valid
+    /// configuration. No refusal depends on a [`Tuning`].
+    ///
+    /// # Errors
+    ///
+    /// Names the scheme and what it needs of the configuration.
+    pub fn admits(self, cfg: &SimConfig) -> Result<(), ConfigError> {
+        match self {
+            SchemeId::Drain if !baselines::drain::has_hamiltonian_ring(cfg.mesh) => {
+                Err(ConfigError::new(
+                    "DRAIN needs a Hamiltonian ring: both mesh edges at least 2 and one of \
+                     them even (no odd×odd mesh has one)",
+                ))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Instantiates the scheme for a configuration with the parameters
@@ -355,6 +379,17 @@ mod tests {
             assert!(err.to_string().contains(bound), "{size}/{vcs}: {err}");
         }
         assert_eq!(fp.try_sim_config(8, 4, 1).unwrap(), fp.sim_config(8, 4, 1));
+    }
+
+    #[test]
+    fn drain_refuses_odd_meshes_only() {
+        for size in 2..=12 {
+            let refused = SchemeId::Drain.try_sim_config(size, 2, 1).is_err();
+            assert_eq!(refused, size % 2 == 1, "{size}x{size}");
+        }
+        let err = SchemeId::Drain.try_sim_config(3, 2, 1).unwrap_err();
+        assert!(err.to_string().contains("DRAIN"), "{err}");
+        assert!(SchemeId::Vct.try_sim_config(3, 2, 1).is_ok());
     }
 
     #[test]

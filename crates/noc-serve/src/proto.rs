@@ -29,7 +29,6 @@
 use crate::runner::{LatencyPoint, SweepResult, SweepSpec};
 use crate::store::{GcReport, Provenance};
 use crate::SchemeId;
-use noc_core::topology::Mesh;
 use serde::{Deserialize, Serialize};
 use traffic::SyntheticPattern;
 
@@ -264,48 +263,32 @@ impl WireSpec {
         }
     }
 
-    /// Decodes back into a runner spec, validating every axis. The
-    /// bounds are sanity limits for a *local* trusted service: they
-    /// exist to turn typos into readable errors, not to sandbox.
+    /// Decodes back into a runner spec by name, then admits it under
+    /// the one rule every front end shares ([`SweepSpec::admit`]), so
+    /// the daemon runs exactly what `nocsim` runs.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first invalid axis.
+    /// An unknown scheme or pattern name, or the admission refusal.
     pub fn to_spec(&self) -> Result<SweepSpec, String> {
         let id = SchemeId::parse(&self.scheme)
             .ok_or_else(|| format!("unknown scheme `{}`", self.scheme))?;
         let pattern = SyntheticPattern::from_name(&self.pattern)
             .ok_or_else(|| format!("unknown pattern `{}`", self.pattern))?;
-        if self.rates.is_empty() {
-            return Err("spec has no rates".to_string());
-        }
-        for &rate in &self.rates {
-            traffic::check_rate(rate)?;
-        }
-        if !(2..=64).contains(&self.size) {
-            return Err(format!("mesh size {} outside 2..=64", self.size));
-        }
-        let side = self.size as usize;
-        pattern.check(Mesh::new(side, side))?;
-        if !(1..=8).contains(&self.fp_vcs) {
-            return Err(format!("fp_vcs {} outside 1..=8", self.fp_vcs));
-        }
-        if self.measure == 0 {
-            return Err("measure window must be at least 1 cycle".to_string());
-        }
-        self.warmup
-            .checked_add(self.measure)
-            .ok_or("warmup + measure window overflows u64")?;
-        Ok(SweepSpec {
+        // A value past `usize` saturates, and admission refuses it.
+        let axis = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
+        let spec = SweepSpec {
             id,
             pattern,
             rates: self.rates.clone(),
-            size: self.size as usize,
-            fp_vcs: self.fp_vcs as usize,
+            size: axis(self.size),
+            fp_vcs: axis(self.fp_vcs),
             warmup: self.warmup,
             measure: self.measure,
             seed: self.seed,
-        })
+        };
+        spec.admit()?;
+        Ok(spec)
     }
 }
 

@@ -310,6 +310,47 @@ pub struct SweepSpec {
     pub seed: u64,
 }
 
+impl SweepSpec {
+    /// The one rule for whether this spec can run. Every front end
+    /// calls it before it simulates and keeps no check of its own: the
+    /// daemon through [`WireSpec::to_spec`], `nocsim`, and the figures'
+    /// `bench::run_sweeps`. A spec it admits builds and runs; the
+    /// daemon worker's `catch_unwind` is only a backstop.
+    ///
+    /// # Errors
+    ///
+    /// Names the first axis out of bounds and its bound: the rates
+    /// (non-empty, each in `(0, 1]`), the mesh edge and VC count with
+    /// the scheme's own refusal ([`SchemeId::try_sim_config`]), the
+    /// pattern's mesh ([`SyntheticPattern::check`]), then the windows
+    /// (at least one measured cycle, a total that fits in a `u64`).
+    ///
+    /// [`WireSpec::to_spec`]: crate::proto::WireSpec::to_spec
+    pub fn admit(&self) -> Result<(), String> {
+        if self.rates.is_empty() {
+            return Err("spec has no rates".to_string());
+        }
+        for &rate in &self.rates {
+            traffic::check_rate(rate)?;
+        }
+        let cfg = self
+            .id
+            .try_sim_config(self.size, self.fp_vcs, self.seed)
+            .map_err(|e| {
+                let (name, size, fp_vcs) = (self.id.name(), self.size, self.fp_vcs);
+                format!("{name} at size {size} with fp_vcs {fp_vcs}: {e}")
+            })?;
+        self.pattern.check(cfg.mesh)?;
+        if self.measure == 0 {
+            return Err("measure window must be at least 1 cycle".to_string());
+        }
+        self.warmup
+            .checked_add(self.measure)
+            .ok_or("warmup + measure window overflows u64")?;
+        Ok(())
+    }
+}
+
 /// Execution options for [`run_sweep_parallel`].
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
@@ -523,32 +564,16 @@ pub fn latency_point(rate: f64, stats: &noc_core::stats::NetStats) -> LatencyPoi
 /// [`run_sweep_parallel`] produces bitwise-identical results; this stays
 /// as the oracle for the determinism test and for callers that want a
 /// single sweep without options plumbing.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep(
-    id: SchemeId,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    size: usize,
-    fp_vcs: usize,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> SweepResult {
-    let spec = SweepSpec {
-        id,
-        pattern,
-        rates: rates.to_vec(),
-        size,
-        fp_vcs,
-        warmup,
-        measure,
-        seed,
-    };
+pub fn sweep(spec: &SweepSpec) -> SweepResult {
     SweepResult {
-        scheme: id.name().to_string(),
-        pattern: pattern.name().to_string(),
-        size,
-        points: rates.iter().map(|&r| simulate_point(&spec, r)).collect(),
+        scheme: spec.id.name().to_string(),
+        pattern: spec.pattern.name().to_string(),
+        size: spec.size,
+        points: spec
+            .rates
+            .iter()
+            .map(|&r| simulate_point(spec, r))
+            .collect(),
     }
 }
 
@@ -1150,7 +1175,16 @@ mod tests {
     #[test]
     fn small_sweep_runs_every_scheme() {
         for id in crate::registry::ALL_SCHEMES {
-            let r = sweep(id, SyntheticPattern::Uniform, &[0.02], 4, 2, 200, 500, 1);
+            let r = sweep(&SweepSpec {
+                id,
+                pattern: SyntheticPattern::Uniform,
+                rates: vec![0.02],
+                size: 4,
+                fp_vcs: 2,
+                warmup: 200,
+                measure: 500,
+                seed: 1,
+            });
             assert_eq!(r.points.len(), 1, "{}", id.name());
             assert!(r.points[0].delivered > 0, "{} delivered nothing", id.name());
         }

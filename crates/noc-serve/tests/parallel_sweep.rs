@@ -19,14 +19,7 @@ fn small_specs() -> Vec<SweepSpec> {
 #[test]
 fn parallel_sweep_is_bitwise_identical_to_serial() {
     let specs = small_specs();
-    let serial: Vec<_> = specs
-        .iter()
-        .map(|s| {
-            sweep(
-                s.id, s.pattern, &s.rates, s.size, s.fp_vcs, s.warmup, s.measure, s.seed,
-            )
-        })
-        .collect();
+    let serial: Vec<_> = specs.iter().map(sweep).collect();
     let one = run_sweep_parallel(&specs, &SweepOptions::quiet(1));
     let four = run_sweep_parallel(&specs, &SweepOptions::quiet(4));
     let serial_json = serde_json::to_string_pretty(&serial).unwrap();

@@ -109,6 +109,36 @@ fn malformed_lines_get_errors_and_the_connection_stays_usable() {
     );
 }
 
+/// A spec the scheme cannot be built on — DRAIN on a 3×3 mesh, which
+/// has no Hamiltonian ring — is refused at decode with `bad spec`
+/// naming DRAIN: no worker claims it, so nothing fails and nothing is
+/// computed, and the connection keeps serving.
+#[test]
+fn a_spec_the_scheme_cannot_build_is_a_bad_spec() {
+    let daemon = TestDaemon::boot_fresh("drain_odd");
+    let mut conn = RawConn::open(&daemon);
+    let drain = SweepSpec {
+        id: SchemeId::Drain,
+        size: 3,
+        ..tiny_spec(1)
+    };
+    let specs = vec![WireSpec::from_spec(&drain)];
+    conn.send_line(&encode(&Request::Submit { specs }));
+    match conn.recv() {
+        Response::Error { message } => assert!(
+            message.starts_with("bad spec: ") && message.contains("DRAIN"),
+            "{message}"
+        ),
+        other => panic!("DRAIN 3x3 should draw a bad spec error, got {other:?}"),
+    }
+    conn.send_line(&encode(&Request::Ping));
+    assert!(matches!(conn.recv(), Response::Pong { .. }));
+
+    let report = daemon.client().metrics().expect("metrics");
+    assert_eq!(counter(&report, "points_failed"), 0, "{report:?}");
+    assert_eq!(counter(&report, "points_computed"), 0, "{report:?}");
+}
+
 #[test]
 fn an_endless_line_draws_one_error_and_the_daemon_lives_on() {
     let daemon = TestDaemon::boot_fresh("longline");

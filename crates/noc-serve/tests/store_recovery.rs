@@ -66,16 +66,7 @@ fn corrupt_and_stale_entries_are_recomputed_not_served() {
     // And the recompute *overwrote* the damage: both entries now load
     // and carry the true values.
     let fixed = store.load(stale_key).expect("stale entry overwritten");
-    let truth = sweep(
-        spec.id,
-        spec.pattern,
-        &spec.rates,
-        spec.size,
-        spec.fp_vcs,
-        spec.warmup,
-        spec.measure,
-        spec.seed,
-    );
+    let truth = sweep(&spec);
     assert_eq!(fixed.avg_latency, truth.points[1].avg_latency);
     assert!(
         store.load(corrupt_key).is_some(),

@@ -18,23 +18,33 @@
 //!   `bit-rotation`, `bit-complement`, `tornado`, `neighbor`, `hotspot`;
 //! * `--app <name>` — run a closed-loop application model instead of a
 //!   synthetic pattern (`radix`, `canneal`, `fft`, `fmm`, `lu_cb`,
-//!   `streamcluster`, `volrend`, `barnes`);
+//!   `streamcluster`, `volrend`, `barnes`); `--pattern` and `--rate`
+//!   are then unused;
 //! * `--rate <f64>` — injection rate in packets/node/cycle, in `(0, 1]`
 //!   (default 0.05);
-//! * `--size <n>` — mesh edge (default 8, 2 to 255); `--vcs <n>` —
+//! * `--size <n>` — mesh edge (default 8, 2 to 255; DRAIN needs it even,
+//!   the bit patterns a power-of-two node count); `--vcs <n>` —
 //!   FastPass VCs (1 to 12; every other scheme runs Table II's VN/VC
 //!   configuration);
-//! * `--warmup/--cycles <n>` — window lengths; `--quota <n>` — closed-loop
+//! * `--warmup/--cycles <n>` — window lengths (a synthetic run measures
+//!   at least 1 cycle); `--quota <n>` — closed-loop
 //!   transactions per core: with `--app`, a quota runs the application to
 //!   completion with no warmup, capped at `max(--cycles, 1000000)` cycles
 //!   (so `--cycles` can raise the cap but never lower it);
 //! * `--seed <n>`; `--json` for machine output.
+//!
+//! A synthetic run is the sweep spec of the same axes, admitted by
+//! `SweepSpec::admit` — the rule the `nocserve` daemon applies to a
+//! wire submit — so the two refuse the same specs with the same
+//! message. An application run is refused where
+//! `SchemeId::try_sim_config` errs. Every refusal, like every bad
+//! argument, is one `nocsim:` line and exit 2.
 
 use fastpass_noc::core::stats::NetStats;
 use fastpass_noc::schemes::{SchemeId, ALL_SCHEMES};
-use fastpass_noc::serve::runner::make_sim;
+use fastpass_noc::serve::runner::{make_sim, SweepSpec};
 use fastpass_noc::sim::Simulation;
-use fastpass_noc::traffic::{check_rate, AppModel, SyntheticPattern};
+use fastpass_noc::traffic::{AppModel, SyntheticPattern};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -191,42 +201,49 @@ fn run() -> Result<(), String> {
     let warmup: u64 = args.num("warmup", 5_000)?;
     let cycles: u64 = args.num("cycles", 20_000)?;
     let rate: f64 = args.num("rate", 0.05)?;
-    check_rate(rate)?;
-
-    // Table II's configuration for the scheme, from the one registry.
-    // Range errors come first: `make_sim` panics where this errs.
+    let quota: u64 = args.num("quota", 0)?;
     let id = SchemeId::parse(scheme_name)
         .ok_or_else(|| format!("unknown scheme `{scheme_name}` (try --list)"))?;
-    let cfg = id
-        .try_sim_config(size, vcs, seed)
-        .map_err(|e| e.to_string())?;
 
-    let mut sim = if let Some(app_name) = args.get("app") {
+    let stats = if let Some(app_name) = args.get("app") {
         let app = app_by_name(app_name)
             .ok_or_else(|| format!("unknown app `{app_name}` (try --list)"))?;
-        let quota: u64 = args.num("quota", 0)?;
+        // Table II's configuration for the scheme, from the one registry.
+        let cfg = id
+            .try_sim_config(size, vcs, seed)
+            .map_err(|e| e.to_string())?;
         let workload = app.workload(cfg.mesh.num_nodes(), (quota > 0).then_some(quota));
         let scheme = id.build(&cfg, seed);
-        Simulation::new(cfg, scheme, Box::new(workload))
+        let mut sim = Simulation::new(cfg, scheme, Box::new(workload));
+        if quota > 0 {
+            // Closed loop: run to completion, capped at 1M cycles or at
+            // --cycles if that is larger; --cycles never lowers the cap.
+            let ran = sim.run(cycles.max(1_000_000));
+            let mut s = sim.core.stats.clone();
+            s.cycles = ran;
+            s
+        } else {
+            sim.run_windows(warmup, cycles)
+        }
     } else {
-        // The sweep's own point constructor, so a run reproduces a
+        // The sweep's own spec, admitted under the one rule the daemon
+        // applies, and its own point constructor, so a run reproduces a
         // stored point of the same spec.
         let pname = args.get("pattern").unwrap_or("uniform");
         let pattern = SyntheticPattern::from_name(pname)
             .ok_or_else(|| format!("unknown pattern `{pname}` (try --list)"))?;
-        pattern.check(cfg.mesh)?;
-        make_sim(id, pattern, rate, size, vcs, seed)
-    };
-    let stats = if args.get("app").is_some() && args.num::<u64>("quota", 0)? > 0 {
-        // Closed loop: run to completion, capped at 1M cycles or at
-        // --cycles if that is larger; --cycles never lowers the cap.
-        let cap = cycles.max(1_000_000);
-        let ran = sim.run(cap);
-        let mut s = sim.core.stats.clone();
-        s.cycles = ran;
-        s
-    } else {
-        sim.run_windows(warmup, cycles)
+        let spec = SweepSpec {
+            id,
+            pattern,
+            rates: vec![rate],
+            size,
+            fp_vcs: vcs,
+            warmup,
+            measure: cycles,
+            seed,
+        };
+        spec.admit()?;
+        make_sim(id, pattern, rate, size, vcs, seed).run_windows(warmup, cycles)
     };
     report(&stats, stats.cycles, args.flag("json"));
     Ok(())

@@ -72,6 +72,18 @@ fn patterns_the_mesh_cannot_carry_are_usage_errors() {
     );
 }
 
+/// DRAIN drains over a Hamiltonian ring, which no odd×odd mesh has: a
+/// synthetic or application run there is refused up front under the
+/// scheme's own rule, not a panic inside the constructor.
+#[test]
+fn drain_on_an_odd_mesh_is_a_usage_error() {
+    assert_usage_error(&["--scheme", "drain", "--size", "3"], "DRAIN");
+    assert_usage_error(
+        &["--app", "radix", "--scheme", "drain", "--size", "5"],
+        "DRAIN",
+    );
+}
+
 /// `nocsim args` is a usage error: exit 2 and one `nocsim:` line that
 /// contains `needle`, with nothing simulated.
 fn assert_usage_error(args: &[&str], needle: &str) {

@@ -59,14 +59,7 @@ fn daemon_serial_and_batch_executor_agree_over_one_store() {
     let served = daemon.collect(&job).expect("job completes");
     daemon.request_shutdown();
 
-    let serial: Vec<_> = specs
-        .iter()
-        .map(|s| {
-            bench::runner::sweep(
-                s.id, s.pattern, &s.rates, s.size, s.fp_vcs, s.warmup, s.measure, s.seed,
-            )
-        })
-        .collect();
+    let serial: Vec<_> = specs.iter().map(bench::runner::sweep).collect();
     let json = |sweeps: &[SweepResult]| serde_json::to_string(sweeps).expect("sweeps serialize");
     assert_eq!(json(&served), json(&serial), "daemon vs serial reference");
 
